@@ -1,8 +1,10 @@
 """Campaign chunk ordering vs PR-1 contiguous chunking: Howard rounds.
 
 The campaign executor reorders pending points by topology signature
-(groups in first-seen order, sweep order preserved inside each group)
-and hands each worker one **contiguous span** of the ordered stream.
+(groups in first-seen order, sweep order preserved inside each group),
+and each worker claims **contiguous runs** of the ordered stream from
+its own starting offset, so the layout simulated here gives each worker
+one contiguous span.
 PR-1's ``evaluate_stream`` instead cuts the caller's order into small
 contiguous chunks dispatched round-robin — fine when the caller already
 grouped by topology, but a grid campaign naturally interleaves
@@ -109,7 +111,7 @@ def simulate_workers(
 
     Each worker owns a :class:`BatchEngine` (skeleton builds = its cache
     misses) and one :class:`HowardState` per topology — exactly the
-    state a sharded executor's long-lived workers carry.
+    state a campaign's long-lived workers carry.
     """
     rounds = builds = 0
     values: dict[int, float] = {}
@@ -139,7 +141,7 @@ def pr1_layout(n: int) -> list[list[int]]:
 
 
 def campaign_layout(pairs: list[tuple[Instance, str]]) -> list[list[int]]:
-    """The executor's layout: signature-grouped order, contiguous spans."""
+    """The campaign layout: signature-grouped order, contiguous spans."""
     order = order_for_engine(pairs)
     base, extra = divmod(len(order), N_WORKERS)
     spans, start = [], 0

@@ -2,8 +2,9 @@
 
 PR 8's acceptance contract: the instrumentation layer observes without
 perturbing.  One small multi-group campaign is drained four ways —
-serial (twice), ``n_jobs=2`` span workers, and a 2-process lease fabric
-— all with tracing enabled, and the benchmark asserts:
+serial (twice), ``run_campaign(n_jobs=2)`` and
+``run_campaign_workers(workers=2)`` (both a 2-process lease fabric) —
+all with tracing enabled, and the benchmark asserts:
 
 * **counter determinism** — two serial runs produce *identical* full
   counter snapshots (every counter, not just the contract tier);
@@ -11,6 +12,9 @@ serial (twice), ``n_jobs=2`` span workers, and a 2-process lease fabric
   (``engine.points[.*]``, ``engine.paths``, ``store.puts``,
   ``store.quarantines``) are identical across serial, ``n_jobs=2`` and
   the 2-worker fabric;
+* **no store rescans** — none of the four drains calls
+  ``ResultStore.digests()`` (``store.scans`` stays 0): the claim loop
+  walks its work list with a cursor instead;
 * **no perturbation** — the campaign JSON export of the traced fabric
   run is byte-identical to the traced serial run's;
 * **disabled no-op** — draining the same spec with telemetry disabled
@@ -126,6 +130,7 @@ def run_comparison() -> dict:
     contract_serial = contract_counters(serial_a["counters"])
     chrome = json.loads(json.dumps(chrome_trace(fabric), sort_keys=True))
     attrib = attribution(fabric)
+    traces = (serial_a, serial_b, jobs2, fabric)
     return {
         "n_points": contract_serial.get("engine.points", 0),
         "counters_identical": serial_a["counters"] == serial_b["counters"],
@@ -135,6 +140,8 @@ def run_comparison() -> dict:
         ),
         "exports_identical": export_serial == export_fabric,
         "disabled_noop": disabled_noop,
+        "store_scans": sum(t["counters"].get("store.scans", 0)
+                           for t in traces),
         "chrome_roundtrip": merged_from_chrome(chrome) == fabric,
         "engine_points": contract_serial.get("engine.points", 0),
         "skeleton_builds": serial_a["counters"].get(
@@ -160,6 +167,8 @@ def _check(stats: dict) -> None:
         "tracing perturbed the campaign export bytes"
     assert stats["disabled_noop"], \
         "disabled telemetry still collected counters or spans"
+    assert stats["store_scans"] == 0, \
+        f"campaign drains rescanned the store {stats['store_scans']} times"
     assert stats["chrome_roundtrip"], \
         "Chrome export round-trip lost information"
     assert stats["coverage"] >= stats["coverage_floor"], (
@@ -176,6 +185,7 @@ def bench_telemetry_campaign(benchmark):
             ("contract tier invariant", "yes", stats["contract_invariant"]),
             ("exports byte-identical", "yes", stats["exports_identical"]),
             ("disabled no-op", "yes", stats["disabled_noop"]),
+            ("store scans", "0", stats["store_scans"]),
             ("chrome round-trip", "exact", stats["chrome_roundtrip"]),
             ("span coverage", f">= {MIN_COVERAGE:.0%}",
              f"{stats['coverage']:.1%}")])
@@ -191,6 +201,7 @@ def main() -> int:
           f"{stats['contract_invariant']}")
     print(f"exports byte-identical           : {stats['exports_identical']}")
     print(f"disabled telemetry no-op         : {stats['disabled_noop']}")
+    print(f"store scans during drains        : {stats['store_scans']}")
     print(f"chrome round-trip exact          : {stats['chrome_roundtrip']}")
     print(f"span coverage of '{stats['attribution_root']}'    : "
           f"{stats['coverage']:.1%} (floor {MIN_COVERAGE:.0%})")

@@ -67,6 +67,7 @@ CONTRACTS = [
     ("telemetry_campaign", "chrome_roundtrip", ">="),
     ("telemetry_campaign", "engine_points", "<="),
     ("telemetry_campaign", "skeleton_builds", "<="),
+    ("telemetry_campaign", "store_scans", "<="),
     ("faults_chaos", "disabled_noop", ">="),
     ("faults_chaos", "exports_identical", ">="),
     ("faults_chaos", "retry_deterministic", ">="),

@@ -12,12 +12,13 @@ turns one-shot, in-memory sweeps into declarative campaigns:
   ``(instance, model, schema version)``: duplicate points are never
   recomputed and interrupted campaigns resume where they stopped;
 * :mod:`~repro.campaign.executor` — :func:`run_campaign`, the streaming
-  runner that drains a spec through one shared
-  :class:`~repro.engine.BatchEngine`, ordering evaluation by topology
-  signature *and* sweep adjacency so skeleton caches and Howard warm
-  starts hit, plus byte-deterministic JSON/CSV exports; and
-  :func:`run_campaign_workers`, the distributed fabric that drains one
-  spec with N independent worker processes against one shared WAL store;
+  runner that drains a spec through one claim → evaluate → commit loop
+  and a warm-started :class:`~repro.engine.BatchEngine`, ordering
+  evaluation by topology signature *and* sweep adjacency so skeleton
+  caches and Howard warm starts hit, plus byte-deterministic JSON/CSV
+  exports; the same loop runs in-process or, as
+  :func:`run_campaign_workers` (``run_campaign(n_jobs=k)``), in N
+  lease-coordinated worker processes against one shared WAL store;
 * :mod:`~repro.campaign.lease` — :class:`LeaseManager`, the claim/lease
   protocol (TTL expiry, heartbeat renewal, stale-lease reclamation)
   that makes fabric duplicates rare by design;

@@ -1,10 +1,10 @@
-"""Streaming campaign executor: resume, warm-start-friendly ordering, export.
+"""Campaign executor: one drain loop for serial, parallel and fabric runs.
 
-:func:`run_campaign` drains a :class:`~repro.campaign.spec.CampaignSpec`
-through one shared :class:`~repro.engine.BatchEngine`:
+Every campaign drain runs the same claim → evaluate → commit → release
+loop (:func:`_drain`) over the same work list:
 
 1. **Expand + dedupe** — the spec expands deterministically; every
-   point's digest is looked up in the store and already-computed points
+   point's digest is probed in the store and already-computed points
    are skipped (this is both the resume path and the duplicate guard).
 2. **Order** — pending points are regrouped by
    :func:`~repro.engine.signature.topology_signature` (groups in
@@ -12,20 +12,21 @@ through one shared :class:`~repro.engine.BatchEngine`:
    Grouping maximizes skeleton-cache and Howard warm-start hits; the
    preserved sweep adjacency keeps consecutive same-topology instances
    similar, so the carried policy is typically one improvement round
-   from each new fixed point (see ``benchmarks/bench_campaign.py``,
-   which asserts this ordering beats PR-1's plain contiguous chunking).
-3. **Evaluate + checkpoint** — results stream into the store with a
-   commit every ``commit_every`` points (serial) or per worker span as
-   each span *finishes* (parallel), so a killed serial run loses at
-   most ``commit_every`` points and a killed parallel run at most the
-   spans still in flight — never committed work.  Parallel runs split
-   the *ordered* stream into one contiguous span per worker — never
-   round-robin chunks, which would interleave sweep neighbors away
-   from each other's engines.  Because the stream is signature-ordered,
-   both paths drain through ``BatchEngine.evaluate(mode="many")``: each
+   from each new fixed point (see ``benchmarks/bench_campaign.py``).
+3. **Claim, evaluate, commit** — a worker walks the ordered list with a
+   cursor, claims one window of digests at a time, evaluates each
+   ``commit_every`` slice through a warm-started
+   :class:`~repro.engine.BatchEngine` (``mode="many"``: each
    same-topology run is stamped into one ``(B, E)`` weight matrix and
-   solved in lockstep (:func:`repro.maxplus.howard.solve_prepared_many`)
-   instead of point by point.
+   solved in lockstep by :func:`repro.maxplus.howard.solve_prepared_many`),
+   commits it and releases its leases.  A kill loses at most the
+   uncommitted slice, never committed work.
+
+:func:`run_campaign` runs that loop in-process, where the worker owns
+the store and its leases are no-ops, or with ``n_jobs=k`` as ``k``
+lease-coordinated processes on the store's file — exactly what
+:func:`run_campaign_workers` runs.  The processes inherit the parent's
+expanded work list, so the spec expands once per drain.
 
 Evaluation runs ``warm_start=True``: period values are identical to
 cold start (pinned by ``tests/test_warm_start.py``), and stored
@@ -43,7 +44,7 @@ import csv
 import io
 import os as _os
 import sqlite3
-from concurrent.futures import ProcessPoolExecutor, as_completed
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
@@ -54,6 +55,7 @@ from ..errors import ValidationError
 from ..experiments.io import canonical_json
 from ..faults import FAULTS, FaultPlan, SpillJournal, pause
 from ..telemetry import TELEMETRY, write_trace
+from .lease import DEFAULT_LEASE_TTL, LeaseManager
 from .spec import CampaignPoint, CampaignSpec
 from .store import ResultStore, instance_digest, payload_from_result
 
@@ -70,24 +72,23 @@ __all__ = [
     "export_campaign_csv",
 ]
 
-#: Serial checkpoint cadence (points per store commit).
+#: Checkpoint cadence (points per store commit).  Claims default to one
+#: commit's worth, so a crashed worker strands at most one checkpoint of
+#: work behind its lease TTL.
 DEFAULT_COMMIT_EVERY = 32
-
-#: Fabric claim-batch size: how many digests one worker leases per
-#: claim transaction.  Small enough that a crashed worker strands
-#: little work behind its TTL; large enough that claim overhead stays
-#: negligible next to evaluation.
-DEFAULT_CLAIM_BATCH = 16
 
 #: Sleep while every pending digest is leased by some other worker
 #: (seconds); bounded by the lease TTL, after which stale leases
 #: become claimable.
 _FABRIC_POLL_SLEEP = 0.05
 
+#: One unit of drain work: ``(digest, instance, model)``.
+_Work = tuple[str, Instance, str]
+
 
 @dataclass(frozen=True)
 class CampaignReport:
-    """Outcome of one :func:`run_campaign` invocation.
+    """Outcome of one :func:`run_campaign` / :func:`run_campaign_workers`.
 
     Attributes
     ----------
@@ -100,10 +101,16 @@ class CampaignReport:
     evaluated:
         Points computed (and stored) by this run.
     remaining:
-        Points still missing afterwards (non-zero only when the run was
-        truncated by ``max_points``).
+        Points still missing afterwards — non-zero when the run was
+        truncated by ``max_points`` or workers crashed; rerun to resume.
     groups:
-        Distinct TPN topology groups among the evaluated points.
+        Distinct TPN topology groups among the points this run drained.
+    workers:
+        Worker processes launched; ``1`` for an in-process drain.
+    crashed:
+        Indices of worker processes that did not exit cleanly (SIGKILL
+        shows up here); their claimed-but-uncommitted points simply
+        wait out the lease TTL and are reclaimed on the next run.
     """
 
     spec_name: str
@@ -112,6 +119,8 @@ class CampaignReport:
     evaluated: int
     remaining: int
     groups: int
+    workers: int = 1
+    crashed: tuple[int, ...] = ()
 
     @property
     def complete(self) -> bool:
@@ -131,8 +140,14 @@ class CampaignReport:
             "evaluated": self.evaluated,
             "remaining": self.remaining,
             "groups": self.groups,
+            "workers": self.workers,
+            "crashed": list(self.crashed),
             "complete": self.complete,
         }
+
+
+#: The fabric's report is the campaign report: both drains run one loop.
+FabricReport = CampaignReport
 
 
 def order_for_engine(
@@ -161,52 +176,392 @@ def order_for_engine(
     return [i for members in groups.values() for i in members]
 
 
-def _split_spans(order: list[int], n_spans: int) -> list[list[int]]:
-    """Cut an ordered index list into contiguous, near-equal spans."""
-    n_spans = max(1, min(n_spans, len(order)))
-    base, extra = divmod(len(order), n_spans)
-    spans: list[list[int]] = []
-    start = 0
-    for s in range(n_spans):
-        size = base + (1 if s < extra else 0)
-        spans.append(order[start: start + size])
-        start += size
-    return [s for s in spans if s]
+def _pending_work(
+    spec: CampaignSpec, store: ResultStore
+) -> tuple[int, list[_Work]]:
+    """Expand ``spec``; its distinct unstored points in engine order.
 
-
-def _evaluate_span(
-    args: tuple[list[tuple[str, Instance, str]], int, bool, tuple[str, ...]],
-) -> tuple[list[tuple[str, dict[str, Any]]], dict[str, int] | None]:
-    """Worker: evaluate one contiguous span with a warm-started engine.
-
-    The span is signature-ordered (see :func:`order_for_engine`), so
-    ``mode="many"`` turns it into a handful of lockstep group solves.
-    Extra objective values (latency / reliability) are pure per-instance
-    functions, so computing them in the worker yields the same payload
-    bytes as any other execution path.
-
-    When the parent collects telemetry, the worker tallies its own
-    counters on a fresh collector and ships the snapshot back alongside
-    the results (summed merge — completion order cannot matter).  The
-    collector is reset (or disabled) unconditionally: forked workers
-    inherit the parent's collector state and must never double-count it.
+    Returns ``(n_points, work)``.  Every worker given the same store
+    state derives the *same* list (expansion and ordering are
+    deterministic), so the fabric needs no coordinator process.  Stored
+    points cost one existence probe each — payloads are never fetched
+    or parsed during resume.
     """
-    items, max_rows, telemetry_on, objectives = args
-    if telemetry_on:
-        TELEMETRY.enable("span")
+    with TELEMETRY.span("expand"):
+        points = spec.expand()
+        instances = [pt.instance() for pt in points]
+        digests = [instance_digest(inst, pt.model, objectives=spec.objectives)
+                   for pt, inst in zip(points, instances)]
+        seen: set[str] = set()
+        pending: list[_Work] = []
+        for pt, inst, digest in zip(points, instances, digests):
+            if digest not in seen and digest not in store:
+                pending.append((digest, inst, pt.model))
+                seen.add(digest)
+        order = order_for_engine([(inst, model) for _, inst, model in pending])
+    return len(points), [pending[j] for j in order]
+
+
+def _rotated(work: list[_Work], offset: int) -> list[_Work]:
+    """Stable stagger: the work list rotated to start at ``offset``.
+
+    Workers start claiming in different regions of the ordered list,
+    which keeps claim contention rare while preserving
+    signature-contiguous runs inside each claim.  Forked workers
+    ``i`` of ``k`` start at ``i/k`` of the list, so each drains one
+    contiguous span until it meets the next; independent hosts key
+    the offset by their worker id's crc and need no index assignment.
+    """
+    offset %= max(1, len(work))
+    return work[offset:] + work[:offset]
+
+
+class _LocalLease:
+    """The lease protocol of a worker that owns its store alone.
+
+    An in-process drain coordinates with nobody, so every claim
+    succeeds and heartbeats, releases and sweeps are no-ops.
+    """
+
+    def claim(self, digests: Sequence[str]) -> list[str]:
+        return list(digests)
+
+    def renew(self, digests: Sequence[str]) -> int:
+        return len(digests)
+
+    def held(self) -> list[str]:
+        return []
+
+    def release(self, digests: Sequence[str]) -> int:
+        return len(digests)
+
+    def reclaim_stale(self) -> int:
+        return 0
+
+
+def _spill_chunk(
+    store: ResultStore,
+    spill_dir: str | Path,
+    payloads: Sequence[tuple[str, str]],
+) -> list[str]:
+    """Degrade gracefully: journal a chunk the store would not take.
+
+    The open transaction is rolled back (COMMIT already exhausted its
+    retry budget) and every payload goes to the write-ahead journal;
+    ``repro-workflow store heal`` replays it later, so journaled digests
+    count as done and the worker keeps draining — per-worker progress
+    instead of a dead campaign.  Returns the digests the journal did
+    not take either; they stay pending for a later pass or run.
+    """
+    store.rollback()
+    journal = SpillJournal(spill_dir)
+    unjournaled: list[str] = []
+    for digest, text in payloads:
+        try:
+            journal.spill(digest, text)
+        except OSError:
+            # The journal write itself failed (e.g. injected ENOSPC).
+            unjournaled.append(digest)
+    if TELEMETRY.enabled:
+        TELEMETRY.count("fabric.spilled_chunks")
+    return unjournaled
+
+
+def _drain(
+    store: ResultStore,
+    work: Sequence[_Work],
+    lease: LeaseManager | _LocalLease,
+    *,
+    max_rows: int,
+    objectives: tuple[str, ...],
+    claim_batch: int,
+    commit_every: int,
+    progress: Callable[[int, int], None] | None = None,
+    spill_dir: str | Path | None = None,
+) -> int:
+    """The claim → evaluate → commit → release loop of every drain.
+
+    A cursor walks ``work`` once per pass and offers it to ``lease`` one
+    ``claim_batch`` window at a time.  What a claim skips — digests
+    another worker stored or holds a live lease on — is deferred; at the
+    end of the pass the deferred digests still missing from the store
+    form the next pass.  The loop never rescans the store: it costs one
+    claim transaction per window plus one existence probe per deferred
+    digest.  A pass that claims nothing means every digest left is
+    leased by some other live worker: sweep leases whose renewal
+    deadline has passed (the hung-worker watchdog) and sleep briefly —
+    either that worker finishes them or the next claim takes the stale
+    ones over.
+
+    Claimed digests are evaluated in ``commit_every`` slices, renewing
+    the held leases before each slice (the heartbeat), committing the
+    results and releasing their leases slice by slice.  Returns the
+    number of new points stored.
+
+    The loop carries the fabric's resilience ladder.  A heartbeat that
+    comes back short (this worker stalled past its renewal deadline and
+    lost leases to a takeover) defers the lost digests instead of
+    double-committing blindly.  A commit that fails past the store's
+    retry budget spills the slice's payloads to the ``spill_dir``
+    write-ahead journal (when given) and keeps draining.  The
+    ``worker.after-claim``, ``worker.pre-release`` and
+    ``worker.after-release`` fault sites mark the protocol barriers
+    where a :mod:`repro.faults` plan may SIGKILL the process for real.
+    """
+    engine = BatchEngine(max_rows=max_rows, warm_start=True)
+    by_digest = {digest: (inst, model) for digest, inst, model in work}
+    todo = list(by_digest)
+    done_new = 0
+    while todo:
+        deferred: list[str] = []
+        claimed_any = False
+        for start in range(0, len(todo), claim_batch):
+            window = todo[start: start + claim_batch]
+            with TELEMETRY.span("claim"):
+                claimed = lease.claim(window)
+            if FAULTS.enabled:
+                FAULTS.hit("worker.after-claim")
+            if len(claimed) < len(window):
+                taken = set(claimed)
+                deferred.extend(d for d in window if d not in taken)
+            claimed_any = claimed_any or bool(claimed)
+            for first in range(0, len(claimed), commit_every):
+                chunk = claimed[first: first + commit_every]
+                tail = claimed[first:]
+                if lease.renew(tail) < len(tail):
+                    # This worker stalled past its renewal deadline and
+                    # the watchdog handed (some of) its leases to someone
+                    # else.  Evaluating them anyway would be harmless
+                    # (content addressing absorbs duplicates) but
+                    # wasteful — keep only what is still ours.
+                    held = set(lease.held())
+                    lost = [d for d in chunk if d not in held]
+                    if lost:
+                        chunk = [d for d in chunk if d in held]
+                        deferred.extend(lost)
+                        if TELEMETRY.enabled:
+                            TELEMETRY.count("fabric.lost_leases", len(lost))
+                    if not chunk:
+                        continue
+                with TELEMETRY.span("evaluate", points=len(chunk)):
+                    results = engine.evaluate(
+                        [by_digest[d][0] for d in chunk],
+                        [by_digest[d][1] for d in chunk],
+                        mode="many",
+                    )
+                payloads = [
+                    (digest,
+                     canonical_json(
+                         payload_from_result(by_digest[digest][0], result,
+                                             objectives=objectives)))
+                    for digest, result in zip(chunk, results)
+                ]
+                with TELEMETRY.span("commit", points=len(chunk)):
+                    try:
+                        for digest, text in payloads:
+                            store.put_text(digest, text, commit=False)
+                        store.commit()
+                    except (sqlite3.OperationalError, OSError):
+                        if spill_dir is None:
+                            raise
+                        deferred.extend(
+                            _spill_chunk(store, spill_dir, payloads))
+                        continue
+                    if FAULTS.enabled:
+                        FAULTS.hit("worker.pre-release")
+                    lease.release(chunk)
+                if FAULTS.enabled:
+                    FAULTS.hit("worker.after-release")
+                done_new += len(chunk)
+                if progress is not None:
+                    progress(done_new, len(by_digest))
+        todo = [d for d in deferred if d not in store]
+        if todo and not claimed_any:
+            with TELEMETRY.span("wait"):
+                swept = lease.reclaim_stale()
+                if swept and TELEMETRY.enabled:
+                    TELEMETRY.count("fabric.stale_reclaimed", swept)
+                pause(_FABRIC_POLL_SLEEP)
+    return done_new
+
+
+def _fabric_worker_main(
+    work: list[_Work],
+    store_path: str,
+    worker_index: int,
+    lease_ttl: float,
+    fault_plan: FaultPlan | None,
+    trace_dir: str | None,
+    drain_options: dict[str, Any],
+) -> None:
+    """Subprocess entry point of a multi-process drain.
+
+    ``work`` is the parent's expanded, engine-ordered work list,
+    rotated to this worker's starting offset (a forked worker inherits
+    it instead of expanding the spec again).
+
+    Telemetry and fault-plane state are set unconditionally: forked
+    workers inherit the parent's collector and plane (spans, counters,
+    hit counts, enabled flags) and must start from a clean slate —
+    telemetry enabled on a fresh per-worker collector when tracing, the
+    plane armed with this worker's own :class:`~repro.faults.FaultPlan`
+    when one is scheduled, both disabled otherwise.  Each tracing
+    worker writes its own ``trace-worker-<i>.jsonl``;
+    :func:`repro.telemetry.merge_traces` recombines them with the
+    parent's ``trace-main.jsonl``.
+    """
+    if trace_dir is not None:
+        TELEMETRY.enable(f"worker-{worker_index}")
     else:
         TELEMETRY.disable()
-    engine = BatchEngine(max_rows=max_rows, warm_start=True)
-    results = engine.evaluate(
-        [inst for _, inst, _ in items], [model for _, _, model in items],
-        mode="many",
+    if fault_plan is not None:
+        FAULTS.arm(fault_plan)
+    else:
+        FAULTS.disarm()
+    worker_id = f"fabric-{worker_index}-{_os.getpid()}"
+    with ResultStore(store_path) as store:
+        with TELEMETRY.span("worker-run", worker=worker_index):
+            _drain(store, work,
+                   LeaseManager(store, worker_id, ttl=lease_ttl),
+                   **drain_options)
+    if trace_dir is not None:
+        write_trace(
+            Path(trace_dir) / f"trace-worker-{worker_index}.jsonl", TELEMETRY
+        )
+
+
+def _run_processes(
+    work: list[_Work],
+    store: ResultStore,
+    workers: int,
+    lease_ttl: float,
+    fault_plans: Mapping[int, FaultPlan] | None,
+    trace_dir: str | None,
+    drain_options: dict[str, Any],
+) -> tuple[int, ...]:
+    """Drain ``work`` with ``workers`` processes; indices that crashed.
+
+    The processes coordinate **only** through the store file's lease
+    table — the multi-host execution model run on one machine.  The
+    parent's own connection stays open and idle until every worker has
+    exited (pending writes are committed first), so the lock state the
+    forked workers inherit is backed by locks the parent really holds.
+    """
+    import multiprocessing as mp
+
+    store.commit()
+    ctx = mp.get_context()
+    with TELEMETRY.span("prepare"):
+        procs = [
+            ctx.Process(
+                target=_fabric_worker_main,
+                args=(_rotated(work, i * len(work) // workers),
+                      store.path, i, lease_ttl,
+                      None if fault_plans is None else fault_plans.get(i),
+                      trace_dir, drain_options),
+            )
+            for i in range(workers)
+        ]
+        for proc in procs:
+            proc.start()
+    crashed: list[int] = []
+    # One parent-side span per worker join: together the join spans
+    # tile the drain phase (span i ends when worker i exits, span i+1
+    # starts immediately), so the root campaign span's time is
+    # attributed to named children even though the parent only waits.
+    for i, proc in enumerate(procs):
+        with TELEMETRY.span("worker", worker=i):
+            proc.join()
+        if proc.exitcode != 0:
+            crashed.append(i)
+    return tuple(crashed)
+
+
+def _drain_options(
+    spec: CampaignSpec,
+    claim_batch: int | None,
+    commit_every: int,
+    spill_dir: str | Path | None,
+) -> dict[str, Any]:
+    """Keyword arguments of :func:`_drain` for one spec and cadence."""
+    return {
+        "max_rows": spec.max_paths + 1,
+        "objectives": spec.objectives,
+        "claim_batch": commit_every if claim_batch is None else claim_batch,
+        "commit_every": commit_every,
+        "spill_dir": None if spill_dir is None else str(spill_dir),
+    }
+
+
+def _campaign(
+    spec: CampaignSpec,
+    store: ResultStore,
+    workers: int | None,
+    *,
+    max_points: int | None = None,
+    lease_ttl: float | None = None,
+    claim_batch: int | None = None,
+    commit_every: int = DEFAULT_COMMIT_EVERY,
+    progress: Callable[[int, int], None] | None = None,
+    fault_plans: Mapping[int, FaultPlan] | None = None,
+    spill_dir: str | Path | None = None,
+    trace_dir: str | Path | None = None,
+) -> CampaignReport:
+    """Expand, drain and report: the body of every campaign run.
+
+    ``workers=None`` drains in this process; ``workers=k`` launches
+    ``k`` lease-coordinated processes on the store's file.
+    """
+    if workers is not None and workers < 1:
+        raise ValidationError(f"workers must be >= 1, got {workers}")
+    if workers is not None and store.path == ":memory:":
+        raise ValidationError(
+            "a multi-process drain needs a file-backed store; an "
+            "in-memory store cannot be shared between processes"
+        )
+    trace_arg = None if trace_dir is None else str(trace_dir)
+    if trace_arg is not None:
+        Path(trace_arg).mkdir(parents=True, exist_ok=True)
+        TELEMETRY.enable("main")
+    drain_options = _drain_options(spec, claim_batch, commit_every,
+                                   spill_dir)
+
+    with TELEMETRY.span("campaign", campaign=spec.name,
+                        workers=workers or 1):
+        n_points, work = _pending_work(spec, store)
+        n_pending = len(work)
+        if max_points is not None:
+            work = work[:max_points]
+        groups = len({topology_signature(inst, model)
+                      for _, inst, model in work})
+        crashed: tuple[int, ...] = ()
+        if workers is None:
+            evaluated = _drain(store, work, _LocalLease(), progress=progress,
+                               **drain_options)
+        else:
+            crashed = _run_processes(
+                work, store, workers,
+                DEFAULT_LEASE_TTL if lease_ttl is None else lease_ttl,
+                fault_plans, trace_arg, drain_options,
+            )
+            evaluated = sum(1 for digest, _, _ in work if digest in store)
+            if progress is not None:
+                progress(evaluated, len(work))
+
+    report = CampaignReport(
+        spec_name=spec.name,
+        total=n_points,
+        hits=n_points - n_pending,
+        evaluated=evaluated,
+        remaining=n_pending - evaluated,
+        groups=groups,
+        workers=workers or 1,
+        crashed=crashed,
     )
-    out = [
-        (digest, payload_from_result(inst, result, objectives=objectives))
-        for (digest, inst, _), result in zip(items, results)
-    ]
-    counters = TELEMETRY.counter_snapshot() if telemetry_on else None
-    return out, counters
+    if trace_arg is not None:
+        write_trace(Path(trace_arg) / "trace-main.jsonl", TELEMETRY)
+        TELEMETRY.disable()
+    return report
 
 
 def run_campaign(
@@ -229,238 +584,35 @@ def run_campaign(
         re-evaluated, which is both the resume path and the cross-run
         dedupe.
     n_jobs:
-        ``None``/``1`` — serial, one shared engine, streaming commits;
-        ``k > 1`` — the ordered stream splits into ``k`` contiguous
-        spans, one long-lived engine per worker (``0`` = all cores).
-        Stored values are identical either way.
+        ``None``/``1`` — drain in this process, one shared engine,
+        streaming commits; ``k > 1`` — ``k`` lease-coordinated worker
+        processes on the store's file, exactly
+        :func:`run_campaign_workers` (``0`` = one per core; needs a
+        file-backed store).  Stored values are identical either way.
     max_points:
         Evaluate at most this many *new* points, then stop with
         ``remaining > 0`` — a deterministic stand-in for an interrupted
         run (used by tests and the CI resume smoke).
     commit_every:
-        Serial checkpoint cadence.
+        Checkpoint cadence: points per store commit (and per claim).
     progress:
-        Optional ``callback(done_new_points, pending_total)``.
+        Optional ``callback(done_new_points, pending_total)``, called
+        after every commit in-process and once when worker processes
+        finish.
     trace_dir:
         Enable :mod:`repro.telemetry` on a fresh collector and write a
         ``trace-main.jsonl`` canonical trace (counters + spans) into
-        this directory when done.  ``None`` leaves the collector's
-        enabled state alone, so callers may also enable/inspect
-        telemetry themselves.
+        this directory when done, plus one ``trace-worker-<i>.jsonl``
+        per worker process.  ``None`` leaves the collector's enabled
+        state alone, so callers may also enable/inspect telemetry of
+        an in-process drain themselves.
     """
-    if trace_dir is not None:
-        TELEMETRY.enable("main")
-
-    with TELEMETRY.span("campaign", campaign=spec.name):
-        with TELEMETRY.span("expand"):
-            points = spec.expand()
-            instances = [pt.instance() for pt in points]
-            digests = [instance_digest(inst, pt.model,
-                                       objectives=spec.objectives)
-                       for pt, inst in zip(points, instances)]
-
-            seen: set[str] = set()
-            pending: list[int] = []
-            for i, digest in enumerate(digests):
-                if digest in seen:
-                    continue
-                # existence probe only — never fetch/parse payloads
-                # during resume
-                if digest not in store:
-                    pending.append(i)
-                    seen.add(digest)
-            hits = len(points) - len(pending)
-
-            order = order_for_engine(
-                [(instances[i], points[i].model) for i in pending]
-            )
-            ordered = [pending[j] for j in order]
-            if max_points is not None:
-                ordered = ordered[:max_points]
-
-            n_groups = len({
-                topology_signature(instances[i], points[i].model)
-                for i in ordered
-            })
-        max_rows = spec.max_paths + 1
-
-        if n_jobs is None or n_jobs == 1 or len(ordered) < 2:
-            engine = BatchEngine(max_rows=max_rows, warm_start=True)
-            # Drain in commit-sized slices: each slice is signature-ordered,
-            # so mode="many" locksteps it as a few whole-group solves, and
-            # a kill still loses at most ``commit_every`` points.
-            done = 0
-            for start in range(0, len(ordered), commit_every):
-                chunk = ordered[start: start + commit_every]
-                with TELEMETRY.span("evaluate", points=len(chunk)):
-                    results = engine.evaluate(
-                        [instances[i] for i in chunk],
-                        [points[i].model for i in chunk],
-                        mode="many",
-                    )
-                with TELEMETRY.span("commit", points=len(chunk)):
-                    for i, result in zip(chunk, results):
-                        store.put(digests[i],
-                                  payload_from_result(
-                                      instances[i], result,
-                                      objectives=spec.objectives),
-                                  commit=False)
-                    store.commit()
-                done += len(chunk)
-                if progress is not None:
-                    progress(done, len(ordered))
-        else:
-            workers = (_os.cpu_count() or 1) if n_jobs == 0 else n_jobs
-            spans = _split_spans(ordered, workers)
-            telemetry_on = TELEMETRY.enabled
-            payloads = [
-                ([(digests[i], instances[i], points[i].model) for i in span],
-                 max_rows, telemetry_on, spec.objectives)
-                for span in spans
-            ]
-            done = 0
-            with TELEMETRY.span("evaluate", points=len(ordered),
-                                spans=len(spans)):
-                with ProcessPoolExecutor(max_workers=len(spans)) as pool:
-                    futures = [pool.submit(_evaluate_span, p)
-                               for p in payloads]
-                    # Commit spans the moment they finish (not in
-                    # submission order): a kill loses at most the
-                    # in-flight spans, never a finished one stuck behind
-                    # a slow predecessor.
-                    for fut in as_completed(futures):
-                        results, counters = fut.result()
-                        if counters is not None:
-                            TELEMETRY.merge_counters(counters)
-                        with TELEMETRY.span("commit",
-                                            points=len(results)):
-                            for digest, payload in results:
-                                store.put(digest, payload, commit=False)
-                            store.commit()
-                        done += len(results)
-                        if progress is not None:
-                            progress(done, len(ordered))
-
-    report = CampaignReport(
-        spec_name=spec.name,
-        total=len(points),
-        hits=hits,
-        evaluated=len(ordered),
-        remaining=len(pending) - len(ordered),
-        groups=n_groups,
-    )
-    if trace_dir is not None:
-        trace_path = Path(trace_dir)
-        trace_path.mkdir(parents=True, exist_ok=True)
-        write_trace(trace_path / "trace-main.jsonl", TELEMETRY)
-        TELEMETRY.disable()
-    return report
-
-
-# ----------------------------------------------------------------------
-# the distributed fabric: lease-coordinated multi-process drain
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class FabricReport:
-    """Outcome of one :func:`run_campaign_workers` invocation.
-
-    Attributes
-    ----------
-    spec_name:
-        The campaign.
-    total:
-        Distinct digests the spec expands to.
-    hits:
-        Digests already stored when the fabric launched.
-    evaluated:
-        New digests stored by this fabric run (all workers combined).
-    remaining:
-        Digests still missing afterwards — non-zero only when workers
-        crashed (or were crash-injected); rerun to resume.
-    workers:
-        Worker processes launched.
-    crashed:
-        Indices of workers that did not exit cleanly (SIGKILL shows up
-        here); their claimed-but-uncommitted points simply wait out the
-        lease TTL and are reclaimed on the next run.
-    """
-
-    spec_name: str
-    total: int
-    hits: int
-    evaluated: int
-    remaining: int
-    workers: int
-    crashed: tuple[int, ...] = ()
-
-    @property
-    def complete(self) -> bool:
-        """Whether every point of the spec is now stored."""
-        return self.remaining == 0
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-ready summary (mirrors :meth:`CampaignReport.to_dict`)."""
-        return {
-            "campaign": self.spec_name,
-            "total": self.total,
-            "hits": self.hits,
-            "evaluated": self.evaluated,
-            "remaining": self.remaining,
-            "workers": self.workers,
-            "crashed": list(self.crashed),
-            "complete": self.complete,
-        }
-
-
-def _unique_spec_digests(
-    spec: CampaignSpec,
-) -> tuple[list[str], dict[str, tuple[Instance, str]]]:
-    """Signature-ordered distinct digests of a spec + their instances.
-
-    Every worker derives the *same* list (expansion and ordering are
-    deterministic), so the fabric needs no coordinator process: the
-    shared store plus the lease table are the only channel.
-    """
-    points = spec.expand()
-    by_digest: dict[str, tuple[Instance, str]] = {}
-    firsts: list[tuple[str, Instance, str]] = []
-    for pt in points:
-        inst = pt.instance()
-        digest = instance_digest(inst, pt.model, objectives=spec.objectives)
-        if digest not in by_digest:
-            by_digest[digest] = (inst, pt.model)
-            firsts.append((digest, inst, pt.model))
-    order = order_for_engine([(inst, model) for _, inst, model in firsts])
-    return [firsts[j][0] for j in order], by_digest
-
-
-def _spill_chunk(
-    store: ResultStore,
-    spill_dir: str | Path,
-    payloads: Sequence[tuple[str, str]],
-    spilled: set[str],
-) -> None:
-    """Degrade gracefully: journal a chunk the store would not take.
-
-    The open transaction is rolled back (COMMIT already exhausted its
-    retry budget) and every payload goes to the write-ahead journal;
-    ``repro-workflow store heal`` replays it later.  Digests that made
-    it into the journal are added to ``spilled`` so the worker treats
-    them as done and keeps draining — per-worker progress instead of a
-    dead campaign.
-    """
-    store.rollback()
-    journal = SpillJournal(spill_dir)
-    for digest, text in payloads:
-        try:
-            journal.spill(digest, text)
-        except OSError:
-            # The journal write itself failed (e.g. injected ENOSPC):
-            # the digest simply stays pending for a later worker/run.
-            continue
-        spilled.add(digest)
-    if TELEMETRY.enabled:
-        TELEMETRY.count("fabric.spilled_chunks")
+    workers = None
+    if n_jobs is not None and n_jobs != 1:
+        workers = (_os.cpu_count() or 1) if n_jobs == 0 else n_jobs
+    return _campaign(spec, store, workers, max_points=max_points,
+                     commit_every=commit_every, progress=progress,
+                     trace_dir=trace_dir)
 
 
 def run_campaign_worker(
@@ -468,190 +620,39 @@ def run_campaign_worker(
     store: ResultStore,
     worker_id: str,
     lease_ttl: float | None = None,
-    claim_batch: int = DEFAULT_CLAIM_BATCH,
+    claim_batch: int | None = None,
     commit_every: int = DEFAULT_COMMIT_EVERY,
     progress: Callable[[int, int], None] | None = None,
     spill_dir: str | Path | None = None,
 ) -> int:
     """Drain one campaign as a lease-coordinated fabric worker.
 
-    The claim loop of the distributed fabric: any number of processes —
-    on one host or many, sharing the store file or a synced copy — can
-    run this concurrently against one ``CampaignSpec`` and partition
-    the work without duplicates:
-
-    1. derive the signature-ordered digest list (deterministic, no
-       coordinator), rotated by a stable per-worker offset so workers
-       start claiming in different regions;
-    2. **claim** a batch of unstored, unleased digests
-       (:class:`~repro.campaign.lease.LeaseManager` — stale leases of
-       crashed workers are reclaimed by the same transaction);
-    3. evaluate the batch in commit-sized chunks through a warm-started
-       :class:`~repro.engine.BatchEngine`, renewing held leases between
-       chunks (the heartbeat), committing results and releasing their
-       leases chunk by chunk;
-    4. when nothing is claimable but points remain, sweep leases whose
-       renewal deadline has passed (the hung-worker watchdog) and sleep
-       briefly — either another live worker finishes them or the next
-       claim takes the stale ones over.
+    Any number of processes — on one host or many, sharing the store
+    file or a synced copy — can run this concurrently against one
+    ``CampaignSpec`` and partition the work without duplicates: each
+    derives the signature-ordered list of unstored digests, rotated by
+    a stable per-worker offset so workers start claiming in different
+    regions, and runs the drain loop with a real
+    :class:`~repro.campaign.lease.LeaseManager` (claims of
+    ``claim_batch`` digests, default ``commit_every``; stale leases of
+    crashed workers are reclaimed by the same transaction).
 
     Returns the number of new points this worker stored.  Crash-safe at
     every boundary: a SIGKILL loses only the current uncommitted chunk,
-    whose leases expire and free the points for everyone else.
-
-    The loop carries the fabric's resilience ladder.  A heartbeat that
-    comes back short (this worker stalled past its renewal deadline and
-    lost leases to a takeover) drops the lost digests instead of
-    double-committing blindly.  A commit that fails past the store's
-    retry budget spills the chunk's payloads to the ``spill_dir``
-    write-ahead journal (when given) and keeps draining; ``store heal``
-    replays the journal idempotently.  Chaos tests drive all of this
-    through the :mod:`repro.faults` plane — the ``worker.after-claim``,
-    ``worker.pre-release`` and ``worker.after-release`` sites mark the
-    protocol barriers where a plan may SIGKILL this process for real.
+    whose leases expire and free the points for everyone else.  A
+    commit failing past the store's retry budget spills to the
+    ``spill_dir`` journal (when given); ``store heal`` replays it.
     """
-    from .lease import DEFAULT_LEASE_TTL, LeaseManager
-
-    ordered, by_digest = _unique_spec_digests(spec)
+    _, work = _pending_work(spec, store)
     lease = LeaseManager(
         store, worker_id,
         ttl=DEFAULT_LEASE_TTL if lease_ttl is None else lease_ttl,
     )
-    engine = BatchEngine(max_rows=spec.max_paths + 1, warm_start=True)
-
-    # Stable stagger: worker k starts claiming at offset k/N-ish of the
-    # ordered list (keyed by the worker id's crc so independent hosts
-    # need no index assignment), keeping claim contention rare while
-    # preserving signature-contiguous runs inside each claim batch.
-    import zlib as _zlib
-
-    offset = (_zlib.crc32(worker_id.encode()) % max(1, len(ordered)))
-    rotated = ordered[offset:] + ordered[:offset]
-
-    done_new = 0
-    spilled: set[str] = set()
-    while True:
-        with TELEMETRY.span("claim"):
-            stored = set(store.digests())
-            remaining = [
-                d for d in rotated if d not in stored and d not in spilled
-            ]
-            if remaining:
-                claimed = lease.claim(remaining, limit=claim_batch)
-        if not remaining:
-            break
-        if FAULTS.enabled:
-            FAULTS.hit("worker.after-claim")
-        if not claimed:
-            # Everything left is leased by some other live worker (or
-            # just landed in the store); wait for completion or expiry.
-            # The watchdog half: sweep leases whose renewal deadline
-            # has passed, so a hung worker's digests go back on the
-            # market after one TTL instead of lingering.
-            with TELEMETRY.span("wait"):
-                swept = lease.reclaim_stale()
-                if swept and TELEMETRY.enabled:
-                    TELEMETRY.count("fabric.stale_reclaimed", swept)
-                pause(_FABRIC_POLL_SLEEP)
-            continue
-        for start in range(0, len(claimed), commit_every):
-            chunk = claimed[start: start + commit_every]
-            tail = claimed[start:]
-            renewed = lease.renew(tail)  # heartbeat for the unevaluated tail
-            if renewed < len(tail):
-                # This worker stalled past its renewal deadline and the
-                # watchdog handed (some of) its leases to someone else.
-                # Evaluating them anyway would be harmless (content
-                # addressing absorbs duplicates) but wasteful — keep
-                # only what is still ours.
-                held = set(lease.held())
-                lost = [d for d in chunk if d not in held]
-                if lost:
-                    chunk = [d for d in chunk if d in held]
-                    if TELEMETRY.enabled:
-                        TELEMETRY.count("fabric.lost_leases", len(lost))
-                if not chunk:
-                    continue
-            with TELEMETRY.span("evaluate", points=len(chunk)):
-                results = engine.evaluate(
-                    [by_digest[d][0] for d in chunk],
-                    [by_digest[d][1] for d in chunk],
-                    mode="many",
-                )
-            payloads = [
-                (digest,
-                 canonical_json(
-                     payload_from_result(by_digest[digest][0], result,
-                                         objectives=spec.objectives)))
-                for digest, result in zip(chunk, results)
-            ]
-            with TELEMETRY.span("commit", points=len(chunk)):
-                try:
-                    for digest, text in payloads:
-                        store.put_text(digest, text, commit=False)
-                    store.commit()
-                except (sqlite3.OperationalError, OSError):
-                    if spill_dir is None:
-                        raise
-                    _spill_chunk(store, spill_dir, payloads, spilled)
-                    continue
-                if FAULTS.enabled:
-                    FAULTS.hit("worker.pre-release")
-                lease.release(chunk)
-            if FAULTS.enabled:
-                FAULTS.hit("worker.after-release")
-            done_new += len(chunk)
-            if progress is not None:
-                progress(done_new, len(ordered))
-    return done_new
-
-
-def _fabric_worker_main(
-    spec_data: dict[str, Any],
-    store_path: str,
-    worker_index: int,
-    lease_ttl: float | None,
-    claim_batch: int,
-    commit_every: int,
-    fault_plan: FaultPlan | None,
-    spill_dir: str | None,
-    trace_dir: str | None,
-) -> None:
-    """Subprocess entry point of :func:`run_campaign_workers`.
-
-    Telemetry and fault-plane state are set unconditionally: forked
-    workers inherit the parent's collector and plane (spans, counters,
-    hit counts, enabled flags) and must start from a clean slate —
-    telemetry enabled on a fresh per-worker collector when tracing, the
-    plane armed with this worker's own :class:`~repro.faults.FaultPlan`
-    when one is scheduled, both disabled otherwise.  Each tracing
-    worker writes its own ``trace-worker-<i>.jsonl``;
-    :func:`repro.telemetry.merge_traces` recombines them with the
-    parent's ``trace-main.jsonl``.
-    """
-    spec = CampaignSpec.from_dict(spec_data)
-    if trace_dir is not None:
-        TELEMETRY.enable(f"worker-{worker_index}")
-    else:
-        TELEMETRY.disable()
-    if fault_plan is not None:
-        FAULTS.arm(fault_plan)
-    else:
-        FAULTS.disarm()
-    with ResultStore(store_path) as store:
-        with TELEMETRY.span("worker-run", worker=worker_index):
-            run_campaign_worker(
-                spec, store,
-                worker_id=f"fabric-{worker_index}-{_os.getpid()}",
-                lease_ttl=lease_ttl,
-                claim_batch=claim_batch,
-                commit_every=commit_every,
-                spill_dir=spill_dir,
-            )
-    if trace_dir is not None:
-        write_trace(
-            Path(trace_dir) / f"trace-worker-{worker_index}.jsonl", TELEMETRY
-        )
+    return _drain(
+        store, _rotated(work, zlib.crc32(worker_id.encode())), lease,
+        progress=progress,
+        **_drain_options(spec, claim_batch, commit_every, spill_dir),
+    )
 
 
 def run_campaign_workers(
@@ -659,21 +660,21 @@ def run_campaign_workers(
     store_path: str | Path,
     workers: int,
     lease_ttl: float | None = None,
-    claim_batch: int = DEFAULT_CLAIM_BATCH,
+    claim_batch: int | None = None,
     commit_every: int = DEFAULT_COMMIT_EVERY,
     fault_plans: Mapping[int, FaultPlan] | None = None,
     spill_dir: str | Path | None = None,
     trace_dir: str | Path | None = None,
-) -> FabricReport:
+) -> CampaignReport:
     """Drain one campaign with ``workers`` independent processes.
 
-    Unlike ``run_campaign(n_jobs=k)`` — which *pre-partitions* the
-    ordered stream into spans inside one process — every fabric worker
-    is a full, independent campaign runner against the shared WAL
-    store: the processes coordinate **only** through the store's lease
-    table, so this is exactly the multi-host execution model run on one
+    The parent expands the spec once; every worker process inherits the
+    ordered work list and runs the drain loop against the shared WAL
+    store, coordinating with the others **only** through the store's
+    lease table — exactly the multi-host execution model, run on one
     machine.  Workers that crash strand nothing: their leases expire
     and the survivors (or the next invocation) absorb the work.
+    ``run_campaign(n_jobs=k)`` is the same drain.
 
     Stored values, and therefore every export and report, are
     byte-identical to a ``workers=1`` (or plain :func:`run_campaign`)
@@ -689,70 +690,19 @@ def run_campaign_workers(
     unreachable past its retry budget (see :func:`run_campaign_worker`).
 
     ``trace_dir`` enables telemetry fabric-wide: the parent records the
-    root ``campaign`` span (with ``prepare`` and per-worker ``worker``
-    wait spans) into ``trace-main.jsonl`` and each worker process
-    records its own counters and spans into ``trace-worker-<i>.jsonl``
-    — recombine with :func:`repro.telemetry.merge_traces`.
+    root ``campaign`` span (with ``expand``, ``prepare`` and per-worker
+    ``worker`` wait spans) into ``trace-main.jsonl`` and each worker
+    process records its own counters and spans into
+    ``trace-worker-<i>.jsonl`` — recombine with
+    :func:`repro.telemetry.merge_traces`.
     """
-    import multiprocessing as mp
-
-    if workers < 1:
-        raise ValidationError(f"workers must be >= 1, got {workers}")
-    store_path = str(store_path)
-    trace_arg = None if trace_dir is None else str(trace_dir)
-    if trace_arg is not None:
-        Path(trace_arg).mkdir(parents=True, exist_ok=True)
-        TELEMETRY.enable("main")
-
-    with TELEMETRY.span("campaign", campaign=spec.name, workers=workers):
-        with TELEMETRY.span("prepare"):
-            ordered, _ = _unique_spec_digests(spec)
-            with ResultStore(store_path) as parent_store:
-                hits = sum(1 for d in ordered if d in parent_store)
-
-            ctx = mp.get_context()
-            spill_arg = None if spill_dir is None else str(spill_dir)
-            procs = [
-                ctx.Process(
-                    target=_fabric_worker_main,
-                    args=(spec.to_dict(), store_path, i, lease_ttl,
-                          claim_batch, commit_every,
-                          None if fault_plans is None else fault_plans.get(i),
-                          spill_arg, trace_arg),
-                )
-                for i in range(workers)
-            ]
-            for proc in procs:
-                proc.start()
-        crashed: list[int] = []
-        # One parent-side span per worker join: together the join spans
-        # tile the fabric's whole drain phase (span i ends when worker i
-        # exits, span i+1 starts immediately), so the root campaign
-        # span's time is attributed to named children even though the
-        # parent itself only waits here.
-        for i, proc in enumerate(procs):
-            with TELEMETRY.span("worker", worker=i):
-                proc.join()
-            if proc.exitcode != 0:
-                crashed.append(i)
-
-        with ResultStore(store_path) as parent_store:
-            done = sum(1 for d in ordered if d in parent_store)
-
-    report = FabricReport(
-        spec_name=spec.name,
-        total=len(ordered),
-        hits=hits,
-        evaluated=done - hits,
-        remaining=len(ordered) - done,
-        workers=workers,
-        crashed=tuple(crashed),
-    )
-    if trace_arg is not None:
-        write_trace(Path(trace_arg) / "trace-main.jsonl", TELEMETRY)
-        TELEMETRY.disable()
-    return report
-
+    with ResultStore(store_path) as store:
+        return _campaign(
+            spec, store, workers, lease_ttl=lease_ttl,
+            claim_batch=claim_batch, commit_every=commit_every,
+            fault_plans=fault_plans, spill_dir=spill_dir,
+            trace_dir=trace_dir,
+        )
 
 # ----------------------------------------------------------------------
 # status and exports

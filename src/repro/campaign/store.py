@@ -485,7 +485,13 @@ class ResultStore:
         )
 
     def digests(self) -> list[str]:
-        """All stored digests, sorted (stable)."""
+        """All stored digests, sorted (stable).
+
+        A full scan, counted as ``store.scans``: campaign drains never
+        call it, so a drain's trace must show zero scans.
+        """
+        if TELEMETRY.enabled:
+            TELEMETRY.count("store.scans")
         return [
             str(row[0]) for row in self._conn.execute(
                 "SELECT digest FROM results ORDER BY digest"

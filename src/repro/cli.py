@@ -398,47 +398,31 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         export_campaign_json,
         render_report_text,
         run_campaign,
-        run_campaign_workers,
     )
 
     spec = CampaignSpec.from_file(args.spec)
-    if args.action == "run" and args.workers > 1:
-        # The distributed fabric: N independent processes against the
-        # shared WAL store, coordinated only by the lease table.  Run
-        # before opening our own handle so exports below see the final
-        # committed state through a fresh connection.
-        fabric = run_campaign_workers(spec, args.store, workers=args.workers,
-                                      trace_dir=args.trace)
-        if not _machine_stdout(args, fabric.to_dict()):
-            print(f"campaign       : {fabric.spec_name}")
-            print(f"points         : {fabric.total}")
-            print(f"store hits     : {fabric.hits} (resumed, not recomputed)")
-            print(f"evaluated      : {fabric.evaluated} "
-                  f"({fabric.workers} fabric workers)")
-            print(f"remaining      : {fabric.remaining}"
-                  + ("" if fabric.complete else "  (rerun to continue)"))
-        if args.summary_json:
-            _write_machine_json(args.summary_json, fabric.to_dict())
     with ResultStore(args.store) as store:
-        if args.action == "run" and args.workers <= 1:
+        if args.action == "run":
             def show(done: int, total: int) -> None:
                 print(f"  ... {done}/{total} new points evaluated",
                       file=sys.stderr)
 
             report = run_campaign(
                 spec, store,
-                n_jobs=args.jobs if args.jobs != 1 else None,
+                n_jobs=args.workers,
                 max_points=args.max_points,
                 progress=show if args.verbose else None,
                 trace_dir=args.trace,
             )
+            workers = (f", {report.workers} fabric workers"
+                       if report.workers > 1 else "")
             if not _machine_stdout(args, report.to_dict()):
                 print(f"campaign       : {report.spec_name}")
                 print(f"points         : {report.total}")
                 print(f"store hits     : {report.hits} "
                       f"(resumed, not recomputed)")
                 print(f"evaluated      : {report.evaluated} "
-                      f"({report.groups} topology groups)")
+                      f"({report.groups} topology groups{workers})")
                 print(f"remaining      : {report.remaining}"
                       + ("" if report.complete else "  (rerun to continue)"))
             if args.summary_json:
@@ -768,15 +752,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec", help="campaign spec file (.json or .toml)")
     p.add_argument("--store", required=True,
                    help="content-addressed result store (SQLite path)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for run (0 = all cores, "
-                        "1 = serial; stored values are identical)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="run with N independent fabric worker processes "
-                        "coordinated through the store's claim/lease table "
-                        "(the multi-host execution model on one machine; "
-                        "stored values and exports are byte-identical to "
-                        "--workers 1)")
+    p.add_argument("--workers", "--jobs", dest="workers", type=int,
+                   default=1,
+                   help="run: 1 drains in this process; N > 1 runs N "
+                        "independent fabric worker processes coordinated "
+                        "through the store's claim/lease table (the "
+                        "multi-host execution model on one machine); 0 = "
+                        "one per core.  Stored values and exports are "
+                        "byte-identical for any N")
     p.add_argument("--max-points", type=int, default=None,
                    help="evaluate at most this many new points then stop "
                         "(deterministic interruption; rerun to resume)")

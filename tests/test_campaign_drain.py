@@ -1,0 +1,173 @@
+"""The one campaign drain loop: in-process, ``n_jobs`` and fabric runs.
+
+Serial runs, ``run_campaign(n_jobs=k)`` and ``run_campaign_workers``
+all drain through the same claim → evaluate → commit → release loop.
+These tests pin what the loop promises beyond byte-identical exports:
+it never rescans the store, ``n_jobs=k`` *is* the ``k``-worker fabric,
+and the claim cursor defers what another worker holds — dropping it
+once that worker stores it, taking it over once its lease goes stale.
+"""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from repro.campaign import (
+    CampaignReport,
+    CampaignSpec,
+    FabricReport,
+    LeaseManager,
+    ResultStore,
+    export_campaign_json,
+    payload_from_result,
+    run_campaign,
+    run_campaign_worker,
+    run_campaign_workers,
+)
+from repro.cli import main
+from repro.engine import BatchEngine
+from repro.errors import ValidationError
+from repro.telemetry import merge_traces, trace_files
+
+SPEC_DICT = {
+    "name": "drain-test",
+    "draws": 2,
+    "models": ["overlap", "strict"],
+    "applications": [
+        {"synthetic": {"n_stages": 3, "shape": "balanced", "scale": 8.0}},
+    ],
+    "platforms": [{"n_procs": 8}],
+    "replications": [
+        {"policy": "balls"},
+        {"fixed": [1, 2, 3], "assignment": "blocks"},
+    ],
+    "max_paths": 200,
+}
+
+
+@pytest.fixture()
+def spec():
+    return CampaignSpec.from_dict(SPEC_DICT)
+
+
+@pytest.fixture()
+def reference(spec, tmp_path):
+    with ResultStore(tmp_path / "ref.sqlite") as store:
+        run_campaign(spec, store)
+        return export_campaign_json(spec, store)
+
+
+def _foreign_lease(store, digest, ttl):
+    """Another worker's live lease on ``digest``."""
+    other = LeaseManager(store, "other-host", ttl=ttl)
+    assert other.claim([digest]) == [digest]
+    return other
+
+
+def _first_point(spec):
+    point = spec.expand()[0]
+    inst = point.instance()
+    return point, inst, ResultStore.digest(inst, point.model)
+
+
+class TestOneLoop:
+    def test_jobs_is_the_fabric(self, spec, reference, tmp_path):
+        with ResultStore(tmp_path / "jobs.sqlite") as store:
+            report = run_campaign(spec, store, n_jobs=2)
+            assert export_campaign_json(spec, store) == reference
+        fabric = run_campaign_workers(spec, tmp_path / "fab.sqlite",
+                                      workers=2)
+        assert FabricReport is CampaignReport
+        assert report == fabric
+        assert (report.workers, report.crashed) == (2, ())
+        assert report.evaluated == report.total == spec.n_points
+
+    def test_jobs_honours_max_points_and_resumes(self, spec, reference,
+                                                 tmp_path):
+        with ResultStore(tmp_path / "s.sqlite") as store:
+            first = run_campaign(spec, store, n_jobs=2, max_points=3)
+            assert (first.evaluated, first.remaining) == (
+                3, spec.n_points - 3)
+            assert len(store) == 3
+            second = run_campaign(spec, store, n_jobs=2)
+            assert (second.hits, second.evaluated) == (3, spec.n_points - 3)
+            assert export_campaign_json(spec, store) == reference
+
+    def test_jobs_needs_a_file_store(self, spec):
+        with ResultStore(":memory:") as store:
+            with pytest.raises(ValidationError, match="file-backed"):
+                run_campaign(spec, store, n_jobs=2)
+            assert len(store) == 0
+
+    @pytest.mark.parametrize("n_jobs", [None, 2])
+    def test_drain_never_scans_the_store(self, spec, tmp_path, n_jobs):
+        with ResultStore(tmp_path / "s.sqlite") as store:
+            run_campaign(spec, store, n_jobs=n_jobs,
+                         trace_dir=tmp_path / "trace")
+        counters = merge_traces(trace_files(tmp_path / "trace"))["counters"]
+        assert counters["store.puts"] == spec.n_points
+        assert counters.get("store.scans", 0) == 0
+
+    def test_contended_claims_evaluate_each_point_once(self, spec,
+                                                        reference, tmp_path):
+        """More workers than cores, one-digest claims: the cursors keep
+        colliding, yet every point is evaluated by exactly one worker."""
+        report = run_campaign_workers(spec, tmp_path / "s.sqlite", workers=4,
+                                      claim_batch=1, commit_every=1,
+                                      trace_dir=tmp_path / "trace")
+        assert report.complete and not report.crashed
+        counters = merge_traces(trace_files(tmp_path / "trace"))["counters"]
+        assert counters["engine.points"] == spec.n_points
+        assert counters["lease.claims"] == spec.n_points
+        with ResultStore(tmp_path / "s.sqlite") as store:
+            assert export_campaign_json(spec, store) == reference
+
+    def test_cli_jobs_aliases_workers(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(SPEC_DICT))
+        summary_path = tmp_path / "summary.json"
+        assert main(["campaign", "run", str(spec_path),
+                     "--store", str(tmp_path / "s.sqlite"), "--jobs", "2",
+                     "--summary-json", str(summary_path)]) == 0
+        assert "2 fabric workers" in capsys.readouterr().out
+        summary = json.loads(summary_path.read_text())
+        assert summary["workers"] == 2 and summary["complete"]
+        assert summary["crashed"] == []
+
+
+class TestClaimCursor:
+    def test_defers_a_foreign_lease_until_it_is_stored(self, spec,
+                                                       reference, tmp_path):
+        """The other worker commits its digest mid-drain: the cursor's
+        end-of-pass probe drops it instead of evaluating it again."""
+        point, inst, digest = _first_point(spec)
+        with ResultStore(tmp_path / "s.sqlite") as store:
+            other = _foreign_lease(store, digest, ttl=3600.0)
+            payload = payload_from_result(
+                inst, BatchEngine().evaluate([inst], [point.model])[0])
+
+            def other_worker_commits(done, total):
+                if digest not in store:
+                    store.put(digest, payload)
+                    other.release([digest])
+
+            stored = run_campaign_worker(spec, store, "me",
+                                         commit_every=4,
+                                         progress=other_worker_commits)
+            assert stored == spec.n_points - 1
+            assert export_campaign_json(spec, store) == reference
+
+    def test_takes_over_a_stale_foreign_lease(self, spec, reference,
+                                              tmp_path):
+        """The other worker died holding a lease: the drain waits it out
+        and then claims the digest itself."""
+        _, _, digest = _first_point(spec)
+        with ResultStore(tmp_path / "s.sqlite") as store:
+            _foreign_lease(store, digest, ttl=0.2)
+            stored = run_campaign_worker(spec, store, "me", commit_every=4)
+            assert stored == spec.n_points
+            assert export_campaign_json(spec, store) == reference
+            assert store.connection.execute(
+                "SELECT COUNT(*) FROM leases").fetchone()[0] == 0
