@@ -146,6 +146,9 @@ def run_comparison() -> dict:
         "engine_points": contract_serial.get("engine.points", 0),
         "skeleton_builds": serial_a["counters"].get(
             "engine.skeleton_builds", 0),
+        # structural Howard preparations of the serial drain: one per
+        # one-off skeleton plus one per Theorem-1 pattern shape
+        "howard_prepares": serial_a["counters"].get("howard.prepares", 0),
         "contract_counters": contract_serial,
         "coverage": attrib["coverage"],
         "coverage_floor": MIN_COVERAGE,
@@ -186,6 +189,7 @@ def bench_telemetry_campaign(benchmark):
             ("exports byte-identical", "yes", stats["exports_identical"]),
             ("disabled no-op", "yes", stats["disabled_noop"]),
             ("store scans", "0", stats["store_scans"]),
+            ("Howard prepares (serial)", "gated", stats["howard_prepares"]),
             ("chrome round-trip", "exact", stats["chrome_roundtrip"]),
             ("span coverage", f">= {MIN_COVERAGE:.0%}",
              f"{stats['coverage']:.1%}")])
@@ -202,6 +206,7 @@ def main() -> int:
     print(f"exports byte-identical           : {stats['exports_identical']}")
     print(f"disabled telemetry no-op         : {stats['disabled_noop']}")
     print(f"store scans during drains        : {stats['store_scans']}")
+    print(f"Howard prepares (serial drain)   : {stats['howard_prepares']}")
     print(f"chrome round-trip exact          : {stats['chrome_roundtrip']}")
     print(f"span coverage of '{stats['attribution_root']}'    : "
           f"{stats['coverage']:.1%} (floor {MIN_COVERAGE:.0%})")

@@ -68,6 +68,7 @@ CONTRACTS = [
     ("telemetry_campaign", "engine_points", "<="),
     ("telemetry_campaign", "skeleton_builds", "<="),
     ("telemetry_campaign", "store_scans", "<="),
+    ("telemetry_campaign", "howard_prepares", "<="),
     ("faults_chaos", "disabled_noop", ">="),
     ("faults_chaos", "exports_identical", ">="),
     ("faults_chaos", "retry_deterministic", ">="),

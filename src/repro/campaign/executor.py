@@ -54,6 +54,7 @@ from ..engine import BatchEngine, topology_signature
 from ..errors import ValidationError
 from ..experiments.io import canonical_json
 from ..faults import FAULTS, FaultPlan, SpillJournal, pause
+from ..petri.reduction import pattern_plan
 from ..telemetry import TELEMETRY, write_trace
 from .lease import DEFAULT_LEASE_TTL, LeaseManager
 from .spec import CampaignPoint, CampaignSpec
@@ -308,6 +309,10 @@ def _drain(
     ``worker.after-release`` fault sites mark the protocol barriers
     where a :mod:`repro.faults` plan may SIGKILL the process for real.
     """
+    # Every drain starts from cold caches, the engine's and the
+    # process-wide Theorem-1 pattern plans alike, so its diagnostic
+    # counters (skeleton builds, Howard prepares) depend only on its work.
+    pattern_plan.cache_clear()
     engine = BatchEngine(max_rows=max_rows, warm_start=True)
     by_digest = {digest: (inst, model) for digest, inst, model in work}
     todo = list(by_digest)

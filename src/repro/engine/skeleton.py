@@ -3,8 +3,8 @@
 A :class:`TpnSkeleton` captures everything about a ``(model, mapping)``
 group that does not depend on the instance's times:
 
-* the net's transition layout, flattened into numpy arrays
-  (``comp_mask``, ``stage_or_file``, ``proc_u``, ``proc_v``) that let
+* the net's transition layout as numpy arrays (``comp_mask``,
+  ``stage_or_file``, ``proc_u``, ``proc_v``) that let
   :meth:`TpnSkeleton.stamp_durations` compute all firing durations with
   three vectorized expressions instead of ``m * (2n - 1)`` Python calls;
 * the place list as ``(edge_src, edge_dst, edge_tokens)`` arrays — the
@@ -13,6 +13,10 @@ group that does not depend on the instance's times:
   (:func:`repro.maxplus.howard.prepare_howard`), so repeated solves skip
   the liveness check, Tarjan's SCC pass, subgraph extraction and the
   per-SCC edge sort.
+
+The arrays come straight from :func:`repro.petri.builder.tpn_structure`,
+the builder behind :func:`~repro.petri.builder.build_tpn` too, so a
+skeleton never materializes a net object.
 
 :meth:`TpnSkeleton.solve_many` is the group fast path: it stamps every
 instance of a topology group into one ``(B, E)`` weight matrix and runs
@@ -49,7 +53,8 @@ from ..maxplus.howard import (
     solve_prepared_many,
 )
 from ..maxplus.lawler import max_cycle_ratio_lawler
-from ..petri.builder import DEFAULT_MAX_ROWS, build_tpn
+from ..petri.builder import DEFAULT_MAX_ROWS, stamp_durations, tpn_structure
+from ..petri.builder import build_tpn  # noqa: F401 - perfbench/layers.py wraps this name
 from ..telemetry import TELEMETRY
 
 __all__ = ["TpnSkeleton", "build_skeleton"]
@@ -105,18 +110,9 @@ class TpnSkeleton:
         for transmissions (0 on infinite-bandwidth links, exactly as
         :meth:`Platform.comm_time` returns).
         """
-        dur = np.empty(self.n_transitions)
-        cm = self.comp_mask
-        works = np.asarray(inst.application.works, dtype=float)
-        dur[cm] = works[self.stage_or_file[cm]] / inst.platform.speeds[self.proc_u[cm]]
-        comm = ~cm
-        if comm.any():
-            sizes = np.asarray(inst.application.file_sizes, dtype=float)
-            # size / inf == 0.0, matching Platform.comm_time's fast-link case.
-            dur[comm] = sizes[self.stage_or_file[comm]] / inst.platform.bandwidths[
-                self.proc_u[comm], self.proc_v[comm]
-            ]
-        return dur
+        return stamp_durations(
+            inst, self.comp_mask, self.stage_or_file, self.proc_u, self.proc_v
+        )
 
     def stamp_weights(self, inst: Instance) -> npt.NDArray[np.float64]:
         """Edge weights of the cycle-ratio graph for ``inst``.
@@ -246,9 +242,8 @@ class TpnSkeleton:
 
     def _graph(self, weights: npt.NDArray[np.float64]) -> RatioGraph:
         """Materialize the full ratio graph (Lawler fallback only)."""
-        return RatioGraph(
-            self.n_transitions,
-            zip(self.edge_src, self.edge_dst, weights, self.edge_tokens),
+        return RatioGraph.from_arrays(
+            self.n_transitions, self.edge_src, self.edge_dst, weights, self.edge_tokens
         )
 
 
@@ -260,36 +255,24 @@ def build_skeleton(
     """Build the structural skeleton from one representative instance.
 
     Any instance of the topology group works as representative: the
-    extracted arrays and the Howard plan depend only on the mapping's
-    assignments and the model.
+    arrays of :func:`~repro.petri.builder.tpn_structure` and the Howard
+    plan depend only on the mapping's assignments and the model, so no
+    net object or per-place graph is ever materialized.
     """
-    model = CommModel.parse(model)
-    net = build_tpn(inst, model, max_rows=max_rows)
-    graph = net.to_ratio_graph()
-    plan = prepare_howard(graph)
-
-    n_t = net.n_transitions
-    comp_mask = np.empty(n_t, dtype=bool)
-    stage_or_file = np.empty(n_t, dtype=np.int64)
-    proc_u = np.empty(n_t, dtype=np.int64)
-    proc_v = np.full(n_t, -1, dtype=np.int64)
-    for t in net.transitions:
-        comp_mask[t.index] = t.kind == "comp"
-        stage_or_file[t.index] = t.stage_or_file
-        proc_u[t.index] = t.procs[0]
-        if t.kind == "comm":
-            proc_v[t.index] = t.procs[1]
-
+    st = tpn_structure(inst.mapping, model, max_rows=max_rows)
+    graph = RatioGraph.from_arrays(
+        st.n_transitions, st.src, st.dst, np.zeros(st.src.size), st.tokens
+    )
     return TpnSkeleton(
-        model=model,
-        m=net.n_rows,
-        n_transitions=n_t,
-        comp_mask=comp_mask,
-        stage_or_file=stage_or_file,
-        proc_u=proc_u,
-        proc_v=proc_v,
-        edge_src=graph.src,
-        edge_dst=graph.dst,
-        edge_tokens=graph.tokens,
-        plan=plan,
+        model=st.model,
+        m=st.n_rows,
+        n_transitions=st.n_transitions,
+        comp_mask=st.comp_mask,
+        stage_or_file=st.stage_or_file,
+        proc_u=st.proc_u,
+        proc_v=st.proc_v,
+        edge_src=st.src,
+        edge_dst=st.dst,
+        edge_tokens=st.tokens,
+        plan=prepare_howard(graph),
     )

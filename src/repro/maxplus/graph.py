@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+import numpy.typing as npt
 
 from ..errors import DeadlockError, ValidationError
 
@@ -72,6 +73,9 @@ class RatioGraph:
         Iterable of ``(src, dst, weight, tokens)`` tuples.  Parallel edges
         and self-loops are allowed (self-loops model round-robin circuits
         of non-replicated resources).
+
+    :meth:`from_arrays` builds the same graph from four aligned arrays
+    without a per-edge loop; the tuple constructor delegates to it.
     """
 
     __slots__ = ("n_nodes", "src", "dst", "weight", "tokens", "_out_adj", "_in_adj")
@@ -81,32 +85,65 @@ class RatioGraph:
         n_nodes: int,
         edges: Iterable[tuple[int, int, float, int]] = (),
     ) -> None:
+        rows = [(int(s), int(d), float(w), int(t)) for s, d, w, t in edges]
+        cols = list(zip(*rows)) or [(), (), (), ()]
+        self._assign(n_nodes, cols[0], cols[1], cols[2], cols[3])
+
+    @classmethod
+    def from_arrays(
+        cls,
+        n_nodes: int,
+        src: npt.ArrayLike,
+        dst: npt.ArrayLike,
+        weight: npt.ArrayLike,
+        tokens: npt.ArrayLike,
+    ) -> RatioGraph:
+        """Graph from aligned edge arrays (edge ``i`` is ``src[i] -> dst[i]``).
+
+        Validation is vectorized but reports the first offending edge
+        with the same :class:`~repro.errors.ValidationError` the tuple
+        constructor raises.  Arrays already of the target dtype are used
+        without a copy.
+        """
+        graph = cls.__new__(cls)
+        graph._assign(n_nodes, src, dst, weight, tokens)
+        return graph
+
+    def _assign(
+        self,
+        n_nodes: int,
+        src: npt.ArrayLike,
+        dst: npt.ArrayLike,
+        weight: npt.ArrayLike,
+        tokens: npt.ArrayLike,
+    ) -> None:
         if n_nodes < 0:
             raise ValidationError("n_nodes must be >= 0")
-        self.n_nodes = int(n_nodes)
-        srcs: list[int] = []
-        dsts: list[int] = []
-        weights: list[float] = []
-        tokens: list[int] = []
-        for s, d, w, t in edges:
-            s, d, t = int(s), int(d), int(t)
-            if not (0 <= s < self.n_nodes and 0 <= d < self.n_nodes):
-                raise ValidationError(
-                    f"edge ({s}, {d}) out of range for {self.n_nodes} nodes"
-                )
-            if t < 0:
-                raise ValidationError(f"edge ({s}, {d}) has negative tokens {t}")
-            w = float(w)
-            if not np.isfinite(w):
-                raise ValidationError(f"edge ({s}, {d}) has non-finite weight {w}")
-            srcs.append(s)
-            dsts.append(d)
-            weights.append(w)
-            tokens.append(t)
-        self.src = np.asarray(srcs, dtype=np.int64)
-        self.dst = np.asarray(dsts, dtype=np.int64)
-        self.weight = np.asarray(weights, dtype=float)
+        n = self.n_nodes = int(n_nodes)
+        self.src = np.asarray(src, dtype=np.int64)
+        self.dst = np.asarray(dst, dtype=np.int64)
+        self.weight = np.asarray(weight, dtype=float)
         self.tokens = np.asarray(tokens, dtype=np.int64)
+        size = self.src.size
+        if any(a.ndim != 1 or a.size != size for a in (self.src, self.dst, self.weight, self.tokens)):
+            raise ValidationError("edge arrays must be one-dimensional and of equal length")
+        out_of_range = (self.src < 0) | (self.src >= n) | (self.dst < 0) | (self.dst >= n)
+        negative = self.tokens < 0
+        non_finite = ~np.isfinite(self.weight)
+        bad = out_of_range | negative | non_finite
+        if bad.any():
+            # Report the first offending edge, checks in per-edge order.
+            i = int(np.argmax(bad))
+            s, d = int(self.src[i]), int(self.dst[i])
+            if out_of_range[i]:
+                raise ValidationError(f"edge ({s}, {d}) out of range for {n} nodes")
+            if negative[i]:
+                raise ValidationError(
+                    f"edge ({s}, {d}) has negative tokens {int(self.tokens[i])}"
+                )
+            raise ValidationError(
+                f"edge ({s}, {d}) has non-finite weight {float(self.weight[i])}"
+            )
         self._out_adj: list[list[int]] | None = None
         self._in_adj: list[list[int]] | None = None
 
@@ -134,18 +171,12 @@ class RatioGraph:
     def in_edges(self, node: int) -> list[int]:
         """Indices of edges entering ``node``."""
         if self._in_adj is None:
-            adj: list[list[int]] = [[] for _ in range(self.n_nodes)]
-            for i in range(self.n_edges):
-                adj[int(self.dst[i])].append(i)
-            self._in_adj = adj
+            self._in_adj = _grouped(self.dst, np.arange(self.n_edges), self.n_nodes)
         return self._in_adj[node]
 
     def _out_adjacency(self) -> list[list[int]]:
         if self._out_adj is None:
-            adj: list[list[int]] = [[] for _ in range(self.n_nodes)]
-            for i in range(self.n_edges):
-                adj[int(self.src[i])].append(i)
-            self._out_adj = adj
+            self._out_adj = _grouped(self.src, np.arange(self.n_edges), self.n_nodes)
         return self._out_adj
 
     # ------------------------------------------------------------------
@@ -158,10 +189,10 @@ class RatioGraph:
         singleton components without self-loops contain no cycles.
         """
         n = self.n_nodes
-        adj = self._out_adjacency()
-        index = np.full(n, -1, dtype=np.int64)
-        low = np.zeros(n, dtype=np.int64)
-        on_stack = np.zeros(n, dtype=bool)
+        succ = _grouped(self.src, self.dst, n)
+        index = [-1] * n
+        low = [0] * n
+        on_stack = [False] * n
         stack: list[int] = []
         components: list[list[int]] = []
         counter = 0
@@ -179,17 +210,17 @@ class RatioGraph:
                     stack.append(node)
                     on_stack[node] = True
                 advanced = False
-                out = adj[node]
+                out = succ[node]
                 while ei < len(out):
-                    nxt = int(self.dst[out[ei]])
+                    nxt = out[ei]
                     ei += 1
                     if index[nxt] == -1:
                         work[-1] = (node, ei)
                         work.append((nxt, 0))
                         advanced = True
                         break
-                    if on_stack[nxt]:
-                        low[node] = min(low[node], index[nxt])
+                    if on_stack[nxt] and index[nxt] < low[node]:
+                        low[node] = index[nxt]
                 if advanced:
                     continue
                 work.pop()
@@ -204,7 +235,8 @@ class RatioGraph:
                     components.append(comp)
                 if work:
                     parent = work[-1][0]
-                    low[parent] = min(low[parent], low[node])
+                    if low[node] < low[parent]:
+                        low[parent] = low[node]
         return components
 
     def token_free_topological_order(self) -> list[int]:
@@ -217,25 +249,25 @@ class RatioGraph:
             ratio ``+inf`` (it can never fire in the TPN reading).
         """
         n = self.n_nodes
-        indeg = np.zeros(n, dtype=np.int64)
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for i in range(self.n_edges):
-            if self.tokens[i] == 0:
-                s, d = int(self.src[i]), int(self.dst[i])
-                if s == d:
-                    raise DeadlockError(
-                        f"node {s} has a token-free self-loop; the graph is not live"
-                    )
-                adj[s].append(d)
-                indeg[d] += 1
-        order = [int(v) for v in np.flatnonzero(indeg == 0)]
+        free = self.tokens == 0
+        src, dst = self.src[free], self.dst[free]
+        loops = src == dst
+        if loops.any():
+            s = int(src[np.argmax(loops)])
+            raise DeadlockError(
+                f"node {s} has a token-free self-loop; the graph is not live"
+            )
+        succ = _grouped(src, dst, n)
+        indeg = np.bincount(dst, minlength=n)
+        order: list[int] = np.flatnonzero(indeg == 0).tolist()
+        indeg_l: list[int] = indeg.tolist()
         head = 0
         while head < len(order):
             v = order[head]
             head += 1
-            for w in adj[v]:
-                indeg[w] -= 1
-                if indeg[w] == 0:
+            for w in succ[v]:
+                indeg_l[w] -= 1
+                if indeg_l[w] == 0:
                     order.append(w)
         if len(order) != n:
             raise DeadlockError(
@@ -257,18 +289,23 @@ class RatioGraph:
 
         Returns ``(sub, node_map, edge_map)`` where ``node_map[i]`` is the
         original index of sub-node ``i`` and ``edge_map[j]`` the original
-        index of sub-edge ``j``.
+        index of sub-edge ``j`` (ascending).
         """
-        node_list = [int(v) for v in nodes]
-        remap = {v: i for i, v in enumerate(node_list)}
-        edge_map: list[int] = []
-        edges: list[tuple[int, int, float, int]] = []
-        for i in range(self.n_edges):
-            s, d = int(self.src[i]), int(self.dst[i])
-            if s in remap and d in remap:
-                edges.append((remap[s], remap[d], float(self.weight[i]), int(self.tokens[i])))
-                edge_map.append(i)
-        return RatioGraph(len(node_list), edges), node_list, edge_map
+        node_arr = np.asarray(nodes, dtype=np.int64).reshape(-1)
+        remap = np.full(self.n_nodes, -1, dtype=np.int64)
+        # Nodes outside the graph become isolated sub-nodes.
+        known = (node_arr >= 0) & (node_arr < self.n_nodes)
+        remap[node_arr[known]] = np.flatnonzero(known)
+        sub_src, sub_dst = remap[self.src], remap[self.dst]
+        edge_map = np.flatnonzero((sub_src >= 0) & (sub_dst >= 0))
+        sub = RatioGraph.from_arrays(
+            node_arr.size,
+            sub_src[edge_map],
+            sub_dst[edge_map],
+            self.weight[edge_map],
+            self.tokens[edge_map],
+        )
+        return sub, node_arr.tolist(), edge_map.tolist()
 
     def cycle_ratio_of(self, edge_indices: Sequence[int]) -> float:
         """Exact ratio ``sum(w)/sum(t)`` of a given cycle (list of edges)."""
@@ -281,3 +318,13 @@ class RatioGraph:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RatioGraph(n_nodes={self.n_nodes}, n_edges={self.n_edges})"
+
+
+def _grouped(
+    keys: npt.NDArray[np.int64], values: npt.NDArray[np.int64], n: int
+) -> list[list[int]]:
+    """``values`` bucketed by ``keys`` in ``range(n)``, input order kept."""
+    order = np.argsort(keys, kind="stable")
+    bounds = np.searchsorted(keys[order], np.arange(n + 1)).tolist()
+    flat = values[order].tolist()
+    return [flat[bounds[v]:bounds[v + 1]] for v in range(n)]

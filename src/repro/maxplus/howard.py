@@ -191,43 +191,61 @@ class HowardPlan:
 def prepare_howard(graph: RatioGraph) -> HowardPlan:
     """Structure-only preparation: liveness, SCCs, CSR sorts.
 
+    Each SCC's edges are found in one vectorized pass over component
+    labels: ``edge_map`` lists a component's internal edges in ascending
+    order and local node ``k`` is the ``k``-th node of its Tarjan
+    component, exactly as :meth:`RatioGraph.subgraph` would number them.
+
     Raises
     ------
     DeadlockError
         If some cycle carries no token (the liveness check fails).
     """
+    if TELEMETRY.enabled:
+        TELEMETRY.count("howard.prepares")
     graph.token_free_topological_order()  # liveness (raises DeadlockError)
 
+    comps = graph.strongly_connected_components()
+    sizes = [len(comp) for comp in comps]
+    members = np.fromiter(
+        (v for comp in comps for v in comp), dtype=np.int64, count=graph.n_nodes
+    )
+    label = np.empty(graph.n_nodes, dtype=np.int64)
+    label[members] = np.repeat(np.arange(len(comps)), sizes)
+    local = np.empty(graph.n_nodes, dtype=np.int64)
+    local[members] = np.arange(graph.n_nodes) - np.repeat(
+        np.cumsum(sizes, dtype=np.int64) - sizes, sizes
+    )
+    src_label = label[graph.src]
+    inner = np.flatnonzero(src_label == label[graph.dst])
+    inner = inner[np.argsort(src_label[inner], kind="stable")]
+    bounds = np.searchsorted(src_label[inner], np.arange(len(comps) + 1)).tolist()
+
     components: list[_PreparedScc | _PreparedSingleton] = []
-    for comp in graph.strongly_connected_components():
+    for ci, comp in enumerate(comps):
+        edge_map = inner[bounds[ci]:bounds[ci + 1]]
         if len(comp) == 1:
-            v = comp[0]
-            self_loops = tuple(
-                i for i in graph.out_edges(v) if int(graph.dst[i]) == v
-            )
-            if self_loops:
-                components.append(_PreparedSingleton(v, self_loops))
+            if edge_map.size:  # a singleton's internal edges are self-loops
+                components.append(_PreparedSingleton(comp[0], tuple(edge_map.tolist())))
             continue
-        sub, node_map, edge_map = graph.subgraph(comp)
-        n, e = sub.n_nodes, sub.n_edges
-        if n == 0 or e == 0:
-            continue
-        order = np.argsort(sub.src, kind="stable")
-        src = sub.src[order]
+        n = len(comp)
+        sub_src = local[graph.src[edge_map]]
+        order = np.argsort(sub_src, kind="stable")
+        src = sub_src[order]
         start = np.searchsorted(src, np.arange(n + 1))
-        if np.any(start[1:] == start[:-1]):
+        if (start[1:] == start[:-1]).any():
             # Some node has no outgoing edge: inside an SCC that means the
             # "SCC" is a singleton without self-loop -> no cycle.
             continue
         components.append(
             _PreparedScc(
                 n=n,
-                node_map=tuple(int(v) for v in node_map),
-                edge_map=np.asarray(edge_map, dtype=np.int64),
+                node_map=tuple(comp),
+                edge_map=edge_map,
                 order=order,
                 src=src,
-                dst=sub.dst[order],
-                tokens=sub.tokens[order].astype(float),
+                dst=local[graph.dst[edge_map]][order],
+                tokens=graph.tokens[edge_map][order].astype(float),
                 start=start,
             )
         )
@@ -362,7 +380,7 @@ def _scc_howard_csr(
         )
         phase2 = ~phase1 & (seg_max_r > tol) & (first_r != policy)
 
-        if not (np.any(phase1) or np.any(phase2)):
+        if not (phase1.any() or phase2.any()):
             cycle_nodes, cycle_edges = best_cycle
             return HowardResult(
                 value=float(best_val),

@@ -20,19 +20,191 @@ The construction is ``O(m n)`` in the size of the produced net, with
 Since ``m`` can grow multiplicatively (Example C: ``m = 10395``), the
 builder enforces a configurable row budget and raises
 :class:`~repro.errors.ReplicationExplosionError` beyond it.
+
+One structure builder serves every consumer.  :func:`tpn_structure`
+lays a net out as flat arrays from ``(mapping, model)`` alone —
+transitions row-major, places in the order above (flow places
+row-major, then per stage, per replica, its circuits).
+:func:`build_tpn` materializes the :class:`TimedEventGraph` view of
+those arrays, and :func:`repro.engine.skeleton.build_skeleton` hands
+them to the Howard plan directly, without any per-place objects.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
+import numpy as np
+import numpy.typing as npt
+
 from ..core.instance import Instance
+from ..core.mapping import Mapping
 from ..core.models import CommModel
 from ..errors import ReplicationExplosionError
-from .net import PlaceKind, TimedEventGraph
+from .net import Place, PlaceKind, TimedEventGraph, Transition
 
-__all__ = ["build_tpn", "DEFAULT_MAX_ROWS"]
+__all__ = ["build_tpn", "tpn_structure", "stamp_durations", "TpnStructure", "DEFAULT_MAX_ROWS"]
 
 #: Default budget on the number of TPN rows (``m = lcm(m_i)``).
 DEFAULT_MAX_ROWS = 20_000
+
+#: Code of each place kind in :attr:`TpnStructure.kind`: its index in
+#: :attr:`PlaceKind.ALL`.
+_KIND_CODE = {kind: code for code, kind in enumerate(PlaceKind.ALL)}
+#: Resource-name suffix per kind code; flow places own no resource.
+_RESOURCE_SUFFIX = tuple(
+    {PlaceKind.RR_COMP: ":comp", PlaceKind.RR_OUT: ":out", PlaceKind.RR_IN: ":in",
+     PlaceKind.RCS: ""}.get(kind) for kind in PlaceKind.ALL
+)
+
+
+@dataclass(frozen=True)
+class TpnStructure:
+    """Weight-free layout of a TPN as flat arrays.
+
+    Transition ``t = row * n_columns + column`` is described by
+    ``comp_mask[t]`` (computation or transmission), ``stage_or_file[t]``
+    and its processors ``proc_u[t]`` (executor, resp. sender) and
+    ``proc_v[t]`` (receiver, ``-1`` on computations).  Place ``p`` is the
+    edge ``src[p] -> dst[p]`` holding ``tokens[p]`` tokens; ``kind[p]``
+    indexes :attr:`PlaceKind.ALL` and ``resource_proc[p]`` is the
+    processor owning its circuit (``-1`` for flow places).
+    """
+
+    model: CommModel
+    n_stages: int
+    n_rows: int
+    n_columns: int
+    comp_mask: npt.NDArray[np.bool_]
+    stage_or_file: npt.NDArray[np.int64]
+    proc_u: npt.NDArray[np.int64]
+    proc_v: npt.NDArray[np.int64]
+    src: npt.NDArray[np.int64]
+    dst: npt.NDArray[np.int64]
+    tokens: npt.NDArray[np.int64]
+    kind: npt.NDArray[np.int8]
+    resource_proc: npt.NDArray[np.int64]
+
+    @property
+    def n_transitions(self) -> int:
+        """``m * (2n - 1)``."""
+        return self.n_rows * self.n_columns
+
+    def resources(self) -> list[str]:
+        """Resource name of every place (``"P0:out"``, ``"P3"``, ``""`` ...)."""
+        return [
+            "" if _RESOURCE_SUFFIX[k] is None else f"P{u}{_RESOURCE_SUFFIX[k]}"
+            for k, u in zip(self.kind.tolist(), self.resource_proc.tolist())
+        ]
+
+
+def tpn_structure(
+    mapping: Mapping,
+    model: CommModel | str,
+    max_rows: int | None = DEFAULT_MAX_ROWS,
+) -> TpnStructure:
+    """Lay out the TPN of ``mapping`` under ``model`` as flat arrays.
+
+    Depends on the mapping's assignments and the model only, never on
+    times.  Raises :class:`~repro.errors.ReplicationExplosionError` when
+    ``m = lcm(m_i)`` exceeds ``max_rows`` (``None`` disables the check).
+    """
+    model = CommModel.parse(model)
+    n = mapping.n_stages
+    m = mapping.num_paths
+    if max_rows is not None and m > max_rows:
+        raise ReplicationExplosionError(m, max_rows)
+    n_cols = 2 * n - 1
+
+    # Transitions, row-major: t = row * n_cols + col.  proc[row, i] is the
+    # processor running stage i for that row's data sets (round robin).
+    t = np.arange(m * n_cols)
+    row, col = np.divmod(t, n_cols)
+    stage = col // 2
+    proc = np.column_stack(
+        [np.asarray(a, dtype=np.int64)[np.arange(m) % len(a)] for a in mapping.assignments]
+    )
+    comp_mask = col % 2 == 0
+    proc_u = proc[row, stage]
+    proc_v = np.where(comp_mask, -1, proc[row, np.minimum(stage + 1, n - 1)])
+
+    # Round-robin circuits, one table entry per (stage, replica, circuit)
+    # in build order.  Replica r of a stage with m_i replicas chains rows
+    # r, r + m_i, ...; its place l goes (row_l, col_out) -> (row_{l+1},
+    # col_in), and the wrap-around place (last row back to the first)
+    # carries the single token.
+    table: list[tuple[int, int, int, int, int, int]] = []
+    for i, procs in enumerate(mapping.assignments):
+        if model.overlap:
+            circuits = [(2 * i, 2 * i, PlaceKind.RR_COMP)]  # constraint 2: CPU
+            if i < n - 1:  # constraint 3: output port
+                circuits.append((2 * i + 1, 2 * i + 1, PlaceKind.RR_OUT))
+            if i > 0:  # constraint 4: input port
+                circuits.append((2 * i - 1, 2 * i - 1, PlaceKind.RR_IN))
+        else:
+            # strict: one receive -> compute -> send serialization circuit.
+            col_first = 2 * i - 1 if i > 0 else 2 * i
+            col_last = 2 * i + 1 if i < n - 1 else 2 * i
+            circuits = [(col_last, col_first, PlaceKind.RCS)]
+        table.extend(
+            (r, len(procs), col_out, col_in, _KIND_CODE[kind], u)
+            for r, u in enumerate(procs)
+            for col_out, col_in, kind in circuits
+        )
+    first, step, col_out, col_in, code, owner = np.array(table, dtype=np.int64).T
+    length = m // step
+    circ = np.repeat(np.arange(len(table)), length)
+    pos = np.arange(circ.size) - np.repeat(np.cumsum(length, dtype=np.int64) - length, length)
+    circ_src = (first[circ] + step[circ] * pos) * n_cols + col_out[circ]
+    circ_dst = (first[circ] + step[circ] * ((pos + 1) % length[circ])) * n_cols + col_in[circ]
+
+    # Constraint 1: row-internal flow places, row-major, come first.
+    flow = t[col < n_cols - 1]
+    n_flow = flow.size
+    return TpnStructure(
+        model=model,
+        n_stages=n,
+        n_rows=m,
+        n_columns=n_cols,
+        comp_mask=comp_mask,
+        stage_or_file=stage,
+        proc_u=proc_u,
+        proc_v=proc_v,
+        src=np.concatenate([flow, circ_src]),
+        dst=np.concatenate([flow + 1, circ_dst]),
+        tokens=np.concatenate(
+            [np.zeros(n_flow, dtype=np.int64), (pos == length[circ] - 1).astype(np.int64)]
+        ),
+        kind=np.concatenate([np.zeros(n_flow, dtype=np.int8), code[circ].astype(np.int8)]),
+        resource_proc=np.concatenate([np.full(n_flow, -1, dtype=np.int64), owner[circ]]),
+    )
+
+
+def stamp_durations(
+    inst: Instance,
+    comp_mask: npt.NDArray[np.bool_],
+    stage_or_file: npt.NDArray[np.int64],
+    proc_u: npt.NDArray[np.int64],
+    proc_v: npt.NDArray[np.int64],
+) -> npt.NDArray[np.float64]:
+    """Firing durations of ``inst`` on a transition layout (vectorized).
+
+    ``w_i / Pi_u`` for computations, ``delta_i / b_{u,v}`` for
+    transmissions: the same IEEE-754 divisions as
+    :meth:`Instance.comp_time` / :meth:`Instance.comm_time`, so the
+    values are bit-identical (``size / inf`` is ``0.0``, matching
+    :meth:`Platform.comm_time`'s fast-link case).
+    """
+    dur = np.empty(comp_mask.size)
+    works = np.asarray(inst.application.works, dtype=float)
+    dur[comp_mask] = works[stage_or_file[comp_mask]] / inst.platform.speeds[proc_u[comp_mask]]
+    comm = ~comp_mask
+    if comm.any():
+        sizes = np.asarray(inst.application.file_sizes, dtype=float)
+        dur[comm] = sizes[stage_or_file[comm]] / inst.platform.bandwidths[
+            proc_u[comm], proc_v[comm]
+        ]
+    return dur
 
 
 def build_tpn(
@@ -41,6 +213,9 @@ def build_tpn(
     max_rows: int | None = DEFAULT_MAX_ROWS,
 ) -> TimedEventGraph:
     """Build the timed Petri net of a mapped instance.
+
+    The net is the object view of :func:`tpn_structure`'s arrays, with
+    firing durations stamped from ``inst``.
 
     Parameters
     ----------
@@ -65,83 +240,40 @@ def build_tpn(
     >>> (net.n_rows, net.n_columns, net.n_transitions)
     (6, 7, 42)
     """
-    model = CommModel.parse(model)
-    mapping = inst.mapping
-    n = inst.n_stages
-    m = mapping.num_paths
-    if max_rows is not None and m > max_rows:
-        raise ReplicationExplosionError(m, max_rows)
-
-    n_cols = 2 * n - 1
-    net = TimedEventGraph(n_rows=m, n_columns=n_cols)
+    st = tpn_structure(inst.mapping, model, max_rows=max_rows)
+    n_cols = st.n_columns
+    net = TimedEventGraph(n_rows=st.n_rows, n_columns=n_cols)
     net.meta.update(
-        model=model.value,
-        n_stages=n,
-        m=m,
-        replication=mapping.replication_counts,
+        model=st.model.value,
+        n_stages=st.n_stages,
+        m=st.n_rows,
+        replication=inst.mapping.replication_counts,
     )
-
-    # ------------------------------------------------------------------
-    # transitions, row-major
-    # ------------------------------------------------------------------
-    for j in range(m):
-        for c in range(n_cols):
-            i = c // 2
-            if c % 2 == 0:
-                u = mapping.processor_for(i, j)
-                net.add_transition(
-                    j, c, inst.comp_time(i, u), "comp", i, (u,)
-                )
-            else:
-                u = mapping.processor_for(i, j)
-                v = mapping.processor_for(i + 1, j)
-                net.add_transition(
-                    j, c, inst.comm_time(i, u, v), "comm", i, (u, v)
-                )
-
-    tid = lambda row, col: row * n_cols + col  # noqa: E731 - local shorthand
-
-    # ------------------------------------------------------------------
-    # constraint 1: row-internal flow places (both models)
-    # ------------------------------------------------------------------
-    for j in range(m):
-        for c in range(n_cols - 1):
-            net.add_place(tid(j, c), tid(j, c + 1), 0, PlaceKind.FLOW)
-
-    def circuit(rows: list[int], col_out: int, col_in: int, kind: str, resource: str) -> None:
-        """Round-robin circuit: (rows[l], col_out) -> (rows[l+1], col_in).
-
-        The wrap-around place (last row back to the first) carries the
-        single token: the resource is initially free.
-        """
-        k = len(rows)
-        for idx in range(k):
-            src_row = rows[idx]
-            dst_row = rows[(idx + 1) % k]
-            tokens = 1 if idx == k - 1 else 0
-            net.add_place(tid(src_row, col_out), tid(dst_row, col_in), tokens, kind, resource)
-
-    # ------------------------------------------------------------------
-    # round-robin circuits
-    # ------------------------------------------------------------------
-    for i in range(n):
-        procs = mapping.processors_of(i)
-        m_i = len(procs)
-        for r, u in enumerate(procs):
-            rows = list(range(r, m, m_i))
-            if model.overlap:
-                # constraint 2: CPU round-robin
-                circuit(rows, 2 * i, 2 * i, PlaceKind.RR_COMP, f"P{u}:comp")
-                # constraint 3: output-port round-robin
-                if i < n - 1:
-                    circuit(rows, 2 * i + 1, 2 * i + 1, PlaceKind.RR_OUT, f"P{u}:out")
-                # constraint 4: input-port round-robin
-                if i > 0:
-                    circuit(rows, 2 * i - 1, 2 * i - 1, PlaceKind.RR_IN, f"P{u}:in")
-            else:
-                # strict: one receive->compute->send serialization circuit.
-                col_first = 2 * i - 1 if i > 0 else 2 * i
-                col_last = 2 * i + 1 if i < n - 1 else 2 * i
-                circuit(rows, col_last, col_first, PlaceKind.RCS, f"P{u}")
-
+    durations = stamp_durations(inst, st.comp_mask, st.stage_or_file, st.proc_u, st.proc_v)
+    net.transitions = [
+        Transition(t, t // n_cols, t % n_cols, d, "comp", s, (u,))
+        if comp
+        else Transition(t, t // n_cols, t % n_cols, d, "comm", s, (u, v))
+        for t, (d, comp, s, u, v) in enumerate(
+            zip(
+                durations.tolist(),
+                st.comp_mask.tolist(),
+                st.stage_or_file.tolist(),
+                st.proc_u.tolist(),
+                st.proc_v.tolist(),
+            )
+        )
+    ]
+    net.places = [
+        Place(p, s, d, tok, PlaceKind.ALL[k], res)
+        for p, (s, d, tok, k, res) in enumerate(
+            zip(
+                st.src.tolist(),
+                st.dst.tolist(),
+                st.tokens.tolist(),
+                st.kind.tolist(),
+                st.resources(),
+            )
+        )
+    ]
     return net

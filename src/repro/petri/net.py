@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
+import numpy as np
+
 from ..errors import ValidationError
 from ..maxplus.graph import RatioGraph
 
@@ -200,11 +202,15 @@ class TimedEventGraph:
         Edge weight is the duration of the place's input transition so
         cycle weights equal the summed durations of traversed transitions.
         """
-        edges = (
-            (p.src, p.dst, self.transitions[p.src].duration, p.tokens)
-            for p in self.places
+        src = np.array([p.src for p in self.places], dtype=np.int64)
+        durations = np.array([t.duration for t in self.transitions], dtype=float)
+        return RatioGraph.from_arrays(
+            self.n_transitions,
+            src,
+            [p.dst for p in self.places],
+            durations[src],
+            [p.tokens for p in self.places],
         )
-        return RatioGraph(self.n_transitions, edges)
 
     def place_edges(self) -> Iterable[tuple[int, int, int]]:
         """Iterate ``(src, dst, tokens)`` triples (structure only)."""

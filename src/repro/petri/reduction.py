@@ -28,13 +28,16 @@ single-pattern graph ``G'`` of the appendix.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..core.instance import Instance
-from ..maxplus.cycle_ratio import max_cycle_ratio
+from ..errors import SolverError
+from ..maxplus import howard
 from ..maxplus.graph import RatioGraph
+from ..maxplus.lawler import max_cycle_ratio_lawler
 from .net import PlaceKind, TimedEventGraph
 
 __all__ = [
@@ -43,7 +46,42 @@ __all__ = [
     "computation_column",
     "comm_patterns",
     "column_subgraph",
+    "pattern_plan",
 ]
+
+#: Pattern shapes whose Howard plan stays cached (least recently used
+#: evicted first).  A campaign meets a few dozen shapes at most.
+PATTERN_PLAN_CACHE_SIZE = 256
+
+
+def _torus(u: int, v: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(src, dst, tokens)`` of the ``u x v`` pattern torus.
+
+    Cell ``(a, b)`` is node ``a * v + b``; it emits its *down* edge (to
+    ``((a + 1) % u, b)``, a token on the wrap ``a = u - 1``) and then its
+    *right* edge (to ``(a, (b + 1) % v)``, a token on ``b = v - 1``), so
+    edge ``2 * cell + k`` carries the cell's duration.
+    """
+    a, b = np.divmod(np.arange(u * v), v)
+    down = ((a + 1) % u) * v + b
+    right = a * v + (b + 1) % v
+    src = np.repeat(np.arange(u * v), 2)
+    dst = np.stack([down, right], axis=1).ravel()
+    tokens = np.stack([a == u - 1, b == v - 1], axis=1).ravel().astype(np.int64)
+    return src, dst, tokens
+
+
+@functools.lru_cache(maxsize=PATTERN_PLAN_CACHE_SIZE)
+def pattern_plan(u: int, v: int) -> howard.HowardPlan:
+    """Howard plan of the ``u x v`` pattern torus, cached per shape.
+
+    The torus' structure depends on ``(u, v)`` only (the durations are
+    its weights), so every pattern of one shape shares one plan.
+    """
+    src, dst, tokens = _torus(u, v)
+    return howard.prepare_howard(
+        RatioGraph.from_arrays(u * v, src, dst, np.zeros(src.size), tokens)
+    )
 
 
 @dataclass(frozen=True)
@@ -103,19 +141,24 @@ class CommPattern:
 
     def to_ratio_graph(self) -> RatioGraph:
         """The torus graph ``G'``: down/right edges, tokens on wrap arcs."""
-        u, v = self.u, self.v
-        cell = lambda a, b: a * v + b  # noqa: E731 - local shorthand
-        edges = []
-        for a in range(u):
-            for b in range(v):
-                w = float(self.durations[a, b])
-                edges.append((cell(a, b), cell((a + 1) % u, b), w, 1 if a == u - 1 else 0))
-                edges.append((cell(a, b), cell(a, (b + 1) % v), w, 1 if b == v - 1 else 0))
-        return RatioGraph(u * v, edges)
+        src, dst, tokens = _torus(self.u, self.v)
+        return RatioGraph.from_arrays(
+            self.u * self.v, src, dst, np.repeat(self.durations.ravel(), 2), tokens
+        )
 
     def critical_ratio(self) -> float:
-        """Maximum cycle ratio of the pattern graph (TPN time units)."""
-        return max_cycle_ratio(self.to_ratio_graph()).value
+        """Maximum cycle ratio of the pattern graph (TPN time units).
+
+        Solved on the cached plan of its ``(u, v)`` shape
+        (:func:`pattern_plan`); bit-identical to
+        ``max_cycle_ratio(self.to_ratio_graph()).value``, including the
+        Lawler fallback when policy iteration fails.
+        """
+        weights = np.repeat(self.durations.ravel(), 2)
+        try:
+            return howard.solve_prepared(pattern_plan(self.u, self.v), weights).value
+        except SolverError:
+            return max_cycle_ratio_lawler(self.to_ratio_graph())
 
     def contribution(self) -> float:
         """Per-data-set period contribution of this component."""
@@ -157,15 +200,18 @@ def comm_patterns(inst: Instance, file_index: int) -> list[CommPattern]:
     senders_all = mapping.processors_of(file_index)
     receivers_all = mapping.processors_of(file_index + 1)
     a, b = len(senders_all), len(receivers_all)
+    size = inst.application.file_size(file_index)
+    bandwidths = inst.platform.bandwidths
 
     out: list[CommPattern] = []
     for g in range(p):
         senders = tuple(senders_all[(g + alpha * b) % a] for alpha in range(u))
         receivers = tuple(receivers_all[(g + beta * a) % b] for beta in range(v))
-        durations = np.empty((u, v))
-        for alpha, s in enumerate(senders):
-            for beta, r in enumerate(receivers):
-                durations[alpha, beta] = inst.comm_time(file_index, s, r)
+        # delta_i / b_{s,r} per cell: the divisions of Instance.comm_time,
+        # with size / inf == 0.0 on infinite-bandwidth links.
+        durations = size / bandwidths[
+            np.asarray(senders)[:, None], np.asarray(receivers)[None, :]
+        ]
         durations.setflags(write=False)
         out.append(
             CommPattern(

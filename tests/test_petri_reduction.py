@@ -4,14 +4,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from repro import Application, Instance, Mapping, Platform
+from repro.errors import SolverError
 from repro.experiments import EXAMPLE_C_STRUCTURE, example_a, example_b, example_c
-from repro.maxplus import max_cycle_ratio
+from repro.maxplus import howard, max_cycle_ratio
+from repro.maxplus.lawler import max_cycle_ratio_lawler
 from repro.petri import (
+    CommPattern,
     build_tpn,
     column_subgraph,
     comm_patterns,
     computation_column,
 )
+from repro.petri.reduction import pattern_plan
+from repro.telemetry import TELEMETRY
 
 from .conftest import small_instances
 
@@ -122,3 +128,94 @@ class TestReductionCorrectness:
         # one token per wrap row + per wrap column: u + v
         assert int(np.sum(g.tokens)) == pat.u + pat.v
         assert g.is_live()
+
+
+def _pattern(u, v, seed):
+    """A ``u x v`` pattern with seeded durations; even seeds use small
+    integers so several cycles tie exactly."""
+    rng = np.random.default_rng(seed)
+    if seed % 2 == 0:
+        durations = rng.integers(1, 4, (u, v)).astype(float)
+    else:
+        durations = rng.uniform(0.1, 10.0, (u, v))
+    durations[rng.random((u, v)) < 0.1] = 0.0  # infinite-bandwidth cells
+    return CommPattern(file_index=0, component=0, p=1, u=u, v=v,
+                       window=u * v, senders=tuple(range(u)),
+                       receivers=tuple(range(u, u + v)), durations=durations)
+
+
+#: Every shape up to Example C's 7x9, including (1, 1), (1, v) and (u, 1).
+SHAPES = [(u, v) for u in range(1, 8) for v in range(1, 10)]
+
+
+class TestPatternPlanCache:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_durations_match_comm_time_bits(self, seed):
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(1, 6, 3).tolist()
+        p = sum(counts)
+        bounds = np.cumsum([0] + counts).tolist()
+        bandwidths = rng.uniform(0.5, 5.0, (p, p))
+        bandwidths[rng.random((p, p)) < 0.4] = np.inf
+        inst = Instance(
+            Application(works=[1.0, 2.0, 3.0], file_sizes=rng.uniform(0, 9, 2).tolist()),
+            Platform(rng.uniform(0.5, 3.0, p).tolist(), bandwidths),
+            Mapping([range(bounds[i], bounds[i + 1]) for i in range(3)], n_processors=p),
+        )
+        for i in range(2):
+            for pat in comm_patterns(inst, i):
+                for a in range(pat.u):
+                    for b in range(pat.v):
+                        expected = inst.comm_time(i, *pat.cell_pair(a, b))
+                        assert pat.durations[a, b].hex() == expected.hex()
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_cached_plan_is_bit_identical(self, seed):
+        for u, v in SHAPES:
+            pat = _pattern(u, v, seed + 10 * u + 100 * v)
+            expected = max_cycle_ratio(pat.to_ratio_graph()).value
+            assert pat.critical_ratio().hex() == expected.hex(), (u, v)
+
+    def test_example_c_pattern(self):
+        for pat in comm_patterns(example_c(), 1):
+            assert (pat.u, pat.v) == (7, 9)
+            expected = max_cycle_ratio(pat.to_ratio_graph()).value
+            assert pat.critical_ratio().hex() == expected.hex()
+
+    def test_torus_edge_order(self):
+        """Edge 2 * cell is the cell's down edge, 2 * cell + 1 its right
+        edge, both weighted by the cell's duration."""
+        pat = _pattern(2, 3, 1)
+        g = pat.to_ratio_graph()
+        cells = [(a, b) for a in range(2) for b in range(3)]
+        edges = []
+        for a, b in cells:
+            w = float(pat.durations[a, b])
+            edges.append((a * 3 + b, ((a + 1) % 2) * 3 + b, w, int(a == 1)))
+            edges.append((a * 3 + b, a * 3 + (b + 1) % 3, w, int(b == 2)))
+        assert [(e.src, e.dst, e.weight, e.tokens) for e in g.edges()] == edges
+
+    def test_lawler_fallback(self, monkeypatch):
+        pat = _pattern(3, 4, 7)
+        expected = max_cycle_ratio_lawler(pat.to_ratio_graph())
+
+        def failing(*args, **kwargs):
+            raise SolverError("policy iteration did not converge")
+
+        monkeypatch.setattr(howard, "solve_prepared", failing)
+        assert pat.critical_ratio() == expected
+        assert max_cycle_ratio(pat.to_ratio_graph()).value == expected
+
+    def test_one_plan_per_shape(self):
+        pattern_plan.cache_clear()
+        TELEMETRY.enable("test")
+        try:
+            shapes = [(2, 3), (1, 1), (2, 3), (3, 2), (1, 1), (2, 3)]
+            for seed, (u, v) in enumerate(shapes):
+                _pattern(u, v, seed).critical_ratio()
+            prepares = TELEMETRY.counter_snapshot().get("howard.prepares", 0)
+        finally:
+            TELEMETRY.disable()
+        assert prepares == 3
+        assert pattern_plan.cache_info().currsize == 3
+        assert pattern_plan(2, 3) is pattern_plan(2, 3)

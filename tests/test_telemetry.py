@@ -24,6 +24,7 @@ from repro.campaign import (
     run_campaign_workers,
 )
 from repro.cli import main
+from repro.petri.reduction import pattern_plan
 from repro.telemetry import (
     CONTRACT_COUNTERS,
     TELEMETRY,
@@ -291,6 +292,16 @@ class TestCampaignDeterminism:
         first, _ = _traced_run(tmp_path, "first")
         second, _ = _traced_run(tmp_path, "second")
         assert first["counters"] == second["counters"]
+
+    def test_drain_counters_ignore_warm_pattern_plans(self, tmp_path):
+        """The process-wide Theorem-1 plan cache starts cold in every
+        drain: a drain after a warm-up prepares the same plans again."""
+        pattern_plan.cache_clear()
+        cold, _ = _traced_run(tmp_path, "cold")
+        assert pattern_plan.cache_info().currsize > 0
+        warm, _ = _traced_run(tmp_path, "warm")
+        assert cold["counters"]["howard.prepares"] > 0
+        assert warm["counters"] == cold["counters"]
 
     def test_span_hierarchy_and_attribution(self, tmp_path):
         fabric, _ = _traced_run(tmp_path, "fab2", workers=2)
