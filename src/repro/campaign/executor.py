@@ -47,7 +47,7 @@ import sqlite3
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from ..core.instance import Instance
 from ..engine import BatchEngine, topology_signature
@@ -171,36 +171,51 @@ def order_for_engine(
     >>> order_for_engine([(a, "strict"), (b, "strict"), (a, "strict")])
     [0, 2, 1]
     """
+    return [i for members in _topology_groups(pairs) for i in members]
+
+
+def _topology_groups(pairs: Sequence[tuple[Instance, str]]) -> list[list[int]]:
+    """The groups of :func:`order_for_engine`: indices per signature."""
     groups: dict[tuple[str, tuple[tuple[int, ...], ...]], list[int]] = {}
     for i, (inst, model) in enumerate(pairs):
         groups.setdefault(topology_signature(inst, model), []).append(i)
-    return [i for members in groups.values() for i in members]
+    return list(groups.values())
+
+
+def _materialized(
+    spec: CampaignSpec,
+) -> Iterator[tuple[CampaignPoint, Instance, str]]:
+    """``(point, instance, digest)`` of every point, in spec order: the
+    one materialization pass of drains, resumes, status and exports."""
+    for pt in spec.expand():
+        inst = pt.instance()
+        yield pt, inst, instance_digest(inst, pt.model,
+                                        objectives=spec.objectives)
 
 
 def _pending_work(
-    spec: CampaignSpec, store: ResultStore
-) -> tuple[int, list[_Work]]:
+    spec: CampaignSpec, store: ResultStore, max_points: int | None = None
+) -> tuple[int, int, list[_Work], int]:
     """Expand ``spec``; its distinct unstored points in engine order.
 
-    Returns ``(n_points, work)``.  Every worker given the same store
-    state derives the *same* list (expansion and ordering are
-    deterministic), so the fabric needs no coordinator process.  Stored
-    points cost one existence probe each — payloads are never fetched
-    or parsed during resume.
+    Returns ``(n_points, n_pending, work, groups)``: ``work`` is the
+    first ``max_points`` of the ``n_pending`` points, in ``groups``
+    topology groups.  Every worker given the same store state derives
+    the *same* deterministic list, so the fabric needs no coordinator.
+    Stored points cost one existence probe each, never a payload read.
     """
     with TELEMETRY.span("expand"):
-        points = spec.expand()
-        instances = [pt.instance() for pt in points]
-        digests = [instance_digest(inst, pt.model, objectives=spec.objectives)
-                   for pt, inst in zip(points, instances)]
-        seen: set[str] = set()
-        pending: list[_Work] = []
-        for pt, inst, digest in zip(points, instances, digests):
-            if digest not in seen and digest not in store:
-                pending.append((digest, inst, pt.model))
-                seen.add(digest)
-        order = order_for_engine([(inst, model) for _, inst, model in pending])
-    return len(points), [pending[j] for j in order]
+        n_points = 0
+        unique: dict[str, _Work] = {}
+        for n_points, (pt, inst, digest) in enumerate(_materialized(spec), 1):
+            if digest not in unique and digest not in store:
+                unique[digest] = (digest, inst, pt.model)
+        pending = list(unique.values())
+        runs = _topology_groups([w[1:] for w in pending])
+    # (group rank, index) in engine order; the last rank kept + 1 = groups
+    ranked = [(g, j) for g, run in enumerate(runs) for j in run][:max_points]
+    groups = ranked[-1][0] + 1 if ranked else 0
+    return n_points, len(pending), [pending[j] for _, j in ranked], groups
 
 
 def _rotated(work: list[_Work], offset: int) -> list[_Work]:
@@ -533,12 +548,7 @@ def _campaign(
 
     with TELEMETRY.span("campaign", campaign=spec.name,
                         workers=workers or 1):
-        n_points, work = _pending_work(spec, store)
-        n_pending = len(work)
-        if max_points is not None:
-            work = work[:max_points]
-        groups = len({topology_signature(inst, model)
-                      for _, inst, model in work})
+        total, n_pending, work, groups = _pending_work(spec, store, max_points)
         crashed: tuple[int, ...] = ()
         if workers is None:
             evaluated = _drain(store, work, _LocalLease(), progress=progress,
@@ -555,8 +565,8 @@ def _campaign(
 
     report = CampaignReport(
         spec_name=spec.name,
-        total=n_points,
-        hits=n_points - n_pending,
+        total=total,
+        hits=total - n_pending,
         evaluated=evaluated,
         remaining=n_pending - evaluated,
         groups=groups,
@@ -648,7 +658,7 @@ def run_campaign_worker(
     commit failing past the store's retry budget spills to the
     ``spill_dir`` journal (when given); ``store heal`` replays it.
     """
-    _, work = _pending_work(spec, store)
+    _, _, work, _ = _pending_work(spec, store)
     lease = LeaseManager(
         store, worker_id,
         ttl=DEFAULT_LEASE_TTL if lease_ttl is None else lease_ttl,
@@ -723,22 +733,16 @@ def campaign_rows(
     """
     rows: list[dict[str, Any]] = []
     missing: list[CampaignPoint] = []
-    for pt in spec.expand():
-        inst = pt.instance()
-        digest = instance_digest(inst, pt.model, objectives=spec.objectives)
+    for pt, _, digest in _materialized(spec):
         payload = store.get(digest)
         if payload is None:
             missing.append(pt)
             continue
         row = {
-            "point": pt.index,
-            "application": pt.application.label,
+            "point": pt.index, "application": pt.application.label,
             "platform": pt.platform.label,
-            "replication": pt.replication.label,
-            "model": pt.model,
-            "draw": pt.draw,
-            "seed": pt.seed,
-            "digest": digest,
+            "replication": pt.replication.label, "model": pt.model,
+            "draw": pt.draw, "seed": pt.seed, "digest": digest,
         }
         # "replication" in a payload means the counts vector; the row's
         # "replication" is the axis label, so the counts get their own key.
@@ -752,28 +756,23 @@ def campaign_rows(
 
 def campaign_status(spec: CampaignSpec, store: ResultStore) -> dict[str, Any]:
     """Progress summary: total/done/pending plus per-cell done counts."""
-    done_by_cell: dict[tuple[str, str, str, str], int] = {}
-    total_by_cell: dict[tuple[str, str, str, str], int] = {}
-    done = 0
-    points = spec.expand()
-    for pt in points:
-        total_by_cell[pt.cell] = total_by_cell.get(pt.cell, 0) + 1
-        if instance_digest(pt.instance(), pt.model,
-                           objectives=spec.objectives) in store:
-            done += 1
-            done_by_cell[pt.cell] = done_by_cell.get(pt.cell, 0) + 1
+    stored: dict[tuple[str, str, str, str], list[bool]] = {}
+    for pt, _, digest in _materialized(spec):
+        stored.setdefault(pt.cell, []).append(digest in store)
+    total = sum(len(flags) for flags in stored.values())
+    done = sum(sum(flags) for flags in stored.values())
     return {
         "campaign": spec.name,
-        "total": len(points),
+        "total": total,
         "done": done,
-        "pending": len(points) - done,
+        "pending": total - done,
         "cells": [
             {
                 "application": cell[0], "platform": cell[1],
                 "replication": cell[2], "model": cell[3],
-                "done": done_by_cell.get(cell, 0), "total": total,
+                "done": sum(flags), "total": len(flags),
             }
-            for cell, total in total_by_cell.items()
+            for cell, flags in stored.items()
         ],
     }
 

@@ -54,6 +54,8 @@ from __future__ import annotations
 import json
 import zlib
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from itertools import accumulate
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -138,7 +140,11 @@ class ApplicationAxis:
             )
 
     def application(self) -> Application:
-        """The (deterministic) application of this axis."""
+        """The (deterministic) application of this axis, built once."""
+        return self._application
+
+    @cached_property
+    def _application(self) -> Application:
         if self.kind == "workload":
             assert self.workload is not None  # __post_init__ guarantees
             return get_workload(self.workload)
@@ -398,16 +404,9 @@ class ReplicationAxis:
                 n_stages, n_procs, rng, max_paths=max_paths,
                 method=self.policy,
             )
-        bounds = np.cumsum((0,) + counts)
         if self.assignment == "blocks":
-            order = np.arange(n_procs)
-        else:
-            order = rng.permutation(n_procs)
-        assignments = [
-            tuple(int(u) for u in order[bounds[i]: bounds[i + 1]])
-            for i in range(n_stages)
-        ]
-        return Mapping(assignments, n_processors=n_procs)
+            return _blocks_mapping(counts, n_procs)
+        return _sliced(rng.permutation(n_procs).tolist(), counts, n_procs)
 
     def to_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {"label": self.label, "policy": self.policy}
@@ -437,6 +436,27 @@ class ReplicationAxis:
                 "assignment", "blocks" if policy == "fixed" else "random"
             ),
         )
+
+
+def _sliced(
+    order: Sequence[int], counts: Sequence[int], n_procs: int
+) -> Mapping:
+    """Mapping giving each stage the next ``counts[i]`` entries of ``order``."""
+    return Mapping(
+        [tuple(order[end - c: end])
+         for c, end in zip(counts, accumulate(counts))],
+        n_processors=n_procs,
+    )
+
+
+@lru_cache(maxsize=64)
+def _blocks_mapping(counts: tuple[int, ...], n_procs: int) -> Mapping:
+    """The ``blocks`` layout, built once per ``(counts, n_procs)``.
+
+    Every draw of a blocks cell has this one mapping, so its points
+    share the (immutable) object instead of rebuilding it.
+    """
+    return _sliced(range(n_procs), counts, n_procs)
 
 
 # ----------------------------------------------------------------------

@@ -50,11 +50,12 @@ class Instance:
                 f"mapping covers {mp.n_stages} stages but the application "
                 f"has {app.n_stages}"
             )
+        n_procs = plat.n_processors
         for u in mp.used_processors:
-            if u >= plat.n_processors:
+            if u >= n_procs:
                 raise ValidationError(
                     f"mapping uses processor P{u} but the platform only has "
-                    f"{plat.n_processors} processors"
+                    f"{n_procs} processors"
                 )
 
     # ------------------------------------------------------------------

@@ -69,7 +69,9 @@ class Platform:
         speeds_arr = np.asarray(speeds, dtype=float)
         if speeds_arr.ndim != 1 or speeds_arr.size < 1:
             raise ValidationError("speeds must be a non-empty 1-D sequence")
-        if not np.all(np.isfinite(speeds_arr)) or np.any(speeds_arr <= 0):
+        # A NaN minimum compares false, so one min/max pair rejects NaN,
+        # non-positive and infinite speeds alike.
+        if not 0.0 < speeds_arr.min() <= speeds_arr.max() < math.inf:
             raise ValidationError("every processor speed must be finite and > 0")
 
         bw = np.asarray(bandwidths, dtype=float)
@@ -79,9 +81,11 @@ class Platform:
                 f"bandwidths must be a {p}x{p} matrix to match {p} "
                 f"processors, got shape {bw.shape}"
             )
-        off_diag = ~np.eye(p, dtype=bool)
-        bad = off_diag & ~((bw > 0) | np.isinf(bw))
-        if np.any(np.isnan(bw[off_diag])) or np.any(bad):
+        # ``> 0`` is false for NaN and -inf and true for +inf; the
+        # diagonal is ignored.
+        positive = bw > 0
+        positive.flat[:: p + 1] = True
+        if not positive.all():
             raise ValidationError(
                 "every off-diagonal bandwidth must be positive (or inf)"
             )
@@ -262,16 +266,17 @@ class Platform:
         content digests rely on this.
         """
 
-        def enc(x: float) -> float | str:
-            return "inf" if math.isinf(x) else float(x)
-
+        bandwidths: list[list[Any]] = self.bandwidths.tolist()
+        if np.isinf(self.bandwidths).any():
+            bandwidths = [["inf" if math.isinf(b) else b for b in row]
+                          for row in bandwidths]
         data: dict[str, Any] = {
             "name": self.name,
-            "speeds": [float(s) for s in self.speeds],
-            "bandwidths": [[enc(b) for b in row] for row in self.bandwidths],
+            "speeds": self.speeds.tolist(),
+            "bandwidths": bandwidths,
         }
         if self.failure_rates is not None:
-            data["failure_rates"] = [float(f) for f in self.failure_rates]
+            data["failure_rates"] = self.failure_rates.tolist()
         return data
 
     @classmethod

@@ -123,6 +123,44 @@ class TestOrdering:
         })
         assert report.groups == n_groups
 
+    @pytest.mark.parametrize("max_points", [0, 1, 3, 7, 10_000])
+    def test_truncated_report_counts_groups_it_touches(self, spec, tmp_path,
+                                                       max_points):
+        pairs = [(p.instance(), p.model) for p in spec.expand()]
+        kept = order_for_engine(pairs)[:max_points]
+        with ResultStore(tmp_path / "s.sqlite") as store:
+            report = run_campaign(spec, store, max_points=max_points)
+        assert report.evaluated == len(kept)
+        assert report.groups == len({topology_signature(*pairs[i])
+                                     for i in kept})
+
+
+class TestMaterializationPasses:
+    """Drain, resume, status and export each materialize a point once."""
+
+    def test_one_instance_per_point_per_pass(self, spec, tmp_path,
+                                             monkeypatch):
+        from repro.campaign import CampaignPoint
+
+        calls: list[int] = []
+        instance = CampaignPoint.instance
+
+        def counted(self):
+            calls.append(self.index)
+            return instance(self)
+
+        monkeypatch.setattr(CampaignPoint, "instance", counted)
+        every = list(range(spec.n_points))
+        with ResultStore(tmp_path / "s.sqlite") as store:
+            for step in (lambda: run_campaign(spec, store),      # drain
+                         lambda: run_campaign(spec, store),      # resume
+                         lambda: campaign_status(spec, store),
+                         lambda: export_campaign_json(spec, store),
+                         lambda: export_campaign_csv(spec, store)):
+                calls.clear()
+                step()
+                assert calls == every
+
 
 class TestExports:
     def test_partial_export_requires_flag(self, spec, tmp_path):

@@ -186,3 +186,63 @@ class TestAxisDraws:
         plat = axis.draw(np.random.default_rng(0))
         assert np.allclose(plat.speeds, 0.5)
         assert plat.bandwidths[0, 1] == 0.25
+
+
+class TestMaterialization:
+    """Per-axis constants are built once; per-point layouts keep their bytes."""
+
+    def test_axis_application_built_once(self):
+        for data in ({"workload": "audio-pipeline"},
+                     {"synthetic": {"n_stages": 4, "shape": "random",
+                                    "seed": 3}}):
+            axis = ApplicationAxis.from_dict(data)
+            assert axis.application() is axis.application()
+            # a fresh, equal axis rebuilds an equal application
+            assert ApplicationAxis.from_dict(data).application() == \
+                axis.application()
+
+    def test_blocks_points_share_one_mapping(self):
+        points = [p for p in spec().expand()
+                  if p.replication.assignment == "blocks"
+                  and p.platform.n_procs == 8]
+        mappings = {id(p.instance().mapping) for p in points}
+        assert len(points) > 1 and len(mappings) == 1
+        assert points[0].instance().mapping.assignments == (
+            (0,), (1, 2), (3, 4, 5))
+
+    @pytest.mark.parametrize("policy", ["balls", "greedy-spare", "fixed"])
+    def test_layout_matches_elementwise_reference(self, policy):
+        # reference: the numpy-slice layout with one int() per element
+        import numpy as np
+
+        from repro.experiments.generator import random_replication
+
+        axis = ReplicationAxis.from_dict(
+            {"policy": policy, "counts": [2, 1, 3], "assignment": "random"})
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            mapping = axis.draw_mapping(3, 9, rng, 300)
+            ref_rng = np.random.default_rng(seed)
+            counts = ((2, 1, 3) if policy == "fixed" else random_replication(
+                3, 9, ref_rng, max_paths=300, method=policy))
+            order = ref_rng.permutation(9)
+            bounds = np.cumsum((0,) + counts)
+            assert mapping.assignments == tuple(
+                tuple(int(u) for u in order[bounds[i]: bounds[i + 1]])
+                for i in range(3))
+            assert all(type(u) is int for u in mapping.used_processors)
+            # the generator is left in the same state
+            assert rng.random() == ref_rng.random()
+
+    def test_fixed_validation_still_runs_for_blocks(self):
+        import numpy as np
+
+        axis = ReplicationAxis.from_dict({"fixed": [2, 2],
+                                          "assignment": "blocks"})
+        rng = np.random.default_rng(0)
+        assert axis.draw_mapping(2, 4, rng, 10).assignments == (
+            (0, 1), (2, 3))
+        with pytest.raises(ValidationError):
+            axis.draw_mapping(2, 3, rng, 10)
+        with pytest.raises(ValidationError):
+            axis.draw_mapping(3, 8, rng, 10)
