@@ -49,6 +49,8 @@ CONTRACTS = [
     ("howard_many", "identical", ">="),
     ("howard_many", "round_ratio", ">="),
     ("howard_many", "rounds_lockstep_outer", "<="),
+    ("howard_scalar", "identical", ">="),
+    ("howard_scalar", "rounds", "<="),
     ("engine_batch", "identical", ">="),
     ("engine_batch", "skeleton_builds", "<="),
     ("campaign_ordering", "identical", ">="),
@@ -128,6 +130,7 @@ def collect() -> dict:
     import bench_engine_batch
     import bench_faults
     import bench_howard_many
+    import bench_howard_scalar
     import bench_pareto
     import bench_portfolio
     import bench_telemetry
@@ -152,6 +155,13 @@ def collect() -> dict:
             "howard_many_identity",
             bench_howard_many.check_identity,
             lambda s: _assert(s["identical"], "bit-identity broke"),
+            True,
+        ),
+        (
+            "howard_scalar",
+            bench_howard_scalar.run_sweep,
+            lambda s: _assert(s["identical"],
+                              "list and numpy improvement steps diverged"),
             True,
         ),
         (

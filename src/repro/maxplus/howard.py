@@ -33,6 +33,15 @@ TPN topology share a single plan and only re-stamp edge weights (see
 :mod:`repro.engine`).  ``solve_prepared(prepare_howard(g), g.weight)``
 is bit-identical to the one-shot call by construction.
 
+Scalar kernel
+-------------
+One SCC solve keeps the policy and its evaluation in plain Python lists.
+Each round runs one evaluation walk, then a policy-improvement step
+chosen by the SCC's edge count: a Python loop over each node's CSR
+segment up to ``_LIST_STEP_MAX_EDGES`` edges, the numpy ``reduceat``
+step above.  Both steps pick the same policy, so results do not depend
+on the cut.
+
 Warm starts
 -----------
 Policy iteration converges from *any* initial policy, and on
@@ -78,12 +87,13 @@ element (see :func:`_scc_howard_csr_many`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import numpy.typing as npt
 
-from ..errors import DeadlockError, SolverError
+from ..errors import DeadlockError, SolverError, ValidationError
 from ..telemetry import TELEMETRY
 from .graph import RatioGraph
 
@@ -99,6 +109,14 @@ __all__ = [
 
 #: Safety cap multiplier on policy-iteration rounds.
 _MAX_ROUNDS_FACTOR = 64
+
+#: SCCs with at most this many edges take the plain-Python policy
+#: improvement step (:func:`_improve_lists`), larger ones the numpy
+#: ``reduceat`` step (:func:`_improve_numpy`); both give the same bits.
+#: Chosen from the sweep of real TPN SCC shapes in
+#: ``benchmarks/bench_howard_scalar.py``: the list step is ahead up to
+#: 210 edges, the numpy step from about 420.
+_LIST_STEP_MAX_EDGES = 256
 
 
 @dataclass(frozen=True)
@@ -149,8 +167,9 @@ class _PreparedScc:
 
     ``order`` sorts the component's local edges by source node;
     ``edge_map`` maps local (pre-sort) edge indices back to the global
-    graph, so fresh global weights are stamped into CSR order with
-    ``weights[edge_map][order]``.
+    graph, and ``gmap = edge_map[order]`` maps CSR positions to global
+    edges, so fresh global weights are stamped into CSR order with one
+    gather ``weights[..., gmap]``.
     """
 
     n: int
@@ -159,8 +178,9 @@ class _PreparedScc:
     order: npt.NDArray[np.int64]
     src: npt.NDArray[np.int64]
     dst: npt.NDArray[np.int64]
-    tokens: npt.NDArray[np.int64]
+    tokens: npt.NDArray[np.float64]
     start: npt.NDArray[np.int64]
+    gmap: npt.NDArray[np.int64]
 
 
 @dataclass(frozen=True)
@@ -247,6 +267,7 @@ def prepare_howard(graph: RatioGraph) -> HowardPlan:
                 dst=local[graph.dst[edge_map]][order],
                 tokens=graph.tokens[edge_map][order].astype(float),
                 start=start,
+                gmap=edge_map[order],
             )
         )
     return HowardPlan(
@@ -265,134 +286,246 @@ def _scc_howard_csr(
 ) -> tuple[HowardResult, npt.NDArray[np.int64]]:
     """Policy iteration inside one prepared SCC (CSR edge order).
 
+    ``weight`` is the SCC's CSR-ordered weight vector (finite floats).
     ``policy0`` warm-starts the iteration from a previously converged
     policy of the *same* prepared SCC; any valid policy converges to the
     same ``lambda*``.  Returns the result and the converged policy.
+
+    The policy, ``lam`` and ``pot`` stay plain Python lists through the
+    rounds: list indexing is several times cheaper than numpy scalar
+    indexing and float arithmetic on the extracted values is
+    bit-identical.  The improvement step is :func:`_improve_lists` on
+    SCCs of at most :data:`_LIST_STEP_MAX_EDGES` edges and
+    :func:`_improve_numpy` above; both return the same policy.
     """
     n = scc.n
-    e = int(weight.size)
-    src, dst, tokens, start, order = scc.src, scc.dst, scc.tokens, scc.start, scc.order
-
+    dst_l, tokens_l, start_l = scc.dst.tolist(), scc.tokens.tolist(), scc.start.tolist()
     if policy0 is not None and policy0.shape == (n,):
-        # Warm start from the carried policy (copied: the caller's state
-        # must stay intact if this solve fails to converge).
-        policy = policy0.copy()
+        # Warm start from the carried policy (a fresh list: the caller's
+        # state must stay intact if this solve fails to converge).
+        policy: list[int] = policy0.tolist()
     else:
         # Cold start: first out-edge of each node (CSR positions).
-        policy = start[:n].copy()
-    edge_pos = np.arange(e, dtype=np.int64)
-    seg_starts = start[:n]
-    # Plain-Python mirrors for the sequential evaluation walk below —
-    # list indexing is several times cheaper than numpy scalar indexing
-    # and float arithmetic on the extracted values is bit-identical.
+        policy = start_l[:n]
     weight_l = weight.tolist()
-    tokens_l = tokens.tolist()
+    small = len(weight_l) <= _LIST_STEP_MAX_EDGES
 
-    lam = np.zeros(n)
-    pot = np.zeros(n)
-    best_cycle: tuple[list[int], list[int]] = ([], [])
     max_rounds = _MAX_ROUNDS_FACTOR * max(n, 8)
-
     for round_no in range(1, max_rounds + 1):
-        # ---- policy evaluation ------------------------------------------
-        nxt = dst[policy]
-        nxt_l = nxt.tolist()
-        policy_l = policy.tolist()
-        color = [0] * n  # 0 new, 1 in progress, 2 done
-        lam_new: list[float] = [0.0] * n
-        pot_new: list[float] = [0.0] * n
-        best_val = -np.inf
-        best_cycle = ([], [])
-
-        for v0 in range(n):
-            if color[v0] != 0:
-                continue
-            # Walk the policy chain until a previously seen node.
-            chain: list[int] = []
-            v = v0
-            while color[v] == 0:
-                color[v] = 1
-                chain.append(v)
-                v = nxt_l[v]
-            if color[v] == 1:
-                # Found a fresh cycle; v is its entry point within `chain`.
-                cstart = chain.index(v)
-                cycle = chain[cstart:]
-                # Sequential accumulation in cycle order — the association
-                # the lockstep solver reproduces with one vectorized add
-                # per hop (numpy's pairwise .sum() would not be).
-                cw = 0.0
-                ct = 0.0
-                for u in cycle:
-                    eidx = policy_l[u]
-                    cw += weight_l[eidx]
-                    ct += tokens_l[eidx]
-                if ct <= 0:
-                    raise SolverError(
-                        "policy cycle carries no token; run the liveness "
-                        "check before Howard's algorithm"
-                    )
-                lam_c = cw / ct
-                # Root potential 0, propagate backwards around the cycle.
-                lam_new[v] = lam_c
-                pot_new[v] = 0.0
-                for u in reversed(cycle[1:]):
-                    eidx = policy_l[u]
-                    lam_new[u] = lam_c
-                    pot_new[u] = weight_l[eidx] - lam_c * tokens_l[eidx] + pot_new[nxt_l[u]]
-                for u in cycle:
-                    color[u] = 2
-                if lam_c > best_val:
-                    best_val = lam_c
-                    best_cycle = (cycle, [int(order[policy[u]]) for u in cycle])
-                tree = chain[:cstart]
-            else:
-                tree = chain
-            # Unwind tree nodes (their successor already has lam/pot).
-            for u in reversed(tree):
-                eidx = policy_l[u]
-                w_next = nxt_l[u]
-                lam_new[u] = lam_new[w_next]
-                pot_new[u] = weight_l[eidx] - lam_new[u] * tokens_l[eidx] + pot_new[w_next]
-                color[u] = 2
-
-        lam, pot = np.asarray(lam_new), np.asarray(pot_new)
-
-        # ---- policy improvement (vectorized over CSR segments) ----------
-        # Phase 1: move towards successors with strictly larger lambda.
-        gain_lam = lam[dst] - lam[src]
-        # Phase 2 (only among lambda-ties): improve potentials.
-        reduced = weight - lam[src] * tokens + pot[dst] - pot[src]
-
-        # Per-node segment maxima; "first index attaining the max" matches
-        # np.argmax's tie-breaking in the per-node formulation.
-        seg_max_g = np.maximum.reduceat(gain_lam, seg_starts)
-        first_g = np.minimum.reduceat(
-            np.where(gain_lam == seg_max_g[src], edge_pos, e), seg_starts
-        )
-        phase1 = seg_max_g > tol
-
-        tie = gain_lam > -tol
-        r_masked = np.where(tie, reduced, -np.inf)
-        seg_max_r = np.maximum.reduceat(r_masked, seg_starts)
-        first_r = np.minimum.reduceat(
-            np.where(tie & (r_masked == seg_max_r[src]), edge_pos, e), seg_starts
-        )
-        phase2 = ~phase1 & (seg_max_r > tol) & (first_r != policy)
-
-        if not (phase1.any() or phase2.any()):
-            cycle_nodes, cycle_edges = best_cycle
+        lam, pot, best_val, best_cycle = _evaluate(policy, dst_l, weight_l, tokens_l)
+        if small:
+            improved = _improve_lists(start_l, dst_l, tokens_l, policy, lam, pot, weight_l, tol)
+        else:
+            improved = _improve_numpy(scc, policy, lam, pot, weight, tol)
+        if improved is None:
+            order_l = scc.order.tolist()
             return HowardResult(
                 value=float(best_val),
-                cycle_nodes=tuple(int(v) for v in cycle_nodes),
-                cycle_edges=tuple(cycle_edges),
+                cycle_nodes=tuple(best_cycle),
+                cycle_edges=tuple(order_l[policy[u]] for u in best_cycle),
                 n_rounds=round_no,
-            ), policy
-        policy = np.where(phase1, first_g, np.where(phase2, first_r, policy))
+            ), np.asarray(policy, dtype=np.int64)
+        policy = improved
 
     raise SolverError(
         f"Howard's algorithm did not converge within {max_rounds} rounds; "
         f"the tolerance {tol} may be too small for this weight scale"
+    )
+
+
+def _evaluate(
+    policy: list[int],
+    dst_l: list[int],
+    weight_l: list[float],
+    tokens_l: list[float],
+) -> tuple[list[float], list[float], float, list[int]]:
+    """Policy evaluation: one sequential walk of the policy's chains.
+
+    Returns ``(lam, pot, best_val, best_cycle)``: every node's cycle
+    ratio and potential, the best policy cycle's ratio and its nodes in
+    walk order (the first discovered cycle wins exact ties).
+    """
+    n = len(policy)
+    nxt_l = [dst_l[k] for k in policy]
+    # 0 = unvisited, else 1 + the start node of the walk that reached
+    # it: a walk meeting its own stamp closed a fresh cycle, one meeting
+    # an older stamp reached nodes already evaluated.
+    walk = [0] * n
+    lam: list[float] = [0.0] * n
+    pot: list[float] = [0.0] * n
+    best_val = -math.inf
+    best_cycle: list[int] = []
+
+    for v0 in range(n):
+        if walk[v0]:
+            continue
+        # Walk the policy chain until a previously seen node.
+        stamp = v0 + 1
+        chain: list[int] = []
+        v = v0
+        while not walk[v]:
+            walk[v] = stamp
+            chain.append(v)
+            v = nxt_l[v]
+        if walk[v] == stamp:
+            # Found a fresh cycle; v is its entry point within `chain`.
+            cstart = chain.index(v)
+            cycle = chain[cstart:]
+            # Sequential accumulation in cycle order — the association
+            # the lockstep solver reproduces with one vectorized add
+            # per hop (numpy's pairwise .sum() would not be).
+            cw = 0.0
+            ct = 0.0
+            for u in cycle:
+                eidx = policy[u]
+                cw += weight_l[eidx]
+                ct += tokens_l[eidx]
+            if ct <= 0:
+                raise SolverError(
+                    "policy cycle carries no token; run the liveness "
+                    "check before Howard's algorithm"
+                )
+            lam_c = cw / ct
+            # Root potential 0, propagate backwards around the cycle.
+            lam[v] = lam_c
+            pot[v] = 0.0
+            for u in reversed(cycle[1:]):
+                eidx = policy[u]
+                lam[u] = lam_c
+                pot[u] = weight_l[eidx] - lam_c * tokens_l[eidx] + pot[nxt_l[u]]
+            if lam_c > best_val:
+                best_val = lam_c
+                best_cycle = cycle
+            tree = chain[:cstart]
+        else:
+            tree = chain
+        # Unwind tree nodes (their successor already has lam/pot).
+        for u in reversed(tree):
+            eidx = policy[u]
+            w_next = nxt_l[u]
+            lam[u] = lam[w_next]
+            pot[u] = weight_l[eidx] - lam[u] * tokens_l[eidx] + pot[w_next]
+    return lam, pot, best_val, best_cycle
+
+
+def _improve_lists(
+    start_l: list[int],
+    dst_l: list[int],
+    tokens_l: list[float],
+    policy: list[int],
+    lam: list[float],
+    pot: list[float],
+    weight_l: list[float],
+    tol: float,
+) -> list[int] | None:
+    """Policy improvement as a plain-Python loop over the CSR segments.
+
+    The same rule as :func:`_improve_numpy`, node by node: phase 1 moves
+    to the first out-edge with the largest ``lam[dst] - lam[v]`` when that
+    gain is ``> tol``; otherwise phase 2 moves, among edges with gain
+    ``> -tol``, to the first one with the largest
+    ``w - lam[v]*t + pot[dst] - pot[v]`` when that is ``> tol`` and
+    differs from the current choice.  The floats are the numpy
+    expressions with the same association; for finite values "first
+    strictly larger" is "first position attaining the segment max".
+    Updates ``policy`` in place and returns it, or ``None`` when no node
+    moves (the fixed point; ``policy`` is then untouched).
+    """
+    moved = False
+    neg_tol = -tol
+    k1 = 0
+    for v in range(len(policy)):
+        k0, k1 = k1, start_l[v + 1]
+        lam_v = lam[v]
+        if k1 - k0 == 1:
+            # The only edge is the policy edge, and evaluation copied lam
+            # along it: its gain is 0.0 (or NaN), which only a negative
+            # tol beats -- phase 1 then re-selects it, still a move, as in
+            # the numpy step.  Phase 2 cannot move.
+            if tol < 0 and lam[dst_l[k0]] - lam_v > tol:
+                moved = True
+            continue
+        pot_v = pot[v]
+        best_g = best_r = -math.inf
+        first_g = first_r = -1
+        for k in range(k0, k1):
+            d = dst_l[k]
+            g = lam[d] - lam_v
+            if g > best_g:
+                best_g, first_g = g, k
+            if g > neg_tol:
+                r = weight_l[k] - lam_v * tokens_l[k] + pot[d] - pot_v
+                if r > best_r:
+                    best_r, first_r = r, k
+        if best_g > tol:
+            policy[v] = first_g
+            moved = True
+        elif best_r > tol and first_r != policy[v]:
+            policy[v] = first_r
+            moved = True
+    return policy if moved else None
+
+
+def _improve_numpy(
+    scc: _PreparedScc,
+    policy_l: list[int],
+    lam_l: list[float],
+    pot_l: list[float],
+    weight: npt.NDArray[np.float64],
+    tol: float,
+) -> list[int] | None:
+    """Policy improvement vectorized over the CSR segments (large SCCs).
+
+    Returns the new policy, or ``None`` when no node moves.
+    """
+    src, dst, tokens, start = scc.src, scc.dst, scc.tokens, scc.start
+    e = int(weight.size)
+    edge_pos = np.arange(e, dtype=np.int64)
+    seg_starts = start[:scc.n]
+    policy = np.asarray(policy_l, dtype=np.int64)
+    lam, pot = np.asarray(lam_l), np.asarray(pot_l)
+
+    # Phase 1: move towards successors with strictly larger lambda.
+    gain_lam = lam[dst] - lam[src]
+    # Phase 2 (only among lambda-ties): improve potentials.
+    reduced = weight - lam[src] * tokens + pot[dst] - pot[src]
+
+    # Per-node segment maxima; "first index attaining the max" matches
+    # np.argmax's tie-breaking in the per-node formulation.
+    seg_max_g = np.maximum.reduceat(gain_lam, seg_starts)
+    first_g = np.minimum.reduceat(
+        np.where(gain_lam == seg_max_g[src], edge_pos, e), seg_starts
+    )
+    phase1 = seg_max_g > tol
+
+    tie = gain_lam > -tol
+    r_masked = np.where(tie, reduced, -np.inf)
+    seg_max_r = np.maximum.reduceat(r_masked, seg_starts)
+    first_r = np.minimum.reduceat(
+        np.where(tie & (r_masked == seg_max_r[src]), edge_pos, e), seg_starts
+    )
+    phase2 = ~phase1 & (seg_max_r > tol) & (first_r != policy)
+
+    if not (phase1.any() or phase2.any()):
+        return None
+    new: list[int] = np.where(
+        phase1, first_g, np.where(phase2, first_r, policy)
+    ).tolist()
+    return new
+
+
+def _reject_non_finite(weight: npt.NDArray[np.float64]) -> None:
+    """Raise :class:`ValidationError` naming the first non-finite weight.
+
+    The wording is :class:`RatioGraph`'s; a plan keeps no endpoints, so
+    the edge is named by index (and the row, for a weight matrix).
+    """
+    bad = ~np.isfinite(weight)
+    where = np.unravel_index(int(np.argmax(bad)), weight.shape)
+    i = int(where[-1])
+    row = f"weight row {int(where[0])}: " if weight.ndim == 2 else ""
+    raise ValidationError(
+        f"{row}edge {i} has non-finite weight {float(weight[where])}"
     )
 
 
@@ -873,6 +1006,8 @@ def solve_prepared(
 
     Raises
     ------
+    ValidationError
+        If some weight is NaN or infinite (``state`` stays untouched).
     SolverError
         If the graph is acyclic, policy iteration fails to converge, or
         ``state`` is bound to a different plan.
@@ -880,7 +1015,11 @@ def solve_prepared(
     weight = np.asarray(weight, dtype=float)
     if tol is None:
         scale = float(np.abs(weight).max()) if plan.n_edges else 1.0
+        if not math.isfinite(scale):
+            _reject_non_finite(weight)
         tol = 1e-9 * max(scale, 1.0)
+    elif plan.n_edges and not np.isfinite(weight).all():
+        _reject_non_finite(weight)
 
     if state is not None:
         _bind_state(state, plan)
@@ -899,7 +1038,7 @@ def solve_prepared(
         else:
             policy0 = state.policies[ci] if state is not None else None
             res, policy = _scc_howard_csr(
-                comp, weight[comp.edge_map][comp.order], tol, policy0=policy0
+                comp, weight[comp.gmap], tol, policy0=policy0
             )
             if state is not None:
                 state.policies[ci] = policy
@@ -974,6 +1113,8 @@ def solve_prepared_many(
 
     Raises
     ------
+    ValidationError
+        If some weight is NaN or infinite (every state stays untouched).
     SolverError
         If the graph is acyclic, any row fails to converge, or a state
         is bound to a different plan.
@@ -998,10 +1139,14 @@ def solve_prepared_many(
     if tol is None:
         if plan.n_edges:
             scale = np.abs(weights).max(axis=1)
+            if not np.isfinite(scale).all():
+                _reject_non_finite(weights)
         else:
             scale = np.ones(B)
         tol_rows = 1e-9 * np.maximum(scale, 1.0)
     else:
+        if plan.n_edges and not np.isfinite(weights).all():
+            _reject_non_finite(weights)
         tol_rows = np.full(B, float(tol))
 
     if states is not None:
@@ -1021,10 +1166,9 @@ def solve_prepared_many(
             policy0 = [state.policies[0]] * B  # type: ignore[index]
         else:
             policy0 = None
-        gmap = comp.edge_map[comp.order]
         res_rows, out_pol = _scc_howard_csr_many(
-            comp, weights[:, gmap], tol_rows, policy0,
-            np.asarray(comp.node_map, dtype=np.int64), gmap,
+            comp, weights[:, comp.gmap], tol_rows, policy0,
+            np.asarray(comp.node_map, dtype=np.int64), comp.gmap,
         )
         out = _exact_ratio_results(plan, weights, [
             (val, tuple(nodes), tuple(edges), n_rounds)
@@ -1062,10 +1206,9 @@ def solve_prepared_many(
             policy0 = [state.policies[ci]] * B  # type: ignore[index]
         else:
             policy0 = None
-        gmap = comp.edge_map[comp.order]
         res_rows, out_pol = _scc_howard_csr_many(
-            comp, weights[:, gmap], tol_rows, policy0,
-            np.asarray(comp.node_map, dtype=np.int64), gmap,
+            comp, weights[:, comp.gmap], tol_rows, policy0,
+            np.asarray(comp.node_map, dtype=np.int64), comp.gmap,
         )
         pending_policies.append((ci, out_pol))
         for b in range(B):

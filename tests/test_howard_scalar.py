@@ -1,0 +1,275 @@
+"""Scalar Howard kernel: both policy-improvement steps give the same bits.
+
+``_scc_howard_csr`` improves the policy with a plain-Python loop on SCCs
+of at most ``_LIST_STEP_MAX_EDGES`` edges and with the numpy
+``reduceat`` step above.  These tests force each step on SCCs from both
+sides of the cut and require the same value bits, extracted cycle,
+round count and converged policy, from cold starts and from int64 and
+int32 warm starts.  They also pin the routing at the cut, the lockstep
+straggler hand-off onto this kernel, and the rejection of non-finite
+weights by both solve entry points.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+
+from repro.errors import SolverError, ValidationError
+from repro.experiments.examples_paper import example_c
+from repro.maxplus import howard
+from repro.maxplus.graph import RatioGraph
+from repro.maxplus.howard import (
+    HowardState,
+    prepare_howard,
+    solve_prepared,
+    solve_prepared_many,
+)
+from repro.petri.reduction import comm_patterns, pattern_plan
+from repro.telemetry import TELEMETRY
+
+LISTS = 1 << 62  # cut forcing the list step on every SCC
+NUMPY = -1  # cut forcing the numpy step on every SCC
+
+
+def ring_graph(rng: np.random.Generator, n: int, extra: int,
+               int_weights: bool) -> RatioGraph:
+    """A strongly connected live graph: a one-token ring plus ``extra`` edges.
+
+    A quarter of the extra edges duplicate a ring edge (parallel edges);
+    nodes that draw no extra edge keep a single out-edge.  An extra edge
+    that does not jump forward carries at least one token, so every
+    cycle carries one.
+    """
+    def weight() -> float:
+        if int_weights:
+            return float(rng.integers(0, 4))  # small ints -> exact ties
+        return float(rng.uniform(-5.0, 15.0))
+
+    edges = [(v, (v + 1) % n, weight(), int(v == n - 1)) for v in range(n)]
+    for _ in range(extra):
+        s = int(rng.integers(n))
+        d = (s + 1) % n if rng.random() < 0.25 else int(rng.integers(n))
+        tokens = int(rng.integers(1, 3)) if d <= s else int(rng.integers(0, 3))
+        edges.append((s, d, weight(), tokens))
+    return RatioGraph(n, edges)
+
+
+def multi_sccs(plan: howard.HowardPlan) -> list[howard._PreparedScc]:
+    return [c for c in plan.components if isinstance(c, howard._PreparedScc)]
+
+
+def tol_of(w: np.ndarray) -> float:
+    return 1e-9 * max(float(np.abs(w).max()), 1.0)
+
+
+def kernel(monkeypatch, scc, w, cut, policy0=None) -> tuple:
+    """One scalar-kernel solve with the cut forced, as comparable data."""
+    monkeypatch.setattr(howard, "_LIST_STEP_MAX_EDGES", cut)
+    res, pol = howard._scc_howard_csr(scc, w, tol_of(w), policy0)
+    assert pol.dtype == np.int64
+    return (np.float64(res.value).tobytes(), res.cycle_nodes,
+            res.cycle_edges, res.n_rounds, pol.tolist())
+
+
+def assert_steps_agree(monkeypatch, scc, rows) -> int:
+    """Both steps on every row, cold and warm (int64 and int32)."""
+    checked = 0
+    prev = None
+    for w in rows:
+        starts = [None] if prev is None else [None, prev, prev.astype(np.int32)]
+        for policy0 in starts:
+            ref = kernel(monkeypatch, scc, w, NUMPY, policy0)
+            assert kernel(monkeypatch, scc, w, LISTS, policy0) == ref
+            checked += 1
+        prev = np.asarray(ref[4], dtype=np.int64)
+    return checked
+
+
+def stampings(g: RatioGraph, rng: np.random.Generator, k: int) -> list[np.ndarray]:
+    """``k`` weight vectors: the base, jittered copies and integer copies."""
+    rows = [g.weight]
+    for j in range(k - 1):
+        if j % 2:
+            rows.append(np.floor(g.weight + rng.integers(-1, 2, g.n_edges)))
+        else:
+            rows.append(g.weight + rng.normal(0.0, 1.0, g.n_edges))
+    return rows
+
+
+class TestStepParity:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_below_the_cut(self, monkeypatch, seed):
+        rng = np.random.default_rng(1000 + seed)
+        n = int(rng.integers(2, 48))
+        g = ring_graph(rng, n, int(rng.integers(0, 2 * n)), seed % 2 == 0)
+        assert g.n_edges <= howard._LIST_STEP_MAX_EDGES
+        (scc,) = multi_sccs(prepare_howard(g))
+        rows = [w[scc.gmap] for w in stampings(g, rng, 4)]
+        assert assert_steps_agree(monkeypatch, scc, rows) == 10
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_above_the_cut(self, monkeypatch, seed):
+        rng = np.random.default_rng(2000 + seed)
+        cut = howard._LIST_STEP_MAX_EDGES
+        n = cut // 2 + 20
+        g = ring_graph(rng, n, n, seed % 2 == 0)
+        assert g.n_edges > cut
+        (scc,) = multi_sccs(prepare_howard(g))
+        rows = [w[scc.gmap] for w in stampings(g, rng, 3)]
+        assert assert_steps_agree(monkeypatch, scc, rows) == 7
+
+    def test_theorem1_tori(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        for u in range(1, 8):
+            for v in range(1, 10):
+                if u * v < 2:
+                    continue
+                (scc,) = multi_sccs(pattern_plan(u, v))
+                rows = [np.repeat(d, 2)[scc.gmap] for d in (
+                    rng.uniform(1.0, 20.0, u * v),
+                    rng.integers(1, 4, u * v).astype(float),  # ties
+                    np.full(u * v, 5.0),  # every cycle ties
+                )]
+                assert_steps_agree(monkeypatch, scc, rows)
+
+    @pytest.mark.parametrize("heterogeneous", [False, True])
+    def test_example_c_patterns(self, monkeypatch, heterogeneous):
+        inst = example_c(heterogeneous=heterogeneous)
+        checked = 0
+        for i in range(inst.application.n_stages - 1):
+            pats = comm_patterns(inst, i)
+            (scc,) = multi_sccs(pattern_plan(pats[0].u, pats[0].v))
+            rows = [np.repeat(p.durations.ravel(), 2)[scc.gmap] for p in pats]
+            checked += assert_steps_agree(monkeypatch, scc, rows)
+        assert checked > 0
+
+    @pytest.mark.parametrize("tol", [5e-324, 0.0, -1.0])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_extreme_tolerance(self, monkeypatch, seed, tol):
+        # Tolerances that reach comparisons a default tol never decides:
+        # below every rounding error, a policy cycle's root can see its
+        # own edge as an improvement; at 0, policy edges (gain exactly
+        # 0) stop counting as lambda ties; below 0, phase 1 fires
+        # forever on both steps.
+        rng = np.random.default_rng(3000 + seed)
+        n = int(rng.integers(2, 24))
+        g = ring_graph(rng, n, int(rng.integers(0, n)) * (seed % 4 != 0),
+                       seed % 2 == 0)
+        (scc,) = multi_sccs(prepare_howard(g))
+
+        def outcome(cut: int) -> tuple | str:
+            monkeypatch.setattr(howard, "_LIST_STEP_MAX_EDGES", cut)
+            try:
+                res, pol = howard._scc_howard_csr(scc, g.weight[scc.gmap], tol)
+            except SolverError as exc:
+                return str(exc)
+            return (np.float64(res.value).tobytes(), res.cycle_nodes,
+                    res.cycle_edges, res.n_rounds, pol.tolist())
+
+        ref = outcome(NUMPY)
+        assert outcome(LISTS) == ref
+        if tol < 0:
+            assert isinstance(ref, str) and "did not converge" in ref
+
+    def test_cut_routes_by_edge_count(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("wrong improvement step for this SCC size")
+
+        rng = np.random.default_rng(3)
+        cut = howard._LIST_STEP_MAX_EDGES
+        small = multi_sccs(pattern_plan(7, 9))[0]
+        assert small.dst.size <= cut
+        big_graph = ring_graph(rng, cut, cut // 2, False)
+        (big,) = multi_sccs(prepare_howard(big_graph))
+        assert big.dst.size > cut
+        with monkeypatch.context() as m:
+            m.setattr(howard, "_improve_numpy", forbidden)
+            howard._scc_howard_csr(small, np.ones(small.dst.size), 1e-9)
+        with monkeypatch.context() as m:
+            m.setattr(howard, "_improve_lists", forbidden)
+            w = big_graph.weight[big.gmap]
+            howard._scc_howard_csr(big, w, tol_of(w))
+
+
+class TestStragglerHandoff:
+    """Fewer than ``B / 8`` rows still iterating finish on the scalar kernel."""
+
+    B = 16
+
+    def handoff_batch(self, g: RatioGraph, rng) -> tuple:
+        plan = prepare_howard(g)
+        W = np.asarray([g.weight + rng.normal(0.0, 1.0, g.n_edges)
+                        for _ in range(self.B)])
+        assert solve_prepared(plan, W[0]).n_rounds >= 2
+
+        def states() -> list[HowardState]:
+            # Rows 1.. start from their own converged policy and finish
+            # in round 1; row 0 starts cold and keeps iterating.
+            out = [HowardState()]
+            for b in range(1, self.B):
+                st = HowardState()
+                solve_prepared(plan, W[b], state=st)
+                out.append(st)
+            return out
+
+        return plan, W, states(), states()
+
+    @pytest.mark.parametrize("above_cut", [False, True])
+    def test_handoff_runs_and_matches_scalar(self, above_cut):
+        rng = np.random.default_rng(11)
+        cut = howard._LIST_STEP_MAX_EDGES
+        n = cut // 2 + 20 if above_cut else 30
+        g = ring_graph(rng, n, n, False)
+        assert (g.n_edges > cut) == above_cut
+        plan, W, many_states, ref_states = self.handoff_batch(g, rng)
+
+        TELEMETRY.enable()
+        try:
+            got = solve_prepared_many(plan, W, states=many_states)
+            handoffs = TELEMETRY.counter_snapshot().get("howard.straggler_handoffs", 0)
+        finally:
+            TELEMETRY.disable()
+        assert handoffs > 0
+        for b in range(self.B):
+            ref = solve_prepared(plan, W[b], state=ref_states[b])
+            assert np.float64(got[b].value).tobytes() == np.float64(ref.value).tobytes()
+            assert got[b] == ref
+            assert np.array_equal(many_states[b].policies[0], ref_states[b].policies[0])
+
+
+def live_triangle() -> RatioGraph:
+    return RatioGraph(3, [(0, 1, 2.0, 0), (1, 2, 3.0, 0), (2, 0, 4.0, 1),
+                          (1, 0, 1.0, 1)])
+
+
+class TestNonFiniteWeights:
+    """Re-stamped weights are checked like ``RatioGraph`` checks its own."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("tol", [None, 1e-9])
+    def test_scalar_entry_point(self, bad, tol):
+        g = live_triangle()
+        plan = prepare_howard(g)
+        w = g.weight.copy()
+        w[1] = bad
+        state = HowardState()
+        with pytest.raises(ValidationError,
+                           match=f"^edge 1 has non-finite weight {bad}$"):
+            solve_prepared(plan, w, tol, state=state)
+        assert state.bound_plan is None and state.policies is None
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("tol", [None, 1e-9])
+    def test_lockstep_entry_point(self, bad, tol):
+        g = live_triangle()
+        plan = prepare_howard(g)
+        W = np.tile(g.weight, (4, 1))
+        W[2, 3] = bad
+        states = [HowardState() for _ in range(4)]
+        with pytest.raises(ValidationError,
+                           match=f"^weight row 2: edge 3 has non-finite weight {bad}$"):
+            solve_prepared_many(plan, W, tol, states=states)
+        assert all(st.bound_plan is None for st in states)
