@@ -5,11 +5,11 @@ The campaign executor reorders pending points by topology signature
 and each worker claims **contiguous runs** of the ordered stream from
 its own starting offset, so the layout simulated here gives each worker
 one contiguous span.
-PR-1's ``evaluate_stream`` instead cuts the caller's order into small
-contiguous chunks dispatched round-robin — fine when the caller already
-grouped by topology, but a grid campaign naturally interleaves
-topologies (replication is an inner axis), which scatters each
-topology's sweep across all workers.
+The sharded :func:`repro.engine.evaluate` instead cuts the caller's
+order into small contiguous chunks dispatched round-robin — fine when
+the caller already grouped by topology, but a grid campaign naturally
+interleaves topologies (replication is an inner axis), which scatters
+each topology's sweep across all workers.
 
 This benchmark builds that adversarial-but-typical stream — two
 choice-rich replication topologies (out-degree > 1, ``m = 30``) swept
@@ -49,6 +49,7 @@ from repro import Application, Instance, Mapping, Platform
 from repro.campaign import order_for_engine
 from repro.engine import BatchEngine, topology_signature
 from repro.maxplus.howard import HowardState, solve_prepared
+from repro.telemetry import TELEMETRY
 
 try:  # pytest package context vs standalone `python benchmarks/...`
     from .conftest import report
@@ -110,23 +111,29 @@ def simulate_workers(
     """Replay per-worker evaluation and count rounds/builds.
 
     Each worker owns a :class:`BatchEngine` (skeleton builds = its cache
-    misses) and one :class:`HowardState` per topology — exactly the
-    state a campaign's long-lived workers carry.
+    misses, read from the ``engine.skeleton_builds`` telemetry counter)
+    and one :class:`HowardState` per topology — exactly the state a
+    campaign's long-lived workers carry.
     """
-    rounds = builds = 0
+    rounds = 0
     values: dict[int, float] = {}
-    for stream in worker_streams:
-        engine = BatchEngine()
-        states: dict[tuple, HowardState] = {}
-        for i in stream:
-            inst, model = pairs[i]
-            sig = topology_signature(inst, model)
-            sk = engine.skeleton(inst, model)
-            state = states.setdefault(sig, HowardState())
-            res = solve_prepared(sk.plan, sk.stamp_weights(inst), state=state)
-            rounds += res.n_rounds
-            values[i] = res.value / sk.m
-        builds += engine.stats.misses
+    TELEMETRY.enable("bench")
+    try:
+        for stream in worker_streams:
+            engine = BatchEngine()
+            states: dict[tuple, HowardState] = {}
+            for i in stream:
+                inst, model = pairs[i]
+                sig = topology_signature(inst, model)
+                sk = engine.skeleton(inst, model)
+                state = states.setdefault(sig, HowardState())
+                res = solve_prepared(sk.plan, sk.stamp_weights(inst),
+                                     state=state)
+                rounds += res.n_rounds
+                values[i] = res.value / sk.m
+    finally:
+        TELEMETRY.disable()
+    builds = TELEMETRY.counters.get("engine.skeleton_builds", 0)
     return {"rounds": rounds, "builds": builds, "values": values}
 
 

@@ -6,8 +6,8 @@ campaign cell and neighborhood scan reduces to — evaluated two ways:
 * **PR-3 path**: one ``BatchEngine.evaluate`` call per instance.  The
   skeleton and Howard plan are cached, but every stamping runs its own
   policy iteration with the per-node Python chain walk;
-* **PR-4 group path**: one ``BatchEngine.evaluate(mode="many")`` call.  The
-  whole batch stamps into a single ``(B, E)`` weight matrix and
+* **Lockstep group path**: one ``BatchEngine.evaluate`` call on the
+  whole list.  The whole batch stamps into a single ``(B, E)`` weight matrix and
   :func:`repro.maxplus.howard.solve_prepared_many` runs policy
   iteration for all rows in lockstep.
 
@@ -50,6 +50,7 @@ from repro import Application, Instance, Mapping, Platform
 from repro.core.throughput import compute_period
 from repro.engine import BatchEngine
 from repro.maxplus.howard import solve_prepared, solve_prepared_many
+from repro.telemetry import TELEMETRY
 
 try:  # pytest package context vs standalone `python benchmarks/...`
     from .conftest import report
@@ -126,7 +127,7 @@ def check_identity() -> dict:
     checked = 0
     for counts in IDENTITY_TOPOLOGIES:
         insts = drift_sweep(counts, N_IDENTITY, seed=7)
-        grouped = BatchEngine().evaluate(insts, "strict", method="tpn", mode="many")
+        grouped = BatchEngine().evaluate(insts, "strict", method="tpn")
         for inst, res in zip(insts, grouped):
             ref = compute_period(inst, "strict", method="tpn")
             assert res.period == ref.period
@@ -150,11 +151,18 @@ def run_comparison(n_instances: int = N_INSTANCES) -> dict:
 
     scalar_s, group_s = _race(
         lambda: [scalar_engine.evaluate(i, "strict") for i in instances],
-        lambda: group_engine.evaluate(instances, "strict", mode="many"),
+        lambda: group_engine.evaluate(instances, "strict"),
     )
 
     scalar = [scalar_engine.evaluate(i, "strict") for i in instances]
-    grouped = group_engine.evaluate(instances, "strict", mode="many")
+    # Untimed pass: cache counters come from telemetry, which stays off
+    # during the race above.
+    TELEMETRY.enable("bench")
+    try:
+        grouped = group_engine.evaluate(instances, "strict")
+    finally:
+        TELEMETRY.disable()
+    counters = TELEMETRY.counter_snapshot()
     identical = all(
         s.period == g.period
         and s.mct == g.mct
@@ -186,9 +194,9 @@ def run_comparison(n_instances: int = N_INSTANCES) -> dict:
         "rounds_lockstep_outer": rounds_outer,
         "round_ratio": rounds_scalar / rounds_outer,
         "cache": {
-            "hits": group_engine.stats.hits,
-            "misses": group_engine.stats.misses,
-            "evaluated": group_engine.stats.evaluated,
+            "hits": counters.get("engine.cache_hits", 0),
+            "misses": counters.get("engine.skeleton_builds", 0),
+            "evaluated": counters.get("engine.points", 0),
         },
     }
 
@@ -199,7 +207,7 @@ def bench_howard_many_speedup(benchmark):
     engine.evaluate(instances[0], "strict")
 
     def grouped():
-        return engine.evaluate(instances, "strict", mode="many")
+        return engine.evaluate(instances, "strict")
 
     results = benchmark(grouped)
     scalar_engine = BatchEngine()

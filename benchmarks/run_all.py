@@ -36,7 +36,7 @@ from pathlib import Path
 SCHEMA = 2
 
 #: The PR this harness currently reports for.
-PR = 10
+PR = 16
 
 #: Cross-report deterministic contracts: ``--compare`` fails when the
 #: current value is worse than the previous report's.  Direction
@@ -101,7 +101,7 @@ def _jsonable(obj):
         return bool(obj)
     if isinstance(obj, (str, int, float, bool)) or obj is None:
         return obj
-    if hasattr(obj, "__dict__"):  # e.g. EngineStats
+    if hasattr(obj, "__dict__"):
         return {k: _jsonable(v) for k, v in vars(obj).items()}
     return repr(obj)
 

@@ -74,7 +74,6 @@ from .spec import (
 from .store import (
     RESULT_SCHEMA_VERSION,
     ResultStore,
-    StoreStats,
     instance_digest,
     payload_error,
     payload_from_result,
@@ -96,7 +95,6 @@ __all__ = [
     "CampaignPoint",
     "CampaignSpec",
     "ResultStore",
-    "StoreStats",
     "RESULT_SCHEMA_VERSION",
     "instance_digest",
     "payload_error",

@@ -16,9 +16,9 @@ loop (:func:`_drain`) over the same work list:
 3. **Claim, evaluate, commit** — a worker walks the ordered list with a
    cursor, claims one window of digests at a time, evaluates each
    ``commit_every`` slice through a warm-started
-   :class:`~repro.engine.BatchEngine` (``mode="many"``: each
-   same-topology run is stamped into one ``(B, E)`` weight matrix and
-   solved in lockstep by :func:`repro.maxplus.howard.solve_prepared_many`),
+   :class:`~repro.engine.BatchEngine` (each same-topology run is
+   stamped into one ``(B, E)`` weight matrix and solved in lockstep
+   by :func:`repro.maxplus.howard.solve_prepared_many`),
    commits it and releases its leases.  A kill loses at most the
    uncommitted slice, never committed work.
 
@@ -367,7 +367,6 @@ def _drain(
                     results = engine.evaluate(
                         [by_digest[d][0] for d in chunk],
                         [by_digest[d][1] for d in chunk],
-                        mode="many",
                     )
                 payloads = [
                     (digest,

@@ -48,7 +48,6 @@ import json
 import os
 import sqlite3
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence
 
@@ -63,7 +62,6 @@ from ..experiments.runner import ExperimentRecord
 
 __all__ = [
     "RESULT_SCHEMA_VERSION",
-    "StoreStats",
     "ResultStore",
     "instance_digest",
     "payload_from_result",
@@ -228,15 +226,6 @@ def record_from_payload(
     )
 
 
-@dataclass
-class StoreStats:
-    """Lookup counters of one store handle (diagnostics and tests)."""
-
-    hits: int = 0
-    misses: int = 0
-    puts: int = 0
-
-
 class ResultStore:
     """Content-addressed result store backed by a single SQLite file.
 
@@ -295,7 +284,6 @@ class ResultStore:
         retry: RetryPolicy | None = None,
     ) -> None:
         self.path = str(path)
-        self.stats = StoreStats()
         self._retry = DEFAULT_RETRY if retry is None else retry
         self._conn = self._retry.run(
             f"store.connect:{self.path}",
@@ -385,7 +373,7 @@ class ResultStore:
     # lookups and writes
     # ------------------------------------------------------------------
     def get(self, digest: str) -> dict[str, Any] | None:
-        """The stored payload, or ``None`` (counted in :attr:`stats`)."""
+        """The stored payload, or ``None``."""
         text = self.payload_text(digest)
         if text is None:
             return None
@@ -403,9 +391,7 @@ class ResultStore:
             "SELECT payload FROM results WHERE digest = ?", (digest,)
         ).fetchone()
         if row is None:
-            self.stats.misses += 1
             return None
-        self.stats.hits += 1
         return str(row[0])
 
     def put(
@@ -434,10 +420,8 @@ class ResultStore:
         if commit:
             self.commit()
         inserted = cur.rowcount == 1
-        if inserted:
-            self.stats.puts += 1
-            if TELEMETRY.enabled:
-                TELEMETRY.count("store.puts")
+        if inserted and TELEMETRY.enabled:
+            TELEMETRY.count("store.puts")
         return inserted
 
     def commit(self) -> None:

@@ -19,26 +19,26 @@ This package amortizes that hot path:
 * :class:`~repro.engine.batch.BatchEngine` — skeleton cache plus a
   drop-in ``evaluate`` returning the same
   :class:`~repro.core.throughput.PeriodResult` values as the scalar
-  path, bit-identical; its ``mode="many"`` path locksteps consecutive
-  same-topology runs through
+  path, bit-identical: one instance in, one result out; a sequence in,
+  a list out, with consecutive same-topology runs locksteped through
   :func:`repro.maxplus.howard.solve_prepared_many` — one ``(B, E)``
   weight matrix, one policy iteration for the whole group;
 * :func:`~repro.engine.batch.evaluate` — the module-level batch entry
   point with deterministic chunk sharding across a
-  ``ProcessPoolExecutor`` (a bounded in-flight submission window keeps
-  streaming memory flat) and streaming, submission-ordered results
-  (``mode="stream"``); the old ``evaluate_batch`` / ``evaluate_stream``
-  names remain as deprecated aliases.
+  ``ProcessPoolExecutor``; it always returns a list in input order.
 
 Quick start::
 
-    from repro.engine import evaluate
+    from repro.engine import BatchEngine, evaluate
 
     results = evaluate(instances, "strict")         # list[PeriodResult]
     results = evaluate(instances, models, n_jobs=0)    # all cores
-    stream = evaluate(instances, "strict", mode="stream")  # lazy
-    multi = evaluate(instances, "strict",
-                     objectives="period,latency")   # list[EvalResult]
+    engine = BatchEngine()
+    one = engine.evaluate(instances[0], "strict")   # PeriodResult
+    many = engine.evaluate(instances, "strict")     # list[PeriodResult]
+
+Multi-criteria values (latency, reliability) come from
+:class:`repro.objectives.ObjectiveEvaluator`, which wraps an engine.
 
 Guarantees
 ----------
@@ -66,10 +66,7 @@ from .batch import (
     MAX_GROUP_ROWS,
     MIN_GROUP_ROWS,
     BatchEngine,
-    EngineStats,
     evaluate,
-    evaluate_batch,
-    evaluate_stream,
 )
 from .classify import CycleTimePlan, build_cycle_time_plan
 from .signature import topology_signature
@@ -77,10 +74,7 @@ from .skeleton import TpnSkeleton, build_skeleton
 
 __all__ = [
     "BatchEngine",
-    "EngineStats",
     "evaluate",
-    "evaluate_batch",
-    "evaluate_stream",
     "MIN_GROUP_ROWS",
     "MAX_GROUP_ROWS",
     "topology_signature",

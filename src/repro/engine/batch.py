@@ -1,48 +1,35 @@
-"""Batch evaluation: skeleton cache, group lockstep solves, streaming.
+"""Batch evaluation: skeleton cache, group lockstep solves, sharding.
 
 :class:`BatchEngine` is the per-process cache of
 :class:`~repro.engine.skeleton.TpnSkeleton` objects keyed by
-:func:`~repro.engine.signature.topology_signature`;
-:func:`evaluate` is the module-level entry point that shards large
-batches across worker processes (``mode="batch"`` collects a list,
-``mode="stream"`` yields lazily; :func:`evaluate_batch` /
-:func:`evaluate_stream` remain as deprecated aliases).
-
-:meth:`BatchEngine.evaluate` is the engine's single documented entry
-point: a single instance takes the scalar cache path, a sequence is
-evaluated in order with keyword-only ``mode=`` narrowing the dispatch
-(``"many"`` run detection, ``"group"`` explicit lockstep), and
-``objectives=`` lifts results into the multi-criteria
-(period, latency, reliability) plane of :mod:`repro.objectives`.
-``BatchEngine.evaluate_group`` / ``BatchEngine.evaluate_many`` are
-deprecated aliases onto the same implementations.
+:func:`~repro.engine.signature.topology_signature`.  Its
+:meth:`~BatchEngine.evaluate` is the engine's one entry point: a single
+instance takes the scalar cache path and returns one result, a sequence
+returns a list aligned with the input.  :func:`evaluate` is the
+module-level entry point that shards large batches across worker
+processes; it always returns a list.
 
 **Group evaluation** is the hot path: consecutive TPN-method pairs that
 share a topology signature are stamped into one ``(B, E)`` weight
 matrix and solved in lockstep by
-:func:`repro.maxplus.howard.solve_prepared_many`
-(``mode="many"`` does the run detection;
-``mode="group"`` is the explicit entry point).  It
-kicks in for runs of at least :data:`MIN_GROUP_ROWS` same-signature
-pairs and slabs huge groups at :data:`MAX_GROUP_ROWS` rows to bound the
-weight-matrix footprint.  Cold group results are bit-identical to
-per-pair :meth:`BatchEngine.evaluate` calls.
+:func:`repro.maxplus.howard.solve_prepared_many`.  It kicks in for
+runs of at least :data:`MIN_GROUP_ROWS` same-signature pairs and slabs
+huge groups at :data:`MAX_GROUP_ROWS` rows to bound the weight-matrix
+footprint.  Cold group results are bit-identical to per-pair
+evaluation.
 
 Sharding is deterministic: the input order is cut into contiguous
-chunks of ``chunk_size`` pairs, chunks are dispatched in order to a
-``ProcessPoolExecutor`` through a **bounded in-flight window** (a
-handful of chunks per worker are pickled/buffered at any moment, so
-streaming a huge batch keeps memory flat), and results stream back in
-submission order.  Contiguous chunks deliberately preserve the caller's
-grouping — a sweep that emits instances topology-by-topology gets
-near-perfect skeleton cache hit rates *and* full-chunk lockstep groups
-inside every worker.  Each worker process keeps one long-lived
-:class:`BatchEngine`, so the cache survives across chunks of the same
-batch (and across batches, for repeated calls inside one worker
-lifetime).  A caller-owned ``engine=`` is a serial-path feature;
-combining it with ``n_jobs`` parallelism raises
-:class:`~repro.errors.ValidationError` (worker processes cannot share
-the caller's cache).
+chunks of ``chunk_size`` pairs, which a ``ProcessPoolExecutor`` maps in
+order; results come back in submission order.  Contiguous chunks
+deliberately preserve the caller's grouping — a sweep that emits
+instances topology-by-topology gets near-perfect skeleton cache hit
+rates *and* full-chunk lockstep groups inside every worker.  Each
+worker process keeps one long-lived :class:`BatchEngine`, so the cache
+survives across chunks of the same batch (and across batches, for
+repeated calls inside one worker lifetime).  A caller-owned
+``engine=`` is a serial-path feature; combining it with ``n_jobs``
+parallelism raises :class:`~repro.errors.ValidationError` (worker
+processes cannot share the caller's cache).
 
 Every evaluation is a pure function of ``(instance, model, method)``:
 results are bit-identical whatever ``n_jobs`` or ``chunk_size``.  The
@@ -51,17 +38,17 @@ iteration from the previous instance (or, on the group path, the
 previous *group*) of a topology group: period *values* are unchanged,
 but the extracted critical cycle (and hence
 ``tpn_solution.ratio.cycle_nodes``) may depend on evaluation history —
-see :class:`BatchEngine`.
+see :class:`BatchEngine`.  Cache and solve counts are telemetry
+counters (``engine.cache_hits``, ``engine.skeleton_builds``,
+``engine.points``, ``engine.group_solves``, ``engine.group_rows``).
 """
 
 from __future__ import annotations
 
 import os
-import warnings
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence, overload
+from typing import Iterable, Iterator, Sequence, overload
 
 import numpy as np
 
@@ -79,59 +66,18 @@ from .classify import CycleTimePlan, build_cycle_time_plan
 from .signature import topology_signature
 from .skeleton import TpnSkeleton, build_skeleton
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from ..objectives.base import EvalResult
-
 __all__ = [
     "BatchEngine",
-    "EngineStats",
     "evaluate",
-    "evaluate_batch",
-    "evaluate_stream",
     "MIN_GROUP_ROWS",
     "MAX_GROUP_ROWS",
     "MIN_PARALLEL_BATCH",
 ]
 
-
-def _warn_deprecated(old: str, new: str) -> None:
-    """One deprecated-alias warning, attributed to the caller's line."""
-    warnings.warn(
-        f"{old} is deprecated and will be removed in a future release; "
-        f"use {new} (see CONTRIBUTING.md, 'Deprecated evaluate entry "
-        f"points')",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def _attach_objectives(
-    pairs: Sequence[tuple[Instance, CommModel]],
-    results: Iterable[PeriodResult],
-    objectives: Sequence[str] | str,
-    latency_mode: str,
-) -> Iterator["EvalResult"]:
-    """Wrap engine results with the extra objective values, lazily.
-
-    The latency / reliability computations are pure per-instance
-    functions evaluated in the caller's process, so objective-aware
-    results stay bit-identical whatever ``n_jobs`` did to the period
-    computation.  Imported lazily to keep ``repro.engine`` importable
-    without the objectives package (and cycle-free).
-    """
-    from ..objectives.base import parse_objectives
-    from ..objectives.evaluate import attach_objectives
-
-    names = parse_objectives(objectives)
-    for (inst, _model), result in zip(pairs, results):
-        yield attach_objectives(
-            inst, result, names, latency_mode=latency_mode
-        )
-
-#: Below this many pairs a process pool costs more than it saves; the
-#: stream falls back to the serial path.  Public so callers that must
-#: decide between a caller-owned engine and worker sharding (e.g. the
-#: mapping-search neighborhood scan) can mirror the dispatch.
+#: Below this many pairs a process pool costs more than it saves;
+#: :func:`evaluate` falls back to the serial path.  Public so callers
+#: that must decide between a caller-owned engine and worker sharding
+#: (e.g. the mapping-search neighborhood scan) can mirror the dispatch.
 MIN_PARALLEL_BATCH = 4
 
 #: Smallest same-signature run routed through the lockstep group solver;
@@ -140,36 +86,9 @@ MIN_PARALLEL_BATCH = 4
 MIN_GROUP_ROWS = 2
 
 #: Largest number of rows stamped into one lockstep solve.  Bounds the
-#: ``(B, E)`` weight matrix (and the serial stream's grouping buffer);
-#: longer runs are solved in consecutive slabs of this size.
+#: ``(B, E)`` weight matrix; longer runs are solved in consecutive slabs
+#: of this size.
 MAX_GROUP_ROWS = 256
-
-#: In-flight chunks per worker on the parallel streaming path.
-_INFLIGHT_PER_WORKER = 2
-
-
-@dataclass
-class EngineStats:
-    """Cache counters of one :class:`BatchEngine` (diagnostics only).
-
-    ``hits``/``misses``/``evaluated`` are the PR-1 cache stats;
-    ``scalar_solves``/``group_solves``/``group_rows`` split the
-    evaluations between the per-pair path and the lockstep group path
-    (PR 8, surfaced by ``campaign report``).  All fields are exact
-    integers, deterministic for a fixed evaluation order.
-    """
-
-    hits: int = 0
-    misses: int = 0
-    evaluated: int = 0
-    scalar_solves: int = 0
-    group_solves: int = 0
-    group_rows: int = 0
-
-    @property
-    def groups(self) -> int:
-        """Number of distinct topology groups seen (= cache misses)."""
-        return self.misses
 
 
 @dataclass
@@ -182,10 +101,10 @@ class BatchEngine:
         Row budget on ``m = lcm(m_i)`` for TPN-based methods, enforced
         per evaluation exactly like the scalar path (``None`` disables).
     cache_limit:
-        Maximum number of cached skeletons; the oldest entry is evicted
-        beyond it (sweeps use a handful of topologies, but a mapping
-        *search* streams through thousands — the bound keeps memory
-        flat).  ``None`` disables eviction.
+        Maximum number of cached skeletons (at least 1); the oldest
+        entry is evicted beyond it (sweeps use a handful of topologies,
+        but a mapping *search* streams through thousands — the bound
+        keeps memory flat).  ``None`` disables eviction.
     warm_start:
         Opt-in: seed Howard's policy iteration from the previous
         evaluation of the same topology group
@@ -212,10 +131,15 @@ class BatchEngine:
     max_rows: int | None = DEFAULT_MAX_ROWS
     cache_limit: int | None = 1024
     warm_start: bool = False
-    stats: EngineStats = field(default_factory=EngineStats)
     _skeletons: dict[tuple, TpnSkeleton] = field(default_factory=dict)
     _warm_states: dict[tuple, HowardState] = field(default_factory=dict)
     _ct_plans: dict[tuple, CycleTimePlan] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if self.cache_limit is not None and self.cache_limit < 1:
+            raise ValidationError(
+                f"cache_limit must be None or >= 1, got {self.cache_limit}"
+            )
 
     def skeleton(self, inst: Instance, model: CommModel | str) -> TpnSkeleton:
         """Fetch (or build and cache) the topology group's skeleton."""
@@ -232,13 +156,10 @@ class BatchEngine:
                 self._skeletons.pop(oldest)
                 self._warm_states.pop(oldest, None)
             self._skeletons[key] = sk
-            self.stats.misses += 1
             if TELEMETRY.enabled:
                 TELEMETRY.count("engine.skeleton_builds")
-        else:
-            self.stats.hits += 1
-            if TELEMETRY.enabled:
-                TELEMETRY.count("engine.cache_hits")
+        elif TELEMETRY.enabled:
+            TELEMETRY.count("engine.cache_hits")
         return sk
 
     def _ct_plan_for(
@@ -258,159 +179,50 @@ class BatchEngine:
             self._ct_plans[key] = plan
         return plan
 
-    # -- unified entry point -------------------------------------------
     @overload
     def evaluate(
         self,
         instances: Instance,
         models: CommModel | str,
         method: str = ...,
-        n_firings: int | None = ...,
-        *,
-        mode: str = ...,
-        objectives: None = ...,
-        latency_mode: str = ...,
     ) -> PeriodResult: ...
 
     @overload
     def evaluate(
         self,
-        instances: Instance,
-        models: CommModel | str,
-        method: str = ...,
-        n_firings: int | None = ...,
-        *,
-        mode: str = ...,
-        objectives: Sequence[str] | str,
-        latency_mode: str = ...,
-    ) -> "EvalResult": ...
-
-    @overload
-    def evaluate(
-        self,
         instances: Sequence[Instance] | Iterable[Instance],
         models: CommModel | str | Sequence[CommModel | str],
         method: str = ...,
-        n_firings: int | None = ...,
-        *,
-        mode: str = ...,
-        objectives: None = ...,
-        latency_mode: str = ...,
     ) -> list[PeriodResult]: ...
-
-    @overload
-    def evaluate(
-        self,
-        instances: Sequence[Instance] | Iterable[Instance],
-        models: CommModel | str | Sequence[CommModel | str],
-        method: str = ...,
-        n_firings: int | None = ...,
-        *,
-        mode: str = ...,
-        objectives: Sequence[str] | str,
-        latency_mode: str = ...,
-    ) -> list["EvalResult"]: ...
 
     def evaluate(
         self,
         instances: Instance | Sequence[Instance] | Iterable[Instance],
         models: CommModel | str | Sequence[CommModel | str],
         method: str = "auto",
-        n_firings: int | None = None,
-        *,
-        mode: str = "auto",
-        objectives: Sequence[str] | str | None = None,
-        latency_mode: str = "bound",
-    ) -> Any:
-        """The engine's single documented entry point.
+    ) -> PeriodResult | list[PeriodResult]:
+        """The engine's one entry point.
 
-        One :class:`~repro.core.instance.Instance` evaluates through the
-        scalar cache path and returns one result; a sequence of
-        instances evaluates in order and returns a list aligned with the
-        input.  The keyword-only ``mode=`` narrows the dispatch:
-
-        ``"auto"``
-            Scalar for a single instance, ``"many"`` for a sequence
-            (the default — callers rarely need anything else).
-        ``"scalar"``
-            Require a single instance (the PR-1 ``evaluate`` path).
-        ``"many"``
-            A sequence of pairs; consecutive same-topology TPN runs are
-            lockstep-solved (the old ``evaluate_many``).
-        ``"group"``
-            A sequence that *must* share one topology signature, solved
-            as explicit lockstep slabs (the old ``evaluate_group``);
-            a mixed batch raises :class:`~repro.errors.ValidationError`.
-
-        ``objectives=`` selects the multi-criteria plane: pass a
-        comma-separated string or iterable of objective names
-        (``"period"``, ``"latency"``, ``"reliability"``) and the call
-        returns :class:`~repro.objectives.base.EvalResult` values
-        wrapping the same bit-identical period results; ``latency_mode``
-        chooses the deterministic worst-path ``"bound"`` (default) or
-        the exact ``"measured"`` simulation.  With ``objectives=None``
-        results are plain :class:`PeriodResult` — byte-for-byte the
-        pre-redesign behavior.
+        One :class:`~repro.core.instance.Instance` (with one model)
+        evaluates through the scalar cache path and returns one result.
+        A sequence of instances (with one model, or one per instance)
+        evaluates in order and returns a list aligned with the input;
+        consecutive same-topology TPN runs are solved in lockstep.
 
         Method selection, validation errors and the
         ``ReplicationExplosionError`` budget behave exactly like
         :func:`repro.core.throughput.compute_period`.
         """
-        single = isinstance(instances, Instance)
-        if mode not in ("auto", "scalar", "many", "group"):
-            raise ValidationError(
-                f"unknown mode {mode!r}; expected auto/scalar/many/group"
-            )
-        if mode == "scalar" and not single:
-            raise ValidationError(
-                "mode='scalar' expects a single Instance, not a sequence"
-            )
-        if single:
-            if mode in ("many", "group"):
-                raise ValidationError(
-                    f"mode={mode!r} expects a sequence of instances; got a "
-                    f"single Instance (use mode='scalar' or 'auto')"
-                )
+        if isinstance(instances, Instance):
             if isinstance(models, (list, tuple)):
                 raise ValidationError(
                     "a single instance takes a single model, not a sequence"
                 )
-            result = self._evaluate_point(
-                instances, models, method=method, n_firings=n_firings
-            )
-            if objectives is None:
-                return result
-            return next(iter(_attach_objectives(
-                [(instances, result.model)], [result], objectives,
-                latency_mode,
-            )))
-        pairs = _normalize_pairs(instances, models)
-        if mode == "group":
-            if pairs and any(m != pairs[0][1] for _, m in pairs):
-                raise ValidationError(
-                    "mode='group' expects a single shared model"
-                )
-            results = self._evaluate_uniform_group(
-                [inst for inst, _ in pairs],
-                pairs[0][1] if pairs else "overlap",
-                method=method,
-            )
-        else:
-            results = self._evaluate_sequence(
-                pairs, method=method, n_firings=n_firings
-            )
-        if objectives is None:
-            return results
-        return list(
-            _attach_objectives(pairs, results, objectives, latency_mode)
-        )
+            return self._evaluate_point(instances, models, method)
+        return self._evaluate_sequence(_normalize_pairs(instances, models), method)
 
     def _evaluate_point(
-        self,
-        inst: Instance,
-        model: CommModel | str,
-        method: str = "auto",
-        n_firings: int | None = None,
+        self, inst: Instance, model: CommModel | str, method: str = "auto"
     ) -> PeriodResult:
         """Evaluate one pair through the cache (scalar-path semantics)."""
         model = CommModel.parse(model)
@@ -422,8 +234,6 @@ class BatchEngine:
             # heartbeats arrive late and the fabric's watchdog path
             # (stale takeover) is exercised end-to-end.
             FAULTS.hit("engine.evaluate")
-        self.stats.evaluated += 1
-        self.stats.scalar_solves += 1
         if TELEMETRY.enabled:
             # Contract counters: one per point, split by resolved
             # method, plus the point's path count — all pure functions
@@ -453,8 +263,7 @@ class BatchEngine:
         elif method == "simulation":
             # No structure worth caching: the simulator walks the full net.
             return compute_period(
-                inst, model, method="simulation",
-                max_rows=self.max_rows, n_firings=n_firings,
+                inst, model, method="simulation", max_rows=self.max_rows
             )
         else:
             raise ValidationError(
@@ -478,63 +287,6 @@ class BatchEngine:
             tpn_solution=solution,
         )
 
-    def evaluate_group(
-        self,
-        instances: Sequence[Instance],
-        model: CommModel | str,
-        method: str = "auto",
-    ) -> list[PeriodResult]:
-        """Deprecated alias for :meth:`evaluate` with ``mode="group"``."""
-        _warn_deprecated(
-            "BatchEngine.evaluate_group", "BatchEngine.evaluate(mode='group')"
-        )
-        return self._evaluate_uniform_group(instances, model, method=method)
-
-    def _evaluate_uniform_group(
-        self,
-        instances: Sequence[Instance],
-        model: CommModel | str,
-        method: str = "auto",
-    ) -> list[PeriodResult]:
-        """Evaluate one topology group through the lockstep solver.
-
-        Every instance must share ``topology_signature(inst, model)``
-        with the first (callers that may mix topologies should use
-        ``mode="many"``, which detects same-signature runs).  The
-        TPN method stamps the whole group into one ``(B, E)`` weight
-        matrix and runs
-        :func:`~repro.maxplus.howard.solve_prepared_many`; other methods
-        fall back to the per-pair scalar path.  Cold results are
-        bit-identical to per-pair evaluation; with ``warm_start=True``
-        all rows seed from the group's carried policy (values unchanged,
-        see :class:`~repro.maxplus.howard.HowardState`).
-        """
-        model = CommModel.parse(model)
-        if method == "auto":
-            method = "polynomial" if model.overlap else "tpn"
-        if method != "tpn" or len(instances) < MIN_GROUP_ROWS:
-            return [
-                self._evaluate_point(i, model, method=method)
-                for i in instances
-            ]
-        key = topology_signature(instances[0], model)
-        for inst in instances[1:]:
-            if topology_signature(inst, model) != key:
-                # A mismatched instance would be stamped through the
-                # first instance's skeleton and return plausible but
-                # wrong numbers — fail loudly instead.
-                raise ValidationError(
-                    "mode='group' requires every instance to share one "
-                    "topology signature (model + mapping assignments); "
-                    "use mode='many' for mixed batches"
-                )
-        out: list[PeriodResult] = []
-        for i in range(0, len(instances), MAX_GROUP_ROWS):
-            out.extend(
-                self._evaluate_tpn_group(key, instances[i: i + MAX_GROUP_ROWS], model)
-            )
-        return out
-
     def _evaluate_tpn_group(
         self, key: tuple[object, ...], instances: Sequence[Instance], model: CommModel
     ) -> list[PeriodResult]:
@@ -542,16 +294,12 @@ class BatchEngine:
         if FAULTS.enabled:
             FAULTS.hit("engine.evaluate")
         B = len(instances)
-        self.stats.evaluated += B
-        self.stats.group_solves += 1
-        self.stats.group_rows += B
         sk = self._skeleton_for(key, instances[0], model)
-        # Cache-lookup parity with B scalar evaluations of the group.
-        self.stats.hits += B - 1
         if TELEMETRY.enabled:
             TELEMETRY.count("engine.points", B)
             TELEMETRY.count("engine.points.tpn", B)
             TELEMETRY.count("engine.paths", sk.m * B)
+            # Cache-lookup parity with B scalar evaluations of the group.
             TELEMETRY.count("engine.cache_hits", B - 1)
             TELEMETRY.count("engine.group_solves")
             TELEMETRY.count("engine.group_rows", B)
@@ -581,51 +329,29 @@ class BatchEngine:
             ))
         return out
 
-    def evaluate_many(
-        self,
-        instances: Sequence[Instance] | Iterable[Instance],
-        models: CommModel | str | Sequence[CommModel | str],
-        method: str = "auto",
-        n_firings: int | None = None,
-    ) -> list[PeriodResult]:
-        """Deprecated alias for :meth:`evaluate` with ``mode="many"``."""
-        _warn_deprecated(
-            "BatchEngine.evaluate_many", "BatchEngine.evaluate(mode='many')"
-        )
-        return self._evaluate_sequence(
-            _normalize_pairs(instances, models),
-            method=method, n_firings=n_firings,
-        )
-
     def _evaluate_sequence(
-        self,
-        pairs: list[tuple[Instance, CommModel]],
-        method: str = "auto",
-        n_firings: int | None = None,
+        self, pairs: list[tuple[Instance, CommModel]], method: str = "auto"
     ) -> list[PeriodResult]:
         """Evaluate pairs in order, locksteping same-topology runs.
 
-        The drop-in batched counterpart of calling the scalar path in a
-        loop: consecutive pairs whose ``(model, signature)`` match form
-        a group and go through the lockstep slabs; everything else
-        (singleton runs, polynomial/simulation methods) takes the scalar
-        path.  Results align with the input and are bit-identical to the
-        per-pair loop on a cold engine.
+        The batched counterpart of calling the scalar path in a loop:
+        each :func:`_signature_runs` segment of at least
+        :data:`MIN_GROUP_ROWS` pairs goes through the lockstep slabs;
+        everything else (singleton runs, polynomial/simulation methods)
+        takes the scalar path.  Results align with the input and are
+        bit-identical to the per-pair loop on a cold engine.
         """
         out: list[PeriodResult] = []
         for i, j, model, key in _signature_runs(pairs, method):
             if key is None or j - i < MIN_GROUP_ROWS:
                 out.extend(
-                    self._evaluate_point(inst, model, method=method,
-                                         n_firings=n_firings)
+                    self._evaluate_point(inst, model, method)
                     for inst, _ in pairs[i:j]
                 )
-            else:
-                group = [p[0] for p in pairs[i:j]]
-                for k in range(0, len(group), MAX_GROUP_ROWS):
-                    out.extend(self._evaluate_tpn_group(
-                        key, group[k: k + MAX_GROUP_ROWS], model
-                    ))
+                continue
+            for k in range(i, j, MAX_GROUP_ROWS):
+                slab = [inst for inst, _ in pairs[k: min(j, k + MAX_GROUP_ROWS)]]
+                out.extend(self._evaluate_tpn_group(key, slab, model))
         return out
 
 
@@ -637,8 +363,8 @@ def _signature_runs(
     TPN-method pairs extend their segment while model and topology
     signature match (``key`` is the shared signature); other methods
     yield singleton segments with ``key = None``.  The single owner of
-    the run-boundary predicate for :meth:`BatchEngine.evaluate_many`
-    and the serial :func:`evaluate_stream` path.
+    the run-boundary predicate: :meth:`BatchEngine._evaluate_sequence`
+    walks it for every sequence, serial or inside a worker chunk.
     """
     i = 0
     while i < len(pairs):
@@ -708,134 +434,28 @@ def _evaluate_chunk(
         or _WORKER_ENGINE.warm_start != warm_start
     ):
         _WORKER_ENGINE = BatchEngine(max_rows=max_rows, warm_start=warm_start)
-    engine = _WORKER_ENGINE
-    results = engine._evaluate_sequence(list(chunk), method=method)
+    results = _WORKER_ENGINE._evaluate_sequence(chunk, method)
     counters = TELEMETRY.counter_snapshot() if telemetry_on else None
     return results, counters
 
 
-def _stream_pairs(
-    pairs: list[tuple[Instance, CommModel]],
-    method: str = "auto",
-    max_rows: int | None = DEFAULT_MAX_ROWS,
-    n_jobs: int | None = None,
-    chunk_size: int | None = None,
-    engine: BatchEngine | None = None,
-    warm_start: bool = False,
-) -> Iterator[PeriodResult]:
-    """Lazily yield one :class:`PeriodResult` per pair, in input order.
-
-    The engine room of the module-level :func:`evaluate`: serial path
-    through one (caller-owned or fresh) :class:`BatchEngine`, parallel
-    path through the bounded in-flight chunk window.  See
-    :func:`evaluate` for parameter semantics.
-    """
-    if engine is not None and n_jobs not in (None, 1):
-        raise ValidationError(
-            f"engine= is a serial-path option but n_jobs={n_jobs} requests "
-            f"worker processes, which cannot share the caller's engine "
-            f"cache; drop engine= or run with n_jobs=1"
-        )
-    if n_jobs is None or n_jobs == 1 or len(pairs) < MIN_PARALLEL_BATCH:
-        eng = engine if engine is not None else BatchEngine(
-            max_rows=max_rows, warm_start=warm_start)
-        # Yield at same-topology run boundaries: runs of >= MIN_GROUP_ROWS
-        # solve in lockstep (per MAX_GROUP_ROWS slab), while a stream of
-        # distinct topologies still yields per evaluation.
-        for i, j, model, key in _signature_runs(pairs, method):
-            if key is None or j - i < MIN_GROUP_ROWS:
-                for inst, _ in pairs[i:j]:
-                    yield eng._evaluate_point(inst, model, method=method)
-            else:
-                group = [p[0] for p in pairs[i:j]]
-                for k in range(0, len(group), MAX_GROUP_ROWS):
-                    yield from eng._evaluate_tpn_group(
-                        key, group[k: k + MAX_GROUP_ROWS], model
-                    )
-        return
-
-    workers = (os.cpu_count() or 1) if n_jobs == 0 else n_jobs
-    if chunk_size is None:
-        chunk_size = max(1, -(-len(pairs) // (workers * 4)))
-    telemetry_on = TELEMETRY.enabled
-    payloads = (
-        (pairs[i: i + chunk_size], method, max_rows, warm_start, telemetry_on)
-        for i in range(0, len(pairs), chunk_size)
-    )
-    # Bounded in-flight window: submit a few chunks per worker, then
-    # one-in-one-out in submission order — a huge batch never has more
-    # than `window` chunks pickled or buffered at once.
-    window = workers * _INFLIGHT_PER_WORKER
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        inflight: deque = deque()
-        for payload in payloads:
-            inflight.append(pool.submit(_evaluate_chunk, payload))
-            if len(inflight) < window:
-                continue
-            results, counters = inflight.popleft().result()
-            if counters is not None:
-                TELEMETRY.merge_counters(counters)
-            yield from results
-        while inflight:
-            results, counters = inflight.popleft().result()
-            if counters is not None:
-                TELEMETRY.merge_counters(counters)
-            yield from results
-
-
-@overload
-def evaluate(
-    instances: Sequence[Instance] | Iterable[Instance],
-    models: CommModel | str | Sequence[CommModel | str],
-    method: str = ...,
-    *,
-    mode: str = ...,
-    max_rows: int | None = ...,
-    n_jobs: int | None = ...,
-    chunk_size: int | None = ...,
-    engine: BatchEngine | None = ...,
-    warm_start: bool = ...,
-    objectives: None = ...,
-    latency_mode: str = ...,
-) -> list[PeriodResult]: ...
-
-
-@overload
-def evaluate(
-    instances: Sequence[Instance] | Iterable[Instance],
-    models: CommModel | str | Sequence[CommModel | str],
-    method: str = ...,
-    *,
-    mode: str = ...,
-    max_rows: int | None = ...,
-    n_jobs: int | None = ...,
-    chunk_size: int | None = ...,
-    engine: BatchEngine | None = ...,
-    warm_start: bool = ...,
-    objectives: Sequence[str] | str,
-    latency_mode: str = ...,
-) -> list["EvalResult"]: ...
-
-
 def evaluate(
     instances: Sequence[Instance] | Iterable[Instance],
     models: CommModel | str | Sequence[CommModel | str],
     method: str = "auto",
     *,
-    mode: str = "batch",
     max_rows: int | None = DEFAULT_MAX_ROWS,
     n_jobs: int | None = None,
     chunk_size: int | None = None,
     engine: BatchEngine | None = None,
     warm_start: bool = False,
-    objectives: Sequence[str] | str | None = None,
-    latency_mode: str = "bound",
-) -> Any:
+) -> list[PeriodResult]:
     """The module-level entry point: evaluate pairs, sharded on request.
 
     Drop-in replacement for ``[compute_period(i, m, method) for i, m in
     pairs]`` — same values, same exceptions — with skeleton caching and
-    optional multi-process sharding.
+    optional multi-process sharding.  Returns a list aligned with the
+    input.
 
     Parameters
     ----------
@@ -847,21 +467,18 @@ def evaluate(
     method:
         ``"auto"`` / ``"polynomial"`` / ``"tpn"`` / ``"simulation"``,
         with :func:`compute_period`'s semantics.
-    mode:
-        Keyword-only.  ``"batch"`` (default) returns the full result
-        list aligned with the input; ``"stream"`` returns a lazy
-        iterator that yields results in input order (per same-topology
-        run on the serial path, per chunk on the parallel path).
     max_rows:
         TPN row budget (per evaluation, like the scalar path).
     n_jobs:
         ``None``/``1`` evaluates serially in-process; ``0`` uses all
         cores; ``k > 1`` uses ``k`` worker processes.  Results are
-        bit-identical whatever the worker count.
+        bit-identical whatever the worker count.  Negative values raise
+        :class:`~repro.errors.ValidationError`.
     chunk_size:
-        Pairs per worker task; default balances ~4 chunks per worker.
-        Chunks are contiguous, so keep topology groups adjacent in the
-        input for best cache locality *and* full-chunk lockstep groups.
+        Pairs per worker task (at least 1); default balances ~4 chunks
+        per worker.  Chunks are contiguous, so keep topology groups
+        adjacent in the input for best cache locality *and* full-chunk
+        lockstep groups.
     engine:
         Serial path only: reuse a caller-owned :class:`BatchEngine`
         (e.g. to share its cache across successive sweeps).  When given,
@@ -873,16 +490,6 @@ def evaluate(
         Opt-in Howard warm starting inside each evaluating engine (see
         :class:`BatchEngine`).  Period values are identical to cold
         start; extracted critical cycles may depend on chunk boundaries.
-    objectives:
-        ``None`` (default) returns plain :class:`PeriodResult` values —
-        byte-identical to the pre-redesign behavior.  A selection of
-        objective names returns
-        :class:`~repro.objectives.base.EvalResult` values; the extra
-        objectives are computed in the calling process, so they are
-        identical whatever ``n_jobs``.
-    latency_mode:
-        ``"bound"`` (deterministic worst-path bound, default) or
-        ``"measured"`` (exact simulation) for the latency objective.
 
     Examples
     --------
@@ -894,56 +501,34 @@ def evaluate(
     >>> batch[0].period == compute_period(example_a(), "overlap").period
     True
     """
-    if mode not in ("batch", "stream"):
+    if n_jobs is not None and n_jobs < 0:
+        raise ValidationError(f"n_jobs must be None or >= 0, got {n_jobs}")
+    if chunk_size is not None and chunk_size < 1:
+        raise ValidationError(f"chunk_size must be None or >= 1, got {chunk_size}")
+    if engine is not None and n_jobs not in (None, 1):
         raise ValidationError(
-            f"unknown mode {mode!r}; expected batch/stream"
+            f"engine= is a serial-path option but n_jobs={n_jobs} requests "
+            f"worker processes, which cannot share the caller's engine "
+            f"cache; drop engine= or run with n_jobs=1"
         )
     pairs = _normalize_pairs(instances, models)
-    stream: Iterator[PeriodResult] = _stream_pairs(
-        pairs, method=method, max_rows=max_rows, n_jobs=n_jobs,
-        chunk_size=chunk_size, engine=engine, warm_start=warm_start,
-    )
-    if objectives is None:
-        return stream if mode == "stream" else list(stream)
-    wrapped = _attach_objectives(pairs, stream, objectives, latency_mode)
-    return wrapped if mode == "stream" else list(wrapped)
+    if n_jobs is None or n_jobs == 1 or len(pairs) < MIN_PARALLEL_BATCH:
+        eng = engine if engine is not None else BatchEngine(
+            max_rows=max_rows, warm_start=warm_start)
+        return eng._evaluate_sequence(pairs, method)
 
-
-def evaluate_stream(
-    instances: Sequence[Instance] | Iterable[Instance],
-    models: CommModel | str | Sequence[CommModel | str],
-    method: str = "auto",
-    max_rows: int | None = DEFAULT_MAX_ROWS,
-    n_jobs: int | None = None,
-    chunk_size: int | None = None,
-    engine: BatchEngine | None = None,
-    warm_start: bool = False,
-) -> Iterator[PeriodResult]:
-    """Deprecated alias for :func:`evaluate` with ``mode="stream"``."""
-    _warn_deprecated("evaluate_stream", "evaluate(mode='stream')")
-    return _stream_pairs(
-        _normalize_pairs(instances, models), method=method,
-        max_rows=max_rows, n_jobs=n_jobs, chunk_size=chunk_size,
-        engine=engine, warm_start=warm_start,
-    )
-
-
-def evaluate_batch(
-    instances: Sequence[Instance] | Iterable[Instance],
-    models: CommModel | str | Sequence[CommModel | str],
-    method: str = "auto",
-    max_rows: int | None = DEFAULT_MAX_ROWS,
-    n_jobs: int | None = None,
-    chunk_size: int | None = None,
-    engine: BatchEngine | None = None,
-    warm_start: bool = False,
-) -> list[PeriodResult]:
-    """Deprecated alias for :func:`evaluate` with ``mode="batch"``."""
-    _warn_deprecated("evaluate_batch", "evaluate(mode='batch')")
-    return list(
-        _stream_pairs(
-            _normalize_pairs(instances, models), method=method,
-            max_rows=max_rows, n_jobs=n_jobs, chunk_size=chunk_size,
-            engine=engine, warm_start=warm_start,
-        )
-    )
+    workers = (os.cpu_count() or 1) if n_jobs == 0 else n_jobs
+    if chunk_size is None:
+        chunk_size = max(1, -(-len(pairs) // (workers * 4)))
+    telemetry_on = TELEMETRY.enabled
+    payloads = [
+        (pairs[i: i + chunk_size], method, max_rows, warm_start, telemetry_on)
+        for i in range(0, len(pairs), chunk_size)
+    ]
+    out: list[PeriodResult] = []
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        for results, counters in pool.map(_evaluate_chunk, payloads):
+            if counters is not None:
+                TELEMETRY.merge_counters(counters)
+            out.extend(results)
+    return out

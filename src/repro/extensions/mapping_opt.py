@@ -20,8 +20,8 @@ to share its topology cache across searches): re-proposed mappings hit
 the skeleton cache instead of rebuilding their TPN, and
 :func:`local_search_mapping` can fan a whole neighborhood out to worker
 processes with ``n_jobs`` while preserving the serial search trajectory.
-Small neighborhoods evaluate through the engine's ``mode="many"`` path,
-which locksteps any same-topology runs among the candidates through the
+Small neighborhoods evaluate as one sequence through the engine, which
+locksteps any same-topology runs among the candidates through the
 batched Howard solver (see :func:`repro.maxplus.howard.solve_prepared_many`).
 
 Restart hooks
@@ -513,14 +513,14 @@ def local_search_mapping(
             # (workers cannot share the caller's cache), so pick the path
             # explicitly: shard big neighborhoods across fresh per-worker
             # caches inheriting the warm-start mode, keep small ones on
-            # the shared engine — whose mode="many" path locksteps any
-            # same-topology runs the move generator proposes.
+            # the shared engine — which locksteps any same-topology runs
+            # the move generator proposes.
             if len(insts) >= MIN_PARALLEL_BATCH:
                 results = evaluate(insts, model, max_rows=max_paths + 1,
                                    n_jobs=n_jobs,
                                    warm_start=eng.warm_start)
             else:
-                results = eng.evaluate(insts, model, mode="many")
+                results = eng.evaluate(insts, model)
             values = {k: float("inf") for k, _ in scan}
             values.update({k: r.period for (k, _), r in zip(feasible, results)})
             by_move = dict(scan)

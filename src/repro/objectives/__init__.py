@@ -22,9 +22,11 @@ plane:
   platform's spare processors on throughput vs reliability (the two
   ends of the Pareto front, used to seed the portfolio's probes).
 
-The plane is threaded through ``BatchEngine.evaluate(objectives=...)``,
-:func:`repro.search.pareto.pareto_portfolio_search`, campaign specs
-(``objectives`` grids) and the CLI (``optimize --objectives``).
+Engine period results become :class:`EvalResult` values through
+:func:`attach_objectives` / :class:`ObjectiveEvaluator`; the plane is
+threaded through :func:`repro.search.pareto.pareto_portfolio_search`,
+campaign specs (``objectives`` grids) and the CLI (``optimize
+--objectives``).
 """
 
 from .base import OBJECTIVE_NAMES, OBJECTIVE_SENSES, EvalResult, parse_objectives

@@ -161,7 +161,7 @@ class ObjectiveEvaluator:
     ) -> list[EvalResult]:
         """Evaluate a sequence (lockstep same-topology runs) in order."""
         insts = list(instances)
-        results = self.engine.evaluate(insts, models, method, mode="many")
+        results = self.engine.evaluate(insts, models, method)
         return [
             attach_objectives(
                 inst,

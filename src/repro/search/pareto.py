@@ -538,9 +538,7 @@ class _ParetoDriver:
                     warm_start=self.evaluator.engine.warm_start,
                 )
             elif insts:
-                periods = self.evaluator.engine.evaluate(
-                    insts, self.model, mode="many"
-                )
+                periods = self.evaluator.engine.evaluate(insts, self.model)
             else:
                 periods = []
             by_id = {

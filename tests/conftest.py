@@ -3,12 +3,28 @@
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from typing import Iterator
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from repro import Application, Instance, Mapping, Platform
+from repro.telemetry import TELEMETRY, Telemetry
+
+
+@contextmanager
+def collecting() -> Iterator[Telemetry]:
+    """Enable telemetry for the block, then disable it again.
+
+    Yields the collector; its counters stay readable after the block.
+    """
+    TELEMETRY.enable("test")
+    try:
+        yield TELEMETRY
+    finally:
+        TELEMETRY.disable()
 
 
 def make_instance(

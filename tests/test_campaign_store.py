@@ -25,6 +25,8 @@ from repro.experiments import TABLE2_CONFIGS, run_family
 from repro.experiments.examples_paper import example_a
 from repro.experiments.runner import _draw_instance, family_seeds
 
+from .conftest import collecting
+
 
 class TestDigest:
     def test_stable_across_calls(self):
@@ -79,11 +81,12 @@ class TestRoundTrip:
 
     def test_stats_counters(self):
         store = ResultStore(":memory:")
-        store.get("missing")
-        store.put("d", {"schema": 1})
-        store.get("d")
-        assert (store.stats.misses, store.stats.hits, store.stats.puts) == \
-               (1, 1, 1)
+        with collecting() as tel:
+            assert store.get("missing") is None
+            store.put("d", {"schema": 1})
+            store.put("d", {"schema": 1})  # already present: not counted
+            assert store.get("d") == {"schema": 1}
+        assert tel.counters["store.puts"] == 1
 
     def test_items_sorted_by_digest(self):
         store = ResultStore(":memory:")
@@ -97,13 +100,16 @@ class TestRecordReconstruction:
         config = TABLE2_CONFIGS[4]
         plain = run_family(config, "strict", count=6, n_jobs=1)
         with ResultStore(tmp_path / "s.sqlite") as store:
-            first = run_family(config, "strict", count=6, n_jobs=1,
-                               store=store)
-            assert store.stats.puts == 6
-            again = run_family(config, "strict", count=6, n_jobs=1,
-                               store=store)
-            assert store.stats.puts == 6  # all hits the second time
-            assert store.stats.hits >= 6
+            with collecting() as tel:
+                first = run_family(config, "strict", count=6, n_jobs=1,
+                                   store=store)
+            assert tel.counters["store.puts"] == 6
+            with collecting() as tel:
+                again = run_family(config, "strict", count=6, n_jobs=1,
+                                   store=store)
+            # All hits the second time: nothing evaluated, nothing put.
+            assert "store.puts" not in tel.counters
+            assert "engine.points" not in tel.counters
         assert first == plain
         assert again == plain
 

@@ -16,14 +16,13 @@ from repro import Application, Instance, Mapping, Platform, compute_period
 from repro.engine import (
     BatchEngine,
     build_skeleton,
-    evaluate_batch,
-    evaluate_stream,
+    evaluate,
     topology_signature,
 )
 from repro.errors import ReplicationExplosionError, ValidationError
 from repro.experiments.examples_paper import example_a, example_b, example_c
 
-from .conftest import small_instances
+from .conftest import collecting, small_instances
 
 
 def assert_results_identical(scalar, batched, check_net=True):
@@ -87,14 +86,14 @@ class TestBitIdentity:
     def test_paper_examples(self, mk, model, method):
         inst = mk()
         scalar = compute_period(inst, model, method=method)
-        batched = evaluate_batch([inst], model, method=method)[0]
+        batched = evaluate([inst], model, method=method)[0]
         assert_results_identical(scalar, batched)
 
     def test_auto_method_resolution_matches(self):
         inst = example_a()
         for model in ("overlap", "strict"):
             scalar = compute_period(inst, model)  # auto
-            batched = evaluate_batch([inst], model)[0]
+            batched = evaluate([inst], model)[0]
             assert scalar.method == batched.method
             assert_results_identical(scalar, batched)
 
@@ -107,20 +106,21 @@ class TestBitIdentity:
             ("strict", "tpn"),
         ):
             scalar = compute_period(inst, model, method=method)
-            batched = evaluate_batch([inst], model, method=method)[0]
+            batched = evaluate([inst], model, method=method)[0]
             assert_results_identical(scalar, batched)
 
     def test_shared_topology_sweep(self):
         insts = shared_topology_instances(count=8)
         engine = BatchEngine()
-        batched = evaluate_batch(insts, "strict", method="tpn", engine=engine)
+        with collecting() as tel:
+            batched = evaluate(insts, "strict", method="tpn", engine=engine)
         for inst, b in zip(insts, batched):
             assert_results_identical(
                 compute_period(inst, "strict", method="tpn"), b
             )
         # One skeleton build served the whole sweep.
-        assert engine.stats.misses == 1
-        assert engine.stats.hits == len(insts) - 1
+        assert tel.counters["engine.skeleton_builds"] == 1
+        assert tel.counters["engine.cache_hits"] == len(insts) - 1
 
 
 class TestCacheSemantics:
@@ -132,9 +132,11 @@ class TestCacheSemantics:
     def test_cache_hit_returns_identical_results(self):
         inst = shared_topology_instances(count=1)[0]
         engine = BatchEngine()
-        first = engine.evaluate(inst, "strict", method="tpn")
-        second = engine.evaluate(inst, "strict", method="tpn")
-        assert engine.stats.misses == 1 and engine.stats.hits == 1
+        with collecting() as tel:
+            first = engine.evaluate(inst, "strict", method="tpn")
+            second = engine.evaluate(inst, "strict", method="tpn")
+        assert tel.counters["engine.skeleton_builds"] == 1
+        assert tel.counters["engine.cache_hits"] == 1
         assert first.period == second.period
         assert first.tpn_solution.ratio == second.tpn_solution.ratio
 
@@ -149,6 +151,12 @@ class TestCacheSemantics:
         again = engine.evaluate(insts[0], "strict", method="tpn")
         assert again.period == compute_period(insts[0], "strict", method="tpn").period
 
+    @pytest.mark.parametrize("limit", [0, -3])
+    def test_cache_limit_below_one_rejected(self, limit):
+        # Used to raise a bare StopIteration on the first evaluation.
+        with pytest.raises(ValidationError, match="cache_limit"):
+            BatchEngine(cache_limit=limit)
+
     def test_skeleton_rebuild_is_deterministic(self):
         inst = shared_topology_instances(count=1)[0]
         sk1 = build_skeleton(inst, "strict")
@@ -161,29 +169,30 @@ class TestCacheSemantics:
 class TestBatchApi:
     def test_order_preserved_and_streaming(self):
         insts = shared_topology_instances(count=5)
-        streamed = list(evaluate_stream(insts, "strict", method="tpn"))
-        batched = evaluate_batch(insts, "strict", method="tpn")
+        engine_path = BatchEngine().evaluate(insts, "strict", method="tpn")
+        batched = evaluate(insts, "strict", method="tpn")
         scalar = [compute_period(i, "strict", method="tpn") for i in insts]
-        for s, st, b in zip(scalar, streamed, batched):
-            assert s.period == st.period == b.period
+        assert isinstance(batched, list) and len(batched) == len(insts)
+        for s, e, b in zip(scalar, engine_path, batched):
+            assert s.period == e.period == b.period
 
     def test_per_pair_models(self):
         insts = shared_topology_instances(count=4)
         models = ["overlap", "strict", "overlap", "strict"]
-        batched = evaluate_batch(insts, models)
+        batched = evaluate(insts, models)
         for inst, model, b in zip(insts, models, batched):
             assert_results_identical(compute_period(inst, model), b)
 
     def test_model_count_mismatch_rejected(self):
         insts = shared_topology_instances(count=2)
         with pytest.raises(ValidationError):
-            evaluate_batch(insts, ["overlap"])
+            evaluate(insts, ["overlap"])
 
     def test_multiworker_identical(self):
         insts = shared_topology_instances(count=10)
-        serial = evaluate_batch(insts, "strict", method="tpn")
-        sharded = evaluate_batch(insts, "strict", method="tpn", n_jobs=2)
-        chunked = evaluate_batch(
+        serial = evaluate(insts, "strict", method="tpn")
+        sharded = evaluate(insts, "strict", method="tpn", n_jobs=2)
+        chunked = evaluate(
             insts, "strict", method="tpn", n_jobs=2, chunk_size=3
         )
         for s, p, c in zip(serial, sharded, chunked):
@@ -194,7 +203,7 @@ class TestBatchApi:
     def test_simulation_method_delegates(self):
         inst = shared_topology_instances(count=1, counts=(1, 1))[0]
         scalar = compute_period(inst, "overlap", method="simulation")
-        batched = evaluate_batch([inst], "overlap", method="simulation")[0]
+        batched = evaluate([inst], "overlap", method="simulation")[0]
         assert scalar.period == batched.period
 
 
@@ -202,18 +211,18 @@ class TestErrorParity:
     def test_polynomial_rejects_strict(self):
         inst = example_a()
         with pytest.raises(ValidationError):
-            evaluate_batch([inst], "strict", method="polynomial")
+            evaluate([inst], "strict", method="polynomial")
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValidationError):
-            evaluate_batch([example_a()], "overlap", method="magic")
+            evaluate([example_a()], "overlap", method="magic")
 
     def test_budget_parity(self):
         inst = example_c()  # m = 10395
         with pytest.raises(ReplicationExplosionError):
             compute_period(inst, "strict", method="tpn", max_rows=100)
         with pytest.raises(ReplicationExplosionError):
-            evaluate_batch([inst], "strict", method="tpn", max_rows=100)
+            evaluate([inst], "strict", method="tpn", max_rows=100)
 
     def test_budget_enforced_on_cache_hit(self):
         inst = shared_topology_instances(count=1, counts=(2, 3))[0]  # m = 6
@@ -225,7 +234,7 @@ class TestErrorParity:
 
     def test_batch_solution_has_no_net(self):
         inst = example_a()
-        batched = evaluate_batch([inst], "strict", method="tpn")[0]
+        batched = evaluate([inst], "strict", method="tpn")[0]
         assert batched.tpn_solution.net is None
         with pytest.raises(ValidationError):
             batched.tpn_solution.critical_transitions

@@ -1,8 +1,9 @@
 """Group (lockstep) evaluation path of the batch engine.
 
-Pins the PR-4 contracts: `evaluate_many`/`evaluate_group` results are
-bit-identical to per-pair evaluation and to `compute_period`; the
-batched `CycleTimePlan.verdict_many` equals the scalar verdict; and the
+Pins the group-path contracts: sequence evaluation
+(`BatchEngine.evaluate` on a list, module `evaluate`) is bit-identical
+to per-pair evaluation and to `compute_period`; the batched
+`CycleTimePlan.verdict_many` equals the scalar verdict; and the
 `engine=` + parallel `n_jobs` combination fails loudly instead of
 silently dropping the engine.
 """
@@ -18,10 +19,11 @@ from repro.engine import (
     MIN_GROUP_ROWS,
     BatchEngine,
     build_cycle_time_plan,
-    evaluate_batch,
-    evaluate_stream,
+    evaluate,
 )
 from repro.errors import ValidationError
+
+from .conftest import collecting
 
 
 def group_sweep(counts, n_instances, seed=0, works=None):
@@ -61,50 +63,57 @@ def assert_same_result(a, b):
 class TestGroupBitIdentity:
     def test_group_matches_compute_period(self):
         insts = group_sweep((2, 3, 1), 16, seed=1)
-        grouped = evaluate_batch(insts, "strict", method="tpn")
+        grouped = evaluate(insts, "strict", method="tpn")
         for inst, res in zip(insts, grouped):
             assert_same_result(res, compute_period(inst, "strict", method="tpn"))
 
     def test_group_matches_per_pair_engine(self):
         insts = group_sweep((6, 10, 15), 12, seed=2)
         scalar_engine = BatchEngine()
-        scalar = [scalar_engine.evaluate(i, "strict") for i in insts]
+        with collecting() as tel:
+            scalar = [scalar_engine.evaluate(i, "strict") for i in insts]
+        per_pair = tel.counter_snapshot()
         group_engine = BatchEngine()
-        grouped = group_engine.evaluate_many(insts, "strict")
+        with collecting() as tel:
+            grouped = group_engine.evaluate(insts, "strict")
+        lockstep = tel.counter_snapshot()
         for s, g in zip(scalar, grouped):
             assert_same_result(s, g)
-        # Cache-stat parity with the per-pair loop.
-        assert group_engine.stats.evaluated == scalar_engine.stats.evaluated
-        assert group_engine.stats.hits == scalar_engine.stats.hits
-        assert group_engine.stats.misses == scalar_engine.stats.misses
+        # Cache-counter parity with the per-pair loop: evaluated points,
+        # hits and misses (skeleton builds).
+        assert lockstep["engine.group_solves"] == 1
+        for name in ("engine.points", "engine.cache_hits",
+                     "engine.skeleton_builds"):
+            assert lockstep[name] == per_pair[name], name
 
     def test_mixed_topology_stream_preserves_order(self):
         a = group_sweep((2, 3, 1), 5, seed=3)
         b = group_sweep((3, 2, 1), 4, seed=4)
         interleaved = [a[0], a[1], b[0], b[1], b[2], a[2], a[3], a[4], b[3]]
         engine = BatchEngine()
-        grouped = engine.evaluate_many(interleaved, "strict")
+        grouped = engine.evaluate(interleaved, "strict")
         for inst, res in zip(interleaved, grouped):
             assert_same_result(res, compute_period(inst, "strict", method="tpn"))
 
     def test_stream_and_batch_agree_with_group_path(self):
         insts = group_sweep((2, 3, 1), MIN_GROUP_ROWS * 4, seed=5)
-        streamed = list(evaluate_stream(insts, "strict", method="tpn"))
-        batched = evaluate_batch(insts, "strict", method="tpn")
-        for s, b in zip(streamed, batched):
+        engine_path = BatchEngine().evaluate(insts, "strict", method="tpn")
+        batched = evaluate(insts, "strict", method="tpn")
+        assert len(engine_path) == len(batched) == len(insts)
+        for s, b in zip(engine_path, batched):
             assert_same_result(s, b)
 
     def test_sharded_matches_serial_group_path(self):
         insts = group_sweep((2, 3, 1), 24, seed=6)
-        serial = evaluate_batch(insts, "strict", method="tpn")
-        sharded = evaluate_batch(insts, "strict", method="tpn", n_jobs=2)
+        serial = evaluate(insts, "strict", method="tpn")
+        sharded = evaluate(insts, "strict", method="tpn", n_jobs=2)
         for s, p in zip(serial, sharded):
             assert_same_result(s, p)
 
     def test_warm_group_values_match_cold(self):
         insts = group_sweep((6, 10, 15), 10, seed=7)
-        cold = evaluate_batch(insts, "strict", method="tpn")
-        warm = BatchEngine(warm_start=True).evaluate_many(insts, "strict")
+        cold = evaluate(insts, "strict", method="tpn")
+        warm = BatchEngine(warm_start=True).evaluate(insts, "strict")
         for c, w in zip(cold, warm):
             assert c.period == w.period
             assert c.mct == w.mct
@@ -112,7 +121,7 @@ class TestGroupBitIdentity:
 
     def test_overlap_auto_routes_polynomial_per_pair(self):
         insts = group_sweep((2, 2, 1), 6, seed=8)
-        grouped = BatchEngine().evaluate_many(insts, "overlap")
+        grouped = BatchEngine().evaluate(insts, "overlap")
         for inst, res in zip(insts, grouped):
             assert res.method == "polynomial"
             assert res.period == compute_period(inst, "overlap").period
@@ -135,15 +144,9 @@ class TestVerdictMany:
 
 
 class TestEvaluateGroupValidation:
-    def test_mixed_topologies_raise(self):
-        a = group_sweep((2, 1), 2, seed=12)
-        b = group_sweep((1, 2), 1, seed=13)
-        with pytest.raises(ValidationError, match="topology signature"):
-            BatchEngine().evaluate_group(a + b, "strict")
-
     def test_single_topology_group_is_fine(self):
         insts = group_sweep((2, 1), 3, seed=14)
-        res = BatchEngine().evaluate_group(insts, "strict")
+        res = BatchEngine().evaluate(insts, "strict")
         for inst, r in zip(insts, res):
             assert r.period == compute_period(inst, "strict", method="tpn").period
 
@@ -153,12 +156,32 @@ class TestEngineJobsValidation:
         insts = group_sweep((2, 1), 6, seed=10)
         engine = BatchEngine()
         with pytest.raises(ValidationError, match="serial-path"):
-            evaluate_batch(insts, "strict", engine=engine, n_jobs=2)
+            evaluate(insts, "strict", engine=engine, n_jobs=2)
         with pytest.raises(ValidationError, match="serial-path"):
-            list(evaluate_stream(insts, "strict", engine=engine, n_jobs=0))
+            evaluate(insts, "strict", engine=engine, n_jobs=0)
 
     def test_engine_with_serial_jobs_is_fine(self):
         insts = group_sweep((2, 1), 4, seed=11)
         engine = BatchEngine()
-        res = evaluate_batch(insts, "strict", engine=engine, n_jobs=1)
-        assert len(res) == 4 and engine.stats.evaluated == 4
+        with collecting() as tel:
+            res = evaluate(insts, "strict", engine=engine, n_jobs=1)
+        assert len(res) == 4 and tel.counters["engine.points"] == 4
+        # The caller's engine did the work: its cache now holds the group.
+        assert len(engine._skeletons) == 1
+
+    @pytest.mark.parametrize("chunk_size", [0, -1])
+    def test_bad_chunk_size_raises(self, chunk_size):
+        # A negative chunk size used to return no results at all.
+        insts = group_sweep((2, 1), 8, seed=15)
+        with pytest.raises(ValidationError, match="chunk_size"):
+            evaluate(insts, "strict", n_jobs=2, chunk_size=chunk_size)
+        with pytest.raises(ValidationError, match="chunk_size"):
+            evaluate(insts[:2], "strict", chunk_size=chunk_size)
+
+    def test_negative_n_jobs_raises(self):
+        insts = group_sweep((2, 1), 8, seed=16)
+        with pytest.raises(ValidationError, match="n_jobs"):
+            evaluate(insts, "strict", n_jobs=-1)
+        # Small batches (serial fallback) are validated the same way.
+        with pytest.raises(ValidationError, match="n_jobs"):
+            evaluate(insts[:2], "strict", n_jobs=-2)

@@ -12,6 +12,8 @@ from repro.extensions import (
     simulate_dynamic,
 )
 
+from .conftest import collecting
+
 
 def small_problem():
     app = Application(works=[4.0, 12.0, 4.0], file_sizes=[1.0, 1.0])
@@ -90,12 +92,12 @@ class TestLocalSearch:
         engine = BatchEngine(max_rows=3001)
         # STRICT resolves to the TPN method, which exercises the cache.
         first = greedy_mapping(app, plat, "strict", engine=engine)
-        misses_after_first = engine.stats.misses
-        second = greedy_mapping(app, plat, "strict", engine=engine)
+        with collecting() as tel:
+            second = greedy_mapping(app, plat, "strict", engine=engine)
         assert first.period == second.period
         # The second search re-proposes the same mappings: all hits.
-        assert engine.stats.misses == misses_after_first
-        assert engine.stats.hits > 0
+        assert tel.counters.get("engine.skeleton_builds", 0) == 0
+        assert tel.counters["engine.cache_hits"] > 0
 
     def test_heterogeneous_prefers_fast_processors(self):
         app = Application(works=[1.0, 1.0], file_sizes=[0.001])

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro import Application, Instance, Mapping, Platform
-from repro.engine import BatchEngine, evaluate_batch
+from repro.engine import BatchEngine, evaluate
 from repro.maxplus.graph import RatioGraph
 from repro.maxplus.howard import HowardState, prepare_howard, solve_prepared
 
@@ -141,16 +141,16 @@ class TestEngineWarmStart:
 
 
 class TestBatchWarmStart:
-    def test_evaluate_batch_defaults_cold(self):
+    def test_evaluate_defaults_cold(self):
         insts = _random_instances((2, 3), 6, seed=1)
-        baseline = evaluate_batch(insts, "strict", method="tpn")
-        flagged = evaluate_batch(insts, "strict", method="tpn",
-                                 warm_start=True)
+        baseline = evaluate(insts, "strict", method="tpn")
+        flagged = evaluate(insts, "strict", method="tpn",
+                           warm_start=True)
         assert [r.period for r in baseline] == [r.period for r in flagged]
 
     def test_sharded_warm_start_identical_periods(self):
         insts = _random_instances((2, 3, 5, 1), 24, seed=2)
-        serial = evaluate_batch(insts, "strict", method="tpn")
-        sharded = evaluate_batch(insts, "strict", method="tpn",
-                                 warm_start=True, n_jobs=2)
+        serial = evaluate(insts, "strict", method="tpn")
+        sharded = evaluate(insts, "strict", method="tpn",
+                           warm_start=True, n_jobs=2)
         assert [r.period for r in serial] == [r.period for r in sharded]
