@@ -13,6 +13,12 @@ per-call path performs ``n``).  Wall-clock speedup is reported, never
 gated — BENCH_4/5.json record the old wall-clock floors failing on CI
 hardware with no code defect.
 
+A second, seeded sweep draws *random* replica assignments (random
+processors on platforms of several sizes) over ``K`` distinct count
+vectors, in shuffled order.  Topologies are keyed by replica counts, so
+it must cost exactly ``K`` skeleton builds (``relabelled_builds``),
+with every result bit-identical to ``compute_period``.
+
 Run standalone (asserts identity and the single-build contract)::
 
     PYTHONPATH=src python benchmarks/bench_engine_batch.py
@@ -66,6 +72,66 @@ def make_sweep(n_instances: int = N_INSTANCES, seed: int = 0) -> list[Instance]:
     return instances
 
 
+#: Count vectors of the random-assignment sweep (K = 6).
+RELABELLED_COUNTS = ((2, 3, 1), (1, 2, 2), (3, 1, 2), (1, 1, 4), (2, 2, 2), (1, 3))
+N_RELABELLED = 120
+
+
+def make_relabelled_sweep(
+    n_instances: int = N_RELABELLED, seed: int = 1
+) -> list[Instance]:
+    """Random-assignment mappings over :data:`RELABELLED_COUNTS`.
+
+    Each instance picks a count vector, a platform of 6 to 11
+    processors and a random processor permutation; times are U(5, 15).
+    """
+    rng = np.random.default_rng(seed)
+    instances = []
+    for _ in range(n_instances):
+        counts = RELABELLED_COUNTS[int(rng.integers(len(RELABELLED_COUNTS)))]
+        p = int(rng.integers(6, 12))
+        procs = rng.permutation(p).tolist()
+        bounds = np.cumsum((0,) + counts).tolist()
+        mapping = Mapping([procs[bounds[i]: bounds[i + 1]]
+                           for i in range(len(counts))], n_processors=p)
+        comp = rng.uniform(5.0, 15.0, p)
+        comm = rng.uniform(5.0, 15.0, (p, p))
+        np.fill_diagonal(comm, 0.0)
+        app = Application(works=[1.0] * len(counts),
+                          file_sizes=[1.0] * (len(counts) - 1))
+        instances.append(Instance(app, Platform.from_comm_times(comp, comm), mapping))
+    return instances
+
+
+def run_relabelled() -> dict:
+    """Skeleton builds and identity of the random-assignment sweep.
+
+    Deterministic: the count of distinct count vectors drawn is ``K``
+    and the engine must build exactly one skeleton per vector.
+    """
+    instances = make_relabelled_sweep()
+    TELEMETRY.enable("bench")
+    try:
+        batched = evaluate(instances, "strict", method="tpn", engine=BatchEngine())
+    finally:
+        TELEMETRY.disable()
+    counters = TELEMETRY.counter_snapshot()
+    return {
+        "n": len(instances),
+        "count_vectors": len({i.mapping.replication_counts for i in instances}),
+        "assignments": len({i.mapping.assignments for i in instances}),
+        "relabelled_builds": counters.get("engine.skeleton_builds", 0),
+        "relabelled_identical": all(
+            b.period == s.period and b.mct == s.mct
+            and b.tpn_solution.ratio == s.tpn_solution.ratio
+            for b, s in zip(
+                batched,
+                (compute_period(i, "strict", method="tpn") for i in instances),
+            )
+        ),
+    }
+
+
 def run_comparison(n_instances: int = N_INSTANCES) -> dict:
     """Time per-call vs batched evaluation; verify identity; return stats."""
     instances = make_sweep(n_instances)
@@ -90,6 +156,7 @@ def run_comparison(n_instances: int = N_INSTANCES) -> dict:
     )
     per_call_s, batch_s = t1 - t0, t2 - t1
     counters = count_cache_work(instances)
+    relabelled = run_relabelled()
     return {
         "n": len(instances),
         "per_call_s": per_call_s,
@@ -100,6 +167,11 @@ def run_comparison(n_instances: int = N_INSTANCES) -> dict:
         # one skeleton build; the per-call path pays n of them.
         "skeleton_builds": counters.get("engine.skeleton_builds", 0),
         "cache_hits": counters.get("engine.cache_hits", 0),
+        # Random assignments over K count vectors: K builds, same bits.
+        "count_vectors": relabelled["count_vectors"],
+        "relabelled_assignments": relabelled["assignments"],
+        "relabelled_builds": relabelled["relabelled_builds"],
+        "relabelled_identical": relabelled["relabelled_identical"],
     }
 
 
@@ -161,10 +233,18 @@ def main() -> int:
           f"(wall-clock: reported, never gated; cache: "
           f"{stats['skeleton_builds']} build, {stats['cache_hits']} hits)")
     print(f"bit-identical : {stats['identical']}")
+    print(f"random assignments: {stats['relabelled_builds']} skeleton builds "
+          f"for {stats['count_vectors']} count vectors, bit-identical "
+          f"{stats['relabelled_identical']}")
     assert stats["identical"], "batched results diverged from per-call"
     assert stats["skeleton_builds"] == 1, (
         f"{stats['skeleton_builds']} skeleton builds for one shared "
         f"topology (expected exactly 1)"
+    )
+    assert stats["relabelled_identical"], "random-assignment results diverged"
+    assert stats["relabelled_builds"] == stats["count_vectors"], (
+        f"{stats['relabelled_builds']} skeleton builds for "
+        f"{stats['count_vectors']} count vectors"
     )
     print("OK")
     return 0

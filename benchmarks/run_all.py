@@ -36,7 +36,7 @@ from pathlib import Path
 SCHEMA = 2
 
 #: The PR this harness currently reports for.
-PR = 16
+PR = 17
 
 #: Cross-report deterministic contracts: ``--compare`` fails when the
 #: current value is worse than the previous report's.  Direction
@@ -53,6 +53,8 @@ CONTRACTS = [
     ("howard_scalar", "rounds", "<="),
     ("engine_batch", "identical", ">="),
     ("engine_batch", "skeleton_builds", "<="),
+    ("engine_batch", "relabelled_identical", ">="),
+    ("engine_batch", "relabelled_builds", "<="),
     ("campaign_ordering", "identical", ">="),
     ("campaign_ordering", "campaign_rounds", "<="),
     ("campaign_ordering", "campaign_builds", "<="),
@@ -172,6 +174,11 @@ def collect() -> dict:
                 _assert(s["skeleton_builds"] == 1,
                         f"{s['skeleton_builds']} skeleton builds for one "
                         f"shared topology (expected exactly 1)"),
+                _assert(s["relabelled_identical"],
+                        "random-assignment results diverged"),
+                _assert(s["relabelled_builds"] == s["count_vectors"],
+                        f"{s['relabelled_builds']} skeleton builds for "
+                        f"{s['count_vectors']} count vectors"),
             ],
             True,
         ),

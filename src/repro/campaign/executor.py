@@ -7,8 +7,10 @@ loop (:func:`_drain`) over the same work list:
    point's digest is probed in the store and already-computed points
    are skipped (this is both the resume path and the duplicate guard).
 2. **Order** — pending points are regrouped by
-   :func:`~repro.engine.signature.topology_signature` (groups in
-   first-seen order) while *preserving sweep order inside each group*.
+   :func:`~repro.engine.signature.topology_signature`, i.e. by model
+   and replica counts, so random-assignment points with equal counts
+   share a group (groups in first-seen order), while *preserving sweep
+   order inside each group*.
    Grouping maximizes skeleton-cache and Howard warm-start hits; the
    preserved sweep adjacency keeps consecutive same-topology instances
    similar, so the carried policy is typically one improvement round
@@ -176,7 +178,7 @@ def order_for_engine(
 
 def _topology_groups(pairs: Sequence[tuple[Instance, str]]) -> list[list[int]]:
     """The groups of :func:`order_for_engine`: indices per signature."""
-    groups: dict[tuple[str, tuple[tuple[int, ...], ...]], list[int]] = {}
+    groups: dict[tuple[str, tuple[int, ...]], list[int]] = {}
     for i, (inst, model) in enumerate(pairs):
         groups.setdefault(topology_signature(inst, model), []).append(i)
     return list(groups.values())
@@ -754,7 +756,12 @@ def campaign_rows(
 
 
 def campaign_status(spec: CampaignSpec, store: ResultStore) -> dict[str, Any]:
-    """Progress summary: total/done/pending plus per-cell done counts."""
+    """Progress summary: total/done/pending plus per-cell done counts.
+
+    ``"skipped"`` lists the (application, platform, replication) cells
+    :meth:`CampaignSpec.expand` excludes, each with its
+    :meth:`~repro.campaign.spec.ReplicationAxis.infeasibility` reason.
+    """
     stored: dict[tuple[str, str, str, str], list[bool]] = {}
     for pt, _, digest in _materialized(spec):
         stored.setdefault(pt.cell, []).append(digest in store)
@@ -772,6 +779,15 @@ def campaign_status(spec: CampaignSpec, store: ResultStore) -> dict[str, Any]:
                 "done": sum(flags), "total": len(flags),
             }
             for cell, flags in stored.items()
+        ],
+        "skipped": [
+            {"application": app.label, "platform": plat.label,
+             "replication": repl.label, "reason": reason}
+            for app in spec.applications
+            for plat in spec.platforms
+            for repl in spec.replications
+            if (reason := repl.infeasibility(app.application().n_stages,
+                                             plat.n_procs, spec.max_paths))
         ],
     }
 

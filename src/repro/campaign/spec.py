@@ -354,23 +354,44 @@ class ReplicationAxis:
                 "counts have no canonical block layout)"
             )
 
+    def infeasibility(
+        self, n_stages: int, n_procs: int, max_paths: int
+    ) -> str | None:
+        """Why this policy cannot map ``n_stages`` onto ``n_procs``.
+
+        ``None`` when it can.  Otherwise the reason :meth:`draw_mapping`
+        raises: a fixed count vector of the wrong length, over capacity
+        or over the path budget, or fewer processors than stages.
+        """
+        if self.policy != "fixed":
+            if n_procs < n_stages:
+                return (f"need at least one processor per stage: "
+                        f"{n_stages} stages, {n_procs} processors")
+            return None
+        assert self.counts is not None  # __post_init__ guarantees
+        counts = tuple(int(c) for c in self.counts)
+        if len(counts) != n_stages:
+            return (f"replication axis {self.label!r} has {len(counts)} "
+                    f"counts but the application has {n_stages} stages")
+        if sum(counts) > n_procs:
+            return (f"replication axis {self.label!r} needs {sum(counts)} "
+                    f"processors but the platform has {n_procs}")
+        if lcm_all(counts) > max_paths:
+            return (f"replication axis {self.label!r} has lcm(m_i) = "
+                    f"{lcm_all(counts)} > max_paths = {max_paths}")
+        return None
+
     def feasible(self, n_stages: int, n_procs: int, max_paths: int) -> bool:
         """Whether this policy can map ``n_stages`` onto ``n_procs``.
 
         Grid cells combining an infeasible (application, platform,
-        replication) triple — a fixed count vector of the wrong length
-        or over capacity, or fewer processors than stages — are
-        *excluded* from the expansion rather than erroring: a
-        declarative grid naturally mixes axes that only apply to some
-        applications ("where applicable" semantics).
+        replication) triple are *excluded* from the expansion rather
+        than erroring: a declarative grid naturally mixes axes that only
+        apply to some applications ("where applicable" semantics).
+        ``campaign_status`` reports each excluded cell with its
+        :meth:`infeasibility` reason.
         """
-        if self.policy == "fixed":
-            assert self.counts is not None  # __post_init__ guarantees
-            counts = tuple(int(c) for c in self.counts)
-            return (len(counts) == n_stages
-                    and sum(counts) <= n_procs
-                    and lcm_all(counts) <= max_paths)
-        return n_procs >= n_stages
+        return self.infeasibility(n_stages, n_procs, max_paths) is None
 
     def draw_mapping(
         self,
@@ -380,25 +401,12 @@ class ReplicationAxis:
         max_paths: int,
     ) -> Mapping:
         """Draw (or lay out) one mapping for ``n_stages`` on ``n_procs``."""
+        reason = self.infeasibility(n_stages, n_procs, max_paths)
+        if reason is not None:
+            raise ValidationError(reason)
         if self.policy == "fixed":
             assert self.counts is not None  # __post_init__ guarantees
             counts = tuple(int(c) for c in self.counts)
-            if len(counts) != n_stages:
-                raise ValidationError(
-                    f"replication axis {self.label!r} has {len(counts)} "
-                    f"counts but the application has {n_stages} stages"
-                )
-            if sum(counts) > n_procs:
-                raise ValidationError(
-                    f"replication axis {self.label!r} needs "
-                    f"{sum(counts)} processors but the platform has "
-                    f"{n_procs}"
-                )
-            if lcm_all(counts) > max_paths:
-                raise ValidationError(
-                    f"replication axis {self.label!r} has lcm(m_i) = "
-                    f"{lcm_all(counts)} > max_paths = {max_paths}"
-                )
         else:
             counts = random_replication(
                 n_stages, n_procs, rng, max_paths=max_paths,
@@ -587,7 +595,8 @@ class CampaignSpec:
 
         Cells whose replication policy is infeasible for the cell's
         (application, platform) pair are excluded
-        (:meth:`ReplicationAxis.feasible`).
+        (:meth:`ReplicationAxis.feasible`); ``campaign_status`` lists
+        them under ``"skipped"`` with their reasons.
         """
         points: list[CampaignPoint] = []
         name_key = _crc(self.name)

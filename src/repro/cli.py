@@ -460,6 +460,10 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                     print(f"  {cell['application']} | {cell['platform']} | "
                           f"{cell['replication']} | {cell['model']:<7} : "
                           f"{cell['done']}/{cell['total']}")
+                for cell in status["skipped"]:
+                    print(f"  skipped {cell['application']} | "
+                          f"{cell['platform']} | {cell['replication']} : "
+                          f"{cell['reason']}")
         # run/export both honor --json/--csv; status has no artifacts.
         if args.action in ("run", "export"):
             # A truncated run (--max-points) exporting right away is

@@ -2,7 +2,8 @@
 
 :class:`BatchEngine` is the per-process cache of
 :class:`~repro.engine.skeleton.TpnSkeleton` objects keyed by
-:func:`~repro.engine.signature.topology_signature`.  Its
+:func:`~repro.engine.signature.topology_signature` — the model and the
+replica counts, so relabelled mappings share one entry.  Its
 :meth:`~BatchEngine.evaluate` is the engine's one entry point: a single
 instance takes the scalar cache path and returns one result, a sequence
 returns a list aligned with the input.  :func:`evaluate` is the
@@ -60,10 +61,10 @@ from ..core.throughput import PeriodResult, compute_period
 from ..errors import ValidationError
 from ..faults import FAULTS
 from ..maxplus.howard import HowardState
-from ..petri.builder import DEFAULT_MAX_ROWS
+from ..petri.builder import DEFAULT_MAX_ROWS, SlotTimes
 from ..telemetry import TELEMETRY
 from .classify import CycleTimePlan, build_cycle_time_plan
-from .signature import topology_signature
+from .signature import Signature, topology_signature
 from .skeleton import TpnSkeleton, build_skeleton
 
 __all__ = [
@@ -107,11 +108,12 @@ class BatchEngine:
         keeps memory flat).  ``None`` disables eviction.
     warm_start:
         Opt-in: seed Howard's policy iteration from the previous
-        evaluation of the same topology group
+        evaluation of the same ``(model, replication counts)`` group
         (:class:`~repro.maxplus.howard.HowardState` per cached
-        skeleton).  On slowly-varying neighborhoods — a mapping-search
-        trajectory, a sweep of nearby instances — the previous policy
-        is typically one improvement round from the new fixed point.
+        skeleton), relabelled mappings included.  On slowly-varying
+        neighborhoods — a mapping-search trajectory, a sweep of nearby
+        instances — the previous policy is typically one improvement
+        round from the new fixed point.
         Period *values* are identical to cold start; the extracted
         critical cycle may differ when several cycles tie exactly,
         which is why the flag defaults to off (cold evaluation stays a
@@ -131,9 +133,9 @@ class BatchEngine:
     max_rows: int | None = DEFAULT_MAX_ROWS
     cache_limit: int | None = 1024
     warm_start: bool = False
-    _skeletons: dict[tuple, TpnSkeleton] = field(default_factory=dict)
-    _warm_states: dict[tuple, HowardState] = field(default_factory=dict)
-    _ct_plans: dict[tuple, CycleTimePlan] = field(default_factory=dict)
+    _skeletons: dict[Signature, TpnSkeleton] = field(default_factory=dict)
+    _warm_states: dict[Signature, HowardState] = field(default_factory=dict)
+    _ct_plans: dict[Signature, CycleTimePlan] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.cache_limit is not None and self.cache_limit < 1:
@@ -146,7 +148,7 @@ class BatchEngine:
         return self._skeleton_for(topology_signature(inst, model), inst, model)
 
     def _skeleton_for(
-        self, key: tuple[object, ...], inst: Instance, model: CommModel | str
+        self, key: Signature, inst: Instance, model: CommModel | str
     ) -> TpnSkeleton:
         sk = self._skeletons.get(key)
         if sk is None:
@@ -163,7 +165,7 @@ class BatchEngine:
         return sk
 
     def _ct_plan_for(
-        self, key: tuple[object, ...], inst: Instance, model: CommModel
+        self, key: Signature, inst: Instance, model: CommModel
     ) -> CycleTimePlan:
         """Fetch (or build) the topology group's cycle-time plan.
 
@@ -288,7 +290,7 @@ class BatchEngine:
         )
 
     def _evaluate_tpn_group(
-        self, key: tuple[object, ...], instances: Sequence[Instance], model: CommModel
+        self, key: Signature, instances: Sequence[Instance], model: CommModel
     ) -> list[PeriodResult]:
         """One lockstep slab: stamp, solve, classify, package."""
         if FAULTS.enabled:
@@ -306,13 +308,13 @@ class BatchEngine:
         sk.check_budget(self.max_rows)
         state = self._warm_states.setdefault(key, HowardState()) \
             if self.warm_start else None
+        # One slot-space gather feeds both the stamping and the verdict.
+        times = SlotTimes.of(instances)
         with TELEMETRY.span("group-solve", rows=B):
-            ratios = sk.solve_many(list(instances), state=state)
+            ratios = sk.solve_many(times, state=state)
         periods = [r.value / sk.m for r in ratios]
         ct_plan = self._ct_plan_for(key, instances[0], model)
-        mcts, crits, _ = ct_plan.verdict_many(
-            list(instances), np.asarray(periods)
-        )
+        mcts, crits, _ = ct_plan.verdict_many(times, np.asarray(periods))
         out = []
         for b, inst in enumerate(instances):
             period = periods[b]
@@ -357,7 +359,7 @@ class BatchEngine:
 
 def _signature_runs(
     pairs: list[tuple[Instance, CommModel]], method: str
-) -> Iterator[tuple[int, int, CommModel, tuple | None]]:
+) -> Iterator[tuple[int, int, CommModel, Signature | None]]:
     """Contiguous ``[i, j)`` segments of a pair list, for group dispatch.
 
     TPN-method pairs extend their segment while model and topology

@@ -4,13 +4,14 @@
 communication windows in Python on each call — after PR 1 removed the
 structural TPN work from the batched path, that classification became
 ~30% of batched evaluation time.  Like the TPN skeleton, the *structure*
-of the cycle-time computation (which processor sums which transfer
+of the cycle-time computation (which replica sums which transfer
 terms, over which round-robin window) depends only on
-``(model, mapping.assignments)``; only the time values change per
-instance.
+``(model, mapping.replication_counts)``; processor ids only pick which
+speeds and bandwidths are read, and only the time values change.
 
-:class:`CycleTimePlan` caches that structure as flat index arrays so one
-instance's ``M_ct`` is a handful of vectorized expressions.
+:class:`CycleTimePlan` caches that structure as flat index arrays over
+replica slots, so one instance's ``M_ct`` is a handful of vectorized
+expressions.
 
 Bit-identity contract
 ---------------------
@@ -19,11 +20,11 @@ Every float operation mirrors the scalar path
 
 * ``C_comp = (w_i / Pi_u) / m_i`` — two elementwise double divisions,
   exactly like ``inst.comp_time(stage, u) / m_i``;
-* in/out port totals accumulate with :func:`numpy.add.at`, whose
-  unbuffered in-place semantics apply additions **in term order** —
-  the same left-to-right ``0.0 + t_0 + t_1 + ...`` as the scalar
-  ``sum(...)``, never pairwise/tree summation (the byte-stable
-  summation order the batched path requires);
+* in/out port totals accumulate with :func:`numpy.bincount`, which
+  applies additions **in term order** — the same left-to-right
+  ``0.0 + t_0 + t_1 + ...`` as the scalar ``sum(...)``, never
+  pairwise/tree summation (the byte-stable summation order the batched
+  path requires);
 * transfer durations are ``delta_i / b_{u,v}`` with infinite-bandwidth
   links contributing exactly ``+0.0`` like ``Platform.comm_time``;
 * STRICT aggregation is the left-associated ``(cin + ccomp) + cout``;
@@ -35,7 +36,9 @@ approx) against the scalar classifier across random instances.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 import numpy.typing as npt
@@ -43,6 +46,7 @@ import numpy.typing as npt
 from ..algorithms.bounds import DEFAULT_REL_TOL
 from ..core.instance import Instance
 from ..core.models import CommModel
+from ..petri.builder import SlotTimes
 from ..telemetry import TELEMETRY
 from ..utils import lcm_all
 
@@ -53,30 +57,30 @@ __all__ = ["CycleTimePlan", "build_cycle_time_plan"]
 class CycleTimePlan:
     """Index-array formulation of ``cycle_times`` for one topology group.
 
-    One entry per *used* processor, in the scalar path's
-    stage-then-replica order.  Term arrays are laid out entry-major and,
-    within an entry, in the scalar path's ``j``-increasing window order,
-    so sequential accumulation reproduces the scalar sums byte for byte.
+    One entry per replica slot: entry ``s`` is the *used* processor
+    ``mapping.used_processors[s]``, the scalar path's order.  Term arrays
+    are laid out entry-major and, within an entry, in the scalar path's
+    ``j``-increasing window order, so sequential accumulation reproduces
+    the scalar sums byte for byte.
 
     Attributes
     ----------
     model:
         Communication model the aggregation uses.
-    entry_proc, entry_stage:
-        Processor / stage of each entry.
+    entry_stage:
+        Stage of each entry.
     entry_m:
         Replication count ``m_i`` of the entry's stage (the ``C_comp``
         divisor), as float.
     in_entry, in_src, in_file, in_window / out_entry, out_dst,
     out_file, out_window:
         Flattened transfer terms of the input (resp. output) port sums:
-        owning entry, peer processor, file index, and the per-entry
+        owning entry, peer slot, file index, and the per-entry
         round-robin window divisor (1.0 for entries with no terms, whose
         total stays ``+0.0``).
     """
 
     model: CommModel
-    entry_proc: npt.NDArray[np.int64]
     entry_stage: npt.NDArray[np.int64]
     entry_m: npt.NDArray[np.int64]
     in_entry: npt.NDArray[np.int64]
@@ -91,7 +95,14 @@ class CycleTimePlan:
     @property
     def n_entries(self) -> int:
         """Number of used processors (= scalar report entries)."""
-        return int(self.entry_proc.size)
+        return int(self.entry_stage.size)
+
+    @property
+    def entry_proc(self) -> npt.NDArray[np.int64]:
+        """Deprecated: entries are replica slots, ``arange(n_entries)``."""
+        warnings.warn("CycleTimePlan.entry_proc is deprecated; entries are "
+                      "replica slots, use arange(n_entries)", DeprecationWarning, 2)
+        return np.arange(self.n_entries)
 
     def components(
         self, inst: Instance
@@ -101,38 +112,67 @@ class CycleTimePlan:
         Bit-identical to the scalar
         :class:`~repro.core.cycle_time.ProcessorCycleTime` fields.
         """
-        works = np.asarray(inst.application.works, dtype=float)
-        speeds = inst.platform.speeds
-        ccomp = works[self.entry_stage] / speeds[self.entry_proc] / self.entry_m
-
-        n = self.n_entries
-        sizes = np.asarray(inst.application.file_sizes, dtype=float)
+        procs = np.asarray(inst.mapping.used_processors, dtype=np.int64)
         bw = inst.platform.bandwidths
+        return self._components(
+            np.asarray(inst.application.works, dtype=float),
+            inst.platform.speeds[procs],
+            np.asarray(inst.application.file_sizes, dtype=float),
+            bw[procs[self.in_src], procs[self.in_entry]],
+            bw[procs[self.out_entry], procs[self.out_dst]],
+        )
 
-        cin = np.zeros(n)
-        if self.in_entry.size:
-            # size / inf == +0.0, matching Platform.comm_time's fast-link
-            # branch; np.add.at accumulates in term order (left to right
-            # per entry), matching the scalar sum() byte for byte.
-            terms = sizes[self.in_file] / bw[self.in_src, self.entry_proc[self.in_entry]]
-            np.add.at(cin, self.in_entry, terms)
-        cin = cin / self.in_window
-
-        cout = np.zeros(n)
-        if self.out_entry.size:
-            terms = sizes[self.out_file] / bw[self.entry_proc[self.out_entry], self.out_dst]
-            np.add.at(cout, self.out_entry, terms)
-        cout = cout / self.out_window
+    def _components(
+        self,
+        works: npt.NDArray[np.float64],
+        speeds: npt.NDArray[np.float64],
+        sizes: npt.NDArray[np.float64],
+        bw_in: npt.NDArray[np.float64],
+        bw_out: npt.NDArray[np.float64],
+    ) -> tuple[npt.NDArray[np.float64], npt.NDArray[np.float64], npt.NDArray[np.float64]]:
+        """``(cin, ccomp, cout)`` from slot-space operands of one
+        instance (1-D) or of a group (2-D, one row per instance)."""
+        ccomp = works.take(self.entry_stage, axis=-1) / speeds / self.entry_m
+        cin = self._totals(sizes.take(self.in_file, axis=-1) / bw_in, self.in_entry, self.in_window)
+        cout = self._totals(
+            sizes.take(self.out_file, axis=-1) / bw_out, self.out_entry, self.out_window
+        )
         return cin, ccomp, cout
+
+    def _totals(
+        self,
+        terms: npt.NDArray[np.float64],
+        entry: npt.NDArray[np.int64],
+        window: npt.NDArray[np.float64],
+    ) -> npt.NDArray[np.float64]:
+        """Per-entry port totals of ``terms``, divided by the window.
+
+        ``size / inf == +0.0`` matches ``Platform.comm_time``'s fast-link
+        branch.  ``np.bincount`` keyed by ``(row, entry)`` scans its input
+        once in C order, so each row's terms add left to right in term
+        order, starting from ``0.0`` — the scalar ``sum()`` byte for byte.
+        """
+        n = self.n_entries
+        if terms.ndim == 1:
+            return np.bincount(entry, weights=terms, minlength=n) / window
+        B = terms.shape[0]
+        keys = (np.arange(B)[:, None] * n + entry).ravel()
+        totals = np.bincount(keys, weights=terms.ravel(), minlength=B * n)
+        return totals.reshape(B, n) / window
 
     def mct(self, inst: Instance) -> float:
         """``M_ct`` of ``inst`` — equals ``cycle_times(inst, model).mct``."""
-        cin, ccomp, cout = self.components(inst)
+        return float(self._cexec(*self.components(inst)).max())
+
+    def _cexec(
+        self,
+        cin: npt.NDArray[np.float64],
+        ccomp: npt.NDArray[np.float64],
+        cout: npt.NDArray[np.float64],
+    ) -> npt.NDArray[np.float64]:
         if self.model.overlap:
-            cexec = np.maximum(np.maximum(cin, ccomp), cout)
-        else:
-            cexec = (cin + ccomp) + cout
-        return float(cexec.max())
+            return np.maximum(np.maximum(cin, ccomp), cout)
+        return (cin + ccomp) + cout
 
     def verdict(self, inst: Instance, period: float,
                 rel_tol: float = DEFAULT_REL_TOL) -> tuple[float, bool, float]:
@@ -147,89 +187,43 @@ class CycleTimePlan:
         return mct, gap <= rel_tol, gap
 
     def components_many(
-        self, instances: list[Instance]
+        self, group: Sequence[Instance] | SlotTimes
     ) -> tuple[npt.NDArray[np.float64], npt.NDArray[np.float64], npt.NDArray[np.float64]]:
         """Per-entry ``(cin, ccomp, cout)`` of a whole group — ``(B, n)``.
 
-        Row ``b`` equals ``components(instances[b])`` bit for bit: the
-        port totals accumulate through ``np.bincount`` keyed by
-        ``(row, entry)``, which scans its input once in C order — row
-        ``b``'s terms add left to right in term order, exactly like the
-        scalar per-instance ``np.add.at`` call.  Falls back to per-row
-        evaluation when the group's platforms disagree in size.
+        Row ``b`` equals ``components(group[b])`` bit for bit: the same
+        doubles, gathered into slot space
+        (:class:`~repro.petri.builder.SlotTimes`; pass one to share the
+        skeleton's gather), go through the same expressions row by row.
         """
-        B = len(instances)
-        n = self.n_entries
-        try:
-            works = np.stack(
-                [np.asarray(i.application.works, dtype=float) for i in instances]
-            )
-            speeds = np.stack([i.platform.speeds for i in instances])
-            sizes = np.stack(
-                [np.asarray(i.application.file_sizes, dtype=float) for i in instances]
-            )
-            bw = np.stack([i.platform.bandwidths for i in instances])
-        except ValueError:  # ragged platforms: evaluate row by row
-            cins = np.empty((B, n))
-            ccomps = np.empty((B, n))
-            couts = np.empty((B, n))
-            for b, inst in enumerate(instances):
-                cins[b], ccomps[b], couts[b] = self.components(inst)
-            return cins, ccomps, couts
+        times = SlotTimes.of(group)
+        return self._components(
+            times.works,
+            times.speeds,
+            times.sizes,
+            times.bandwidths[:, self.in_src, self.in_entry],
+            times.bandwidths[:, self.out_entry, self.out_dst],
+        )
 
-        ccomp = works[:, self.entry_stage] / speeds[:, self.entry_proc] / self.entry_m
-
-        # bincount scans its input in C order, so row b's terms
-        # accumulate left to right exactly like the scalar sum() (and
-        # like np.add.at, several times faster).
-        row_off = (np.arange(B) * n)[:, None]
-        cin = np.zeros((B, n))
-        if self.in_entry.size:
-            terms = sizes[:, self.in_file] / bw[
-                :, self.in_src, self.entry_proc[self.in_entry]
-            ]
-            cin = np.bincount(
-                (row_off + self.in_entry).ravel(), weights=terms.ravel(),
-                minlength=B * n,
-            ).reshape(B, n)
-        cin = cin / self.in_window
-
-        cout = np.zeros((B, n))
-        if self.out_entry.size:
-            terms = sizes[:, self.out_file] / bw[
-                :, self.entry_proc[self.out_entry], self.out_dst
-            ]
-            cout = np.bincount(
-                (row_off + self.out_entry).ravel(), weights=terms.ravel(),
-                minlength=B * n,
-            ).reshape(B, n)
-        cout = cout / self.out_window
-        return cin, ccomp, cout
-
-    def mct_many(self, instances: list[Instance]) -> npt.NDArray[np.float64]:
+    def mct_many(self, group: Sequence[Instance] | SlotTimes) -> npt.NDArray[np.float64]:
         """``M_ct`` of every instance of a group — shape ``(B,)``."""
-        cin, ccomp, cout = self.components_many(instances)
-        if self.model.overlap:
-            cexec = np.maximum(np.maximum(cin, ccomp), cout)
-        else:
-            cexec = (cin + ccomp) + cout
-        return cexec.max(axis=1)
+        return self._cexec(*self.components_many(group)).max(axis=1)
 
     def verdict_many(
         self,
-        instances: list[Instance],
+        group: Sequence[Instance] | SlotTimes,
         periods: npt.NDArray[np.float64],
         rel_tol: float = DEFAULT_REL_TOL,
     ) -> tuple[npt.NDArray[np.float64], npt.NDArray[np.bool_], npt.NDArray[np.float64]]:
         """Batched :meth:`verdict` — ``(mct, critical, gap)`` arrays.
 
-        ``periods`` aligns with ``instances``; entry ``b`` of each
-        returned array is bit-identical to
-        ``verdict(instances[b], periods[b], rel_tol)``.
+        ``periods`` aligns with ``group``; entry ``b`` of each returned
+        array is bit-identical to ``verdict(group[b], periods[b],
+        rel_tol)``.
         """
-        mct = self.mct_many(instances)
+        mct = self.mct_many(group)
         periods = np.asarray(periods, dtype=float)
-        gap = np.zeros(len(instances))
+        gap = np.zeros(mct.size)
         pos = mct > 0
         gap[pos] = (periods[pos] - mct[pos]) / mct[pos]
         return mct, gap <= rel_tol, gap
@@ -241,64 +235,20 @@ def build_cycle_time_plan(
     """Extract the cycle-time index arrays from one representative.
 
     Any instance of the topology group works: the entry list, term
-    layout and window divisors depend only on the mapping's assignments
-    (and the model, which only affects aggregation).
+    layout and window divisors depend only on the replica counts (and
+    the model, which only affects aggregation).
     """
     model = CommModel.parse(model)
     if TELEMETRY.enabled:
         TELEMETRY.count("engine.plan_builds")
-    mapping = inst.mapping
-    n_stages = inst.n_stages
-
-    entry_proc: list[int] = []
-    entry_stage: list[int] = []
-    entry_m: list[float] = []
-    in_entry: list[int] = []
-    in_src: list[int] = []
-    in_file: list[int] = []
-    in_window: list[float] = []
-    out_entry: list[int] = []
-    out_dst: list[int] = []
-    out_file: list[int] = []
-    out_window: list[float] = []
-
-    for stage in range(n_stages):
-        procs = mapping.processors_of(stage)
-        m_i = len(procs)
-        for replica, u in enumerate(procs):
-            entry = len(entry_proc)
-            entry_proc.append(u)
-            entry_stage.append(stage)
-            entry_m.append(float(m_i))
-
-            win_in = 1.0
-            if stage > 0:
-                senders = mapping.processors_of(stage - 1)
-                window = lcm_all([len(senders), m_i])
-                win_in = float(window)
-                for j in range(replica, window, m_i):
-                    in_entry.append(entry)
-                    in_src.append(senders[j % len(senders)])
-                    in_file.append(stage - 1)
-            in_window.append(win_in)
-
-            win_out = 1.0
-            if stage < n_stages - 1:
-                receivers = mapping.processors_of(stage + 1)
-                window = lcm_all([m_i, len(receivers)])
-                win_out = float(window)
-                for j in range(replica, window, m_i):
-                    out_entry.append(entry)
-                    out_dst.append(receivers[j % len(receivers)])
-                    out_file.append(stage)
-            out_window.append(win_out)
-
+    counts = inst.mapping.replication_counts
     as_i = lambda xs: np.asarray(xs, dtype=np.int64)  # noqa: E731
+    in_entry, in_src, in_file, in_window = _port_terms(counts, -1)
+    out_entry, out_dst, out_file, out_window = _port_terms(counts, +1)
     return CycleTimePlan(
         model=model,
-        entry_proc=as_i(entry_proc),
-        entry_stage=as_i(entry_stage),
-        entry_m=np.asarray(entry_m),
+        entry_stage=np.repeat(np.arange(len(counts)), counts),
+        entry_m=np.repeat(np.asarray(counts, dtype=float), counts),
         in_entry=as_i(in_entry),
         in_src=as_i(in_src),
         in_file=as_i(in_file),
@@ -308,3 +258,33 @@ def build_cycle_time_plan(
         out_file=as_i(out_file),
         out_window=np.asarray(out_window),
     )
+
+
+def _port_terms(
+    counts: tuple[int, ...], step: int
+) -> tuple[list[int], list[int], list[int], list[float]]:
+    """Input (``step = -1``) or output (``+1``) port terms over slots.
+
+    Returns ``(entry, peer, file, window)``: per term its entry, peer
+    slot in stage ``stage + step`` and file index, in the scalar
+    path's entry-major, ``j``-increasing order, and per entry the
+    round-robin window ``lcm(m_i, m_peer)`` (1.0 without a peer stage).
+    """
+    first = [sum(counts[:i]) for i in range(len(counts))]
+    entry: list[int] = []
+    peer: list[int] = []
+    files: list[int] = []
+    window: list[float] = []
+    for stage, m_i in enumerate(counts):
+        other = stage + step
+        m_o = counts[other] if 0 <= other < len(counts) else 0
+        win = lcm_all([m_i, m_o]) if m_o else 1
+        for replica in range(m_i):
+            window.append(float(win))
+            if not m_o:  # first stage's input / last stage's output
+                continue
+            for j in range(replica, win, m_i):
+                entry.append(first[stage] + replica)
+                peer.append(first[other] + j % m_o)
+                files.append(min(stage, other))
+    return entry, peer, files, window

@@ -1,10 +1,10 @@
 """Cached TPN skeletons: build once per topology, re-stamp weights per instance.
 
-A :class:`TpnSkeleton` captures everything about a ``(model, mapping)``
-group that does not depend on the instance's times:
+A :class:`TpnSkeleton` captures everything about a ``(model, counts)``
+group that does not depend on the instance's processors or times:
 
 * the net's transition layout as numpy arrays (``comp_mask``,
-  ``stage_or_file``, ``proc_u``, ``proc_v``) that let
+  ``stage_or_file``, ``slot_u``, ``slot_v``) that let
   :meth:`TpnSkeleton.stamp_durations` compute all firing durations with
   three vectorized expressions instead of ``m * (2n - 1)`` Python calls;
 * the place list as ``(edge_src, edge_dst, edge_tokens)`` arrays — the
@@ -16,10 +16,12 @@ group that does not depend on the instance's times:
 
 The arrays come straight from :func:`repro.petri.builder.tpn_structure`,
 the builder behind :func:`~repro.petri.builder.build_tpn` too, so a
-skeleton never materializes a net object.
+skeleton never materializes a net object.  They index replica slots,
+which each instance resolves to its own processors when it stamps.
 
 :meth:`TpnSkeleton.solve_many` is the group fast path: it stamps every
-instance of a topology group into one ``(B, E)`` weight matrix and runs
+instance of a topology group into one ``(B, E)`` weight matrix, read
+from the group's :class:`~repro.petri.builder.SlotTimes`, and runs
 :func:`repro.maxplus.howard.solve_prepared_many` — lockstep policy
 iteration across the whole batch — instead of ``B`` scalar solves.
 
@@ -35,7 +37,9 @@ with ``method="auto"``.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 import numpy.typing as npt
@@ -53,7 +57,7 @@ from ..maxplus.howard import (
     solve_prepared_many,
 )
 from ..maxplus.lawler import max_cycle_ratio_lawler
-from ..petri.builder import DEFAULT_MAX_ROWS, stamp_durations, tpn_structure
+from ..petri.builder import DEFAULT_MAX_ROWS, SlotTimes, stamp_durations, tpn_structure
 from ..petri.builder import build_tpn  # noqa: F401 - perfbench/layers.py wraps this name
 from ..telemetry import TELEMETRY
 
@@ -62,7 +66,7 @@ __all__ = ["TpnSkeleton", "build_skeleton"]
 
 @dataclass(frozen=True)
 class TpnSkeleton:
-    """Structural cache entry for one ``(model, mapping)`` topology group.
+    """Structural cache entry for one ``(model, counts)`` topology group.
 
     Attributes
     ----------
@@ -76,9 +80,9 @@ class TpnSkeleton:
         Boolean per transition: ``True`` for computations.
     stage_or_file:
         Stage index (computations) or file index (transmissions).
-    proc_u, proc_v:
-        Executing processor, resp. (sender, receiver) pair; ``proc_v``
-        is ``-1`` on computation rows.
+    slot_u, slot_v:
+        Replica slot of the executing processor, resp. of the (sender,
+        receiver) pair; ``slot_v`` is ``-1`` on computation rows.
     edge_src, edge_dst, edge_tokens:
         Place arrays of the reduced cycle-ratio graph.
     plan:
@@ -90,12 +94,24 @@ class TpnSkeleton:
     n_transitions: int
     comp_mask: npt.NDArray[np.bool_]
     stage_or_file: npt.NDArray[np.int64]
-    proc_u: npt.NDArray[np.int64]
-    proc_v: npt.NDArray[np.int64]
+    slot_u: npt.NDArray[np.int64]
+    slot_v: npt.NDArray[np.int64]
     edge_src: npt.NDArray[np.int64]
     edge_dst: npt.NDArray[np.int64]
     edge_tokens: npt.NDArray[np.int64]
     plan: HowardPlan
+
+    @property
+    def proc_u(self) -> npt.NDArray[np.int64]:
+        """Deprecated alias of :attr:`slot_u` (the layout indexes slots)."""
+        warnings.warn("TpnSkeleton.proc_u is deprecated; use slot_u", DeprecationWarning, 2)
+        return self.slot_u
+
+    @property
+    def proc_v(self) -> npt.NDArray[np.int64]:
+        """Deprecated alias of :attr:`slot_v` (the layout indexes slots)."""
+        warnings.warn("TpnSkeleton.proc_v is deprecated; use slot_v", DeprecationWarning, 2)
+        return self.slot_v
 
     def check_budget(self, max_rows: int | None) -> None:
         """Enforce the row budget exactly like :func:`build_tpn` would."""
@@ -110,8 +126,9 @@ class TpnSkeleton:
         for transmissions (0 on infinite-bandwidth links, exactly as
         :meth:`Platform.comm_time` returns).
         """
+        procs = np.asarray(inst.mapping.used_processors, dtype=np.int64)
         return stamp_durations(
-            inst, self.comp_mask, self.stage_or_file, self.proc_u, self.proc_v
+            inst, self.comp_mask, self.stage_or_file, procs[self.slot_u], procs[self.slot_v]
         )
 
     def stamp_weights(self, inst: Instance) -> npt.NDArray[np.float64]:
@@ -141,7 +158,14 @@ class TpnSkeleton:
         exact ties, which is why :class:`~repro.engine.batch.BatchEngine`
         keeps warm starting opt-in.
         """
-        weights = self.stamp_weights(inst)
+        return self._solve_weights(self.stamp_weights(inst), solver, state)
+
+    def _solve_weights(
+        self,
+        weights: npt.NDArray[np.float64],
+        solver: str = "auto",
+        state: HowardState | None = None,
+    ) -> CycleRatioResult:
         if solver == "lawler":
             return CycleRatioResult(
                 max_cycle_ratio_lawler(self._graph(weights)), (), (), "lawler"
@@ -158,45 +182,35 @@ class TpnSkeleton:
                 max_cycle_ratio_lawler(self._graph(weights)), (), (), "lawler"
             )
 
-    def stamp_durations_many(self, instances: list[Instance]) -> npt.NDArray[np.float64]:
+    def stamp_durations_many(
+        self, group: Sequence[Instance] | SlotTimes
+    ) -> npt.NDArray[np.float64]:
         """``(B, n_transitions)`` firing-duration matrix of a whole group.
 
-        Row ``b`` equals ``stamp_durations(instances[b])`` bit for bit:
-        the stacked formulation performs the same elementwise IEEE-754
-        divisions, just over a batch axis.  Falls back to per-row
-        stamping when the group's platforms disagree in size (legal —
-        the signature only pins the *used* processor indices).
+        Row ``b`` equals ``stamp_durations(group[b])`` bit for bit: the
+        stacked formulation performs the same elementwise IEEE-754
+        divisions on the same operands (a slot gather copies doubles),
+        platforms of different sizes included.
         """
-        dur = np.empty((len(instances), self.n_transitions))
-        try:
-            works = np.stack(
-                [np.asarray(i.application.works, dtype=float) for i in instances]
-            )
-            speeds = np.stack([i.platform.speeds for i in instances])
-        except ValueError:  # ragged platforms: stamp row by row
-            for b, inst in enumerate(instances):
-                dur[b] = self.stamp_durations(inst)
-            return dur
+        times = SlotTimes.of(group)
         cm = self.comp_mask
-        dur[:, cm] = works[:, self.stage_or_file[cm]] / speeds[:, self.proc_u[cm]]
         comm = ~cm
-        if comm.any():
-            sizes = np.stack(
-                [np.asarray(i.application.file_sizes, dtype=float) for i in instances]
-            )
-            bw = np.stack([i.platform.bandwidths for i in instances])
-            dur[:, comm] = sizes[:, self.stage_or_file[comm]] / bw[
-                :, self.proc_u[comm], self.proc_v[comm]
-            ]
+        dur = np.empty((times.works.shape[0], self.n_transitions))
+        dur[:, cm] = times.works[:, self.stage_or_file[cm]] / times.speeds[:, self.slot_u[cm]]
+        dur[:, comm] = times.sizes[:, self.stage_or_file[comm]] / times.bandwidths[
+            :, self.slot_u[comm], self.slot_v[comm]
+        ]
         return dur
 
-    def stamp_weights_many(self, instances: list[Instance]) -> npt.NDArray[np.float64]:
+    def stamp_weights_many(
+        self, group: Sequence[Instance] | SlotTimes
+    ) -> npt.NDArray[np.float64]:
         """``(B, n_edges)`` cycle-ratio weight matrix of a whole group."""
-        return self.stamp_durations_many(instances)[:, self.edge_src]
+        return self.stamp_durations_many(group)[:, self.edge_src]
 
     def solve_many(
         self,
-        instances: list[Instance],
+        group: Sequence[Instance] | SlotTimes,
         solver: str = "auto",
         state: HowardState | None = None,
     ) -> list[CycleRatioResult]:
@@ -217,28 +231,22 @@ class TpnSkeleton:
         instance-to-instance chaining.
 
         Any :class:`~repro.errors.SolverError` from the lockstep path
-        (non-convergence, acyclic graph) falls back to per-instance
-        :meth:`solve` so errors and Lawler dispatch behave exactly like
-        the scalar path, row by row.
+        (non-convergence, acyclic graph) falls back to per-row scalar
+        solves so errors and Lawler dispatch behave exactly like
+        :meth:`solve`, row by row.
         """
-        if solver == "lawler":
-            return [self.solve(inst, solver="lawler") for inst in instances]
-        if solver not in ("auto", "howard"):
-            raise ValueError(f"unknown method {solver!r}")
-        try:
-            weights = self.stamp_weights_many(instances)
-            many = solve_prepared_many(self.plan, weights, state=state)
-            return [
-                CycleRatioResult(r.value, r.cycle_nodes, r.cycle_edges, "howard")
-                for r in many
-            ]
-        except SolverError:
-            if TELEMETRY.enabled:
-                TELEMETRY.count("engine.group_fallbacks")
-                TELEMETRY.count("engine.group_fallback_rows", len(instances))
-            return [
-                self.solve(inst, solver=solver, state=state) for inst in instances
-            ]
+        weights = self.stamp_weights_many(group)
+        if solver in ("auto", "howard"):
+            try:
+                return [
+                    CycleRatioResult(r.value, r.cycle_nodes, r.cycle_edges, "howard")
+                    for r in solve_prepared_many(self.plan, weights, state=state)
+                ]
+            except SolverError:
+                if TELEMETRY.enabled:
+                    TELEMETRY.count("engine.group_fallbacks")
+                    TELEMETRY.count("engine.group_fallback_rows", len(weights))
+        return [self._solve_weights(w, solver, state) for w in weights]
 
     def _graph(self, weights: npt.NDArray[np.float64]) -> RatioGraph:
         """Materialize the full ratio graph (Lawler fallback only)."""
@@ -256,8 +264,8 @@ def build_skeleton(
 
     Any instance of the topology group works as representative: the
     arrays of :func:`~repro.petri.builder.tpn_structure` and the Howard
-    plan depend only on the mapping's assignments and the model, so no
-    net object or per-place graph is ever materialized.
+    plan depend only on the model and the replica counts, so no net
+    object or per-place graph is ever materialized.
     """
     st = tpn_structure(inst.mapping, model, max_rows=max_rows)
     graph = RatioGraph.from_arrays(
@@ -269,8 +277,8 @@ def build_skeleton(
         n_transitions=st.n_transitions,
         comp_mask=st.comp_mask,
         stage_or_file=st.stage_or_file,
-        proc_u=st.proc_u,
-        proc_v=st.proc_v,
+        slot_u=st.slot_u,
+        slot_v=st.slot_v,
         edge_src=st.src,
         edge_dst=st.dst,
         edge_tokens=st.tokens,

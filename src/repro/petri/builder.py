@@ -22,17 +22,25 @@ builder enforces a configurable row budget and raises
 :class:`~repro.errors.ReplicationExplosionError` beyond it.
 
 One structure builder serves every consumer.  :func:`tpn_structure`
-lays a net out as flat arrays from ``(mapping, model)`` alone —
-transitions row-major, places in the order above (flow places
-row-major, then per stage, per replica, its circuits).
-:func:`build_tpn` materializes the :class:`TimedEventGraph` view of
-those arrays, and :func:`repro.engine.skeleton.build_skeleton` hands
-them to the Howard plan directly, without any per-place objects.
+lays a net out as flat arrays from the model and the per-stage replica
+counts alone — transitions row-major, places in the order above (flow
+places row-major, then per stage, per replica, its circuits).  The
+arrays name replica *slots*, not processors: slot ``s`` is position
+``s`` of :attr:`Mapping.used_processors` (stage-then-replica order), so
+every mapping with the same counts shares one layout.
+:func:`build_tpn` resolves the slots and materializes the
+:class:`TimedEventGraph` view of those arrays, and
+:func:`repro.engine.skeleton.build_skeleton` hands them to the Howard
+plan directly, without any per-place objects.  :class:`SlotTimes`
+gathers the time operands of a group of instances into slot space, the
+batched counterpart of :func:`stamp_durations`'s per-instance reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from typing import Sequence
 
 import numpy as np
 import numpy.typing as npt
@@ -40,10 +48,13 @@ import numpy.typing as npt
 from ..core.instance import Instance
 from ..core.mapping import Mapping
 from ..core.models import CommModel
-from ..errors import ReplicationExplosionError
+from ..errors import ReplicationExplosionError, ValidationError
 from .net import Place, PlaceKind, TimedEventGraph, Transition
 
-__all__ = ["build_tpn", "tpn_structure", "stamp_durations", "TpnStructure", "DEFAULT_MAX_ROWS"]
+__all__ = [
+    "build_tpn", "tpn_structure", "stamp_durations", "SlotTimes", "TpnStructure",
+    "DEFAULT_MAX_ROWS",
+]
 
 #: Default budget on the number of TPN rows (``m = lcm(m_i)``).
 DEFAULT_MAX_ROWS = 20_000
@@ -64,11 +75,12 @@ class TpnStructure:
 
     Transition ``t = row * n_columns + column`` is described by
     ``comp_mask[t]`` (computation or transmission), ``stage_or_file[t]``
-    and its processors ``proc_u[t]`` (executor, resp. sender) and
-    ``proc_v[t]`` (receiver, ``-1`` on computations).  Place ``p`` is the
+    and its replica slots ``slot_u[t]`` (executor, resp. sender) and
+    ``slot_v[t]`` (receiver, ``-1`` on computations).  Place ``p`` is the
     edge ``src[p] -> dst[p]`` holding ``tokens[p]`` tokens; ``kind[p]``
-    indexes :attr:`PlaceKind.ALL` and ``resource_proc[p]`` is the
-    processor owning its circuit (``-1`` for flow places).
+    indexes :attr:`PlaceKind.ALL` and ``resource_slot[p]`` is the slot
+    owning its circuit (``-1`` for flow places).  Slot ``s`` stands for
+    processor ``mapping.used_processors[s]``.
     """
 
     model: CommModel
@@ -77,24 +89,27 @@ class TpnStructure:
     n_columns: int
     comp_mask: npt.NDArray[np.bool_]
     stage_or_file: npt.NDArray[np.int64]
-    proc_u: npt.NDArray[np.int64]
-    proc_v: npt.NDArray[np.int64]
+    slot_u: npt.NDArray[np.int64]
+    slot_v: npt.NDArray[np.int64]
     src: npt.NDArray[np.int64]
     dst: npt.NDArray[np.int64]
     tokens: npt.NDArray[np.int64]
     kind: npt.NDArray[np.int8]
-    resource_proc: npt.NDArray[np.int64]
+    resource_slot: npt.NDArray[np.int64]
 
     @property
     def n_transitions(self) -> int:
         """``m * (2n - 1)``."""
         return self.n_rows * self.n_columns
 
-    def resources(self) -> list[str]:
-        """Resource name of every place (``"P0:out"``, ``"P3"``, ``""`` ...)."""
+    def resources(self, processors: Sequence[int]) -> list[str]:
+        """Resource name of every place (``"P0:out"``, ``"P3"``, ``""`` ...).
+
+        ``processors`` resolves slots, i.e. a mapping's ``used_processors``.
+        """
         return [
-            "" if _RESOURCE_SUFFIX[k] is None else f"P{u}{_RESOURCE_SUFFIX[k]}"
-            for k, u in zip(self.kind.tolist(), self.resource_proc.tolist())
+            "" if _RESOURCE_SUFFIX[k] is None else f"P{processors[s]}{_RESOURCE_SUFFIX[k]}"
+            for k, s in zip(self.kind.tolist(), self.resource_slot.tolist())
         ]
 
 
@@ -105,9 +120,10 @@ def tpn_structure(
 ) -> TpnStructure:
     """Lay out the TPN of ``mapping`` under ``model`` as flat arrays.
 
-    Depends on the mapping's assignments and the model only, never on
-    times.  Raises :class:`~repro.errors.ReplicationExplosionError` when
-    ``m = lcm(m_i)`` exceeds ``max_rows`` (``None`` disables the check).
+    Depends on the model and ``mapping.replication_counts`` only, never
+    on processor ids or times.  Raises
+    :class:`~repro.errors.ReplicationExplosionError` when ``m = lcm(m_i)``
+    exceeds ``max_rows`` (``None`` disables the check).
     """
     model = CommModel.parse(model)
     n = mapping.n_stages
@@ -116,17 +132,17 @@ def tpn_structure(
         raise ReplicationExplosionError(m, max_rows)
     n_cols = 2 * n - 1
 
-    # Transitions, row-major: t = row * n_cols + col.  proc[row, i] is the
-    # processor running stage i for that row's data sets (round robin).
+    # Transitions, row-major: t = row * n_cols + col.  slot[row, i] is the
+    # replica slot running stage i for that row's data sets (round robin).
+    counts = mapping.replication_counts
+    first_slot = np.cumsum((0,) + counts[:-1], dtype=np.int64)
     t = np.arange(m * n_cols)
     row, col = np.divmod(t, n_cols)
     stage = col // 2
-    proc = np.column_stack(
-        [np.asarray(a, dtype=np.int64)[np.arange(m) % len(a)] for a in mapping.assignments]
-    )
+    slot = first_slot + np.arange(m)[:, None] % np.asarray(counts)
     comp_mask = col % 2 == 0
-    proc_u = proc[row, stage]
-    proc_v = np.where(comp_mask, -1, proc[row, np.minimum(stage + 1, n - 1)])
+    slot_u = slot[row, stage]
+    slot_v = np.where(comp_mask, -1, slot[row, np.minimum(stage + 1, n - 1)])
 
     # Round-robin circuits, one table entry per (stage, replica, circuit)
     # in build order.  Replica r of a stage with m_i replicas chains rows
@@ -134,7 +150,7 @@ def tpn_structure(
     # col_in), and the wrap-around place (last row back to the first)
     # carries the single token.
     table: list[tuple[int, int, int, int, int, int]] = []
-    for i, procs in enumerate(mapping.assignments):
+    for i, m_i in enumerate(counts):
         if model.overlap:
             circuits = [(2 * i, 2 * i, PlaceKind.RR_COMP)]  # constraint 2: CPU
             if i < n - 1:  # constraint 3: output port
@@ -147,8 +163,8 @@ def tpn_structure(
             col_last = 2 * i + 1 if i < n - 1 else 2 * i
             circuits = [(col_last, col_first, PlaceKind.RCS)]
         table.extend(
-            (r, len(procs), col_out, col_in, _KIND_CODE[kind], u)
-            for r, u in enumerate(procs)
+            (r, m_i, col_out, col_in, _KIND_CODE[kind], int(first_slot[i]) + r)
+            for r in range(m_i)
             for col_out, col_in, kind in circuits
         )
     first, step, col_out, col_in, code, owner = np.array(table, dtype=np.int64).T
@@ -168,15 +184,15 @@ def tpn_structure(
         n_columns=n_cols,
         comp_mask=comp_mask,
         stage_or_file=stage,
-        proc_u=proc_u,
-        proc_v=proc_v,
+        slot_u=slot_u,
+        slot_v=slot_v,
         src=np.concatenate([flow, circ_src]),
         dst=np.concatenate([flow + 1, circ_dst]),
         tokens=np.concatenate(
             [np.zeros(n_flow, dtype=np.int64), (pos == length[circ] - 1).astype(np.int64)]
         ),
         kind=np.concatenate([np.zeros(n_flow, dtype=np.int8), code[circ].astype(np.int8)]),
-        resource_proc=np.concatenate([np.full(n_flow, -1, dtype=np.int64), owner[circ]]),
+        resource_slot=np.concatenate([np.full(n_flow, -1, dtype=np.int64), owner[circ]]),
     )
 
 
@@ -207,6 +223,58 @@ def stamp_durations(
     return dur
 
 
+@dataclass(frozen=True)
+class SlotTimes:
+    """Time operands of a topology group's rows, gathered into slot space.
+
+    Row ``b`` holds instance ``b``'s stage ``works``, ``file_sizes``,
+    ``speeds[s]`` of the processor in slot ``s`` and ``bandwidths[s, t]``
+    of the link between the processors in slots ``s`` and ``t``.  Slot
+    space has the same width ``S = sum(m_i)`` for every member of a
+    group, whatever the size of its platform.
+    """
+
+    works: npt.NDArray[np.float64]
+    sizes: npt.NDArray[np.float64]
+    speeds: npt.NDArray[np.float64]
+    bandwidths: npt.NDArray[np.float64]
+
+    @classmethod
+    def of(cls, group: Sequence[Instance] | SlotTimes) -> SlotTimes:
+        """Gather ``group`` (instances with equal replica counts) once.
+
+        One fancy-index per operand: the platforms' speeds and raveled
+        bandwidths are concatenated and read at per-row offsets plus
+        ``used_processors[slot]``.  An already gathered group is
+        returned as is; an empty one has no slot space and raises
+        :class:`~repro.errors.ValidationError`.
+        """
+        if isinstance(group, SlotTimes):
+            return group
+        B = len(group)
+        if not B:
+            raise ValidationError("an empty group has no slot space")
+        flat = chain.from_iterable
+        # slots[b, s]: processor of slot s in row b; p[b]: platform size
+        slots = np.fromiter(
+            flat(flat(i.mapping.assignments for i in group)), dtype=np.int64
+        ).reshape(B, -1)
+        p = np.fromiter((i.platform.speeds.size for i in group), dtype=np.int64, count=B)
+        speed_at = (np.cumsum(p, dtype=np.int64) - p)[:, None] + slots
+        # flat index of bandwidths[slots[b, s], 0] in the raveled concatenation
+        bw_row = (np.cumsum(p * p, dtype=np.int64) - p * p)[:, None] + slots * p[:, None]
+        return cls(
+            works=np.fromiter(flat(i.application.works for i in group), dtype=float).reshape(B, -1),
+            sizes=np.fromiter(
+                flat(i.application.file_sizes for i in group), dtype=float
+            ).reshape(B, -1),
+            speeds=np.concatenate([i.platform.speeds for i in group])[speed_at],
+            bandwidths=np.concatenate([i.platform.bandwidths.ravel() for i in group])[
+                bw_row[:, :, None] + slots[:, None, :]
+            ],
+        )
+
+
 def build_tpn(
     inst: Instance,
     model: CommModel | str,
@@ -215,7 +283,8 @@ def build_tpn(
     """Build the timed Petri net of a mapped instance.
 
     The net is the object view of :func:`tpn_structure`'s arrays, with
-    firing durations stamped from ``inst``.
+    slots resolved to ``inst``'s processors and firing durations
+    stamped from ``inst``.
 
     Parameters
     ----------
@@ -249,7 +318,11 @@ def build_tpn(
         m=st.n_rows,
         replication=inst.mapping.replication_counts,
     )
-    durations = stamp_durations(inst, st.comp_mask, st.stage_or_file, st.proc_u, st.proc_v)
+    used = inst.mapping.used_processors
+    procs = np.asarray(used, dtype=np.int64)
+    proc_u = procs[st.slot_u]
+    proc_v = np.where(st.slot_v < 0, -1, procs[st.slot_v])
+    durations = stamp_durations(inst, st.comp_mask, st.stage_or_file, proc_u, proc_v)
     net.transitions = [
         Transition(t, t // n_cols, t % n_cols, d, "comp", s, (u,))
         if comp
@@ -259,8 +332,8 @@ def build_tpn(
                 durations.tolist(),
                 st.comp_mask.tolist(),
                 st.stage_or_file.tolist(),
-                st.proc_u.tolist(),
-                st.proc_v.tolist(),
+                proc_u.tolist(),
+                proc_v.tolist(),
             )
         )
     ]
@@ -272,7 +345,7 @@ def build_tpn(
                 st.dst.tolist(),
                 st.tokens.tolist(),
                 st.kind.tolist(),
-                st.resources(),
+                st.resources(used),
             )
         )
     ]

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
+
 import pytest
 
 from repro.campaign import (
@@ -92,6 +94,59 @@ class TestResume:
             assert status["done"] == 3
             assert sum(c["done"] for c in status["cells"]) == 3
             assert sum(c["total"] for c in status["cells"]) == spec.n_points
+
+
+class TestSkippedCells:
+    """Cells ``expand()`` excludes are reported with their reasons."""
+
+    def test_status_lists_skipped_cells(self, spec, tmp_path):
+        with ResultStore(tmp_path / "s.sqlite") as store:
+            status = campaign_status(spec, store)
+        # fixed [1,2,3] fits the 3-stage synthetic app, not the 4-stage
+        # audio pipeline
+        assert status["skipped"] == [{
+            "application": "audio-pipeline", "platform": "uniform-p8",
+            "replication": "fixed-1x2x3",
+            "reason": "replication axis 'fixed-1x2x3' has 3 counts but the "
+                      "application has 4 stages",
+        }]
+        assert status["total"] == spec.n_points
+
+    def test_every_reason_is_the_draw_error(self, tmp_path):
+        data = {**SPEC_DICT, "max_paths": 4,
+                "platforms": [{"n_procs": 8}, {"n_procs": 3}]}
+        spec = CampaignSpec.from_dict(data)
+        with ResultStore(tmp_path / "s.sqlite") as store:
+            skipped = campaign_status(spec, store)["skipped"]
+        reasons = {(c["application"], c["platform"], c["replication"]): c["reason"]
+                   for c in skipped}
+        assert sorted(reasons.values()) == sorted([
+            "replication axis 'fixed-1x2x3' has lcm(m_i) = 6 > max_paths = 4",
+            "replication axis 'fixed-1x2x3' has 3 counts but the application has 4 stages",
+            "replication axis 'fixed-1x2x3' needs 6 processors but the platform has 3",
+            "need at least one processor per stage: 4 stages, 3 processors",
+            "replication axis 'fixed-1x2x3' has 3 counts but the application has 4 stages",
+        ])
+        apps = {a.label: a.application().n_stages for a in spec.applications}
+        plats = {p.label: p.n_procs for p in spec.platforms}
+        repls = {r.label: r for r in spec.replications}
+        rng = np.random.default_rng(0)
+        for (app, plat, repl), reason in reasons.items():
+            assert not repls[repl].feasible(apps[app], plats[plat], 4)
+            with pytest.raises(ValidationError) as err:
+                repls[repl].draw_mapping(apps[app], plats[plat], rng, 4)
+            assert str(err.value) == reason
+        cells = {p.cell[:3] for p in spec.expand()}
+        assert cells.isdisjoint(reasons)
+
+    def test_cli_status_prints_skipped(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(SPEC_DICT))
+        assert main(["campaign", "status", str(spec_path),
+                     "--store", str(tmp_path / "s.sqlite")]) == 0
+        assert ("  skipped audio-pipeline | uniform-p8 | fixed-1x2x3 : "
+                "replication axis 'fixed-1x2x3' has 3 counts but the "
+                "application has 4 stages") in capsys.readouterr().out
 
 
 class TestOrdering:

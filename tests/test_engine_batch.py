@@ -125,9 +125,15 @@ class TestBitIdentity:
 
 class TestCacheSemantics:
     def test_signature_groups_by_model_and_mapping(self):
+        """The key is (model, replica counts): processor ids do not enter."""
         a, b = shared_topology_instances(count=2)
         assert topology_signature(a, "overlap") == topology_signature(b, "overlap")
         assert topology_signature(a, "overlap") != topology_signature(a, "strict")
+        assert topology_signature(a, "strict") == ("strict", (2, 3, 1))
+        moved = Instance(a.application, a.platform, Mapping([(5, 4), (0, 2, 1), (3,)]))
+        assert topology_signature(moved, "strict") == topology_signature(a, "strict")
+        fewer = Instance(a.application, a.platform, Mapping([(0,), (1, 2, 3), (4,)]))
+        assert topology_signature(fewer, "strict") != topology_signature(a, "strict")
 
     def test_cache_hit_returns_identical_results(self):
         inst = shared_topology_instances(count=1)[0]

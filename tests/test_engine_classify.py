@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import Instance, Mapping
 from repro.algorithms.bounds import classify_critical_resource
 from repro.core.cycle_time import cycle_times
 from repro.core.throughput import compute_period
@@ -108,7 +109,12 @@ class TestEnginePlanCache:
         engine.evaluate(inst, "overlap")
         engine.evaluate(inst, "overlap")
         engine.evaluate(inst, "strict")
-        # one plan per (model, assignments) signature
+        # one plan per (model, replication counts) signature: a
+        # relabelled mapping with the same counts reuses it
+        relabelled = Instance(inst.application, inst.platform, Mapping(
+            [tuple(reversed(a)) for a in inst.mapping.assignments]))
+        assert relabelled.mapping != inst.mapping
+        engine.evaluate(relabelled, "overlap")
         assert len(engine._ct_plans) == 2
 
     def test_plan_cache_bounded(self):

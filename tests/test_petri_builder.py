@@ -221,7 +221,7 @@ class TestArrayBuilderParity:
         assert net.places == ref.places
         st = tpn_structure(inst.mapping, model)
         assert st.n_transitions == ref.n_transitions
-        assert st.resources() == [p.resource for p in ref.places]
+        assert st.resources(inst.mapping.used_processors) == [p.resource for p in ref.places]
         assert [PlaceKind.ALL[k] for k in st.kind.tolist()] == [
             p.kind for p in ref.places]
 
