@@ -19,6 +19,13 @@ vectors, in shuffled order.  Topologies are keyed by replica counts, so
 it must cost exactly ``K`` skeleton builds (``relabelled_builds``),
 with every result bit-identical to ``compute_period``.
 
+A third, seeded sweep evaluates random-assignment overlap instances on
+the Theorem-1 path.  The engine computes the period only and skips
+every pattern whose contribution bound stays below the running max; it
+records how many pattern solves remain (``poly_patterns_solved``) and
+whether every period is bit-identical to ``compute_period``
+(``poly_identical``).
+
 Run standalone (asserts identity and the single-build contract)::
 
     PYTHONPATH=src python benchmarks/bench_engine_batch.py
@@ -132,6 +139,48 @@ def run_relabelled() -> dict:
     }
 
 
+#: Replica counts of the overlap sweep: several components per file.
+OVERLAP_COUNTS = ((2, 4, 6), (3, 6, 2), (4, 2, 4, 2), (6, 4), (1, 3, 6))
+N_OVERLAP = 120
+
+
+def run_overlap(n_instances: int = N_OVERLAP, seed: int = 2) -> dict:
+    """Pattern solves and identity of a seeded Theorem-1 sweep."""
+    rng = np.random.default_rng(seed)
+    instances = []
+    for _ in range(n_instances):
+        counts = OVERLAP_COUNTS[int(rng.integers(len(OVERLAP_COUNTS)))]
+        p = sum(counts) + int(rng.integers(0, 4))
+        procs = rng.permutation(p).tolist()
+        bounds = np.cumsum((0,) + counts).tolist()
+        mapping = Mapping([procs[bounds[i]: bounds[i + 1]]
+                           for i in range(len(counts))], n_processors=p)
+        comm = rng.uniform(1.0, 15.0, (p, p))
+        np.fill_diagonal(comm, 0.0)
+        # file sizes up to 20x: comm-bound files whose patterns must be solved
+        app = Application(works=rng.uniform(1.0, 10.0, len(counts)).tolist(),
+                          file_sizes=rng.uniform(0.5, 20.0, len(counts) - 1).tolist())
+        instances.append(Instance(
+            app, Platform.from_comm_times(rng.uniform(5.0, 15.0, p), comm),
+            mapping))
+    TELEMETRY.enable("bench")
+    try:
+        batched = evaluate(instances, "overlap", engine=BatchEngine())
+    finally:
+        TELEMETRY.disable()
+    counters = TELEMETRY.counter_snapshot()
+    solved = counters.get("poly.patterns_solved", 0)
+    pruned = counters.get("poly.patterns_pruned", 0)
+    return {
+        "poly_patterns": solved + pruned,
+        "poly_patterns_solved": solved,
+        "poly_identical": all(
+            b.period == compute_period(i, "overlap").period
+            for b, i in zip(batched, instances)
+        ),
+    }
+
+
 def run_comparison(n_instances: int = N_INSTANCES) -> dict:
     """Time per-call vs batched evaluation; verify identity; return stats."""
     instances = make_sweep(n_instances)
@@ -157,6 +206,7 @@ def run_comparison(n_instances: int = N_INSTANCES) -> dict:
     per_call_s, batch_s = t1 - t0, t2 - t1
     counters = count_cache_work(instances)
     relabelled = run_relabelled()
+    overlap = run_overlap()
     return {
         "n": len(instances),
         "per_call_s": per_call_s,
@@ -172,6 +222,8 @@ def run_comparison(n_instances: int = N_INSTANCES) -> dict:
         "relabelled_assignments": relabelled["assignments"],
         "relabelled_builds": relabelled["relabelled_builds"],
         "relabelled_identical": relabelled["relabelled_identical"],
+        # Theorem-1 sweep: pattern solves left after bound pruning.
+        **overlap,
     }
 
 
@@ -241,7 +293,11 @@ def main() -> int:
         f"{stats['skeleton_builds']} skeleton builds for one shared "
         f"topology (expected exactly 1)"
     )
+    print(f"overlap sweep: {stats['poly_patterns_solved']} of "
+          f"{stats['poly_patterns']} pattern solves left after pruning, "
+          f"bit-identical {stats['poly_identical']}")
     assert stats["relabelled_identical"], "random-assignment results diverged"
+    assert stats["poly_identical"], "Theorem-1 periods diverged"
     assert stats["relabelled_builds"] == stats["count_vectors"], (
         f"{stats['relabelled_builds']} skeleton builds for "
         f"{stats['count_vectors']} count vectors"

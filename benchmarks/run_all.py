@@ -36,7 +36,7 @@ from pathlib import Path
 SCHEMA = 2
 
 #: The PR this harness currently reports for.
-PR = 17
+PR = 18
 
 #: Cross-report deterministic contracts: ``--compare`` fails when the
 #: current value is worse than the previous report's.  Direction
@@ -55,6 +55,8 @@ CONTRACTS = [
     ("engine_batch", "skeleton_builds", "<="),
     ("engine_batch", "relabelled_identical", ">="),
     ("engine_batch", "relabelled_builds", "<="),
+    ("engine_batch", "poly_patterns_solved", "<="),
+    ("engine_batch", "poly_identical", ">="),
     ("campaign_ordering", "identical", ">="),
     ("campaign_ordering", "campaign_rounds", "<="),
     ("campaign_ordering", "campaign_builds", "<="),
@@ -179,6 +181,7 @@ def collect() -> dict:
                 _assert(s["relabelled_builds"] == s["count_vectors"],
                         f"{s['relabelled_builds']} skeleton builds for "
                         f"{s['count_vectors']} count vectors"),
+                _assert(s["poly_identical"], "Theorem-1 periods diverged"),
             ],
             True,
         ),

@@ -13,16 +13,41 @@ contributes ``max_g ratio(pattern G'_g) / lcm(m_i, m_{i+1})`` over its
 Total cost ``O(sum_i (m_i * m_{i+1})^3)`` — polynomial in the mapping
 size even when the full net has ``lcm(m_i)`` rows (Example C: pattern
 graphs of 63 cells stand in for a 10395-row net).
+
+:func:`overlap_period` is the oracle: it solves every pattern and returns
+the full :class:`OverlapBreakdown`.  :func:`overlap_period_value` returns
+the same period bits and skips every pattern whose contribution provably
+stays below the running maximum (see its docstring for the bound).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.instance import Instance
-from ..petri.reduction import CommPattern, CompColumn, comm_patterns, computation_column
+import numpy as np
 
-__all__ = ["ColumnContribution", "OverlapBreakdown", "overlap_period"]
+from ..core.instance import Instance
+from ..petri.reduction import (
+    CommPattern,
+    CompColumn,
+    comm_patterns,
+    computation_column,
+    file_column,
+    pattern_ratio,
+)
+from ..telemetry import TELEMETRY
+
+__all__ = [
+    "ColumnContribution",
+    "OverlapBreakdown",
+    "overlap_period",
+    "overlap_period_value",
+]
+
+#: Lawler fallback tolerances (relative, absolute): when policy iteration
+#: fails, a pattern's ratio is a bisection midpoint within them of the
+#: exact maximum cycle ratio.
+_LAWLER_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -127,3 +152,77 @@ def overlap_period(inst: Instance) -> OverlapBreakdown:
     cols.sort(key=lambda c: c.column)
     period = max(c.value for c in cols)
     return OverlapBreakdown(period=period, columns=tuple(cols))
+
+
+def _bound_margin(u: int, v: int) -> float:
+    """Rounding-safe factor on a ``u x v`` pattern's ratio bound.
+
+    A cycle of the torus that wraps ``k_d`` times down and ``k_r`` times
+    right has ``k_d * u + k_r * v`` edges and ``k_d + k_r`` tokens, so its
+    exact ratio is at most ``max(u, v) * max(durations)``.  A computed
+    contribution is the float sum of at most ``u * v`` weights over the
+    token count, then divided by ``window``: ``u * v + 2`` roundings, and
+    the bound adds three of its own, all covered by ``(u * v + 4) *
+    2**-52``.  The Lawler fallback's tolerances are added on top.
+    """
+    return 1.0 + (u * v + 4) * 2.0**-52 + _LAWLER_SLACK
+
+
+def overlap_period_value(inst: Instance) -> float:
+    """Theorem 1's period alone: bit-identical to ``overlap_period(inst).period``.
+
+    The period is a max of column contributions, and ``max`` is exact, so
+    a pattern whose contribution bound (:func:`_bound_margin`) is
+    strictly below a contribution already computed cannot change the
+    result and is never solved.  The incumbent holds computed values only
+    (the computation columns, then every solved pattern): Howard stops
+    at an absolute tolerance, so a solved ratio may land just under the
+    pattern's row-sum / column-sum lower bound, and a lower bound in the
+    incumbent could prune a pattern the oracle's max would pick.  The
+    lower bounds only order the solves, largest first, so the incumbent
+    rises early.  While telemetry is on, ``poly.patterns_solved`` and
+    ``poly.patterns_pruned`` count both outcomes.
+
+    Examples
+    --------
+    >>> from repro.experiments.examples_paper import example_c
+    >>> overlap_period_value(example_c()) == overlap_period(example_c()).period
+    True
+    """
+    speeds = inst.platform.speeds.tolist()
+    # max_u (w_i / Pi_u) is w_i over the slowest replica's speed: the
+    # division rounds monotonically, so the bits match computation_column.
+    incumbent = max(
+        work / min(speeds[proc] for proc in procs) / len(procs)
+        for work, procs in zip(inst.application.works, inst.mapping.assignments)
+    )
+    # (lower bound, bound, u, v, window, durations) of the unpruned patterns
+    pending = []
+    total = 0
+    for i in range(inst.n_stages - 1):
+        col = file_column(inst, i)
+        total += col.p
+        d = col.durations
+        scale = max(col.u, col.v) * _bound_margin(col.u, col.v)
+        bounds = [
+            (scale * dmax + _LAWLER_SLACK) / col.window
+            for dmax in d.max(axis=(1, 2)).tolist()
+        ]
+        live = [g for g, bound in enumerate(bounds) if not bound < incumbent]
+        if live:  # a NaN bound stays live: its solve raises like the oracle's
+            lower = np.maximum(d.sum(axis=2).max(axis=1), d.sum(axis=1).max(axis=1))
+            pending.extend(
+                (float(lower[g]) / col.window, bounds[g], col.u, col.v, col.window, d[g])
+                for g in live
+            )
+    pending.sort(key=lambda item: -item[0])
+    solved = 0
+    for _, bound, u, v, window, durations in pending:
+        if bound < incumbent:
+            continue
+        solved += 1
+        incumbent = max(incumbent, pattern_ratio(u, v, durations) / window)
+    if TELEMETRY.enabled:
+        TELEMETRY.count("poly.patterns_solved", solved)
+        TELEMETRY.count("poly.patterns_pruned", total - solved)
+    return incumbent

@@ -780,16 +780,23 @@ def campaign_status(spec: CampaignSpec, store: ResultStore) -> dict[str, Any]:
             }
             for cell, flags in stored.items()
         ],
-        "skipped": [
-            {"application": app.label, "platform": plat.label,
-             "replication": repl.label, "reason": reason}
-            for app in spec.applications
-            for plat in spec.platforms
-            for repl in spec.replications
-            if (reason := repl.infeasibility(app.application().n_stages,
-                                             plat.n_procs, spec.max_paths))
-        ],
+        "skipped": _skipped_cells(spec),
     }
+
+
+def _skipped_cells(spec: CampaignSpec) -> list[dict[str, str]]:
+    """The cells :meth:`CampaignSpec.expand` excludes, with the
+    :meth:`~repro.campaign.spec.ReplicationAxis.infeasibility` reason
+    of each (spec order)."""
+    return [
+        {"application": app.label, "platform": plat.label,
+         "replication": repl.label, "reason": reason}
+        for app in spec.applications
+        for plat in spec.platforms
+        for repl in spec.replications
+        if (reason := repl.infeasibility(app.application().n_stages,
+                                         plat.n_procs, spec.max_paths))
+    ]
 
 
 def _require_complete(

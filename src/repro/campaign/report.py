@@ -28,7 +28,7 @@ from typing import Any, Mapping, Sequence
 from ..objectives.base import OBJECTIVE_SENSES
 from ..objectives.pareto import dominates
 from ..utils import canonical_json
-from .executor import campaign_rows, _require_complete
+from .executor import campaign_rows, _require_complete, _skipped_cells
 from .spec import CampaignSpec
 from .store import ResultStore
 
@@ -87,6 +87,10 @@ def campaign_report_data(
     set in minimization space (reliability negated), sorted by vector.
     The key is **absent** for period-only specs, so their report bytes
     are unchanged.
+
+    ``"skipped"`` lists the cells the spec's expansion excludes, with
+    the reasons ``campaign status`` gives; the key is **absent** when
+    every cell is feasible.
 
     ``counters`` — a deterministic-counter mapping, typically the
     ``counters`` of a :func:`repro.telemetry.merge_traces` result —
@@ -148,6 +152,9 @@ def campaign_report_data(
         "pivots": pivots,
         "model_deltas": deltas,
     }
+    skipped = _skipped_cells(spec)
+    if skipped:
+        data["skipped"] = skipped
     if spec.objectives != ("period",):
         data["objectives"] = _objectives_section(rows, spec.objectives)
     if counters is not None:
@@ -288,6 +295,11 @@ def render_report_text(data: Mapping[str, Any]) -> str:
         f"rows           : {data['rows']} / {data['total']}"
         + (f"  ({data['missing']} missing)" if data["missing"] else ""),
     ]
+    lines.extend(
+        f"skipped        : {c['application']} | {c['platform']} | "
+        f"{c['replication']} : {c['reason']}"
+        for c in data.get("skipped", ())
+    )
     header = ("label", "n", "period mean", "min", "max",
               "gap mean", "crit%")
     for axis in _AXES:

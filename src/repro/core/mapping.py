@@ -14,10 +14,11 @@ meaningful — it fixes the round-robin phase.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Sequence
 
 from ..errors import MappingError
-from ..utils import gcd_all, lcm_all
+from ..utils import lcm_all
 
 __all__ = ["Mapping"]
 
@@ -165,10 +166,10 @@ class Mapping:
         """
         if not 0 <= i < self.n_stages - 1:
             raise IndexError(f"file index {i} out of range [0, {self.n_stages - 1})")
-        a = self.replication(i)
-        b = self.replication(i + 1)
-        p = gcd_all([a, b])
-        return p, a // p, b // p, lcm_all([a, b])
+        a = len(self.assignments[i])
+        b = len(self.assignments[i + 1])
+        p = math.gcd(a, b)
+        return p, a // p, b // p, a // p * b
 
     def _check_stage(self, i: int) -> int:
         if not 0 <= i < self.n_stages:

@@ -54,7 +54,8 @@ from typing import Iterable, Iterator, Sequence, overload
 import numpy as np
 
 from ..algorithms.general_tpn import TpnSolution
-from ..algorithms.overlap_poly import OverlapBreakdown, overlap_period
+from ..algorithms.overlap_poly import overlap_period  # noqa: F401 - perfbench/layers.py wraps this name
+from ..algorithms.overlap_poly import overlap_period_value
 from ..core.instance import Instance
 from ..core.models import CommModel
 from ..core.throughput import PeriodResult, compute_period
@@ -124,10 +125,14 @@ class BatchEngine:
     ``evaluate`` returns :class:`PeriodResult` objects whose numeric
     fields (``period``, ``throughput``, ``mct``, ``relative_gap``,
     ``has_critical_resource``, ``m``, ``method``, ``model``) and
-    ``breakdown`` / ``tpn_solution.ratio`` payloads are bit-identical
-    to ``compute_period(inst, model, method)``.  The only difference:
-    TPN results carry ``tpn_solution.net = None`` because the engine
-    never materializes the per-instance net object.
+    ``tpn_solution.ratio`` payloads are bit-identical to
+    ``compute_period(inst, model, method)``.  Two payloads are left out
+    because the engine never materializes them: TPN results carry
+    ``tpn_solution.net = None`` (no per-instance net object) and
+    polynomial results carry ``breakdown=None`` (the period comes from
+    :func:`~repro.algorithms.overlap_poly.overlap_period_value`, which
+    skips patterns that cannot reach the max).  Call
+    :func:`~repro.core.throughput.compute_period` for either.
     """
 
     max_rows: int | None = DEFAULT_MAX_ROWS
@@ -244,7 +249,6 @@ class BatchEngine:
             TELEMETRY.count("engine.points." + method)
             TELEMETRY.count("engine.paths", inst.num_paths)
         key = topology_signature(inst, model)
-        breakdown: OverlapBreakdown | None = None
         solution: TpnSolution | None = None
         if method == "polynomial":
             if not model.overlap:
@@ -252,8 +256,9 @@ class BatchEngine:
                     "the polynomial algorithm (Theorem 1) only applies to the "
                     "OVERLAP ONE-PORT model; use method='tpn' for STRICT"
                 )
-            breakdown = overlap_period(inst)
-            period = breakdown.period
+            # Period only: the bound-pruned Theorem-1 routine, same bits
+            # as the oracle's breakdown.period.
+            period = overlap_period_value(inst)
         elif method == "tpn":
             sk = self._skeleton_for(key, inst, model)
             sk.check_budget(self.max_rows)
@@ -285,7 +290,7 @@ class BatchEngine:
             m=inst.num_paths,
             mct=mct,
             has_critical_resource=has_critical,
-            breakdown=breakdown,
+            breakdown=None,
             tpn_solution=solution,
         )
 

@@ -246,7 +246,9 @@ class SlotTimes:
         One fancy-index per operand: the platforms' speeds and raveled
         bandwidths are concatenated and read at per-row offsets plus
         ``used_processors[slot]``.  An already gathered group is
-        returned as is; an empty one has no slot space and raises
+        returned as is.  An empty group has no slot space, and members
+        whose ``mapping.replication_counts`` differ from the first
+        member's would gather slots of another topology; both raise
         :class:`~repro.errors.ValidationError`.
         """
         if isinstance(group, SlotTimes):
@@ -254,6 +256,14 @@ class SlotTimes:
         B = len(group)
         if not B:
             raise ValidationError("an empty group has no slot space")
+        counts = group[0].mapping.replication_counts
+        for b, inst in enumerate(group):
+            if inst.mapping.replication_counts != counts:
+                raise ValidationError(
+                    f"group member {b} has replica counts "
+                    f"{inst.mapping.replication_counts}, member 0 has {counts}: "
+                    f"a slot-space group shares one count vector"
+                )
         flat = chain.from_iterable
         # slots[b, s]: processor of slot s in row b; p[b]: platform size
         slots = np.fromiter(

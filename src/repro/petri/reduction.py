@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,7 +47,10 @@ __all__ = [
     "computation_column",
     "comm_patterns",
     "column_subgraph",
+    "FileColumn",
+    "file_column",
     "pattern_plan",
+    "pattern_ratio",
 ]
 
 #: Pattern shapes whose Howard plan stays cached (least recently used
@@ -78,10 +82,27 @@ def pattern_plan(u: int, v: int) -> howard.HowardPlan:
     The torus' structure depends on ``(u, v)`` only (the durations are
     its weights), so every pattern of one shape shares one plan.
     """
+    return howard.prepare_howard(_torus_graph(u, v, np.zeros(2 * u * v)))
+
+
+def _torus_graph(u: int, v: int, weights: np.ndarray) -> RatioGraph:
+    """The ``u x v`` pattern torus with per-edge ``weights``."""
     src, dst, tokens = _torus(u, v)
-    return howard.prepare_howard(
-        RatioGraph.from_arrays(u * v, src, dst, np.zeros(src.size), tokens)
-    )
+    return RatioGraph.from_arrays(u * v, src, dst, weights, tokens)
+
+
+def pattern_ratio(u: int, v: int, durations: np.ndarray) -> float:
+    """Maximum cycle ratio of a ``u x v`` pattern torus (TPN time units).
+
+    Solved on the cached plan of its shape (:func:`pattern_plan`);
+    bit-identical to ``max_cycle_ratio`` on the torus graph, including
+    the Lawler fallback when policy iteration fails.
+    """
+    weights = np.repeat(durations.ravel(), 2)
+    try:
+        return howard.solve_prepared(pattern_plan(u, v), weights).value
+    except SolverError:
+        return max_cycle_ratio_lawler(_torus_graph(u, v, weights))
 
 
 @dataclass(frozen=True)
@@ -141,24 +162,15 @@ class CommPattern:
 
     def to_ratio_graph(self) -> RatioGraph:
         """The torus graph ``G'``: down/right edges, tokens on wrap arcs."""
-        src, dst, tokens = _torus(self.u, self.v)
-        return RatioGraph.from_arrays(
-            self.u * self.v, src, dst, np.repeat(self.durations.ravel(), 2), tokens
-        )
+        return _torus_graph(self.u, self.v, np.repeat(self.durations.ravel(), 2))
 
     def critical_ratio(self) -> float:
         """Maximum cycle ratio of the pattern graph (TPN time units).
 
-        Solved on the cached plan of its ``(u, v)`` shape
-        (:func:`pattern_plan`); bit-identical to
-        ``max_cycle_ratio(self.to_ratio_graph()).value``, including the
-        Lawler fallback when policy iteration fails.
+        :func:`pattern_ratio` of its durations: bit-identical to
+        ``max_cycle_ratio(self.to_ratio_graph()).value``.
         """
-        weights = np.repeat(self.durations.ravel(), 2)
-        try:
-            return howard.solve_prepared(pattern_plan(self.u, self.v), weights).value
-        except SolverError:
-            return max_cycle_ratio_lawler(self.to_ratio_graph())
+        return pattern_ratio(self.u, self.v, self.durations)
 
     def contribution(self) -> float:
         """Per-data-set period contribution of this component."""
@@ -182,6 +194,66 @@ def computation_column(inst: Instance, stage: int) -> CompColumn:
     )
 
 
+class FileColumn(NamedTuple):
+    """Every pattern of one file column, as arrays.
+
+    Attributes
+    ----------
+    p, u, v, window:
+        Decomposition constants of :meth:`Mapping.comm_structure
+        <repro.core.mapping.Mapping.comm_structure>`.
+    senders, receivers:
+        ``(p, u)`` and ``(p, v)`` processor indices: row ``g`` holds
+        component ``g``'s pattern rows and pattern columns.
+    durations:
+        ``(p, u, v)`` transfer times, read-only; ``durations[g]`` is the
+        pattern of component ``g``.
+    """
+
+    p: int
+    u: int
+    v: int
+    window: int
+    senders: np.ndarray
+    receivers: np.ndarray
+    durations: np.ndarray
+
+
+@functools.lru_cache(maxsize=PATTERN_PLAN_CACHE_SIZE)
+def _cell_positions(p: int, u: int, v: int) -> tuple[np.ndarray, np.ndarray]:
+    """Replica positions of every component's pattern rows and columns.
+
+    For ``a = p * u`` senders and ``b = p * v`` receivers, component
+    ``g``'s row ``alpha`` is sender ``(g + alpha * b) mod a`` and its
+    column ``beta`` receiver ``(g + beta * a) mod b``.
+    """
+    a, b = p * u, p * v
+    g = np.arange(p)[:, None]
+    rows, cols = (g + np.arange(u) * b) % a, (g + np.arange(v) * a) % b
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
+
+
+def file_column(inst: Instance, file_index: int) -> FileColumn:
+    """Pattern durations of every component of file ``F_i``'s column.
+
+    One gather and one division cover all ``p`` components.
+    """
+    mapping = inst.mapping
+    p, u, v, window = mapping.comm_structure(file_index)
+    rows, cols = _cell_positions(p, u, v)
+    senders = np.asarray(mapping.processors_of(file_index))[rows]
+    receivers = np.asarray(mapping.processors_of(file_index + 1))[cols]
+    # delta_i / b_{s,r} per cell: the divisions of Instance.comm_time,
+    # with size / inf == 0.0 on infinite-bandwidth links.
+    durations = inst.application.file_size(file_index) / inst.platform.bandwidths[
+        senders[:, :, None], receivers[:, None, :]
+    ]
+    durations.setflags(write=False)
+    return FileColumn(p, u, v, window, senders, receivers, durations)
+
+
 def comm_patterns(inst: Instance, file_index: int) -> list[CommPattern]:
     """Pattern graphs of every connected component of file ``F_i``'s column.
 
@@ -195,38 +267,21 @@ def comm_patterns(inst: Instance, file_index: int) -> list[CommPattern]:
     >>> [(pat.p, pat.u, pat.v) for pat in pats]
     [(3, 7, 9), (3, 7, 9), (3, 7, 9)]
     """
-    mapping = inst.mapping
-    p, u, v, window = mapping.comm_structure(file_index)
-    senders_all = mapping.processors_of(file_index)
-    receivers_all = mapping.processors_of(file_index + 1)
-    a, b = len(senders_all), len(receivers_all)
-    size = inst.application.file_size(file_index)
-    bandwidths = inst.platform.bandwidths
-
-    out: list[CommPattern] = []
-    for g in range(p):
-        senders = tuple(senders_all[(g + alpha * b) % a] for alpha in range(u))
-        receivers = tuple(receivers_all[(g + beta * a) % b] for beta in range(v))
-        # delta_i / b_{s,r} per cell: the divisions of Instance.comm_time,
-        # with size / inf == 0.0 on infinite-bandwidth links.
-        durations = size / bandwidths[
-            np.asarray(senders)[:, None], np.asarray(receivers)[None, :]
-        ]
-        durations.setflags(write=False)
-        out.append(
-            CommPattern(
-                file_index=file_index,
-                component=g,
-                p=p,
-                u=u,
-                v=v,
-                window=window,
-                senders=senders,
-                receivers=receivers,
-                durations=durations,
-            )
+    col = file_column(inst, file_index)
+    return [
+        CommPattern(
+            file_index=file_index,
+            component=g,
+            p=col.p,
+            u=col.u,
+            v=col.v,
+            window=col.window,
+            senders=tuple(col.senders[g].tolist()),
+            receivers=tuple(col.receivers[g].tolist()),
+            durations=col.durations[g],
         )
-    return out
+        for g in range(col.p)
+    ]
 
 
 def column_subgraph(

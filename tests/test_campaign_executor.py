@@ -17,6 +17,7 @@ import pytest
 from repro.campaign import (
     CampaignSpec,
     ResultStore,
+    campaign_report_data,
     campaign_status,
     export_campaign_csv,
     export_campaign_json,
@@ -145,6 +146,35 @@ class TestSkippedCells:
         assert main(["campaign", "status", str(spec_path),
                      "--store", str(tmp_path / "s.sqlite")]) == 0
         assert ("  skipped audio-pipeline | uniform-p8 | fixed-1x2x3 : "
+                "replication axis 'fixed-1x2x3' has 3 counts but the "
+                "application has 4 stages") in capsys.readouterr().out
+
+
+    def test_report_lists_skipped_cells(self, spec, tmp_path):
+        with ResultStore(tmp_path / "s.sqlite") as store:
+            run_campaign(spec, store)
+            report = campaign_report_data(spec, store)
+            status = campaign_status(spec, store)
+        assert report["skipped"] == status["skipped"]
+        assert len(report["skipped"]) == 1
+
+    def test_report_omits_key_without_skipped_cells(self, tmp_path):
+        spec = CampaignSpec.from_dict({
+            **SPEC_DICT, "draws": 1,
+            "replications": [{"policy": "balls"}],
+        })
+        with ResultStore(tmp_path / "s.sqlite") as store:
+            run_campaign(spec, store)
+            assert "skipped" not in campaign_report_data(spec, store)
+
+    def test_cli_report_prints_skipped(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(SPEC_DICT))
+        store = str(tmp_path / "s.sqlite")
+        assert main(["campaign", "run", str(spec_path), "--store", store]) == 0
+        capsys.readouterr()
+        assert main(["campaign", "report", str(spec_path), "--store", store]) == 0
+        assert ("skipped        : audio-pipeline | uniform-p8 | fixed-1x2x3 : "
                 "replication axis 'fixed-1x2x3' has 3 counts but the "
                 "application has 4 stages") in capsys.readouterr().out
 

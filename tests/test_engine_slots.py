@@ -153,6 +153,15 @@ class TestRelabellingInvariance:
         with pytest.raises(ValidationError):
             SlotTimes.of([])
 
+    @pytest.mark.parametrize("other", [(2, 1, 2), (1, 2, 3)],
+                             ids=["permuted", "wrong-total"])
+    def test_slot_times_reject_mixed_counts(self, other):
+        """A permuted count vector has the same slot total, so only the
+        count check keeps it from gathering another topology's slots."""
+        group = relabelled((1, 2, 2), 2, seed=2) + relabelled(other, 1, seed=3)
+        with pytest.raises(ValidationError, match="replica counts"):
+            SlotTimes.of(group)
+
     def test_renamed_members_warn_and_name_slots(self):
         inst = example_a()
         sk = build_skeleton(inst, "strict")
