@@ -307,7 +307,7 @@ def _cmd_table2(args: argparse.Namespace) -> int:
     with _open_store(args.store) as store:
         rows = run_table2(scale=args.scale, models=tuple(args.models),
                           n_jobs=args.jobs, root_seed=args.seed,
-                          engine=args.engine, store=store)
+                          store=store)
     print(format_table2(rows))
     return 0
 
@@ -324,13 +324,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     with _open_store(args.store) as store:
         records = run_family(
             config, args.model, count=args.count, root_seed=args.seed,
-            n_jobs=args.jobs, engine=args.engine, store=store,
+            n_jobs=args.jobs, store=store,
         )
     no_crit = [r for r in records if not r.critical]
     payload = {
         "family": config.name,
         "model": args.model,
-        "engine": args.engine,
         "experiments": len(records),
         "no_critical": len(no_crit),
         "max_gap": max((r.gap for r in no_crit), default=0.0),
@@ -338,7 +337,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     }
     if not _machine_stdout(args, payload):
         print(f"family         : {config.name}")
-        print(f"model / engine : {args.model} / {args.engine}")
+        print(f"model          : {args.model}")
         print(f"experiments    : {len(records)}")
         print(f"no critical    : {len(no_crit)}")
         if no_crit:
@@ -715,8 +714,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=0,
                    help="worker processes (0 = all cores, 1 = serial)")
     p.add_argument("--seed", type=int, default=20090302)
-    p.add_argument("--engine", default="batch", choices=["batch", "percall"],
-                   help="evaluation engine (identical records either way)")
     p.add_argument("--store", default=None,
                    help="content-addressed result store (SQLite path); "
                         "already-stored points are reused, new ones saved")
@@ -732,9 +729,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=None,
                    help="number of experiments (default: the family's "
                         "paper count)")
-    p.add_argument("--engine", default="batch", choices=["batch", "percall"],
-                   help="batched topology-cached evaluation vs the "
-                        "historical per-call path")
     p.add_argument("--jobs", type=int, default=0,
                    help="worker processes (0 = all cores, 1 = serial)")
     p.add_argument("--seed", type=int, default=20090302)

@@ -12,24 +12,18 @@ never with Python's :func:`hash`, whose per-process randomization
 (``PYTHONHASHSEED``) would silently make "reproducible" sweeps differ
 between interpreter runs.
 
-Two execution engines are available (``engine=`` parameter):
-
-* ``"batch"`` (default) — instances are generated up front and evaluated
-  through :func:`repro.engine.evaluate`, which caches the TPN
-  skeleton and solver preparation per mapping topology and shards large
-  sweeps across worker processes with deterministic chunking;
-* ``"percall"`` — the historical path: one
-  :func:`~repro.core.throughput.compute_period` call per experiment,
-  optionally fanned out one task per seed.
-
-Both engines produce bit-identical :class:`ExperimentRecord` lists.
+:func:`run_family` draws every instance up front and evaluates the whole
+family through :func:`repro.engine.evaluate`, which caches the TPN
+skeleton and solver preparation per mapping topology and shards large
+sweeps across worker processes with deterministic chunking; with a
+``store=`` it evaluates only the points the store does not hold.
+:func:`run_single` is the per-seed
+:func:`~repro.core.throughput.compute_period` oracle: its records are
+bit-identical to the matching :func:`run_family` records.
 """
 
 from __future__ import annotations
 
-import os
-import zlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -42,7 +36,7 @@ from ..core.instance import Instance
 from ..core.models import CommModel
 from ..core.throughput import PeriodResult, compute_period
 from ..engine import evaluate
-from ..errors import ValidationError
+from ..utils import spawn_seeds
 from .generator import ExperimentConfig, instance_from_config
 
 __all__ = ["ExperimentRecord", "run_family", "run_single", "family_seeds"]
@@ -134,16 +128,11 @@ def run_single(
     seed_entropy: int,
     max_paths: int = DEFAULT_MAX_PATHS,
 ) -> ExperimentRecord:
-    """Run one experiment (pure function of its seed — safe to fork out)."""
+    """Run one experiment through ``compute_period`` (the sweep oracle)."""
     model = CommModel.parse(model)
     inst = _draw_instance(config, seed_entropy, max_paths)
     result = compute_period(inst, model, max_rows=max_paths + 1)
     return _record_from(config, model, seed_entropy, inst, result)
-
-
-def _run_single_args(args: tuple) -> ExperimentRecord:
-    """Module-level trampoline for process pools (picklable)."""
-    return run_single(*args)
 
 
 def family_seeds(
@@ -158,13 +147,13 @@ def family_seeds(
     ``crc32(config.name)`` — stable across interpreters and platforms,
     unlike ``hash()`` which is randomized per process by
     ``PYTHONHASHSEED``.
+
+    Raises
+    ------
+    ValidationError
+        If ``count`` is negative.
     """
-    model = CommModel.parse(model)
-    ss = np.random.SeedSequence(
-        [root_seed, zlib.crc32(config.name.encode()) & 0x7FFFFFFF,
-         0 if model.overlap else 1]
-    )
-    return [int(child.generate_state(1)[0]) for child in ss.spawn(count)]
+    return spawn_seeds(root_seed, config.name, CommModel.parse(model).overlap, count)
 
 
 def run_family(
@@ -174,7 +163,6 @@ def run_family(
     root_seed: int = 20090302,
     n_jobs: int | None = None,
     max_paths: int = DEFAULT_MAX_PATHS,
-    engine: str = "batch",
     store: "ResultStore | None" = None,
 ) -> list[ExperimentRecord]:
     """Run ``count`` experiments of one family under one model.
@@ -190,55 +178,34 @@ def run_family(
         any interpreter invocation.
     n_jobs:
         Worker processes; ``None``/1 runs serially, 0 uses all cores.
-    engine:
-        ``"batch"`` routes evaluation through
-        :func:`repro.engine.evaluate` (topology-cached, sharded);
-        ``"percall"`` keeps the historical one-call-per-seed path.
-        Records are bit-identical either way.
     store:
         Optional content-addressed
-        :class:`~repro.campaign.store.ResultStore` (batch engine only):
-        already-stored evaluations are loaded instead of recomputed and
-        fresh ones are written back, so repeated sweeps — or a sweep
-        overlapping a campaign — cost only the missing points.  Records
-        are bit-identical with or without a store.
+        :class:`~repro.campaign.store.ResultStore`: already-stored
+        evaluations are loaded instead of recomputed and fresh ones are
+        written back, so repeated sweeps — or a sweep overlapping a
+        campaign — cost only the missing points.  Records are
+        bit-identical with or without a store.
+
+    Raises
+    ------
+    ValidationError
+        If ``count`` is negative.
     """
     model = CommModel.parse(model)
     if count is None:
         count = config.count
     seeds = family_seeds(config, model, count, root_seed=root_seed)
-
-    if store is not None and engine != "batch":
-        raise ValidationError(
-            "store routing requires engine='batch' (the per-call path "
-            "predates the content-addressed store)"
-        )
-
-    if engine == "batch":
-        instances = [_draw_instance(config, s, max_paths) for s in seeds]
-        if store is None:
-            results = evaluate(
-                instances, model, max_rows=max_paths + 1, n_jobs=n_jobs
-            )
-            return [
-                _record_from(config, model, s, inst, res)
-                for s, inst, res in zip(seeds, instances, results)
-            ]
+    instances = [_draw_instance(config, s, max_paths) for s in seeds]
+    if store is not None:
         return _run_family_stored(
             config, model, seeds, instances, store,
             max_paths=max_paths, n_jobs=n_jobs,
         )
-    if engine != "percall":
-        raise ValidationError(
-            f"unknown engine {engine!r}; expected 'batch' or 'percall'"
-        )
-
-    tasks = [(config, model, s, max_paths) for s in seeds]
-    if n_jobs is None or n_jobs == 1 or count < 4:
-        return [run_single(*t) for t in tasks]
-    workers = os.cpu_count() if n_jobs == 0 else n_jobs
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_single_args, tasks, chunksize=8))
+    results = evaluate(instances, model, max_rows=max_paths + 1, n_jobs=n_jobs)
+    return [
+        _record_from(config, model, s, inst, res)
+        for s, inst, res in zip(seeds, instances, results)
+    ]
 
 
 def _run_family_stored(
@@ -250,7 +217,7 @@ def _run_family_stored(
     max_paths: int,
     n_jobs: int | None,
 ) -> list[ExperimentRecord]:
-    """Batch sweep through a content-addressed store.
+    """Sweep through a content-addressed store.
 
     Stored digests are served from the store; only the missing
     instances go through :func:`evaluate`, and their payloads are

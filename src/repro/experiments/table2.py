@@ -12,6 +12,9 @@ harness reproduces in *shape*:
 
 ``scale`` shrinks the per-row counts proportionally for quick runs; the
 full campaign (scale=1.0) reproduces the paper's 5152 experiments.
+Every row is one :func:`~repro.experiments.runner.run_family` sweep, so
+the whole table runs through :func:`repro.engine.evaluate` (and, with a
+``store=``, evaluates only the points the store does not hold).
 """
 
 from __future__ import annotations
@@ -65,7 +68,6 @@ def run_table2(
     root_seed: int = 20090302,
     n_jobs: int | None = None,
     max_paths: int = DEFAULT_MAX_PATHS,
-    engine: str = "batch",
     store: "ResultStore | None" = None,
 ) -> list[Table2Row]:
     """Run the full campaign (or a scaled-down version).
@@ -78,9 +80,6 @@ def run_table2(
         Which communication models to sweep.
     n_jobs:
         Parallel worker processes (0 = all cores).
-    engine:
-        Evaluation engine passed to :func:`run_family` (``"batch"`` or
-        ``"percall"``; identical records either way).
     store:
         Optional content-addressed store passed to :func:`run_family`:
         re-running Table 2 (or scaling it up) only computes the points
@@ -98,7 +97,6 @@ def run_table2(
                 root_seed=root_seed,
                 n_jobs=n_jobs,
                 max_paths=max_paths,
-                engine=engine,
                 store=store,
             )
             no_crit = [r for r in records if not r.critical]

@@ -82,7 +82,9 @@ so they stop paying per-round cost.  Row ``b`` of the result is
 bit-identical to ``solve_prepared(plan, weights[b])`` — same policy
 trajectory, same tie-breaking, same extracted cycle, same round count —
 because every float operation mirrors the scalar path element for
-element (see :func:`_scc_howard_csr_many`).
+element (see :func:`_scc_howard_csr_many`).  A shared
+:class:`HowardState` seeds every row from the same carried policy, so
+each row equals the scalar solve warm-started from a copy of that state.
 """
 
 from __future__ import annotations
@@ -140,6 +142,11 @@ class HowardResult:
     cycle_nodes: tuple[int, ...]
     cycle_edges: tuple[int, ...]
     n_rounds: int
+
+
+#: One row's solve outcome before the exact-ratio recompute:
+#: ``(value, cycle_nodes, cycle_edges, n_rounds)``, ids in caller space.
+_Candidate = tuple[float, tuple[int, ...], tuple[int, ...], int]
 
 
 @dataclass
@@ -548,20 +555,16 @@ def _scc_howard_csr_many(
     scc: _PreparedScc,
     W: npt.NDArray[np.float64],
     tol_rows: npt.NDArray[np.float64],
-    policy0_rows: list[npt.NDArray[np.int64] | None] | None,
-    node_map_arr: npt.NDArray[np.int64],
-    edge_gmap: npt.NDArray[np.int64],
-) -> tuple[list[tuple[float, list[int], list[int], int]], npt.NDArray[np.int64]]:
+    policy0: npt.NDArray[np.int64] | None,
+) -> tuple[list[_Candidate], npt.NDArray[np.int64]]:
     """Lockstep policy iteration inside one prepared SCC for ``B`` rows.
 
     ``W`` is the ``(B, e)`` CSR-ordered weight matrix (one stamping per
-    row), ``tol_rows`` the per-row improvement tolerance,
-    ``policy0_rows`` optional per-row warm-start policies, and
-    ``node_map_arr`` / ``edge_gmap`` the local-node -> caller-node and
-    CSR-position -> caller-edge index maps (applied in bulk during
-    extraction).  Returns one ``(value, cycle_nodes, cycle_edges,
-    n_rounds)`` tuple per row — ids already in caller space — plus the
-    ``(B, n)`` matrix of converged policies.
+    row), ``tol_rows`` the per-row improvement tolerance and
+    ``policy0`` an optional warm-start policy that seeds every row.
+    Returns one ``(value, cycle_nodes, cycle_edges, n_rounds)`` tuple
+    per row — ids already in caller space — plus the ``(B, n)`` matrix
+    of converged policies.
 
     Bit-identity with :func:`_scc_howard_csr`, row by row:
 
@@ -585,6 +588,8 @@ def _scc_howard_csr_many(
     B, e = W.shape
     n = scc.n
     src, dst, tokens, start = scc.src, scc.dst, scc.tokens, scc.start
+    node_map_arr = np.asarray(scc.node_map, dtype=np.int64)
+    edge_gmap = scc.gmap
     seg_starts = start[:n]
     # Padded-dense layout of the CSR segments: slot (v, j) holds the
     # CSR position of node v's j-th out-edge, or the sentinel column e.
@@ -604,17 +609,14 @@ def _scc_howard_csr_many(
     dst_i = dst.astype(idx_dt)
     edge_pos = np.arange(e, dtype=idx_dt)
     node_ids = np.arange(n, dtype=idx_dt)
-    cold = start[:n].astype(idx_dt)
-
+    p0 = policy0 if policy0 is not None and policy0.shape == (n,) else start[:n]
     policy = np.empty((B, n), dtype=idx_dt)
-    for b in range(B):
-        p0 = policy0_rows[b] if policy0_rows is not None else None
-        policy[b] = p0 if (p0 is not None and p0.shape == (n,)) else cold
+    policy[:] = p0
 
     rows = np.arange(B, dtype=np.int64)  # active-row -> original-row map
     W_act = W
     tol_act = np.asarray(tol_rows, dtype=float)
-    results: list[tuple[float, list[int], list[int], int] | None] = [None] * B
+    results: list[_Candidate | None] = [None] * B
     out_policy = np.empty((B, n), dtype=np.int64)
     max_rounds = _MAX_ROUNDS_FACTOR * max(n, 8)
 
@@ -639,10 +641,10 @@ def _scc_howard_csr_many(
                 )
                 results[b] = (
                     res.value,
-                    node_map_arr.take(np.asarray(res.cycle_nodes,
-                                                 dtype=np.int64)).tolist(),
-                    scc.edge_map.take(np.asarray(res.cycle_edges,
-                                                 dtype=np.int64)).tolist(),
+                    tuple(node_map_arr.take(np.asarray(
+                        res.cycle_nodes, dtype=np.int64)).tolist()),
+                    tuple(scc.edge_map.take(np.asarray(
+                        res.cycle_edges, dtype=np.int64)).tolist()),
                     res.n_rounds + round_no - 1,
                 )
                 out_policy[b] = polc
@@ -958,8 +960,8 @@ def _scc_howard_csr_many(
                 for t in range(D):
                     length = int(lengths[t])
                     results[int(rows[d_idx[t]])] = (
-                        float(vals_d[t]), nodes_l[t][:length],
-                        edges_l[t][:length], round_no,
+                        float(vals_d[t]), tuple(nodes_l[t][:length]),
+                        tuple(edges_l[t][:length]), round_no,
                     )
             if done.all():
                 return results, out_policy  # type: ignore[return-value]
@@ -1072,7 +1074,6 @@ def solve_prepared_many(
     plan: HowardPlan,
     weights: npt.NDArray[np.float64],
     tol: float | None = None,
-    states: list[HowardState] | None = None,
     state: HowardState | None = None,
 ) -> list[HowardResult]:
     """Lockstep policy iteration for ``B`` weight stampings of one plan.
@@ -1088,35 +1089,29 @@ def solve_prepared_many(
         Improvement tolerance applied to every row; defaults to
         ``1e-9`` times each row's own weight scale (exactly the scalar
         per-solve default).
-    states:
-        Optional per-row warm-start carriers, one
-        :class:`HowardState` per row: row ``b`` seeds from and writes
-        back to ``states[b]`` exactly like ``solve_prepared(plan,
-        weights[b], state=states[b])`` would.  Mutually exclusive with
-        ``state``.  States are written only when the whole solve
-        succeeds.
     state:
         Optional *shared* warm-start carrier: every row seeds from the
         state's current policies and the state afterwards carries the
         **last** row's converged policies (so a subsequent batch
-        continues where this one left off).  Period values are
-        identical to cold start either way; only round counts and
-        exact-tie cycle extraction depend on the seeding.
+        continues where this one left off).  The state is written only
+        when the whole solve succeeds.  Period values equal a cold
+        start's; round counts and exact-tie cycle extraction follow the
+        seeding.
 
     Returns
     -------
     list[HowardResult]
-        One result per row.  Without warm starts (or with per-row
-        ``states``), entry ``b`` is bit-identical to
-        ``solve_prepared(plan, weights[b])`` — value bits, extracted
-        cycle, and round count.
+        One result per row.  Entry ``b`` is bit-identical to
+        ``solve_prepared(plan, weights[b], state=s)`` — value bits,
+        extracted cycle, and round count — where ``s`` is a copy of
+        ``state`` as it was before the call (no state: a cold start).
 
     Raises
     ------
     ValidationError
-        If some weight is NaN or infinite (every state stays untouched).
+        If some weight is NaN or infinite (``state`` stays untouched).
     SolverError
-        If the graph is acyclic, any row fails to converge, or a state
+        If the graph is acyclic, any row fails to converge, or ``state``
         is bound to a different plan.
     """
     weights = np.asarray(weights, dtype=float)
@@ -1125,14 +1120,7 @@ def solve_prepared_many(
             f"weights must have shape (B, {plan.n_edges}); "
             f"got {weights.shape}"
         )
-    if states is not None and state is not None:
-        raise ValueError("pass per-row states= or a shared state=, not both")
     B = weights.shape[0]
-    if states is not None and len(states) != B:
-        raise ValueError(
-            f"got {B} weight rows but {len(states)} states; pass one "
-            f"HowardState per row"
-        )
     if B == 0:
         return []
 
@@ -1149,40 +1137,11 @@ def solve_prepared_many(
             _reject_non_finite(weights)
         tol_rows = np.full(B, float(tol))
 
-    if states is not None:
-        for st in states:
-            _bind_state(st, plan)
     if state is not None:
         _bind_state(state, plan)
 
-    # Fast path for the common TPN shape — one multi-node SCC, nothing
-    # else: no cross-component candidate merge to run, so per-row results
-    # go straight to the exact-ratio recompute.
-    if len(plan.components) == 1 and isinstance(plan.components[0], _PreparedScc):
-        comp = plan.components[0]
-        if states is not None:
-            policy0 = [st.policies[0] for st in states]  # type: ignore[index]
-        elif state is not None:
-            policy0 = [state.policies[0]] * B  # type: ignore[index]
-        else:
-            policy0 = None
-        res_rows, out_pol = _scc_howard_csr_many(
-            comp, weights[:, comp.gmap], tol_rows, policy0,
-            np.asarray(comp.node_map, dtype=np.int64), comp.gmap,
-        )
-        out = _exact_ratio_results(plan, weights, [
-            (val, tuple(nodes), tuple(edges), n_rounds)
-            for val, nodes, edges, n_rounds in res_rows
-        ])
-        if states is not None:
-            for b, st in enumerate(states):
-                st.policies[0] = out_pol[b]  # type: ignore[index]
-        elif state is not None:
-            state.policies[0] = out_pol[B - 1]  # type: ignore[index]
-        return _count_lockstep(out)
-
-    best: list[HowardResult | None] = [None] * B
-    pending_policies: list[tuple[int, npt.NDArray[np.int64]]] = []
+    best: list[_Candidate | None] = [None] * B
+    last_policies: list[tuple[int, npt.NDArray[np.int64]]] = []
     for ci, comp in enumerate(plan.components):
         if isinstance(comp, _PreparedSingleton):
             loops = np.asarray(comp.self_loops, dtype=np.int64)
@@ -1194,49 +1153,29 @@ def solve_prepared_many(
             for b in range(B):
                 val = float(vals[b, j[b]])
                 cur = best[b]
-                if cur is None or val > cur.value:
-                    best[b] = HowardResult(
-                        val, (comp.node,), (int(loops[j[b]]),), 0
-                    )
+                if cur is None or val > cur[0]:
+                    best[b] = (val, (comp.node,), (int(loops[j[b]]),), 0)
             continue
 
-        if states is not None:
-            policy0 = [st.policies[ci] for st in states]  # type: ignore[index]
-        elif state is not None:
-            policy0 = [state.policies[ci]] * B  # type: ignore[index]
-        else:
-            policy0 = None
-        res_rows, out_pol = _scc_howard_csr_many(
-            comp, weights[:, comp.gmap], tol_rows, policy0,
-            np.asarray(comp.node_map, dtype=np.int64), comp.gmap,
+        cands, out_pol = _scc_howard_csr_many(
+            comp, weights[:, comp.gmap], tol_rows,
+            state.policies[ci] if state is not None else None,  # type: ignore[index]
         )
-        pending_policies.append((ci, out_pol))
-        for b in range(B):
-            val, cyc_nodes, cyc_edges, n_rounds = res_rows[b]
+        last_policies.append((ci, out_pol[B - 1]))
+        for b, cand in enumerate(cands):
             cur = best[b]
-            if cur is None or val > cur.value:
-                best[b] = HowardResult(
-                    val, tuple(cyc_nodes), tuple(cyc_edges), n_rounds
-                )
+            if cur is None or cand[0] > cur[0]:
+                best[b] = cand
 
     if not plan.components:
         raise SolverError("graph is acyclic: no cycle ratio exists")
-
-    rows = []
-    for b in range(B):
-        res = best[b]
-        assert res is not None  # every component yields a candidate
-        rows.append((res.value, res.cycle_nodes, res.cycle_edges, res.n_rounds))
-    out = _exact_ratio_results(plan, weights, rows)
+    out = _exact_ratio_results(plan, weights, best)  # type: ignore[arg-type]
 
     # Write converged policies back only on full success, so a failed
-    # batch leaves every carried state untouched.
-    for ci, pol in pending_policies:
-        if states is not None:
-            for b, st in enumerate(states):
-                st.policies[ci] = pol[b]  # type: ignore[index]
-        elif state is not None:
-            state.policies[ci] = pol[B - 1]  # type: ignore[index]
+    # batch leaves the carried state untouched.
+    if state is not None:
+        for ci, pol in last_policies:
+            state.policies[ci] = pol  # type: ignore[index]
     return _count_lockstep(out)
 
 
@@ -1255,7 +1194,7 @@ def _count_lockstep(out: list[HowardResult]) -> list[HowardResult]:
 def _exact_ratio_results(
     plan: HowardPlan,
     weights: npt.NDArray[np.float64],
-    rows: list[tuple[float, tuple[int, ...], tuple[int, ...], int]],
+    rows: list[_Candidate],
 ) -> list[HowardResult]:
     """Per-row exact extracted-cycle ratios, batched per unique cycle.
 

@@ -6,7 +6,9 @@ exact-period evaluations.  :class:`EvaluationBudget` is the single
 mutable counter every restart of :func:`repro.search.portfolio_search`
 draws from — and the hook :func:`repro.extensions.mapping_opt` search
 loops check before each oracle call, so a restart stops mid-climb the
-moment the shared pool runs dry instead of overdrawing it.
+moment the shared pool runs dry instead of overdrawing it.  Both
+portfolios hand each climb a capped slice of the pool
+(:class:`_BudgetSlice`).
 """
 
 from __future__ import annotations
@@ -74,3 +76,30 @@ class EvaluationBudget:
     def exhausted(self) -> bool:
         """Whether the pool has run dry (never true when unlimited)."""
         return self.limit is not None and self.spent >= self.limit
+
+
+class _BudgetSlice:
+    """One climb's capped slice of a shared :class:`EvaluationBudget`.
+
+    Without slicing, the first climb drains the whole pool and the
+    "portfolio" degenerates to single-start: the allocator therefore
+    caps each grant (an even split for fair-share, a rung slice for
+    racing), while still charging the shared pool so under-spent slices
+    (an early local optimum) roll forward into later grants.
+    """
+
+    def __init__(self, pool: EvaluationBudget, cap: int | None) -> None:
+        self._pool = pool
+        self._cap = cap
+        self._used = 0
+
+    def take(self, n: int = 1) -> int:
+        if self._cap is not None:
+            n = min(n, self._cap - self._used)
+        granted = self._pool.take(n) if n > 0 else 0
+        self._used += granted
+        return granted
+
+    def refund(self, n: int) -> None:
+        self._used -= n
+        self._pool.refund(n)

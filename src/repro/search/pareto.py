@@ -42,7 +42,6 @@ no ``hash()``, no dict-order dependence anywhere.
 
 from __future__ import annotations
 
-import zlib
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from math import comb
@@ -71,14 +70,14 @@ from ..objectives import (
 )
 from ..objectives.evaluate import ObjectiveEvaluator
 from ..telemetry import TELEMETRY
-from ..utils import canonical_json
+from ..utils import canonical_json, spawn_seeds
 from .allocator import (
     BudgetAllocator,
     Climb,
     ParetoAllocator,
     resolve_allocator,
 )
-from .budget import EvaluationBudget
+from .budget import EvaluationBudget, _BudgetSlice
 
 __all__ = [
     "Direction",
@@ -251,10 +250,8 @@ def pareto_seeds(
     scheme on an independent stream (prefix-stable: growing ``n`` never
     reshuffles earlier seeds).
     """
-    model = CommModel.parse(model)
-    key = zlib.crc32(f"pareto|{app.name}".encode()) & 0x7FFFFFFF
-    ss = np.random.SeedSequence([root_seed, key, 0 if model.overlap else 1])
-    return [int(child.generate_state(1)[0]) for child in ss.spawn(n)]
+    return spawn_seeds(root_seed, f"pareto|{app.name}",
+                       CommModel.parse(model).overlap, n)
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -379,28 +376,6 @@ def scalarization_directions(
             )
             index += 1
     return directions
-
-
-class _BudgetSlice:
-    """One climb's capped slice of the shared pool (see
-    :class:`repro.search.portfolio._BudgetSlice` — duplicated here to
-    keep the module import-light)."""
-
-    def __init__(self, pool: EvaluationBudget, cap: int | None) -> None:
-        self._pool = pool
-        self._cap = cap
-        self._used = 0
-
-    def take(self, n: int = 1) -> int:
-        if self._cap is not None:
-            n = min(n, self._cap - self._used)
-        granted = self._pool.take(n) if n > 0 else 0
-        self._used += granted
-        return granted
-
-    def refund(self, n: int) -> None:
-        self._used -= n
-        self._pool.refund(n)
 
 
 class _ParetoDriver:

@@ -48,7 +48,6 @@ reproduces across interpreter invocations and worker counts.
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,7 +59,7 @@ from ..core.platform import Platform
 from ..engine import BatchEngine
 from ..errors import ValidationError
 from ..telemetry import TELEMETRY
-from ..utils import canonical_json
+from ..utils import canonical_json, spawn_seeds
 from ..extensions.mapping_opt import (
     MappingSearchResult,
     greedy_mapping,
@@ -68,7 +67,7 @@ from ..extensions.mapping_opt import (
     perturb_mapping,
 )
 from .allocator import BudgetAllocator, Climb, resolve_allocator
-from .budget import EvaluationBudget
+from .budget import EvaluationBudget, _BudgetSlice
 
 __all__ = [
     "RestartRecord",
@@ -226,10 +225,8 @@ def portfolio_seeds(
     ``PYTHONHASHSEED`` randomization — plus the model bit, so overlap
     and strict portfolios explore independent seed streams.
     """
-    model = CommModel.parse(model)
-    key = zlib.crc32(f"portfolio|{app.name}".encode()) & 0x7FFFFFFF
-    ss = np.random.SeedSequence([root_seed, key, 0 if model.overlap else 1])
-    return [int(child.generate_state(1)[0]) for child in ss.spawn(n_restarts)]
+    return spawn_seeds(root_seed, f"portfolio|{app.name}",
+                       CommModel.parse(model).overlap, n_restarts)
 
 
 def _restart_kind(index: int, has_elite: bool) -> str:
@@ -239,33 +236,6 @@ def _restart_kind(index: int, has_elite: bool) -> str:
     if has_elite and index % 2 == 0:
         return "perturbed-elite"
     return "random"
-
-
-class _BudgetSlice:
-    """One restart's slice of the shared pool.
-
-    Without slicing, the first climb drains the whole pool and the
-    "portfolio" degenerates to single-start: the allocator therefore
-    caps each grant (an even split for fair-share, a rung slice for
-    racing), while still charging the shared pool so under-spent slices
-    (an early local optimum) roll forward into later grants.
-    """
-
-    def __init__(self, pool: EvaluationBudget, cap: int | None) -> None:
-        self._pool = pool
-        self._cap = cap
-        self._used = 0
-
-    def take(self, n: int = 1) -> int:
-        if self._cap is not None:
-            n = min(n, self._cap - self._used)
-        granted = self._pool.take(n) if n > 0 else 0
-        self._used += granted
-        return granted
-
-    def refund(self, n: int) -> None:
-        self._used -= n
-        self._pool.refund(n)
 
 
 class _ClimbDriver:
@@ -402,8 +372,8 @@ def portfolio_search(
         Diversified restarts to schedule (greedy / random /
         perturbed-elite); later restarts are skipped once the budget is
         exhausted.  Raises
-        :class:`~repro.errors.ValidationError` up front when no valid
-        mapping exists (fewer processors than stages).
+        :class:`~repro.errors.ValidationError` up front when negative or
+        when no valid mapping exists (fewer processors than stages).
     budget:
         Total period-oracle evaluations granted across all restarts
         (``None`` = unlimited).  How the pool is dealt is the
@@ -449,6 +419,9 @@ def portfolio_search(
     """
     model = CommModel.parse(model)
     alloc = resolve_allocator(allocator)
+    if n_restarts < 0:
+        raise ValidationError(
+            f"n_restarts must be non-negative, got {n_restarts}")
     if plat.n_processors < app.n_stages:
         # No valid replicated mapping exists at all (a processor runs at
         # most one stage, every stage needs one) — fail loudly up front.

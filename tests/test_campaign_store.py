@@ -125,13 +125,6 @@ class TestRecordReconstruction:
         assert record.replication == inst.replication_counts
         assert record.seed == seed
 
-    def test_store_requires_batch_engine(self):
-        from repro.errors import ValidationError
-
-        with pytest.raises(ValidationError):
-            run_family(TABLE2_CONFIGS[4], "strict", count=2,
-                       engine="percall", store=ResultStore(":memory:"))
-
 
 class TestCorruptionRecovery:
     def test_garbage_file_raises(self, tmp_path):

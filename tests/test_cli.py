@@ -111,6 +111,16 @@ class TestOtherCommands:
         assert data["evaluations"] <= 120
         assert csv_path.read_text().startswith("index,kind,seed,period")
 
+    def test_sweep_negative_count_rejected(self, capsys):
+        assert main(["sweep", "--count", "-3"]) == 1
+        err = capsys.readouterr().err
+        assert "count" in err and "-3" in err
+
+    def test_optimize_negative_restarts_rejected(self, capsys):
+        assert main(["optimize", "b", "--restarts", "-2"]) == 1
+        err = capsys.readouterr().err
+        assert "n_restarts" in err and "-2" in err
+
     def test_optimize_zero_budget_degrades_gracefully(self, capsys):
         assert main(["optimize", "b", "--budget", "0"]) == 0
         out = capsys.readouterr().out

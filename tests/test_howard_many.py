@@ -3,9 +3,11 @@
 `solve_prepared_many` promises that row ``b`` of a batch equals
 ``solve_prepared(plan, weights[b])`` **bit for bit** — value bits,
 extracted cycle (nodes *and* edge order), and round count — across cold
-starts, exact-tie weights, and warm-started sequences.  These tests pin
-that contract on randomized topologies, plus the
-:class:`~repro.maxplus.howard.HowardState` cross-plan guard.
+starts and exact-tie weights.  With one shared
+:class:`~repro.maxplus.howard.HowardState` (the mode the engine runs),
+row ``b`` equals the scalar solve warm-started from a copy of that
+state.  These tests pin that contract on randomized topologies, plus
+the state's cross-plan guard.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from repro.maxplus.howard import (
     solve_prepared,
     solve_prepared_many,
 )
+
+from .conftest import copy_state
 
 
 def random_live_graph(rng: np.random.Generator) -> RatioGraph | None:
@@ -50,6 +54,15 @@ def weight_batch(g: RatioGraph, rng: np.random.Generator, B: int) -> np.ndarray:
         else:
             rows.append(g.weight.copy())  # exact duplicate of the base row
     return np.asarray(rows)
+
+
+def assert_same_policies(a: HowardState, b: HowardState) -> None:
+    assert a.bound_plan is b.bound_plan
+    assert len(a.policies) == len(b.policies)
+    for pa, pb in zip(a.policies, b.policies):
+        assert (pa is None) == (pb is None)
+        if pa is not None:
+            assert pa.dtype == pb.dtype and np.array_equal(pa, pb)
 
 
 class TestLockstepBitIdentity:
@@ -89,6 +102,9 @@ class TestLockstepBitIdentity:
         assert scalar == many
 
     def test_warm_started_sequences_match_scalar_states(self):
+        # One shared state across consecutive batches: every row equals
+        # the scalar solve seeded from a copy of the state as the batch
+        # found it, and the state leaves with the last row's policies.
         rng = np.random.default_rng(7)
         checked = 0
         for _ in range(60):
@@ -101,16 +117,18 @@ class TestLockstepBitIdentity:
                 solve_prepared(plan, base[0])
             except SolverError:
                 continue
-            st_scalar = [HowardState() for _ in range(len(base))]
-            st_many = [HowardState() for _ in range(len(base))]
+            state = HowardState()
             for step in range(3):
                 W = base * (1.0 + 0.07 * step)
-                scalar = [
-                    solve_prepared(plan, W[b], state=st_scalar[b])
-                    for b in range(len(W))
-                ]
-                many = solve_prepared_many(plan, W, states=st_many)
-                assert scalar == many
+                before = copy_state(state)
+                many = solve_prepared_many(plan, W, state=state)
+                for b in range(len(W)):
+                    ref_state = copy_state(before)
+                    ref = solve_prepared(plan, W[b], state=ref_state)
+                    assert np.float64(many[b].value).tobytes() == \
+                        np.float64(ref.value).tobytes()
+                    assert many[b] == ref  # cycle nodes/edges, n_rounds
+                assert_same_policies(state, ref_state)  # the last row's
             checked += 1
         assert checked >= 15
 
@@ -138,13 +156,11 @@ class TestLockstepBitIdentity:
             solve_prepared_many(plan, np.ones(2))  # 1-D
         with pytest.raises(ValueError):
             solve_prepared_many(plan, np.ones((2, 3)))  # wrong E
+        state = HowardState()
         with pytest.raises(ValueError):
-            solve_prepared_many(plan, np.ones((2, 2)),
-                                states=[HowardState()])  # wrong length
-        with pytest.raises(ValueError):
-            solve_prepared_many(plan, np.ones((2, 2)),
-                                states=[HowardState(), HowardState()],
-                                state=HowardState())  # both kinds
+            solve_prepared_many(plan, np.ones((2, 3)), state=state)
+        assert state.bound_plan is None
+        assert solve_prepared_many(plan, np.empty((0, 2)), state=state) == []
 
 
 class TestHowardStateGuard:
@@ -169,10 +185,6 @@ class TestHowardStateGuard:
         solve_prepared_many(plan_a, g_a.weight[None, :], state=state)
         with pytest.raises(SolverError, match="different HowardPlan"):
             solve_prepared_many(plan_b, g_a.weight[None, :], state=state)
-        per_row = [HowardState()]
-        solve_prepared_many(plan_a, g_a.weight[None, :], states=per_row)
-        with pytest.raises(SolverError, match="different HowardPlan"):
-            solve_prepared_many(plan_b, g_a.weight[None, :], states=per_row)
 
     def test_same_plan_reuse_is_fine(self):
         plan, g = self.make_plan(3.0)

@@ -16,9 +16,22 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from repro.campaign.store import ResultStore
+from repro.errors import ValidationError
 from repro.experiments import TABLE2_CONFIGS, family_seeds, run_family
+from repro.experiments.runner import run_single
+from repro.search import pareto_seeds, portfolio_seeds
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+# First children of each seed tree (family 4 overlap, example B's
+# application under strict / overlap).  Recorded sweeps and searches
+# are reproduced from these streams, so they must never move.
+FAMILY_SEEDS = [3841575902, 1354860749]
+PORTFOLIO_SEEDS = [4137200802, 2916501389]
+PARETO_SEEDS = [282921503, 3178912747]
 
 _PRINT_SEEDS = """
 from repro.experiments import TABLE2_CONFIGS, family_seeds
@@ -60,30 +73,55 @@ class TestStableSeeding:
         """The seed path must not call hash() on the family name."""
         import inspect
 
+        from repro import utils
         from repro.experiments import runner
 
-        source = inspect.getsource(runner)
-        assert "hash(config.name" not in source
-        assert "crc32(config.name" in source
+        assert "hash(config.name" not in inspect.getsource(runner)
+        assert "spawn_seeds(" in inspect.getsource(runner.family_seeds)
+        assert "zlib.crc32(key" in inspect.getsource(utils.spawn_seeds)
 
 
 class TestEngineEquivalence:
-    def test_batch_engine_matches_percall(self):
+    def test_sweep_matches_run_single(self):
+        # The per-seed compute_period oracle, for both models, with and
+        # without a store (a second stored sweep is served from it).
         cfg = TABLE2_CONFIGS[4]
-        batch = run_family(cfg, "strict", count=5, n_jobs=1, engine="batch")
-        percall = run_family(cfg, "strict", count=5, n_jobs=1, engine="percall")
-        assert batch == percall
+        for model in ("overlap", "strict"):
+            oracle = [run_single(cfg, model, s)
+                      for s in family_seeds(cfg, model, 5)]
+            assert run_family(cfg, model, count=5, n_jobs=1) == oracle
+            assert run_family(cfg, model, count=5, n_jobs=2) == oracle
+            store = ResultStore(":memory:")
+            assert run_family(cfg, model, count=5, store=store) == oracle
+            assert len(store) == 5
+            assert run_family(cfg, model, count=5, store=store) == oracle
 
     def test_batch_parallel_matches_serial(self):
         cfg = TABLE2_CONFIGS[4]
-        serial = run_family(cfg, "overlap", count=6, n_jobs=1, engine="batch")
-        parallel = run_family(cfg, "overlap", count=6, n_jobs=2, engine="batch")
+        serial = run_family(cfg, "overlap", count=6, n_jobs=1)
+        parallel = run_family(cfg, "overlap", count=6, n_jobs=2)
         assert serial == parallel
 
-    def test_unknown_engine_rejected(self):
-        import pytest
 
-        from repro.errors import ValidationError
+class TestSeedTrees:
+    """The three seed functions share one tree; the streams must not move."""
 
-        with pytest.raises(ValidationError):
-            run_family(TABLE2_CONFIGS[4], "overlap", count=1, engine="bogus")
+    def test_first_seeds_pinned(self):
+        from repro.experiments.examples_paper import example_b
+
+        app = example_b().application
+        assert family_seeds(TABLE2_CONFIGS[4], "overlap", 2) == FAMILY_SEEDS
+        assert portfolio_seeds(app, "strict", 2) == PORTFOLIO_SEEDS
+        assert pareto_seeds(app, "overlap", 2) == PARETO_SEEDS
+
+    def test_negative_count_rejected(self):
+        from repro.experiments.examples_paper import example_b
+
+        app = example_b().application
+        with pytest.raises(ValidationError, match="-1"):
+            run_family(TABLE2_CONFIGS[4], "overlap", count=-1)
+        with pytest.raises(ValidationError, match="-1"):
+            portfolio_seeds(app, "overlap", -1)
+        with pytest.raises(ValidationError, match="-1"):
+            pareto_seeds(app, "strict", -1)
+        assert family_seeds(TABLE2_CONFIGS[4], "strict", 0) == []
