@@ -6,6 +6,10 @@ loop (:func:`_drain`) over the same work list:
 1. **Expand + dedupe** — the spec expands deterministically; every
    point's digest is probed in the store and already-computed points
    are skipped (this is both the resume path and the duplicate guard).
+   The digests come from the store's digest manifest when it holds a
+   valid one for the spec (:func:`_manifest_digests`), so only pending
+   points are materialized; otherwise every point is materialized and
+   the drain writes the manifest.
 2. **Order** — pending points are regrouped by
    :func:`~repro.engine.signature.topology_signature`, i.e. by model
    and replica counts, so random-assignment points with equal counts
@@ -37,7 +41,9 @@ parallel runs all export byte-identical artifacts.
 
 :func:`export_campaign_json` / :func:`export_campaign_csv` join the
 (re-expanded) spec with the store and emit byte-deterministic files via
-:func:`repro.experiments.io.canonical_json` conventions.
+:func:`repro.experiments.io.canonical_json` conventions.  Like
+:func:`campaign_status` they take row identity from the digest manifest
+and never write one.
 """
 
 from __future__ import annotations
@@ -45,11 +51,12 @@ from __future__ import annotations
 import csv
 import io
 import os as _os
+import random
 import sqlite3
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from ..core.instance import Instance
 from ..engine import BatchEngine, topology_signature
@@ -60,7 +67,12 @@ from ..petri.reduction import pattern_plan
 from ..telemetry import TELEMETRY, write_trace
 from .lease import DEFAULT_LEASE_TTL, LeaseManager
 from .spec import CampaignPoint, CampaignSpec
-from .store import ResultStore, instance_digest, payload_from_result
+from .store import (
+    ResultStore,
+    instance_digest,
+    manifest_key,
+    payload_from_result,
+)
 
 __all__ = [
     "CampaignReport",
@@ -87,6 +99,9 @@ _FABRIC_POLL_SLEEP = 0.05
 
 #: One unit of drain work: ``(digest, instance, model)``.
 _Work = tuple[str, Instance, str]
+
+#: Points of a stored digest manifest re-derived on every use.
+_MANIFEST_SAMPLE = 16
 
 
 @dataclass(frozen=True)
@@ -184,15 +199,99 @@ def _topology_groups(pairs: Sequence[tuple[Instance, str]]) -> list[list[int]]:
     return list(groups.values())
 
 
-def _materialized(
-    spec: CampaignSpec,
-) -> Iterator[tuple[CampaignPoint, Instance, str]]:
-    """``(point, instance, digest)`` of every point, in spec order: the
-    one materialization pass of drains, resumes, status and exports."""
-    for pt in spec.expand():
+def _point_digest(
+    pt: CampaignPoint,
+    objectives: tuple[str, ...],
+    inst: Instance | None = None,
+) -> str:
+    """The store address of ``pt``'s result: its instance (``inst``, or
+    materialized here) digested with its model."""
+    if inst is None:
         inst = pt.instance()
-        yield pt, inst, instance_digest(inst, pt.model,
-                                        objectives=spec.objectives)
+    return instance_digest(inst, pt.model, objectives=objectives)
+
+
+def _count_manifest(hit: bool) -> None:
+    TELEMETRY.count("store.manifest_hits" if hit else "store.manifest_misses")
+
+
+def _manifest_sample(
+    key: str, points: Sequence[CampaignPoint]
+) -> list[int]:
+    """Indices of the points a manifest use re-derives, ascending.
+
+    One point of every grid cell — so an edit that changes how any one
+    cell materializes is caught — topped up to ``min(16, n)`` points;
+    the choice is seeded by the key's crc32, hence the same every time.
+    """
+    rng = random.Random(zlib.crc32(key.encode()))
+    cells: dict[tuple[str, str, str, str], list[int]] = {}
+    for i, pt in enumerate(points):
+        cells.setdefault(pt.cell, []).append(i)
+    chosen = {rng.choice(indices) for indices in cells.values()}
+    rest = [i for i in range(len(points)) if i not in chosen]
+    top_up = max(0, min(_MANIFEST_SAMPLE, len(points)) - len(chosen))
+    return sorted(chosen.union(rng.sample(rest, top_up)))
+
+
+def _manifest_digests(
+    spec: CampaignSpec, store: ResultStore, points: Sequence[CampaignPoint]
+) -> tuple[str, list[str] | None]:
+    """``(key, digests)``: ``points``' digests from the stored manifest.
+
+    ``digests`` is ``None`` — a miss — when ``store`` holds no manifest
+    under ``key``, when it is not 32 bytes per point, or when a sampled
+    point (:func:`_manifest_sample`) re-derives to a different digest.
+    """
+    key = manifest_key(spec)
+    blob = store._manifest(key)
+    if blob is None or len(blob) != 32 * len(points):
+        return key, None
+    digests = [blob[i: i + 32].hex() for i in range(0, len(blob), 32)]
+    for i in _manifest_sample(key, points):
+        if _point_digest(points[i], spec.objectives) != digests[i]:
+            return key, None
+    return key, digests
+
+
+def _identified(
+    spec: CampaignSpec, store: ResultStore
+) -> list[tuple[CampaignPoint, str]]:
+    """``(point, digest)`` of every point, in spec order: the row
+    identity of status and exports, from the manifest when it holds."""
+    points = spec.expand()
+    _, digests = _manifest_digests(spec, store, points)
+    _count_manifest(digests is not None)
+    if digests is None:
+        digests = [_point_digest(pt, spec.objectives) for pt in points]
+    return list(zip(points, digests))
+
+
+def _unstored(
+    spec: CampaignSpec,
+    store: ResultStore,
+    points: Sequence[CampaignPoint],
+    digests: Sequence[str],
+    instances: Sequence[Instance] | None = None,
+) -> dict[str, _Work] | None:
+    """The distinct unstored points by digest, materialized.
+
+    Without ``instances`` the digests come from a manifest: each
+    unstored point is materialized here, and ``None`` is returned when
+    one re-derives to a digest other than its entry (a stale manifest).
+    """
+    unique: dict[str, _Work] = {}
+    for i, (pt, digest) in enumerate(zip(points, digests)):
+        if digest in unique or digest in store:
+            continue
+        if instances is not None:
+            inst = instances[i]
+        else:
+            inst = pt.instance()
+            if _point_digest(pt, spec.objectives, inst) != digest:
+                return None
+        unique[digest] = (digest, inst, pt.model)
+    return unique
 
 
 def _pending_work(
@@ -205,19 +304,32 @@ def _pending_work(
     topology groups.  Every worker given the same store state derives
     the *same* deterministic list, so the fabric needs no coordinator.
     Stored points cost one existence probe each, never a payload read.
+
+    With a valid digest manifest only the pending points are
+    materialized.  Otherwise every point is, and the digests of the
+    full spec are written as its manifest — even when ``max_points``
+    then truncates the drain.
     """
     with TELEMETRY.span("expand"):
-        n_points = 0
-        unique: dict[str, _Work] = {}
-        for n_points, (pt, inst, digest) in enumerate(_materialized(spec), 1):
-            if digest not in unique and digest not in store:
-                unique[digest] = (digest, inst, pt.model)
+        points = spec.expand()
+        key, digests = _manifest_digests(spec, store, points)
+        unique = (None if digests is None
+                  else _unstored(spec, store, points, digests))
+        _count_manifest(unique is not None)
+        if unique is None:
+            instances = [pt.instance() for pt in points]
+            digests = [_point_digest(pt, spec.objectives, inst)
+                       for pt, inst in zip(points, instances)]
+            store._put_manifest(
+                key, b"".join(bytes.fromhex(d) for d in digests))
+            unique = _unstored(spec, store, points, digests, instances)
+            assert unique is not None  # derived digests are never stale
         pending = list(unique.values())
         runs = _topology_groups([w[1:] for w in pending])
     # (group rank, index) in engine order; the last rank kept + 1 = groups
     ranked = [(g, j) for g, run in enumerate(runs) for j in run][:max_points]
     groups = ranked[-1][0] + 1 if ranked else 0
-    return n_points, len(pending), [pending[j] for _, j in ranked], groups
+    return len(points), len(pending), [pending[j] for _, j in ranked], groups
 
 
 def _rotated(work: list[_Work], offset: int) -> list[_Work]:
@@ -505,6 +617,10 @@ def _drain_options(
     spill_dir: str | Path | None,
 ) -> dict[str, Any]:
     """Keyword arguments of :func:`_drain` for one spec and cadence."""
+    if commit_every < 1:
+        raise ValidationError(f"commit_every must be >= 1, got {commit_every}")
+    if claim_batch is not None and claim_batch < 1:
+        raise ValidationError(f"claim_batch must be >= 1, got {claim_batch}")
     return {
         "max_rows": spec.max_paths + 1,
         "objectives": spec.objectives,
@@ -535,17 +651,19 @@ def _campaign(
     """
     if workers is not None and workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
+    if max_points is not None and max_points < 0:
+        raise ValidationError(f"max_points must be >= 0, got {max_points}")
     if workers is not None and store.path == ":memory:":
         raise ValidationError(
             "a multi-process drain needs a file-backed store; an "
             "in-memory store cannot be shared between processes"
         )
+    drain_options = _drain_options(spec, claim_batch, commit_every,
+                                   spill_dir)
     trace_arg = None if trace_dir is None else str(trace_dir)
     if trace_arg is not None:
         Path(trace_arg).mkdir(parents=True, exist_ok=True)
         TELEMETRY.enable("main")
-    drain_options = _drain_options(spec, claim_batch, commit_every,
-                                   spill_dir)
 
     with TELEMETRY.span("campaign", campaign=spec.name,
                         workers=workers or 1):
@@ -659,6 +777,8 @@ def run_campaign_worker(
     commit failing past the store's retry budget spills to the
     ``spill_dir`` journal (when given); ``store heal`` replays it.
     """
+    drain_options = _drain_options(spec, claim_batch, commit_every,
+                                   spill_dir)
     _, _, work, _ = _pending_work(spec, store)
     lease = LeaseManager(
         store, worker_id,
@@ -666,8 +786,7 @@ def run_campaign_worker(
     )
     return _drain(
         store, _rotated(work, zlib.crc32(worker_id.encode())), lease,
-        progress=progress,
-        **_drain_options(spec, claim_batch, commit_every, spill_dir),
+        progress=progress, **drain_options,
     )
 
 
@@ -734,7 +853,7 @@ def campaign_rows(
     """
     rows: list[dict[str, Any]] = []
     missing: list[CampaignPoint] = []
-    for pt, _, digest in _materialized(spec):
+    for pt, digest in _identified(spec, store):
         payload = store.get(digest)
         if payload is None:
             missing.append(pt)
@@ -763,7 +882,7 @@ def campaign_status(spec: CampaignSpec, store: ResultStore) -> dict[str, Any]:
     :meth:`~repro.campaign.spec.ReplicationAxis.infeasibility` reason.
     """
     stored: dict[tuple[str, str, str, str], list[bool]] = {}
-    for pt, _, digest in _materialized(spec):
+    for pt, digest in _identified(spec, store):
         stored.setdefault(pt.cell, []).append(digest in store)
     total = sum(len(flags) for flags in stored.values())
     done = sum(sum(flags) for flags in stored.values())

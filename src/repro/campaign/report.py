@@ -242,7 +242,10 @@ def _telemetry_section(counters: Mapping[str, int]) -> dict[str, Any]:
     Derived figures the raw counters bury: the skeleton-cache hit rate,
     how many points the lockstep (group) path solved versus the scalar
     path, and how many group solves fell back to scalar row-by-row
-    evaluation.
+    evaluation.  ``"not_done"`` reports work the run skipped or lost:
+    digest-manifest hits (materialization skipped) and misses (full
+    materialization), Theorem-1 patterns pruned by the period bound
+    versus solved, and leases a stalled worker lost to a takeover.
     """
     def get(name: str) -> int:
         return int(counters.get(name, 0))
@@ -263,6 +266,13 @@ def _telemetry_section(counters: Mapping[str, int]) -> dict[str, Any]:
             "lockstep_solves": get("howard.lockstep_solves"),
             "lockstep_rows": get("howard.lockstep_rows"),
             "scalar_points": get("engine.points") - get("engine.group_rows"),
+        },
+        "not_done": {
+            "manifest_hits": get("store.manifest_hits"),
+            "manifest_misses": get("store.manifest_misses"),
+            "patterns_solved": get("poly.patterns_solved"),
+            "patterns_pruned": get("poly.patterns_pruned"),
+            "lost_leases": get("fabric.lost_leases"),
         },
     }
 
@@ -380,5 +390,13 @@ def render_report_text(data: Mapping[str, Any]) -> str:
         lines.append(
             f"  group fallbacks: {engine['group_fallbacks']} "
             f"({engine['group_fallback_rows']} rows re-solved scalar)"
+        )
+        not_done = data["telemetry"]["not_done"]
+        lines.append(
+            f"  not done       : {not_done['patterns_pruned']} Theorem-1 "
+            f"pattern(s) pruned ({not_done['patterns_solved']} solved); "
+            f"{not_done['manifest_hits']} manifest hit(s), "
+            f"{not_done['manifest_misses']} miss(es); "
+            f"{not_done['lost_leases']} lost lease(s)"
         )
     return "\n".join(lines)

@@ -78,7 +78,15 @@ __all__ = [
     "ReplicationAxis",
     "CampaignPoint",
     "CampaignSpec",
+    "MATERIALIZATION_VERSION",
 ]
+
+#: Version of the point → instance materialization (seed tree, draw
+#: order, axis semantics).  It keys the store's digest manifests
+#: (:func:`repro.campaign.store.manifest_key`): bump it whenever a
+#: literal digest in ``tests/test_golden_digests.py`` moves, so no
+#: manifest written by the old code is ever trusted again.
+MATERIALIZATION_VERSION = 1
 
 #: Same tractability bound as ``experiments.runner.DEFAULT_MAX_PATHS``.
 DEFAULT_MAX_PATHS = 3000

@@ -6,11 +6,12 @@ outcome of evaluating that pair (period, ``M_ct``, classification).
 Keying on content rather than on campaign/point identity has two
 consequences the campaign subsystem is built on:
 
-* **Resumability**: re-running a spec re-materializes the same
-  instances (expansion is deterministic), re-derives the same digests,
-  and skips every point already present — an interrupted campaign
-  resumes exactly where it stopped, and a *grown* campaign (more draws,
-  extra axes) only computes the new points.
+* **Resumability**: re-running a spec re-derives the same digests
+  (expansion is deterministic; the digest manifest below spares
+  re-materializing stored points) and skips every point already
+  present — an interrupted campaign resumes exactly where it stopped,
+  and a *grown* campaign (more draws, extra axes) only computes the
+  new points.
 * **Cross-harness sharing**: :func:`repro.experiments.runner.run_family`
   and :func:`~repro.experiments.table2.run_table2` route their record
   creation through the same API, so a Table 2 sweep and a campaign that
@@ -28,6 +29,15 @@ cross-store transport is :mod:`repro.campaign.sync`.  Both share this
 file: alongside ``results`` the store carries a ``leases`` table
 (claim/lease protocol state) and a ``quarantine`` table (payloads a
 sync refused to merge, kept for forensics).
+
+A ``manifests`` table caches row identity: per campaign spec
+(:func:`manifest_key`), the packed 32-byte digests of its points in
+spec order, written by a drain once it has materialized every point.
+Resume, status and export read it instead of re-materializing each
+point (the checks live in :mod:`repro.campaign.executor`).  Manifests
+are a cache, never data: sync moves ``results`` rows only and
+:meth:`ResultStore.recover` drops them, so such a store's readers
+materialize every point until its next drain writes a fresh manifest.
 
 Payloads are value-only (no config/seed identity): callers attach their
 own context when reassembling records
@@ -51,6 +61,8 @@ import time
 from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence
 
+import numpy as np
+
 from ..core.instance import Instance
 from ..core.models import CommModel
 from ..core.throughput import PeriodResult
@@ -59,11 +71,13 @@ from ..faults import DEFAULT_RETRY, FAULTS, RetryPolicy
 from ..telemetry import TELEMETRY
 from ..utils import canonical_json
 from ..experiments.runner import ExperimentRecord
+from .spec import MATERIALIZATION_VERSION, CampaignSpec
 
 __all__ = [
     "RESULT_SCHEMA_VERSION",
     "ResultStore",
     "instance_digest",
+    "manifest_key",
     "payload_from_result",
     "record_from_payload",
     "payload_error",
@@ -122,6 +136,25 @@ def instance_digest(
     if names != ("period",):
         payload["objectives"] = list(names)
     return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
+
+
+def manifest_key(spec: CampaignSpec) -> str:
+    """Store key of the digest manifest of ``spec``.
+
+    SHA-256 over the spec's canonical JSON, the canonical JSON of each
+    application axis's materialized application (so an edit to a
+    catalog workload or a synthetic shape changes the key even though
+    the spec text does not), :data:`RESULT_SCHEMA_VERSION`,
+    :data:`~repro.campaign.spec.MATERIALIZATION_VERSION` and numpy's
+    version: ``Generator`` streams are not guaranteed to match across
+    numpy releases, so a manifest written under another numpy is never
+    read.
+    """
+    apps = [axis.application().to_dict() for axis in spec.applications]
+    parts = (canonical_json(spec.to_dict()), canonical_json(apps),
+             str(RESULT_SCHEMA_VERSION), str(MATERIALIZATION_VERSION),
+             np.__version__)
+    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
 
 
 def payload_from_result(
@@ -330,6 +363,11 @@ class ResultStore:
                 " reason TEXT NOT NULL,"
                 " PRIMARY KEY (digest, origin))"
             )
+            self._conn.execute(
+                "CREATE TABLE IF NOT EXISTS manifests ("
+                " key TEXT PRIMARY KEY,"
+                " digests BLOB NOT NULL)"
+            )
         except sqlite3.OperationalError as exc:
             # Environmental, not structural: a read-only filesystem or
             # a lock held past the busy timeout.  The file is (as far
@@ -495,6 +533,31 @@ class ResultStore:
             yield str(digest), str(payload)
 
     # ------------------------------------------------------------------
+    # digest manifests (a row-identity cache; see the module docstring)
+    # ------------------------------------------------------------------
+    def _manifest(self, key: str) -> bytes | None:
+        """The packed digests stored under ``key``, or ``None``."""
+        row = self._conn.execute(
+            "SELECT digests FROM manifests WHERE key = ?", (key,)
+        ).fetchone()
+        return None if row is None else bytes(row[0])
+
+    def _put_manifest(self, key: str, digests: bytes) -> None:
+        """Store (or replace) a manifest; best effort.
+
+        A manifest only saves work, so a store that cannot take the
+        write (locked past the busy timeout, full, read-only) keeps
+        none and its readers fall back to full materialization.
+        """
+        try:
+            self._conn.execute(
+                "INSERT OR REPLACE INTO manifests (key, digests) "
+                "VALUES (?, ?)", (key, digests),
+            )
+        except sqlite3.OperationalError:
+            pass
+
+    # ------------------------------------------------------------------
     # quarantine (rows a sync refused to merge; kept for forensics)
     # ------------------------------------------------------------------
     def add_quarantine(
@@ -552,6 +615,8 @@ class ResultStore:
         ``<path>.corrupt``.  Returns the fresh store and the number of
         salvaged rows.  Rows that are lost are simply recomputed by the
         next campaign run — content addressing makes recovery safe.
+        Digest manifests are not carried over (a fresh drain rewrites
+        them).
 
         Recovery is **lease-aware**: if the file still carries unexpired
         leases, some worker is (as far as the file can tell) actively

@@ -25,6 +25,11 @@ Semantics (the properties ``tests/test_store_sync.py`` pins):
   is quarantined for forensics, and the conflict is reported (or raised,
   for ``strict=True`` callers).
 
+Only ``results`` rows travel.  Digest manifests (the store's
+``manifests`` table, a row-identity cache) are neither pushed, pulled
+nor merged: a destination's readers materialize every point until its
+next drain writes a manifest of its own.
+
 Directory remote layout::
 
     <root>/objects/<digest[:2]>/<digest>.json     # payload text, exact bytes

@@ -23,6 +23,8 @@ from repro.campaign import (
     export_campaign_json,
     order_for_engine,
     run_campaign,
+    run_campaign_worker,
+    run_campaign_workers,
 )
 from repro.cli import main
 from repro.engine import topology_signature
@@ -245,6 +247,43 @@ class TestMaterializationPasses:
                 calls.clear()
                 step()
                 assert calls == every
+
+
+class TestDrainParameters:
+    """Drain parameters are validated before any work starts."""
+
+    def test_negative_max_points_rejected(self, spec):
+        with ResultStore(":memory:") as store:
+            with pytest.raises(ValidationError, match="max_points"):
+                run_campaign(spec, store, max_points=-1)
+            assert len(store) == 0
+            assert run_campaign(spec, store, max_points=0).evaluated == 0
+
+    def test_zero_commit_every_rejected(self, spec):
+        with ResultStore(":memory:") as store:
+            with pytest.raises(ValidationError, match="commit_every"):
+                run_campaign(spec, store, commit_every=0)
+            with pytest.raises(ValidationError, match="commit_every"):
+                run_campaign_worker(spec, store, "w", commit_every=0)
+            assert len(store) == 0
+
+    def test_zero_claim_batch_rejected(self, spec, tmp_path):
+        with ResultStore(tmp_path / "s.sqlite") as store:
+            with pytest.raises(ValidationError, match="claim_batch"):
+                run_campaign_worker(spec, store, "w", claim_batch=0)
+        with pytest.raises(ValidationError, match="claim_batch"):
+            run_campaign_workers(spec, tmp_path / "s.sqlite", workers=2,
+                                 claim_batch=0)
+        with ResultStore(tmp_path / "s.sqlite") as store:
+            assert len(store) == 0
+
+    def test_cli_negative_max_points(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(SPEC_DICT))
+        assert main(["campaign", "run", str(spec_path),
+                     "--store", str(tmp_path / "s.sqlite"),
+                     "--max-points", "-1"]) == 1
+        assert "max_points must be >= 0" in capsys.readouterr().err
 
 
 class TestExports:

@@ -13,10 +13,13 @@ multi-objective grid.
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro import Application, Instance, Mapping, Platform
 from repro.campaign import CampaignSpec
+from repro.campaign.spec import MATERIALIZATION_VERSION
 from repro.campaign.store import instance_digest
 from repro.experiments.examples_paper import example_a
 
@@ -111,6 +114,16 @@ def _digests(spec: CampaignSpec) -> list[str]:
 
 def test_spec_digests_are_pinned():
     assert _digests(CampaignSpec.from_dict(SPEC)) == SPEC_DIGESTS
+
+
+def test_materialization_version_moves_with_the_digests():
+    # Store manifests are keyed by MATERIALIZATION_VERSION.  A change
+    # that moves a golden digest breaks this pin too: bump the version
+    # (so no manifest written by the old code is trusted) and re-pin.
+    pinned = hashlib.sha256(
+        "".join(SPEC_DIGESTS + MULTI_DIGESTS).encode()).hexdigest()
+    assert (MATERIALIZATION_VERSION, pinned) == (
+        1, "96181bd9556b16ff4a8cd8c7c8e43e701391eda8ce0054dc7f3eb9a36ec0f491")
 
 
 def test_multi_objective_digests_are_pinned():
