@@ -30,6 +30,15 @@ on CI hardware with no code defect, which is why PR 6 retired it):
   ``bench_campaign``); this part is deterministic and also pinned by
   ``tests/test_engine_group.py``.
 
+A second experiment sweeps the token-edge seed (``_SEED_NODES_PER_TOKEN``)
+over real strict SCC shapes — the ``mixed`` campaign's largest n/k
+(7.5, counts [1,4,3]) and the lcm 60 / 140 / 420 topologies — solving
+the same 32-row slabs with the seed forced off (today's warm-chained
+lockstep) and forced on.  Seeded rows must equal the cold scalar solve
+bit for bit (value, cycle nodes and edges); wall-clock and rounds per
+row are reported, never gated.  It is the evidence for the 16 nodes
+per token edge dispatch cut.
+
 Run standalone (asserts round ratio and identity)::
 
     PYTHONPATH=src python benchmarks/bench_howard_many.py
@@ -47,9 +56,17 @@ import time
 import numpy as np
 
 from repro import Application, Instance, Mapping, Platform
+from repro.campaign import CampaignSpec
 from repro.core.throughput import compute_period
 from repro.engine import BatchEngine
-from repro.maxplus.howard import solve_prepared, solve_prepared_many
+from repro.engine.skeleton import build_skeleton
+from repro.maxplus import howard
+from repro.maxplus.howard import (
+    HowardState,
+    prepare_howard,
+    solve_prepared,
+    solve_prepared_many,
+)
 from repro.telemetry import TELEMETRY
 
 try:  # pytest package context vs standalone `python benchmarks/...`
@@ -73,6 +90,15 @@ IDENTITY_TOPOLOGIES = ((2, 3, 5, 1), (6, 10, 15))
 N_IDENTITY = 24
 #: Timing repetitions (best-of, both paths measured identically).
 REPEATS = 5
+#: Seed sweep: (label, replica counts, processors, campaign draws).
+SEED_SHAPES = (
+    ("mixed n/k 7.5", (1, 4, 3), 8, 16),
+    ("lcm 60", (3, 4, 5), 12, 16),
+    ("lcm 140", (4, 5, 7), 16, 8),
+    ("lcm 420", (3, 4, 5, 7), 19, 4),
+)
+#: Rows per lockstep slab in the seed sweep (the campaign executor's).
+SEED_SLAB = 32
 
 
 def drift_sweep(counts=REPLICATION, n_instances=N_INSTANCES, seed=0,
@@ -201,6 +227,101 @@ def run_comparison(n_instances: int = N_INSTANCES) -> dict:
     }
 
 
+def strict_points(counts, n_procs, draws) -> list[Instance]:
+    """Instances of a strict ``fixed`` blocks campaign (two synthetic
+    apps x two platform regimes), like the ``shared_strict`` spec."""
+    apps = [
+        {"label": shape, "synthetic": {"n_stages": len(counts),
+                                       "shape": shape, "scale": 10.0,
+                                       "seed": seed}}
+        for shape, seed in (("balanced", 0), ("random", 7))
+    ]
+    spec = CampaignSpec.from_dict({
+        "name": "seed-sweep", "draws": draws, "models": ["strict"],
+        "applications": apps,
+        "platforms": [
+            {"label": "uniform", "n_procs": n_procs, "kind": "uniform"},
+            {"label": "clustered", "n_procs": n_procs, "kind": "uniform",
+             "clusters": 2, "cluster_factor_range": [0.5, 2.0],
+             "intra_bandwidth_factor": 4.0},
+        ],
+        "replications": [{"label": "blocks", "fixed": list(counts),
+                          "assignment": "blocks"}],
+        "root_seed": 20090302,
+    })
+    return [point.instance() for point in spec.expand()]
+
+
+def _plan(graph, seeded: bool) -> howard.HowardPlan:
+    """Prepare ``graph`` with the token-edge seed forced on or off."""
+    saved = howard._SEED_NODES_PER_TOKEN
+    howard._SEED_NODES_PER_TOKEN = 0 if seeded else graph.n_nodes + 1
+    try:
+        return prepare_howard(graph)
+    finally:
+        howard._SEED_NODES_PER_TOKEN = saved
+
+
+def _slabs(plan, W, state):
+    """Solve ``W`` in executor-sized slabs, chaining one warm state."""
+    out = []
+    for b0 in range(0, len(W), SEED_SLAB):
+        out += solve_prepared_many(plan, W[b0:b0 + SEED_SLAB], state=state)
+    return out
+
+
+def seed_sweep() -> dict:
+    """Seeded vs unseeded lockstep over real strict SCC shapes."""
+    shapes = []
+    identical = True
+    for label, counts, n_procs, draws in SEED_SHAPES:
+        insts = strict_points(counts, n_procs, draws)
+        sk = build_skeleton(insts[0], "strict")
+        graph = sk._graph(np.zeros(sk.edge_src.size))
+        scc = max((c for c in sk.plan.components
+                   if isinstance(c, howard._PreparedScc)), key=lambda c: c.n)
+        k = int(np.count_nonzero(scc.tokens))
+        W = sk.stamp_weights_many(insts)
+        plans = {on: _plan(graph, on) for on in (False, True)}
+        results = {}
+        best = {False: float("inf"), True: float("inf")}
+        for rep in range(3):
+            for on in ((False, True) if rep % 2 == 0 else (True, False)):
+                t0 = time.perf_counter()
+                results[on] = _slabs(plans[on], W, HowardState())
+                best[on] = min(best[on], time.perf_counter() - t0)
+        cold = [solve_prepared(sk.plan, w) for w in W]
+        same = all(
+            np.float64(r.value).tobytes() == np.float64(c.value).tobytes()
+            and r.cycle_nodes == c.cycle_nodes and r.cycle_edges == c.cycle_edges
+            for r, c in zip(results[True], cold)
+        )
+        identical &= same
+        rows = len(W)
+        shapes.append({
+            "label": label, "counts": list(counts), "n": scc.n, "k": k,
+            "n_per_k": scc.n / k,
+            "dispatch_seeds": scc.n >= howard._SEED_NODES_PER_TOKEN * k,
+            "rows": rows,
+            "unseeded_ms_per_row": 1000 * best[False] / rows,
+            "seeded_ms_per_row": 1000 * best[True] / rows,
+            "unseeded_rounds_per_row": sum(r.n_rounds for r in results[False]) / rows,
+            "seeded_rounds_per_row": sum(r.n_rounds for r in results[True]) / rows,
+            "identical": same,
+        })
+    return {"shapes": shapes, "identical": identical}
+
+
+def bench_howard_seed_sweep(benchmark):
+    stats = benchmark.pedantic(seed_sweep, rounds=1, iterations=1)
+    assert stats["identical"]
+    report(benchmark, "Token-edge seed: seeded vs unseeded lockstep",
+           [(f"{s['label']} (n/k {s['n_per_k']:.1f}) ms/row",
+             f"{s['unseeded_ms_per_row']:.2f}",
+             f"{s['seeded_ms_per_row']:.2f}") for s in stats["shapes"]]
+           + [("seeded rows == cold", "yes", stats["identical"])])
+
+
 def bench_howard_many_speedup(benchmark):
     instances = drift_sweep()
     engine = BatchEngine()
@@ -252,6 +373,19 @@ def main() -> int:
     print(f"round ratio            : {stats['round_ratio']:.1f} "
           f"(deterministic floor {MIN_ROUND_RATIO:g})")
     print(f"bit-identical          : {stats['identical']}")
+    sweep = seed_sweep()
+    print(f"token-edge seed sweep ({SEED_SLAB}-row slabs; unseeded = "
+          f"warm-chained lockstep):")
+    for s in sweep["shapes"]:
+        print(f"  {s['label']:<14} {str(tuple(s['counts'])):<13} n {s['n']:>5} "
+              f"k {s['k']:>3} n/k {s['n_per_k']:>6.1f} "
+              f"{'seeded ' if s['dispatch_seeds'] else 'unseeded'}: "
+              f"{s['unseeded_ms_per_row']:7.2f} -> "
+              f"{s['seeded_ms_per_row']:7.2f} ms/row, rounds/row "
+              f"{s['unseeded_rounds_per_row']:.2f} -> "
+              f"{s['seeded_rounds_per_row']:.2f}")
+    print(f"seeded rows == cold    : {sweep['identical']}")
+    assert sweep["identical"], "seeded rows diverged from the cold solve"
     assert stats["identical"], "group results diverged from the scalar path"
     assert stats["rounds_scalar"] == stats["rounds_lockstep"], \
         "lockstep trajectory diverged from the scalar trajectory"

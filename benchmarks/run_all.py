@@ -36,7 +36,7 @@ from pathlib import Path
 SCHEMA = 2
 
 #: The PR this harness currently reports for.
-PR = 18
+PR = 21
 
 #: Cross-report deterministic contracts: ``--compare`` fails when the
 #: current value is worse than the previous report's.  Direction
@@ -49,6 +49,7 @@ CONTRACTS = [
     ("howard_many", "identical", ">="),
     ("howard_many", "round_ratio", ">="),
     ("howard_many", "rounds_lockstep_outer", "<="),
+    ("howard_seed_sweep", "identical", ">="),
     ("howard_scalar", "identical", ">="),
     ("howard_scalar", "rounds", "<="),
     ("engine_batch", "identical", ">="),
@@ -159,6 +160,13 @@ def collect() -> dict:
             "howard_many_identity",
             bench_howard_many.check_identity,
             lambda s: _assert(s["identical"], "bit-identity broke"),
+            True,
+        ),
+        (
+            "howard_seed_sweep",
+            bench_howard_many.seed_sweep,
+            lambda s: _assert(s["identical"],
+                              "seeded rows diverged from the cold solve"),
             True,
         ),
         (

@@ -245,7 +245,9 @@ def _telemetry_section(counters: Mapping[str, int]) -> dict[str, Any]:
     evaluation.  ``"not_done"`` reports work the run skipped or lost:
     digest-manifest hits (materialization skipped) and misses (full
     materialization), Theorem-1 patterns pruned by the period bound
-    versus solved, and leases a stalled worker lost to a takeover.
+    versus solved, token-edge seeded lockstep rows whose certificate
+    failed (recomputed cold), and leases a stalled worker lost to a
+    takeover.
     """
     def get(name: str) -> int:
         return int(counters.get(name, 0))
@@ -272,6 +274,7 @@ def _telemetry_section(counters: Mapping[str, int]) -> dict[str, Any]:
             "manifest_misses": get("store.manifest_misses"),
             "patterns_solved": get("poly.patterns_solved"),
             "patterns_pruned": get("poly.patterns_pruned"),
+            "uncertified_rows": get("howard.uncertified"),
             "lost_leases": get("fabric.lost_leases"),
         },
     }
@@ -397,6 +400,7 @@ def render_report_text(data: Mapping[str, Any]) -> str:
             f"pattern(s) pruned ({not_done['patterns_solved']} solved); "
             f"{not_done['manifest_hits']} manifest hit(s), "
             f"{not_done['manifest_misses']} miss(es); "
+            f"{not_done['uncertified_rows']} uncertified row(s); "
             f"{not_done['lost_leases']} lost lease(s)"
         )
     return "\n".join(lines)

@@ -36,8 +36,9 @@ Every evaluation is a pure function of ``(instance, model, method)``:
 results are bit-identical whatever ``n_jobs`` or ``chunk_size``.  The
 one opt-in exception is ``warm_start=True``, which seeds Howard's policy
 iteration from the previous instance (or, on the group path, the
-previous *group*) of a topology group: period *values* are unchanged,
-but the extracted critical cycle (and hence
+previous *group*) of a topology group.  Strict topologies solved on the
+group path take a certified token-edge seed instead and stay equal to
+cold; elsewhere the extracted critical cycle (and hence
 ``tpn_solution.ratio.cycle_nodes``) may depend on evaluation history —
 see :class:`BatchEngine`.  Cache and solve counts are telemetry
 counters (``engine.cache_hits``, ``engine.skeleton_builds``,
@@ -115,10 +116,15 @@ class BatchEngine:
         neighborhoods — a mapping-search trajectory, a sweep of nearby
         instances — the previous policy is typically one improvement
         round from the new fixed point.
-        Period *values* are identical to cold start; the extracted
-        critical cycle may differ when several cycles tie exactly,
-        which is why the flag defaults to off (cold evaluation stays a
-        pure function of ``(instance, model, method)``).
+        On the group path, SCCs with a token-edge seed (strict
+        topologies with at least 16 nodes per token edge) ignore the
+        carried policy: a certified row equals cold start, an
+        uncertified one is recomputed cold.  Elsewhere the extracted
+        critical cycle may differ from cold start when cycle ratios tie
+        within the solver tolerance, and with it the period's last bits
+        (ROADMAP item 2), which is why the flag defaults to off (cold
+        evaluation stays a pure function of
+        ``(instance, model, method)``).
 
     Notes
     -----

@@ -46,7 +46,7 @@ import numpy.typing as npt
 
 from ..core.instance import Instance
 from ..core.models import CommModel
-from ..errors import ReplicationExplosionError, SolverError
+from ..errors import ReplicationExplosionError, SolverError, ValidationError
 from ..maxplus.cycle_ratio import CycleRatioResult
 from ..maxplus.graph import RatioGraph
 from ..maxplus.howard import (
@@ -171,7 +171,7 @@ class TpnSkeleton:
                 max_cycle_ratio_lawler(self._graph(weights)), (), (), "lawler"
             )
         if solver not in ("auto", "howard"):
-            raise ValueError(f"unknown method {solver!r}")
+            raise ValidationError(f"unknown method {solver!r}")
         try:
             res = solve_prepared(self.plan, weights, state=state)
             return CycleRatioResult(res.value, res.cycle_nodes, res.cycle_edges, "howard")
@@ -219,16 +219,20 @@ class TpnSkeleton:
         Stamps every instance's weights into one ``(B, E)`` matrix and
         runs :func:`~repro.maxplus.howard.solve_prepared_many` — policy
         iteration for all rows simultaneously.  Cold results are
-        bit-identical to per-instance :meth:`solve` calls.
+        bit-identical to per-instance :meth:`solve` calls in value and
+        critical cycle.
 
         ``state`` optionally carries one shared
         :class:`~repro.maxplus.howard.HowardState`: every row seeds from
         the state's current policy and the state leaves with the last
         row's converged policy, so consecutive group solves chain like
-        consecutive scalar solves.  Values are unchanged (warm starts
-        never change values), but round counts and exact-tie cycle
-        extraction follow the group seeding rather than the scalar
-        instance-to-instance chaining.
+        consecutive scalar solves.  SCCs with a token-edge seed (strict
+        topologies) ignore the carried policy: their rows are certified
+        and then equal to a cold solve, or uncertified and recomputed
+        cold.  On other SCCs round counts and the extracted cycle follow
+        the group seeding rather than the scalar instance-to-instance
+        chaining, and cycle ratios tied within the solver tolerance can
+        change the value's last bits (ROADMAP item 2).
 
         Any :class:`~repro.errors.SolverError` from the lockstep path
         (non-convergence, acyclic graph) falls back to per-row scalar

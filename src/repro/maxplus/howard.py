@@ -59,11 +59,11 @@ policy from solve to solve:
 >>> solve_prepared(plan, g.weight, state=state).n_rounds  # policy reused
 1
 
-The returned *value* is the exact maximum cycle ratio either way — only
-the number of rounds and, on ties between equally-critical cycles, the
-*extracted* cycle may differ from a cold start.  That is why the batch
-engine exposes warm starting as an opt-in flag rather than the default
-(see :class:`repro.engine.BatchEngine`).
+The returned *value* is the maximum cycle ratio either way, but only up
+to the tolerance: when cycle ratios tie within ``tol``, the *extracted*
+cycle — and with it the value's last bits — may differ from a cold
+start.  That is why the batch engine exposes warm starting as an opt-in
+flag rather than the default (see :class:`repro.engine.BatchEngine`).
 
 A state is bound to the plan of its first solve: policies index that
 plan's CSR layouts, so reusing the state with a *different* plan would
@@ -78,13 +78,27 @@ stampings of **one** plan simultaneously: the policy matrix is
 (pointer-doubling successor hops instead of the scalar Python chain
 walk), policy improvement broadcasts the CSR ``reduceat`` segments over
 a ``(B, e)`` weight matrix, and a convergence mask retires finished rows
-so they stop paying per-round cost.  Row ``b`` of the result is
+so they stop paying per-round cost.  On SCCs without a token-edge seed
+(below), row ``b`` of the result is
 bit-identical to ``solve_prepared(plan, weights[b])`` — same policy
 trajectory, same tie-breaking, same extracted cycle, same round count —
 because every float operation mirrors the scalar path element for
 element (see :func:`_scc_howard_csr_many`).  A shared
 :class:`HowardState` seeds every row from the same carried policy, so
 each row equals the scalar solve warm-started from a copy of that state.
+
+Token-edge seeds
+----------------
+An SCC with at least ``_SEED_NODES_PER_TOKEN`` nodes per token edge (a
+strict TPN: all tokens on the ``k`` processor-circuit places, the rest a
+token-free DAG) is prepared with its ``k``-node token-edge reduction
+(:mod:`._token_seed`).  :func:`solve_prepared_many` solves the reduced
+graph, lifts its solution to one start policy per row, and lets the
+lockstep kernel run from there to its own fixed point — usually one
+round.  A row is then *certified* (every non-policy edge strictly
+suboptimal by a margin) and equal to the cold scalar solve in value,
+cycle and rotation; an uncertified row is recomputed cold.  Seeded SCCs
+never read a carried :class:`HowardState`.
 """
 
 from __future__ import annotations
@@ -97,6 +111,7 @@ import numpy.typing as npt
 
 from ..errors import DeadlockError, SolverError, ValidationError
 from ..telemetry import TELEMETRY
+from ._token_seed import TokenDag, forward_matrix, start_policy, token_dag
 from .graph import RatioGraph
 
 __all__ = [
@@ -119,6 +134,19 @@ _MAX_ROUNDS_FACTOR = 64
 #: ``benchmarks/bench_howard_scalar.py``: the list step is ahead up to
 #: 210 edges, the numpy step from about 420.
 _LIST_STEP_MAX_EDGES = 256
+
+#: Multi-node SCCs with at least this many nodes per token edge (and a
+#: node with a choice of out-edges) seed lockstep Howard from their
+#: token-edge reduction (:func:`_seed_start`).  Chosen from the sweep of
+#: real strict SCC shapes in ``benchmarks/bench_howard_many.py``: from
+#: n/k = 25 (lcm 60) up the seed cuts the lockstep cost 3-6x, while on
+#: the ``mixed`` campaign's small count groups (n/k <= 7.5) it only
+#: breaks even, so those keep the warm-started unseeded lockstep.
+_SEED_NODES_PER_TOKEN = 16
+
+#: Cap on the ``rows * k * n`` float cells of one seed forward pass;
+#: larger slabs are seeded in row chunks.
+_SEED_CELL_BUDGET = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -188,6 +216,40 @@ class _PreparedScc:
     tokens: npt.NDArray[np.float64]
     start: npt.NDArray[np.int64]
     gmap: npt.NDArray[np.int64]
+    seed: "_Seed | None" = None
+
+
+@dataclass(frozen=True)
+class _Seed:
+    """Token-edge reduction of one SCC: the structure of
+    :func:`~._token_seed.token_dag` and its reduced ``k``-node SCC,
+    prepared for :func:`_scc_howard_csr_many`."""
+
+    dag: TokenDag
+    reduced: _PreparedScc
+
+
+def _prepare_seed(
+    n: int,
+    src: npt.NDArray[np.int64],
+    dst: npt.NDArray[np.int64],
+    tokens: npt.NDArray[np.float64],
+) -> _Seed:
+    """Token-edge reduction of one CSR-ordered SCC."""
+    dag = token_dag(n, src, dst, tokens)
+    k, r = dag.tok.size, dag.red_src.size
+    ids = np.arange(r, dtype=np.int64)
+    return _Seed(dag, _PreparedScc(
+        n=k,
+        node_map=tuple(range(k)),
+        edge_map=ids,
+        order=ids,
+        src=dag.red_src,
+        dst=dag.red_dst,
+        tokens=dag.tok_tokens[dag.red_src],
+        start=np.searchsorted(dag.red_src, np.arange(k + 1)),
+        gmap=ids,
+    ))
 
 
 @dataclass(frozen=True)
@@ -264,6 +326,12 @@ def prepare_howard(graph: RatioGraph) -> HowardPlan:
             # Some node has no outgoing edge: inside an SCC that means the
             # "SCC" is a singleton without self-loop -> no cycle.
             continue
+        dst = local[graph.dst[edge_map]][order]
+        tokens = graph.tokens[edge_map][order].astype(float)
+        seeded = (
+            src.size > n
+            and n >= _SEED_NODES_PER_TOKEN * int(np.count_nonzero(tokens))
+        )
         components.append(
             _PreparedScc(
                 n=n,
@@ -271,10 +339,11 @@ def prepare_howard(graph: RatioGraph) -> HowardPlan:
                 edge_map=edge_map,
                 order=order,
                 src=src,
-                dst=local[graph.dst[edge_map]][order],
-                tokens=graph.tokens[edge_map][order].astype(float),
+                dst=dst,
+                tokens=tokens,
                 start=start,
                 gmap=edge_map[order],
+                seed=_prepare_seed(n, src, dst, tokens) if seeded else None,
             )
         )
     return HowardPlan(
@@ -551,20 +620,48 @@ def _bind_state(state: HowardState, plan: HowardPlan) -> None:
         state.policies = [None] * len(plan.components)
 
 
+def _scalar_candidate(
+    scc: _PreparedScc,
+    weight: npt.NDArray[np.float64],
+    tol: float,
+    policy0: npt.NDArray[np.int64] | None = None,
+) -> tuple[_Candidate, npt.NDArray[np.int64]]:
+    """One row through the scalar kernel, ids mapped to caller space."""
+    res, policy = _scc_howard_csr(scc, weight, tol, policy0=policy0)
+    return (
+        res.value,
+        tuple(scc.node_map[v] for v in res.cycle_nodes),
+        tuple(scc.edge_map.take(np.asarray(
+            res.cycle_edges, dtype=np.int64)).tolist()),
+        res.n_rounds,
+    ), policy
+
+
 def _scc_howard_csr_many(
     scc: _PreparedScc,
     W: npt.NDArray[np.float64],
     tol_rows: npt.NDArray[np.float64],
     policy0: npt.NDArray[np.int64] | None,
-) -> tuple[list[_Candidate], npt.NDArray[np.int64]]:
+    certify: bool = False,
+) -> tuple[list[_Candidate], npt.NDArray[np.int64], npt.NDArray[np.bool_]]:
     """Lockstep policy iteration inside one prepared SCC for ``B`` rows.
 
     ``W`` is the ``(B, e)`` CSR-ordered weight matrix (one stamping per
     row), ``tol_rows`` the per-row improvement tolerance and
-    ``policy0`` an optional warm-start policy that seeds every row.
+    ``policy0`` an optional start policy: one ``(n,)`` warm-start policy
+    that seeds every row, or a ``(B, n)`` matrix with one start per row.
     Returns one ``(value, cycle_nodes, cycle_edges, n_rounds)`` tuple
-    per row — ids already in caller space — plus the ``(B, n)`` matrix
-    of converged policies.
+    per row — ids already in caller space — the ``(B, n)`` matrix of
+    converged policies, and a per-row certificate flag.
+
+    ``certify`` turns the certificate on: a row is certified when its
+    converged policy has a single cycle ``C`` and every non-policy
+    edge's reduced cost ``w - lam * t + pot[dst] - pot[src]`` is below
+    ``-tol * max(n, |C| * T / T(C))``, with ``T`` the SCC's token total
+    and ``T(C)`` the cycle's; :func:`solve_prepared_many` explains why
+    that makes the row equal to a cold solve.  Certifying rows stay in
+    lockstep to the end (no straggler hand-off).  Without ``certify``
+    every flag is ``False``.
 
     Bit-identity with :func:`_scc_howard_csr`, row by row:
 
@@ -609,13 +706,16 @@ def _scc_howard_csr_many(
     dst_i = dst.astype(idx_dt)
     edge_pos = np.arange(e, dtype=idx_dt)
     node_ids = np.arange(n, dtype=idx_dt)
-    p0 = policy0 if policy0 is not None and policy0.shape == (n,) else start[:n]
+    p0 = (policy0 if policy0 is not None and policy0.shape in ((n,), (B, n))
+          else start[:n])
     policy = np.empty((B, n), dtype=idx_dt)
     policy[:] = p0
 
     rows = np.arange(B, dtype=np.int64)  # active-row -> original-row map
     W_act = W
     tol_act = np.asarray(tol_rows, dtype=float)
+    certified = np.zeros(B, dtype=bool)
+    tokens_total = float(tokens.sum(dtype=np.float64))
     results: list[_Candidate | None] = [None] * B
     out_policy = np.empty((B, n), dtype=np.int64)
     max_rounds = _MAX_ROUNDS_FACTOR * max(n, 8)
@@ -631,24 +731,16 @@ def _scc_howard_csr_many(
         # kernels perform the same per-round arithmetic, so "rounds
         # 1..k in lockstep, k+1.. in the scalar kernel" is the same
         # computation as either kernel alone.
-        if A <= (B >> 3):
+        if not certify and A <= (B >> 3):
             if TELEMETRY.enabled:
                 TELEMETRY.count("howard.straggler_handoffs", A)
             for a in range(A):
                 b = int(rows[a])
-                res, polc = _scc_howard_csr(
-                    scc, W_act[a], float(tol_act[a]), policy0=policy[a]
+                cand, out_policy[b] = _scalar_candidate(
+                    scc, W_act[a], float(tol_act[a]), policy[a]
                 )
-                results[b] = (
-                    res.value,
-                    tuple(node_map_arr.take(np.asarray(
-                        res.cycle_nodes, dtype=np.int64)).tolist()),
-                    tuple(scc.edge_map.take(np.asarray(
-                        res.cycle_edges, dtype=np.int64)).tolist()),
-                    res.n_rounds + round_no - 1,
-                )
-                out_policy[b] = polc
-            return results, out_policy  # type: ignore[return-value]
+                results[b] = cand[:3] + (cand[3] + round_no - 1,)
+            return results, out_policy, certified  # type: ignore[return-value]
 
         # ---- policy evaluation (vectorized functional-graph traversal) --
         # The traversal structure depends on the policy alone, never the
@@ -912,6 +1004,16 @@ def _scc_howard_csr_many(
             best_lane_d = best_lane.take(d_idx)
             vals_d = best_val.take(d_idx)
             out_policy[rows.take(d_idx)] = policy[d_idx]
+            if certify:
+                # One policy cycle, and every non-policy edge's reduced
+                # cost strictly below -margin.
+                off = reduced[d_idx]
+                off[np.arange(D)[:, None], policy[d_idx]] = -np.inf
+                single = np.bincount(lane_rows, minlength=A).take(d_idx) == 1
+                margin = tol_act.take(d_idx) * np.maximum(
+                    n, len_lane.take(best_lane_d) * tokens_total
+                    / ct.take(best_lane_d))
+                certified[rows.take(d_idx)] = single & (off.max(axis=1) < -margin)
             if shared:
                 # One shared policy: rows extracting the same entry share
                 # the same cycle — walk each unique cycle once and hand
@@ -964,7 +1066,7 @@ def _scc_howard_csr_many(
                         tuple(edges_l[t][:length]), round_no,
                     )
             if done.all():
-                return results, out_policy  # type: ignore[return-value]
+                return results, out_policy, certified  # type: ignore[return-value]
 
         policy = np.where(phase1, first_g, np.where(phase2, first_r, policy))
         if done.any():
@@ -1094,17 +1196,64 @@ def solve_prepared_many(
         state's current policies and the state afterwards carries the
         **last** row's converged policies (so a subsequent batch
         continues where this one left off).  The state is written only
-        when the whole solve succeeds.  Period values equal a cold
-        start's; round counts and exact-tie cycle extraction follow the
-        seeding.
+        when the whole solve succeeds.  Seeded SCCs (below) ignore the
+        carried policies but still write theirs back.  On unseeded
+        SCCs round counts follow the seeding, and so can the extracted
+        cycle and its value bits when cycle ratios tie within ``tol``
+        (ROADMAP item 2).
 
     Returns
     -------
     list[HowardResult]
-        One result per row.  Entry ``b`` is bit-identical to
-        ``solve_prepared(plan, weights[b], state=s)`` — value bits,
-        extracted cycle, and round count — where ``s`` is a copy of
-        ``state`` as it was before the call (no state: a cold start).
+        One result per row.  On SCCs without a token-edge seed, entry
+        ``b`` is bit-identical to ``solve_prepared(plan, weights[b],
+        state=s)`` — value bits, extracted cycle, and round count —
+        where ``s`` is a copy of ``state`` as it was before the call
+        (no state: a cold start).  On seeded SCCs the row equals the
+        cold ``solve_prepared(plan, weights[b])`` in value bits and
+        extracted cycle — certified rows by the argument below,
+        uncertified rows because they are recomputed cold.  A
+        certified row reports its own lockstep rounds (usually 1), an
+        uncertified row the cold solve's.
+
+    Notes
+    -----
+    *Seeded SCCs.*  An SCC prepared with a token-edge seed (see the
+    module docstring) starts each row from the policy its reduced
+    solution proposes and runs the lockstep kernel to a fixed point
+    ``pi``.  The row is **certified** when ``pi`` has a single cycle
+    ``C`` (``L`` edges, ``T(C)`` tokens, ratio ``lam``) and every
+    non-policy edge has reduced cost
+    ``r_e = w_e - lam * t_e + pot[dst] - pot[src] < -m`` with
+    ``m = tol * max(n, L * T / T(C))`` (``n`` nodes, ``T`` tokens in
+    the SCC); policy edges have ``r_e = 0``.  Let ``sigma`` be the
+    policy a cold solve stops at, with one ratio ``mu`` on every node
+    (what a fixed point of an SCC has, exactly so at ``tol = 0``) and
+    so ``r^sigma_e <= tol`` on every edge.  Then ``sigma = pi``:
+
+    1. Summing ``r_e`` around any cycle ``D`` gives
+       ``W(D) - lam * T(D) < -m * j``, ``j`` its non-``pi`` edges: every
+       cycle but ``C`` has ratio below ``lam - m / T``.
+    2. Summing ``r^sigma_e`` around ``C`` gives
+       ``lam - mu <= L * tol / T(C) <= m / T``, so by 1. ``sigma``'s
+       cycle is ``C`` itself and ``mu = lam``.
+    3. ``delta = pot^sigma - pot`` is constant (``c``) on ``C``.  Along
+       ``sigma`` from a node whose ``sigma`` edge is not ``pi``'s,
+       ``delta`` ends below ``c - m``; along ``pi`` (fewer than ``n``
+       edges, each ``r^sigma <= tol``) it stays above ``c - n * tol``.
+       As ``m >= n * tol``, no such node exists.
+
+    Equal policies evaluate to equal floats in both kernels, so value,
+    cycle and rotation agree bit for bit.  Rounding in the potentials
+    is about ``n * 2**-52`` of the weight scale, far below ``tol``
+    (``1e-9`` of it).  When several ratio classes coexist in ``sigma``
+    (possible only within ``(n - 1) * tol`` of each other) the argument
+    does not apply as written; the near-tie harness in
+    ``tests/test_howard_seed.py`` replays such weightings against the
+    cold solve.  Rows failing the certificate are re-solved with the
+    cold scalar kernel (the oracle's path) and counted as
+    ``howard.uncertified``; all seeded rows count as
+    ``howard.seeded_rows``.
 
     Raises
     ------
@@ -1116,7 +1265,7 @@ def solve_prepared_many(
     """
     weights = np.asarray(weights, dtype=float)
     if weights.ndim != 2 or weights.shape[1] != plan.n_edges:
-        raise ValueError(
+        raise ValidationError(
             f"weights must have shape (B, {plan.n_edges}); "
             f"got {weights.shape}"
         )
@@ -1142,6 +1291,7 @@ def solve_prepared_many(
 
     best: list[_Candidate | None] = [None] * B
     last_policies: list[tuple[int, npt.NDArray[np.int64]]] = []
+    seeded = uncertified = 0
     for ci, comp in enumerate(plan.components):
         if isinstance(comp, _PreparedSingleton):
             loops = np.asarray(comp.self_loops, dtype=np.int64)
@@ -1157,10 +1307,21 @@ def solve_prepared_many(
                     best[b] = (val, (comp.node,), (int(loops[j[b]]),), 0)
             continue
 
-        cands, out_pol = _scc_howard_csr_many(
-            comp, weights[:, comp.gmap], tol_rows,
-            state.policies[ci] if state is not None else None,  # type: ignore[index]
-        )
+        W = weights[:, comp.gmap]
+        if comp.seed is not None:
+            cands, out_pol, certified = _scc_howard_csr_many(
+                comp, W, tol_rows, _seed_start(comp, comp.seed, W, tol_rows),
+                certify=True,
+            )
+            seeded += B
+            for b in np.flatnonzero(~certified).tolist():
+                uncertified += 1
+                cands[b], out_pol[b] = _scalar_candidate(comp, W[b], float(tol_rows[b]))
+        else:
+            cands, out_pol, _ = _scc_howard_csr_many(
+                comp, W, tol_rows,
+                state.policies[ci] if state is not None else None,  # type: ignore[index]
+            )
         last_policies.append((ci, out_pol[B - 1]))
         for b, cand in enumerate(cands):
             cur = best[b]
@@ -1176,18 +1337,54 @@ def solve_prepared_many(
     if state is not None:
         for ci, pol in last_policies:
             state.policies[ci] = pol  # type: ignore[index]
-    return _count_lockstep(out)
-
-
-def _count_lockstep(out: list[HowardResult]) -> list[HowardResult]:
-    """Tally one successful lockstep solve on the telemetry counters."""
     if TELEMETRY.enabled:
-        rounds = 0
-        for res in out:
-            rounds += res.n_rounds
-        TELEMETRY.count("howard.lockstep_solves")
-        TELEMETRY.count("howard.lockstep_rows", len(out))
-        TELEMETRY.count("howard.rounds", rounds)
+        _count_lockstep(out, seeded, uncertified)
+    return out
+
+
+def _count_lockstep(out: list[HowardResult], seeded: int, uncertified: int) -> None:
+    """Tally one successful lockstep solve on the telemetry counters."""
+    rounds = 0
+    for res in out:
+        rounds += res.n_rounds
+    TELEMETRY.count("howard.lockstep_solves")
+    TELEMETRY.count("howard.lockstep_rows", len(out))
+    TELEMETRY.count("howard.rounds", rounds)
+    if seeded:
+        TELEMETRY.count("howard.seeded_rows", seeded)
+    if uncertified:
+        TELEMETRY.count("howard.uncertified", uncertified)
+
+
+def _seed_start(
+    scc: _PreparedScc,
+    seed: _Seed,
+    W: npt.NDArray[np.float64],
+    tol_rows: npt.NDArray[np.float64],
+) -> npt.NDArray[np.int64]:
+    """``(B, n)`` start policies from the SCC's token-edge reduction.
+
+    Per row chunk (``rows * k * n`` under :data:`_SEED_CELL_BUDGET`):
+    the forward pass builds the token-edge matrices, lockstep Howard on
+    the reduced ``k``-node SCC gives each row's ratio and a critical
+    node, and :func:`~._token_seed.start_policy` lifts that solution to
+    a full-graph policy.  The start only proposes; the caller's lockstep
+    solve and certificate decide.
+    """
+    dag = seed.dag
+    B = W.shape[0]
+    chunk = max(1, _SEED_CELL_BUDGET // (dag.tok.size * (scc.n + 1)))
+    csr = (scc.src, scc.dst, scc.tokens, scc.start)
+    out = np.empty((B, scc.n), dtype=np.int64)
+    for b0 in range(0, B, chunk):
+        Wc = W[b0:b0 + chunk]
+        A = forward_matrix(dag, Wc)
+        cands, _, _ = _scc_howard_csr_many(
+            seed.reduced, A[:, dag.red_src, dag.red_dst], tol_rows[b0:b0 + chunk], None
+        )
+        lam = np.fromiter((c[0] for c in cands), dtype=float, count=len(cands))
+        root = np.fromiter((c[1][0] for c in cands), dtype=np.int64, count=len(cands))
+        out[b0:b0 + chunk] = start_policy(dag, Wc, A, lam, root, csr)
     return out
 
 

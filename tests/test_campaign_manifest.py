@@ -428,6 +428,7 @@ class TestReportNotDone:
             "manifest_misses": 1,
             "patterns_solved": drain["poly.patterns_solved"],
             "patterns_pruned": drain["poly.patterns_pruned"],
+            "uncertified_rows": 0,
             "lost_leases": 0,
         }
         assert not_done["patterns_solved"] > 0
@@ -436,3 +437,12 @@ class TestReportNotDone:
         text = render_report_text(data)
         assert (f"not done       : {not_done['patterns_pruned']} Theorem-1 "
                 f"pattern(s) pruned") in text
+        assert "; 0 uncertified row(s); " in text
+
+    def test_uncertified_rows_from_counters(self, spec, tmp_path):
+        with ResultStore(tmp_path / "s.sqlite") as store:
+            run_campaign(spec, store)
+            data = campaign_report_data(
+                spec, store, counters={"howard.uncertified": 3})
+        assert data["telemetry"]["not_done"]["uncertified_rows"] == 3
+        assert "; 3 uncertified row(s); " in render_report_text(data)

@@ -390,3 +390,65 @@ class TestTelemetryCli:
         empty.mkdir()
         assert main(["telemetry", "report", str(empty)]) == 1
         assert "no trace" in capsys.readouterr().err
+
+
+SEEDED_SPEC_DICT = {
+    "name": "telemetry-seeded",
+    "draws": 8,
+    "models": ["strict"],
+    "applications": [
+        {"synthetic": {"n_stages": 3, "shape": "balanced", "scale": 8.0}},
+    ],
+    "platforms": [{"n_procs": 12}],
+    "replications": [{"fixed": [3, 4, 5], "assignment": "blocks"}],
+}
+
+
+class TestSeedCounters:
+    def test_strict_lcm60_drain_seeds_every_lockstep_row(self, tmp_path):
+        spec = CampaignSpec.from_dict(SEEDED_SPEC_DICT)
+        with ResultStore(tmp_path / "s.sqlite") as store:
+            run_campaign(spec, store, trace_dir=tmp_path / "trace")
+            counters = merge_traces(trace_files(tmp_path / "trace"))[
+                "counters"]
+            data = campaign_report_data(spec, store, counters=counters)
+        rows = counters["howard.lockstep_rows"]
+        assert counters["howard.seeded_rows"] == rows == spec.n_points
+        assert "howard.uncertified" not in counters
+        assert data["telemetry"]["not_done"]["uncertified_rows"] == 0
+        assert "; 0 uncertified row(s); " in render_report_text(data)
+
+    def test_unseeded_drain_has_no_seed_counters(self, tmp_path):
+        # [2,3,2] (the mixed campaign's pinned counts): n/k = 30/7 < 16.
+        spec = CampaignSpec.from_dict(dict(
+            SEEDED_SPEC_DICT, platforms=[{"n_procs": 8}],
+            replications=[{"fixed": [2, 3, 2], "assignment": "blocks"}]))
+        with ResultStore(tmp_path / "s.sqlite") as store:
+            run_campaign(spec, store, trace_dir=tmp_path / "trace")
+        counters = merge_traces(trace_files(tmp_path / "trace"))["counters"]
+        assert counters["howard.lockstep_rows"] == spec.n_points
+        assert "howard.seeded_rows" not in counters
+        assert "howard.uncertified" not in counters
+
+    def test_rejected_certificate_is_counted(self, monkeypatch):
+        import numpy as np
+
+        from repro.maxplus import howard
+        from repro.maxplus.graph import RatioGraph
+
+        # Two 2-cycles through node 0 with equal ratios: the tie leaves a
+        # non-policy edge at reduced cost 0, so the row is recomputed cold.
+        monkeypatch.setattr(howard, "_SEED_NODES_PER_TOKEN", 0)
+        g = RatioGraph(3, [(0, 1, 1.0, 1), (1, 0, 1.0, 1),
+                           (0, 2, 1.0, 1), (2, 0, 1.0, 1)])
+        plan = howard.prepare_howard(g)
+        TELEMETRY.enable("seed")
+        try:
+            (res,) = howard.solve_prepared_many(plan, g.weight[None, :])
+        finally:
+            TELEMETRY.disable()
+        counters = TELEMETRY.counter_snapshot()
+        assert counters["howard.seeded_rows"] == 1
+        assert counters["howard.uncertified"] == 1
+        assert res == howard.solve_prepared(plan, g.weight)
+        assert np.float64(res.value) == 1.0
