@@ -1,4 +1,4 @@
-"""Campaign chunk ordering vs PR-1 contiguous chunking: Howard rounds.
+"""Campaign ordering vs round-robin contiguous chunking: skeleton builds.
 
 The campaign executor reorders pending points by topology signature
 (groups in first-seen order, sweep order preserved inside each group),
@@ -14,24 +14,20 @@ each topology's sweep across all workers.
 This benchmark builds that adversarial-but-typical stream — two
 choice-rich replication topologies (out-degree > 1, ``m = 30``) swept
 across smoothly drifting platforms, interleaved per drift step — and
-*simulates both worker layouts deterministically*: per-worker engines,
-per-(worker, topology) :class:`~repro.maxplus.howard.HowardState`,
-exactly the state the real executors carry.  It asserts:
+*simulates both worker layouts deterministically* with one
+:class:`~repro.engine.BatchEngine` per worker.  It asserts:
 
-* **identical period values** under both layouts (warm starts never
-  change values — the campaign's byte-identical-exports guarantee);
+* **identical period values** under both layouts (every evaluation is
+  a pure function of its point — the campaign's byte-identical-exports
+  guarantee);
 * the campaign layout needs **strictly fewer skeleton builds** (each
-  topology is built by fewer workers);
-* the campaign layout cuts **total policy-iteration rounds by at least
-  1.25x** (measured ~1.5x): consecutive same-topology points inside a
-  span are drift neighbors, so the carried policy is usually one
-  improvement round from the next fixed point, while round-robin
-  chunking makes each worker's same-topology stream jump across the
-  drift.
+  topology is built by fewer workers).
 
+Howard starts cold on every solve, so policy-iteration rounds do not
+depend on the layout; skeleton builds are what the ordering saves.
 All counts are seeded and deterministic — no wall-clock flake.
 
-Run standalone (asserts all three facts)::
+Run standalone (asserts both facts)::
 
     PYTHONPATH=src python benchmarks/bench_campaign.py
 
@@ -47,8 +43,7 @@ import numpy as np
 
 from repro import Application, Instance, Mapping, Platform
 from repro.campaign import order_for_engine
-from repro.engine import BatchEngine, topology_signature
-from repro.maxplus.howard import HowardState, solve_prepared
+from repro.engine import BatchEngine
 from repro.telemetry import TELEMETRY
 
 try:  # pytest package context vs standalone `python benchmarks/...`
@@ -57,13 +52,11 @@ except ImportError:  # pragma: no cover - standalone fallback
     from conftest import report
 
 #: Two choice-rich topologies (m = 30, out-degree > 1 everywhere) that a
-#: grid campaign interleaves; the (2,3,5,1) regression topology would
-#: converge in one round from cold and show nothing.
+#: grid campaign interleaves.
 REPLICATIONS = ((6, 10, 15), (15, 6, 10))
 N_REGIMES = 120          # drift steps of the platform sweep
-CHUNK_SIZE = 8           # PR-1 chunk granularity
+CHUNK_SIZE = 8           # round-robin chunk granularity
 N_WORKERS = 4
-MIN_ROUND_REDUCTION = 1.25
 MODEL = "strict"
 
 
@@ -71,8 +64,8 @@ def make_interleaved_sweep() -> list[tuple[Instance, str]]:
     """The campaign-shaped stream: topologies interleaved per drift step.
 
     Platforms drift smoothly (per-resource sinusoids, 35% amplitude,
-    three cycles over the sweep), so drift neighbors are
-    warm-start-friendly while distant steps are genuinely different.
+    three cycles over the sweep), so drift neighbors are similar while
+    distant steps are genuinely different.
     """
     apps_maps = []
     for counts in REPLICATIONS:
@@ -108,37 +101,28 @@ def simulate_workers(
     pairs: list[tuple[Instance, str]],
     worker_streams: list[list[int]],
 ) -> dict:
-    """Replay per-worker evaluation and count rounds/builds.
+    """Replay per-worker evaluation and count skeleton builds.
 
-    Each worker owns a :class:`BatchEngine` (skeleton builds = its cache
-    misses, read from the ``engine.skeleton_builds`` telemetry counter)
-    and one :class:`HowardState` per topology — exactly the state a
-    campaign's long-lived workers carry.
+    Each worker owns a :class:`BatchEngine`, as a campaign's long-lived
+    workers do; skeleton builds are its cache misses, read from the
+    ``engine.skeleton_builds`` telemetry counter.
     """
-    rounds = 0
     values: dict[int, float] = {}
     TELEMETRY.enable("bench")
     try:
         for stream in worker_streams:
             engine = BatchEngine()
-            states: dict[tuple, HowardState] = {}
             for i in stream:
                 inst, model = pairs[i]
-                sig = topology_signature(inst, model)
-                sk = engine.skeleton(inst, model)
-                state = states.setdefault(sig, HowardState())
-                res = solve_prepared(sk.plan, sk.stamp_weights(inst),
-                                     state=state)
-                rounds += res.n_rounds
-                values[i] = res.value / sk.m
+                values[i] = engine.evaluate(inst, model).period
     finally:
         TELEMETRY.disable()
     builds = TELEMETRY.counters.get("engine.skeleton_builds", 0)
-    return {"rounds": rounds, "builds": builds, "values": values}
+    return {"builds": builds, "values": values}
 
 
-def pr1_layout(n: int) -> list[list[int]]:
-    """PR-1's sharding model: contiguous chunks, round-robin workers."""
+def chunked_layout(n: int) -> list[list[int]]:
+    """Sharded ``evaluate``'s model: contiguous chunks, round-robin workers."""
     chunks = [list(range(i, min(i + CHUNK_SIZE, n)))
               for i in range(0, n, CHUNK_SIZE)]
     return [
@@ -161,15 +145,12 @@ def campaign_layout(pairs: list[tuple[Instance, str]]) -> list[list[int]]:
 
 def run_comparison() -> dict:
     pairs = make_interleaved_sweep()
-    pr1 = simulate_workers(pairs, pr1_layout(len(pairs)))
+    chunked = simulate_workers(pairs, chunked_layout(len(pairs)))
     camp = simulate_workers(pairs, campaign_layout(pairs))
     return {
         "n_points": len(pairs),
-        "identical": pr1["values"] == camp["values"],
-        "pr1_rounds": pr1["rounds"],
-        "campaign_rounds": camp["rounds"],
-        "reduction": pr1["rounds"] / camp["rounds"],
-        "pr1_builds": pr1["builds"],
+        "identical": chunked["values"] == camp["values"],
+        "chunked_builds": chunked["builds"],
         "campaign_builds": camp["builds"],
     }
 
@@ -177,26 +158,19 @@ def run_comparison() -> dict:
 def _check(stats: dict) -> None:
     assert stats["identical"], \
         "period values diverged between chunk layouts"
-    assert stats["campaign_builds"] < stats["pr1_builds"], (
+    assert stats["campaign_builds"] < stats["chunked_builds"], (
         f"campaign layout built {stats['campaign_builds']} skeletons, "
-        f"PR-1 only {stats['pr1_builds']}"
-    )
-    assert stats["reduction"] >= MIN_ROUND_REDUCTION, (
-        f"ordering only cut policy rounds by {stats['reduction']:.2f}x "
-        f"(floor {MIN_ROUND_REDUCTION}x)"
+        f"round-robin chunking only {stats['chunked_builds']}"
     )
 
 
 def bench_campaign_ordering(benchmark):
     stats = benchmark.pedantic(run_comparison, rounds=1, iterations=1)
     _check(stats)
-    report(benchmark, "Campaign ordering vs PR-1 chunking (Howard rounds)",
+    report(benchmark, "Campaign ordering vs round-robin chunking",
            [("values identical", "yes", stats["identical"]),
-            ("PR-1 rounds", "baseline", stats["pr1_rounds"]),
-            ("campaign rounds", f">= {MIN_ROUND_REDUCTION}x fewer",
-             f"{stats['campaign_rounds']} ({stats['reduction']:.2f}x)"),
             ("skeleton builds", "strictly fewer",
-             f"{stats['pr1_builds']} -> {stats['campaign_builds']}")])
+             f"{stats['chunked_builds']} -> {stats['campaign_builds']}")])
 
 
 def main() -> int:
@@ -205,13 +179,9 @@ def main() -> int:
           f"{len(REPLICATIONS)} choice-rich topologies, "
           f"{N_REGIMES} drift regimes, {N_WORKERS} workers, "
           f"chunk size {CHUNK_SIZE}")
-    print(f"PR-1 chunking   : {stats['pr1_rounds']} policy rounds, "
-          f"{stats['pr1_builds']} skeleton builds")
-    print(f"campaign order  : {stats['campaign_rounds']} policy rounds, "
-          f"{stats['campaign_builds']} skeleton builds")
-    print(f"round reduction : {stats['reduction']:.2f}x "
-          f"(floor {MIN_ROUND_REDUCTION}x)")
-    print(f"values identical: {stats['identical']}")
+    print(f"round-robin chunks: {stats['chunked_builds']} skeleton builds")
+    print(f"campaign order    : {stats['campaign_builds']} skeleton builds")
+    print(f"values identical  : {stats['identical']}")
     _check(stats)
     print("OK")
     return 0

@@ -33,10 +33,10 @@ on CI hardware with no code defect, which is why PR 6 retired it):
 A second experiment sweeps the token-edge seed (``_SEED_NODES_PER_TOKEN``)
 over real strict SCC shapes — the ``mixed`` campaign's largest n/k
 (7.5, counts [1,4,3]) and the lcm 60 / 140 / 420 topologies — solving
-the same 32-row slabs with the seed forced off (today's warm-chained
-lockstep) and forced on.  Seeded rows must equal the cold scalar solve
-bit for bit (value, cycle nodes and edges); wall-clock and rounds per
-row are reported, never gated.  It is the evidence for the 16 nodes
+the same 32-row slabs with the seed forced off (the cold unseeded
+lockstep) and forced on.  Both must equal the cold scalar solve bit
+for bit (value, cycle nodes and edges); wall-clock and rounds per row
+are reported, never gated.  It is the evidence for the 16 nodes
 per token edge dispatch cut.
 
 Run standalone (asserts round ratio and identity)::
@@ -62,7 +62,6 @@ from repro.engine import BatchEngine
 from repro.engine.skeleton import build_skeleton
 from repro.maxplus import howard
 from repro.maxplus.howard import (
-    HowardState,
     prepare_howard,
     solve_prepared,
     solve_prepared_many,
@@ -262,11 +261,11 @@ def _plan(graph, seeded: bool) -> howard.HowardPlan:
         howard._SEED_NODES_PER_TOKEN = saved
 
 
-def _slabs(plan, W, state):
-    """Solve ``W`` in executor-sized slabs, chaining one warm state."""
+def _slabs(plan, W):
+    """Solve ``W`` in executor-sized slabs."""
     out = []
     for b0 in range(0, len(W), SEED_SLAB):
-        out += solve_prepared_many(plan, W[b0:b0 + SEED_SLAB], state=state)
+        out += solve_prepared_many(plan, W[b0:b0 + SEED_SLAB])
     return out
 
 
@@ -288,13 +287,13 @@ def seed_sweep() -> dict:
         for rep in range(3):
             for on in ((False, True) if rep % 2 == 0 else (True, False)):
                 t0 = time.perf_counter()
-                results[on] = _slabs(plans[on], W, HowardState())
+                results[on] = _slabs(plans[on], W)
                 best[on] = min(best[on], time.perf_counter() - t0)
         cold = [solve_prepared(sk.plan, w) for w in W]
         same = all(
             np.float64(r.value).tobytes() == np.float64(c.value).tobytes()
             and r.cycle_nodes == c.cycle_nodes and r.cycle_edges == c.cycle_edges
-            for r, c in zip(results[True], cold)
+            for on in (False, True) for r, c in zip(results[on], cold)
         )
         identical &= same
         rows = len(W)
@@ -319,7 +318,7 @@ def bench_howard_seed_sweep(benchmark):
            [(f"{s['label']} (n/k {s['n_per_k']:.1f}) ms/row",
              f"{s['unseeded_ms_per_row']:.2f}",
              f"{s['seeded_ms_per_row']:.2f}") for s in stats["shapes"]]
-           + [("seeded rows == cold", "yes", stats["identical"])])
+           + [("rows == cold", "yes", stats["identical"])])
 
 
 def bench_howard_many_speedup(benchmark):
@@ -375,7 +374,7 @@ def main() -> int:
     print(f"bit-identical          : {stats['identical']}")
     sweep = seed_sweep()
     print(f"token-edge seed sweep ({SEED_SLAB}-row slabs; unseeded = "
-          f"warm-chained lockstep):")
+          f"cold lockstep):")
     for s in sweep["shapes"]:
         print(f"  {s['label']:<14} {str(tuple(s['counts'])):<13} n {s['n']:>5} "
               f"k {s['k']:>3} n/k {s['n_per_k']:>6.1f} "
@@ -384,8 +383,8 @@ def main() -> int:
               f"{s['seeded_ms_per_row']:7.2f} ms/row, rounds/row "
               f"{s['unseeded_rounds_per_row']:.2f} -> "
               f"{s['seeded_rounds_per_row']:.2f}")
-    print(f"seeded rows == cold    : {sweep['identical']}")
-    assert sweep["identical"], "seeded rows diverged from the cold solve"
+    print(f"rows == cold           : {sweep['identical']}")
+    assert sweep["identical"], "lockstep rows diverged from the cold solve"
     assert stats["identical"], "group results diverged from the scalar path"
     assert stats["rounds_scalar"] == stats["rounds_lockstep"], \
         "lockstep trajectory diverged from the scalar trajectory"

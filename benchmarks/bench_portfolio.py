@@ -15,15 +15,6 @@ checkpoint-resumable climbs.  Two deterministic contracts are pinned:
   exactly the platforms where fair-share loses to a single lucky deep
   climb (``run_three_way``, the ROADMAP "smarter portfolios" claim).
 
-The second experiment pins the warm-start contract on two sweeps:
-``BatchEngine(warm_start=True)`` — Howard's policy iteration seeded from
-the previous instance of each topology group — must return exactly the
-same period values as a cold engine on the iid regression sweep (the
-extracted critical cycle is allowed to differ, the value is not), and on
-a slowly-varying sweep (1% jitter around one base instance, the shape of
-a mapping-search neighborhood) the carried policy must cut total
-policy-iteration rounds by at least 2x.
-
 Run standalone (asserts both facts)::
 
     PYTHONPATH=src python benchmarks/bench_portfolio.py
@@ -36,21 +27,16 @@ or under pytest-benchmark::
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro import Application, Platform
-from repro.engine import BatchEngine
 from repro.extensions import local_search_mapping
 from repro.search import EvaluationBudget, portfolio_search
 
 try:  # pytest package context vs standalone `python benchmarks/...`
     from .conftest import report
-    from .bench_engine_batch import make_sweep
 except ImportError:  # pragma: no cover - standalone fallback
     from conftest import report
-    from bench_engine_batch import make_sweep
 
 #: Equal oracle allowance for both optimizers.
 BUDGET = 1200
@@ -172,91 +158,6 @@ def run_three_way() -> dict:
     }
 
 
-def run_warm_start_sweep(n_instances: int = 300) -> dict:
-    """Warm vs cold periods on the shared-topology regression sweep."""
-    instances = make_sweep(n_instances)
-    cold_engine = BatchEngine()
-    warm_engine = BatchEngine(warm_start=True)
-    # Warm both skeleton caches so the race times solving, not building.
-    cold_engine.evaluate(instances[0], "strict", method="tpn")
-    warm_engine.evaluate(instances[0], "strict", method="tpn")
-
-    t0 = time.perf_counter()
-    cold = [cold_engine.evaluate(i, "strict", method="tpn").period
-            for i in instances]
-    t1 = time.perf_counter()
-    warm = [warm_engine.evaluate(i, "strict", method="tpn").period
-            for i in instances]
-    t2 = time.perf_counter()
-    return {
-        "n": n_instances,
-        "identical": cold == warm,
-        "cold_s": t1 - t0,
-        "warm_s": t2 - t1,
-        "speedup": (t1 - t0) / (t2 - t1),
-    }
-
-
-#: Replication of the slowly-varying sweep: lcm = 30, out-degree > 1
-#: everywhere (the (2,3,5,1) regression topology converges in one round
-#: from cold, leaving nothing for a warm start to save).
-SLOW_REPLICATION = (6, 10, 15)
-MIN_ROUND_REDUCTION = 2.0
-
-
-def run_warm_start_rounds(n_instances: int = 200) -> dict:
-    """Total policy-iteration rounds, cold vs carried-policy warm.
-
-    The sweep jitters one base instance by 1% — the shape of a
-    mapping-search neighborhood or a slowly-drifting platform — so the
-    previous fixed point is almost always one improvement round from
-    the next.  Round counts are deterministic, so the reduction is
-    asserted, not advisory.
-    """
-    from repro import Instance, Mapping
-    from repro.maxplus.howard import HowardState, solve_prepared
-
-    rng = np.random.default_rng(42)
-    counts = list(SLOW_REPLICATION)
-    n, p = len(counts), sum(counts)
-    bounds = np.cumsum([0] + counts)
-    mapping = Mapping(
-        [tuple(range(bounds[i], bounds[i + 1])) for i in range(n)],
-        n_processors=p,
-    )
-    app = Application(works=[1.0] * n, file_sizes=[1.0] * (n - 1))
-    base_comp = rng.uniform(5.0, 15.0, p)
-    base_comm = rng.uniform(5.0, 15.0, (p, p))
-    instances = []
-    for _ in range(n_instances):
-        comp = base_comp * rng.uniform(0.99, 1.01, p)
-        comm = base_comm * rng.uniform(0.99, 1.01, (p, p))
-        np.fill_diagonal(comm, 0.0)
-        instances.append(
-            Instance(app, Platform.from_comm_times(comp, comm), mapping)
-        )
-
-    engine = BatchEngine()
-    sk = engine.skeleton(instances[0], "strict")
-    state = HowardState()
-    cold_rounds = warm_rounds = 0
-    identical = True
-    for inst in instances:
-        weights = sk.stamp_weights(inst)
-        cold = solve_prepared(sk.plan, weights)
-        warm = solve_prepared(sk.plan, weights, state=state)
-        cold_rounds += cold.n_rounds
-        warm_rounds += warm.n_rounds
-        identical &= cold.value == warm.value
-    return {
-        "n": n_instances,
-        "identical": identical,
-        "cold_rounds": cold_rounds,
-        "warm_rounds": warm_rounds,
-        "reduction": cold_rounds / warm_rounds,
-    }
-
-
 def bench_racing_dominates_fair_share(benchmark):
     stats = benchmark.pedantic(run_three_way, rounds=1, iterations=1)
     assert stats["rugged_seeds_are_rugged"], (
@@ -296,24 +197,6 @@ def bench_portfolio_beats_single_start(benchmark):
             ("portfolio wins", "yes", stats["wins"])])
 
 
-def bench_warm_start_identity(benchmark):
-    stats = benchmark.pedantic(run_warm_start_sweep, rounds=1, iterations=1)
-    assert stats["identical"], "warm-started periods diverged from cold start"
-    rounds = run_warm_start_rounds()
-    assert rounds["identical"], "warm-started values diverged from cold start"
-    assert rounds["reduction"] >= MIN_ROUND_REDUCTION, (
-        f"warm start only cut policy-iteration rounds by "
-        f"{rounds['reduction']:.2f}x on the slowly-varying sweep"
-    )
-    report(benchmark, "Warm-started Howard: identity + round reduction",
-           [("periods identical (iid sweep)", "yes", stats["identical"]),
-            ("values identical (slow sweep)", "yes", rounds["identical"]),
-            ("round reduction (slow sweep)", f">= {MIN_ROUND_REDUCTION}x",
-             f"{rounds['reduction']:.2f}x"),
-            ("warm vs cold time (iid)", "(advisory)",
-             f"{stats['speedup']:.2f}x")])
-
-
 def main() -> int:
     stats = run_comparison()
     print(f"equal-budget comparison ({BUDGET} evaluations, {MODEL} model, "
@@ -345,27 +228,6 @@ def main() -> int:
     assert three["racing_beats_fair_on_rugged"], \
         "racing did not strictly beat fair-share on a rugged seed"
 
-    warm = run_warm_start_sweep()
-    print(f"\nwarm-start regression sweep (iid): {warm['n']} instances, "
-          f"strict model")
-    print(f"cold engine : {warm['cold_s']:.3f} s")
-    print(f"warm engine : {warm['warm_s']:.3f} s "
-          f"({warm['speedup']:.2f}x, advisory)")
-    print(f"identical   : {warm['identical']}")
-    assert warm["identical"], "warm-started periods diverged from cold start"
-
-    rounds = run_warm_start_rounds()
-    print(f"\nslowly-varying sweep: {rounds['n']} instances, "
-          f"replication {SLOW_REPLICATION} (m = 30)")
-    print(f"policy rounds: {rounds['cold_rounds']} cold -> "
-          f"{rounds['warm_rounds']} warm "
-          f"({rounds['reduction']:.2f}x reduction)")
-    print(f"identical    : {rounds['identical']}")
-    assert rounds["identical"], "warm-started values diverged from cold start"
-    assert rounds["reduction"] >= MIN_ROUND_REDUCTION, (
-        f"round reduction {rounds['reduction']:.2f}x below "
-        f"{MIN_ROUND_REDUCTION}x"
-    )
     print("OK")
     return 0
 

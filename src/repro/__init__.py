@@ -38,8 +38,8 @@ Sub-packages
     campaign harness.
 ``repro.engine``
     Batched throughput evaluation: per-topology TPN-skeleton caching,
-    vectorized weight re-stamping, multi-process sharding and opt-in
-    Howard warm starts — bit-identical to :func:`compute_period`,
+    vectorized weight re-stamping, lockstep Howard solves and
+    multi-process sharding — bit-identical to :func:`compute_period`,
     several times faster on sweeps (``evaluate`` /
     ``BatchEngine.evaluate``).
 ``repro.search``
@@ -103,7 +103,7 @@ from .errors import (
 from .objectives import EvalResult, ParetoArchive, parse_objectives
 from .search import pareto_portfolio_search, portfolio_search
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "__version__",

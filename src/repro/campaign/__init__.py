@@ -13,9 +13,9 @@ turns one-shot, in-memory sweeps into declarative campaigns:
   recomputed and interrupted campaigns resume where they stopped;
 * :mod:`~repro.campaign.executor` — :func:`run_campaign`, the streaming
   runner that drains a spec through one claim → evaluate → commit loop
-  and a warm-started :class:`~repro.engine.BatchEngine`, ordering
-  evaluation by topology signature *and* sweep adjacency so skeleton
-  caches and Howard warm starts hit, plus byte-deterministic JSON/CSV
+  and a :class:`~repro.engine.BatchEngine`, ordering evaluation by
+  topology signature *and* sweep adjacency so skeleton caches hit and
+  lockstep groups fill, plus byte-deterministic JSON/CSV
   exports; the same loop runs in-process or, as
   :func:`run_campaign_workers` (``run_campaign(n_jobs=k)``), in N
   lease-coordinated worker processes against one shared WAL store;

@@ -15,13 +15,12 @@ loop (:func:`_drain`) over the same work list:
    and replica counts, so random-assignment points with equal counts
    share a group (groups in first-seen order), while *preserving sweep
    order inside each group*.
-   Grouping maximizes skeleton-cache and Howard warm-start hits; the
-   preserved sweep adjacency keeps consecutive same-topology instances
-   similar, so the carried policy is typically one improvement round
-   from each new fixed point (see ``benchmarks/bench_campaign.py``).
+   Grouping maximizes skeleton-cache hits and fills the lockstep
+   groups, so each worker builds each topology's skeleton once (see
+   ``benchmarks/bench_campaign.py``).
 3. **Claim, evaluate, commit** — a worker walks the ordered list with a
    cursor, claims one window of digests at a time, evaluates each
-   ``commit_every`` slice through a warm-started
+   ``commit_every`` slice through a
    :class:`~repro.engine.BatchEngine` (each same-topology run is
    stamped into one ``(B, E)`` weight matrix and solved in lockstep
    by :func:`repro.maxplus.howard.solve_prepared_many`),
@@ -34,10 +33,10 @@ lease-coordinated processes on the store's file — exactly what
 :func:`run_campaign_workers` runs.  The processes inherit the parent's
 expanded work list, so the spec expands once per drain.
 
-Evaluation runs ``warm_start=True``: period values are identical to
-cold start (pinned by ``tests/test_warm_start.py``), and stored
-payloads carry only values — so interrupted, resumed, serial and
-parallel runs all export byte-identical artifacts.
+Every evaluation is a pure function of its point (Howard starts cold
+on every solve), and stored payloads carry only values — so
+interrupted, resumed, serial and parallel runs all export
+byte-identical artifacts.
 
 :func:`export_campaign_json` / :func:`export_campaign_csv` join the
 (re-expanded) spec with the store and emit byte-deterministic files via
@@ -442,7 +441,7 @@ def _drain(
     # process-wide Theorem-1 pattern plans alike, so its diagnostic
     # counters (skeleton builds, Howard prepares) depend only on its work.
     pattern_plan.cache_clear()
-    engine = BatchEngine(max_rows=max_rows, warm_start=True)
+    engine = BatchEngine(max_rows=max_rows)
     by_digest = {digest: (inst, model) for digest, inst, model in work}
     todo = list(by_digest)
     done_new = 0

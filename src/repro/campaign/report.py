@@ -246,8 +246,9 @@ def _telemetry_section(counters: Mapping[str, int]) -> dict[str, Any]:
     digest-manifest hits (materialization skipped) and misses (full
     materialization), Theorem-1 patterns pruned by the period bound
     versus solved, token-edge seeded lockstep rows whose certificate
-    failed (recomputed cold), and leases a stalled worker lost to a
-    takeover.
+    failed (recomputed cold), Howard solves that did not converge and
+    fell back to Lawler's value-only solver, and leases a stalled
+    worker lost to a takeover.
     """
     def get(name: str) -> int:
         return int(counters.get(name, 0))
@@ -275,6 +276,7 @@ def _telemetry_section(counters: Mapping[str, int]) -> dict[str, Any]:
             "patterns_solved": get("poly.patterns_solved"),
             "patterns_pruned": get("poly.patterns_pruned"),
             "uncertified_rows": get("howard.uncertified"),
+            "lawler_fallbacks": get("engine.lawler_fallbacks"),
             "lost_leases": get("fabric.lost_leases"),
         },
     }
@@ -401,6 +403,7 @@ def render_report_text(data: Mapping[str, Any]) -> str:
             f"{not_done['manifest_hits']} manifest hit(s), "
             f"{not_done['manifest_misses']} miss(es); "
             f"{not_done['uncertified_rows']} uncertified row(s); "
+            f"{not_done['lawler_fallbacks']} Lawler fallback(s); "
             f"{not_done['lost_leases']} lost lease(s)"
         )
     return "\n".join(lines)

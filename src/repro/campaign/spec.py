@@ -34,8 +34,8 @@ Axes
   ``"balls"`` / ``"greedy-spare"`` readings) or a ``fixed`` count vector
   with ``"random"`` or ``"blocks"`` processor assignment.  ``"blocks"``
   pins the mapping itself, so every draw of the cell shares one TPN
-  topology — the regime where the executor's skeleton cache and Howard
-  warm starts shine.
+  topology — the regime where the executor's skeleton cache and
+  lockstep Howard groups shine.
 * **Models**: ``"overlap"`` / ``"strict"``.
 * **Objectives** (``objectives``): the campaign's criteria selection
   (:func:`repro.objectives.parse_objectives` canonical order).  The

@@ -167,7 +167,6 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         n_restarts=args.restarts, budget=args.budget, root_seed=args.seed,
         max_iters=args.iters, max_paths=args.max_rows,
         n_jobs=args.jobs if args.jobs != 1 else None,
-        warm_start=args.warm_start,
         allocator=args.allocator or "fair-share",
     )
     if not _machine_stdout(args, result.to_dict()):
@@ -212,7 +211,6 @@ def _optimize_objectives(args: argparse.Namespace) -> int:
         n_restarts=args.restarts, budget=args.budget, root_seed=args.seed,
         max_iters=args.iters, max_paths=args.max_rows,
         n_jobs=args.jobs if args.jobs != 1 else None,
-        warm_start=args.warm_start,
         allocator=args.allocator or "epsilon-constraint",
     )
     if not _machine_stdout(args, result.to_dict()):
@@ -650,10 +648,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes per neighborhood (0 = all cores, "
                         "1 = serial; trajectory is identical)")
-    p.add_argument("--warm-start", action="store_true",
-                   help="seed Howard's policy iteration from the previous "
-                        "instance of each topology group (period values "
-                        "unchanged; extracted cycles may differ)")
     p.add_argument("--objectives", default=None,
                    help="comma-separated criteria out of period, latency, "
                         "reliability — switches to the Pareto-archive "

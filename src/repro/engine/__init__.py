@@ -52,14 +52,9 @@ Guarantees
 * **Order preservation.**  Results align index-by-index with the input
   iterable, whatever the worker count or chunking.
 * **Determinism.**  Evaluation is a pure function of
-  ``(instance, model, method)``; ``n_jobs`` only changes wall-clock.
-  The single opt-in exception is ``warm_start=True`` (off by default):
-  Howard's policy iteration is then seeded from the previous instance
-  of the topology group, which leaves every period *value* identical
-  but may change which of several exactly-tied critical cycles gets
-  extracted.  Mapping search and the :mod:`repro.search` portfolio —
-  which only consume period values — can flip it on for the ~2×
-  round-count saving on slowly-varying neighborhoods.
+  ``(instance, model, method)``, with no exception: every Howard solve
+  starts cold, so neither ``n_jobs``, chunking nor evaluation history
+  changes a result; they only change wall-clock.
 """
 
 from .batch import (

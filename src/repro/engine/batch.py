@@ -16,7 +16,7 @@ matrix and solved in lockstep by
 :func:`repro.maxplus.howard.solve_prepared_many`.  It kicks in for
 runs of at least :data:`MIN_GROUP_ROWS` same-signature pairs and slabs
 huge groups at :data:`MAX_GROUP_ROWS` rows to bound the weight-matrix
-footprint.  Cold group results are bit-identical to per-pair
+footprint.  Group results are bit-identical to per-pair
 evaluation.
 
 Sharding is deterministic: the input order is cut into contiguous
@@ -33,16 +33,11 @@ parallelism raises :class:`~repro.errors.ValidationError` (worker
 processes cannot share the caller's cache).
 
 Every evaluation is a pure function of ``(instance, model, method)``:
-results are bit-identical whatever ``n_jobs`` or ``chunk_size``.  The
-one opt-in exception is ``warm_start=True``, which seeds Howard's policy
-iteration from the previous instance (or, on the group path, the
-previous *group*) of a topology group.  Strict topologies solved on the
-group path take a certified token-edge seed instead and stay equal to
-cold; elsewhere the extracted critical cycle (and hence
-``tpn_solution.ratio.cycle_nodes``) may depend on evaluation history —
-see :class:`BatchEngine`.  Cache and solve counts are telemetry
-counters (``engine.cache_hits``, ``engine.skeleton_builds``,
-``engine.points``, ``engine.group_solves``, ``engine.group_rows``).
+Howard starts cold on every solve, so results are bit-identical
+whatever ``n_jobs``, ``chunk_size`` or the evaluation history.  Cache
+and solve counts are telemetry counters (``engine.cache_hits``,
+``engine.skeleton_builds``, ``engine.points``, ``engine.group_solves``,
+``engine.group_rows``).
 """
 
 from __future__ import annotations
@@ -62,7 +57,6 @@ from ..core.models import CommModel
 from ..core.throughput import PeriodResult, compute_period
 from ..errors import ValidationError
 from ..faults import FAULTS
-from ..maxplus.howard import HowardState
 from ..petri.builder import DEFAULT_MAX_ROWS, SlotTimes
 from ..telemetry import TELEMETRY
 from .classify import CycleTimePlan, build_cycle_time_plan
@@ -108,23 +102,6 @@ class BatchEngine:
         entry is evicted beyond it (sweeps use a handful of topologies,
         but a mapping *search* streams through thousands — the bound
         keeps memory flat).  ``None`` disables eviction.
-    warm_start:
-        Opt-in: seed Howard's policy iteration from the previous
-        evaluation of the same ``(model, replication counts)`` group
-        (:class:`~repro.maxplus.howard.HowardState` per cached
-        skeleton), relabelled mappings included.  On slowly-varying
-        neighborhoods — a mapping-search trajectory, a sweep of nearby
-        instances — the previous policy is typically one improvement
-        round from the new fixed point.
-        On the group path, SCCs with a token-edge seed (strict
-        topologies with at least 16 nodes per token edge) ignore the
-        carried policy: a certified row equals cold start, an
-        uncertified one is recomputed cold.  Elsewhere the extracted
-        critical cycle may differ from cold start when cycle ratios tie
-        within the solver tolerance, and with it the period's last bits
-        (ROADMAP item 2), which is why the flag defaults to off (cold
-        evaluation stays a pure function of
-        ``(instance, model, method)``).
 
     Notes
     -----
@@ -143,9 +120,7 @@ class BatchEngine:
 
     max_rows: int | None = DEFAULT_MAX_ROWS
     cache_limit: int | None = 1024
-    warm_start: bool = False
     _skeletons: dict[Signature, TpnSkeleton] = field(default_factory=dict)
-    _warm_states: dict[Signature, HowardState] = field(default_factory=dict)
     _ct_plans: dict[Signature, CycleTimePlan] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -165,9 +140,7 @@ class BatchEngine:
         if sk is None:
             sk = build_skeleton(inst, model, max_rows=self.max_rows)
             if self.cache_limit is not None and len(self._skeletons) >= self.cache_limit:
-                oldest = next(iter(self._skeletons))
-                self._skeletons.pop(oldest)
-                self._warm_states.pop(oldest, None)
+                self._skeletons.pop(next(iter(self._skeletons)))
             self._skeletons[key] = sk
             if TELEMETRY.enabled:
                 TELEMETRY.count("engine.skeleton_builds")
@@ -268,9 +241,7 @@ class BatchEngine:
         elif method == "tpn":
             sk = self._skeleton_for(key, inst, model)
             sk.check_budget(self.max_rows)
-            state = self._warm_states.setdefault(key, HowardState()) \
-                if self.warm_start else None
-            ratio = sk.solve(inst, state=state)
+            ratio = sk.solve(inst)
             period = ratio.value / sk.m
             solution = TpnSolution(period=period, ratio=ratio, net=None)
         elif method == "simulation":
@@ -317,12 +288,10 @@ class BatchEngine:
             TELEMETRY.count("engine.group_solves")
             TELEMETRY.count("engine.group_rows", B)
         sk.check_budget(self.max_rows)
-        state = self._warm_states.setdefault(key, HowardState()) \
-            if self.warm_start else None
         # One slot-space gather feeds both the stamping and the verdict.
         times = SlotTimes.of(instances)
         with TELEMETRY.span("group-solve", rows=B):
-            ratios = sk.solve_many(times, state=state)
+            ratios = sk.solve_many(times)
         periods = [r.value / sk.m for r in ratios]
         ct_plan = self._ct_plan_for(key, instances[0], model)
         mcts, crits, _ = ct_plan.verdict_many(times, np.asarray(periods))
@@ -352,7 +321,7 @@ class BatchEngine:
         :data:`MIN_GROUP_ROWS` pairs goes through the lockstep slabs;
         everything else (singleton runs, polynomial/simulation methods)
         takes the scalar path.  Results align with the input and are
-        bit-identical to the per-pair loop on a cold engine.
+        bit-identical to the per-pair loop.
         """
         out: list[PeriodResult] = []
         for i, j, model, key in _signature_runs(pairs, method):
@@ -424,7 +393,7 @@ _WORKER_ENGINE: BatchEngine | None = None
 
 
 def _evaluate_chunk(
-    payload: tuple[list[tuple[Instance, CommModel]], str, int | None, bool, bool],
+    payload: tuple[list[tuple[Instance, CommModel]], str, int | None, bool],
 ) -> tuple[list[PeriodResult], dict[str, int] | None]:
     """Module-level trampoline for process pools (picklable).
 
@@ -436,17 +405,13 @@ def _evaluate_chunk(
     parent's collector state, which must never double-count.
     """
     global _WORKER_ENGINE
-    chunk, method, max_rows, warm_start, telemetry_on = payload
+    chunk, method, max_rows, telemetry_on = payload
     if telemetry_on:
         TELEMETRY.enable("chunk")
     else:
         TELEMETRY.disable()
-    if (
-        _WORKER_ENGINE is None
-        or _WORKER_ENGINE.max_rows != max_rows
-        or _WORKER_ENGINE.warm_start != warm_start
-    ):
-        _WORKER_ENGINE = BatchEngine(max_rows=max_rows, warm_start=warm_start)
+    if _WORKER_ENGINE is None or _WORKER_ENGINE.max_rows != max_rows:
+        _WORKER_ENGINE = BatchEngine(max_rows=max_rows)
     results = _WORKER_ENGINE._evaluate_sequence(chunk, method)
     counters = TELEMETRY.counter_snapshot() if telemetry_on else None
     return results, counters
@@ -461,7 +426,6 @@ def evaluate(
     n_jobs: int | None = None,
     chunk_size: int | None = None,
     engine: BatchEngine | None = None,
-    warm_start: bool = False,
 ) -> list[PeriodResult]:
     """The module-level entry point: evaluate pairs, sharded on request.
 
@@ -494,15 +458,9 @@ def evaluate(
         lockstep groups.
     engine:
         Serial path only: reuse a caller-owned :class:`BatchEngine`
-        (e.g. to share its cache across successive sweeps).  When given,
-        the engine's own ``warm_start`` flag governs, not this call's.
-        Combining ``engine=`` with a parallel ``n_jobs`` raises
+        (e.g. to share its cache across successive sweeps).  Combining ``engine=`` with a parallel ``n_jobs`` raises
         :class:`~repro.errors.ValidationError` — worker processes
         cannot share the caller's cache.
-    warm_start:
-        Opt-in Howard warm starting inside each evaluating engine (see
-        :class:`BatchEngine`).  Period values are identical to cold
-        start; extracted critical cycles may depend on chunk boundaries.
 
     Examples
     --------
@@ -526,8 +484,7 @@ def evaluate(
         )
     pairs = _normalize_pairs(instances, models)
     if n_jobs is None or n_jobs == 1 or len(pairs) < MIN_PARALLEL_BATCH:
-        eng = engine if engine is not None else BatchEngine(
-            max_rows=max_rows, warm_start=warm_start)
+        eng = engine if engine is not None else BatchEngine(max_rows=max_rows)
         return eng._evaluate_sequence(pairs, method)
 
     workers = (os.cpu_count() or 1) if n_jobs == 0 else n_jobs
@@ -535,7 +492,7 @@ def evaluate(
         chunk_size = max(1, -(-len(pairs) // (workers * 4)))
     telemetry_on = TELEMETRY.enabled
     payloads = [
-        (pairs[i: i + chunk_size], method, max_rows, warm_start, telemetry_on)
+        (pairs[i: i + chunk_size], method, max_rows, telemetry_on)
         for i in range(0, len(pairs), chunk_size)
     ]
     out: list[PeriodResult] = []

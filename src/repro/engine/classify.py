@@ -36,7 +36,6 @@ approx) against the scalar classifier across random instances.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -96,13 +95,6 @@ class CycleTimePlan:
     def n_entries(self) -> int:
         """Number of used processors (= scalar report entries)."""
         return int(self.entry_stage.size)
-
-    @property
-    def entry_proc(self) -> npt.NDArray[np.int64]:
-        """Deprecated: entries are replica slots, ``arange(n_entries)``."""
-        warnings.warn("CycleTimePlan.entry_proc is deprecated; entries are "
-                      "replica slots, use arange(n_entries)", DeprecationWarning, 2)
-        return np.arange(self.n_entries)
 
     def components(
         self, inst: Instance

@@ -37,7 +37,6 @@ with ``method="auto"``.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -51,7 +50,6 @@ from ..maxplus.cycle_ratio import CycleRatioResult
 from ..maxplus.graph import RatioGraph
 from ..maxplus.howard import (
     HowardPlan,
-    HowardState,
     prepare_howard,
     solve_prepared,
     solve_prepared_many,
@@ -101,18 +99,6 @@ class TpnSkeleton:
     edge_tokens: npt.NDArray[np.int64]
     plan: HowardPlan
 
-    @property
-    def proc_u(self) -> npt.NDArray[np.int64]:
-        """Deprecated alias of :attr:`slot_u` (the layout indexes slots)."""
-        warnings.warn("TpnSkeleton.proc_u is deprecated; use slot_u", DeprecationWarning, 2)
-        return self.slot_u
-
-    @property
-    def proc_v(self) -> npt.NDArray[np.int64]:
-        """Deprecated alias of :attr:`slot_v` (the layout indexes slots)."""
-        warnings.warn("TpnSkeleton.proc_v is deprecated; use slot_v", DeprecationWarning, 2)
-        return self.slot_v
-
     def check_budget(self, max_rows: int | None) -> None:
         """Enforce the row budget exactly like :func:`build_tpn` would."""
         if max_rows is not None and self.m > max_rows:
@@ -139,32 +125,21 @@ class TpnSkeleton:
         """
         return self.stamp_durations(inst)[self.edge_src]
 
-    def solve(
-        self,
-        inst: Instance,
-        solver: str = "auto",
-        state: HowardState | None = None,
-    ) -> CycleRatioResult:
+    def solve(self, inst: Instance, solver: str = "auto") -> CycleRatioResult:
         """Maximum cycle ratio for ``inst`` on the cached structure.
 
         Mirrors :func:`repro.maxplus.cycle_ratio.max_cycle_ratio`'s
         ``"auto"``/``"howard"``/``"lawler"`` dispatch (Karp is pointless
         here: round-robin wrap places mean tokens are not all 1).
-
-        ``state`` optionally warm-starts Howard's policy iteration from
-        the previous solve on this skeleton (see
-        :class:`~repro.maxplus.howard.HowardState`); the period *value*
-        is unchanged, but the extracted critical cycle may differ on
-        exact ties, which is why :class:`~repro.engine.batch.BatchEngine`
-        keeps warm starting opt-in.
+        Howard starts cold, so the result depends on ``inst`` alone.
+        Under ``"auto"`` a :class:`~repro.errors.SolverError` from
+        Howard switches to Lawler and counts
+        ``engine.lawler_fallbacks``.
         """
-        return self._solve_weights(self.stamp_weights(inst), solver, state)
+        return self._solve_weights(self.stamp_weights(inst), solver)
 
     def _solve_weights(
-        self,
-        weights: npt.NDArray[np.float64],
-        solver: str = "auto",
-        state: HowardState | None = None,
+        self, weights: npt.NDArray[np.float64], solver: str = "auto"
     ) -> CycleRatioResult:
         if solver == "lawler":
             return CycleRatioResult(
@@ -173,11 +148,13 @@ class TpnSkeleton:
         if solver not in ("auto", "howard"):
             raise ValidationError(f"unknown method {solver!r}")
         try:
-            res = solve_prepared(self.plan, weights, state=state)
+            res = solve_prepared(self.plan, weights)
             return CycleRatioResult(res.value, res.cycle_nodes, res.cycle_edges, "howard")
         except SolverError:
             if solver == "howard":
                 raise
+            if TELEMETRY.enabled:
+                TELEMETRY.count("engine.lawler_fallbacks")
             return CycleRatioResult(
                 max_cycle_ratio_lawler(self._graph(weights)), (), (), "lawler"
             )
@@ -212,27 +189,16 @@ class TpnSkeleton:
         self,
         group: Sequence[Instance] | SlotTimes,
         solver: str = "auto",
-        state: HowardState | None = None,
     ) -> list[CycleRatioResult]:
         """Maximum cycle ratios for a whole topology group, in lockstep.
 
         Stamps every instance's weights into one ``(B, E)`` matrix and
         runs :func:`~repro.maxplus.howard.solve_prepared_many` — policy
-        iteration for all rows simultaneously.  Cold results are
+        iteration for all rows simultaneously.  Results are
         bit-identical to per-instance :meth:`solve` calls in value and
-        critical cycle.
-
-        ``state`` optionally carries one shared
-        :class:`~repro.maxplus.howard.HowardState`: every row seeds from
-        the state's current policy and the state leaves with the last
-        row's converged policy, so consecutive group solves chain like
-        consecutive scalar solves.  SCCs with a token-edge seed (strict
-        topologies) ignore the carried policy: their rows are certified
-        and then equal to a cold solve, or uncertified and recomputed
-        cold.  On other SCCs round counts and the extracted cycle follow
-        the group seeding rather than the scalar instance-to-instance
-        chaining, and cycle ratios tied within the solver tolerance can
-        change the value's last bits (ROADMAP item 2).
+        critical cycle: unseeded SCCs start every row cold, and rows of
+        SCCs with a token-edge seed (strict topologies) are certified
+        equal to the cold solve or recomputed cold.
 
         Any :class:`~repro.errors.SolverError` from the lockstep path
         (non-convergence, acyclic graph) falls back to per-row scalar
@@ -244,13 +210,13 @@ class TpnSkeleton:
             try:
                 return [
                     CycleRatioResult(r.value, r.cycle_nodes, r.cycle_edges, "howard")
-                    for r in solve_prepared_many(self.plan, weights, state=state)
+                    for r in solve_prepared_many(self.plan, weights)
                 ]
             except SolverError:
                 if TELEMETRY.enabled:
                     TELEMETRY.count("engine.group_fallbacks")
                     TELEMETRY.count("engine.group_fallback_rows", len(weights))
-        return [self._solve_weights(w, solver, state) for w in weights]
+        return [self._solve_weights(w, solver) for w in weights]
 
     def _graph(self, weights: npt.NDArray[np.float64]) -> RatioGraph:
         """Materialize the full ratio graph (Lawler fallback only)."""

@@ -512,13 +512,11 @@ def local_search_mapping(
             # engine= and n_jobs are mutually exclusive in evaluate()
             # (workers cannot share the caller's cache), so pick the path
             # explicitly: shard big neighborhoods across fresh per-worker
-            # caches inheriting the warm-start mode, keep small ones on
-            # the shared engine — which locksteps any same-topology runs
-            # the move generator proposes.
+            # caches, keep small ones on the shared engine — which
+            # locksteps any same-topology runs the move generator proposes.
             if len(insts) >= MIN_PARALLEL_BATCH:
                 results = evaluate(insts, model, max_rows=max_paths + 1,
-                                   n_jobs=n_jobs,
-                                   warm_start=eng.warm_start)
+                                   n_jobs=n_jobs)
             else:
                 results = eng.evaluate(insts, model)
             values = {k: float("inf") for k, _ in scan}

@@ -4,13 +4,12 @@ Three solver families compute ``lambda* = max_C sum(w)/sum(t)`` over the
 cycles of a token graph (:class:`~repro.maxplus.graph.RatioGraph`):
 
 * :mod:`~repro.maxplus.howard` — policy iteration, the default: exact
-  value plus an explicit critical cycle.  Since PR 1 it is split into a
+  value plus an explicit critical cycle.  It is split into a
   structure-only :func:`~repro.maxplus.howard.prepare_howard` phase and
   a weight-only :func:`~repro.maxplus.howard.solve_prepared` phase, so
   batched sweeps sharing one topology reuse a single
   :class:`~repro.maxplus.howard.HowardPlan`; policy improvement is
-  vectorized over CSR segments, and repeated solves can opt into warm
-  starts via :class:`~repro.maxplus.howard.HowardState`.
+  vectorized over CSR segments, and every solve starts cold.
 * :mod:`~repro.maxplus.karp` / :mod:`~repro.maxplus.lawler` — cycle
   *mean* (all tokens 1) resp. binary-search bracketing; used as
   cross-checks and as the fallback when policy iteration stalls.
@@ -37,7 +36,6 @@ from .graph import Edge, RatioGraph
 from .howard import (
     HowardPlan,
     HowardResult,
-    HowardState,
     max_cycle_ratio_howard,
     prepare_howard,
     solve_prepared,
@@ -59,7 +57,6 @@ __all__ = [
     "max_cycle_ratio",
     "HowardResult",
     "HowardPlan",
-    "HowardState",
     "prepare_howard",
     "solve_prepared",
     "max_cycle_ratio_howard",

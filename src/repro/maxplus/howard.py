@@ -42,33 +42,12 @@ segment up to ``_LIST_STEP_MAX_EDGES`` edges, the numpy ``reduceat``
 step above.  Both steps pick the same policy, so results do not depend
 on the cut.
 
-Warm starts
------------
-Policy iteration converges from *any* initial policy, and on
-slowly-varying weight sequences (a mapping-search neighborhood, a sweep
-of nearby instances) the previous converged policy is usually one or two
-improvement rounds away from the new fixed point.  Pass a mutable
-:class:`HowardState` to :func:`solve_prepared` to carry the converged
-policy from solve to solve:
+Every solve starts cold, from the first out-edge of each node, so a
+result is a pure function of the plan and the weights:
 
 >>> g = RatioGraph(2, [(0, 1, 3.0, 1), (1, 0, 5.0, 1), (0, 0, 7.0, 1)])
->>> plan = prepare_howard(g)
->>> state = HowardState()
->>> solve_prepared(plan, g.weight, state=state).value
+>>> solve_prepared(prepare_howard(g), g.weight).value
 7.0
->>> solve_prepared(plan, g.weight, state=state).n_rounds  # policy reused
-1
-
-The returned *value* is the maximum cycle ratio either way, but only up
-to the tolerance: when cycle ratios tie within ``tol``, the *extracted*
-cycle — and with it the value's last bits — may differ from a cold
-start.  That is why the batch engine exposes warm starting as an opt-in
-flag rather than the default (see :class:`repro.engine.BatchEngine`).
-
-A state is bound to the plan of its first solve: policies index that
-plan's CSR layouts, so reusing the state with a *different* plan would
-silently read the wrong edges.  Both solve entry points raise
-:class:`~repro.errors.SolverError` on such a mismatch.
 
 Lockstep batches
 ----------------
@@ -83,9 +62,7 @@ so they stop paying per-round cost.  On SCCs without a token-edge seed
 bit-identical to ``solve_prepared(plan, weights[b])`` — same policy
 trajectory, same tie-breaking, same extracted cycle, same round count —
 because every float operation mirrors the scalar path element for
-element (see :func:`_scc_howard_csr_many`).  A shared
-:class:`HowardState` seeds every row from the same carried policy, so
-each row equals the scalar solve warm-started from a copy of that state.
+element (see :func:`_scc_howard_csr_many`).
 
 Token-edge seeds
 ----------------
@@ -97,8 +74,7 @@ graph, lifts its solution to one start policy per row, and lets the
 lockstep kernel run from there to its own fixed point — usually one
 round.  A row is then *certified* (every non-policy edge strictly
 suboptimal by a margin) and equal to the cold scalar solve in value,
-cycle and rotation; an uncertified row is recomputed cold.  Seeded SCCs
-never read a carried :class:`HowardState`.
+cycle and rotation; an uncertified row is recomputed cold.
 """
 
 from __future__ import annotations
@@ -117,7 +93,6 @@ from .graph import RatioGraph
 __all__ = [
     "HowardResult",
     "HowardPlan",
-    "HowardState",
     "prepare_howard",
     "solve_prepared",
     "solve_prepared_many",
@@ -141,7 +116,7 @@ _LIST_STEP_MAX_EDGES = 256
 #: real strict SCC shapes in ``benchmarks/bench_howard_many.py``: from
 #: n/k = 25 (lcm 60) up the seed cuts the lockstep cost 3-6x, while on
 #: the ``mixed`` campaign's small count groups (n/k <= 7.5) it only
-#: breaks even, so those keep the warm-started unseeded lockstep.
+#: breaks even, so those keep the unseeded lockstep.
 _SEED_NODES_PER_TOKEN = 16
 
 #: Cap on the ``rows * k * n`` float cells of one seed forward pass;
@@ -175,25 +150,6 @@ class HowardResult:
 #: One row's solve outcome before the exact-ratio recompute:
 #: ``(value, cycle_nodes, cycle_edges, n_rounds)``, ids in caller space.
 _Candidate = tuple[float, tuple[int, ...], tuple[int, ...], int]
-
-
-@dataclass
-class HowardState:
-    """Mutable warm-start carrier for repeated solves on one plan.
-
-    Holds the last converged policy of each multi-node SCC (CSR edge
-    positions, aligned with :attr:`HowardPlan.components`).  A state is
-    bound to the plan of its first solve (``bound_plan``): policies
-    index that plan's CSR layouts, so a state reused with a *different*
-    plan would silently gather the wrong edges — the solvers raise
-    :class:`~repro.errors.SolverError` on such a mismatch instead.
-
-    ``policies`` starts as ``None`` and is allocated on the first solve;
-    singleton components (whose "policy" is trivial) store ``None``.
-    """
-
-    policies: list[npt.NDArray[np.int64] | None] | None = None
-    bound_plan: "HowardPlan | None" = None
 
 
 @dataclass(frozen=True)
@@ -363,9 +319,10 @@ def _scc_howard_csr(
     """Policy iteration inside one prepared SCC (CSR edge order).
 
     ``weight`` is the SCC's CSR-ordered weight vector (finite floats).
-    ``policy0`` warm-starts the iteration from a previously converged
-    policy of the *same* prepared SCC; any valid policy converges to the
-    same ``lambda*``.  Returns the result and the converged policy.
+    ``policy0`` starts the iteration from a given policy of this SCC
+    instead of the cold one (the lockstep straggler hand-off passes its
+    mid-iteration policy); any valid policy converges to the same
+    ``lambda*``.  Returns the result and the converged policy.
 
     The policy, ``lam`` and ``pot`` stay plain Python lists through the
     rounds: list indexing is several times cheaper than numpy scalar
@@ -377,8 +334,8 @@ def _scc_howard_csr(
     n = scc.n
     dst_l, tokens_l, start_l = scc.dst.tolist(), scc.tokens.tolist(), scc.start.tolist()
     if policy0 is not None and policy0.shape == (n,):
-        # Warm start from the carried policy (a fresh list: the caller's
-        # state must stay intact if this solve fails to converge).
+        # Start from the given policy (a fresh list: the caller's array
+        # stays intact).
         policy: list[int] = policy0.tolist()
     else:
         # Cold start: first out-edge of each node (CSR positions).
@@ -605,54 +562,39 @@ def _reject_non_finite(weight: npt.NDArray[np.float64]) -> None:
     )
 
 
-def _bind_state(state: HowardState, plan: HowardPlan) -> None:
-    """Bind ``state`` to ``plan`` on first use; reject cross-plan reuse."""
-    if state.bound_plan is None:
-        state.bound_plan = plan
-    elif state.bound_plan is not plan:
-        raise SolverError(
-            "HowardState is bound to a different HowardPlan: warm-start "
-            "policies index the CSR layout of the plan they converged on, "
-            "so a shared state cannot be reused across topologies — use "
-            "one state per plan"
-        )
-    if state.policies is None:
-        state.policies = [None] * len(plan.components)
-
-
 def _scalar_candidate(
     scc: _PreparedScc,
     weight: npt.NDArray[np.float64],
     tol: float,
     policy0: npt.NDArray[np.int64] | None = None,
-) -> tuple[_Candidate, npt.NDArray[np.int64]]:
+) -> _Candidate:
     """One row through the scalar kernel, ids mapped to caller space."""
-    res, policy = _scc_howard_csr(scc, weight, tol, policy0=policy0)
+    res, _ = _scc_howard_csr(scc, weight, tol, policy0=policy0)
     return (
         res.value,
         tuple(scc.node_map[v] for v in res.cycle_nodes),
         tuple(scc.edge_map.take(np.asarray(
             res.cycle_edges, dtype=np.int64)).tolist()),
         res.n_rounds,
-    ), policy
+    )
 
 
 def _scc_howard_csr_many(
     scc: _PreparedScc,
     W: npt.NDArray[np.float64],
     tol_rows: npt.NDArray[np.float64],
-    policy0: npt.NDArray[np.int64] | None,
+    policy0: npt.NDArray[np.int64] | None = None,
     certify: bool = False,
-) -> tuple[list[_Candidate], npt.NDArray[np.int64], npt.NDArray[np.bool_]]:
+) -> tuple[list[_Candidate], npt.NDArray[np.bool_]]:
     """Lockstep policy iteration inside one prepared SCC for ``B`` rows.
 
     ``W`` is the ``(B, e)`` CSR-ordered weight matrix (one stamping per
     row), ``tol_rows`` the per-row improvement tolerance and
-    ``policy0`` an optional start policy: one ``(n,)`` warm-start policy
-    that seeds every row, or a ``(B, n)`` matrix with one start per row.
-    Returns one ``(value, cycle_nodes, cycle_edges, n_rounds)`` tuple
-    per row — ids already in caller space — the ``(B, n)`` matrix of
-    converged policies, and a per-row certificate flag.
+    ``policy0`` the start: ``None`` for the cold policy (first out-edge
+    of each node) on every row, or a token-edge seed's ``(B, n)``
+    matrix with one start per row.  Returns one ``(value, cycle_nodes,
+    cycle_edges, n_rounds)`` tuple per row — ids already in caller
+    space — and a per-row certificate flag.
 
     ``certify`` turns the certificate on: a row is certified when its
     converged policy has a single cycle ``C`` and every non-policy
@@ -706,10 +648,8 @@ def _scc_howard_csr_many(
     dst_i = dst.astype(idx_dt)
     edge_pos = np.arange(e, dtype=idx_dt)
     node_ids = np.arange(n, dtype=idx_dt)
-    p0 = (policy0 if policy0 is not None and policy0.shape in ((n,), (B, n))
-          else start[:n])
     policy = np.empty((B, n), dtype=idx_dt)
-    policy[:] = p0
+    policy[:] = start[:n] if policy0 is None else policy0
 
     rows = np.arange(B, dtype=np.int64)  # active-row -> original-row map
     W_act = W
@@ -717,7 +657,6 @@ def _scc_howard_csr_many(
     certified = np.zeros(B, dtype=bool)
     tokens_total = float(tokens.sum(dtype=np.float64))
     results: list[_Candidate | None] = [None] * B
-    out_policy = np.empty((B, n), dtype=np.int64)
     max_rounds = _MAX_ROUNDS_FACTOR * max(n, 8)
 
     for round_no in range(1, max_rounds + 1):
@@ -736,17 +675,15 @@ def _scc_howard_csr_many(
                 TELEMETRY.count("howard.straggler_handoffs", A)
             for a in range(A):
                 b = int(rows[a])
-                cand, out_policy[b] = _scalar_candidate(
-                    scc, W_act[a], float(tol_act[a]), policy[a]
-                )
+                cand = _scalar_candidate(scc, W_act[a], float(tol_act[a]), policy[a])
                 results[b] = cand[:3] + (cand[3] + round_no - 1,)
-            return results, out_policy, certified  # type: ignore[return-value]
+            return results, certified  # type: ignore[return-value]
 
         # ---- policy evaluation (vectorized functional-graph traversal) --
         # The traversal structure depends on the policy alone, never the
         # weights — and whole batches often share one policy: every row
-        # starts round 1 from the same cold (or carried warm) policy, and
-        # sweep neighbors follow near-identical improvement trajectories.
+        # starts round 1 from the same cold policy, and sweep neighbors
+        # follow near-identical improvement trajectories.
         # When all rows agree, the doubling chains run once and broadcast.
         shared = A > 1 and bool((policy == policy[0]).all())
         uniq = policy[:1] if shared else policy
@@ -1003,7 +940,6 @@ def _scc_howard_csr_many(
             D = d_idx.size
             best_lane_d = best_lane.take(d_idx)
             vals_d = best_val.take(d_idx)
-            out_policy[rows.take(d_idx)] = policy[d_idx]
             if certify:
                 # One policy cycle, and every non-policy edge's reduced
                 # cost strictly below -margin.
@@ -1066,7 +1002,7 @@ def _scc_howard_csr_many(
                         tuple(edges_l[t][:length]), round_no,
                     )
             if done.all():
-                return results, out_policy, certified  # type: ignore[return-value]
+                return results, certified  # type: ignore[return-value]
 
         policy = np.where(phase1, first_g, np.where(phase2, first_r, policy))
         if done.any():
@@ -1085,7 +1021,6 @@ def solve_prepared(
     plan: HowardPlan,
     weight: npt.NDArray[np.float64],
     tol: float | None = None,
-    state: HowardState | None = None,
 ) -> HowardResult:
     """Run policy iteration on a prepared plan with fresh edge weights.
 
@@ -1097,24 +1032,17 @@ def solve_prepared(
         Edge weights aligned with the original graph's edge indices.
     tol:
         Improvement tolerance; defaults to ``1e-9`` times the weight scale.
-    state:
-        Optional warm-start carrier.  When given, each SCC's policy
-        iteration starts from the policy the *previous* solve with this
-        state converged to, and the converged policies are written back.
-        A state binds to the plan of its first solve and raises
-        :class:`SolverError` if reused with a different plan (the
-        carried policies index that plan's CSR layout).  The returned
-        ``value`` is the exact maximum cycle ratio regardless; on exact
-        ties between distinct critical cycles the extracted cycle may
-        differ from a cold start's.
+
+    Every SCC's policy iteration starts cold (first out-edge of each
+    node), so the result depends only on ``plan``, ``weight`` and
+    ``tol``.
 
     Raises
     ------
     ValidationError
-        If some weight is NaN or infinite (``state`` stays untouched).
+        If some weight is NaN or infinite.
     SolverError
-        If the graph is acyclic, policy iteration fails to converge, or
-        ``state`` is bound to a different plan.
+        If the graph is acyclic or policy iteration fails to converge.
     """
     weight = np.asarray(weight, dtype=float)
     if tol is None:
@@ -1125,12 +1053,9 @@ def solve_prepared(
     elif plan.n_edges and not np.isfinite(weight).all():
         _reject_non_finite(weight)
 
-    if state is not None:
-        _bind_state(state, plan)
-
     best: HowardResult | None = None
     rounds = 0
-    for ci, comp in enumerate(plan.components):
+    for comp in plan.components:
         if isinstance(comp, _PreparedSingleton):
             ratios = [
                 (float(weight[i]) / int(plan.tokens[i]), i)
@@ -1140,12 +1065,7 @@ def solve_prepared(
             val, eidx = max(ratios)
             cand = HowardResult(val, (comp.node,), (eidx,), 0)
         else:
-            policy0 = state.policies[ci] if state is not None else None
-            res, policy = _scc_howard_csr(
-                comp, weight[comp.gmap], tol, policy0=policy0
-            )
-            if state is not None:
-                state.policies[ci] = policy
+            res, _ = _scc_howard_csr(comp, weight[comp.gmap], tol)
             cand = HowardResult(
                 value=res.value,
                 cycle_nodes=tuple(comp.node_map[v] for v in res.cycle_nodes),
@@ -1176,7 +1096,6 @@ def solve_prepared_many(
     plan: HowardPlan,
     weights: npt.NDArray[np.float64],
     tol: float | None = None,
-    state: HowardState | None = None,
 ) -> list[HowardResult]:
     """Lockstep policy iteration for ``B`` weight stampings of one plan.
 
@@ -1191,26 +1110,14 @@ def solve_prepared_many(
         Improvement tolerance applied to every row; defaults to
         ``1e-9`` times each row's own weight scale (exactly the scalar
         per-solve default).
-    state:
-        Optional *shared* warm-start carrier: every row seeds from the
-        state's current policies and the state afterwards carries the
-        **last** row's converged policies (so a subsequent batch
-        continues where this one left off).  The state is written only
-        when the whole solve succeeds.  Seeded SCCs (below) ignore the
-        carried policies but still write theirs back.  On unseeded
-        SCCs round counts follow the seeding, and so can the extracted
-        cycle and its value bits when cycle ratios tie within ``tol``
-        (ROADMAP item 2).
 
     Returns
     -------
     list[HowardResult]
         One result per row.  On SCCs without a token-edge seed, entry
-        ``b`` is bit-identical to ``solve_prepared(plan, weights[b],
-        state=s)`` — value bits, extracted cycle, and round count —
-        where ``s`` is a copy of ``state`` as it was before the call
-        (no state: a cold start).  On seeded SCCs the row equals the
-        cold ``solve_prepared(plan, weights[b])`` in value bits and
+        ``b`` is bit-identical to ``solve_prepared(plan, weights[b])``
+        — value bits, extracted cycle, and round count: both start
+        cold.  On seeded SCCs the row equals it in value bits and
         extracted cycle — certified rows by the argument below,
         uncertified rows because they are recomputed cold.  A
         certified row reports its own lockstep rounds (usually 1), an
@@ -1258,10 +1165,10 @@ def solve_prepared_many(
     Raises
     ------
     ValidationError
-        If some weight is NaN or infinite (``state`` stays untouched).
+        If some weight is NaN or infinite, or ``weights`` has the wrong
+        shape.
     SolverError
-        If the graph is acyclic, any row fails to converge, or ``state``
-        is bound to a different plan.
+        If the graph is acyclic or any row fails to converge.
     """
     weights = np.asarray(weights, dtype=float)
     if weights.ndim != 2 or weights.shape[1] != plan.n_edges:
@@ -1286,13 +1193,9 @@ def solve_prepared_many(
             _reject_non_finite(weights)
         tol_rows = np.full(B, float(tol))
 
-    if state is not None:
-        _bind_state(state, plan)
-
     best: list[_Candidate | None] = [None] * B
-    last_policies: list[tuple[int, npt.NDArray[np.int64]]] = []
     seeded = uncertified = 0
-    for ci, comp in enumerate(plan.components):
+    for comp in plan.components:
         if isinstance(comp, _PreparedSingleton):
             loops = np.asarray(comp.self_loops, dtype=np.int64)
             vals = weights[:, loops] / plan.tokens[loops]
@@ -1309,20 +1212,16 @@ def solve_prepared_many(
 
         W = weights[:, comp.gmap]
         if comp.seed is not None:
-            cands, out_pol, certified = _scc_howard_csr_many(
+            cands, certified = _scc_howard_csr_many(
                 comp, W, tol_rows, _seed_start(comp, comp.seed, W, tol_rows),
                 certify=True,
             )
             seeded += B
             for b in np.flatnonzero(~certified).tolist():
                 uncertified += 1
-                cands[b], out_pol[b] = _scalar_candidate(comp, W[b], float(tol_rows[b]))
+                cands[b] = _scalar_candidate(comp, W[b], float(tol_rows[b]))
         else:
-            cands, out_pol, _ = _scc_howard_csr_many(
-                comp, W, tol_rows,
-                state.policies[ci] if state is not None else None,  # type: ignore[index]
-            )
-        last_policies.append((ci, out_pol[B - 1]))
+            cands, _ = _scc_howard_csr_many(comp, W, tol_rows)
         for b, cand in enumerate(cands):
             cur = best[b]
             if cur is None or cand[0] > cur[0]:
@@ -1331,12 +1230,6 @@ def solve_prepared_many(
     if not plan.components:
         raise SolverError("graph is acyclic: no cycle ratio exists")
     out = _exact_ratio_results(plan, weights, best)  # type: ignore[arg-type]
-
-    # Write converged policies back only on full success, so a failed
-    # batch leaves the carried state untouched.
-    if state is not None:
-        for ci, pol in last_policies:
-            state.policies[ci] = pol  # type: ignore[index]
     if TELEMETRY.enabled:
         _count_lockstep(out, seeded, uncertified)
     return out
@@ -1379,8 +1272,8 @@ def _seed_start(
     for b0 in range(0, B, chunk):
         Wc = W[b0:b0 + chunk]
         A = forward_matrix(dag, Wc)
-        cands, _, _ = _scc_howard_csr_many(
-            seed.reduced, A[:, dag.red_src, dag.red_dst], tol_rows[b0:b0 + chunk], None
+        cands, _ = _scc_howard_csr_many(
+            seed.reduced, A[:, dag.red_src, dag.red_dst], tol_rows[b0:b0 + chunk]
         )
         lam = np.fromiter((c[0] for c in cands), dtype=float, count=len(cands))
         root = np.fromiter((c[1][0] for c in cands), dtype=np.int64, count=len(cands))

@@ -20,8 +20,7 @@ the mapping (Benoit & Robert, JPDC 2008; Benoit, Rehn-Sonigo & Robert,
   greedy / random / perturbed-elite restarts of
   :func:`~repro.extensions.mapping_opt.local_search_mapping` over one
   shared :class:`~repro.engine.batch.BatchEngine`, with deterministic
-  ``crc32``-keyed seeding, per-restart (and per-rung) traces and
-  optional Howard warm starting;
+  ``crc32``-keyed seeding and per-restart (and per-rung) traces;
 * :func:`~repro.search.pareto.pareto_portfolio_search` — the
   multi-criteria portfolio over the :mod:`repro.objectives` plane:
   scalarized climbs (epsilon-constraint sweeps / simplex-grid weighted

@@ -510,7 +510,6 @@ class _ParetoDriver:
                     self.model,
                     max_rows=self.max_paths + 1,
                     n_jobs=self.n_jobs,
-                    warm_start=self.evaluator.engine.warm_start,
                 )
             elif insts:
                 periods = self.evaluator.engine.evaluate(insts, self.model)
@@ -597,7 +596,6 @@ def pareto_portfolio_search(
     n_probes: int = 6,
     engine: BatchEngine | None = None,
     n_jobs: int | None = None,
-    warm_start: bool = False,
     allocator: str | BudgetAllocator = "epsilon-constraint",
     latency_mode: str = "bound",
     latency_datasets: int = DEFAULT_LATENCY_DATASETS,
@@ -660,11 +658,7 @@ def pareto_portfolio_search(
             f"no valid mapping: {app.n_stages} stages need at least "
             f"{app.n_stages} processors, platform has {plat.n_processors}"
         )
-    eng = (
-        engine
-        if engine is not None
-        else BatchEngine(max_rows=max_paths + 1, warm_start=warm_start)
-    )
+    eng = engine if engine is not None else BatchEngine(max_rows=max_paths + 1)
     evaluator = ObjectiveEvaluator(
         engine=eng,
         objectives=names,

@@ -30,12 +30,9 @@ each rung, and the last survivor drains the pool.
 All restarts share one :class:`~repro.engine.batch.BatchEngine`, so a
 mapping topology proposed twice — common, neighborhoods overlap heavily
 — reuses its TPN skeleton and Howard plan; neighborhood scans route
-through the engine's ``evaluate_many``, which locksteps any
+through the engine's ``evaluate``, which locksteps any
 same-topology candidate runs through the batched Howard solver
-(:func:`repro.maxplus.howard.solve_prepared_many`).  Pass
-``warm_start=True`` to additionally seed policy iteration from the
-previous evaluation of each topology group (period values are
-unchanged; see :class:`~repro.engine.batch.BatchEngine`).  A shared
+(:func:`repro.maxplus.howard.solve_prepared_many`).  A shared
 :class:`~repro.search.budget.EvaluationBudget` meters every oracle call,
 so the portfolio is comparable to any other heuristic at equal cost.
 
@@ -357,7 +354,6 @@ def portfolio_search(
     perturbation_moves: int = 2,
     engine: BatchEngine | None = None,
     n_jobs: int | None = None,
-    warm_start: bool = False,
     allocator: str | BudgetAllocator = "fair-share",
 ) -> PortfolioResult:
     """Multi-start local search under a shared evaluation budget.
@@ -390,15 +386,11 @@ def portfolio_search(
         Kick strength of perturbed-elite restarts.
     engine:
         Caller-owned :class:`~repro.engine.batch.BatchEngine` to share
-        its topology cache (its own ``warm_start`` flag then governs);
-        by default one engine is created for the whole portfolio.
+        its topology cache; by default one engine is created for the
+        whole portfolio.
     n_jobs:
         Fan each restart's neighborhood evaluation out to worker
         processes (0 = all cores); the search trajectory is unchanged.
-    warm_start:
-        Enable Howard warm starting inside the default engine (ignored
-        when ``engine`` is passed).  Off by default: period values are
-        identical either way, only extracted critical cycles may differ.
     allocator:
         Budget-allocation strategy: ``"fair-share"`` (even split, the
         default), ``"racing"`` (successive halving over checkpointed
@@ -429,8 +421,7 @@ def portfolio_search(
             f"no valid mapping: {app.n_stages} stages need at least "
             f"{app.n_stages} processors, platform has {plat.n_processors}"
         )
-    eng = engine if engine is not None else BatchEngine(
-        max_rows=max_paths + 1, warm_start=warm_start)
+    eng = engine if engine is not None else BatchEngine(max_rows=max_paths + 1)
     pool = EvaluationBudget(budget)
     # SeedSequence.spawn is prefix-stable, so seeds[:n_restarts] equals
     # portfolio_seeds(..., n_restarts); the extra child drives the final

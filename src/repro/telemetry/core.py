@@ -22,7 +22,7 @@ Counter taxonomy
 campaign point is evaluated by exactly one worker and stored exactly
 once, so their totals are bit-identical across serial, ``n_jobs > 1``
 and multi-worker fabric runs of the same spec.  Everything else
-(cache hits, Howard rounds under warm starts, lease traffic ...) is
+(cache hits, Howard rounds of lockstep groups, lease traffic ...) is
 *diagnostic*: deterministic for a fixed execution plan, but legitimately
 dependent on chunking and worker count.  Only contract counters may be
 compared across partitionings or gated by ``run_all.py --compare``.

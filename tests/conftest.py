@@ -11,7 +11,6 @@ import pytest
 from hypothesis import strategies as st
 
 from repro import Application, Instance, Mapping, Platform
-from repro.maxplus.howard import HowardState
 from repro.telemetry import TELEMETRY, Telemetry
 
 
@@ -26,14 +25,6 @@ def collecting() -> Iterator[Telemetry]:
         yield TELEMETRY
     finally:
         TELEMETRY.disable()
-
-
-def copy_state(state: HowardState) -> HowardState:
-    """An independent copy of ``state``, still bound to the same plan."""
-    policies = None if state.policies is None else [
-        None if p is None else p.copy() for p in state.policies
-    ]
-    return HowardState(policies, state.bound_plan)
 
 
 def make_instance(

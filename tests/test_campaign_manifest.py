@@ -16,7 +16,7 @@ from typing import Any, Callable
 
 import pytest
 
-from repro import Application, Instance, Platform
+from repro import Application, Instance, Platform, compute_period
 from repro.campaign import (
     CampaignPoint,
     CampaignSpec,
@@ -37,9 +37,15 @@ from repro.campaign import (
 )
 from repro.campaign.executor import _manifest_sample
 from repro.campaign.store import manifest_key
+from repro.engine import BatchEngine, skeleton
+from repro.errors import SolverError
+from repro.experiments.examples_paper import example_a
+from repro.maxplus import cycle_ratio
 from repro.telemetry import TELEMETRY, merge_traces, trace_files
 from repro.utils import canonical_json
 from repro.workloads import CATALOG
+
+from .conftest import collecting
 
 SPEC_DICT = {
     "name": "manifest-test",
@@ -429,6 +435,7 @@ class TestReportNotDone:
             "patterns_solved": drain["poly.patterns_solved"],
             "patterns_pruned": drain["poly.patterns_pruned"],
             "uncertified_rows": 0,
+            "lawler_fallbacks": 0,
             "lost_leases": 0,
         }
         assert not_done["patterns_solved"] > 0
@@ -446,3 +453,29 @@ class TestReportNotDone:
                 spec, store, counters={"howard.uncertified": 3})
         assert data["telemetry"]["not_done"]["uncertified_rows"] == 3
         assert "; 3 uncertified row(s); " in render_report_text(data)
+
+    def test_lawler_fallback_counted_and_reported(self, spec, tmp_path,
+                                                  monkeypatch):
+        # A Howard SolverError under solver="auto" switches the engine to
+        # Lawler: counted, reported, and the period is the one
+        # compute_period's own Lawler fallback returns.
+        def diverge(*args, **kwargs):
+            raise SolverError("forced non-convergence")
+
+        inst = example_a()
+        with monkeypatch.context() as m:
+            m.setattr(skeleton, "solve_prepared", diverge)
+            m.setattr(cycle_ratio, "max_cycle_ratio_howard", diverge)
+            with collecting() as tel:
+                got = BatchEngine().evaluate(inst, "strict", method="tpn")
+            counters = tel.counter_snapshot()
+            ref = compute_period(inst, "strict", method="tpn")
+        assert counters["engine.lawler_fallbacks"] == 1
+        assert got.tpn_solution.ratio.method == "lawler"
+        assert ref.tpn_solution.ratio.method == "lawler"
+        assert got.period == ref.period
+        with ResultStore(tmp_path / "s.sqlite") as store:
+            run_campaign(spec, store)
+            data = campaign_report_data(spec, store, counters=counters)
+        assert data["telemetry"]["not_done"]["lawler_fallbacks"] == 1
+        assert "; 1 Lawler fallback(s); " in render_report_text(data)

@@ -127,16 +127,14 @@ class TestOtherCommands:
         assert "budget exhausted before any restart" in out
         assert "inf" in out
 
-    def test_optimize_warm_start_same_best_period(self, capsys):
-        assert main(["optimize", "b", "--model", "strict", "--restarts", "2",
-                     "--budget", "60", "--max-rows", "200"]) == 0
-        cold = capsys.readouterr().out
-        assert main(["optimize", "b", "--model", "strict", "--restarts", "2",
-                     "--budget", "60", "--max-rows", "200",
-                     "--warm-start"]) == 0
-        warm = capsys.readouterr().out
-        pick = lambda s: [l for l in s.splitlines() if "best period" in l]
-        assert pick(cold) == pick(warm)
+    def test_optimize_warm_start_flag_removed(self, capsys):
+        # --warm-start was removed in 3.0: argparse rejects it as a
+        # usage error (exit status 2)
+        with pytest.raises(SystemExit) as exc:
+            main(["optimize", "b", "--model", "strict", "--warm-start"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --warm-start" in err
 
     def test_table2_tiny(self, capsys):
         assert main(["table2", "--scale", "0.002", "--models", "overlap",

@@ -110,15 +110,6 @@ class TestGroupBitIdentity:
         for s, p in zip(serial, sharded):
             assert_same_result(s, p)
 
-    def test_warm_group_values_match_cold(self):
-        insts = group_sweep((6, 10, 15), 10, seed=7)
-        cold = evaluate(insts, "strict", method="tpn")
-        warm = BatchEngine(warm_start=True).evaluate(insts, "strict")
-        for c, w in zip(cold, warm):
-            assert c.period == w.period
-            assert c.mct == w.mct
-            assert c.has_critical_resource == w.has_critical_resource
-
     def test_overlap_auto_routes_polynomial_per_pair(self):
         insts = group_sweep((2, 2, 1), 6, seed=8)
         grouped = BatchEngine().evaluate(insts, "overlap")

@@ -14,7 +14,8 @@ over replica *slots*.  These tests pin that:
 * :func:`build_tpn` still names processors: transition processor tuples
   and place resource names are the literals the processor-keyed builder
   produced;
-* warm starts flowing between relabelled points keep every value.
+* one engine fed relabelled points over several calls returns
+  ``compute_period``'s results, whatever it evaluated before.
 """
 
 from __future__ import annotations
@@ -162,17 +163,6 @@ class TestRelabellingInvariance:
         with pytest.raises(ValidationError, match="replica counts"):
             SlotTimes.of(group)
 
-    def test_renamed_members_warn_and_name_slots(self):
-        inst = example_a()
-        sk = build_skeleton(inst, "strict")
-        plan = build_cycle_time_plan(inst, "strict")
-        with pytest.warns(DeprecationWarning, match="slot_u"):
-            assert sk.proc_u is sk.slot_u
-        with pytest.warns(DeprecationWarning, match="slot_v"):
-            assert sk.proc_v is sk.slot_v
-        with pytest.warns(DeprecationWarning, match="arange"):
-            assert plan.entry_proc.tolist() == list(range(plan.n_entries))
-
 
 def _net_digest(inst, model):
     net = build_tpn(inst, model)
@@ -224,35 +214,26 @@ class TestBuildTpnNamesProcessors:
                 f"P{u}" for u in used}
 
 
-class TestWarmStartOnRelabelledGroups:
+class TestRelabelledGroupsAcrossCalls:
     @pytest.mark.parametrize("integer", [False, True])
-    def test_warm_values_equal_cold(self, integer):
-        # interleaved count groups, each with relabelled members, fed in
-        # several calls so warm states carry across calls and groups
+    def test_values_equal_compute_period(self, integer):
+        # interleaved count groups, each with relabelled members, fed to
+        # one engine in several calls (group and scalar paths): every
+        # result equals compute_period, whatever the engine evaluated
+        # before
         insts = [
             inst
             for k, counts in enumerate(COUNTS * 2)
             for inst in relabelled(counts, 7, seed=20 + k, sizes=(None, 11),
                                    integer=integer)
         ]
-        cold = evaluate(insts, "strict")
-        warm_engine = BatchEngine(warm_start=True)
-        warm = []
+        engine = BatchEngine()
+        got = []
         for start in range(0, len(insts), 9):
-            warm.extend(warm_engine.evaluate(insts[start: start + 9], "strict"))
-        warm.extend(warm_engine.evaluate(i, "strict") for i in insts[:5])
-        assert [r.period for r in warm] == [r.period for r in cold + cold[:5]]
-        assert [r.mct for r in warm] == [r.mct for r in cold + cold[:5]]
-        # the extracted cycle may differ only on exact ties: whichever
-        # cycle comes back attains the value
-        for inst, res in zip(insts + insts[:5], warm):
-            sk = warm_engine.skeleton(inst, "strict")
-            ratio = res.tpn_solution.ratio
-            edges = list(ratio.cycle_edges)
-            weights = sk.stamp_weights(inst)
-            tokens = sk.edge_tokens[edges].sum()
-            if integer:
-                assert weights[edges].sum() / tokens == ratio.value
-            else:
-                assert weights[edges].sum() / tokens == pytest.approx(
-                    ratio.value, rel=1e-12)
+            got.extend(engine.evaluate(insts[start: start + 9], "strict"))
+        got.extend(engine.evaluate(i, "strict") for i in insts[:5])
+        for inst, res in zip(insts + insts[:5], got):
+            ref = compute_period(inst, "strict")
+            assert res.period == ref.period
+            assert res.mct == ref.mct
+            assert res.tpn_solution.ratio == ref.tpn_solution.ratio

@@ -24,7 +24,6 @@ from repro.errors import ValidationError
 from repro.maxplus import howard
 from repro.maxplus.graph import RatioGraph
 from repro.maxplus.howard import (
-    HowardState,
     prepare_howard,
     solve_prepared,
     solve_prepared_many,
@@ -99,26 +98,11 @@ class TestReplayAgainstCold:
             assert key(res) == key(cold)
             assert res.n_rounds <= cold.n_rounds
 
-    def test_carried_state_is_not_read(self):
-        # A seeded SCC ignores the carried policy but writes the last
-        # row's policy back, like the unseeded path.
-        insts = strict_instances((3, 4, 5), 12, 4)
-        sk = build_skeleton(insts[0], "strict")
-        W = sk.stamp_weights_many(insts)
-        state = HowardState()
-        solve_prepared(sk.plan, W[0][::-1].copy(), state=state)
-        warm = solve_prepared_many(sk.plan, W, state=state)
-        assert [key(r) for r in warm] == [key(r) for r in solve_prepared_many(sk.plan, W)]
-        fresh = HowardState()
-        solve_prepared(sk.plan, W[-1], state=fresh)
-        for got, want in zip(state.policies, fresh.policies):
-            assert (got is None) == (want is None)
-            if got is not None:
-                assert np.array_equal(got, want)
-
-    def test_warm_engine_periods_equal_compute_period(self):
+    def test_engine_periods_equal_compute_period(self):
+        # Two calls on one engine: the second group solve, in reverse
+        # order, must not depend on the first.
         insts = strict_instances((3, 4, 5), 12, 6)
-        engine = BatchEngine(warm_start=True)
+        engine = BatchEngine()
         with collecting() as tel:
             first = engine.evaluate(insts, "strict", method="tpn")
             second = engine.evaluate(insts[::-1], "strict", method="tpn")

@@ -83,11 +83,6 @@ class TestDeterminism:
         sharded = _search(n_jobs=2).to_dict()
         assert serial == sharded
 
-    def test_warm_start_identical(self):
-        cold = _search(warm_start=False).to_dict()
-        warm = _search(warm_start=True).to_dict()
-        assert cold == warm
-
     def test_seed_changes_trajectory(self):
         a = _search(root_seed=1)
         b = _search(root_seed=2)

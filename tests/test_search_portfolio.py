@@ -232,14 +232,6 @@ class TestPortfolioSearch:
         assert serial.period == shared.period
         assert serial.mapping.assignments == shared.mapping.assignments
 
-    def test_warm_start_flag_same_period(self):
-        plat = make_platform()
-        cold = portfolio_search(APP, plat, "strict", n_restarts=2, budget=80)
-        warm = portfolio_search(APP, plat, "strict", n_restarts=2, budget=80,
-                                warm_start=True)
-        assert cold.period == warm.period
-        assert cold.evaluations == warm.evaluations
-
     def test_zero_budget_returns_flagged_fallback(self):
         res = portfolio_search(APP, make_platform(), "overlap",
                                n_restarts=2, budget=0)
