@@ -34,10 +34,14 @@ A second experiment sweeps the token-edge seed (``_SEED_NODES_PER_TOKEN``)
 over real strict SCC shapes — the ``mixed`` campaign's largest n/k
 (7.5, counts [1,4,3]) and the lcm 60 / 140 / 420 topologies — solving
 the same 32-row slabs with the seed forced off (the cold unseeded
-lockstep) and forced on.  Both must equal the cold scalar solve bit
-for bit (value, cycle nodes and edges); wall-clock and rounds per row
-are reported, never gated.  It is the evidence for the 16 nodes
-per token edge dispatch cut.
+lockstep) and forced on, once with the campaign's weights and once
+with tie-prone uniform-random integer weights (whose rows often miss
+the certificate and take the cold fallback).  Both must equal the
+cold scalar solve bit for bit (value, cycle nodes and edges); the
+uncertified row count is a deterministic contract, wall-clock (per
+row, and per slab for the seed and the certificate separately) and
+rounds per row are reported, never gated.  It is the evidence for the 16 nodes per token
+edge dispatch cut.
 
 Run standalone (asserts round ratio and identity)::
 
@@ -98,6 +102,8 @@ SEED_SHAPES = (
 )
 #: Rows per lockstep slab in the seed sweep (the campaign executor's).
 SEED_SLAB = 32
+#: Generator seed of the seed sweep's uniform-random integer weightings.
+SEED_UNIFORM_RNG = 23
 
 
 def drift_sweep(counts=REPLICATION, n_instances=N_INSTANCES, seed=0,
@@ -269,10 +275,44 @@ def _slabs(plan, W):
     return out
 
 
+def _seed_split(plan, W) -> tuple[float, float]:
+    """Best-of-3 ms per slab of the largest seeded SCC's seed
+    (:func:`howard._seed_start`) and certificate
+    (:func:`howard._certify_seeded`), averaged over the slabs."""
+    scc = max((c for c in plan.components if isinstance(c, howard._PreparedScc)),
+              key=lambda c: c.n)
+    seed_s = cert_s = 0.0
+    slabs = range(0, len(W), SEED_SLAB)
+    for b0 in slabs:
+        Wc = W[b0:b0 + SEED_SLAB][:, scc.gmap]
+        tol = 1e-9 * np.maximum(np.abs(W[b0:b0 + SEED_SLAB]).max(axis=1), 1.0)
+        best_seed = best_cert = float("inf")
+        for _ in range(3):
+            t0 = time.perf_counter()
+            start = howard._seed_start(scc, scc.seed, Wc, tol)
+            t1 = time.perf_counter()
+            howard._certify_seeded(scc, Wc, tol, start)
+            t2 = time.perf_counter()
+            best_seed = min(best_seed, t1 - t0)
+            best_cert = min(best_cert, t2 - t1)
+        seed_s += best_seed
+        cert_s += best_cert
+    return 1000 * seed_s / len(slabs), 1000 * cert_s / len(slabs)
+
+
 def seed_sweep() -> dict:
-    """Seeded vs unseeded lockstep over real strict SCC shapes."""
+    """Seeded vs unseeded lockstep over real strict SCC shapes.
+
+    Every shape runs twice: with its campaign weights, and with
+    uniform-random integer weights in 1..10 (seeded).  Integer weights
+    tie exactly, so many of their rows miss the certificate and take
+    the cold fallback; continuous draws would certify every row.  Both
+    weightings must equal the cold scalar solve.
+    """
     shapes = []
     identical = True
+    uncertified_total = 0
+    rng = np.random.default_rng(SEED_UNIFORM_RNG)
     for label, counts, n_procs, draws in SEED_SHAPES:
         insts = strict_points(counts, n_procs, draws)
         sk = build_skeleton(insts[0], "strict")
@@ -280,45 +320,66 @@ def seed_sweep() -> dict:
         scc = max((c for c in sk.plan.components
                    if isinstance(c, howard._PreparedScc)), key=lambda c: c.n)
         k = int(np.count_nonzero(scc.tokens))
-        W = sk.stamp_weights_many(insts)
+        W_campaign = sk.stamp_weights_many(insts)
         plans = {on: _plan(graph, on) for on in (False, True)}
-        results = {}
-        best = {False: float("inf"), True: float("inf")}
-        for rep in range(3):
-            for on in ((False, True) if rep % 2 == 0 else (True, False)):
-                t0 = time.perf_counter()
-                results[on] = _slabs(plans[on], W)
-                best[on] = min(best[on], time.perf_counter() - t0)
-        cold = [solve_prepared(sk.plan, w) for w in W]
-        same = all(
-            np.float64(r.value).tobytes() == np.float64(c.value).tobytes()
-            and r.cycle_nodes == c.cycle_nodes and r.cycle_edges == c.cycle_edges
-            for on in (False, True) for r, c in zip(results[on], cold)
+        weightings = (
+            ("campaign", W_campaign),
+            ("uniform", rng.integers(1, 11, W_campaign.shape).astype(float)),
         )
-        identical &= same
-        rows = len(W)
-        shapes.append({
-            "label": label, "counts": list(counts), "n": scc.n, "k": k,
-            "n_per_k": scc.n / k,
-            "dispatch_seeds": scc.n >= howard._SEED_NODES_PER_TOKEN * k,
-            "rows": rows,
-            "unseeded_ms_per_row": 1000 * best[False] / rows,
-            "seeded_ms_per_row": 1000 * best[True] / rows,
-            "unseeded_rounds_per_row": sum(r.n_rounds for r in results[False]) / rows,
-            "seeded_rounds_per_row": sum(r.n_rounds for r in results[True]) / rows,
-            "identical": same,
-        })
-    return {"shapes": shapes, "identical": identical}
+        for weighting, W in weightings:
+            results = {}
+            best = {False: float("inf"), True: float("inf")}
+            for rep in range(3):
+                for on in ((False, True) if rep % 2 == 0 else (True, False)):
+                    t0 = time.perf_counter()
+                    results[on] = _slabs(plans[on], W)
+                    best[on] = min(best[on], time.perf_counter() - t0)
+            TELEMETRY.enable("bench")
+            try:
+                _slabs(plans[True], W)
+            finally:
+                TELEMETRY.disable()
+            uncertified = TELEMETRY.counter_snapshot().get("howard.uncertified", 0)
+            uncertified_total += uncertified
+            seed_ms, cert_ms = _seed_split(plans[True], W)
+            cold = [solve_prepared(sk.plan, w) for w in W]
+            same = all(
+                np.float64(r.value).tobytes() == np.float64(c.value).tobytes()
+                and r.cycle_nodes == c.cycle_nodes
+                and r.cycle_edges == c.cycle_edges
+                for on in (False, True) for r, c in zip(results[on], cold)
+            )
+            identical &= same
+            rows = len(W)
+            shapes.append({
+                "label": label, "weighting": weighting, "counts": list(counts),
+                "n": scc.n, "k": k, "n_per_k": scc.n / k,
+                "dispatch_seeds": scc.n >= howard._SEED_NODES_PER_TOKEN * k,
+                "rows": rows,
+                "unseeded_ms_per_row": 1000 * best[False] / rows,
+                "seeded_ms_per_row": 1000 * best[True] / rows,
+                "seed_ms_per_slab": seed_ms,
+                "certificate_ms_per_slab": cert_ms,
+                "uncertified": uncertified,
+                "unseeded_rounds_per_row":
+                    sum(r.n_rounds for r in results[False]) / rows,
+                "seeded_rounds_per_row":
+                    sum(r.n_rounds for r in results[True]) / rows,
+                "identical": same,
+            })
+    return {"shapes": shapes, "identical": identical,
+            "uncertified": uncertified_total}
 
 
 def bench_howard_seed_sweep(benchmark):
     stats = benchmark.pedantic(seed_sweep, rounds=1, iterations=1)
     assert stats["identical"]
     report(benchmark, "Token-edge seed: seeded vs unseeded lockstep",
-           [(f"{s['label']} (n/k {s['n_per_k']:.1f}) ms/row",
+           [(f"{s['label']} {s['weighting']} (n/k {s['n_per_k']:.1f}) ms/row",
              f"{s['unseeded_ms_per_row']:.2f}",
              f"{s['seeded_ms_per_row']:.2f}") for s in stats["shapes"]]
-           + [("rows == cold", "yes", stats["identical"])])
+           + [("uncertified rows", "-", stats["uncertified"]),
+              ("rows == cold", "yes", stats["identical"])])
 
 
 def bench_howard_many_speedup(benchmark):
@@ -376,13 +437,18 @@ def main() -> int:
     print(f"token-edge seed sweep ({SEED_SLAB}-row slabs; unseeded = "
           f"cold lockstep):")
     for s in sweep["shapes"]:
-        print(f"  {s['label']:<14} {str(tuple(s['counts'])):<13} n {s['n']:>5} "
+        print(f"  {s['label']:<14} {s['weighting']:<8} "
+              f"{str(tuple(s['counts'])):<13} n {s['n']:>5} "
               f"k {s['k']:>3} n/k {s['n_per_k']:>6.1f} "
               f"{'seeded ' if s['dispatch_seeds'] else 'unseeded'}: "
               f"{s['unseeded_ms_per_row']:7.2f} -> "
               f"{s['seeded_ms_per_row']:7.2f} ms/row, rounds/row "
               f"{s['unseeded_rounds_per_row']:.2f} -> "
-              f"{s['seeded_rounds_per_row']:.2f}")
+              f"{s['seeded_rounds_per_row']:.2f}; per slab seed "
+              f"{s['seed_ms_per_slab']:.2f} + certificate "
+              f"{s['certificate_ms_per_slab']:.2f} ms; "
+              f"uncertified {s['uncertified']}/{s['rows']}")
+    print(f"uncertified rows       : {sweep['uncertified']}")
     print(f"rows == cold           : {sweep['identical']}")
     assert sweep["identical"], "lockstep rows diverged from the cold solve"
     assert stats["identical"], "group results diverged from the scalar path"

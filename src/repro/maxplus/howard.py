@@ -70,11 +70,14 @@ An SCC with at least ``_SEED_NODES_PER_TOKEN`` nodes per token edge (a
 strict TPN: all tokens on the ``k`` processor-circuit places, the rest a
 token-free DAG) is prepared with its ``k``-node token-edge reduction
 (:mod:`._token_seed`).  :func:`solve_prepared_many` solves the reduced
-graph, lifts its solution to one start policy per row, and lets the
-lockstep kernel run from there to its own fixed point — usually one
-round.  A row is then *certified* (every non-policy edge strictly
-suboptimal by a margin) and equal to the cold scalar solve in value,
-cycle and rotation; an uncertified row is recomputed cold.
+graph and lifts its solution to one start policy per row.  One
+evaluation pass (:func:`_certify_seeded`: pointer doubling for the
+cycle, pointer jumping for the potentials, one reduced-cost pass over
+the edges) then *certifies* a row whose start has a single policy
+cycle and every non-policy edge strictly suboptimal by a margin.  Such
+a start is already a fixed point, so no improvement round runs, and
+the row equals the cold scalar solve in value, cycle and rotation; an
+uncertified row is recomputed cold.
 """
 
 from __future__ import annotations
@@ -583,27 +586,14 @@ def _scc_howard_csr_many(
     scc: _PreparedScc,
     W: npt.NDArray[np.float64],
     tol_rows: npt.NDArray[np.float64],
-    policy0: npt.NDArray[np.int64] | None = None,
-    certify: bool = False,
-) -> tuple[list[_Candidate], npt.NDArray[np.bool_]]:
+) -> list[_Candidate]:
     """Lockstep policy iteration inside one prepared SCC for ``B`` rows.
 
     ``W`` is the ``(B, e)`` CSR-ordered weight matrix (one stamping per
-    row), ``tol_rows`` the per-row improvement tolerance and
-    ``policy0`` the start: ``None`` for the cold policy (first out-edge
-    of each node) on every row, or a token-edge seed's ``(B, n)``
-    matrix with one start per row.  Returns one ``(value, cycle_nodes,
-    cycle_edges, n_rounds)`` tuple per row — ids already in caller
-    space — and a per-row certificate flag.
-
-    ``certify`` turns the certificate on: a row is certified when its
-    converged policy has a single cycle ``C`` and every non-policy
-    edge's reduced cost ``w - lam * t + pot[dst] - pot[src]`` is below
-    ``-tol * max(n, |C| * T / T(C))``, with ``T`` the SCC's token total
-    and ``T(C)`` the cycle's; :func:`solve_prepared_many` explains why
-    that makes the row equal to a cold solve.  Certifying rows stay in
-    lockstep to the end (no straggler hand-off).  Without ``certify``
-    every flag is ``False``.
+    row) and ``tol_rows`` the per-row improvement tolerance; every row
+    starts cold (first out-edge of each node).  Returns one ``(value,
+    cycle_nodes, cycle_edges, n_rounds)`` tuple per row, ids already in
+    caller space.
 
     Bit-identity with :func:`_scc_howard_csr`, row by row:
 
@@ -649,13 +639,11 @@ def _scc_howard_csr_many(
     edge_pos = np.arange(e, dtype=idx_dt)
     node_ids = np.arange(n, dtype=idx_dt)
     policy = np.empty((B, n), dtype=idx_dt)
-    policy[:] = start[:n] if policy0 is None else policy0
+    policy[:] = start[:n]
 
     rows = np.arange(B, dtype=np.int64)  # active-row -> original-row map
     W_act = W
     tol_act = np.asarray(tol_rows, dtype=float)
-    certified = np.zeros(B, dtype=bool)
-    tokens_total = float(tokens.sum(dtype=np.float64))
     results: list[_Candidate | None] = [None] * B
     max_rounds = _MAX_ROUNDS_FACTOR * max(n, 8)
 
@@ -670,14 +658,14 @@ def _scc_howard_csr_many(
         # kernels perform the same per-round arithmetic, so "rounds
         # 1..k in lockstep, k+1.. in the scalar kernel" is the same
         # computation as either kernel alone.
-        if not certify and A <= (B >> 3):
+        if A <= (B >> 3):
             if TELEMETRY.enabled:
                 TELEMETRY.count("howard.straggler_handoffs", A)
             for a in range(A):
                 b = int(rows[a])
                 cand = _scalar_candidate(scc, W_act[a], float(tol_act[a]), policy[a])
                 results[b] = cand[:3] + (cand[3] + round_no - 1,)
-            return results, certified  # type: ignore[return-value]
+            return results  # type: ignore[return-value]
 
         # ---- policy evaluation (vectorized functional-graph traversal) --
         # The traversal structure depends on the policy alone, never the
@@ -940,16 +928,6 @@ def _scc_howard_csr_many(
             D = d_idx.size
             best_lane_d = best_lane.take(d_idx)
             vals_d = best_val.take(d_idx)
-            if certify:
-                # One policy cycle, and every non-policy edge's reduced
-                # cost strictly below -margin.
-                off = reduced[d_idx]
-                off[np.arange(D)[:, None], policy[d_idx]] = -np.inf
-                single = np.bincount(lane_rows, minlength=A).take(d_idx) == 1
-                margin = tol_act.take(d_idx) * np.maximum(
-                    n, len_lane.take(best_lane_d) * tokens_total
-                    / ct.take(best_lane_d))
-                certified[rows.take(d_idx)] = single & (off.max(axis=1) < -margin)
             if shared:
                 # One shared policy: rows extracting the same entry share
                 # the same cycle — walk each unique cycle once and hand
@@ -1002,7 +980,7 @@ def _scc_howard_csr_many(
                         tuple(edges_l[t][:length]), round_no,
                     )
             if done.all():
-                return results, certified  # type: ignore[return-value]
+                return results  # type: ignore[return-value]
 
         policy = np.where(phase1, first_g, np.where(phase2, first_r, policy))
         if done.any():
@@ -1120,23 +1098,31 @@ def solve_prepared_many(
         cold.  On seeded SCCs the row equals it in value bits and
         extracted cycle — certified rows by the argument below,
         uncertified rows because they are recomputed cold.  A
-        certified row reports its own lockstep rounds (usually 1), an
-        uncertified row the cold solve's.
+        certified row reports 1 round, an uncertified row the cold
+        solve's.
 
     Notes
     -----
     *Seeded SCCs.*  An SCC prepared with a token-edge seed (see the
-    module docstring) starts each row from the policy its reduced
-    solution proposes and runs the lockstep kernel to a fixed point
-    ``pi``.  The row is **certified** when ``pi`` has a single cycle
+    module docstring) proposes one start policy ``pi`` per row from its
+    reduced solution, and :func:`_certify_seeded` evaluates ``pi``
+    once.  The row is **certified** when ``pi`` has a single cycle
     ``C`` (``L`` edges, ``T(C)`` tokens, ratio ``lam``) and every
     non-policy edge has reduced cost
     ``r_e = w_e - lam * t_e + pot[dst] - pot[src] < -m`` with
     ``m = tol * max(n, L * T / T(C))`` (``n`` nodes, ``T`` tokens in
-    the SCC); policy edges have ``r_e = 0``.  Let ``sigma`` be the
-    policy a cold solve stops at, with one ratio ``mu`` on every node
-    (what a fixed point of an SCC has, exactly so at ``tol = 0``) and
-    so ``r^sigma_e <= tol`` on every edge.  Then ``sigma = pi``:
+    the SCC); policy edges have ``r_e = 0``.
+
+    **Certified => fixed point.**  One ratio on every node means policy
+    improvement's phase 1 (a move to a larger ratio) never fires;
+    policy edges have ``r_e = 0`` and every other edge
+    ``r_e < -m <= -n * tol``, so phase 2 never fires either.  No
+    improvement step is needed, and a certified row reports 1 round.
+
+    **Certified => equal to cold.**  Let ``sigma`` be the policy a cold
+    solve stops at, with one ratio ``mu`` on every node (what a fixed
+    point of an SCC has, exactly so at ``tol = 0``) and so
+    ``r^sigma_e <= tol`` on every edge.  Then ``sigma = pi``:
 
     1. Summing ``r_e`` around any cycle ``D`` gives
        ``W(D) - lam * T(D) < -m * j``, ``j`` its non-``pi`` edges: every
@@ -1150,14 +1136,16 @@ def solve_prepared_many(
        edges, each ``r^sigma <= tol``) it stays above ``c - n * tol``.
        As ``m >= n * tol``, no such node exists.
 
-    Equal policies evaluate to equal floats in both kernels, so value,
-    cycle and rotation agree bit for bit.  Rounding in the potentials
-    is about ``n * 2**-52`` of the weight scale, far below ``tol``
-    (``1e-9`` of it).  When several ratio classes coexist in ``sigma``
-    (possible only within ``(n - 1) * tol`` of each other) the argument
-    does not apply as written; the near-tie harness in
-    ``tests/test_howard_seed.py`` replays such weightings against the
-    cold solve.  Rows failing the certificate are re-solved with the
+    The certificate sums the cycle's weights in walk order from the
+    scalar walk's entry, so value, cycle and rotation agree with the
+    cold solve bit for bit.  Its potentials come from pointer jumping,
+    not the scalar recurrence: their rounding is about
+    ``ceil(log2 n) * n * 2**-52`` of the weight scale, far below
+    ``m >= n * tol`` (``tol`` is ``1e-9`` of it).  When several ratio
+    classes coexist in ``sigma`` (possible only within
+    ``(n - 1) * tol`` of each other) the argument does not apply as
+    written; the near-tie harness in ``tests/test_howard_seed.py``
+    replays such weightings against the cold solve.  Rows failing the certificate are re-solved with the
     cold scalar kernel (the oracle's path) and counted as
     ``howard.uncertified``; all seeded rows count as
     ``howard.seeded_rows``.
@@ -1212,16 +1200,17 @@ def solve_prepared_many(
 
         W = weights[:, comp.gmap]
         if comp.seed is not None:
-            cands, certified = _scc_howard_csr_many(
-                comp, W, tol_rows, _seed_start(comp, comp.seed, W, tol_rows),
-                certify=True,
-            )
+            certified = _certify_seeded(
+                comp, W, tol_rows, _seed_start(comp, comp.seed, W, tol_rows))
             seeded += B
-            for b in np.flatnonzero(~certified).tolist():
-                uncertified += 1
-                cands[b] = _scalar_candidate(comp, W[b], float(tol_rows[b]))
+            cands = []
+            for b, cand in enumerate(certified):
+                if cand is None:
+                    uncertified += 1
+                    cand = _scalar_candidate(comp, W[b], float(tol_rows[b]))
+                cands.append(cand)
         else:
-            cands, _ = _scc_howard_csr_many(comp, W, tol_rows)
+            cands = _scc_howard_csr_many(comp, W, tol_rows)
         for b, cand in enumerate(cands):
             cur = best[b]
             if cur is None or cand[0] > cur[0]:
@@ -1261,8 +1250,9 @@ def _seed_start(
     the forward pass builds the token-edge matrices, lockstep Howard on
     the reduced ``k``-node SCC gives each row's ratio and a critical
     node, and :func:`~._token_seed.start_policy` lifts that solution to
-    a full-graph policy.  The start only proposes; the caller's lockstep
-    solve and certificate decide.
+    a full-graph policy.  The start only proposes:
+    :func:`_certify_seeded` accepts it as the row's fixed point or
+    sends the row to the cold solve.
     """
     dag = seed.dag
     B = W.shape[0]
@@ -1272,12 +1262,118 @@ def _seed_start(
     for b0 in range(0, B, chunk):
         Wc = W[b0:b0 + chunk]
         A = forward_matrix(dag, Wc)
-        cands, _ = _scc_howard_csr_many(
+        cands = _scc_howard_csr_many(
             seed.reduced, A[:, dag.red_src, dag.red_dst], tol_rows[b0:b0 + chunk]
         )
         lam = np.fromiter((c[0] for c in cands), dtype=float, count=len(cands))
         root = np.fromiter((c[1][0] for c in cands), dtype=np.int64, count=len(cands))
         out[b0:b0 + chunk] = start_policy(dag, Wc, A, lam, root, csr)
+    return out
+
+
+def _certify_seeded(
+    scc: _PreparedScc,
+    W: npt.NDArray[np.float64],
+    tol_rows: npt.NDArray[np.float64],
+    policy: npt.NDArray[np.int64],
+) -> list[_Candidate | None]:
+    """Certify each row's seeded start policy with one evaluation pass.
+
+    ``policy`` is the ``(B, n)`` start from :func:`_seed_start`.  A row
+    is certified when its policy has a single cycle ``C`` and every
+    non-policy edge's reduced cost ``w - lam * t + pot[dst] - pot[src]``
+    is below ``-tol * max(n, |C| * T / T(C))``, with ``T`` the SCC's
+    token total and ``T(C)`` the cycle's; such a start is already a
+    fixed point, and :func:`solve_prepared_many` explains why it equals
+    the cold solve.  Returns a ``(value, cycle_nodes, cycle_edges, 1)``
+    candidate per certified row, ids in caller space, and ``None`` for
+    every other row.
+
+    * A ``nxt^(2^k)`` hop ladder gives cycle membership: after
+      ``2^K >= n`` hops every node sits on its cycle.
+    * With one cycle its basin is every node, so the scalar walk's
+      entry is the first cycle node on node 0's path, found by binary
+      lifting over the ladder.
+    * Pointer jumping with the entry absorbing: the policy has one
+      cycle exactly when every node's jump ends at the entry, and the
+      same jump tables sum each node's ``w - lam * t`` path to the
+      entry, its potential.
+    * The cycle is read out in walk order from the entry by doubling
+      over the ladder; its weights accumulate left to right (the
+      scalar association), so the ratio has the scalar bits.
+    """
+    B, e = W.shape
+    n = scc.n
+    tokens = scc.tokens
+    base = (np.arange(B, dtype=np.int64) * n)[:, None]
+    nxt = scc.dst.take(policy) + base  # flat successor of every node
+
+    ladder = []
+    hop = nxt
+    step = 1
+    while step < n:
+        ladder.append(hop)
+        hop = hop.take(hop)
+        step *= 2
+    onc = np.zeros(B * n, dtype=bool)
+    onc[hop.ravel()] = True
+
+    # Binary lifting: the last node of node 0's path not on the cycle.
+    node0 = base[:, 0]
+    cur = node0
+    for hop_k in reversed(ladder):
+        to = hop_k.take(cur)
+        cur = np.where(onc.take(to), cur, to)
+    entry = np.where(onc.take(node0), node0, nxt.take(cur))
+
+    # Pointer-jumping tables with the entry absorbing.
+    jump = nxt.ravel().copy()
+    jump[entry] = entry
+    jumps = []
+    for _ in ladder:  # 2^K >= n exceeds every distance to the entry
+        jumps.append(jump)
+        jump = jump.take(jump)
+    # One policy cycle exactly when every node's path reaches the entry.
+    single = (jump.reshape(B, n) == entry[:, None]).all(axis=1)
+
+    # The cycle in walk order from the entry, doubled out over the ladder.
+    length = onc.reshape(B, n).sum(axis=1, dtype=np.int64)
+    l_max = int(length.max())
+    walk = entry[:, None]
+    for hop_k in ladder:
+        if walk.shape[1] >= l_max:
+            break
+        walk = np.concatenate((walk, hop_k.take(walk)), axis=1)
+    walk = walk[:, :l_max]
+    valid = np.arange(l_max) < length[:, None]
+    pol_flat = policy + (np.arange(B, dtype=np.int64) * e)[:, None]
+    w_pol = W.ravel().take(pol_flat)
+    t_pol = tokens.take(policy)
+    cw = np.cumsum(np.where(valid, w_pol.take(walk), 0.0), axis=1, dtype=np.float64)
+    ct = np.where(valid, t_pol.take(walk), 0.0).sum(axis=1, dtype=np.float64)
+    lam = cw[np.arange(B), length - 1] / ct
+
+    cost = (w_pol - lam[:, None] * t_pol).ravel()
+    cost[entry] = 0.0
+    for jump_k in jumps:
+        cost = cost + cost.take(jump_k)
+    pot = cost.reshape(B, n)
+
+    reduced = W - lam[:, None] * tokens + pot[:, scc.dst] - pot[:, scc.src]
+    np.put(reduced, pol_flat, -np.inf)
+    tokens_total = float(tokens.sum(dtype=np.float64))
+    margin = tol_rows * np.maximum(n, length * tokens_total / ct)
+    ok = np.flatnonzero(single & (reduced.max(axis=1) < -margin))
+
+    out: list[_Candidate | None] = [None] * B
+    node_map_arr = np.asarray(scc.node_map, dtype=np.int64)
+    walk_ok = walk[ok]
+    nodes_l = node_map_arr.take(walk_ok - base[ok]).tolist()
+    edges_l = scc.gmap.take(policy.take(walk_ok)).tolist()
+    for t, b in enumerate(ok.tolist()):
+        size = int(length[b])
+        out[b] = (float(lam[b]), tuple(nodes_l[t][:size]),
+                  tuple(edges_l[t][:size]), 1)
     return out
 
 

@@ -6,9 +6,10 @@ reduction proposes, and accept the row only under a certificate; an
 uncertified row is recomputed with the cold scalar kernel.  Either way
 each row must equal ``solve_prepared`` from a cold start in value bits,
 cycle nodes and cycle edges.  These tests replay real strict topologies,
-force random near-tie SCCs through the seeded kernel (where the
-certificate must reject some rows), chunk a large topology's forward
-pass, and pin the telemetry counters.
+check the one-pass certificate (``_certify_seeded``) on hand-built start
+policies, force random near-tie SCCs through the seeded kernel (where
+the certificate must reject some rows), chunk a large topology's
+forward pass, and pin the telemetry counters.
 """
 
 from __future__ import annotations
@@ -94,9 +95,9 @@ class TestReplayAgainstCold:
         assert counters["howard.seeded_rows"] == len(W)
         assert counters.get("howard.uncertified", 0) == 0
         for b, res in enumerate(many):
-            cold = solve_prepared(sk.plan, W[b])
-            assert key(res) == key(cold)
-            assert res.n_rounds <= cold.n_rounds
+            assert key(res) == key(solve_prepared(sk.plan, W[b]))
+            # Every row is certified: its start is the fixed point.
+            assert res.n_rounds == 1
 
     def test_engine_periods_equal_compute_period(self):
         # Two calls on one engine: the second group solve, in reverse
@@ -137,6 +138,82 @@ class TestRowChunking:
         assert chunked == whole
         for b, res in enumerate(chunked):
             assert key(res) == key(solve_prepared(sk.plan, W[b]))
+
+
+def single_scc(edges):
+    """The one prepared SCC of a unit-token graph given as ``(src, dst,
+    weight)`` triples, with its ``(1, e)`` CSR weight row."""
+    g = RatioGraph(1 + max(max(s, d) for s, d, _ in edges),
+                   [(s, d, w, 1) for s, d, w in edges])
+    plan = prepare_howard(g)
+    (comp,) = plan.components
+    return g, plan, comp, g.weight[comp.gmap][None, :]
+
+
+def csr_policy(comp, succ):
+    """``(1, n)`` CSR-position policy sending global node ``v`` to
+    ``succ[v]``."""
+    local = {v: i for i, v in enumerate(comp.node_map)}
+    pol = np.empty((1, comp.n), dtype=np.int64)
+    for v, d in succ.items():
+        i = local[v]
+        seg = range(comp.start[i], comp.start[i + 1])
+        (pol[0, i],) = [k for k in seg if comp.dst[k] == local[d]]
+    return pol
+
+
+def certify(comp, W, succ):
+    (cand,) = howard._certify_seeded(comp, W, np.full(1, 1e-9),
+                                     csr_policy(comp, succ))
+    return cand
+
+
+class TestCertifySeeded:
+    def test_two_policy_cycles_are_uncertified(self):
+        # Two 2-cycles of equal ratio joined by very negative edges: the
+        # reduced costs alone would pass, the single-cycle clause fails.
+        _, _, comp, W = single_scc([
+            (0, 1, 1.0), (1, 0, 1.0), (2, 3, 1.0), (3, 2, 1.0),
+            (1, 2, -100.0), (3, 0, -100.0),
+        ])
+        assert certify(comp, W, {0: 1, 1: 0, 2: 3, 3: 2}) is None
+
+    def test_start_that_is_not_a_fixed_point_is_uncertified(self, monkeypatch):
+        # One policy cycle (the Hamiltonian 0 -> 1 -> 2 -> 0, ratio 1),
+        # but the edge 0 -> 2 closes the better cycle 0 -> 2 -> 0.
+        edges = [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0), (0, 2, 10.0)]
+        g, plan, comp, W = single_scc(edges)
+        hamiltonian = {0: 1, 1: 2, 2: 0}
+        assert certify(comp, W, hamiltonian) is None
+        best = certify(comp, W, {0: 2, 1: 2, 2: 0})
+        assert best is not None and best[0] == 5.5 and best[3] == 1
+
+        # Through solve_prepared_many: the seed proposes the Hamiltonian
+        # start on every row, and every row is re-solved cold.
+        monkeypatch.setattr(howard, "_SEED_NODES_PER_TOKEN", 0)
+        plan = prepare_howard(g)
+        (comp,) = seeded_components(plan)
+        start = csr_policy(comp, hamiltonian)
+        monkeypatch.setattr(howard, "_seed_start",
+                            lambda scc, seed, Wc, tol: start.repeat(len(Wc), 0))
+        rows = np.array([[1.0, 1.0, 1.0, 10.0], [1.0, 2.0, 1.0, 10.0],
+                         [2.0, 1.0, 1.0, 4.0]])
+        many, counters = solve_and_count(plan, rows)
+        assert counters["howard.uncertified"] == counters["howard.seeded_rows"] == 3
+        assert many == [solve_prepared(plan, w) for w in rows]
+
+    def test_rotation_starts_at_the_cold_walks_entry(self):
+        # Node 0 is off the critical cycle {1, 3}; its policy path enters
+        # at 3, so the scalar walk from node 0 reports (3, 1), not (1, 3).
+        edges = [(0, 3, 1.0), (3, 1, 10.0), (1, 3, 1.0), (1, 2, 1.0),
+                 (2, 0, 1.0)]
+        g, plan, comp, W = single_scc(edges)
+        cand = certify(comp, W, {0: 3, 1: 3, 2: 0, 3: 1})
+        cold = solve_prepared(plan, g.weight)
+        assert cold.cycle_nodes == (3, 1)
+        assert cand is not None
+        assert (cand[0], cand[1], cand[2]) == (
+            cold.value, cold.cycle_nodes, cold.cycle_edges)
 
 
 def near_tie_trials(rng, n_trials, rows):
