@@ -43,6 +43,16 @@ row, and per slab for the seed and the certificate separately) and
 rounds per row are reported, never gated.  It is the evidence for the 16 nodes per token
 edge dispatch cut.
 
+A third experiment, the slab sweep, solves 256 rows of the lcm-60
+(``shared_strict``) topology in slabs of 32, 64, 128 and 256 rows —
+the campaign executor hands the engine up to ``MAX_GROUP_ROWS`` = 256
+rows per claimed window — and reports µs per row and the
+``tracemalloc`` peak of one ``solve_prepared_many`` call per slab
+size.  Every slab size must return the same rows, and the 256-row peak
+must stay within ``SLAB_PEAK_GROWTH`` of the 64-row peak: the seeded
+path works in bounded row chunks, so its memory is flat in the slab
+size.  The peak is deterministic; wall-clock is reported, never gated.
+
 Run standalone (asserts round ratio and identity)::
 
     PYTHONPATH=src python benchmarks/bench_howard_many.py
@@ -56,6 +66,7 @@ or under pytest-benchmark::
 from __future__ import annotations
 
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -100,10 +111,18 @@ SEED_SHAPES = (
     ("lcm 140", (4, 5, 7), 16, 8),
     ("lcm 420", (3, 4, 5, 7), 19, 4),
 )
-#: Rows per lockstep slab in the seed sweep (the campaign executor's).
+#: Rows per lockstep slab in the seed sweep, fixed so its per-row
+#: figures compare across versions; :func:`slab_sweep` covers the
+#: campaign executor's slabs of up to ``MAX_GROUP_ROWS`` rows.
 SEED_SLAB = 32
 #: Generator seed of the seed sweep's uniform-random integer weightings.
 SEED_UNIFORM_RNG = 23
+#: Slab sweep: rows per ``solve_prepared_many`` call, and the lcm-60
+#: campaign draws giving 4 x 64 = 256 rows (one full engine slab).
+SLAB_SIZES = (32, 64, 128, 256)
+SLAB_DRAWS = 64
+#: Largest allowed ratio of the 256-row peak to the 64-row peak.
+SLAB_PEAK_GROWTH = 1.5
 
 
 def drift_sweep(counts=REPLICATION, n_instances=N_INSTANCES, seed=0,
@@ -371,6 +390,64 @@ def seed_sweep() -> dict:
             "uncertified": uncertified_total}
 
 
+def _row_keys(results) -> list:
+    """Value bits, cycle nodes and cycle edges of each result."""
+    return [(np.float64(r.value).tobytes(), r.cycle_nodes, r.cycle_edges)
+            for r in results]
+
+
+def slab_sweep() -> dict:
+    """µs per row and ``tracemalloc`` peak by slab size (lcm 60)."""
+    insts = strict_points((3, 4, 5), 12, SLAB_DRAWS)
+    sk = build_skeleton(insts[0], "strict")
+    W = sk.stamp_weights_many(insts)
+    slabs = []
+    reference = None
+    identical = True
+    for size in SLAB_SIZES:
+        best = float("inf")
+        for _ in range(REPEATS):
+            t0 = time.perf_counter()
+            out = []
+            for b0 in range(0, len(W), size):
+                out += solve_prepared_many(sk.plan, W[b0:b0 + size])
+            best = min(best, time.perf_counter() - t0)
+        keys = _row_keys(out)
+        reference = keys if reference is None else reference
+        identical &= keys == reference
+        tracemalloc.start()
+        try:
+            solve_prepared_many(sk.plan, W[:size])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        slabs.append({"rows": size, "us_per_row": 1e6 * best / len(W),
+                      "peak_mib": round(peak / 2 ** 20, 3)})
+    peaks = {s["rows"]: s["peak_mib"] for s in slabs}
+    return {"rows": len(W), "slabs": slabs, "identical": identical,
+            "peak_mib_256": peaks[256],
+            "flat": peaks[256] <= SLAB_PEAK_GROWTH * peaks[64]}
+
+
+def _check_slab_sweep(stats: dict) -> None:
+    if not stats["identical"]:
+        raise AssertionError("slab sizes returned different rows")
+    if not stats["flat"]:
+        raise AssertionError(
+            f"256-row peak {stats['peak_mib_256']} MiB exceeds "
+            f"{SLAB_PEAK_GROWTH:g}x the 64-row peak")
+
+
+def bench_howard_slab_sweep(benchmark):
+    stats = benchmark.pedantic(slab_sweep, rounds=1, iterations=1)
+    _check_slab_sweep(stats)
+    report(benchmark, "Seeded lockstep by slab size (lcm 60)",
+           [(f"{s['rows']}-row slabs: us/row, peak MiB", "-",
+             f"{s['us_per_row']:.0f}, {s['peak_mib']:.2f}")
+            for s in stats["slabs"]]
+           + [("rows identical across slabs", "yes", stats["identical"])])
+
+
 def bench_howard_seed_sweep(benchmark):
     stats = benchmark.pedantic(seed_sweep, rounds=1, iterations=1)
     assert stats["identical"]
@@ -450,6 +527,13 @@ def main() -> int:
               f"uncertified {s['uncertified']}/{s['rows']}")
     print(f"uncertified rows       : {sweep['uncertified']}")
     print(f"rows == cold           : {sweep['identical']}")
+    slab = slab_sweep()
+    print(f"slab sweep (lcm 60, {slab['rows']} rows):")
+    for s in slab["slabs"]:
+        print(f"  {s['rows']:>3}-row slabs: {s['us_per_row']:7.1f} us/row, "
+              f"solve_prepared_many peak {s['peak_mib']:6.2f} MiB")
+    print(f"rows equal across slabs: {slab['identical']}")
+    _check_slab_sweep(slab)
     assert sweep["identical"], "lockstep rows diverged from the cold solve"
     assert stats["identical"], "group results diverged from the scalar path"
     assert stats["rounds_scalar"] == stats["rounds_lockstep"], \

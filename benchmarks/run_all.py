@@ -36,7 +36,7 @@ from pathlib import Path
 SCHEMA = 2
 
 #: The PR this harness currently reports for.
-PR = 23
+PR = 24
 
 #: Cross-report deterministic contracts: ``--compare`` fails when the
 #: current value is worse than the previous report's.  Direction
@@ -51,6 +51,8 @@ CONTRACTS = [
     ("howard_many", "rounds_lockstep_outer", "<="),
     ("howard_seed_sweep", "identical", ">="),
     ("howard_seed_sweep", "uncertified", "<="),
+    ("howard_slab_sweep", "identical", ">="),
+    ("howard_slab_sweep", "peak_mib_256", "<="),
     ("howard_scalar", "identical", ">="),
     ("howard_scalar", "rounds", "<="),
     ("engine_batch", "identical", ">="),
@@ -171,6 +173,12 @@ def collect() -> dict:
             bench_howard_many.seed_sweep,
             lambda s: _assert(s["identical"],
                               "lockstep rows diverged from the cold solve"),
+            True,
+        ),
+        (
+            "howard_slab_sweep",
+            bench_howard_many.slab_sweep,
+            bench_howard_many._check_slab_sweep,
             True,
         ),
         (

@@ -19,13 +19,15 @@ loop (:func:`_drain`) over the same work list:
    groups, so each worker builds each topology's skeleton once (see
    ``benchmarks/bench_campaign.py``).
 3. **Claim, evaluate, commit** — a worker walks the ordered list with a
-   cursor, claims one window of digests at a time, evaluates each
-   ``commit_every`` slice through a
-   :class:`~repro.engine.BatchEngine` (each same-topology run is
+   cursor, claims one window of digests at a time (by default one
+   engine slab, :data:`~repro.engine.MAX_GROUP_ROWS` digests), and
+   evaluates the whole window with one
+   :class:`~repro.engine.BatchEngine` call (each same-topology run is
    stamped into one ``(B, E)`` weight matrix and solved in lockstep
-   by :func:`repro.maxplus.howard.solve_prepared_many`),
-   commits it and releases its leases.  A kill loses at most the
-   uncommitted slice, never committed work.
+   by :func:`repro.maxplus.howard.solve_prepared_many`).  It then
+   commits the results in ``commit_every`` slices, renewing its leases
+   before each slice and releasing them after it.  A kill loses at
+   most one claimed window of *evaluation*, never committed work.
 
 :func:`run_campaign` runs that loop in-process, where the worker owns
 the store and its leases are no-ops, or with ``n_jobs=k`` as ``k``
@@ -58,7 +60,7 @@ from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
 from ..core.instance import Instance
-from ..engine import BatchEngine, topology_signature
+from ..engine import MAX_GROUP_ROWS, BatchEngine, topology_signature
 from ..errors import ValidationError
 from ..experiments.io import canonical_json
 from ..faults import FAULTS, FaultPlan, SpillJournal, pause
@@ -87,8 +89,11 @@ __all__ = [
 ]
 
 #: Checkpoint cadence (points per store commit).  Claims default to one
-#: commit's worth, so a crashed worker strands at most one checkpoint of
-#: work behind its lease TTL.
+#: engine slab (:data:`~repro.engine.MAX_GROUP_ROWS` digests, whole
+#: slices of this), evaluated in one call and committed slice by slice:
+#: a kill loses at most one claimed window of evaluation, never
+#: committed work, and a crashed worker strands at most one window
+#: behind its lease TTL.
 DEFAULT_COMMIT_EVERY = 32
 
 #: Sleep while every pending digest is leased by some other worker
@@ -422,17 +427,22 @@ def _drain(
     either that worker finishes them or the next claim takes the stale
     ones over.
 
-    Claimed digests are evaluated in ``commit_every`` slices, renewing
-    the held leases before each slice (the heartbeat), committing the
-    results and releasing their leases slice by slice.  Returns the
+    Each claimed window is evaluated with one engine call, so each
+    same-topology run in it is one lockstep slab.  Its results are
+    committed in ``commit_every`` slices: before each slice the held
+    leases are renewed (the heartbeat), then the slice is committed and
+    its leases released.  A kill loses at most the window's
+    uncommitted evaluation, never committed work; a crashed worker
+    strands at most one window behind its lease TTL.  Returns the
     number of new points stored.
 
     The loop carries the fabric's resilience ladder.  A heartbeat that
     comes back short (this worker stalled past its renewal deadline and
-    lost leases to a takeover) defers the lost digests instead of
-    double-committing blindly.  A commit that fails past the store's
-    retry budget spills the slice's payloads to the ``spill_dir``
-    write-ahead journal (when given) and keeps draining.  The
+    lost leases to a takeover) drops the lost digests' results and
+    defers the digests instead of double-committing blindly.  A commit
+    that fails past the store's retry budget spills the slice's
+    payloads to the ``spill_dir`` write-ahead journal (when given) and
+    keeps draining.  The
     ``worker.after-claim``, ``worker.pre-release`` and
     ``worker.after-release`` fault sites mark the protocol barriers
     where a :mod:`repro.faults` plan may SIGKILL the process for real.
@@ -457,16 +467,24 @@ def _drain(
             if len(claimed) < len(window):
                 taken = set(claimed)
                 deferred.extend(d for d in window if d not in taken)
-            claimed_any = claimed_any or bool(claimed)
+            if not claimed:
+                continue
+            claimed_any = True
+            with TELEMETRY.span("evaluate", points=len(claimed)):
+                results = dict(zip(claimed, engine.evaluate(
+                    [by_digest[d][0] for d in claimed],
+                    [by_digest[d][1] for d in claimed],
+                )))
             for first in range(0, len(claimed), commit_every):
                 chunk = claimed[first: first + commit_every]
                 tail = claimed[first:]
                 if lease.renew(tail) < len(tail):
                     # This worker stalled past its renewal deadline and
                     # the watchdog handed (some of) its leases to someone
-                    # else.  Evaluating them anyway would be harmless
-                    # (content addressing absorbs duplicates) but
-                    # wasteful — keep only what is still ours.
+                    # else.  Committing them anyway would be harmless
+                    # (content addressing absorbs duplicates), but the
+                    # new holder owns them now: drop their results and
+                    # keep only what is still ours.
                     held = set(lease.held())
                     lost = [d for d in chunk if d not in held]
                     if lost:
@@ -476,17 +494,13 @@ def _drain(
                             TELEMETRY.count("fabric.lost_leases", len(lost))
                     if not chunk:
                         continue
-                with TELEMETRY.span("evaluate", points=len(chunk)):
-                    results = engine.evaluate(
-                        [by_digest[d][0] for d in chunk],
-                        [by_digest[d][1] for d in chunk],
-                    )
                 payloads = [
                     (digest,
                      canonical_json(
-                         payload_from_result(by_digest[digest][0], result,
+                         payload_from_result(by_digest[digest][0],
+                                             results[digest],
                                              objectives=objectives)))
-                    for digest, result in zip(chunk, results)
+                    for digest in chunk
                 ]
                 with TELEMETRY.span("commit", points=len(chunk)):
                     try:
@@ -615,7 +629,9 @@ def _drain_options(
     commit_every: int,
     spill_dir: str | Path | None,
 ) -> dict[str, Any]:
-    """Keyword arguments of :func:`_drain` for one spec and cadence."""
+    """Keyword arguments of :func:`_drain` for one spec and cadence,
+    all but ``claim_batch`` (:func:`_claim_window`, once the work list
+    is known); validates both before any work."""
     if commit_every < 1:
         raise ValidationError(f"commit_every must be >= 1, got {commit_every}")
     if claim_batch is not None and claim_batch < 1:
@@ -623,10 +639,32 @@ def _drain_options(
     return {
         "max_rows": spec.max_paths + 1,
         "objectives": spec.objectives,
-        "claim_batch": commit_every if claim_batch is None else claim_batch,
         "commit_every": commit_every,
         "spill_dir": None if spill_dir is None else str(spill_dir),
     }
+
+
+def _claim_window(
+    claim_batch: int | None,
+    commit_every: int,
+    n_work: int,
+    workers: int | None,
+) -> int:
+    """Digests per claim of a drain over ``n_work`` pending digests.
+
+    An explicit ``claim_batch`` is used as given.  The default is one
+    engine slab (:data:`~repro.engine.MAX_GROUP_ROWS` rows, evaluated
+    in one call) rounded up to whole ``commit_every`` slices.  Forked
+    workers (``workers`` of them share one work list) cap it at
+    ``ceil(n_work / workers)``, so one claim cannot take a whole small
+    campaign while the others wait.
+    """
+    if claim_batch is not None:
+        return claim_batch
+    window = -(-MAX_GROUP_ROWS // commit_every) * commit_every
+    if workers is not None:
+        window = min(window, max(1, -(-n_work // workers)))
+    return window
 
 
 def _campaign(
@@ -667,6 +705,8 @@ def _campaign(
     with TELEMETRY.span("campaign", campaign=spec.name,
                         workers=workers or 1):
         total, n_pending, work, groups = _pending_work(spec, store, max_points)
+        drain_options["claim_batch"] = _claim_window(
+            claim_batch, commit_every, len(work), workers)
         crashed: tuple[int, ...] = ()
         if workers is None:
             evaluated = _drain(store, work, _LocalLease(), progress=progress,
@@ -727,7 +767,9 @@ def run_campaign(
         ``remaining > 0`` — a deterministic stand-in for an interrupted
         run (used by tests and the CI resume smoke).
     commit_every:
-        Checkpoint cadence: points per store commit (and per claim).
+        Checkpoint cadence: points per store commit.  Each claim takes
+        one engine slab of points (whole ``commit_every`` slices),
+        evaluated in one call and committed slice by slice.
     progress:
         Optional ``callback(done_new_points, pending_total)``, called
         after every commit in-process and once when worker processes
@@ -767,18 +809,23 @@ def run_campaign_worker(
     a stable per-worker offset so workers start claiming in different
     regions, and runs the drain loop with a real
     :class:`~repro.campaign.lease.LeaseManager` (claims of
-    ``claim_batch`` digests, default ``commit_every``; stale leases of
-    crashed workers are reclaimed by the same transaction).
+    ``claim_batch`` digests, default one engine slab of
+    :data:`~repro.engine.MAX_GROUP_ROWS` rounded up to whole
+    ``commit_every`` slices; stale leases of crashed workers are
+    reclaimed by the same transaction).
 
     Returns the number of new points this worker stored.  Crash-safe at
-    every boundary: a SIGKILL loses only the current uncommitted chunk,
-    whose leases expire and free the points for everyone else.  A
-    commit failing past the store's retry budget spills to the
-    ``spill_dir`` journal (when given); ``store heal`` replays it.
+    every boundary: a SIGKILL loses only the current window's
+    uncommitted evaluation, whose leases expire and free the points
+    for everyone else.  A commit failing past the store's retry budget
+    spills to the ``spill_dir`` journal (when given); ``store heal``
+    replays it.
     """
     drain_options = _drain_options(spec, claim_batch, commit_every,
                                    spill_dir)
     _, _, work, _ = _pending_work(spec, store)
+    drain_options["claim_batch"] = _claim_window(
+        claim_batch, commit_every, len(work), None)
     lease = LeaseManager(
         store, worker_id,
         ttl=DEFAULT_LEASE_TTL if lease_ttl is None else lease_ttl,

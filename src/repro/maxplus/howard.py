@@ -126,6 +126,12 @@ _SEED_NODES_PER_TOKEN = 16
 #: larger slabs are seeded in row chunks.
 _SEED_CELL_BUDGET = 1 << 21
 
+#: Most rows :func:`solve_prepared_many` seeds and certifies at once.
+#: Keeps the seeded path's working set flat in the slab size: a
+#: 256-row slab of the lcm-60 topology peaks at 17.5 MiB unchunked.
+#: Large SCCs hit :data:`_SEED_CELL_BUDGET` first.
+_SEED_CHUNK_ROWS = 64
+
 
 @dataclass(frozen=True)
 class HowardResult:
@@ -1150,6 +1156,14 @@ def solve_prepared_many(
     ``howard.uncertified``; all seeded rows count as
     ``howard.seeded_rows``.
 
+    *Row chunks.*  A seeded SCC is seeded and certified in chunks of
+    at most 64 rows (``_SEED_CHUNK_ROWS``), fewer when ``rows * k * n``
+    would exceed the forward pass's cell budget (``_SEED_CELL_BUDGET``),
+    so the seeded path's working set is flat in ``B``: a 256-row slab
+    of the lcm-60 topology peaks at about 2.7 MiB instead of 17.5 MiB.
+    Every row's seed and certificate depend on that row alone, so the
+    chunking never changes a result.
+
     Raises
     ------
     ValidationError
@@ -1198,19 +1212,22 @@ def solve_prepared_many(
                     best[b] = (val, (comp.node,), (int(loops[j[b]]),), 0)
             continue
 
-        W = weights[:, comp.gmap]
         if comp.seed is not None:
-            certified = _certify_seeded(
-                comp, W, tol_rows, _seed_start(comp, comp.seed, W, tol_rows))
             seeded += B
             cands = []
-            for b, cand in enumerate(certified):
-                if cand is None:
-                    uncertified += 1
-                    cand = _scalar_candidate(comp, W[b], float(tol_rows[b]))
-                cands.append(cand)
+            step = _seed_chunk_rows(comp, comp.seed)
+            for b0 in range(0, B, step):
+                W = weights[b0:b0 + step, comp.gmap]
+                tol_c = tol_rows[b0:b0 + step]
+                certified = _certify_seeded(
+                    comp, W, tol_c, _seed_start(comp, comp.seed, W, tol_c))
+                for b, cand in enumerate(certified):
+                    if cand is None:
+                        uncertified += 1
+                        cand = _scalar_candidate(comp, W[b], float(tol_c[b]))
+                    cands.append(cand)
         else:
-            cands = _scc_howard_csr_many(comp, W, tol_rows)
+            cands = _scc_howard_csr_many(comp, weights[:, comp.gmap], tol_rows)
         for b, cand in enumerate(cands):
             cur = best[b]
             if cur is None or cand[0] > cur[0]:
@@ -1238,6 +1255,14 @@ def _count_lockstep(out: list[HowardResult], seeded: int, uncertified: int) -> N
         TELEMETRY.count("howard.uncertified", uncertified)
 
 
+def _seed_chunk_rows(scc: _PreparedScc, seed: _Seed) -> int:
+    """Rows of one seed-and-certify chunk of ``scc``: at most
+    :data:`_SEED_CHUNK_ROWS`, and ``rows * k * (n + 1)`` forward-pass
+    cells under :data:`_SEED_CELL_BUDGET`."""
+    cells = seed.dag.tok.size * (scc.n + 1)
+    return min(_SEED_CHUNK_ROWS, max(1, _SEED_CELL_BUDGET // cells))
+
+
 def _seed_start(
     scc: _PreparedScc,
     seed: _Seed,
@@ -1246,29 +1271,22 @@ def _seed_start(
 ) -> npt.NDArray[np.int64]:
     """``(B, n)`` start policies from the SCC's token-edge reduction.
 
-    Per row chunk (``rows * k * n`` under :data:`_SEED_CELL_BUDGET`):
-    the forward pass builds the token-edge matrices, lockstep Howard on
-    the reduced ``k``-node SCC gives each row's ratio and a critical
-    node, and :func:`~._token_seed.start_policy` lifts that solution to
-    a full-graph policy.  The start only proposes:
+    ``W`` is one row chunk (:func:`_seed_chunk_rows`): the forward pass
+    builds the token-edge matrices, lockstep Howard on the reduced
+    ``k``-node SCC gives each row's ratio and a critical node, and
+    :func:`~._token_seed.start_policy` lifts that solution to a
+    full-graph policy.  The start only proposes:
     :func:`_certify_seeded` accepts it as the row's fixed point or
     sends the row to the cold solve.
     """
     dag = seed.dag
-    B = W.shape[0]
-    chunk = max(1, _SEED_CELL_BUDGET // (dag.tok.size * (scc.n + 1)))
-    csr = (scc.src, scc.dst, scc.tokens, scc.start)
-    out = np.empty((B, scc.n), dtype=np.int64)
-    for b0 in range(0, B, chunk):
-        Wc = W[b0:b0 + chunk]
-        A = forward_matrix(dag, Wc)
-        cands = _scc_howard_csr_many(
-            seed.reduced, A[:, dag.red_src, dag.red_dst], tol_rows[b0:b0 + chunk]
-        )
-        lam = np.fromiter((c[0] for c in cands), dtype=float, count=len(cands))
-        root = np.fromiter((c[1][0] for c in cands), dtype=np.int64, count=len(cands))
-        out[b0:b0 + chunk] = start_policy(dag, Wc, A, lam, root, csr)
-    return out
+    A = forward_matrix(dag, W)
+    cands = _scc_howard_csr_many(seed.reduced, A[:, dag.red_src, dag.red_dst],
+                                 tol_rows)
+    lam = np.fromiter((c[0] for c in cands), dtype=float, count=len(cands))
+    root = np.fromiter((c[1][0] for c in cands), dtype=np.int64, count=len(cands))
+    return start_policy(dag, W, A, lam, root,
+                        (scc.src, scc.dst, scc.tokens, scc.start))
 
 
 def _certify_seeded(
@@ -1294,19 +1312,28 @@ def _certify_seeded(
     * With one cycle its basin is every node, so the scalar walk's
       entry is the first cycle node on node 0's path, found by binary
       lifting over the ladder.
-    * Pointer jumping with the entry absorbing: the policy has one
-      cycle exactly when every node's jump ends at the entry, and the
-      same jump tables sum each node's ``w - lam * t`` path to the
-      entry, its potential.
     * The cycle is read out in walk order from the entry by doubling
       over the ladder; its weights accumulate left to right (the
       scalar association), so the ratio has the scalar bits.
+    * Pointer jumping with the entry absorbing sums each node's
+      ``w - lam * t`` path to the entry, its potential, while the jump
+      table doubles (only the current table is kept); the policy has
+      one cycle exactly when every node's final jump ends at the entry.
+
+    The hop ladder is int32 when ``B * n`` fits, only the current jump
+    table is kept, and :func:`solve_prepared_many` passes at most
+    :func:`_seed_chunk_rows` rows, so the working set does not grow
+    with the slab.
     """
     B, e = W.shape
     n = scc.n
     tokens = scc.tokens
-    base = (np.arange(B, dtype=np.int64) * n)[:, None]
-    nxt = scc.dst.take(policy) + base  # flat successor of every node
+    # The hop ladder only indexes itself: int32 when it fits, as in the
+    # lockstep kernel.  Tables that gather floats stay int64, which
+    # numpy's float ``take`` runs several times faster with.
+    idx_dt = np.int32 if B * n < 2 ** 31 else np.int64
+    base = (np.arange(B, dtype=idx_dt) * n)[:, None]
+    nxt = scc.dst.astype(idx_dt).take(policy) + base  # flat successors
 
     ladder = []
     hop = nxt
@@ -1326,16 +1353,6 @@ def _certify_seeded(
         cur = np.where(onc.take(to), cur, to)
     entry = np.where(onc.take(node0), node0, nxt.take(cur))
 
-    # Pointer-jumping tables with the entry absorbing.
-    jump = nxt.ravel().copy()
-    jump[entry] = entry
-    jumps = []
-    for _ in ladder:  # 2^K >= n exceeds every distance to the entry
-        jumps.append(jump)
-        jump = jump.take(jump)
-    # One policy cycle exactly when every node's path reaches the entry.
-    single = (jump.reshape(B, n) == entry[:, None]).all(axis=1)
-
     # The cycle in walk order from the entry, doubled out over the ladder.
     length = onc.reshape(B, n).sum(axis=1, dtype=np.int64)
     l_max = int(length.max())
@@ -1353,11 +1370,19 @@ def _certify_seeded(
     ct = np.where(valid, t_pol.take(walk), 0.0).sum(axis=1, dtype=np.float64)
     lam = cw[np.arange(B), length - 1] / ct
 
+    # Pointer jumping with the entry absorbing, summing each node's
+    # ``w - lam * t`` path to the entry (its potential) as the jump
+    # table doubles; 2^K >= n exceeds every distance to the entry.
     cost = (w_pol - lam[:, None] * t_pol).ravel()
     cost[entry] = 0.0
-    for jump_k in jumps:
-        cost = cost + cost.take(jump_k)
+    jump = nxt.ravel().astype(np.int64)
+    jump[entry] = entry
+    for _ in ladder:
+        cost = cost + cost.take(jump)
+        jump = jump.take(jump)
     pot = cost.reshape(B, n)
+    # One policy cycle exactly when every node's path reaches the entry.
+    single = (jump.reshape(B, n) == entry[:, None]).all(axis=1)
 
     reduced = W - lam[:, None] * tokens + pot[:, scc.dst] - pot[:, scc.src]
     np.put(reduced, pol_flat, -np.inf)

@@ -171,3 +171,49 @@ class TestClaimCursor:
             assert export_campaign_json(spec, store) == reference
             assert store.connection.execute(
                 "SELECT COUNT(*) FROM leases").fetchone()[0] == 0
+
+
+class TestClaimWindows:
+    """One engine call per claimed window, commits per ``commit_every``."""
+
+    def _drain(self, spec, path, monkeypatch, **options):
+        """Evaluate-call sizes, store commits and export of one
+        in-process worker drain."""
+        calls: list[int] = []
+        commits: list[None] = []
+        evaluate, commit = BatchEngine.evaluate, ResultStore.commit
+
+        def counted_evaluate(engine, instances, *args, **kwargs):
+            calls.append(len(instances))
+            return evaluate(engine, instances, *args, **kwargs)
+
+        def counted_commit(store):
+            commits.append(None)
+            commit(store)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(BatchEngine, "evaluate", counted_evaluate)
+            patch.setattr(ResultStore, "commit", counted_commit)
+            with ResultStore(path) as store:
+                stored = run_campaign_worker(spec, store, "w", **options)
+                n_commits = len(commits)
+        assert stored == spec.n_points
+        with ResultStore(path) as store:
+            return calls, n_commits, export_campaign_json(spec, store)
+
+    def test_one_evaluate_call_per_window(self, spec, reference, tmp_path,
+                                          monkeypatch):
+        n = spec.n_points
+        assert n == 8
+        runs = {
+            claim: self._drain(spec, tmp_path / f"{claim}.sqlite",
+                               monkeypatch, claim_batch=claim,
+                               commit_every=2)
+            for claim in (2, 4, None)
+        }
+        # The default window is one engine slab: the whole campaign.
+        assert [calls for calls, _, _ in runs.values()] == [
+            [2, 2, 2, 2], [4, 4], [8]]
+        for _, n_commits, text in runs.values():
+            assert n_commits == -(-n // 2)
+            assert text == reference

@@ -26,8 +26,9 @@ from repro.campaign import (
     run_campaign_worker,
     run_campaign_workers,
 )
+from repro.campaign.executor import _claim_window
 from repro.cli import main
-from repro.engine import topology_signature
+from repro.engine import MAX_GROUP_ROWS, topology_signature
 from repro.errors import ValidationError
 
 SPEC_DICT = {
@@ -276,6 +277,21 @@ class TestDrainParameters:
                                  claim_batch=0)
         with ResultStore(tmp_path / "s.sqlite") as store:
             assert len(store) == 0
+
+    def test_claim_window(self):
+        # An explicit claim_batch is used as given, fabric or not.
+        assert _claim_window(5, 32, 1000, 2) == 5
+        assert _claim_window(5, 32, 3, None) == 5
+        # Default: one engine slab, in whole commit slices.
+        assert MAX_GROUP_ROWS == 256
+        assert _claim_window(None, 32, 1000, None) == 256
+        assert _claim_window(None, 100, 1000, None) == 300
+        assert _claim_window(None, 1000, 10, None) == 1000
+        # Forked workers share the list: at most ceil(n / workers) each.
+        assert _claim_window(None, 32, 12, 2) == 6
+        assert _claim_window(None, 32, 7, 3) == 3
+        assert _claim_window(None, 32, 1280, 2) == 256  # mixed_fabric
+        assert _claim_window(None, 32, 0, 2) == 1
 
     def test_cli_negative_max_points(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"

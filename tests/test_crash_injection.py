@@ -169,6 +169,33 @@ class TestStaleLeaseReclamation:
         # Resume reused every committed point instead of recomputing.
         assert report.hits >= first.evaluated
 
+    def test_pre_release_crash_mid_window_resumes_exactly(
+            self, spec, reference, tmp_path):
+        """Killed after committing the first slice of a multi-slice
+        window: that slice survives, the rest of the window's leases
+        expire, and the resumed store equals the uninterrupted one."""
+        path = tmp_path / "midwindow.sqlite"
+        first = run_campaign_workers(
+            spec, path, workers=1, lease_ttl=_TTL, commit_every=4,
+            fault_plans={0: _kill_plan("worker.pre-release", 1)},
+        )
+        assert first.crashed == (0,)
+        # One window held the whole list and every lease in it is still
+        # on file; only the window's first slice was committed.
+        pending = first.total - first.hits
+        with ResultStore(path) as store:
+            held = store.connection.execute(
+                "SELECT COUNT(*) FROM leases").fetchone()[0]
+        assert held == pending > first.evaluated == 4
+        report = _drain_with_resume(spec, path, first)
+        assert report.complete
+        assert report.hits >= first.evaluated
+        ref_digests, ref_json = reference
+        with ResultStore(path) as store:
+            assert set(store.digests()) == ref_digests
+            assert len(store) == len(ref_digests)
+            assert export_campaign_json(spec, store) == ref_json
+
     def test_reclaim_stale_sweeps_expired_rows(self, tmp_path):
         with ResultStore(tmp_path / "sweep.sqlite") as store:
             t = 0.0

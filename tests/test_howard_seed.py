@@ -8,8 +8,9 @@ each row must equal ``solve_prepared`` from a cold start in value bits,
 cycle nodes and cycle edges.  These tests replay real strict topologies,
 check the one-pass certificate (``_certify_seeded``) on hand-built start
 policies, force random near-tie SCCs through the seeded kernel (where
-the certificate must reject some rows), chunk a large topology's
-forward pass, and pin the telemetry counters.
+the certificate must reject some rows), seed and certify slabs in row
+chunks (around the chunk boundaries, and a large topology's
+forward-pass budget), and pin the telemetry counters.
 """
 
 from __future__ import annotations
@@ -138,6 +139,33 @@ class TestRowChunking:
         assert chunked == whole
         for b, res in enumerate(chunked):
             assert key(res) == key(solve_prepared(sk.plan, W[b]))
+
+
+    def test_rows_across_chunk_boundaries_equal_cold_solve(self, monkeypatch):
+        # The shared_strict topology seeds and certifies 64-row chunks;
+        # slabs just under, at and over one and two chunks must each
+        # give every row the cold solve's value bits, nodes and edges.
+        insts = strict_instances((3, 4, 5), 12, 33)
+        sk = build_skeleton(insts[0], "strict")
+        (comp,) = seeded_components(sk.plan)
+        chunk = howard._seed_chunk_rows(comp, comp.seed)
+        assert chunk == howard._SEED_CHUNK_ROWS == 64
+        W = sk.stamp_weights_many(insts)[:2 * chunk + 3]
+        cold = [key(solve_prepared(sk.plan, w)) for w in W]
+        chunks = []
+        certify = howard._certify_seeded
+
+        def counted(scc, Wc, tol, policy):
+            chunks.append(len(Wc))
+            return certify(scc, Wc, tol, policy)
+
+        monkeypatch.setattr(howard, "_certify_seeded", counted)
+        for B in (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
+            chunks.clear()
+            many = solve_prepared_many(sk.plan, W[:B])
+            assert chunks == [min(chunk, B - b0) for b0 in range(0, B, chunk)]
+            assert [key(res) for res in many] == cold[:B]
+            assert all(res.n_rounds == 1 for res in many)
 
 
 def single_scc(edges):
