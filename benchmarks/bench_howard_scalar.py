@@ -11,8 +11,12 @@ shapes the campaign workloads solve on the scalar kernel:
 * one-off strict skeletons of 3-stage mappings with ``lcm`` 2 to 12
   (the random-replication cells of a mixed campaign), and one with
   ``lcm`` 30 between them and the next shapes;
-* the lcm-60 strict skeletons (300 and 420 transitions) whose lockstep
-  stragglers finish on the scalar kernel.
+* the lcm-60 strict skeletons (300 and 420 transitions), solved on the
+  scalar kernel by ``compute_period`` and by the cold re-solve of a
+  seeded lockstep row that fails its certificate.  (Lockstep stragglers
+  come from smaller SCCs: the 12-node token-edge reduction of the
+  ``shared_strict`` topology and the mixed campaign's groups of at most
+  60 nodes.)
 
 For every shape it solves seeded weight stampings cold, and warm from
 the previous stamping's converged policy, once with each step forced,
@@ -56,7 +60,7 @@ except ImportError:  # pragma: no cover - standalone fallback
 TORI = ((1, 2), (2, 3), (3, 4), (4, 6), (5, 6), (6, 8), (7, 9))
 #: Strict-skeleton replications: one-off shapes of a mixed campaign
 #: (lcm 2, 6, 10, 12), an lcm-30 shape between them and the lcm-60
-#: lockstep shapes.
+#: shapes.
 SKELETONS = ((1, 2, 1), (1, 2, 3), (2, 5, 1), (3, 4, 2), (2, 3, 5), (3, 4, 5),
              (4, 6, 10, 1))
 #: Seeded weight stampings per shape.

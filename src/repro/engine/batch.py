@@ -458,7 +458,8 @@ def evaluate(
         lockstep groups.
     engine:
         Serial path only: reuse a caller-owned :class:`BatchEngine`
-        (e.g. to share its cache across successive sweeps).  Combining ``engine=`` with a parallel ``n_jobs`` raises
+        (e.g. to share its cache across successive sweeps).
+        Combining ``engine=`` with a parallel ``n_jobs`` raises
         :class:`~repro.errors.ValidationError` — worker processes
         cannot share the caller's cache.
 

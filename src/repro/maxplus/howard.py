@@ -54,15 +54,15 @@ Lockstep batches
 :func:`solve_prepared_many` runs policy iteration for ``B`` weight
 stampings of **one** plan simultaneously: the policy matrix is
 ``(B, n)``, policy evaluation is a vectorized functional-graph traversal
-(pointer-doubling successor hops instead of the scalar Python chain
-walk), policy improvement broadcasts the CSR ``reduceat`` segments over
-a ``(B, e)`` weight matrix, and a convergence mask retires finished rows
-so they stop paying per-round cost.  On SCCs without a token-edge seed
-(below), row ``b`` of the result is
-bit-identical to ``solve_prepared(plan, weights[b])`` — same policy
-trajectory, same tie-breaking, same extracted cycle, same round count —
-because every float operation mirrors the scalar path element for
-element (see :func:`_scc_howard_csr_many`).
+of each row's own policy (pointer-doubling successor hops instead of
+the scalar Python chain walk), policy improvement is the scalar
+kernel's CSR ``reduceat`` step applied to a ``(B, e)`` weight matrix,
+and a convergence mask retires finished rows so they stop paying
+per-round cost.  On SCCs without a token-edge seed (below), row ``b``
+of the result is bit-identical to ``solve_prepared(plan, weights[b])``
+— same policy trajectory, same tie-breaking, same extracted cycle,
+same round count — because every float operation mirrors the scalar
+path element for element (see :func:`_scc_howard_csr_many`).
 
 Token-edge seeds
 ----------------
@@ -588,6 +588,28 @@ def _scalar_candidate(
     )
 
 
+def _hop_ladder(
+    nxt: npt.NDArray[np.integer],
+    n: int,
+) -> tuple[list[npt.NDArray[np.integer]], npt.NDArray[np.integer]]:
+    """Pointer-doubling ladder of a batch of functional graphs.
+
+    ``nxt`` holds ``(B, n)`` flat successor indices (row ``b``'s nodes
+    at ``b * n ...``).  Returns ``([nxt^(2^k) for k < K], nxt^(2^K))``
+    with ``K`` the least integer such that ``2^K >= n``: the top hop
+    puts every node on its policy cycle, and its image is exactly the
+    cycle nodes.
+    """
+    ladder = []
+    hop = nxt
+    step = 1
+    while step < n:
+        ladder.append(hop)
+        hop = hop.take(hop)
+        step *= 2
+    return ladder, hop
+
+
 def _scc_howard_csr_many(
     scc: _PreparedScc,
     W: npt.NDArray[np.float64],
@@ -603,19 +625,21 @@ def _scc_howard_csr_many(
 
     Bit-identity with :func:`_scc_howard_csr`, row by row:
 
-    * policy **evaluation** walks the functional graph with
-      pointer-doubling hops — ``nxt^(2^k)`` successor tables — to find
-      each row's cycles, the per-cycle entry node (the first cycle node
-      on the path from the smallest node of the cycle's basin, which is
-      exactly where the scalar chain walk first re-enters), and each
-      node's distance to its entry.  Cycle weight/token sums accumulate
-      sequentially in cycle order (one vectorized add per hop) and
-      potentials peel outward from the entries one distance level at a
-      time, so every float sees the same operands in the same
-      association as the scalar recurrence.
-    * policy **improvement** broadcasts the scalar path's ``reduceat``
-      segments over the batch axis — identical expressions, identical
-      CSR-position tie-breaking.
+    * policy **evaluation** walks each row's functional graph with
+      pointer-doubling hops — the ``nxt^(2^k)`` successor tables of
+      :func:`_hop_ladder` — to find its cycles, the per-cycle entry
+      node (the first cycle node on the path from the smallest node of
+      the cycle's basin, which is exactly where the scalar chain walk
+      first re-enters), and each node's distance to its entry.  Cycle
+      weight/token sums accumulate sequentially in cycle order (one
+      vectorized add per hop) and potentials peel outward from the
+      entries one distance level at a time, so every float sees the
+      same operands in the same association as the scalar recurrence.
+    * policy **improvement** applies :func:`_improve_numpy`'s
+      ``reduceat`` segment maxima to the ``(A, e)`` matrices of the
+      ``A`` active rows — identical expressions, identical
+      CSR-position tie-breaking, and no per-node padding, so a hub
+      node's out-degree costs nothing beyond its edges.
     * a **convergence mask** retires rows the round they stop improving
       (recording that round's evaluation, like the scalar early return)
       and compresses them out of the active arrays.
@@ -624,20 +648,7 @@ def _scc_howard_csr_many(
     n = scc.n
     src, dst, tokens, start = scc.src, scc.dst, scc.tokens, scc.start
     node_map_arr = np.asarray(scc.node_map, dtype=np.int64)
-    edge_gmap = scc.gmap
     seg_starts = start[:n]
-    # Padded-dense layout of the CSR segments: slot (v, j) holds the
-    # CSR position of node v's j-th out-edge, or the sentinel column e.
-    # Per-node maxima become dense reductions over the slot axis instead
-    # of reduceat's per-segment inner loops; np.argmax's first-tie rule
-    # over CSR-ordered slots is exactly the scalar tie-breaking.
-    deg = np.diff(start)
-    dmax = int(deg.max())
-    if n * dmax <= 4 * e:
-        pad_idx = seg_starts[:, None] + np.arange(dmax)
-        pad_idx = np.where(np.arange(dmax) < deg[:, None], pad_idx, e).ravel()
-    else:  # a high-degree hub would blow the dense layout up: reduceat
-        pad_idx = None
     # The traversal state is pure indices; int32 halves the memory
     # traffic of the doubling chains (the dominant per-round cost).
     idx_dt = np.int32 if (B * n < 2 ** 31 and B * e < 2 ** 31) else np.int64
@@ -674,128 +685,87 @@ def _scc_howard_csr_many(
             return results  # type: ignore[return-value]
 
         # ---- policy evaluation (vectorized functional-graph traversal) --
-        # The traversal structure depends on the policy alone, never the
-        # weights — and whole batches often share one policy: every row
-        # starts round 1 from the same cold policy, and sweep neighbors
-        # follow near-identical improvement trajectories.
-        # When all rows agree, the doubling chains run once and broadcast.
-        shared = A > 1 and bool((policy == policy[0]).all())
-        uniq = policy[:1] if shared else policy
-        U = uniq.shape[0]
-        nxt_u = dst_i[uniq]
-        base_u = (np.arange(U, dtype=idx_dt) * n)[:, None]
-        nxt_fu = nxt_u + base_u
+        arow = np.arange(A)
+        base = (np.arange(A, dtype=idx_dt) * n)[:, None]
+        nxt_f = dst_i.take(policy) + base  # flat successors
 
-        # One doubling chain computes the nxt^(2^k) hop ladder (shared by
-        # every traversal below) and running path minima.  After 2^k >= n
-        # hops every node lands on its cycle (the hop image = cycle
-        # nodes) and, for any cycle node, the >= n-step path minimum is
-        # exactly the minimum node id on its cycle — the canonical id.
-        ladder = []
-        hop = nxt_fu
-        pm = np.empty((U, n), dtype=idx_dt)
+        # The nxt^(2^k) hop ladder (shared by every traversal below) and
+        # running path minima.  After 2^k >= n hops every node lands on
+        # its cycle (the hop image = cycle nodes) and, for any cycle
+        # node, the >= n-step path minimum is exactly the minimum node
+        # id on its cycle — the canonical id.
+        ladder, top = _hop_ladder(nxt_f, n)
+        pm = np.empty((A, n), dtype=idx_dt)
         pm[:] = node_ids
-        step = 1
-        while step < n:
-            ladder.append(hop)
-            pm = np.minimum(pm, pm.take(hop))
-            hop = hop.take(hop)
-            step *= 2
-        ladder.append(hop)  # nxt^(2^K), 2^K >= n: coverage for any path
-        onc_u = np.zeros(U * n, dtype=bool)
-        onc_u[hop.ravel()] = True
-        onc_u = onc_u.reshape(U, n)
+        for hop_k in ladder:
+            pm = np.minimum(pm, pm.take(hop_k))
+        ladder.append(top)  # nxt^(2^K), 2^K >= n: coverage for any path
+        onc_flat = np.zeros(A * n, dtype=bool)
+        onc_flat[top.ravel()] = True
 
         # First cycle node on each node's policy path (doubling with
         # "first found" semantics).  Most nodes resolve within a hop or
         # two, so later rungs update only the still-missing positions.
-        T_flat = np.where(onc_u, node_ids, -1).ravel()
+        T_flat = np.where(onc_flat.reshape(A, n), node_ids, -1).ravel()
         for hop_k in ladder:
             missing = np.flatnonzero(T_flat < 0)
             if not missing.size:
                 break
             T_flat[missing] = T_flat.take(hop_k.ravel().take(missing))
-        T = T_flat.reshape(U, n)
+        T = T_flat.reshape(A, n)
 
         # Entry node of each cycle: the first cycle node reached from the
         # smallest node of the cycle's basin — where the scalar walk
         # (ascending v0) first re-enters, i.e. the cycle's root.
-        cid_u = pm.take(T + base_u)  # per node: its cycle's canonical id
-        vmin_u = np.full((U, n), n, dtype=idx_dt)
-        np.minimum.at(vmin_u, (np.arange(U)[:, None], cid_u), node_ids)
-        ent_u = T.take(np.minimum(vmin_u, n - 1) + base_u)
-        is_entry_u = ent_u.take(cid_u + base_u) == node_ids
+        cid = pm.take(T + base)  # per node: its cycle's canonical id
+        cid_f = cid + base
+        cid_flat = cid_f.ravel()
+        vmin = np.full((A, n), n, dtype=idx_dt)
+        np.minimum.at(vmin, (arow[:, None], cid), node_ids)
+        ent = T.take(np.minimum(vmin, n - 1) + base)
+        is_entry = ent.take(cid_f) == node_ids
 
         # Distance of every node to its entry (entry = 0): same ladder,
         # same sparse-update pattern.  A node at distance d in
         # [2^k, 2^{k+1}) resolves at rung k once its 2^k-hop target is
         # resolved below 2^k.
-        dist_uf = np.where(
-            is_entry_u, np.array(0, idx_dt), np.array(-1, idx_dt)
+        dist_flat = np.where(
+            is_entry, np.array(0, idx_dt), np.array(-1, idx_dt)
         ).ravel()
         step = 1
         for hop_k in ladder:
-            missing = np.flatnonzero(dist_uf < 0)
+            missing = np.flatnonzero(dist_flat < 0)
             if not missing.size:
                 break
-            cand = dist_uf.take(hop_k.ravel().take(missing))
+            cand = dist_flat.take(hop_k.ravel().take(missing))
             found = cand >= 0
-            dist_uf[missing[found]] = cand[found] + step
+            dist_flat[missing[found]] = cand[found] + step
             step *= 2
-        dist_u = dist_uf.reshape(U, n)
 
-        # Structural per-cycle tables, still in unique-policy space:
-        # token sums are integer-valued, hence exact under any summation
-        # order — one bincount each for token totals and cycle lengths.
-        tvn_u = tokens.take(uniq)
-        cidf_u = (cid_u + base_u).ravel()
-        ct_u = np.bincount(
-            cidf_u, weights=np.where(onc_u.ravel(), tvn_u.ravel(), 0.0),
-            minlength=U * n,
-        )
-        len_u = np.bincount(cidf_u, weights=onc_u.ravel(), minlength=U * n)
-
-        # ---- expand the structure back to row space ---------------------
-        # Shared case: broadcast the single-policy structure over rows
-        # (materialized only where an op needs it).  Unshared case: the
-        # per-row structure *is* the row-space structure, zero copies.
-        arow = np.arange(A)
-        base = (np.arange(A, dtype=idx_dt) * n)[:, None]
-        if shared:
-            nxt_f = nxt_u + base
-            oncycle = np.broadcast_to(onc_u, (A, n))
-            cid = np.broadcast_to(cid_u, (A, n))
-            is_entry = np.broadcast_to(is_entry_u, (A, n))
-            dist = np.broadcast_to(dist_u, (A, n))
-        else:
-            nxt_f = nxt_fu  # base_u == base when U == A
-            oncycle, cid, is_entry, dist = onc_u, cid_u, is_entry_u, dist_u
-        nxt_flat = nxt_f.ravel()
-        cid_f = cid + base
-        cid_flat = cid_f.ravel()
-        onc_flat = oncycle.ravel()
-        dist_flat = dist.ravel()
-
-        # Per-node policy-edge weight/token tables (numeric, per row).
+        # Per-node policy-edge weight/token tables.  Token sums are
+        # integer-valued, hence exact under any summation order — one
+        # bincount each for cycle token totals and cycle lengths, keyed
+        # by (row, cycle id).
         wvn = W_act.ravel().take(policy + (np.arange(A, dtype=idx_dt) * e)[:, None])
         tvn = tokens.take(policy)
         wvn_flat = wvn.ravel()
+        ct_tab = np.bincount(
+            cid_flat, weights=np.where(onc_flat, tvn.ravel(), 0.0),
+            minlength=A * n,
+        )
+        len_tab = np.bincount(cid_flat, weights=onc_flat, minlength=A * n)
 
         lane_rows, lane_entry = np.nonzero(is_entry)
         C = lane_rows.size
-        entry_f = lane_rows * n + lane_entry
-        cid_entry_f = cid_flat.take(entry_f)
-        # (unique-policy, cycle-id) key of each row lane, addressing the
-        # structural tables computed above.
-        lane_u_key = cid_u.ravel().take(lane_entry) if shared else cid_entry_f
+        cid_entry_f = cid_flat.take(lane_rows * n + lane_entry)
 
-        ct = ct_u.take(lane_u_key)
+        ct = ct_tab.take(cid_entry_f)
         if (ct <= 0).any():
             raise SolverError(
                 "policy cycle carries no token; run the liveness "
                 "check before Howard's algorithm"
             )
-        len_lane = len_u.take(lane_u_key).astype(np.int64)
+        len_lane = len_tab.take(cid_entry_f).astype(np.int64)
         l_max = int(len_lane.max())
 
         # Lay every cycle out in walk order: node at walk position k of
@@ -836,29 +806,17 @@ def _scc_howard_csr_many(
         # Potentials: entry roots at 0, then peel outward one distance
         # level at a time — every node computes the scalar recurrence
         # ``(w - lam * t) + pot[next]`` with already-final operands.
-        cvn = wvn - lam * tvn
-        cvn_flat = cvn.ravel()
+        cvn_flat = (wvn - lam * tvn).ravel()
         pot = np.zeros((A, n))
         pot_flat = pot.ravel()
-        if shared:
-            # One policy: sort the n node distances once and peel whole
-            # column blocks (every row shares the level structure).
-            dist0 = dist_u.ravel()
-            order0 = np.argsort(dist0, kind="stable")
-            bounds0 = np.cumsum(np.bincount(dist0), dtype=np.int64)
-            nxt0 = nxt_u.ravel()
-            for d in range(1, len(bounds0)):
-                sel0 = order0[bounds0[d - 1]: bounds0[d]]
-                pot[:, sel0] = cvn[:, sel0] + pot[:, nxt0.take(sel0)]
-        else:
-            level_order = np.argsort(dist_flat, kind="stable")
-            bounds = np.cumsum(np.bincount(dist_flat), dtype=np.int64)
-            nxt_sorted = nxt_flat.take(level_order)
-            cvn_sorted = cvn_flat.take(level_order)
-            for d in range(1, len(bounds)):
-                b0, b1 = bounds[d - 1], bounds[d]
-                pot_flat[level_order[b0:b1]] = cvn_sorted[b0:b1] \
-                    + pot_flat.take(nxt_sorted[b0:b1])
+        level_order = np.argsort(dist_flat, kind="stable")
+        bounds = np.cumsum(np.bincount(dist_flat), dtype=np.int64)
+        nxt_sorted = nxt_f.ravel().take(level_order)
+        cvn_sorted = cvn_flat.take(level_order)
+        for d in range(1, len(bounds)):
+            b0, b1 = bounds[d - 1], bounds[d]
+            pot_flat[level_order[b0:b1]] = cvn_sorted[b0:b1] \
+                + pot_flat.take(nxt_sorted[b0:b1])
 
         # Best cycle per row: maximum lam, ties to the first *discovered*
         # cycle — the one with the smallest basin minimum, matching the
@@ -867,9 +825,7 @@ def _scc_howard_csr_many(
         # pick each row's winner without a sort; vmin is unique per cycle,
         # so the (lam, vmin) winner is unique.
         row_starts = np.searchsorted(lane_rows, arow)
-        # vmin is keyed by (unique policy, cycle id), like the other
-        # structural tables.
-        vmin_lane = vmin_u.ravel().take(lane_u_key)
+        vmin_lane = vmin.ravel().take(cid_entry_f)
         seg_best = np.maximum.reduceat(lam_c, row_starts)
         is_max = lam_c == seg_best.take(lane_rows)
         seg_vmin = np.minimum.reduceat(np.where(is_max, vmin_lane, n), row_starts)
@@ -879,112 +835,59 @@ def _scc_howard_csr_many(
         )
         best_val = lam_c.take(best_lane)
 
-        # ---- policy improvement (scalar expressions, broadcast) ---------
+        # ---- policy improvement (the scalar reduceat step, per row) -----
+        # Per-node segment maxima of the (A, e) matrices; "first CSR
+        # position attaining the max" is the scalar tie-breaking.
         tolA = tol_act[:, None]
         lam_src = lam[:, src]
         gain_lam = lam[:, dst] - lam_src
         reduced = W_act - lam_src * tokens + pot[:, dst] - pot[:, src]
         tie = gain_lam > -tolA
         r_masked = np.where(tie, reduced, -np.inf)
-
-        if pad_idx is not None:
-            # Dense per-node maxima over the padded slot axis, one slot
-            # column at a time with a running (max, first-slot) pair —
-            # a slot only wins on a strictly larger value, which is the
-            # scalar "first CSR position attaining the segment max"
-            # tie-breaking (and what np.argmax would pick).
-            def _seg_first_max(
-                vals_ext: npt.NDArray[np.float64],
-            ) -> tuple[npt.NDArray[np.float64], npt.NDArray[np.int64]]:
-                cols = vals_ext[:, pad_idx].reshape(A, n, dmax)
-                best = cols[:, :, 0]
-                slot = np.zeros((A, n), dtype=np.int64)
-                for j in range(1, dmax):
-                    col = cols[:, :, j]
-                    better = col > best
-                    best = np.where(better, col, best)
-                    slot = np.where(better, j, slot)
-                return best, seg_starts + slot
-
-            ext = np.empty((A, e + 1))
-            ext[:, e] = -np.inf
-            ext[:, :e] = gain_lam
-            seg_max_g, first_g = _seg_first_max(ext)
-            ext2 = np.empty((A, e + 1))
-            ext2[:, e] = -np.inf
-            ext2[:, :e] = r_masked
-            seg_max_r, first_r = _seg_first_max(ext2)
-        else:
-            seg_max_g = np.maximum.reduceat(gain_lam, seg_starts, axis=1)
-            first_g = np.minimum.reduceat(
-                np.where(gain_lam == seg_max_g[:, src], edge_pos, e),
-                seg_starts, axis=1)
-            seg_max_r = np.maximum.reduceat(r_masked, seg_starts, axis=1)
-            first_r = np.minimum.reduceat(
-                np.where(tie & (r_masked == seg_max_r[:, src]), edge_pos, e),
-                seg_starts, axis=1)
+        seg_max_g = np.maximum.reduceat(gain_lam, seg_starts, axis=1)
+        first_g = np.minimum.reduceat(
+            np.where(gain_lam == seg_max_g[:, src], edge_pos, e),
+            seg_starts, axis=1)
+        seg_max_r = np.maximum.reduceat(r_masked, seg_starts, axis=1)
+        first_r = np.minimum.reduceat(
+            np.where(tie & (r_masked == seg_max_r[:, src]), edge_pos, e),
+            seg_starts, axis=1)
         phase1 = seg_max_g > tolA
         phase2 = ~phase1 & (seg_max_r > tolA) & (first_r != policy)
 
         done = ~(phase1 | phase2).any(axis=1)
         if done.any():
             # Converged rows: record this round's evaluation (the scalar
-            # early return) and retire them from the lockstep.
+            # early return) and retire them from the lockstep.  Best
+            # cycles are already laid out in walk order (cyc_pos), so
+            # extraction is two scatters plus bulk id mapping — the
+            # per-row cost is a list slice.
             d_idx = np.flatnonzero(done)
             D = d_idx.size
             best_lane_d = best_lane.take(d_idx)
             vals_d = best_val.take(d_idx)
-            if shared:
-                # One shared policy: rows extracting the same entry share
-                # the same cycle — walk each unique cycle once and hand
-                # every row the same (immutable) node/edge tuples.
-                ents = lane_entry.take(best_lane_d)
-                uents, uinv = np.unique(ents, return_inverse=True)
-                nxt0 = nxt_u.ravel()
-                pol0 = uniq[0]
-                shared_cycles = []
-                for entv in uents.tolist():
-                    cyc = [entv]
-                    v = int(nxt0[entv])
-                    while v != entv:
-                        cyc.append(v)
-                        v = int(nxt0[v])
-                    arr = np.asarray(cyc, dtype=np.int64)
-                    shared_cycles.append((
-                        tuple(node_map_arr.take(arr).tolist()),
-                        tuple(edge_gmap.take(pol0.take(arr)).tolist()),
-                    ))
-                for t in range(D):
-                    nodes_t, edges_t = shared_cycles[uinv[t]]
-                    results[int(rows[d_idx[t]])] = (
-                        float(vals_d[t]), nodes_t, edges_t, round_no
-                    )
-            else:
-                # Best cycles are already laid out in walk order
-                # (cyc_pos), so extraction is two scatters plus bulk id
-                # mapping — the per-row cost is a list slice.
-                lengths = len_lane.take(best_lane_d)
-                l_ext = int(lengths.max())
-                # Offset table keyed by lane: only the winning lanes of
-                # the done rows get a slot in the (D, l_ext) matrices.
-                off_tab = np.full(C, -1, dtype=np.int64)
-                off_tab[best_lane_d] = np.arange(D) * l_ext
-                slot = off_tab.take(cyc_lane)
-                picked = slot >= 0
-                slots = slot[picked] + cyc_pos[picked]
-                sel = cyc_sel[picked]
-                nodes_mat = np.zeros(D * l_ext, dtype=np.int64)
-                edges_mat = np.zeros(D * l_ext, dtype=np.int64)
-                nodes_mat[slots] = sel % n
-                edges_mat[slots] = policy.ravel().take(sel)
-                nodes_l = node_map_arr.take(nodes_mat).reshape(D, l_ext).tolist()
-                edges_l = edge_gmap.take(edges_mat).reshape(D, l_ext).tolist()
-                for t in range(D):
-                    length = int(lengths[t])
-                    results[int(rows[d_idx[t]])] = (
-                        float(vals_d[t]), tuple(nodes_l[t][:length]),
-                        tuple(edges_l[t][:length]), round_no,
-                    )
+            lengths = len_lane.take(best_lane_d)
+            l_ext = int(lengths.max())
+            # Offset table keyed by lane: only the winning lanes of the
+            # done rows get a slot in the (D, l_ext) matrices.
+            off_tab = np.full(C, -1, dtype=np.int64)
+            off_tab[best_lane_d] = np.arange(D) * l_ext
+            slot = off_tab.take(cyc_lane)
+            picked = slot >= 0
+            slots = slot[picked] + cyc_pos[picked]
+            sel = cyc_sel[picked]
+            nodes_mat = np.zeros(D * l_ext, dtype=np.int64)
+            edges_mat = np.zeros(D * l_ext, dtype=np.int64)
+            nodes_mat[slots] = sel % n
+            edges_mat[slots] = policy.ravel().take(sel)
+            nodes_l = node_map_arr.take(nodes_mat).reshape(D, l_ext).tolist()
+            edges_l = scc.gmap.take(edges_mat).reshape(D, l_ext).tolist()
+            for t in range(D):
+                length = int(lengths[t])
+                results[int(rows[d_idx[t]])] = (
+                    float(vals_d[t]), tuple(nodes_l[t][:length]),
+                    tuple(edges_l[t][:length]), round_no,
+                )
             if done.all():
                 return results  # type: ignore[return-value]
 
@@ -1151,10 +1054,10 @@ def solve_prepared_many(
     classes coexist in ``sigma`` (possible only within
     ``(n - 1) * tol`` of each other) the argument does not apply as
     written; the near-tie harness in ``tests/test_howard_seed.py``
-    replays such weightings against the cold solve.  Rows failing the certificate are re-solved with the
-    cold scalar kernel (the oracle's path) and counted as
-    ``howard.uncertified``; all seeded rows count as
-    ``howard.seeded_rows``.
+    replays such weightings against the cold solve.  Rows failing the
+    certificate are re-solved with the cold scalar kernel (the
+    oracle's path) and counted as ``howard.uncertified``; all seeded
+    rows count as ``howard.seeded_rows``.
 
     *Row chunks.*  A seeded SCC is seeded and certified in chunks of
     at most 64 rows (``_SEED_CHUNK_ROWS``), fewer when ``rows * k * n``
@@ -1307,8 +1210,8 @@ def _certify_seeded(
     candidate per certified row, ids in caller space, and ``None`` for
     every other row.
 
-    * A ``nxt^(2^k)`` hop ladder gives cycle membership: after
-      ``2^K >= n`` hops every node sits on its cycle.
+    * The :func:`_hop_ladder` of the policy gives cycle membership:
+      after ``2^K >= n`` hops every node sits on its cycle.
     * With one cycle its basin is every node, so the scalar walk's
       entry is the first cycle node on node 0's path, found by binary
       lifting over the ladder.
@@ -1335,15 +1238,9 @@ def _certify_seeded(
     base = (np.arange(B, dtype=idx_dt) * n)[:, None]
     nxt = scc.dst.astype(idx_dt).take(policy) + base  # flat successors
 
-    ladder = []
-    hop = nxt
-    step = 1
-    while step < n:
-        ladder.append(hop)
-        hop = hop.take(hop)
-        step *= 2
+    ladder, top = _hop_ladder(nxt, n)
     onc = np.zeros(B * n, dtype=bool)
-    onc[hop.ravel()] = True
+    onc[top.ravel()] = True
 
     # Binary lifting: the last node of node 0's path not on the cycle.
     node0 = base[:, 0]

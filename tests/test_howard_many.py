@@ -49,17 +49,37 @@ def weight_batch(g: RatioGraph, rng: np.random.Generator, B: int) -> np.ndarray:
     return np.asarray(rows)
 
 
+def hub_graph(rng: np.random.Generator) -> RatioGraph:
+    """A ring of 10 nodes plus 40 out-edges from node 0: one node's
+    out-degree far above ``4 * e / n``, the shape of a hub SCC."""
+    n = 10
+    edges = [(v, (v + 1) % n, float(rng.uniform(0.0, 10.0)), int(v % 3 == 0))
+             for v in range(n)]
+    for _ in range(40):
+        edges.append((0, int(rng.integers(1, n)),
+                      float(rng.integers(0, 12)), int(rng.integers(0, 3))))
+    return RatioGraph(n, edges)
+
+
 class TestLockstepBitIdentity:
-    def test_matches_per_row_scalar_solves(self):
+    @pytest.mark.parametrize("B", [6, 40])
+    def test_matches_per_row_scalar_solves(self, B):
+        # B = 40 lets rows retire unevenly, so the lockstep hands its
+        # last rows to the scalar kernel (at most B // 8 still active).
         rng = np.random.default_rng(20260725)
-        checked = 0
+        cases = []
         for _ in range(120):
             g = random_live_graph(rng)
-            if g is None:
-                continue
+            if g is not None:
+                cases.append((g, weight_batch(g, rng, B)))
+        hub = hub_graph(rng)
+        cases.append((hub, weight_batch(hub, rng, B)))
+        # Every row identical: all rows share one policy every round.
+        cases.append((hub, np.tile(hub.weight, (B, 1))))
+        checked = 0
+        for g, W in cases:
             try:
                 plan = prepare_howard(g)
-                W = weight_batch(g, rng, B=6)
                 scalar = [solve_prepared(plan, W[b]) for b in range(len(W))]
             except SolverError:
                 continue  # acyclic draw
