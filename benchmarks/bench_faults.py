@@ -50,7 +50,6 @@ from repro.campaign import (
     ResultStore,
     export_campaign_json,
     run_campaign,
-    run_campaign_workers,
 )
 from repro.faults import FAULTS, FaultEvent, FaultPlan, RetryPolicy, heal, pause
 from repro.telemetry import TELEMETRY, merge_traces, trace_files
@@ -127,9 +126,9 @@ def _drain(spec, path, max_resumes: int = 8) -> None:
     """Clean resumes until complete (waiting out crashed workers' TTLs)."""
     for _ in range(max_resumes):
         pause(_TTL)
-        if run_campaign_workers(spec, path, workers=2,
-                                lease_ttl=_TTL).complete:
-            return
+        with ResultStore(path) as store:
+            if run_campaign(spec, store, n_jobs=2, lease_ttl=_TTL).complete:
+                return
 
 
 def run_chaos_schedule(schedule: int, workdir: Path,
@@ -143,13 +142,13 @@ def run_chaos_schedule(schedule: int, workdir: Path,
         {str(w): plan.to_dict() for w, plan in plans.items()}, indent=2,
     ) + "\n")
 
-    first = run_campaign_workers(
-        spec, store_path, workers=3, lease_ttl=_TTL,
-        claim_batch=4, commit_every=4,
-        fault_plans=plans, spill_dir=journal,
-        trace_dir=workdir / "traces",
-    )
     with ResultStore(store_path) as store:
+        first = run_campaign(
+            spec, store, n_jobs=3, lease_ttl=_TTL,
+            claim_batch=4, commit_every=4,
+            fault_plans=plans, spill_dir=journal,
+            trace_dir=workdir / "traces",
+        )
         healed = heal(store, journal)
     _drain(spec, store_path)
 
@@ -177,10 +176,9 @@ def _forced_spill_heal(tmp: Path, ref: tuple[set[str], str]) -> dict:
     sick = FaultPlan(
         events=(FaultEvent("store.commit", "operational", at=1, repeat=200),)
     )
-    run_campaign_workers(spec, store_path, workers=1,
-                         fault_plans={0: sick}, spill_dir=journal)
     ref_digests, ref_export = ref
     with ResultStore(store_path) as store:
+        run_campaign(spec, store, fault_plans={0: sick}, spill_dir=journal)
         spilled_everything = len(store) == 0
         first = heal(store, journal)
         second = heal(store, journal)
@@ -199,15 +197,14 @@ def _forced_spill_heal(tmp: Path, ref: tuple[set[str], str]) -> dict:
 def _disabled_noop(tmp: Path, ref: tuple[set[str], str]) -> dict:
     """Disarmed plane: no fault-plane counters, PR-8 contracts intact."""
     spec = CampaignSpec.from_dict(SPEC)
-    run_campaign_workers(spec, tmp / "dark.sqlite", workers=2,
-                         trace_dir=tmp / "dark-traces")
+    with ResultStore(tmp / "dark.sqlite") as store:
+        run_campaign(spec, store, n_jobs=2, trace_dir=tmp / "dark-traces")
+        export = export_campaign_json(spec, store)
     merged = merge_traces(trace_files(tmp / "dark-traces"))
     leaked = sorted(
         name for name in merged["counters"]
         if name.startswith(FAULT_COUNTER_PREFIXES)
     )
-    with ResultStore(tmp / "dark.sqlite") as store:
-        export = export_campaign_json(spec, store)
     # The parent-side plane must still be disarmed, and the singleton
     # collector empty (faults count only through enabled telemetry).
     return {

@@ -1,18 +1,17 @@
 """Telemetry determinism across execution plans + wall-clock attribution.
 
 PR 8's acceptance contract: the instrumentation layer observes without
-perturbing.  One small multi-group campaign is drained four ways —
-serial (twice), ``run_campaign(n_jobs=2)`` and
-``run_campaign_workers(workers=2)`` (both a 2-process lease fabric) —
-all with tracing enabled, and the benchmark asserts:
+perturbing.  One small multi-group campaign is drained three ways —
+serial (twice) and ``run_campaign(n_jobs=2)`` (a 2-process lease
+fabric) — all with tracing enabled, and the benchmark asserts:
 
 * **counter determinism** — two serial runs produce *identical* full
   counter snapshots (every counter, not just the contract tier);
 * **partition invariance** — the contract-tier counters
   (``engine.points[.*]``, ``engine.paths``, ``store.puts``,
-  ``store.quarantines``) are identical across serial, ``n_jobs=2`` and
-  the 2-worker fabric;
-* **no store rescans** — none of the four drains calls
+  ``store.quarantines``) are identical across serial and the 2-worker
+  fabric;
+* **no store rescans** — none of the three drains calls
   ``ResultStore.digests()`` (``store.scans`` stays 0): the claim loop
   walks its work list with a cursor instead;
 * **no perturbation** — the campaign JSON export of the traced fabric
@@ -50,7 +49,6 @@ from repro.campaign import (
     ResultStore,
     export_campaign_json,
     run_campaign,
-    run_campaign_workers,
 )
 from repro.telemetry import (
     TELEMETRY,
@@ -107,13 +105,8 @@ def run_comparison() -> dict:
         serial_a, export_serial = _traced_serial(tmp, "serial-a")
         serial_b, _ = _traced_serial(tmp, "serial-b")
 
-        with ResultStore(tmp / "jobs2.sqlite") as store:
-            run_campaign(spec, store, n_jobs=2, trace_dir=tmp / "trace-jobs2")
-        jobs2 = merge_traces(trace_files(tmp / "trace-jobs2"))
-
-        run_campaign_workers(spec, tmp / "fabric.sqlite", workers=2,
-                             trace_dir=tmp / "trace-fabric")
         with ResultStore(tmp / "fabric.sqlite") as store:
+            run_campaign(spec, store, n_jobs=2, trace_dir=tmp / "trace-fabric")
             export_fabric = export_campaign_json(spec, store)
         fabric = merge_traces(trace_files(tmp / "trace-fabric"))
 
@@ -130,13 +123,12 @@ def run_comparison() -> dict:
     contract_serial = contract_counters(serial_a["counters"])
     chrome = json.loads(json.dumps(chrome_trace(fabric), sort_keys=True))
     attrib = attribution(fabric)
-    traces = (serial_a, serial_b, jobs2, fabric)
+    traces = (serial_a, serial_b, fabric)
     return {
         "n_points": contract_serial.get("engine.points", 0),
         "counters_identical": serial_a["counters"] == serial_b["counters"],
         "contract_invariant": (
-            contract_serial == contract_counters(jobs2["counters"])
-            == contract_counters(fabric["counters"])
+            contract_serial == contract_counters(fabric["counters"])
         ),
         "exports_identical": export_serial == export_fabric,
         "disabled_noop": disabled_noop,
@@ -183,7 +175,7 @@ def _check(stats: dict) -> None:
 def bench_telemetry_campaign(benchmark):
     stats = benchmark.pedantic(run_comparison, rounds=1, iterations=1)
     _check(stats)
-    report(benchmark, "Telemetry determinism (serial vs jobs vs fabric)",
+    report(benchmark, "Telemetry determinism (serial vs fabric)",
            [("serial counters identical", "yes", stats["counters_identical"]),
             ("contract tier invariant", "yes", stats["contract_invariant"]),
             ("exports byte-identical", "yes", stats["exports_identical"]),

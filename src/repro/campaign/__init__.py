@@ -16,9 +16,9 @@ turns one-shot, in-memory sweeps into declarative campaigns:
   and a :class:`~repro.engine.BatchEngine`, ordering evaluation by
   topology signature *and* sweep adjacency so skeleton caches hit and
   lockstep groups fill, plus byte-deterministic JSON/CSV
-  exports; the same loop runs in-process or, as
-  :func:`run_campaign_workers` (``run_campaign(n_jobs=k)``), in N
-  lease-coordinated worker processes against one shared WAL store;
+  exports; the same loop runs in-process or, with ``n_jobs=k``, in k
+  lease-coordinated worker processes against one shared WAL store
+  (:func:`run_campaign_workers` is its deprecated alias);
 * :mod:`~repro.campaign.lease` — :class:`LeaseManager`, the claim/lease
   protocol (TTL expiry, heartbeat renewal, stale-lease reclamation)
   that makes fabric duplicates rare by design;

@@ -30,10 +30,10 @@ loop (:func:`_drain`) over the same work list:
    most one claimed window of *evaluation*, never committed work.
 
 :func:`run_campaign` runs that loop in-process, where the worker owns
-the store and its leases are no-ops, or with ``n_jobs=k`` as ``k``
-lease-coordinated processes on the store's file — exactly what
-:func:`run_campaign_workers` runs.  The processes inherit the parent's
-expanded work list, so the spec expands once per drain.
+the store and its leases are no-ops, or in ``k`` lease-coordinated
+processes on the store's file (``n_jobs=k``, or any ``fault_plans``),
+which inherit the parent's expanded work list, so the spec expands
+once per drain.  :func:`run_campaign_worker` joins from another host.
 
 Every evaluation is a pure function of its point (Howard starts cold
 on every solve), and stored payloads carry only values — so
@@ -54,6 +54,7 @@ import io
 import os as _os
 import random
 import sqlite3
+import warnings
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -110,7 +111,7 @@ _MANIFEST_SAMPLE = 16
 
 @dataclass(frozen=True)
 class CampaignReport:
-    """Outcome of one :func:`run_campaign` / :func:`run_campaign_workers`.
+    """Outcome of one :func:`run_campaign` drain, in-process or forked.
 
     Attributes
     ----------
@@ -667,29 +668,89 @@ def _claim_window(
     return window
 
 
-def _campaign(
+def run_campaign(
     spec: CampaignSpec,
     store: ResultStore,
-    workers: int | None,
-    *,
+    n_jobs: int | None = None,
     max_points: int | None = None,
-    lease_ttl: float | None = None,
-    claim_batch: int | None = None,
     commit_every: int = DEFAULT_COMMIT_EVERY,
     progress: Callable[[int, int], None] | None = None,
+    trace_dir: str | Path | None = None,
+    *,
+    lease_ttl: float | None = None,
+    claim_batch: int | None = None,
     fault_plans: Mapping[int, FaultPlan] | None = None,
     spill_dir: str | Path | None = None,
-    trace_dir: str | Path | None = None,
 ) -> CampaignReport:
-    """Expand, drain and report: the body of every campaign run.
+    """Run (or resume) a campaign against a content-addressed store.
 
-    ``workers=None`` drains in this process; ``workers=k`` launches
-    ``k`` lease-coordinated processes on the store's file.
+    The spec expands once, in this process, which then drains it or
+    forks worker processes that inherit the ordered work list and
+    coordinate **only** through the store's lease table — the
+    multi-host model on one machine.  A crashed worker strands
+    nothing: its leases expire and the survivors (or the next run)
+    absorb its work.  Stored values, and so every export, are
+    byte-identical whatever the worker count.
+
+    Parameters
+    ----------
+    spec:
+        The campaign to drain.
+    store:
+        Result store; points whose digest is already present are never
+        re-evaluated, which is both the resume path and the cross-run
+        dedupe.
+    n_jobs:
+        ``None``/``1`` — drain in this process, which holds no leases;
+        ``k > 1`` — ``k`` lease-coordinated worker processes on the
+        store's file (``0`` = one per core; needs a file-backed store).
+    max_points:
+        Evaluate at most this many *new* points, then stop with
+        ``remaining > 0`` — a deterministic stand-in for an interrupted
+        run (used by tests and the CI resume smoke).
+    commit_every:
+        Checkpoint cadence: points per store commit.
+    progress:
+        Optional ``callback(done_new_points, pending_total)``, called
+        after every commit in-process and once when worker processes
+        finish.
+    trace_dir:
+        Enable :mod:`repro.telemetry` on a fresh collector and write a
+        ``trace-main.jsonl`` canonical trace (counters + spans) into
+        this directory when done, plus one ``trace-worker-<i>.jsonl``
+        per worker process (:func:`repro.telemetry.merge_traces`
+        recombines them).  ``None`` leaves the collector's enabled
+        state alone, so callers may also enable/inspect telemetry of
+        an in-process drain themselves.
+    lease_ttl:
+        Lease lifetime of worker processes (seconds); raises
+        :class:`~repro.errors.ValidationError` on an in-process drain.
+    claim_batch:
+        Digests per claim, each claim evaluated in one engine call
+        (default: one engine slab in whole ``commit_every`` slices, at
+        most ``ceil(pending / k)`` per forked worker).
+    fault_plans:
+        Worker index → :class:`~repro.faults.FaultPlan`, armed inside
+        that worker's process (the chaos-soak entry point).  Given
+        plans always fork, one worker at ``n_jobs=1``, so a planned
+        SIGKILL never reaches the caller.
+    spill_dir:
+        Journal a worker spills a slice to when the store stays
+        unreachable past its retry budget (``store heal`` replays it).
     """
-    if workers is not None and workers < 1:
-        raise ValidationError(f"workers must be >= 1, got {workers}")
+    if not isinstance(store, ResultStore):
+        raise ValidationError(f"store must be a ResultStore, got "
+                              f"{type(store).__name__}; open ResultStore(path)")
+    if n_jobs is not None and n_jobs < 0:
+        raise ValidationError(f"n_jobs must be None or >= 0, got {n_jobs}")
     if max_points is not None and max_points < 0:
         raise ValidationError(f"max_points must be >= 0, got {max_points}")
+    jobs = (_os.cpu_count() or 1) if n_jobs == 0 else n_jobs or 1
+    # None drains in this process; k forks k lease-coordinated workers.
+    workers = jobs if jobs > 1 or fault_plans is not None else None
+    if workers is None and lease_ttl is not None:
+        raise ValidationError("lease_ttl needs worker processes (n_jobs > 1 "
+                              "or fault_plans): in-process drains hold no leases")
     if workers is not None and store.path == ":memory:":
         raise ValidationError(
             "a multi-process drain needs a file-backed store; an "
@@ -735,59 +796,6 @@ def _campaign(
         write_trace(Path(trace_arg) / "trace-main.jsonl", TELEMETRY)
         TELEMETRY.disable()
     return report
-
-
-def run_campaign(
-    spec: CampaignSpec,
-    store: ResultStore,
-    n_jobs: int | None = None,
-    max_points: int | None = None,
-    commit_every: int = DEFAULT_COMMIT_EVERY,
-    progress: Callable[[int, int], None] | None = None,
-    trace_dir: str | Path | None = None,
-) -> CampaignReport:
-    """Run (or resume) a campaign against a content-addressed store.
-
-    Parameters
-    ----------
-    spec:
-        The campaign to drain.
-    store:
-        Result store; points whose digest is already present are never
-        re-evaluated, which is both the resume path and the cross-run
-        dedupe.
-    n_jobs:
-        ``None``/``1`` — drain in this process, one shared engine,
-        streaming commits; ``k > 1`` — ``k`` lease-coordinated worker
-        processes on the store's file, exactly
-        :func:`run_campaign_workers` (``0`` = one per core; needs a
-        file-backed store).  Stored values are identical either way.
-    max_points:
-        Evaluate at most this many *new* points, then stop with
-        ``remaining > 0`` — a deterministic stand-in for an interrupted
-        run (used by tests and the CI resume smoke).
-    commit_every:
-        Checkpoint cadence: points per store commit.  Each claim takes
-        one engine slab of points (whole ``commit_every`` slices),
-        evaluated in one call and committed slice by slice.
-    progress:
-        Optional ``callback(done_new_points, pending_total)``, called
-        after every commit in-process and once when worker processes
-        finish.
-    trace_dir:
-        Enable :mod:`repro.telemetry` on a fresh collector and write a
-        ``trace-main.jsonl`` canonical trace (counters + spans) into
-        this directory when done, plus one ``trace-worker-<i>.jsonl``
-        per worker process.  ``None`` leaves the collector's enabled
-        state alone, so callers may also enable/inspect telemetry of
-        an in-process drain themselves.
-    """
-    workers = None
-    if n_jobs is not None and n_jobs != 1:
-        workers = (_os.cpu_count() or 1) if n_jobs == 0 else n_jobs
-    return _campaign(spec, store, workers, max_points=max_points,
-                     commit_every=commit_every, progress=progress,
-                     trace_dir=trace_dir)
 
 
 def run_campaign_worker(
@@ -847,42 +855,28 @@ def run_campaign_workers(
     spill_dir: str | Path | None = None,
     trace_dir: str | Path | None = None,
 ) -> CampaignReport:
-    """Drain one campaign with ``workers`` independent processes.
+    """Deprecated alias of :func:`run_campaign` on ``ResultStore(store_path)``
+    with ``n_jobs=workers``; removed in 4.0.
 
-    The parent expands the spec once; every worker process inherits the
-    ordered work list and runs the drain loop against the shared WAL
-    store, coordinating with the others **only** through the store's
-    lease table — exactly the multi-host execution model, run on one
-    machine.  Workers that crash strand nothing: their leases expire
-    and the survivors (or the next invocation) absorb the work.
-    ``run_campaign(n_jobs=k)`` is the same drain.
-
-    Stored values, and therefore every export and report, are
-    byte-identical to a ``workers=1`` (or plain :func:`run_campaign`)
-    drain of the same spec — asserted by
-    ``tests/test_store_concurrency.py`` and the ``campaign-fabric`` CI
-    job.
-
-    ``fault_plans`` maps worker index to a :class:`~repro.faults.FaultPlan`
-    armed inside that worker's process — the chaos-soak entry point:
-    per-worker seeded schedules of SIGKILLs, store errors, stalls and
-    clock jumps, replayable byte-for-byte.  ``spill_dir`` names the
-    write-ahead journal workers spill to when the store stays
-    unreachable past its retry budget (see :func:`run_campaign_worker`).
-
-    ``trace_dir`` enables telemetry fabric-wide: the parent records the
-    root ``campaign`` span (with ``expand``, ``prepare`` and per-worker
-    ``worker`` wait spans) into ``trace-main.jsonl`` and each worker
-    process records its own counters and spans into
-    ``trace-worker-<i>.jsonl`` — recombine with
-    :func:`repro.telemetry.merge_traces`.
+    ``workers=1`` without ``fault_plans`` now drains in-process, which
+    holds no leases, so ``lease_ttl`` is dropped there.
     """
+    if workers < 1:
+        raise ValidationError(f"workers must be >= 1, got {workers}")
+    warnings.warn(
+        "run_campaign_workers(spec, store_path, workers=k) is deprecated "
+        "and will be removed in 4.0; use run_campaign(spec, "
+        "ResultStore(store_path), n_jobs=k)",
+        DeprecationWarning, stacklevel=2,
+    )
+    in_process = workers == 1 and fault_plans is None
     with ResultStore(store_path) as store:
-        return _campaign(
-            spec, store, workers, lease_ttl=lease_ttl,
-            claim_batch=claim_batch, commit_every=commit_every,
-            fault_plans=fault_plans, spill_dir=spill_dir,
+        return run_campaign(
+            spec, store, n_jobs=workers, commit_every=commit_every,
             trace_dir=trace_dir,
+            lease_ttl=None if in_process else lease_ttl,
+            claim_batch=claim_batch, fault_plans=fault_plans,
+            spill_dir=spill_dir,
         )
 
 # ----------------------------------------------------------------------

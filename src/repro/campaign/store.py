@@ -66,7 +66,8 @@ import numpy as np
 from ..core.instance import Instance
 from ..core.models import CommModel
 from ..core.throughput import PeriodResult
-from ..errors import StoreCorruptionError, StoreLeaseError, StoreUnavailableError
+from ..errors import (StoreCorruptionError, StoreLeaseError,
+                      StoreUnavailableError, ValidationError)
 from ..faults import DEFAULT_RETRY, FAULTS, RetryPolicy
 from ..telemetry import TELEMETRY
 from ..utils import canonical_json
@@ -316,6 +317,9 @@ class ResultStore:
         busy_timeout: float = DEFAULT_BUSY_TIMEOUT,
         retry: RetryPolicy | None = None,
     ) -> None:
+        if not isinstance(path, (str, os.PathLike)):
+            raise ValidationError(f"store path must be str or os.PathLike, "
+                                  f"got {type(path).__name__}")
         self.path = str(path)
         self._retry = DEFAULT_RETRY if retry is None else retry
         self._conn = self._retry.run(

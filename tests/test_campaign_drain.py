@@ -1,6 +1,6 @@
 """The one campaign drain loop: in-process, ``n_jobs`` and fabric runs.
 
-Serial runs, ``run_campaign(n_jobs=k)`` and ``run_campaign_workers``
+Serial runs, ``run_campaign(n_jobs=k)`` and ``run_campaign_worker``
 all drain through the same claim → evaluate → commit → release loop.
 These tests pin what the loop promises beyond byte-identical exports:
 it never rescans the store, ``n_jobs=k`` *is* the ``k``-worker fabric,
@@ -75,14 +75,34 @@ def _first_point(spec):
 class TestOneLoop:
     def test_jobs_is_the_fabric(self, spec, reference, tmp_path):
         with ResultStore(tmp_path / "jobs.sqlite") as store:
-            report = run_campaign(spec, store, n_jobs=2)
+            report = run_campaign(spec, store, n_jobs=2,
+                                  trace_dir=tmp_path / "trace")
             assert export_campaign_json(spec, store) == reference
-        fabric = run_campaign_workers(spec, tmp_path / "fab.sqlite",
-                                      workers=2)
         assert FabricReport is CampaignReport
-        assert report == fabric
         assert (report.workers, report.crashed) == (2, ())
         assert report.evaluated == report.total == spec.n_points
+        merged = merge_traces(trace_files(tmp_path / "trace"))
+        assert merged["workers"] == ["main", "worker-0", "worker-1"]
+
+    def test_deprecated_workers_alias(self, spec, tmp_path, monkeypatch):
+        """``run_campaign_workers`` warns, rejects an opened store without
+        touching the disk, and drains exactly like ``n_jobs=2``."""
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        with ResultStore(tmp_path / "jobs.sqlite") as store:
+            report = run_campaign(spec, store, n_jobs=2)
+            expected = export_campaign_json(spec, store)
+            with pytest.warns(DeprecationWarning, match="n_jobs=k"):
+                with pytest.raises(ValidationError, match="os.PathLike"):
+                    run_campaign_workers(spec, store, workers=2)
+        assert sorted(cwd.iterdir()) == []
+        with pytest.warns(DeprecationWarning, match="run_campaign_workers"):
+            alias = run_campaign_workers(spec, tmp_path / "alias.sqlite",
+                                         workers=2)
+        assert alias == report
+        with ResultStore(tmp_path / "alias.sqlite") as store:
+            assert export_campaign_json(spec, store) == expected
 
     def test_jobs_honours_max_points_and_resumes(self, spec, reference,
                                                  tmp_path):
@@ -114,15 +134,15 @@ class TestOneLoop:
                                                         reference, tmp_path):
         """More workers than cores, one-digest claims: the cursors keep
         colliding, yet every point is evaluated by exactly one worker."""
-        report = run_campaign_workers(spec, tmp_path / "s.sqlite", workers=4,
-                                      claim_batch=1, commit_every=1,
-                                      trace_dir=tmp_path / "trace")
+        with ResultStore(tmp_path / "s.sqlite") as store:
+            report = run_campaign(spec, store, n_jobs=4, claim_batch=1,
+                                  commit_every=1,
+                                  trace_dir=tmp_path / "trace")
+            assert export_campaign_json(spec, store) == reference
         assert report.complete and not report.crashed
         counters = merge_traces(trace_files(tmp_path / "trace"))["counters"]
         assert counters["engine.points"] == spec.n_points
         assert counters["lease.claims"] == spec.n_points
-        with ResultStore(tmp_path / "s.sqlite") as store:
-            assert export_campaign_json(spec, store) == reference
 
     def test_cli_jobs_aliases_workers(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"

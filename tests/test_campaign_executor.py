@@ -24,7 +24,6 @@ from repro.campaign import (
     order_for_engine,
     run_campaign,
     run_campaign_worker,
-    run_campaign_workers,
 )
 from repro.campaign.executor import _claim_window
 from repro.cli import main
@@ -272,10 +271,36 @@ class TestDrainParameters:
         with ResultStore(tmp_path / "s.sqlite") as store:
             with pytest.raises(ValidationError, match="claim_batch"):
                 run_campaign_worker(spec, store, "w", claim_batch=0)
-        with pytest.raises(ValidationError, match="claim_batch"):
-            run_campaign_workers(spec, tmp_path / "s.sqlite", workers=2,
-                                 claim_batch=0)
+            with pytest.raises(ValidationError, match="claim_batch"):
+                run_campaign(spec, store, n_jobs=2, claim_batch=0)
+            assert len(store) == 0
+
+    def test_negative_n_jobs_rejected(self, spec, tmp_path, capsys):
         with ResultStore(tmp_path / "s.sqlite") as store:
+            with pytest.raises(ValidationError,
+                               match=r"n_jobs must be None or >= 0, got -2"):
+                run_campaign(spec, store, n_jobs=-2)
+            assert len(store) == 0
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(SPEC_DICT))
+        assert main(["campaign", "run", str(spec_path),
+                     "--store", str(tmp_path / "s.sqlite"),
+                     "--workers", "-2"]) == 1
+        assert "n_jobs must be None or >= 0, got -2" in capsys.readouterr().err
+
+    def test_store_must_be_a_result_store(self, spec, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ValidationError, match="ResultStore"):
+            run_campaign(spec, "x.sqlite")
+        with pytest.raises(ValidationError, match="os.PathLike"):
+            ResultStore(object())
+        assert sorted(tmp_path.iterdir()) == []
+
+    def test_lease_ttl_needs_worker_processes(self, spec, tmp_path):
+        with ResultStore(tmp_path / "s.sqlite") as store:
+            for n_jobs in (None, 1):
+                with pytest.raises(ValidationError, match="lease_ttl"):
+                    run_campaign(spec, store, n_jobs=n_jobs, lease_ttl=5.0)
             assert len(store) == 0
 
     def test_claim_window(self):

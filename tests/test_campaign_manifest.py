@@ -33,7 +33,6 @@ from repro.campaign import (
     render_report_text,
     run_campaign,
     run_campaign_worker,
-    run_campaign_workers,
 )
 from repro.campaign.executor import _manifest_sample
 from repro.campaign.store import manifest_key
@@ -224,11 +223,11 @@ class TestMaterialization:
 
     def test_fabric_drains_write_manifest(self, spec, tmp_path):
         key = manifest_key(spec)
-        run_campaign_workers(spec, tmp_path / "f.sqlite", workers=2)
         with ResultStore(tmp_path / "w.sqlite") as worker_store:
             run_campaign_worker(spec, worker_store, "w-0")
             blob = worker_store._manifest(key)
         with ResultStore(tmp_path / "f.sqlite") as fabric_store:
+            run_campaign(spec, fabric_store, n_jobs=2)
             assert fabric_store._manifest(key) == blob
         assert blob is not None and len(blob) == 32 * spec.n_points
 

@@ -16,8 +16,7 @@ from repro.campaign import (CampaignSpec, ResultStore, campaign_report_data,
                             campaign_rows, export_campaign_csv,
                             export_campaign_json, export_campaign_report,
                             instance_digest, payload_from_result,
-                            render_report_text, run_campaign,
-                            run_campaign_workers)
+                            render_report_text, run_campaign)
 from repro.engine import evaluate
 from repro.errors import ValidationError
 from repro.experiments import example_a
@@ -147,23 +146,14 @@ class TestParallelismInvariance:
     def test_serial_jobs_fabric_byte_identical(self, tmp_path):
         spec = _spec(["period", "latency", "reliability"])
         artifacts = []
-        for name, runner in [
-            ("serial", lambda s: run_campaign(spec, s)),
-            ("jobs", lambda s: run_campaign(spec, s, n_jobs=2)),
-        ]:
-            with ResultStore(tmp_path / f"{name}.sqlite") as store:
-                runner(store)
+        for n_jobs in (1, 2):
+            with ResultStore(tmp_path / f"jobs{n_jobs}.sqlite") as store:
+                report = run_campaign(spec, store, n_jobs=n_jobs)
+                assert report.complete and not report.crashed
                 artifacts.append((export_campaign_json(spec, store),
                                   export_campaign_csv(spec, store),
                                   export_campaign_report(spec, store)))
-        fabric = run_campaign_workers(spec, tmp_path / "fabric.sqlite",
-                                      workers=2)
-        assert fabric.complete and not fabric.crashed
-        with ResultStore(tmp_path / "fabric.sqlite") as store:
-            artifacts.append((export_campaign_json(spec, store),
-                              export_campaign_csv(spec, store),
-                              export_campaign_report(spec, store)))
-        assert artifacts[0] == artifacts[1] == artifacts[2]
+        assert artifacts[0] == artifacts[1]
 
     def test_resume_is_free(self, tmp_path):
         spec = _spec(["period", "latency"])

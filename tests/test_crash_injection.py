@@ -25,7 +25,7 @@ from repro.campaign import (
     ResultStore,
     export_campaign_json,
     run_campaign,
-    run_campaign_workers,
+    run_campaign_worker,
 )
 from repro.faults import FaultPlan
 
@@ -85,7 +85,8 @@ def _drain_with_resume(spec, path, first_report, max_resumes=6):
         # Give killed workers' leases a moment to expire so the resume
         # spends its time evaluating, not polling.
         time.sleep(_TTL)
-        report = run_campaign_workers(spec, path, workers=2, lease_ttl=_TTL)
+        with ResultStore(path) as store:
+            report = run_campaign(spec, store, n_jobs=2, lease_ttl=_TTL)
     return report
 
 
@@ -108,12 +109,13 @@ class TestKillSchedules:
             )
 
         path = tmp_path / "crash.sqlite"
-        first = run_campaign_workers(
-            spec, path, workers=workers, lease_ttl=_TTL,
-            claim_batch=rng.choice([2, 4, 16]),
-            commit_every=rng.choice([2, 32]),
-            fault_plans=plans,
-        )
+        with ResultStore(path) as store:
+            first = run_campaign(
+                spec, store, n_jobs=workers, lease_ttl=_TTL,
+                claim_batch=rng.choice([2, 4, 16]),
+                commit_every=rng.choice([2, 32]),
+                fault_plans=plans,
+            )
         # Only faulted workers can crash; a plan whose trigger count
         # exceeds the worker's site passes simply never fires (still a
         # valid schedule — the worker drained its share and exited
@@ -136,32 +138,35 @@ class TestStaleLeaseReclamation:
     def test_killed_workers_leases_expire_and_are_reclaimed(self, spec,
                                                             tmp_path):
         """A worker killed right after claiming strands its claims only
-        until the TTL; the next fabric takes them over and completes."""
+        until the TTL; the next lease-holding worker takes them over and
+        completes."""
         path = tmp_path / "stranded.sqlite"
-        first = run_campaign_workers(
-            spec, path, workers=1, lease_ttl=_TTL,
-            fault_plans={0: _kill_plan("worker.after-claim", 1)},
-        )
-        assert first.crashed == (0,)
-        assert not first.complete  # died before storing anything
         with ResultStore(path) as store:
+            first = run_campaign(
+                spec, store, lease_ttl=_TTL,
+                fault_plans={0: _kill_plan("worker.after-claim", 1)},
+            )
+            assert first.crashed == (0,)
+            assert not first.complete  # died before storing anything
             held = store.connection.execute(
                 "SELECT COUNT(*) FROM leases"
             ).fetchone()[0]
             assert held > 0  # the corpse's claims are still on file
-        time.sleep(_TTL * 1.1)
-        second = run_campaign_workers(spec, path, workers=1, lease_ttl=_TTL)
-        assert second.complete
+            time.sleep(_TTL * 1.1)
+            assert run_campaign_worker(spec, store, "next",
+                                       lease_ttl=_TTL) == first.remaining
+            assert not store.connection.execute(
+                "SELECT COUNT(*) FROM leases").fetchone()[0]
 
     def test_pre_release_crash_keeps_committed_results(self, spec, tmp_path):
         """Killed between commit and release: results survive, and their
         leftover lease rows never block completion (claims skip DONE)."""
         path = tmp_path / "prerelease.sqlite"
-        first = run_campaign_workers(
-            spec, path, workers=1, lease_ttl=_TTL, claim_batch=4,
-            commit_every=4,
-            fault_plans={0: _kill_plan("worker.pre-release", 1)},
-        )
+        with ResultStore(path) as store:
+            first = run_campaign(
+                spec, store, lease_ttl=_TTL, claim_batch=4, commit_every=4,
+                fault_plans={0: _kill_plan("worker.pre-release", 1)},
+            )
         assert first.crashed == (0,)
         assert first.evaluated > 0  # the chunk was committed before death
         report = _drain_with_resume(spec, path, first)
@@ -175,10 +180,11 @@ class TestStaleLeaseReclamation:
         window: that slice survives, the rest of the window's leases
         expire, and the resumed store equals the uninterrupted one."""
         path = tmp_path / "midwindow.sqlite"
-        first = run_campaign_workers(
-            spec, path, workers=1, lease_ttl=_TTL, commit_every=4,
-            fault_plans={0: _kill_plan("worker.pre-release", 1)},
-        )
+        with ResultStore(path) as store:
+            first = run_campaign(
+                spec, store, lease_ttl=_TTL, commit_every=4,
+                fault_plans={0: _kill_plan("worker.pre-release", 1)},
+            )
         assert first.crashed == (0,)
         # One window held the whole list and every lease in it is still
         # on file; only the window's first slice was committed.

@@ -18,7 +18,7 @@ from repro.campaign import (
     export_campaign_json,
     export_campaign_report,
     run_campaign,
-    run_campaign_workers,
+    run_campaign_worker,
 )
 
 SPEC_DICT = {
@@ -146,22 +146,25 @@ class TestConcurrentWriters:
 
 class TestFabricByteIdentity:
     def test_exports_independent_of_worker_count(self, spec, tmp_path):
-        """workers=1, workers=3 and the serial executor all produce the
-        same bytes — the acceptance criterion of the fabric."""
+        """One lease worker, three worker processes and the serial
+        executor all produce the same bytes — the acceptance criterion
+        of the fabric."""
         serial_path = tmp_path / "serial.sqlite"
         with ResultStore(serial_path) as store:
             run_campaign(spec, store)
             ref_json = export_campaign_json(spec, store)
             ref_report = export_campaign_report(spec, store)
 
-        for workers in (1, 3):
-            path = tmp_path / f"fabric{workers}.sqlite"
-            rep = run_campaign_workers(spec, path, workers=workers)
+        with ResultStore(tmp_path / "solo.sqlite") as store:
+            assert run_campaign_worker(spec, store, "solo") == spec.n_points
+            assert export_campaign_json(spec, store) == ref_json
+            assert export_campaign_report(spec, store) == ref_report
+        with ResultStore(tmp_path / "fabric3.sqlite") as store:
+            rep = run_campaign(spec, store, n_jobs=3)
             assert rep.complete and not rep.crashed
             assert rep.evaluated == rep.total
-            with ResultStore(path) as store:
-                assert export_campaign_json(spec, store) == ref_json
-                assert export_campaign_report(spec, store) == ref_report
+            assert export_campaign_json(spec, store) == ref_json
+            assert export_campaign_report(spec, store) == ref_report
 
     def test_fabric_resumes_over_partial_store(self, spec, tmp_path):
         """A fabric drain over a half-finished serial store reuses every
@@ -170,17 +173,16 @@ class TestFabricByteIdentity:
         with ResultStore(path) as store:
             first = run_campaign(spec, store, max_points=5)
             assert not first.complete
-        rep = run_campaign_workers(spec, path, workers=2)
+            rep = run_campaign(spec, store, n_jobs=2)
         assert rep.complete
         assert rep.hits == 5
         assert rep.evaluated == rep.total - 5
 
     def test_leases_drained_after_clean_run(self, spec, tmp_path):
         """A clean fabric run leaves no lease rows behind."""
-        path = tmp_path / "clean.sqlite"
-        rep = run_campaign_workers(spec, path, workers=2)
-        assert rep.complete
-        with ResultStore(path) as store:
+        with ResultStore(tmp_path / "clean.sqlite") as store:
+            rep = run_campaign(spec, store, n_jobs=2)
+            assert rep.complete
             rows = store.connection.execute(
                 "SELECT COUNT(*) FROM leases"
             ).fetchone()[0]

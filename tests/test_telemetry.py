@@ -21,7 +21,6 @@ from repro.campaign import (
     export_campaign_json,
     render_report_text,
     run_campaign,
-    run_campaign_workers,
 )
 from repro.cli import main
 from repro.petri.reduction import pattern_plan
@@ -63,20 +62,13 @@ def spec():
     return CampaignSpec.from_dict(SPEC_DICT)
 
 
-def _traced_run(tmp_path, tag, *, n_jobs=1, workers=None):
+def _traced_run(tmp_path, tag, *, n_jobs=1):
     """Drain SPEC_DICT into a fresh store with tracing; merged trace."""
     spec = CampaignSpec.from_dict(SPEC_DICT)
-    store_path = tmp_path / f"{tag}.sqlite"
     trace_dir = tmp_path / f"trace-{tag}"
-    if workers is None:
-        with ResultStore(store_path) as store:
-            run_campaign(spec, store, n_jobs=n_jobs, trace_dir=trace_dir)
-            export = export_campaign_json(spec, store)
-    else:
-        run_campaign_workers(spec, store_path, workers=workers,
-                             trace_dir=trace_dir)
-        with ResultStore(store_path) as store:
-            export = export_campaign_json(spec, store)
+    with ResultStore(tmp_path / f"{tag}.sqlite") as store:
+        run_campaign(spec, store, n_jobs=n_jobs, trace_dir=trace_dir)
+        export = export_campaign_json(spec, store)
     return merge_traces(trace_files(trace_dir)), export
 
 
@@ -276,7 +268,7 @@ class TestCampaignDeterminism:
     def test_contract_counters_partition_invariant(self, tmp_path):
         serial, export_serial = _traced_run(tmp_path, "serial")
         jobs2, _ = _traced_run(tmp_path, "jobs2", n_jobs=2)
-        fabric, export_fabric = _traced_run(tmp_path, "fabric", workers=3)
+        fabric, export_fabric = _traced_run(tmp_path, "fabric", n_jobs=3)
         contract = contract_counters(serial["counters"])
         assert contract["engine.points"] == 6
         assert contract["store.puts"] == 6
@@ -304,7 +296,7 @@ class TestCampaignDeterminism:
         assert warm["counters"] == cold["counters"]
 
     def test_span_hierarchy_and_attribution(self, tmp_path):
-        fabric, _ = _traced_run(tmp_path, "fab2", workers=2)
+        fabric, _ = _traced_run(tmp_path, "fab2", n_jobs=2)
         names = {span["name"] for span in fabric["spans"]}
         assert {"campaign", "prepare", "worker", "worker-run",
                 "claim"} <= names

@@ -10,7 +10,8 @@ on both:
   must resolve to an existing file or directory relative to the file
   that links it;
 * every fenced ``python`` code block in README.md is executed (with
-  ``src/`` importable) and must run to completion.  Blocks that are
+  ``src/`` importable, a ``DeprecationWarning`` the block triggers
+  raised as an error) and must run to completion.  Blocks that are
   illustrative rather than runnable should be fenced as ``text`` or
   ``bash`` instead;
 * the rule table in docs/ARCHITECTURE.md must agree with the registered
@@ -90,7 +91,8 @@ def check_code_blocks() -> list[str]:
             errors.append(f"{name}: no python code blocks found (expected some)")
         for i, block in enumerate(blocks):
             proc = subprocess.run(
-                [sys.executable, "-"],
+                [sys.executable, "-W", "error::DeprecationWarning:__main__",
+                 "-"],
                 input=block,
                 text=True,
                 capture_output=True,
