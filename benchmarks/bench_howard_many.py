@@ -308,7 +308,7 @@ def _seed_split(plan, W) -> tuple[float, float]:
         best_seed = best_cert = float("inf")
         for _ in range(3):
             t0 = time.perf_counter()
-            start = howard._seed_start(scc, scc.seed, Wc, tol)
+            start = howard._seed_start(scc, Wc, tol)
             t1 = time.perf_counter()
             howard._certify_seeded(scc, Wc, tol, start)
             t2 = time.perf_counter()

@@ -12,15 +12,15 @@ shapes the campaign workloads solve on the scalar kernel:
   (the random-replication cells of a mixed campaign), and one with
   ``lcm`` 30 between them and the next shapes;
 * the lcm-60 strict skeletons (300 and 420 transitions), solved on the
-  scalar kernel by ``compute_period`` and by the cold re-solve of a
-  seeded lockstep row that fails its certificate.  (Lockstep stragglers
-  come from smaller SCCs: the 12-node token-edge reduction of the
-  ``shared_strict`` topology and the mixed campaign's groups of at most
-  60 nodes.)
+  scalar kernel by ``compute_period`` and as lockstep stragglers of the
+  batched cold re-solve of uncertified seeded rows.  (The other
+  stragglers come from the mixed campaign's groups of at most 60
+  nodes; a seeded SCC's token-edge reduction is solved by dense policy
+  iteration, not by a Howard kernel.)
 
-For every shape it solves seeded weight stampings cold, and warm from
-the previous stamping's converged policy, once with each step forced,
-and reports wall-clock per solve and per isolated improvement step.
+For every shape it solves seeded weight stampings cold, once with each
+step forced, and reports wall-clock per solve and per isolated
+improvement step.
 
 Asserted facts (deterministic; wall-clock is reported, never gated):
 
@@ -100,18 +100,15 @@ def _tol(w: np.ndarray) -> float:
 
 
 def _solve_all(scc, rows, cut: int) -> list[tuple]:
-    """Cold and warm solves of every row with the cut forced to ``cut``."""
+    """Cold solves of every row with the cut forced to ``cut``."""
     saved = howard._LIST_STEP_MAX_EDGES
     howard._LIST_STEP_MAX_EDGES = cut
     try:
         out = []
-        prev = None
         for w in rows:
-            for policy0 in (None,) if prev is None else (None, prev):
-                res, pol = howard._scc_howard_csr(scc, w, _tol(w), policy0)
-                out.append((np.float64(res.value).tobytes(), res.cycle_nodes,
-                            res.cycle_edges, res.n_rounds, pol.tolist()))
-            prev = pol
+            res, pol = howard._scc_howard_csr(scc, w, _tol(w))
+            out.append((np.float64(res.value).tobytes(), res.cycle_nodes,
+                        res.cycle_edges, res.n_rounds, pol.tolist()))
         return out
     finally:
         howard._LIST_STEP_MAX_EDGES = saved

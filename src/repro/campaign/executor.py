@@ -259,11 +259,20 @@ def _manifest_digests(
     return key, digests
 
 
+def _require_store(store: object) -> None:
+    """Reject a ``store`` that is not a :class:`ResultStore` (a path
+    string, say) before anything reads it."""
+    if not isinstance(store, ResultStore):
+        raise ValidationError(f"store must be a ResultStore, got "
+                              f"{type(store).__name__}; open ResultStore(path)")
+
+
 def _identified(
     spec: CampaignSpec, store: ResultStore
 ) -> list[tuple[CampaignPoint, str]]:
     """``(point, digest)`` of every point, in spec order: the row
     identity of status and exports, from the manifest when it holds."""
+    _require_store(store)
     points = spec.expand()
     _, digests = _manifest_digests(spec, store, points)
     _count_manifest(digests is not None)
@@ -738,9 +747,7 @@ def run_campaign(
         Journal a worker spills a slice to when the store stays
         unreachable past its retry budget (``store heal`` replays it).
     """
-    if not isinstance(store, ResultStore):
-        raise ValidationError(f"store must be a ResultStore, got "
-                              f"{type(store).__name__}; open ResultStore(path)")
+    _require_store(store)
     if n_jobs is not None and n_jobs < 0:
         raise ValidationError(f"n_jobs must be None or >= 0, got {n_jobs}")
     if max_points is not None and max_points < 0:
@@ -829,6 +836,7 @@ def run_campaign_worker(
     spills to the ``spill_dir`` journal (when given); ``store heal``
     replays it.
     """
+    _require_store(store)
     drain_options = _drain_options(spec, claim_batch, commit_every,
                                    spill_dir)
     _, _, work, _ = _pending_work(spec, store)

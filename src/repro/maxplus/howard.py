@@ -69,15 +69,18 @@ Token-edge seeds
 An SCC with at least ``_SEED_NODES_PER_TOKEN`` nodes per token edge (a
 strict TPN: all tokens on the ``k`` processor-circuit places, the rest a
 token-free DAG) is prepared with its ``k``-node token-edge reduction
-(:mod:`._token_seed`).  :func:`solve_prepared_many` solves the reduced
-graph and lifts its solution to one start policy per row.  One
-evaluation pass (:func:`_certify_seeded`: pointer doubling for the
-cycle, pointer jumping for the potentials, one reduced-cost pass over
-the edges) then *certifies* a row whose start has a single policy
-cycle and every non-policy edge strictly suboptimal by a margin.  Such
-a start is already a fixed point, so no improvement round runs, and
-the row equals the cold scalar solve in value, cycle and rotation; an
-uncertified row is recomputed cold.
+over the chain-contracted DAG (:mod:`._token_seed`).
+:func:`solve_prepared_many` builds each row's dense ``k x k`` reduced
+matrix, solves all rows with one batched dense policy iteration and
+lifts the solution to one start policy per row.  The start only
+proposes.  One evaluation pass (:func:`_certify_seeded`: pointer
+doubling for the cycle, pointer jumping for the potentials, one
+reduced-cost pass over the edges) then *certifies* a row whose start
+has a single policy cycle and every non-policy edge strictly
+suboptimal by a margin.  Such a start is already a fixed point, so no
+improvement round runs, and the row equals the cold scalar solve in
+value, cycle and rotation; the uncertified rows of a chunk are
+recomputed together by one cold lockstep call.
 """
 
 from __future__ import annotations
@@ -90,7 +93,13 @@ import numpy.typing as npt
 
 from ..errors import DeadlockError, SolverError, ValidationError
 from ..telemetry import TELEMETRY
-from ._token_seed import TokenDag, forward_matrix, start_policy, token_dag
+from ._token_seed import (
+    TokenDag,
+    forward_matrix,
+    reduced_solve,
+    start_policy,
+    token_dag,
+)
 from .graph import RatioGraph
 
 __all__ = [
@@ -122,8 +131,9 @@ _LIST_STEP_MAX_EDGES = 256
 #: breaks even, so those keep the unseeded lockstep.
 _SEED_NODES_PER_TOKEN = 16
 
-#: Cap on the ``rows * k * n`` float cells of one seed forward pass;
-#: larger slabs are seeded in row chunks.
+#: Cap on the float cells one seed chunk's passes hold: ``rows * (k *
+#: (kept + 1) + chain cells)`` (:func:`_seed_chunk_rows`); larger slabs
+#: are seeded in row chunks.
 _SEED_CELL_BUDGET = 1 << 21
 
 #: Most rows :func:`solve_prepared_many` seeds and certifies at once.
@@ -181,40 +191,7 @@ class _PreparedScc:
     tokens: npt.NDArray[np.float64]
     start: npt.NDArray[np.int64]
     gmap: npt.NDArray[np.int64]
-    seed: "_Seed | None" = None
-
-
-@dataclass(frozen=True)
-class _Seed:
-    """Token-edge reduction of one SCC: the structure of
-    :func:`~._token_seed.token_dag` and its reduced ``k``-node SCC,
-    prepared for :func:`_scc_howard_csr_many`."""
-
-    dag: TokenDag
-    reduced: _PreparedScc
-
-
-def _prepare_seed(
-    n: int,
-    src: npt.NDArray[np.int64],
-    dst: npt.NDArray[np.int64],
-    tokens: npt.NDArray[np.float64],
-) -> _Seed:
-    """Token-edge reduction of one CSR-ordered SCC."""
-    dag = token_dag(n, src, dst, tokens)
-    k, r = dag.tok.size, dag.red_src.size
-    ids = np.arange(r, dtype=np.int64)
-    return _Seed(dag, _PreparedScc(
-        n=k,
-        node_map=tuple(range(k)),
-        edge_map=ids,
-        order=ids,
-        src=dag.red_src,
-        dst=dag.red_dst,
-        tokens=dag.tok_tokens[dag.red_src],
-        start=np.searchsorted(dag.red_src, np.arange(k + 1)),
-        gmap=ids,
-    ))
+    seed: TokenDag | None = None
 
 
 @dataclass(frozen=True)
@@ -308,7 +285,7 @@ def prepare_howard(graph: RatioGraph) -> HowardPlan:
                 tokens=tokens,
                 start=start,
                 gmap=edge_map[order],
-                seed=_prepare_seed(n, src, dst, tokens) if seeded else None,
+                seed=token_dag(n, src, dst, tokens) if seeded else None,
             )
         )
     return HowardPlan(
@@ -1054,18 +1031,30 @@ def solve_prepared_many(
     classes coexist in ``sigma`` (possible only within
     ``(n - 1) * tol`` of each other) the argument does not apply as
     written; the near-tie harness in ``tests/test_howard_seed.py``
-    replays such weightings against the cold solve.  Rows failing the
-    certificate are re-solved with the cold scalar kernel (the
-    oracle's path) and counted as ``howard.uncertified``; all seeded
-    rows count as ``howard.seeded_rows``.
+    replays such weightings against the cold solve.  The rows of a
+    chunk that fail the certificate are re-solved together by one cold
+    :func:`_scc_howard_csr_many` call, which equals the cold scalar
+    solve bit for bit, round count included, and are counted as
+    ``howard.uncertified``; all seeded rows count as
+    ``howard.seeded_rows``.
+
+    *The proposal.*  The start policy needs no bit identity: the
+    certificate recomputes the accepted cycle and its ratio in the cold
+    walk's order, and rejects any start that is not the cold fixed
+    point.  So the seed sums each contracted chain of the zero-token
+    DAG once, runs its forward and reverse passes over the contracted
+    levels only, and solves the reduced matrices with dense policy
+    iteration (:func:`~._token_seed.reduced_solve`), whose rounding
+    differs from a Howard kernel's.
 
     *Row chunks.*  A seeded SCC is seeded and certified in chunks of
-    at most 64 rows (``_SEED_CHUNK_ROWS``), fewer when ``rows * k * n``
-    would exceed the forward pass's cell budget (``_SEED_CELL_BUDGET``),
-    so the seeded path's working set is flat in ``B``: a 256-row slab
-    of the lcm-60 topology peaks at about 2.7 MiB instead of 17.5 MiB.
-    Every row's seed and certificate depend on that row alone, so the
-    chunking never changes a result.
+    at most 64 rows (``_SEED_CHUNK_ROWS``), fewer when the chunk's
+    ``rows * k * (kept + 1)`` forward-pass cells plus its padded chain
+    gather would exceed ``_SEED_CELL_BUDGET``, so the seeded path's
+    working set is flat in ``B``: a 256-row slab of the lcm-60
+    topology peaks at about 2.8 MiB instead of 17.5 MiB.  Every row's
+    seed and certificate depend on that row alone, so the chunking
+    never changes a result.
 
     Raises
     ------
@@ -1118,17 +1107,18 @@ def solve_prepared_many(
         if comp.seed is not None:
             seeded += B
             cands = []
-            step = _seed_chunk_rows(comp, comp.seed)
+            step = _seed_chunk_rows(comp.seed)
             for b0 in range(0, B, step):
                 W = weights[b0:b0 + step, comp.gmap]
                 tol_c = tol_rows[b0:b0 + step]
-                certified = _certify_seeded(
-                    comp, W, tol_c, _seed_start(comp, comp.seed, W, tol_c))
-                for b, cand in enumerate(certified):
-                    if cand is None:
-                        uncertified += 1
-                        cand = _scalar_candidate(comp, W[b], float(tol_c[b]))
-                    cands.append(cand)
+                chunk = _certify_seeded(comp, W, tol_c, _seed_start(comp, W, tol_c))
+                cold = [b for b, cand in enumerate(chunk) if cand is None]
+                if cold:
+                    uncertified += len(cold)
+                    for b, cand in zip(cold, _scc_howard_csr_many(
+                            comp, W[cold], tol_c[cold])):
+                        chunk[b] = cand
+                cands.extend(chunk)
         else:
             cands = _scc_howard_csr_many(comp, weights[:, comp.gmap], tol_rows)
         for b, cand in enumerate(cands):
@@ -1158,38 +1148,38 @@ def _count_lockstep(out: list[HowardResult], seeded: int, uncertified: int) -> N
         TELEMETRY.count("howard.uncertified", uncertified)
 
 
-def _seed_chunk_rows(scc: _PreparedScc, seed: _Seed) -> int:
-    """Rows of one seed-and-certify chunk of ``scc``: at most
-    :data:`_SEED_CHUNK_ROWS`, and ``rows * k * (n + 1)`` forward-pass
-    cells under :data:`_SEED_CELL_BUDGET`."""
-    cells = seed.dag.tok.size * (scc.n + 1)
+def _seed_chunk_rows(dag: TokenDag) -> int:
+    """Rows of one seed-and-certify chunk: at most
+    :data:`_SEED_CHUNK_ROWS`, and under :data:`_SEED_CELL_BUDGET` the
+    ``rows * k * (kept + 1)`` cells of the forward pass plus the
+    ``rows * C * longest chain`` cells of the padded chain gather."""
+    cells = dag.tok.size * (dag.n_kept + 1) + dag.chains.size
     return min(_SEED_CHUNK_ROWS, max(1, _SEED_CELL_BUDGET // cells))
 
 
 def _seed_start(
     scc: _PreparedScc,
-    seed: _Seed,
     W: npt.NDArray[np.float64],
     tol_rows: npt.NDArray[np.float64],
 ) -> npt.NDArray[np.int64]:
     """``(B, n)`` start policies from the SCC's token-edge reduction.
 
-    ``W`` is one row chunk (:func:`_seed_chunk_rows`): the forward pass
-    builds the token-edge matrices, lockstep Howard on the reduced
-    ``k``-node SCC gives each row's ratio and a critical node, and
-    :func:`~._token_seed.start_policy` lifts that solution to a
-    full-graph policy.  The start only proposes:
+    ``W`` is one row chunk (:func:`_seed_chunk_rows`).  The forward pass
+    over the contracted zero-token DAG builds the dense ``(B, k, k)``
+    token-edge matrices; one batched dense policy iteration on them
+    (:func:`~._token_seed.reduced_solve`) gives each row's ratio and
+    reduced potentials; :func:`~._token_seed.start_policy` lifts that
+    solution to a full-graph policy with one reverse pass and one argmax
+    over the contracted edges.  The start only proposes:
     :func:`_certify_seeded` accepts it as the row's fixed point or
     sends the row to the cold solve.
     """
-    dag = seed.dag
-    A = forward_matrix(dag, W)
-    cands = _scc_howard_csr_many(seed.reduced, A[:, dag.red_src, dag.red_dst],
-                                 tol_rows)
-    lam = np.fromiter((c[0] for c in cands), dtype=float, count=len(cands))
-    root = np.fromiter((c[1][0] for c in cands), dtype=np.int64, count=len(cands))
-    return start_policy(dag, W, A, lam, root,
-                        (scc.src, scc.dst, scc.tokens, scc.start))
+    dag = scc.seed
+    assert dag is not None
+    A, cw = forward_matrix(dag, W)
+    _, _, q = reduced_solve(A, dag.tok_tokens, tol_rows,
+                              _MAX_ROUNDS_FACTOR * max(dag.tok.size, 8))
+    return start_policy(dag, cw, q, scc.start)
 
 
 def _certify_seeded(

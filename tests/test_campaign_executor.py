@@ -296,6 +296,22 @@ class TestDrainParameters:
             ResultStore(object())
         assert sorted(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("call", [
+        lambda spec, store: run_campaign(spec, store),
+        lambda spec, store: run_campaign_worker(spec, store, "w"),
+        lambda spec, store: campaign_status(spec, store),
+        lambda spec, store: export_campaign_json(spec, store),
+        lambda spec, store: export_campaign_csv(spec, store),
+    ], ids=["run_campaign", "run_campaign_worker", "campaign_status",
+            "export_campaign_json", "export_campaign_csv"])
+    def test_every_entry_point_rejects_a_path_store(self, spec, tmp_path,
+                                                    monkeypatch, call):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ValidationError,
+                           match="store must be a ResultStore, got str"):
+            call(spec, "x.sqlite")
+        assert sorted(tmp_path.iterdir()) == []
+
     def test_lease_ttl_needs_worker_processes(self, spec, tmp_path):
         with ResultStore(tmp_path / "s.sqlite") as store:
             for n_jobs in (None, 1):

@@ -2,15 +2,18 @@
 
 Strict TPN SCCs with at least ``_SEED_NODES_PER_TOKEN`` nodes per token
 edge start every lockstep row from the policy their token-edge
-reduction proposes, and accept the row only under a certificate; an
-uncertified row is recomputed with the cold scalar kernel.  Either way
-each row must equal ``solve_prepared`` from a cold start in value bits,
-cycle nodes and cycle edges.  These tests replay real strict topologies,
-check the one-pass certificate (``_certify_seeded``) on hand-built start
-policies, force random near-tie SCCs through the seeded kernel (where
-the certificate must reject some rows), seed and certify slabs in row
-chunks (around the chunk boundaries, and a large topology's
-forward-pass budget), and pin the telemetry counters.
+reduction proposes, and accept the row only under a certificate; a
+chunk's uncertified rows are recomputed by one cold lockstep call.
+Either way each row must equal ``solve_prepared`` from a cold start in
+value bits, cycle nodes and cycle edges.  These tests replay real strict
+topologies, check the proposal's parts against references (the dense
+reduced solve against scalar Howard, the chain-contracted forward pass
+against brute-force longest paths), check the one-pass certificate
+(``_certify_seeded``) on hand-built start policies, force random
+near-tie SCCs through the seeded kernel (where the certificate must
+reject some rows), seed and certify slabs in row chunks (around the
+chunk boundaries, and a large topology's forward-pass budget), and pin
+the telemetry counters.
 """
 
 from __future__ import annotations
@@ -24,8 +27,10 @@ from repro.engine import BatchEngine
 from repro.engine.skeleton import build_skeleton
 from repro.errors import ValidationError
 from repro.maxplus import howard
+from repro.maxplus._token_seed import forward_matrix, reduced_solve, token_dag
 from repro.maxplus.graph import RatioGraph
 from repro.maxplus.howard import (
+    max_cycle_ratio_howard,
     prepare_howard,
     solve_prepared,
     solve_prepared_many,
@@ -117,12 +122,14 @@ class TestReplayAgainstCold:
 
 class TestRowChunking:
     def test_large_topology_chunks_its_forward_pass(self, monkeypatch):
-        # [3,4,5,7]: n 2 940, k 19.  A budget of two rows' cells splits
-        # five rows into three forward-pass chunks.
+        # [3,4,5,7]: n 2 940 (1 270 kept, 2 530 two-edge chains), k 19.
+        # A budget of two rows' cells splits five rows into three
+        # forward-pass chunks.
         insts = strict_instances((3, 4, 5, 7), 19, 2)[:5]
         sk = build_skeleton(insts[0], "strict")
         (comp,) = seeded_components(sk.plan)
-        assert (comp.n, comp.seed.dag.tok.size) == (2940, 19)
+        assert (comp.n, comp.seed.n_kept, comp.seed.tok.size) == (2940, 1270, 19)
+        assert comp.seed.chains.shape == (2530, 2)
         W = sk.stamp_weights_many(insts)
         whole = solve_prepared_many(sk.plan, W)
         chunks = []
@@ -133,7 +140,8 @@ class TestRowChunking:
             return forward(dag, Wc)
 
         monkeypatch.setattr(howard, "forward_matrix", counted)
-        monkeypatch.setattr(howard, "_SEED_CELL_BUDGET", 2 * 19 * 2941)
+        monkeypatch.setattr(howard, "_SEED_CELL_BUDGET",
+                            2 * (19 * 1271 + 2530 * 2))
         chunked = solve_prepared_many(sk.plan, W)
         assert chunks == [2, 2, 1]
         assert chunked == whole
@@ -148,7 +156,7 @@ class TestRowChunking:
         insts = strict_instances((3, 4, 5), 12, 33)
         sk = build_skeleton(insts[0], "strict")
         (comp,) = seeded_components(sk.plan)
-        chunk = howard._seed_chunk_rows(comp, comp.seed)
+        chunk = howard._seed_chunk_rows(comp.seed)
         assert chunk == howard._SEED_CHUNK_ROWS == 64
         W = sk.stamp_weights_many(insts)[:2 * chunk + 3]
         cold = [key(solve_prepared(sk.plan, w)) for w in W]
@@ -166,6 +174,138 @@ class TestRowChunking:
             assert chunks == [min(chunk, B - b0) for b0 in range(0, B, chunk)]
             assert [key(res) for res in many] == cold[:B]
             assert all(res.n_rounds == 1 for res in many)
+
+
+def dense_trials(rng, n_trials, rows):
+    """Random strongly connected dense ``(rows, k, k)`` token-edge
+    matrices: a Hamiltonian cycle plus random edges, ``-inf`` elsewhere,
+    weights drawn from :data:`TIE_LEVELS` (so cycle ratios tie) and 1-3
+    tokens per node."""
+    for _ in range(n_trials):
+        k = int(rng.integers(2, 11))
+        mask = np.zeros((k, k), dtype=bool)
+        perm = rng.permutation(k)
+        mask[perm, np.roll(perm, -1)] = True
+        mask |= rng.random((k, k)) < rng.uniform(0.0, 0.6)
+        A = np.where(mask, TIE_LEVELS[rng.integers(0, TIE_LEVELS.size,
+                                                   (rows, k, k))], -np.inf)
+        yield A, rng.integers(1, 4, k).astype(float)
+
+
+class TestDenseReducedSolve:
+    def test_ratio_and_potentials_against_scalar_howard(self):
+        rng = np.random.default_rng(3)
+        for A, t in dense_trials(rng, 150, rows=4):
+            B, k, _ = A.shape
+            tol = np.full(B, 1e-9)
+            lam, root, q = reduced_solve(A, t, tol, 64 * max(k, 8))
+            for b in range(B):
+                src, dst = np.nonzero(A[b] > -np.inf)
+                g = RatioGraph(k, [(int(i), int(j), float(A[b, i, j]), int(t[i]))
+                                   for i, j in zip(src, dst)])
+                ref = max_cycle_ratio_howard(g).value
+                assert lam[b] == pytest.approx(ref, rel=1e-12, abs=1e-12)
+                # q is a potential of A - lam * t: zero on the critical
+                # node, and every node's best edge is tight.
+                assert q[b, root[b]] == 0.0
+                best = (A[b] - (lam[b] * t)[:, None] + q[b][None, :]).max(axis=1)
+                np.testing.assert_allclose(best, q[b], rtol=0, atol=1e-9)
+
+    def test_rows_are_independent(self):
+        rng = np.random.default_rng(4)
+        A, t = next(dense_trials(rng, 1, rows=6))
+        tol = np.full(6, 1e-9)
+        whole = reduced_solve(A, t, tol, 64)
+        for b in range(6):
+            lam, root, q = reduced_solve(A[b:b + 1], t, tol[:1], 64)
+            assert (lam[0], root[0]) == (whole[0][b], whole[1][b])
+            assert np.array_equal(q[0], whole[2][b])
+
+
+def chained_scc(rng):
+    """A random live SCC whose zero-token part is a DAG of chains.
+
+    Hubs ``0 .. h-1`` are joined forward by one or two parallel chains
+    of 0-7 interior nodes (and by a few skip chains); the token edge
+    ``h-1 -> 0`` closes every cycle.  Extra token edges leave or enter
+    interior chain nodes, so some chains end or start at token
+    endpoints.  Returns CSR-ordered ``(n, src, dst, tokens)``.
+    """
+    h = int(rng.integers(3, 7))
+    edges: list[tuple[int, int, int]] = []
+    interior: list[int] = []
+    n = h
+
+    def chain(u, v):
+        nonlocal n
+        prev = u
+        for _ in range(int(rng.integers(0, 8))):
+            edges.append((prev, n, 0))
+            interior.append(n)
+            prev, n = n, n + 1
+        edges.append((prev, v, 0))
+
+    for u in range(h - 1):
+        for _ in range(int(rng.integers(1, 3))):
+            chain(u, u + 1)
+    for _ in range(int(rng.integers(0, 3))):
+        u = int(rng.integers(0, h - 1))
+        chain(u, int(rng.integers(u + 1, h)))
+    edges.append((h - 1, 0, 1))
+    for _ in range(int(rng.integers(1, 4))):
+        if interior:
+            tail = int(rng.choice(interior))
+            head = int(rng.choice(interior + [0]))
+            edges.append((tail, head, int(rng.integers(1, 3))))
+    edges.sort(key=lambda edge: edge[0])
+    src, dst, tokens = (np.array(col) for col in zip(*edges))
+    return n, src, dst, tokens.astype(float)
+
+
+def longest_zero_token_paths(n, src, dst, tokens, w):
+    """``L[a][b]``: longest zero-token path from ``a`` to ``b`` (0 for
+    ``a == b``, ``-inf`` if none), by ``n`` rounds of relaxation."""
+    L = np.full((n, n), -np.inf)
+    np.fill_diagonal(L, 0.0)
+    zero = [(int(s), int(d), float(x))
+            for s, d, t, x in zip(src, dst, tokens, w) if t == 0]
+    for _ in range(n):
+        for s, d, x in zero:
+            L[:, d] = np.maximum(L[:, d], L[:, s] + x)
+    return L
+
+
+class TestContractedForwardMatrix:
+    def test_against_brute_force_longest_paths(self):
+        rng = np.random.default_rng(5)
+        contracted = longest_chain = 0
+        for _ in range(60):
+            n, src, dst, tokens = chained_scc(rng)
+            dag = token_dag(n, src, dst, tokens)
+            contracted += n - dag.n_kept
+            longest_chain = max(longest_chain, dag.chains.shape[1])
+            W = rng.uniform(0.5, 10.0, (3, src.size))
+            A, _ = forward_matrix(dag, W)
+            tok = np.flatnonzero(tokens > 0)
+            for b in range(3):
+                L = longest_zero_token_paths(n, src, dst, tokens, W[b])
+                ref = W[b, tok][:, None] + L[np.ix_(dst[tok], src[tok])]
+                np.testing.assert_allclose(A[b], ref, rtol=1e-12)
+                assert np.array_equal(A[b] == -np.inf, ref == -np.inf)
+        # The trials do contract, through chains of several nodes.
+        assert contracted > 0 and longest_chain >= 6
+
+    def test_token_endpoints_are_kept(self):
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            n, src, dst, tokens = chained_scc(rng)
+            dag = token_dag(n, src, dst, tokens)
+            tok = tokens > 0
+            kept = set(dag.kept.tolist())
+            assert set(src[tok].tolist()) | set(dst[tok].tolist()) <= kept
+            # Each CSR edge lies on exactly one contracted edge.
+            real = dag.chains[dag.chains < src.size]
+            assert sorted(real.tolist()) == list(range(src.size))
 
 
 def single_scc(edges):
@@ -223,7 +363,7 @@ class TestCertifySeeded:
         (comp,) = seeded_components(plan)
         start = csr_policy(comp, hamiltonian)
         monkeypatch.setattr(howard, "_seed_start",
-                            lambda scc, seed, Wc, tol: start.repeat(len(Wc), 0))
+                            lambda scc, Wc, tol: start.repeat(len(Wc), 0))
         rows = np.array([[1.0, 1.0, 1.0, 10.0], [1.0, 2.0, 1.0, 10.0],
                          [2.0, 1.0, 1.0, 4.0]])
         many, counters = solve_and_count(plan, rows)
@@ -242,6 +382,34 @@ class TestCertifySeeded:
         assert cand is not None
         assert (cand[0], cand[1], cand[2]) == (
             cold.value, cold.cycle_nodes, cold.cycle_edges)
+
+
+class TestBatchedColdFallback:
+    def test_one_cold_lockstep_call_per_chunk(self, monkeypatch):
+        # Integer weights tie, so most lcm-60 rows miss the certificate.
+        # Each 4-row chunk re-solves its uncertified rows in one cold
+        # lockstep call, equal to the cold scalar solve in every field,
+        # round count included (a certified row reports 1 round).
+        insts = strict_instances((3, 4, 5), 12, 3)
+        sk = build_skeleton(insts[0], "strict")
+        W = np.random.default_rng(8).integers(
+            1, 11, (10, sk.plan.n_edges)).astype(float)
+        calls = []
+        cold_many = howard._scc_howard_csr_many
+
+        def counted(scc, Wc, tol):
+            calls.append(len(Wc))
+            return cold_many(scc, Wc, tol)
+
+        monkeypatch.setattr(howard, "_SEED_CHUNK_ROWS", 4)
+        monkeypatch.setattr(howard, "_scc_howard_csr_many", counted)
+        many, counters = solve_and_count(sk.plan, W)
+        for res, w in zip(many, W):
+            cold = solve_prepared(sk.plan, w)
+            assert key(res) == key(cold)
+            assert res.n_rounds in (1, cold.n_rounds)
+        assert 0 < len(calls) <= 3 and all(c <= 4 for c in calls)
+        assert sum(calls) == counters["howard.uncertified"]
 
 
 def near_tie_trials(rng, n_trials, rows):
