@@ -43,7 +43,7 @@ Quick start::
 The ``repro-workflow campaign run/status/export`` CLI wraps the same
 calls, and :func:`repro.experiments.runner.run_family` /
 :func:`repro.experiments.table2.run_table2` accept a ``store=`` to
-route the Table 2 harness through the same cache.
+drain the Table 2 harness through the same loop and cache.
 """
 
 from .executor import (

@@ -33,7 +33,8 @@ loop (:func:`_drain`) over the same work list:
 the store and its leases are no-ops, or in ``k`` lease-coordinated
 processes on the store's file (``n_jobs=k``, or any ``fault_plans``),
 which inherit the parent's expanded work list, so the spec expands
-once per drain.  :func:`run_campaign_worker` joins from another host.
+once per drain (nothing pending forks nothing); store-backed sweeps
+drain the same way.  :func:`run_campaign_worker` joins from another host.
 
 Every evaluation is a pure function of its point (Howard starts cold
 on every solve), and stored payloads carry only values — so
@@ -129,7 +130,8 @@ class CampaignReport:
     groups:
         Distinct TPN topology groups among the points this run drained.
     workers:
-        Worker processes launched; ``1`` for an in-process drain.
+        Worker processes launched; ``1`` for an in-process drain (so
+        whenever nothing was pending).
     crashed:
         Indices of worker processes that did not exit cleanly (SIGKILL
         shows up here); their claimed-but-uncommitted points simply
@@ -418,24 +420,25 @@ def _drain(
     *,
     max_rows: int,
     objectives: tuple[str, ...],
-    claim_batch: int,
+    claim_batch: int | None,
     commit_every: int,
+    peers: int | None = None,
     progress: Callable[[int, int], None] | None = None,
     spill_dir: str | Path | None = None,
 ) -> int:
     """The claim → evaluate → commit → release loop of every drain.
 
     A cursor walks ``work`` once per pass and offers it to ``lease`` one
-    ``claim_batch`` window at a time.  What a claim skips — digests
-    another worker stored or holds a live lease on — is deferred; at the
-    end of the pass the deferred digests still missing from the store
-    form the next pass.  The loop never rescans the store: it costs one
-    claim transaction per window plus one existence probe per deferred
-    digest.  A pass that claims nothing means every digest left is
-    leased by some other live worker: sweep leases whose renewal
-    deadline has passed (the hung-worker watchdog) and sleep briefly —
-    either that worker finishes them or the next claim takes the stale
-    ones over.
+    window at a time (:func:`_claim_window`; ``peers`` forked workers
+    share ``work``).  What a claim skips — digests another worker stored
+    or holds a live lease on — is deferred; at the end of the pass the
+    deferred digests still missing from the store form the next pass.
+    The loop never rescans the store: it costs one claim transaction per
+    window plus one existence probe per deferred digest.  A pass that
+    claims nothing means every digest left is leased by some other live
+    worker: sweep leases whose renewal deadline has passed (the
+    hung-worker watchdog) and sleep briefly — either that worker
+    finishes them or the next claim takes the stale ones over.
 
     Each claimed window is evaluated with one engine call, so each
     same-topology run in it is one lockstep slab.  Its results are
@@ -462,6 +465,7 @@ def _drain(
     # counters (skeleton builds, Howard prepares) depend only on its work.
     pattern_plan.cache_clear()
     engine = BatchEngine(max_rows=max_rows)
+    claim_batch = _claim_window(claim_batch, commit_every, len(work), peers)
     by_digest = {digest: (inst, model) for digest, inst, model in work}
     todo = list(by_digest)
     done_new = 0
@@ -586,69 +590,42 @@ def _fabric_worker_main(
         )
 
 
-def _run_processes(
-    work: list[_Work],
-    store: ResultStore,
-    workers: int,
-    lease_ttl: float,
-    fault_plans: Mapping[int, FaultPlan] | None,
-    trace_dir: str | None,
-    drain_options: dict[str, Any],
-) -> tuple[int, ...]:
-    """Drain ``work`` with ``workers`` processes; indices that crashed.
-
-    The processes coordinate **only** through the store file's lease
-    table — the multi-host execution model run on one machine.  The
-    parent's own connection stays open and idle until every worker has
-    exited (pending writes are committed first), so the lock state the
-    forked workers inherit is backed by locks the parent really holds.
-    """
-    import multiprocessing as mp
-
-    store.commit()
-    ctx = mp.get_context()
-    with TELEMETRY.span("prepare"):
-        procs = [
-            ctx.Process(
-                target=_fabric_worker_main,
-                args=(_rotated(work, i * len(work) // workers),
-                      store.path, i, lease_ttl,
-                      None if fault_plans is None else fault_plans.get(i),
-                      trace_dir, drain_options),
-            )
-            for i in range(workers)
-        ]
-        for proc in procs:
-            proc.start()
-    crashed: list[int] = []
-    # One parent-side span per worker join: together the join spans
-    # tile the drain phase (span i ends when worker i exits, span i+1
-    # starts immediately), so the root campaign span's time is
-    # attributed to named children even though the parent only waits.
-    for i, proc in enumerate(procs):
-        with TELEMETRY.span("worker", worker=i):
-            proc.join()
-        if proc.exitcode != 0:
-            crashed.append(i)
-    return tuple(crashed)
-
-
 def _drain_options(
-    spec: CampaignSpec,
-    claim_batch: int | None,
-    commit_every: int,
-    spill_dir: str | Path | None,
-) -> dict[str, Any]:
-    """Keyword arguments of :func:`_drain` for one spec and cadence,
-    all but ``claim_batch`` (:func:`_claim_window`, once the work list
-    is known); validates both before any work."""
+    store: ResultStore,
+    n_jobs: int | None,
+    max_rows: int,
+    objectives: tuple[str, ...] = ("period",),
+    claim_batch: int | None = None,
+    commit_every: int = DEFAULT_COMMIT_EVERY,
+    spill_dir: str | Path | None = None,
+    fault_plans: Mapping[int, FaultPlan] | None = None,
+    lease_ttl: float | None = None,
+) -> tuple[int | None, dict[str, Any]]:
+    """``(workers, options)`` of a drain on ``store``: the worker
+    processes it may fork (``None``: it drains in this process) and the
+    keyword arguments of :func:`_drain`.  Validates every argument
+    before any work."""
+    _require_store(store)
+    if n_jobs is not None and n_jobs < 0:
+        raise ValidationError(f"n_jobs must be None or >= 0, got {n_jobs}")
     if commit_every < 1:
         raise ValidationError(f"commit_every must be >= 1, got {commit_every}")
     if claim_batch is not None and claim_batch < 1:
         raise ValidationError(f"claim_batch must be >= 1, got {claim_batch}")
-    return {
-        "max_rows": spec.max_paths + 1,
-        "objectives": spec.objectives,
+    jobs = (_os.cpu_count() or 1) if n_jobs == 0 else n_jobs or 1
+    workers = jobs if jobs > 1 or fault_plans is not None else None
+    if workers is None and lease_ttl is not None:
+        raise ValidationError("lease_ttl needs worker processes (n_jobs > 1 "
+                              "or fault_plans): in-process drains hold no leases")
+    if workers is not None and store.path == ":memory:":
+        raise ValidationError(
+            "a multi-process drain needs a file-backed store; an "
+            "in-memory store cannot be shared between processes"
+        )
+    return workers, {
+        "max_rows": max_rows,
+        "objectives": objectives,
+        "claim_batch": claim_batch,
         "commit_every": commit_every,
         "spill_dir": None if spill_dir is None else str(spill_dir),
     }
@@ -675,6 +652,60 @@ def _claim_window(
     if workers is not None:
         window = min(window, max(1, -(-n_work // workers)))
     return window
+
+
+def _drain_work(
+    store: ResultStore,
+    work: list[_Work],
+    workers: int | None,
+    drain_options: dict[str, Any],
+    progress: Callable[[int, int], None] | None = None,
+    lease_ttl: float = DEFAULT_LEASE_TTL,
+    fault_plans: Mapping[int, FaultPlan] | None = None,
+    trace_dir: str | None = None,
+) -> tuple[int, int, tuple[int, ...]]:
+    """Drain the topology-ordered ``work``: ``(evaluated, workers
+    launched, crashed worker indices)``.
+
+    The one place that chooses how.  With ``workers`` ``None``, or
+    nothing pending, this process drains and its leases are no-ops.
+    Otherwise ``workers`` forked processes coordinate **only** through
+    the store file's lease table, while the parent's connection stays
+    open and idle (pending writes committed first), so the lock state
+    the workers inherit is backed by locks the parent really holds.
+    """
+    if workers is None or not work:
+        return _drain(store, work, _LocalLease(), progress=progress,
+                      **drain_options), 1, ()
+    import multiprocessing as mp
+
+    store.commit()
+    ctx = mp.get_context()
+    with TELEMETRY.span("prepare"):
+        procs = [
+            ctx.Process(
+                target=_fabric_worker_main,
+                args=(_rotated(work, i * len(work) // workers),
+                      store.path, i, lease_ttl,
+                      None if fault_plans is None else fault_plans.get(i),
+                      trace_dir, dict(drain_options, peers=workers)),
+            )
+            for i in range(workers)
+        ]
+        for proc in procs:
+            proc.start()
+    # One parent-side span per worker join: together the join spans
+    # tile the drain phase (span i ends when worker i exits, span i+1
+    # starts immediately), so the root campaign span's time is
+    # attributed to named children even though the parent only waits.
+    for i, proc in enumerate(procs):
+        with TELEMETRY.span("worker", worker=i):
+            proc.join()
+    evaluated = sum(1 for digest, _, _ in work if digest in store)
+    if progress is not None:
+        progress(evaluated, len(work))
+    return evaluated, workers, tuple(
+        i for i, proc in enumerate(procs) if proc.exitcode != 0)
 
 
 def run_campaign(
@@ -747,47 +778,23 @@ def run_campaign(
         Journal a worker spills a slice to when the store stays
         unreachable past its retry budget (``store heal`` replays it).
     """
-    _require_store(store)
-    if n_jobs is not None and n_jobs < 0:
-        raise ValidationError(f"n_jobs must be None or >= 0, got {n_jobs}")
+    workers, drain_options = _drain_options(
+        store, n_jobs, spec.max_paths + 1, spec.objectives, claim_batch,
+        commit_every, spill_dir, fault_plans, lease_ttl)
     if max_points is not None and max_points < 0:
         raise ValidationError(f"max_points must be >= 0, got {max_points}")
-    jobs = (_os.cpu_count() or 1) if n_jobs == 0 else n_jobs or 1
-    # None drains in this process; k forks k lease-coordinated workers.
-    workers = jobs if jobs > 1 or fault_plans is not None else None
-    if workers is None and lease_ttl is not None:
-        raise ValidationError("lease_ttl needs worker processes (n_jobs > 1 "
-                              "or fault_plans): in-process drains hold no leases")
-    if workers is not None and store.path == ":memory:":
-        raise ValidationError(
-            "a multi-process drain needs a file-backed store; an "
-            "in-memory store cannot be shared between processes"
-        )
-    drain_options = _drain_options(spec, claim_batch, commit_every,
-                                   spill_dir)
     trace_arg = None if trace_dir is None else str(trace_dir)
     if trace_arg is not None:
         Path(trace_arg).mkdir(parents=True, exist_ok=True)
         TELEMETRY.enable("main")
 
-    with TELEMETRY.span("campaign", campaign=spec.name,
-                        workers=workers or 1):
+    with TELEMETRY.span("campaign", campaign=spec.name):
         total, n_pending, work, groups = _pending_work(spec, store, max_points)
-        drain_options["claim_batch"] = _claim_window(
-            claim_batch, commit_every, len(work), workers)
-        crashed: tuple[int, ...] = ()
-        if workers is None:
-            evaluated = _drain(store, work, _LocalLease(), progress=progress,
-                               **drain_options)
-        else:
-            crashed = _run_processes(
-                work, store, workers,
-                DEFAULT_LEASE_TTL if lease_ttl is None else lease_ttl,
-                fault_plans, trace_arg, drain_options,
-            )
-            evaluated = sum(1 for digest, _, _ in work if digest in store)
-            if progress is not None:
-                progress(evaluated, len(work))
+        evaluated, launched, crashed = _drain_work(
+            store, work, workers, drain_options, progress,
+            lease_ttl=DEFAULT_LEASE_TTL if lease_ttl is None else lease_ttl,
+            fault_plans=fault_plans, trace_dir=trace_arg,
+        )
 
     report = CampaignReport(
         spec_name=spec.name,
@@ -796,7 +803,7 @@ def run_campaign(
         evaluated=evaluated,
         remaining=n_pending - evaluated,
         groups=groups,
-        workers=workers or 1,
+        workers=launched,
         crashed=crashed,
     )
     if trace_arg is not None:
@@ -836,12 +843,10 @@ def run_campaign_worker(
     spills to the ``spill_dir`` journal (when given); ``store heal``
     replays it.
     """
-    _require_store(store)
-    drain_options = _drain_options(spec, claim_batch, commit_every,
-                                   spill_dir)
+    _, drain_options = _drain_options(store, None, spec.max_paths + 1,
+                                      spec.objectives, claim_batch,
+                                      commit_every, spill_dir)
     _, _, work, _ = _pending_work(spec, store)
-    drain_options["claim_batch"] = _claim_window(
-        claim_batch, commit_every, len(work), None)
     lease = LeaseManager(
         store, worker_id,
         ttl=DEFAULT_LEASE_TTL if lease_ttl is None else lease_ttl,

@@ -13,9 +13,10 @@ consequences the campaign subsystem is built on:
   and a *grown* campaign (more draws, extra axes) only computes the
   new points.
 * **Cross-harness sharing**: :func:`repro.experiments.runner.run_family`
-  and :func:`~repro.experiments.table2.run_table2` route their record
-  creation through the same API, so a Table 2 sweep and a campaign that
-  happen to draw the same instance share one stored evaluation.
+  and :func:`~repro.experiments.table2.run_table2` drain through the
+  campaign loop and read their records back from the store, so a Table
+  2 sweep and a campaign that happen to draw the same instance share
+  one stored evaluation.
 
 Since the distributed-fabric work the store is also **multi-writer
 safe**: files open in WAL journal mode with a busy timeout, so N worker
@@ -239,11 +240,12 @@ def record_from_payload(
 ) -> ExperimentRecord:
     """Reattach caller context to a stored payload.
 
-    The inverse of what :func:`repro.experiments.runner.run_family`
-    does when it stores a fresh evaluation: payloads carry only content
-    (results + instance shape), the family name and seed are the
-    caller's identity.  Records rebuilt this way are equal to records
-    computed live — floats round-trip exactly through canonical JSON.
+    A store-backed :func:`repro.experiments.runner.run_family` builds
+    every record this way, stored before the call or by its drain:
+    payloads carry only content (results + instance shape), the family
+    name and seed are the caller's identity.  Records rebuilt this way
+    are equal to records computed live — floats round-trip exactly
+    through canonical JSON.
     """
     return ExperimentRecord(
         config_name=config_name,

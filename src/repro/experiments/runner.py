@@ -16,7 +16,7 @@ between interpreter runs.
 family through :func:`repro.engine.evaluate`, which caches the TPN
 skeleton and solver preparation per mapping topology and shards large
 sweeps across worker processes with deterministic chunking; with a
-``store=`` it evaluates only the points the store does not hold.
+``store=`` it drains only unstored points through the campaign loop.
 :func:`run_single` is the per-seed
 :func:`~repro.core.throughput.compute_period` oracle: its records are
 bit-identical to the matching :func:`run_family` records.
@@ -25,7 +25,8 @@ bit-identical to the matching :func:`run_family` records.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from itertools import islice
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from ..core.instance import Instance
 from ..core.models import CommModel
 from ..core.throughput import PeriodResult, compute_period
 from ..engine import evaluate
+from ..errors import ReproError
 from ..utils import spawn_seeds
 from .generator import ExperimentConfig, instance_from_config
 
@@ -177,7 +179,8 @@ def run_family(
         family branch uses a stable digest (:func:`family_seeds`), for
         any interpreter invocation.
     n_jobs:
-        Worker processes; ``None``/1 runs serially, 0 uses all cores.
+        Worker processes; ``None``/1 runs serially, 0 uses all cores;
+        with a store, lease workers (file-backed store only).
     store:
         Optional content-addressed
         :class:`~repro.campaign.store.ResultStore`: already-stored
@@ -189,64 +192,60 @@ def run_family(
     Raises
     ------
     ValidationError
-        If ``count`` is negative.
+        If ``count`` or ``n_jobs`` is negative, if ``store`` is not a
+        :class:`~repro.campaign.store.ResultStore`, or if it is in
+        memory and ``n_jobs`` asks for worker processes.
     """
     model = CommModel.parse(model)
     if count is None:
         count = config.count
     seeds = family_seeds(config, model, count, root_seed=root_seed)
-    instances = [_draw_instance(config, s, max_paths) for s in seeds]
-    if store is not None:
-        return _run_family_stored(
-            config, model, seeds, instances, store,
-            max_paths=max_paths, n_jobs=n_jobs,
-        )
-    results = evaluate(instances, model, max_rows=max_paths + 1, n_jobs=n_jobs)
-    return [
-        _record_from(config, model, s, inst, res)
-        for s, inst, res in zip(seeds, instances, results)
-    ]
+    return _sweep([(config, model, seeds)], n_jobs, max_paths, store)[0]
 
 
-def _run_family_stored(
-    config: ExperimentConfig,
-    model: CommModel,
-    seeds: list[int],
-    instances: list[Instance],
-    store: "ResultStore",
-    max_paths: int,
+def _sweep(
+    rows: Sequence[tuple[ExperimentConfig, CommModel, list[int]]],
     n_jobs: int | None,
-) -> list[ExperimentRecord]:
-    """Sweep through a content-addressed store.
+    max_paths: int,
+    store: "ResultStore | None",
+) -> list[list[ExperimentRecord]]:
+    """The records of every ``(config, model, seeds)`` row, in one pass.
 
-    Stored digests are served from the store; only the missing
-    instances go through :func:`evaluate`, and their payloads are
-    written back so the next overlapping sweep or campaign reuses them.
+    Without a store one :func:`evaluate` call evaluates every instance.
+    With one, the distinct unstored digests go through one campaign
+    drain, in this process or in ``n_jobs`` lease workers, and every
+    record is rebuilt from its stored payload.
     """
-    # Function-level import: experiments.io imports this module, and
-    # campaign.store imports experiments.io — importing at module scope
-    # would close the cycle.
-    from ..campaign.store import instance_digest, payload_from_result, \
-        record_from_payload
+    if store is not None:
+        # Function-level import: experiments.io imports this module, and
+        # campaign.store imports experiments.io — importing at module
+        # scope would close the cycle.
+        from ..campaign import executor
+        from ..campaign.store import instance_digest, record_from_payload
 
-    digests = [instance_digest(inst, model) for inst in instances]
-    payloads: dict[int, dict] = {}
-    miss_idx: list[int] = []
-    for i, digest in enumerate(digests):
-        payload = store.get(digest)
-        if payload is None:
-            miss_idx.append(i)
-        else:
-            payloads[i] = payload
-    results = evaluate(
-        [instances[i] for i in miss_idx], model,
-        max_rows=max_paths + 1, n_jobs=n_jobs,
-    )
-    for i, res in zip(miss_idx, results):
-        payloads[i] = payload_from_result(instances[i], res)
-        store.put(digests[i], payloads[i], commit=False)
-    store.commit()
-    return [
-        record_from_payload(config.name, model, seeds[i], payloads[i])
-        for i in range(len(seeds))
-    ]
+        workers, options = executor._drain_options(store, n_jobs, max_paths + 1)
+    points = [(config, model, s) for config, model, seeds in rows for s in seeds]
+    instances = [_draw_instance(config, s, max_paths) for config, _, s in points]
+    if store is None:
+        results = evaluate(instances, [model for _, model, _ in points],
+                           max_rows=max_paths + 1, n_jobs=n_jobs)
+        records = [_record_from(*point, inst, res)
+                   for point, inst, res in zip(points, instances, results)]
+    else:
+        digests = [instance_digest(inst, model)
+                   for (_, model, _), inst in zip(points, instances)]
+        pending = list({
+            digest: (digest, inst, model.value)
+            for digest, inst, (_, model, _) in zip(digests, instances, points)
+            if digest not in store
+        }.values())
+        work = [pending[i] for i in executor.order_for_engine([w[1:] for w in pending])]
+        _, _, crashed = executor._drain_work(store, work, workers, options)
+        payloads = [store.get(digest) for digest in digests]
+        if None in payloads:
+            raise ReproError(f"worker processes {list(crashed)} crashed; "
+                             f"rerun to resume the sweep from the store")
+        records = [record_from_payload(config.name, model, s, payload)
+                   for (config, model, s), payload in zip(points, payloads)]
+    it = iter(records)
+    return [list(islice(it, len(seeds))) for _, _, seeds in rows]

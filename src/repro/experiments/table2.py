@@ -12,9 +12,10 @@ harness reproduces in *shape*:
 
 ``scale`` shrinks the per-row counts proportionally for quick runs; the
 full campaign (scale=1.0) reproduces the paper's 5152 experiments.
-Every row is one :func:`~repro.experiments.runner.run_family` sweep, so
-the whole table runs through :func:`repro.engine.evaluate` (and, with a
-``store=``, evaluates only the points the store does not hold).
+All rows are swept in one pass, as one
+:func:`~repro.experiments.runner.run_family` would sweep them: one
+:func:`repro.engine.evaluate` call, or with a ``store=`` one campaign
+drain over the points the store does not hold.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import TYPE_CHECKING
 
 from ..core.models import CommModel
 from .generator import TABLE2_CONFIGS, ExperimentConfig
-from .runner import DEFAULT_MAX_PATHS, ExperimentRecord, run_family
+from .runner import DEFAULT_MAX_PATHS, ExperimentRecord, _sweep, family_seeds
 
 if TYPE_CHECKING:  # pragma: no cover - layering: campaign sits above
     from ..campaign.store import ResultStore
@@ -81,36 +82,26 @@ def run_table2(
     n_jobs:
         Parallel worker processes (0 = all cores).
     store:
-        Optional content-addressed store passed to :func:`run_family`:
-        re-running Table 2 (or scaling it up) only computes the points
-        not already stored.
+        Optional content-addressed store, used as by
+        :func:`~repro.experiments.runner.run_family`: re-running Table 2
+        (or scaling it up) only computes the points not already stored.
     """
-    rows: list[Table2Row] = []
-    for model in models:
-        model = CommModel.parse(model)
-        for config in configs:
-            count = max(1, round(config.count * scale))
-            records = run_family(
-                config,
-                model,
-                count=count,
-                root_seed=root_seed,
-                n_jobs=n_jobs,
-                max_paths=max_paths,
-                store=store,
-            )
-            no_crit = [r for r in records if not r.critical]
-            rows.append(
-                Table2Row(
-                    config=config,
-                    model=model.value,
-                    total=len(records),
-                    no_critical=len(no_crit),
-                    max_gap=max((r.gap for r in no_crit), default=0.0),
-                    records=tuple(records),
-                )
-            )
-    return rows
+    rows = [
+        (config, model, family_seeds(config, model,
+                                     max(1, round(config.count * scale)),
+                                     root_seed=root_seed))
+        for model in map(CommModel.parse, models)
+        for config in configs
+    ]
+    return [
+        Table2Row(config=config, model=model.value, total=len(records),
+                  no_critical=sum(not r.critical for r in records),
+                  max_gap=max((r.gap for r in records if not r.critical),
+                              default=0.0),
+                  records=tuple(records))
+        for (config, model, _), records
+        in zip(rows, _sweep(rows, n_jobs, max_paths, store))
+    ]
 
 
 def format_table2(rows: list[Table2Row]) -> str:

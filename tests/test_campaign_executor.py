@@ -29,6 +29,7 @@ from repro.campaign.executor import _claim_window
 from repro.cli import main
 from repro.engine import MAX_GROUP_ROWS, topology_signature
 from repro.errors import ValidationError
+from repro.experiments import TABLE2_CONFIGS, run_family
 
 SPEC_DICT = {
     "name": "executor-test",
@@ -302,8 +303,10 @@ class TestDrainParameters:
         lambda spec, store: campaign_status(spec, store),
         lambda spec, store: export_campaign_json(spec, store),
         lambda spec, store: export_campaign_csv(spec, store),
+        lambda spec, store: run_family(TABLE2_CONFIGS[4], "strict",
+                                       count=2, store=store),
     ], ids=["run_campaign", "run_campaign_worker", "campaign_status",
-            "export_campaign_json", "export_campaign_csv"])
+            "export_campaign_json", "export_campaign_csv", "run_family"])
     def test_every_entry_point_rejects_a_path_store(self, spec, tmp_path,
                                                     monkeypatch, call):
         monkeypatch.chdir(tmp_path)
@@ -311,6 +314,35 @@ class TestDrainParameters:
                            match="store must be a ResultStore, got str"):
             call(spec, "x.sqlite")
         assert sorted(tmp_path.iterdir()) == []
+
+    def test_in_memory_store_cannot_fork(self, spec):
+        store = ResultStore(":memory:")
+        for call in (
+            lambda: run_campaign(spec, store, n_jobs=2),
+            lambda: run_family(TABLE2_CONFIGS[4], "strict", count=2,
+                               store=store, n_jobs=2),
+        ):
+            with pytest.raises(ValidationError,
+                               match="multi-process drain needs a "
+                                     "file-backed store"):
+                call()
+        assert len(store) == 0
+
+    def test_complete_rerun_starts_no_process(self, spec, tmp_path,
+                                              monkeypatch):
+        import multiprocessing.process
+
+        with ResultStore(tmp_path / "s.sqlite") as store:
+            assert run_campaign(spec, store, n_jobs=2).workers == 2
+
+            def no_start(proc):
+                raise AssertionError("a drain with nothing pending forked")
+
+            monkeypatch.setattr(multiprocessing.process.BaseProcess,
+                                "start", no_start)
+            again = run_campaign(spec, store, n_jobs=2)
+        assert (again.evaluated, again.workers) == (0, 1)
+        assert again.complete
 
     def test_lease_ttl_needs_worker_processes(self, spec, tmp_path):
         with ResultStore(tmp_path / "s.sqlite") as store:

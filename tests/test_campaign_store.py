@@ -21,7 +21,7 @@ from repro.core.instance import Instance
 from repro.core.mapping import Mapping
 from repro.core.throughput import compute_period
 from repro.errors import StoreCorruptionError, StoreLeaseError
-from repro.experiments import TABLE2_CONFIGS, run_family
+from repro.experiments import TABLE2_CONFIGS, run_family, run_table2
 from repro.experiments.examples_paper import example_a
 from repro.experiments.runner import _draw_instance, family_seeds
 
@@ -112,6 +112,30 @@ class TestRecordReconstruction:
             assert "engine.points" not in tel.counters
         assert first == plain
         assert again == plain
+        serial = dict(ResultStore(tmp_path / "s.sqlite").items_text())
+        # Forked lease workers: the same records and payload bytes, and
+        # a complete rerun evaluates nothing in any process.
+        with ResultStore(tmp_path / "jobs.sqlite") as store:
+            with collecting() as tel:
+                jobs = run_family(config, "strict", count=6, n_jobs=2,
+                                  store=store)
+            assert [s.name for s in tel.spans].count("worker") == 2
+            with collecting() as tel:
+                again = run_family(config, "strict", count=6, n_jobs=2,
+                                   store=store)
+            assert "engine.points" not in tel.counters
+            assert "worker" not in [s.name for s in tel.spans]
+            assert dict(store.items_text()) == serial
+        assert jobs == plain
+        assert again == plain
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_table2_identical_with_and_without_store(self, tmp_path, n_jobs):
+        plain = run_table2(scale=0.01, n_jobs=n_jobs)
+        with ResultStore(tmp_path / "s.sqlite") as store:
+            assert run_table2(scale=0.01, n_jobs=n_jobs, store=store) == plain
+            assert len(store) == sum(row.total for row in plain)
+            assert run_table2(scale=0.01, n_jobs=n_jobs, store=store) == plain
 
     def test_payload_to_record_fields(self):
         config = TABLE2_CONFIGS[4]
