@@ -28,9 +28,9 @@ rates *and* full-chunk lockstep groups inside every worker.  Each
 worker process keeps one long-lived :class:`BatchEngine`, so the cache
 survives across chunks of the same batch (and across batches, for
 repeated calls inside one worker lifetime).  A caller-owned
-``engine=`` is a serial-path feature; combining it with ``n_jobs``
-parallelism raises :class:`~repro.errors.ValidationError` (worker
-processes cannot share the caller's cache).
+``engine=`` evaluates every pair that stays in the calling process (a
+serial call, or a batch too small to shard); sharded chunks run on the
+worker engines, built with the caller engine's ``max_rows``.
 
 Every evaluation is a pure function of ``(instance, model, method)``:
 Howard starts cold on every solve, so results are bit-identical
@@ -68,14 +68,12 @@ __all__ = [
     "evaluate",
     "MIN_GROUP_ROWS",
     "MAX_GROUP_ROWS",
-    "MIN_PARALLEL_BATCH",
 ]
 
 #: Below this many pairs a process pool costs more than it saves;
-#: :func:`evaluate` falls back to the serial path.  Public so callers
-#: that must decide between a caller-owned engine and worker sharding
-#: (e.g. the mapping-search neighborhood scan) can mirror the dispatch.
-MIN_PARALLEL_BATCH = 4
+#: :func:`evaluate` keeps the batch in-process (on the caller's engine
+#: when one is passed).
+_MIN_PARALLEL_BATCH = 4
 
 #: Smallest same-signature run routed through the lockstep group solver;
 #: a single pair goes through the scalar path (identical results, no
@@ -445,7 +443,9 @@ def evaluate(
         ``"auto"`` / ``"polynomial"`` / ``"tpn"`` / ``"simulation"``,
         with :func:`compute_period`'s semantics.
     max_rows:
-        TPN row budget (per evaluation, like the scalar path).
+        TPN row budget (per evaluation, like the scalar path); ignored
+        when ``engine=`` is passed, whose own ``max_rows`` applies to
+        every pair, sharded or not.
     n_jobs:
         ``None``/``1`` evaluates serially in-process; ``0`` uses all
         cores; ``k > 1`` uses ``k`` worker processes.  Results are
@@ -457,11 +457,10 @@ def evaluate(
         adjacent in the input for best cache locality *and* full-chunk
         lockstep groups.
     engine:
-        Serial path only: reuse a caller-owned :class:`BatchEngine`
-        (e.g. to share its cache across successive sweeps).
-        Combining ``engine=`` with a parallel ``n_jobs`` raises
-        :class:`~repro.errors.ValidationError` — worker processes
-        cannot share the caller's cache.
+        Reuse a caller-owned :class:`BatchEngine` (e.g. to share its
+        cache across successive sweeps or search neighborhoods) for the
+        pairs evaluated in this process.  Sharded chunks run on worker
+        engines, which cannot share the caller's cache.
 
     Examples
     --------
@@ -477,14 +476,10 @@ def evaluate(
         raise ValidationError(f"n_jobs must be None or >= 0, got {n_jobs}")
     if chunk_size is not None and chunk_size < 1:
         raise ValidationError(f"chunk_size must be None or >= 1, got {chunk_size}")
-    if engine is not None and n_jobs not in (None, 1):
-        raise ValidationError(
-            f"engine= is a serial-path option but n_jobs={n_jobs} requests "
-            f"worker processes, which cannot share the caller's engine "
-            f"cache; drop engine= or run with n_jobs=1"
-        )
+    if engine is not None:
+        max_rows = engine.max_rows
     pairs = _normalize_pairs(instances, models)
-    if n_jobs is None or n_jobs == 1 or len(pairs) < MIN_PARALLEL_BATCH:
+    if n_jobs is None or n_jobs == 1 or len(pairs) < _MIN_PARALLEL_BATCH:
         eng = engine if engine is not None else BatchEngine(max_rows=max_rows)
         return eng._evaluate_sequence(pairs, method)
 

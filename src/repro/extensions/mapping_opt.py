@@ -17,12 +17,18 @@ demonstrating the intended downstream use of the library's evaluator.
 Candidate evaluation runs through a shared
 :class:`~repro.engine.batch.BatchEngine` (pass your own via ``engine=``
 to share its topology cache across searches): re-proposed mappings hit
-the skeleton cache instead of rebuilding their TPN, and
-:func:`local_search_mapping` can fan a whole neighborhood out to worker
-processes with ``n_jobs`` while preserving the serial search trajectory.
-Small neighborhoods evaluate as one sequence through the engine, which
-locksteps any same-topology runs among the candidates through the
-batched Howard solver (see :func:`repro.maxplus.howard.solve_prepared_many`).
+the skeleton cache instead of rebuilding their TPN.
+
+Every climb — :func:`local_search_mapping` here and each scalarized
+direction of :func:`repro.search.pareto_portfolio_search` — runs one
+private first-improvement scan, parameterized by a per-candidate score
+and a ``better(new, best)`` rule.  Serially it grants and evaluates one
+candidate at a time; with ``n_jobs`` it evaluates the rest of each
+neighborhood in one :func:`repro.engine.evaluate` call (sharded across
+worker processes when large enough, locksteping same-topology runs on
+the shared engine otherwise) and refunds the grant past the accepted
+move, so the trajectory, the charges and ``evaluations`` are the serial
+ones.
 
 Restart hooks
 -------------
@@ -51,8 +57,8 @@ a fixed oracle allowance:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Protocol
+from dataclasses import dataclass, field
+from typing import Any, Callable, Protocol
 
 import numpy as np
 
@@ -61,8 +67,8 @@ from ..core.instance import Instance
 from ..core.mapping import Mapping
 from ..core.models import CommModel
 from ..core.platform import Platform
+from ..core.throughput import PeriodResult
 from ..engine import BatchEngine, evaluate
-from ..engine.batch import MIN_PARALLEL_BATCH
 from ..errors import ValidationError
 from ..experiments.generator import random_replication
 
@@ -88,14 +94,15 @@ class _BudgetExhausted(Exception):
     """Internal control flow: the shared evaluation pool ran dry."""
 
 
-def _charge(budget: _Budget | None, n: int = 1) -> int:
+def _take(budget: _Budget | None, n: int) -> int:
     """Grant up to ``n`` evaluations from ``budget`` (all of them if None)."""
-    if budget is None:
-        return n
-    granted = budget.take(n)
-    if granted == 0 and n > 0:
+    return n if budget is None else budget.take(n)
+
+
+def _charge(budget: _Budget | None) -> None:
+    """Grant one evaluation, or raise :class:`_BudgetExhausted`."""
+    if _take(budget, 1) == 0:
         raise _BudgetExhausted
-    return granted
 
 
 @dataclass(frozen=True)
@@ -382,6 +389,113 @@ def _neighborhood_moves(assign: list[list[int]]) -> list[list[list[int]]]:
     return moves
 
 
+@dataclass
+class _Climb:
+    """Mutable state of one first-improvement climb (see :func:`_climb`).
+
+    ``best`` and the ``trace`` entries are whatever the caller's
+    ``score`` returns; the scan only compares them through ``better``.
+    ``evaluations`` and ``trace`` count from the start of one call.
+    """
+
+    mapping: Mapping
+    best: Any
+    rng: np.random.Generator
+    iteration: int = 0
+    cursor: int = 0
+    order: np.ndarray | None = None
+    started: bool = False
+    evaluations: int = 0
+    trace: list[Any] = field(default_factory=list)
+
+
+def _climb(
+    state: _Climb,
+    app: Application,
+    plat: Platform,
+    model: CommModel,
+    score: Callable[[Instance, PeriodResult], Any],
+    better: Callable[[Any, Any], bool],
+    engine: BatchEngine,
+    max_iters: int,
+    max_paths: int,
+    n_jobs: int | None,
+    budget: _Budget | None,
+) -> bool:
+    """The one first-improvement scan behind every mapping climb.
+
+    Evaluates the start mapping (unless ``state.started``), then scans
+    each neighborhood in a fresh shuffled order and accepts the first
+    candidate whose ``score(inst, period_result)`` is ``better`` than
+    the incumbent's.  Candidates over ``max_paths`` are charged but
+    never scored.  Serially, every candidate is granted and evaluated
+    one at a time; with ``n_jobs`` (0 or k > 1) the scan grants the rest
+    of the neighborhood, evaluates it in one :func:`repro.engine.evaluate`
+    call and refunds the grant past the accepted move, so the charges,
+    the ``score`` calls and the accepted moves are the serial ones.
+
+    Returns ``True`` when the budget dried mid-climb (``state`` is then
+    the resume point), ``False`` when the climb converged or hit
+    ``max_iters``.
+    """
+    sharded = n_jobs not in (None, 1)
+    if not state.started:
+        if _take(budget, 1) == 0:
+            return True
+        state.evaluations += 1
+        if state.mapping.num_paths <= max_paths:
+            inst = Instance(app, plat, state.mapping)
+            state.best = score(inst, engine.evaluate(inst, model))
+        state.started = True
+        state.trace.append(state.best)
+
+    while state.iteration < max_iters:
+        moves = _neighborhood_moves([list(s) for s in state.mapping.assignments])
+        if state.order is None:
+            state.order = state.rng.permutation(len(moves))
+            state.cursor = 0
+        candidates: list[Mapping] = []
+        for k in state.order:
+            try:
+                candidates.append(Mapping([tuple(s) for s in moves[int(k)]],
+                                          n_processors=plat.n_processors))
+            except ValidationError:
+                continue
+        todo = candidates[state.cursor:]
+        if sharded:
+            grant = _take(budget, len(todo))
+            feasible = [pos for pos in range(grant)
+                        if todo[pos].num_paths <= max_paths]
+            insts = [Instance(app, plat, todo[pos]) for pos in feasible]
+            results = evaluate(insts, model, engine=engine, n_jobs=n_jobs)
+            evaluated = dict(zip(feasible, zip(insts, results)))
+        for pos, m2 in enumerate(todo):
+            if (pos == grant) if sharded else (_take(budget, 1) == 0):
+                state.cursor += pos
+                return True
+            state.evaluations += 1
+            if m2.num_paths > max_paths:
+                continue
+            if sharded:
+                inst, result = evaluated[pos]
+            else:
+                inst = Instance(app, plat, m2)
+                result = engine.evaluate(inst, model)
+            value = score(inst, result)
+            if better(value, state.best):
+                if sharded and budget is not None:
+                    budget.refund(grant - (pos + 1))
+                state.mapping, state.best = m2, value
+                state.trace.append(value)
+                break
+        else:
+            return False  # no improving move: converged
+        state.iteration += 1
+        state.order = None
+        state.cursor = 0
+    return False
+
+
 def local_search_mapping(
     app: Application,
     plat: Platform,
@@ -400,16 +514,17 @@ def local_search_mapping(
     Moves: (a) swap two processors between stages, (b) move a spare or
     replicated processor to another stage, (c) rotate a stage's replica
     order (changes round-robin phase, which matters for comm pairing).
+    A move is accepted when it lowers the period by more than a relative
+    ``1e-12``.
 
     With ``n_jobs`` set (0 = all cores, k > 1 = k workers) every
-    iteration evaluates its whole candidate neighborhood through
-    :func:`repro.engine.evaluate` and *then* scans it in the same
-    shuffled order for the first improving move — the accepted-solution
-    trajectory is identical to the serial search, only ``evaluations``
-    grows (the serial path stops evaluating at the first improvement).
-    Worker processes are pooled per iteration, so the shared ``engine``
-    cache benefits the serial paths; sharded chunks warm their own
-    per-worker caches.
+    iteration evaluates the rest of its neighborhood in one
+    :func:`repro.engine.evaluate` call and *then* scans it in the same
+    shuffled order for the first improving move: the accepted moves,
+    ``evaluations`` and ``trace`` are those of the serial search.
+    Worker processes are pooled per iteration; neighborhoods too small
+    to shard stay on the shared ``engine``, and sharded chunks warm
+    their own per-worker caches.
 
     ``budget`` bounds the oracle calls against a shared pool (see
     :class:`repro.search.EvaluationBudget`): the serial scan stops at
@@ -428,140 +543,47 @@ def local_search_mapping(
     climb given the same total grant, at any ``n_jobs``.
     """
     model = CommModel.parse(model)
-    eng = _search_engine(engine, max_paths)
     if checkpoint is not None:
-        rng = _restore_rng(checkpoint.rng_state)
-        mapping = Mapping([tuple(s) for s in checkpoint.assignments],
-                          n_processors=plat.n_processors)
-        best = checkpoint.period
-        prior_evals = checkpoint.evaluations
-        prior_trace = checkpoint.trace
-        iteration = checkpoint.iteration
-        cursor = checkpoint.cursor
-        order = None if checkpoint.order is None else \
-            np.asarray(checkpoint.order, dtype=np.intp)
-        started = checkpoint.started
+        prior_evals, prior_trace = checkpoint.evaluations, checkpoint.trace
+        state = _Climb(
+            mapping=Mapping([tuple(s) for s in checkpoint.assignments],
+                            n_processors=plat.n_processors),
+            best=checkpoint.period,
+            rng=_restore_rng(checkpoint.rng_state),
+            iteration=checkpoint.iteration,
+            cursor=checkpoint.cursor,
+            order=None if checkpoint.order is None
+            else np.asarray(checkpoint.order, dtype=np.intp),
+            started=checkpoint.started,
+        )
     else:
+        prior_evals, prior_trace = 0, ()
         rng = rng if rng is not None else np.random.default_rng(0)
         mapping = start if start is not None \
             else random_mapping(app, plat, rng, max_paths)
-        best = float("inf")
-        prior_evals = 0
-        prior_trace = ()
-        iteration = 0
-        cursor = 0
-        order = None
-        started = False
+        state = _Climb(mapping=mapping, best=float("inf"), rng=rng)
 
-    evaluations = 0  # this grant only; the checkpoint carries the total
-    trace: list[float] = []
-
-    def paused() -> MappingSearchResult:
-        """The incumbent plus a checkpoint to resume from (pool dried)."""
+    paused = _climb(
+        state, app, plat, model,
+        score=lambda inst, result: result.period,
+        better=lambda new, best: new < best * (1 - 1e-12),
+        engine=_search_engine(engine, max_paths),
+        max_iters=max_iters, max_paths=max_paths, n_jobs=n_jobs, budget=budget,
+    )
+    cp = None
+    if paused:
         cp = SearchCheckpoint(
-            assignments=mapping.assignments,
-            period=best,
-            evaluations=prior_evals + evaluations,
-            trace=prior_trace + tuple(trace),
-            iteration=iteration,
-            cursor=cursor,
-            order=None if order is None else tuple(int(k) for k in order),
-            rng_state=rng.bit_generator.state,
-            started=started,
+            assignments=state.mapping.assignments,
+            period=state.best,
+            evaluations=prior_evals + state.evaluations,
+            trace=prior_trace + tuple(state.trace),
+            iteration=state.iteration,
+            cursor=state.cursor,
+            order=None if state.order is None
+            else tuple(int(k) for k in state.order),
+            rng_state=state.rng.bit_generator.state,
+            started=state.started,
         )
-        return MappingSearchResult(mapping=mapping, period=best,
-                                   evaluations=evaluations,
-                                   trace=tuple(trace), checkpoint=cp)
-
-    if not started:
-        if budget is not None and budget.take(1) == 0:
-            return paused()
-        evaluations += 1
-        best = _evaluate(app, plat, mapping, model, max_paths, eng)
-        started = True
-        trace.append(best)
-
-    while iteration < max_iters:
-        assign = [list(s) for s in mapping.assignments]
-        moves = _neighborhood_moves(assign)
-        if order is None:
-            order = rng.permutation(len(moves))
-            cursor = 0
-        candidates: list[tuple[int, Mapping]] = []
-        for k in order:
-            try:
-                m2 = Mapping([tuple(s) for s in moves[int(k)]],
-                             n_processors=plat.n_processors)
-            except ValidationError:
-                continue
-            candidates.append((int(k), m2))
-        improved = False
-        pause = False
-        if n_jobs is not None and n_jobs != 1:
-            # Batch path: evaluate the whole remaining (valid)
-            # neighborhood at once, then accept the first improving move
-            # in shuffled order — the same move the serial scan accepts.
-            # Budget truncation keeps the shuffled scan prefix, so the
-            # trajectory matches the serial search up to the dry point.
-            todo = candidates[cursor:]
-            grant = len(todo) if budget is None else budget.take(len(todo))
-            scan = todo[:grant]
-            feasible = [(k, m2) for k, m2 in scan
-                        if m2.num_paths <= max_paths]
-            insts = [Instance(app, plat, m2) for _, m2 in feasible]
-            # engine= and n_jobs are mutually exclusive in evaluate()
-            # (workers cannot share the caller's cache), so pick the path
-            # explicitly: shard big neighborhoods across fresh per-worker
-            # caches, keep small ones on the shared engine — which
-            # locksteps any same-topology runs the move generator proposes.
-            if len(insts) >= MIN_PARALLEL_BATCH:
-                results = evaluate(insts, model, max_rows=max_paths + 1,
-                                   n_jobs=n_jobs)
-            else:
-                results = eng.evaluate(insts, model)
-            values = {k: float("inf") for k, _ in scan}
-            values.update({k: r.period for (k, _), r in zip(feasible, results)})
-            by_move = dict(scan)
-            charged = grant
-            for pos, (k, _) in enumerate(scan):
-                if values[k] < best * (1 - 1e-12):
-                    mapping, best = by_move[k], values[k]
-                    trace.append(best)
-                    improved = True
-                    if budget is not None:
-                        # Serial-equivalent cost: the sequential scan
-                        # would have stopped at this move — refund the
-                        # speculatively-granted remainder so budgeted
-                        # searches charge identically at any n_jobs.
-                        budget.refund(grant - (pos + 1))
-                        charged = pos + 1
-                    break
-            evaluations += charged
-            if not improved and grant < len(todo):
-                cursor += grant
-                pause = True
-        else:
-            pos = cursor
-            while pos < len(candidates):
-                k, m2 = candidates[pos]
-                if budget is not None and budget.take(1) == 0:
-                    cursor = pos
-                    pause = True
-                    break
-                evaluations += 1
-                val = _evaluate(app, plat, m2, model, max_paths, eng)
-                if val < best * (1 - 1e-12):
-                    mapping, best = m2, val
-                    trace.append(best)
-                    improved = True
-                    break
-                pos += 1
-        if pause:
-            return paused()
-        if not improved:
-            break
-        iteration += 1
-        order = None
-        cursor = 0
-    return MappingSearchResult(mapping=mapping, period=best,
-                               evaluations=evaluations, trace=tuple(trace))
+    return MappingSearchResult(mapping=state.mapping, period=state.best,
+                               evaluations=state.evaluations,
+                               trace=tuple(state.trace), checkpoint=cp)

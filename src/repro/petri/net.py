@@ -17,7 +17,6 @@ ratio is the paper's ``max_C L(C)/t(C)``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
@@ -211,11 +210,6 @@ class TimedEventGraph:
             durations[src],
             [p.tokens for p in self.places],
         )
-
-    def place_edges(self) -> Iterable[tuple[int, int, int]]:
-        """Iterate ``(src, dst, tokens)`` triples (structure only)."""
-        for p in self.places:
-            yield p.src, p.dst, p.tokens
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

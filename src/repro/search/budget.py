@@ -56,9 +56,10 @@ class EvaluationBudget:
     def refund(self, n: int) -> None:
         """Return ``n`` unused grants to the pool.
 
-        The batched neighborhood scan takes its whole grant up front but
-        — like the serial scan — only *pays* for candidates up to the
-        first improving move; the speculative remainder is refunded so
+        With ``n_jobs``, the mapping climbs' first-improvement scan
+        takes a grant for the rest of a neighborhood up front but — like
+        the serial scan — only *pays* for candidates up to the first
+        improving move; the speculative remainder is refunded so
         parallel and serial searches charge identically.
         """
         if n < 0:

@@ -24,11 +24,13 @@ allocator (:class:`~repro.search.allocator.EpsilonConstraintAllocator`
 Every evaluated mapping — probes, climb starts, every neighborhood
 candidate the serial scan reaches — is offered to one shared
 :class:`~repro.objectives.ParetoArchive` in direction-major order.
-Because the scan order, budget charging and archive offers all follow
-the *serial* trajectory (the batched neighborhood path refunds and
-discards evaluations past the first improving move, exactly like
-:func:`repro.extensions.mapping_opt.local_search_mapping`), the archive
-contents are bit-identical at any ``n_jobs``.
+Each direction climbs through the same first-improvement scan as
+:func:`repro.extensions.mapping_opt.local_search_mapping`, with the
+direction's score in place of the period: the scan order, budget
+charging and archive offers all follow the *serial* trajectory (the
+batched neighborhood path refunds and discards evaluations past the
+first improving move), so the archive contents are bit-identical at
+any ``n_jobs``.
 
 Determinism inventory: probe mappings are the two
 :func:`repro.objectives.replication_policy_mapping` policies plus
@@ -54,10 +56,10 @@ from ..core.instance import Instance
 from ..core.mapping import Mapping
 from ..core.models import CommModel
 from ..core.platform import Platform
-from ..engine import BatchEngine, evaluate
-from ..engine.batch import MIN_PARALLEL_BATCH
+from ..core.throughput import PeriodResult
+from ..engine import BatchEngine
 from ..errors import ValidationError
-from ..extensions.mapping_opt import _neighborhood_moves, random_mapping
+from ..extensions.mapping_opt import _Climb, _climb, random_mapping
 from ..objectives import (
     DEFAULT_LATENCY_DATASETS,
     REPLICATION_POLICIES,
@@ -382,7 +384,8 @@ class _ParetoDriver:
     """Launch/resume services for the Pareto portfolio's allocator.
 
     Implements :class:`repro.search.allocator.ClimbDriver`: ``launch``
-    runs one scalarized first-improvement climb under a budget cap and
+    runs one scalarized climb under a budget cap through the shared
+    first-improvement scan of :mod:`repro.extensions.mapping_opt` and
     offers every serially reached evaluation to the shared archive;
     multi-criteria climbs do not checkpoint, so ``resume`` is a no-op
     (fair-share dealing never resumes anyway).
@@ -446,134 +449,71 @@ class _ParetoDriver:
             )
         return random_mapping(self.app, self.plat, rng, self.max_paths)
 
-    def _evaluate_one(self, mapping: Mapping) -> EvalResult:
-        inst = Instance(self.app, self.plat, mapping)
-        return self.evaluator.evaluate(inst, self.model)
-
     def launch(self, index: int, cap: int | None) -> Climb:
         """Run one scalarized climb under a budget cap."""
         direction = self.directions[index % len(self.directions)]
         seed = self._seed(index)
         rng = np.random.default_rng(np.random.SeedSequence(seed))
-        slice_budget = _BudgetSlice(self.pool, cap)
         climb = Climb(index=index, kind=direction.kind, seed=seed)
 
-        mapping = self._start_mapping(direction, rng)
-        best_score = _INF_SCORE
-        best_result: EvalResult | None = None
-        evaluations = 0
-        trace: list[float] = []
+        def score(
+            inst: Instance, period_result: PeriodResult
+        ) -> tuple[tuple[float, float], EvalResult]:
+            # Latency and reliability attach in this process as each
+            # candidate is reached, so the archive offers follow the
+            # serial scan at any n_jobs.
+            result = attach_objectives(
+                inst,
+                period_result,
+                self.evaluator.objectives,
+                latency_mode=self.evaluator.latency_mode,
+                latency_datasets=self.evaluator.latency_datasets,
+            )
+            self.archive.add(result, inst.mapping.assignments, source=direction.label)
+            return direction.score(result.vector()), result
 
-        starved = slice_budget.take(1) == 0
-        if not starved:
-            evaluations += 1
-            if mapping.num_paths <= self.max_paths:
-                result = self._evaluate_one(mapping)
-                self.archive.add(
-                    result, mapping.assignments, source=direction.label
-                )
-                best_score = direction.score(result.vector())
-                best_result = result
-                trace.append(float(result.vector()[0]))
-
-        iteration = 0
-        while not starved and iteration < self.max_iters:
-            assign = [list(s) for s in mapping.assignments]
-            moves = _neighborhood_moves(assign)
-            order = rng.permutation(len(moves))
-            candidates: list[Mapping] = []
-            for k in order:
-                try:
-                    candidates.append(
-                        Mapping(
-                            [tuple(s) for s in moves[int(k)]],
-                            n_processors=self.plat.n_processors,
-                        )
-                    )
-                except ValidationError:
-                    continue
-            grant = slice_budget.take(len(candidates))
-            scan = candidates[:grant]
-            feasible = [m2 for m2 in scan if m2.num_paths <= self.max_paths]
-            insts = [Instance(self.app, self.plat, m2) for m2 in feasible]
-            # Periods are n_jobs-invariant (engine guarantee); latency
-            # and reliability attach in this process as each scanned
-            # candidate is reached, so the archive offers — and the
-            # accepted move — follow the serial trajectory exactly.
-            if (
-                self.n_jobs is not None
-                and self.n_jobs != 1
-                and len(insts) >= MIN_PARALLEL_BATCH
-            ):
-                periods = evaluate(
-                    insts,
-                    self.model,
-                    max_rows=self.max_paths + 1,
-                    n_jobs=self.n_jobs,
-                )
-            elif insts:
-                periods = self.evaluator.engine.evaluate(insts, self.model)
-            else:
-                periods = []
-            by_id = {
-                id(m2): (inst, pr)
-                for m2, inst, pr in zip(feasible, insts, periods)
-            }
-            charged = grant
-            improved = False
-            for pos, m2 in enumerate(scan):
-                pair = by_id.get(id(m2))
-                if pair is None:
-                    continue  # path-budget infeasible: charged, score inf
-                inst, period_result = pair
-                result = attach_objectives(
-                    inst,
-                    period_result,
-                    self.evaluator.objectives,
-                    latency_mode=self.evaluator.latency_mode,
-                    latency_datasets=self.evaluator.latency_datasets,
-                )
-                self.archive.add(
-                    result, m2.assignments, source=direction.label
-                )
-                score = direction.score(result.vector())
-                if score < best_score:
-                    mapping, best_score, best_result = m2, score, result
-                    trace.append(float(result.vector()[0]))
-                    improved = True
-                    # Serial-equivalent cost: refund the grant past the
-                    # move the sequential scan would have stopped at.
-                    slice_budget.refund(grant - (pos + 1))
-                    charged = pos + 1
-                    break
-            evaluations += charged
-            if not improved:
-                if grant < len(candidates):
-                    starved = True
-                break
-            iteration += 1
-
+        state = _Climb(
+            mapping=self._start_mapping(direction, rng),
+            best=(_INF_SCORE, None),
+            rng=rng,
+        )
+        _climb(
+            state,
+            self.app,
+            self.plat,
+            self.model,
+            score=score,
+            better=lambda new, best: new[0] < best[0],
+            engine=self.evaluator.engine,
+            max_iters=self.max_iters,
+            max_paths=self.max_paths,
+            n_jobs=self.n_jobs,
+            budget=_BudgetSlice(self.pool, cap),
+        )
+        # An infeasible start enters the trace unscored.
+        accepted = [r for _, r in state.trace if r is not None]
+        best_result = state.best[1]
         climb.period = (
             float(best_result.vector()[0])
             if best_result is not None
             else float("inf")
         )
-        climb.evaluations = evaluations
-        climb.trace = tuple(trace)
-        climb.mapping = mapping
-        climb.rungs = (evaluations,)
+        climb.evaluations = state.evaluations
+        climb.trace = tuple(float(r.vector()[0]) for r in accepted)
+        climb.mapping = state.mapping
+        climb.rungs = (state.evaluations,)
         self.records.append(
             DirectionRecord(
                 index=index,
                 kind=direction.kind,
                 label=direction.label,
                 seed=seed,
-                evaluations=evaluations,
-                accepted=len(trace),
+                evaluations=state.evaluations,
+                accepted=len(accepted),
                 best_vector=None
                 if best_result is None
                 else best_result.vector(),
-                assignments=mapping.assignments,
+                assignments=state.mapping.assignments,
             )
         )
         return climb

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Any
 
 from ..utils import canonical_json
-from .core import SpanRecord, Telemetry
+from .core import Telemetry
 
 __all__ = [
     "TRACE_SCHEMA",
@@ -141,14 +141,3 @@ def merge_traces(paths: Sequence[str | Path]) -> dict[str, Any]:
         "workers": sorted(by_worker),
     }
 
-
-def span_record_from_dict(record: dict[str, Any]) -> SpanRecord:
-    """A :class:`SpanRecord` from one parsed span line (test helper)."""
-    return SpanRecord(
-        index=int(record["index"]),
-        parent=int(record["parent"]),
-        name=str(record["name"]),
-        t0=float(record["t0"]),
-        t1=float(record["t1"]),
-        attrs=dict(record["attrs"]),
-    )

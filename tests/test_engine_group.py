@@ -3,9 +3,9 @@
 Pins the group-path contracts: sequence evaluation
 (`BatchEngine.evaluate` on a list, module `evaluate`) is bit-identical
 to per-pair evaluation and to `compute_period`; the batched
-`CycleTimePlan.verdict_many` equals the scalar verdict; and the
-`engine=` + parallel `n_jobs` combination fails loudly instead of
-silently dropping the engine.
+`CycleTimePlan.verdict_many` equals the scalar verdict; and a
+caller-owned `engine=` combined with a parallel `n_jobs` evaluates
+in-process pairs on that engine and sharded chunks on worker engines.
 """
 
 from __future__ import annotations
@@ -143,13 +143,19 @@ class TestEvaluateGroupValidation:
 
 
 class TestEngineJobsValidation:
-    def test_engine_with_parallel_jobs_raises(self):
-        insts = group_sweep((2, 1), 6, seed=10)
+    def test_engine_with_parallel_jobs(self):
+        # Too small to shard: the caller's engine does the work.
+        small = group_sweep((2, 1), 3, seed=10)
         engine = BatchEngine()
-        with pytest.raises(ValidationError, match="serial-path"):
-            evaluate(insts, "strict", engine=engine, n_jobs=2)
-        with pytest.raises(ValidationError, match="serial-path"):
-            evaluate(insts, "strict", engine=engine, n_jobs=0)
+        res = evaluate(small, "strict", engine=engine, n_jobs=2)
+        assert len(engine._skeletons) == 1
+        for r, inst in zip(res, small):
+            assert_same_result(r, engine.evaluate(inst, "strict"))
+        # Sharded: worker engines, same results as the serial call.
+        big = group_sweep((2, 1), 12, seed=12)
+        sharded = evaluate(big, "strict", engine=BatchEngine(), n_jobs=2)
+        for a, b in zip(sharded, evaluate(big, "strict")):
+            assert_same_result(a, b)
 
     def test_engine_with_serial_jobs_is_fine(self):
         insts = group_sweep((2, 1), 4, seed=11)

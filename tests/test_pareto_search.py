@@ -8,6 +8,8 @@ from repro.errors import ValidationError
 from repro.objectives import dominates
 from repro.search import pareto_portfolio_search
 
+from .conftest import collecting
+
 
 def _app_plat(seed=5, n_procs=8):
     app = Application(works=[2.0, 9.0, 4.0, 6.0],
@@ -82,6 +84,17 @@ class TestDeterminism:
         serial = _search(n_jobs=None).to_dict()
         sharded = _search(n_jobs=2).to_dict()
         assert serial == sharded
+
+    @pytest.mark.parametrize("model", ["overlap", "strict"])
+    def test_serial_scan_evaluates_only_charged_points(self, model):
+        # The serial climb evaluates one candidate at a time and stops at
+        # the accepted move: no oracle call goes uncharged.
+        app, plat = _app_plat(n_procs=10)
+        with collecting() as tel:
+            result = pareto_portfolio_search(
+                app, plat, model, objectives=("period", "latency"),
+                n_restarts=4, budget=400, max_iters=40)
+        assert tel.counters["engine.points"] <= result.evaluations
 
     def test_seed_changes_trajectory(self):
         a = _search(root_seed=1)
