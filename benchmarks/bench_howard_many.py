@@ -30,18 +30,17 @@ on CI hardware with no code defect, which is why PR 6 retired it):
   ``bench_campaign``); this part is deterministic and also pinned by
   ``tests/test_engine_group.py``.
 
-A second experiment sweeps the token-edge seed (``_SEED_NODES_PER_TOKEN``)
-over real strict SCC shapes — the ``mixed`` campaign's largest n/k
-(7.5, counts [1,4,3]) and the lcm 60 / 140 / 420 topologies — solving
-the same 32-row slabs with the seed forced off (the cold unseeded
-lockstep) and forced on, once with the campaign's weights and once
+A second experiment, the seed sweep, runs the token-edge seed and its
+certificate over real strict SCC shapes — the ``mixed`` campaign's
+largest n/k (7.5, counts [1,4,3]) and the lcm 60 / 140 / 420
+topologies — solving 32-row lockstep slabs against per-row cold
+``solve_prepared`` calls, once with the campaign's weights and once
 with tie-prone uniform-random integer weights (whose rows often miss
-the certificate and take the cold fallback).  Both must equal the
-cold scalar solve bit for bit (value, cycle nodes and edges); the
-uncertified row count is a deterministic contract, wall-clock (per
-row, and per slab for the seed and the certificate separately) and
-rounds per row are reported, never gated.  It is the evidence for the 16 nodes per token
-edge dispatch cut.
+the certificate and are solved by the cold scalar kernel).  Every
+lockstep row must equal the cold solve bit for bit (value, cycle
+nodes and edges); the uncertified row count is a deterministic
+contract, wall-clock (per row, and per slab for the seed and the
+certificate separately) and rounds per row are reported, never gated.
 
 A third experiment, the slab sweep, solves 256 rows of the lcm-60
 (``shared_strict``) topology in slabs of 32, 64, 128 and 256 rows —
@@ -76,11 +75,7 @@ from repro.core.throughput import compute_period
 from repro.engine import BatchEngine
 from repro.engine.skeleton import build_skeleton
 from repro.maxplus import howard
-from repro.maxplus.howard import (
-    prepare_howard,
-    solve_prepared,
-    solve_prepared_many,
-)
+from repro.maxplus.howard import solve_prepared, solve_prepared_many
 from repro.telemetry import TELEMETRY
 
 try:  # pytest package context vs standalone `python benchmarks/...`
@@ -276,16 +271,6 @@ def strict_points(counts, n_procs, draws) -> list[Instance]:
     return [point.instance() for point in spec.expand()]
 
 
-def _plan(graph, seeded: bool) -> howard.HowardPlan:
-    """Prepare ``graph`` with the token-edge seed forced on or off."""
-    saved = howard._SEED_NODES_PER_TOKEN
-    howard._SEED_NODES_PER_TOKEN = 0 if seeded else graph.n_nodes + 1
-    try:
-        return prepare_howard(graph)
-    finally:
-        howard._SEED_NODES_PER_TOKEN = saved
-
-
 def _slabs(plan, W):
     """Solve ``W`` in executor-sized slabs."""
     out = []
@@ -320,13 +305,13 @@ def _seed_split(plan, W) -> tuple[float, float]:
 
 
 def seed_sweep() -> dict:
-    """Seeded vs unseeded lockstep over real strict SCC shapes.
+    """Seeded lockstep slabs vs per-row cold solves, real strict SCCs.
 
     Every shape runs twice: with its campaign weights, and with
     uniform-random integer weights in 1..10 (seeded).  Integer weights
-    tie exactly, so many of their rows miss the certificate and take
-    the cold fallback; continuous draws would certify every row.  Both
-    weightings must equal the cold scalar solve.
+    tie exactly, so many of their rows miss the certificate and are
+    solved by the cold scalar kernel; continuous draws would certify
+    every row.  Both weightings must equal the cold scalar solve.
     """
     shapes = []
     identical = True
@@ -335,55 +320,42 @@ def seed_sweep() -> dict:
     for label, counts, n_procs, draws in SEED_SHAPES:
         insts = strict_points(counts, n_procs, draws)
         sk = build_skeleton(insts[0], "strict")
-        graph = sk._graph(np.zeros(sk.edge_src.size))
         scc = max((c for c in sk.plan.components
                    if isinstance(c, howard._PreparedScc)), key=lambda c: c.n)
         k = int(np.count_nonzero(scc.tokens))
         W_campaign = sk.stamp_weights_many(insts)
-        plans = {on: _plan(graph, on) for on in (False, True)}
         weightings = (
             ("campaign", W_campaign),
             ("uniform", rng.integers(1, 11, W_campaign.shape).astype(float)),
         )
         for weighting, W in weightings:
-            results = {}
-            best = {False: float("inf"), True: float("inf")}
-            for rep in range(3):
-                for on in ((False, True) if rep % 2 == 0 else (True, False)):
-                    t0 = time.perf_counter()
-                    results[on] = _slabs(plans[on], W)
-                    best[on] = min(best[on], time.perf_counter() - t0)
+            cold_s, lockstep_s = _race(
+                lambda: [solve_prepared(sk.plan, w) for w in W],
+                lambda: _slabs(sk.plan, W), repeats=3)
             TELEMETRY.enable("bench")
             try:
-                _slabs(plans[True], W)
+                lockstep = _slabs(sk.plan, W)
             finally:
                 TELEMETRY.disable()
             uncertified = TELEMETRY.counter_snapshot().get("howard.uncertified", 0)
             uncertified_total += uncertified
-            seed_ms, cert_ms = _seed_split(plans[True], W)
+            seed_ms, cert_ms = _seed_split(sk.plan, W)
             cold = [solve_prepared(sk.plan, w) for w in W]
-            same = all(
-                np.float64(r.value).tobytes() == np.float64(c.value).tobytes()
-                and r.cycle_nodes == c.cycle_nodes
-                and r.cycle_edges == c.cycle_edges
-                for on in (False, True) for r, c in zip(results[on], cold)
-            )
+            same = _row_keys(lockstep) == _row_keys(cold)
             identical &= same
             rows = len(W)
             shapes.append({
                 "label": label, "weighting": weighting, "counts": list(counts),
                 "n": scc.n, "k": k, "n_per_k": scc.n / k,
-                "dispatch_seeds": scc.n >= howard._SEED_NODES_PER_TOKEN * k,
                 "rows": rows,
-                "unseeded_ms_per_row": 1000 * best[False] / rows,
-                "seeded_ms_per_row": 1000 * best[True] / rows,
+                "cold_ms_per_row": 1000 * cold_s / rows,
+                "lockstep_ms_per_row": 1000 * lockstep_s / rows,
                 "seed_ms_per_slab": seed_ms,
                 "certificate_ms_per_slab": cert_ms,
                 "uncertified": uncertified,
-                "unseeded_rounds_per_row":
-                    sum(r.n_rounds for r in results[False]) / rows,
-                "seeded_rounds_per_row":
-                    sum(r.n_rounds for r in results[True]) / rows,
+                "cold_rounds_per_row": sum(r.n_rounds for r in cold) / rows,
+                "lockstep_rounds_per_row":
+                    sum(r.n_rounds for r in lockstep) / rows,
                 "identical": same,
             })
     return {"shapes": shapes, "identical": identical,
@@ -451,10 +423,10 @@ def bench_howard_slab_sweep(benchmark):
 def bench_howard_seed_sweep(benchmark):
     stats = benchmark.pedantic(seed_sweep, rounds=1, iterations=1)
     assert stats["identical"]
-    report(benchmark, "Token-edge seed: seeded vs unseeded lockstep",
+    report(benchmark, "Token-edge seed: seeded lockstep vs per-row cold",
            [(f"{s['label']} {s['weighting']} (n/k {s['n_per_k']:.1f}) ms/row",
-             f"{s['unseeded_ms_per_row']:.2f}",
-             f"{s['seeded_ms_per_row']:.2f}") for s in stats["shapes"]]
+             f"{s['cold_ms_per_row']:.2f}",
+             f"{s['lockstep_ms_per_row']:.2f}") for s in stats["shapes"]]
            + [("uncertified rows", "-", stats["uncertified"]),
               ("rows == cold", "yes", stats["identical"])])
 
@@ -511,17 +483,16 @@ def main() -> int:
           f"(deterministic floor {MIN_ROUND_RATIO:g})")
     print(f"bit-identical          : {stats['identical']}")
     sweep = seed_sweep()
-    print(f"token-edge seed sweep ({SEED_SLAB}-row slabs; unseeded = "
-          f"cold lockstep):")
+    print(f"token-edge seed sweep (per-row cold solve -> "
+          f"{SEED_SLAB}-row lockstep slabs):")
     for s in sweep["shapes"]:
         print(f"  {s['label']:<14} {s['weighting']:<8} "
               f"{str(tuple(s['counts'])):<13} n {s['n']:>5} "
-              f"k {s['k']:>3} n/k {s['n_per_k']:>6.1f} "
-              f"{'seeded ' if s['dispatch_seeds'] else 'unseeded'}: "
-              f"{s['unseeded_ms_per_row']:7.2f} -> "
-              f"{s['seeded_ms_per_row']:7.2f} ms/row, rounds/row "
-              f"{s['unseeded_rounds_per_row']:.2f} -> "
-              f"{s['seeded_rounds_per_row']:.2f}; per slab seed "
+              f"k {s['k']:>3} n/k {s['n_per_k']:>6.1f}: "
+              f"{s['cold_ms_per_row']:7.2f} -> "
+              f"{s['lockstep_ms_per_row']:7.2f} ms/row, rounds/row "
+              f"{s['cold_rounds_per_row']:.2f} -> "
+              f"{s['lockstep_rounds_per_row']:.2f}; per slab seed "
               f"{s['seed_ms_per_slab']:.2f} + certificate "
               f"{s['certificate_ms_per_slab']:.2f} ms; "
               f"uncertified {s['uncertified']}/{s['rows']}")

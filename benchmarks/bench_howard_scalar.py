@@ -12,11 +12,9 @@ shapes the campaign workloads solve on the scalar kernel:
   (the random-replication cells of a mixed campaign), and one with
   ``lcm`` 30 between them and the next shapes;
 * the lcm-60 strict skeletons (300 and 420 transitions), solved on the
-  scalar kernel by ``compute_period`` and as lockstep stragglers of the
-  batched cold re-solve of uncertified seeded rows.  (The other
-  stragglers come from the mixed campaign's groups of at most 60
-  nodes; a seeded SCC's token-edge reduction is solved by dense policy
-  iteration, not by a Howard kernel.)
+  scalar kernel by ``compute_period`` and for lockstep rows that miss
+  the seed's certificate.  (A token-edge reduction is solved by dense
+  policy iteration, not by a Howard kernel.)
 
 For every shape it solves seeded weight stampings cold, once with each
 step forced, and reports wall-clock per solve and per isolated
@@ -25,7 +23,8 @@ improvement step.
 Asserted facts (deterministic; wall-clock is reported, never gated):
 
 * both steps give **identical** results on every solve — value bits,
-  extracted cycle nodes and edges, round count and converged policy;
+  extracted cycle nodes and edges, round count and the policy of every
+  round;
 * the total policy-round count over the sweep (``rounds``), which a
   kernel change must not raise.
 
@@ -99,19 +98,30 @@ def _tol(w: np.ndarray) -> float:
     return 1e-9 * max(float(np.abs(w).max()), 1.0)
 
 
-def _solve_all(scc, rows, cut: int) -> list[tuple]:
-    """Cold solves of every row with the cut forced to ``cut``."""
-    saved = howard._LIST_STEP_MAX_EDGES
+def _solve_all(scc, rows, cut: int, traced: bool = False) -> list[tuple]:
+    """Cold solves of every row with the cut forced to ``cut``; with
+    ``traced``, each result also lists the policy of every round (the
+    policy each round's evaluation walk sees)."""
+    saved = howard._LIST_STEP_MAX_EDGES, howard._evaluate
+    policies: list[list[int]] = []
+
+    def evaluate(policy, *args):
+        policies.append(list(policy))
+        return saved[1](policy, *args)
+
     howard._LIST_STEP_MAX_EDGES = cut
+    if traced:
+        howard._evaluate = evaluate
     try:
         out = []
         for w in rows:
-            res, pol = howard._scc_howard_csr(scc, w, _tol(w))
+            policies = []
+            res = howard._scc_howard_csr(scc, w, _tol(w))
             out.append((np.float64(res.value).tobytes(), res.cycle_nodes,
-                        res.cycle_edges, res.n_rounds, pol.tolist()))
+                        res.cycle_edges, res.n_rounds, policies))
         return out
     finally:
-        howard._LIST_STEP_MAX_EDGES = saved
+        howard._LIST_STEP_MAX_EDGES, howard._evaluate = saved
 
 
 def _step_seconds(scc, w: np.ndarray) -> tuple[float, float]:
@@ -142,8 +152,8 @@ def run_sweep() -> dict:
     identical = True
     rounds = 0
     for label, scc, rows in shapes():
-        lists_res = _solve_all(scc, rows, cut=1 << 62)
-        numpy_res = _solve_all(scc, rows, cut=-1)
+        lists_res = _solve_all(scc, rows, cut=1 << 62, traced=True)
+        numpy_res = _solve_all(scc, rows, cut=-1, traced=True)
         identical &= lists_res == numpy_res
         rounds += sum(r[3] for r in lists_res)
         solve = {}

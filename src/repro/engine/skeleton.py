@@ -193,12 +193,11 @@ class TpnSkeleton:
         """Maximum cycle ratios for a whole topology group, in lockstep.
 
         Stamps every instance's weights into one ``(B, E)`` matrix and
-        runs :func:`~repro.maxplus.howard.solve_prepared_many` — policy
-        iteration for all rows simultaneously.  Results are
-        bit-identical to per-instance :meth:`solve` calls in value and
-        critical cycle: unseeded SCCs start every row cold, and rows of
-        SCCs with a token-edge seed (strict topologies) are certified
-        equal to the cold solve or recomputed cold.
+        runs :func:`~repro.maxplus.howard.solve_prepared_many`, which
+        seeds every row from its token-edge reduction and certifies it
+        in one batched pass.  Results are bit-identical to per-instance
+        :meth:`solve` calls in value and critical cycle: each row is
+        certified equal to the cold solve or solved cold.
 
         Any :class:`~repro.errors.SolverError` from the lockstep path
         (non-convergence, acyclic graph) falls back to per-row scalar

@@ -454,26 +454,28 @@ def _climb(
         if state.order is None:
             state.order = state.rng.permutation(len(moves))
             state.cursor = 0
-        candidates: list[Mapping] = []
-        for k in state.order:
-            try:
-                candidates.append(Mapping([tuple(s) for s in moves[int(k)]],
-                                          n_processors=plat.n_processors))
-            except ValidationError:
-                continue
-        todo = candidates[state.cursor:]
+        # A move of a valid mapping is valid, so candidate ``pos`` of the
+        # scan is ``moves[order[cursor + pos]]``, built when reached.
+        todo = state.order[state.cursor:]
+
+        def candidate(pos: int) -> Mapping:
+            return Mapping([tuple(s) for s in moves[int(todo[pos])]],
+                           n_processors=plat.n_processors)
+
         if sharded:
             grant = _take(budget, len(todo))
+            granted = [candidate(pos) for pos in range(grant)]
             feasible = [pos for pos in range(grant)
-                        if todo[pos].num_paths <= max_paths]
-            insts = [Instance(app, plat, todo[pos]) for pos in feasible]
+                        if granted[pos].num_paths <= max_paths]
+            insts = [Instance(app, plat, granted[pos]) for pos in feasible]
             results = evaluate(insts, model, engine=engine, n_jobs=n_jobs)
             evaluated = dict(zip(feasible, zip(insts, results)))
-        for pos, m2 in enumerate(todo):
+        for pos in range(len(todo)):
             if (pos == grant) if sharded else (_take(budget, 1) == 0):
                 state.cursor += pos
                 return True
             state.evaluations += 1
+            m2 = granted[pos] if sharded else candidate(pos)
             if m2.num_paths > max_paths:
                 continue
             if sharded:

@@ -1,13 +1,13 @@
-"""Token-edge max-plus seed for lockstep Howard on token-sparse SCCs.
+"""Token-edge max-plus seed for lockstep Howard.
 
-Every token of a strict TPN sits on one of ``k`` processor-circuit
-places; the rest of a strongly connected component is a DAG whose edges
-carry no token.  A cycle therefore alternates token edges with
-zero-token paths, and its ratio is a cycle ratio of the ``k``-node
-*token-edge graph*: node ``i`` is token edge ``s_i -> d_i``, and edge
-``i -> j`` exists when a zero-token path leads from ``d_i`` to ``s_j``,
-with weight ``A[i, j] = w_i + L(d_i, s_j)`` (``L`` the longest such path)
-and ``t_i`` tokens.  This is the timed-event-graph reduction
+The token-free edges of a live strongly connected component form a DAG
+(in a strict TPN every token sits on a processor-circuit place), so a
+cycle alternates token edges with zero-token paths, and its ratio is a
+cycle ratio of the *token-edge graph* over the SCC's ``k`` token edges:
+node ``i`` is token edge ``s_i -> d_i``, and edge ``i -> j`` exists
+when a zero-token path leads from ``d_i`` to ``s_j``, with weight
+``A[i, j] = w_i + L(d_i, s_j)`` (``L`` the longest such path) and
+``t_i`` tokens.  This is the timed-event-graph reduction
 ``x(n) = A (x) x(n - 1)`` of Baccelli, Cohen, Olsder and Quadrat,
 *Synchronization and Linearity* (1992); the token-edge graph is strongly
 connected whenever the SCC is.

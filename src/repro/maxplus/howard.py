@@ -49,44 +49,31 @@ result is a pure function of the plan and the weights:
 >>> solve_prepared(prepare_howard(g), g.weight).value
 7.0
 
-Lockstep batches
-----------------
-:func:`solve_prepared_many` runs policy iteration for ``B`` weight
-stampings of **one** plan simultaneously: the policy matrix is
-``(B, n)``, policy evaluation is a vectorized functional-graph traversal
-of each row's own policy (pointer-doubling successor hops instead of
-the scalar Python chain walk), policy improvement is the scalar
-kernel's CSR ``reduceat`` step applied to a ``(B, e)`` weight matrix,
-and a convergence mask retires finished rows so they stop paying
-per-round cost.  On SCCs without a token-edge seed (below), row ``b``
-of the result is bit-identical to ``solve_prepared(plan, weights[b])``
-— same policy trajectory, same tie-breaking, same extracted cycle,
-same round count — because every float operation mirrors the scalar
-path element for element (see :func:`_scc_howard_csr_many`).
-
-Token-edge seeds
-----------------
-An SCC with at least ``_SEED_NODES_PER_TOKEN`` nodes per token edge (a
-strict TPN: all tokens on the ``k`` processor-circuit places, the rest a
-token-free DAG) is prepared with its ``k``-node token-edge reduction
-over the chain-contracted DAG (:mod:`._token_seed`).
-:func:`solve_prepared_many` builds each row's dense ``k x k`` reduced
-matrix, solves all rows with one batched dense policy iteration and
-lifts the solution to one start policy per row.  The start only
+Lockstep batches: seed, certify, or solve cold
+----------------------------------------------
+:func:`solve_prepared_many` solves ``B`` weight stampings of **one**
+plan, one path for every multi-node SCC.  A live SCC's cycles alternate
+token edges with token-free paths, so its cycle ratio is that of the
+``k``-node token-edge reduction over the chain-contracted token-free
+DAG (:mod:`._token_seed`; built on the SCC's first lockstep solve,
+never by :func:`prepare_howard`).  Per row chunk, each row's dense
+``k x k`` reduced matrix is solved by one batched dense policy
+iteration and lifted to one start policy per row.  The start only
 proposes.  One evaluation pass (:func:`_certify_seeded`: pointer
 doubling for the cycle, pointer jumping for the potentials, one
 reduced-cost pass over the edges) then *certifies* a row whose start
 has a single policy cycle and every non-policy edge strictly
 suboptimal by a margin.  Such a start is already a fixed point, so no
 improvement round runs, and the row equals the cold scalar solve in
-value, cycle and rotation; the uncertified rows of a chunk are
-recomputed together by one cold lockstep call.
+value, cycle and rotation.  Every other row is solved by the cold
+scalar kernel.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import numpy.typing as npt
@@ -122,23 +109,14 @@ _MAX_ROUNDS_FACTOR = 64
 #: 210 edges, the numpy step from about 420.
 _LIST_STEP_MAX_EDGES = 256
 
-#: Multi-node SCCs with at least this many nodes per token edge (and a
-#: node with a choice of out-edges) seed lockstep Howard from their
-#: token-edge reduction (:func:`_seed_start`).  Chosen from the sweep of
-#: real strict SCC shapes in ``benchmarks/bench_howard_many.py``: from
-#: n/k = 25 (lcm 60) up the seed cuts the lockstep cost 3-6x, while on
-#: the ``mixed`` campaign's small count groups (n/k <= 7.5) it only
-#: breaks even, so those keep the unseeded lockstep.
-_SEED_NODES_PER_TOKEN = 16
-
 #: Cap on the float cells one seed chunk's passes hold: ``rows * (k *
 #: (kept + 1) + chain cells)`` (:func:`_seed_chunk_rows`); larger slabs
 #: are seeded in row chunks.
 _SEED_CELL_BUDGET = 1 << 21
 
 #: Most rows :func:`solve_prepared_many` seeds and certifies at once.
-#: Keeps the seeded path's working set flat in the slab size: a
-#: 256-row slab of the lcm-60 topology peaks at 17.5 MiB unchunked.
+#: Keeps the lockstep working set flat in the slab size: a 256-row
+#: slab of the lcm-60 topology peaks at 17.5 MiB unchunked.
 #: Large SCCs hit :data:`_SEED_CELL_BUDGET` first.
 _SEED_CHUNK_ROWS = 64
 
@@ -191,7 +169,13 @@ class _PreparedScc:
     tokens: npt.NDArray[np.float64]
     start: npt.NDArray[np.int64]
     gmap: npt.NDArray[np.int64]
-    seed: TokenDag | None = None
+
+    @cached_property
+    def seed(self) -> TokenDag:
+        """The token-edge reduction, built on the first lockstep solve:
+        scalar solves (pattern plans, ``compute_period``) never pay
+        for it."""
+        return token_dag(self.n, self.src, self.dst, self.tokens)
 
 
 @dataclass(frozen=True)
@@ -270,10 +254,6 @@ def prepare_howard(graph: RatioGraph) -> HowardPlan:
             continue
         dst = local[graph.dst[edge_map]][order]
         tokens = graph.tokens[edge_map][order].astype(float)
-        seeded = (
-            src.size > n
-            and n >= _SEED_NODES_PER_TOKEN * int(np.count_nonzero(tokens))
-        )
         components.append(
             _PreparedScc(
                 n=n,
@@ -285,7 +265,6 @@ def prepare_howard(graph: RatioGraph) -> HowardPlan:
                 tokens=tokens,
                 start=start,
                 gmap=edge_map[order],
-                seed=token_dag(n, src, dst, tokens) if seeded else None,
             )
         )
     return HowardPlan(
@@ -300,15 +279,13 @@ def _scc_howard_csr(
     scc: _PreparedScc,
     weight: npt.NDArray[np.float64],
     tol: float,
-    policy0: npt.NDArray[np.int64] | None = None,
-) -> tuple[HowardResult, npt.NDArray[np.int64]]:
+) -> HowardResult:
     """Policy iteration inside one prepared SCC (CSR edge order).
 
     ``weight`` is the SCC's CSR-ordered weight vector (finite floats).
-    ``policy0`` starts the iteration from a given policy of this SCC
-    instead of the cold one (the lockstep straggler hand-off passes its
-    mid-iteration policy); any valid policy converges to the same
-    ``lambda*``.  Returns the result and the converged policy.
+    The iteration starts cold, from each node's first out-edge.  The
+    result's cycle nodes and edges are SCC-local ids (edges before the
+    CSR sort).
 
     The policy, ``lam`` and ``pot`` stay plain Python lists through the
     rounds: list indexing is several times cheaper than numpy scalar
@@ -319,13 +296,7 @@ def _scc_howard_csr(
     """
     n = scc.n
     dst_l, tokens_l, start_l = scc.dst.tolist(), scc.tokens.tolist(), scc.start.tolist()
-    if policy0 is not None and policy0.shape == (n,):
-        # Start from the given policy (a fresh list: the caller's array
-        # stays intact).
-        policy: list[int] = policy0.tolist()
-    else:
-        # Cold start: first out-edge of each node (CSR positions).
-        policy = start_l[:n]
+    policy = start_l[:n]  # cold start: first out-edge of each node
     weight_l = weight.tolist()
     small = len(weight_l) <= _LIST_STEP_MAX_EDGES
 
@@ -343,7 +314,7 @@ def _scc_howard_csr(
                 cycle_nodes=tuple(best_cycle),
                 cycle_edges=tuple(order_l[policy[u]] for u in best_cycle),
                 n_rounds=round_no,
-            ), np.asarray(policy, dtype=np.int64)
+            )
         policy = improved
 
     raise SolverError(
@@ -391,8 +362,8 @@ def _evaluate(
             cstart = chain.index(v)
             cycle = chain[cstart:]
             # Sequential accumulation in cycle order — the association
-            # the lockstep solver reproduces with one vectorized add
-            # per hop (numpy's pairwise .sum() would not be).
+            # the lockstep certificate reproduces with one cumulative sum
+            # (numpy's pairwise .sum() would not be).
             cw = 0.0
             ct = 0.0
             for u in cycle:
@@ -552,332 +523,15 @@ def _scalar_candidate(
     scc: _PreparedScc,
     weight: npt.NDArray[np.float64],
     tol: float,
-    policy0: npt.NDArray[np.int64] | None = None,
 ) -> _Candidate:
     """One row through the scalar kernel, ids mapped to caller space."""
-    res, _ = _scc_howard_csr(scc, weight, tol, policy0=policy0)
+    res = _scc_howard_csr(scc, weight, tol)
     return (
         res.value,
         tuple(scc.node_map[v] for v in res.cycle_nodes),
         tuple(scc.edge_map.take(np.asarray(
             res.cycle_edges, dtype=np.int64)).tolist()),
         res.n_rounds,
-    )
-
-
-def _hop_ladder(
-    nxt: npt.NDArray[np.integer],
-    n: int,
-) -> tuple[list[npt.NDArray[np.integer]], npt.NDArray[np.integer]]:
-    """Pointer-doubling ladder of a batch of functional graphs.
-
-    ``nxt`` holds ``(B, n)`` flat successor indices (row ``b``'s nodes
-    at ``b * n ...``).  Returns ``([nxt^(2^k) for k < K], nxt^(2^K))``
-    with ``K`` the least integer such that ``2^K >= n``: the top hop
-    puts every node on its policy cycle, and its image is exactly the
-    cycle nodes.
-    """
-    ladder = []
-    hop = nxt
-    step = 1
-    while step < n:
-        ladder.append(hop)
-        hop = hop.take(hop)
-        step *= 2
-    return ladder, hop
-
-
-def _scc_howard_csr_many(
-    scc: _PreparedScc,
-    W: npt.NDArray[np.float64],
-    tol_rows: npt.NDArray[np.float64],
-) -> list[_Candidate]:
-    """Lockstep policy iteration inside one prepared SCC for ``B`` rows.
-
-    ``W`` is the ``(B, e)`` CSR-ordered weight matrix (one stamping per
-    row) and ``tol_rows`` the per-row improvement tolerance; every row
-    starts cold (first out-edge of each node).  Returns one ``(value,
-    cycle_nodes, cycle_edges, n_rounds)`` tuple per row, ids already in
-    caller space.
-
-    Bit-identity with :func:`_scc_howard_csr`, row by row:
-
-    * policy **evaluation** walks each row's functional graph with
-      pointer-doubling hops — the ``nxt^(2^k)`` successor tables of
-      :func:`_hop_ladder` — to find its cycles, the per-cycle entry
-      node (the first cycle node on the path from the smallest node of
-      the cycle's basin, which is exactly where the scalar chain walk
-      first re-enters), and each node's distance to its entry.  Cycle
-      weight/token sums accumulate sequentially in cycle order (one
-      vectorized add per hop) and potentials peel outward from the
-      entries one distance level at a time, so every float sees the
-      same operands in the same association as the scalar recurrence.
-    * policy **improvement** applies :func:`_improve_numpy`'s
-      ``reduceat`` segment maxima to the ``(A, e)`` matrices of the
-      ``A`` active rows — identical expressions, identical
-      CSR-position tie-breaking, and no per-node padding, so a hub
-      node's out-degree costs nothing beyond its edges.
-    * a **convergence mask** retires rows the round they stop improving
-      (recording that round's evaluation, like the scalar early return)
-      and compresses them out of the active arrays.
-    """
-    B, e = W.shape
-    n = scc.n
-    src, dst, tokens, start = scc.src, scc.dst, scc.tokens, scc.start
-    node_map_arr = np.asarray(scc.node_map, dtype=np.int64)
-    seg_starts = start[:n]
-    # The traversal state is pure indices; int32 halves the memory
-    # traffic of the doubling chains (the dominant per-round cost).
-    idx_dt = np.int32 if (B * n < 2 ** 31 and B * e < 2 ** 31) else np.int64
-    dst_i = dst.astype(idx_dt)
-    edge_pos = np.arange(e, dtype=idx_dt)
-    node_ids = np.arange(n, dtype=idx_dt)
-    policy = np.empty((B, n), dtype=idx_dt)
-    policy[:] = start[:n]
-
-    rows = np.arange(B, dtype=np.int64)  # active-row -> original-row map
-    W_act = W
-    tol_act = np.asarray(tol_rows, dtype=float)
-    results: list[_Candidate | None] = [None] * B
-    max_rounds = _MAX_ROUNDS_FACTOR * max(n, 8)
-
-    for round_no in range(1, max_rounds + 1):
-        A = rows.size
-
-        # Straggler hand-off: when only a small fraction of rows is
-        # still iterating, the per-round lockstep setup outweighs the
-        # scalar chain walk — finish each remaining row with the scalar
-        # kernel, seeded from its current mid-iteration policy.  The
-        # trajectory (and hence every result bit) is identical: both
-        # kernels perform the same per-round arithmetic, so "rounds
-        # 1..k in lockstep, k+1.. in the scalar kernel" is the same
-        # computation as either kernel alone.
-        if A <= (B >> 3):
-            if TELEMETRY.enabled:
-                TELEMETRY.count("howard.straggler_handoffs", A)
-            for a in range(A):
-                b = int(rows[a])
-                cand = _scalar_candidate(scc, W_act[a], float(tol_act[a]), policy[a])
-                results[b] = cand[:3] + (cand[3] + round_no - 1,)
-            return results  # type: ignore[return-value]
-
-        # ---- policy evaluation (vectorized functional-graph traversal) --
-        arow = np.arange(A)
-        base = (np.arange(A, dtype=idx_dt) * n)[:, None]
-        nxt_f = dst_i.take(policy) + base  # flat successors
-
-        # The nxt^(2^k) hop ladder (shared by every traversal below) and
-        # running path minima.  After 2^k >= n hops every node lands on
-        # its cycle (the hop image = cycle nodes) and, for any cycle
-        # node, the >= n-step path minimum is exactly the minimum node
-        # id on its cycle — the canonical id.
-        ladder, top = _hop_ladder(nxt_f, n)
-        pm = np.empty((A, n), dtype=idx_dt)
-        pm[:] = node_ids
-        for hop_k in ladder:
-            pm = np.minimum(pm, pm.take(hop_k))
-        ladder.append(top)  # nxt^(2^K), 2^K >= n: coverage for any path
-        onc_flat = np.zeros(A * n, dtype=bool)
-        onc_flat[top.ravel()] = True
-
-        # First cycle node on each node's policy path (doubling with
-        # "first found" semantics).  Most nodes resolve within a hop or
-        # two, so later rungs update only the still-missing positions.
-        T_flat = np.where(onc_flat.reshape(A, n), node_ids, -1).ravel()
-        for hop_k in ladder:
-            missing = np.flatnonzero(T_flat < 0)
-            if not missing.size:
-                break
-            T_flat[missing] = T_flat.take(hop_k.ravel().take(missing))
-        T = T_flat.reshape(A, n)
-
-        # Entry node of each cycle: the first cycle node reached from the
-        # smallest node of the cycle's basin — where the scalar walk
-        # (ascending v0) first re-enters, i.e. the cycle's root.
-        cid = pm.take(T + base)  # per node: its cycle's canonical id
-        cid_f = cid + base
-        cid_flat = cid_f.ravel()
-        vmin = np.full((A, n), n, dtype=idx_dt)
-        np.minimum.at(vmin, (arow[:, None], cid), node_ids)
-        ent = T.take(np.minimum(vmin, n - 1) + base)
-        is_entry = ent.take(cid_f) == node_ids
-
-        # Distance of every node to its entry (entry = 0): same ladder,
-        # same sparse-update pattern.  A node at distance d in
-        # [2^k, 2^{k+1}) resolves at rung k once its 2^k-hop target is
-        # resolved below 2^k.
-        dist_flat = np.where(
-            is_entry, np.array(0, idx_dt), np.array(-1, idx_dt)
-        ).ravel()
-        step = 1
-        for hop_k in ladder:
-            missing = np.flatnonzero(dist_flat < 0)
-            if not missing.size:
-                break
-            cand = dist_flat.take(hop_k.ravel().take(missing))
-            found = cand >= 0
-            dist_flat[missing[found]] = cand[found] + step
-            step *= 2
-
-        # Per-node policy-edge weight/token tables.  Token sums are
-        # integer-valued, hence exact under any summation order — one
-        # bincount each for cycle token totals and cycle lengths, keyed
-        # by (row, cycle id).
-        wvn = W_act.ravel().take(policy + (np.arange(A, dtype=idx_dt) * e)[:, None])
-        tvn = tokens.take(policy)
-        wvn_flat = wvn.ravel()
-        ct_tab = np.bincount(
-            cid_flat, weights=np.where(onc_flat, tvn.ravel(), 0.0),
-            minlength=A * n,
-        )
-        len_tab = np.bincount(cid_flat, weights=onc_flat, minlength=A * n)
-
-        lane_rows, lane_entry = np.nonzero(is_entry)
-        C = lane_rows.size
-        cid_entry_f = cid_flat.take(lane_rows * n + lane_entry)
-
-        ct = ct_tab.take(cid_entry_f)
-        if (ct <= 0).any():
-            raise SolverError(
-                "policy cycle carries no token; run the liveness "
-                "check before Howard's algorithm"
-            )
-        len_lane = len_tab.take(cid_entry_f).astype(np.int64)
-        l_max = int(len_lane.max())
-
-        # Lay every cycle out in walk order: node at walk position k of
-        # its cycle (entry = 0, then successor order) sits at
-        # ``pos = length - dist`` — no sequential walk needed.
-        lane_tab = np.empty(A * n, dtype=idx_dt)
-        lane_tab[cid_entry_f] = np.arange(C, dtype=idx_dt)
-        cyc_sel = np.flatnonzero(onc_flat)
-        cyc_lane = lane_tab.take(cid_flat.take(cyc_sel))
-        cyc_dist = dist_flat.take(cyc_sel)
-        cyc_pos = np.where(cyc_dist == 0, 0,
-                           len_lane.take(cyc_lane) - cyc_dist)
-
-        # Cycle *weight* sums: left-to-right accumulation in walk order
-        # (the scalar association), one vectorized add per position.
-        # Lanes sort by length (desc), so the lanes alive at position k
-        # are a prefix and padding never touches the accumulator.
-        lane_order = np.argsort(-len_lane, kind="stable")
-        lane_rank = np.empty(C, dtype=np.int64)
-        lane_rank[lane_order] = np.arange(C)
-        walk_w = np.zeros((l_max, C))
-        walk_w[cyc_pos, lane_rank.take(cyc_lane)] = wvn_flat.take(cyc_sel)
-        hist = np.bincount(len_lane, minlength=l_max + 1)
-        alive = C - np.cumsum(hist, dtype=np.int64)  # lanes with length > k
-        acc = np.zeros(C)
-        for k in range(l_max):
-            a_k = int(alive[k])
-            acc[:a_k] += walk_w[k, :a_k]
-        cw = acc.take(lane_rank)
-        lam_c = cw / ct
-
-        # lambda of every node = its cycle's ratio: pure float copies
-        # through a (row, cycle id) table, like the scalar propagation.
-        lam_tab = np.zeros(A * n)
-        lam_tab[cid_entry_f] = lam_c
-        lam = lam_tab.take(cid_f)
-
-        # Potentials: entry roots at 0, then peel outward one distance
-        # level at a time — every node computes the scalar recurrence
-        # ``(w - lam * t) + pot[next]`` with already-final operands.
-        cvn_flat = (wvn - lam * tvn).ravel()
-        pot = np.zeros((A, n))
-        pot_flat = pot.ravel()
-        level_order = np.argsort(dist_flat, kind="stable")
-        bounds = np.cumsum(np.bincount(dist_flat), dtype=np.int64)
-        nxt_sorted = nxt_f.ravel().take(level_order)
-        cvn_sorted = cvn_flat.take(level_order)
-        for d in range(1, len(bounds)):
-            b0, b1 = bounds[d - 1], bounds[d]
-            pot_flat[level_order[b0:b1]] = cvn_sorted[b0:b1] \
-                + pot_flat.take(nxt_sorted[b0:b1])
-
-        # Best cycle per row: maximum lam, ties to the first *discovered*
-        # cycle — the one with the smallest basin minimum, matching the
-        # scalar walk's ascending-v0 discovery order and strict ``>``.
-        # Lanes are row-major (np.nonzero), so per-row segment reductions
-        # pick each row's winner without a sort; vmin is unique per cycle,
-        # so the (lam, vmin) winner is unique.
-        row_starts = np.searchsorted(lane_rows, arow)
-        vmin_lane = vmin.ravel().take(cid_entry_f)
-        seg_best = np.maximum.reduceat(lam_c, row_starts)
-        is_max = lam_c == seg_best.take(lane_rows)
-        seg_vmin = np.minimum.reduceat(np.where(is_max, vmin_lane, n), row_starts)
-        win = is_max & (vmin_lane == seg_vmin.take(lane_rows))
-        best_lane = np.minimum.reduceat(
-            np.where(win, np.arange(C), C), row_starts
-        )
-        best_val = lam_c.take(best_lane)
-
-        # ---- policy improvement (the scalar reduceat step, per row) -----
-        # Per-node segment maxima of the (A, e) matrices; "first CSR
-        # position attaining the max" is the scalar tie-breaking.
-        tolA = tol_act[:, None]
-        lam_src = lam[:, src]
-        gain_lam = lam[:, dst] - lam_src
-        reduced = W_act - lam_src * tokens + pot[:, dst] - pot[:, src]
-        tie = gain_lam > -tolA
-        r_masked = np.where(tie, reduced, -np.inf)
-        seg_max_g = np.maximum.reduceat(gain_lam, seg_starts, axis=1)
-        first_g = np.minimum.reduceat(
-            np.where(gain_lam == seg_max_g[:, src], edge_pos, e),
-            seg_starts, axis=1)
-        seg_max_r = np.maximum.reduceat(r_masked, seg_starts, axis=1)
-        first_r = np.minimum.reduceat(
-            np.where(tie & (r_masked == seg_max_r[:, src]), edge_pos, e),
-            seg_starts, axis=1)
-        phase1 = seg_max_g > tolA
-        phase2 = ~phase1 & (seg_max_r > tolA) & (first_r != policy)
-
-        done = ~(phase1 | phase2).any(axis=1)
-        if done.any():
-            # Converged rows: record this round's evaluation (the scalar
-            # early return) and retire them from the lockstep.  Best
-            # cycles are already laid out in walk order (cyc_pos), so
-            # extraction is two scatters plus bulk id mapping — the
-            # per-row cost is a list slice.
-            d_idx = np.flatnonzero(done)
-            D = d_idx.size
-            best_lane_d = best_lane.take(d_idx)
-            vals_d = best_val.take(d_idx)
-            lengths = len_lane.take(best_lane_d)
-            l_ext = int(lengths.max())
-            # Offset table keyed by lane: only the winning lanes of the
-            # done rows get a slot in the (D, l_ext) matrices.
-            off_tab = np.full(C, -1, dtype=np.int64)
-            off_tab[best_lane_d] = np.arange(D) * l_ext
-            slot = off_tab.take(cyc_lane)
-            picked = slot >= 0
-            slots = slot[picked] + cyc_pos[picked]
-            sel = cyc_sel[picked]
-            nodes_mat = np.zeros(D * l_ext, dtype=np.int64)
-            edges_mat = np.zeros(D * l_ext, dtype=np.int64)
-            nodes_mat[slots] = sel % n
-            edges_mat[slots] = policy.ravel().take(sel)
-            nodes_l = node_map_arr.take(nodes_mat).reshape(D, l_ext).tolist()
-            edges_l = scc.gmap.take(edges_mat).reshape(D, l_ext).tolist()
-            for t in range(D):
-                length = int(lengths[t])
-                results[int(rows[d_idx[t]])] = (
-                    float(vals_d[t]), tuple(nodes_l[t][:length]),
-                    tuple(edges_l[t][:length]), round_no,
-                )
-            if done.all():
-                return results  # type: ignore[return-value]
-
-        policy = np.where(phase1, first_g, np.where(phase2, first_r, policy))
-        if done.any():
-            keep = ~done
-            policy, rows = policy[keep], rows[keep]
-            W_act, tol_act = W_act[keep], tol_act[keep]
-
-    raise SolverError(
-        f"Howard's algorithm did not converge within {max_rounds} rounds "
-        f"for {rows.size} of {B} batch rows; the tolerance may be too "
-        f"small for this weight scale"
     )
 
 
@@ -929,13 +583,7 @@ def solve_prepared(
             val, eidx = max(ratios)
             cand = HowardResult(val, (comp.node,), (eidx,), 0)
         else:
-            res, _ = _scc_howard_csr(comp, weight[comp.gmap], tol)
-            cand = HowardResult(
-                value=res.value,
-                cycle_nodes=tuple(comp.node_map[v] for v in res.cycle_nodes),
-                cycle_edges=tuple(int(comp.edge_map[i]) for i in res.cycle_edges),
-                n_rounds=res.n_rounds,
-            )
+            cand = HowardResult(*_scalar_candidate(comp, weight[comp.gmap], tol))
         rounds += cand.n_rounds
         if best is None or cand.value > best.value:
             best = cand
@@ -961,7 +609,7 @@ def solve_prepared_many(
     weights: npt.NDArray[np.float64],
     tol: float | None = None,
 ) -> list[HowardResult]:
-    """Lockstep policy iteration for ``B`` weight stampings of one plan.
+    """Seeded, certified policy iteration for ``B`` stampings of one plan.
 
     Parameters
     ----------
@@ -978,23 +626,21 @@ def solve_prepared_many(
     Returns
     -------
     list[HowardResult]
-        One result per row.  On SCCs without a token-edge seed, entry
-        ``b`` is bit-identical to ``solve_prepared(plan, weights[b])``
-        — value bits, extracted cycle, and round count: both start
-        cold.  On seeded SCCs the row equals it in value bits and
-        extracted cycle — certified rows by the argument below,
-        uncertified rows because they are recomputed cold.  A
+        One result per row.  Entry ``b`` equals
+        ``solve_prepared(plan, weights[b])`` in value bits, cycle nodes
+        and cycle edges: certified rows by the argument below,
+        uncertified rows because the cold scalar kernel solves them.  A
         certified row reports 1 round, an uncertified row the cold
         solve's.
 
     Notes
     -----
-    *Seeded SCCs.*  An SCC prepared with a token-edge seed (see the
-    module docstring) proposes one start policy ``pi`` per row from its
-    reduced solution, and :func:`_certify_seeded` evaluates ``pi``
-    once.  The row is **certified** when ``pi`` has a single cycle
-    ``C`` (``L`` edges, ``T(C)`` tokens, ratio ``lam``) and every
-    non-policy edge has reduced cost
+    *One path.*  Every multi-node SCC proposes one start policy ``pi``
+    per row from its token-edge reduction (see the module docstring),
+    and :func:`_certify_seeded` evaluates ``pi`` once.  The row is
+    **certified** when ``pi`` has a single cycle ``C`` (``L`` edges,
+    ``T(C)`` tokens, ratio ``lam``) and every non-policy edge has
+    reduced cost
     ``r_e = w_e - lam * t_e + pot[dst] - pot[src] < -m`` with
     ``m = tol * max(n, L * T / T(C))`` (``n`` nodes, ``T`` tokens in
     the SCC); policy edges have ``r_e = 0``.
@@ -1031,12 +677,11 @@ def solve_prepared_many(
     classes coexist in ``sigma`` (possible only within
     ``(n - 1) * tol`` of each other) the argument does not apply as
     written; the near-tie harness in ``tests/test_howard_seed.py``
-    replays such weightings against the cold solve.  The rows of a
-    chunk that fail the certificate are re-solved together by one cold
-    :func:`_scc_howard_csr_many` call, which equals the cold scalar
-    solve bit for bit, round count included, and are counted as
-    ``howard.uncertified``; all seeded rows count as
-    ``howard.seeded_rows``.
+    replays such weightings against the cold solve.  Each row that
+    fails the certificate is solved by the cold scalar kernel
+    (:func:`_scalar_candidate`), so it is the cold solve, round count
+    included, and counts as ``howard.uncertified``; every row of every
+    multi-node SCC counts as ``howard.seeded_rows``.
 
     *The proposal.*  The start policy needs no bit identity: the
     certificate recomputes the accepted cycle and its ratio in the cold
@@ -1047,11 +692,11 @@ def solve_prepared_many(
     iteration (:func:`~._token_seed.reduced_solve`), whose rounding
     differs from a Howard kernel's.
 
-    *Row chunks.*  A seeded SCC is seeded and certified in chunks of
-    at most 64 rows (``_SEED_CHUNK_ROWS``), fewer when the chunk's
+    *Row chunks.*  An SCC is seeded and certified in chunks of at most
+    64 rows (``_SEED_CHUNK_ROWS``), fewer when the chunk's
     ``rows * k * (kept + 1)`` forward-pass cells plus its padded chain
-    gather would exceed ``_SEED_CELL_BUDGET``, so the seeded path's
-    working set is flat in ``B``: a 256-row slab of the lcm-60
+    gather would exceed ``_SEED_CELL_BUDGET``, so the working set is
+    flat in ``B``: a 256-row slab of the lcm-60
     topology peaks at about 2.8 MiB instead of 17.5 MiB.  Every row's
     seed and certificate depend on that row alone, so the chunking
     never changes a result.
@@ -1104,27 +749,19 @@ def solve_prepared_many(
                     best[b] = (val, (comp.node,), (int(loops[j[b]]),), 0)
             continue
 
-        if comp.seed is not None:
-            seeded += B
-            cands = []
-            step = _seed_chunk_rows(comp.seed)
-            for b0 in range(0, B, step):
-                W = weights[b0:b0 + step, comp.gmap]
-                tol_c = tol_rows[b0:b0 + step]
-                chunk = _certify_seeded(comp, W, tol_c, _seed_start(comp, W, tol_c))
-                cold = [b for b, cand in enumerate(chunk) if cand is None]
-                if cold:
-                    uncertified += len(cold)
-                    for b, cand in zip(cold, _scc_howard_csr_many(
-                            comp, W[cold], tol_c[cold])):
-                        chunk[b] = cand
-                cands.extend(chunk)
-        else:
-            cands = _scc_howard_csr_many(comp, weights[:, comp.gmap], tol_rows)
-        for b, cand in enumerate(cands):
-            cur = best[b]
-            if cur is None or cand[0] > cur[0]:
-                best[b] = cand
+        seeded += B
+        step = _seed_chunk_rows(comp.seed)
+        for b0 in range(0, B, step):
+            W = weights[b0:b0 + step, comp.gmap]
+            tol_c = tol_rows[b0:b0 + step]
+            chunk = _certify_seeded(comp, W, tol_c, _seed_start(comp, W, tol_c))
+            for i, cand in enumerate(chunk):
+                if cand is None:
+                    uncertified += 1
+                    cand = _scalar_candidate(comp, W[i], float(tol_c[i]))
+                cur = best[b0 + i]
+                if cur is None or cand[0] > cur[0]:
+                    best[b0 + i] = cand
 
     if not plan.components:
         raise SolverError("graph is acyclic: no cycle ratio exists")
@@ -1175,7 +812,6 @@ def _seed_start(
     sends the row to the cold solve.
     """
     dag = scc.seed
-    assert dag is not None
     A, cw = forward_matrix(dag, W)
     _, _, q = reduced_solve(A, dag.tok_tokens, tol_rows,
                               _MAX_ROUNDS_FACTOR * max(dag.tok.size, 8))
@@ -1200,8 +836,8 @@ def _certify_seeded(
     candidate per certified row, ids in caller space, and ``None`` for
     every other row.
 
-    * The :func:`_hop_ladder` of the policy gives cycle membership:
-      after ``2^K >= n`` hops every node sits on its cycle.
+    * The policy's hop ladder ``nxt^(2^k)``, ``k < K``, gives cycle
+      membership: after ``2^K >= n`` hops every node sits on its cycle.
     * With one cycle its basin is every node, so the scalar walk's
       entry is the first cycle node on node 0's path, found by binary
       lifting over the ladder.
@@ -1221,14 +857,18 @@ def _certify_seeded(
     B, e = W.shape
     n = scc.n
     tokens = scc.tokens
-    # The hop ladder only indexes itself: int32 when it fits, as in the
-    # lockstep kernel.  Tables that gather floats stay int64, which
-    # numpy's float ``take`` runs several times faster with.
+    # The hop ladder only indexes itself: int32 when it fits.  Tables
+    # that gather floats stay int64, which numpy's float ``take`` runs
+    # several times faster with.
     idx_dt = np.int32 if B * n < 2 ** 31 else np.int64
     base = (np.arange(B, dtype=idx_dt) * n)[:, None]
     nxt = scc.dst.astype(idx_dt).take(policy) + base  # flat successors
 
-    ladder, top = _hop_ladder(nxt, n)
+    ladder = []
+    top = nxt
+    while 1 << len(ladder) < n:
+        ladder.append(top)
+        top = top.take(top)
     onc = np.zeros(B * n, dtype=bool)
     onc[top.ravel()] = True
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import Application, Instance, Platform, compute_period
+from repro import Application, Instance, Mapping, Platform, compute_period
 from repro.extensions import (
     DynamicPlatformModel,
     greedy_mapping,
@@ -11,6 +11,8 @@ from repro.extensions import (
     random_mapping,
     simulate_dynamic,
 )
+from repro.extensions import mapping_opt
+from repro.extensions.mapping_opt import _neighborhood_moves
 
 from .conftest import collecting
 
@@ -44,8 +46,6 @@ class TestGreedy:
     def test_beats_singleton_mapping(self):
         app, plat = small_problem()
         res = greedy_mapping(app, plat, "overlap")
-        from repro import Mapping
-
         base = Instance(app, plat, Mapping([(0,), (1,), (2,)]))
         assert res.period <= compute_period(base, "overlap").period + 1e-12
 
@@ -84,6 +84,38 @@ class TestLocalSearch:
         # The batch path counts the serial scan's oracle calls, not the
         # whole neighborhoods it evaluated.
         assert batched.evaluations == serial.evaluations
+
+    def test_every_move_of_a_valid_mapping_is_valid(self):
+        # The scan takes candidate ``pos`` as moves[order[cursor + pos]]
+        # (mapping_opt._climb), so no move may be invalid.
+        rng = np.random.default_rng(12)
+        checked = 0
+        for _ in range(80):
+            p = int(rng.integers(2, 9))
+            n = int(rng.integers(1, min(p, 4) + 1))
+            app = Application(works=[1.0] * n, file_sizes=[1.0] * (n - 1))
+            plat = Platform.homogeneous(p)
+            m = random_mapping(app, plat, rng)
+            for move in _neighborhood_moves([list(s) for s in m.assignments]):
+                Mapping([tuple(s) for s in move], n_processors=p)
+                checked += 1
+        assert checked > 500
+
+    def test_serial_scan_builds_only_reached_candidates(self, monkeypatch):
+        built = []
+
+        class Counted(Mapping):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        app, plat = small_problem()
+        start = random_mapping(app, plat, np.random.default_rng(11))
+        monkeypatch.setattr(mapping_opt, "Mapping", Counted)
+        res = local_search_mapping(app, plat, "overlap", start=start,
+                                   rng=np.random.default_rng(5), max_iters=8)
+        # One build per scanned candidate (the start is the caller's).
+        assert 0 < len(built) <= res.evaluations
 
     def test_shared_engine_reused_across_searches(self):
         from repro.engine import BatchEngine

@@ -1,9 +1,11 @@
 """Lockstep Howard solver: bit-identity with the scalar path.
 
 `solve_prepared_many` promises that row ``b`` of a batch equals
-``solve_prepared(plan, weights[b])`` **bit for bit** — value bits,
-extracted cycle (nodes *and* edge order), and round count — across
-randomized topologies and exact-tie weights.  Both paths start cold.
+``solve_prepared(plan, weights[b])`` **bit for bit** — value bits and
+extracted cycle (nodes *and* edge order) — across randomized
+topologies and exact-tie weights.  A row whose seeded start is
+certified reports 1 round; every other row is the cold scalar solve,
+round count included.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.errors import DeadlockError, SolverError
+from repro.maxplus import howard
 from repro.maxplus.graph import RatioGraph
 from repro.maxplus.howard import (
     prepare_howard,
@@ -61,11 +64,33 @@ def hub_graph(rng: np.random.Generator) -> RatioGraph:
     return RatioGraph(n, edges)
 
 
+def certified_rows(plan, W) -> dict[int, set[int]]:
+    """Per multi-node SCC (keyed by its first node), the rows whose
+    seeded start the certificate accepts (one chunk: ``B <= 64``)."""
+    out = {}
+    tol = 1e-9 * np.maximum(np.abs(W).max(axis=1), 1.0)
+    for comp in plan.components:
+        if isinstance(comp, howard._PreparedScc):
+            Wc = W[:, comp.gmap]
+            cands = howard._certify_seeded(
+                comp, Wc, tol, howard._seed_start(comp, Wc, tol))
+            out[comp.node_map[0]] = {b for b, c in enumerate(cands) if c}
+    return out
+
+
+def critical_scc_certified(plan, certified, b, scalar) -> bool | None:
+    """Whether the multi-node SCC holding row ``b``'s critical cycle
+    certified the row (``None`` for a singleton's self-loop)."""
+    node = scalar.cycle_nodes[0]
+    for comp in plan.components:
+        if isinstance(comp, howard._PreparedScc) and node in comp.node_map:
+            return b in certified[comp.node_map[0]]
+    return None
+
+
 class TestLockstepBitIdentity:
     @pytest.mark.parametrize("B", [6, 40])
     def test_matches_per_row_scalar_solves(self, B):
-        # B = 40 lets rows retire unevenly, so the lockstep hands its
-        # last rows to the scalar kernel (at most B // 8 still active).
         rng = np.random.default_rng(20260725)
         cases = []
         for _ in range(120):
@@ -76,7 +101,10 @@ class TestLockstepBitIdentity:
         cases.append((hub, weight_batch(hub, rng, B)))
         # Every row identical: all rows share one policy every round.
         cases.append((hub, np.tile(hub.weight, (B, 1))))
+        # Integer copies: exact ties, which the certificate must reject.
+        cases += [(g, np.round(W)) for g, W in cases]
         checked = 0
+        kinds = {True: 0, False: 0, None: 0}
         for g, W in cases:
             try:
                 plan = prepare_howard(g)
@@ -84,10 +112,17 @@ class TestLockstepBitIdentity:
             except SolverError:
                 continue  # acyclic draw
             many = solve_prepared_many(plan, W)
-            for s, m in zip(scalar, many):
-                assert s == m  # value bits, cycle nodes/edges, n_rounds
+            certified = certified_rows(plan, W)
+            for b, (s, m) in enumerate(zip(scalar, many)):
+                assert np.float64(m.value).tobytes() == np.float64(s.value).tobytes()
+                assert (m.cycle_nodes, m.cycle_edges) == (s.cycle_nodes, s.cycle_edges)
+                kind = critical_scc_certified(plan, certified, b, s)
+                kinds[kind] += 1
+                # Certified: 1 round; otherwise the cold solve's count.
+                assert m.n_rounds == (1 if kind else s.n_rounds)
             checked += 1
         assert checked >= 30  # the generator must exercise real graphs
+        assert min(kinds.values()) > 0  # certified, cold and self-loop rows
 
     def test_exact_tie_weights(self):
         # Two parallel critical cycles with exactly equal ratios: the

@@ -1,19 +1,20 @@
 """Token-edge seeded lockstep Howard against the cold scalar oracle.
 
-Strict TPN SCCs with at least ``_SEED_NODES_PER_TOKEN`` nodes per token
-edge start every lockstep row from the policy their token-edge
-reduction proposes, and accept the row only under a certificate; a
-chunk's uncertified rows are recomputed by one cold lockstep call.
+Every multi-node SCC starts each lockstep row from the policy its
+token-edge reduction proposes, and accepts the row only under a
+certificate; each uncertified row is solved by the cold scalar kernel.
 Either way each row must equal ``solve_prepared`` from a cold start in
 value bits, cycle nodes and cycle edges.  These tests replay real strict
-topologies, check the proposal's parts against references (the dense
-reduced solve against scalar Howard, the chain-contracted forward pass
-against brute-force longest paths), check the one-pass certificate
-(``_certify_seeded``) on hand-built start policies, force random
-near-tie SCCs through the seeded kernel (where the certificate must
+topologies (and tie-prone integer weights on the ``mixed`` campaign's
+count groups), check the proposal's parts against references (the
+dense reduced solve against scalar Howard, the chain-contracted forward
+pass against brute-force longest paths), check the one-pass certificate
+(``_certify_seeded``) on hand-built start policies, run random near-tie
+SCCs with unit and with 0-2 tokens per edge (where the certificate must
 reject some rows), seed and certify slabs in row chunks (around the
-chunk boundaries, and a large topology's forward-pass budget), and pin
-the telemetry counters.
+chunk boundaries, and a large topology's forward-pass budget), pin the
+telemetry counters, and check that scalar solves never build the
+token-edge reduction.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from repro.core.throughput import compute_period
 from repro.engine import BatchEngine
 from repro.engine.skeleton import build_skeleton
 from repro.errors import ValidationError
-from repro.maxplus import howard
+from repro.experiments.examples_paper import example_c
+from repro.maxplus import _token_seed, howard
 from repro.maxplus._token_seed import forward_matrix, reduced_solve, token_dag
 from repro.maxplus.graph import RatioGraph
 from repro.maxplus.howard import (
@@ -35,6 +37,7 @@ from repro.maxplus.howard import (
     solve_prepared,
     solve_prepared_many,
 )
+from repro.petri.reduction import pattern_plan
 
 from .conftest import collecting
 
@@ -78,7 +81,8 @@ def key(res):
 
 
 def seeded_components(plan):
-    return [c for c in plan.components if getattr(c, "seed", None) is not None]
+    """The multi-node SCCs: every one is seeded on a lockstep solve."""
+    return [c for c in plan.components if isinstance(c, howard._PreparedScc)]
 
 
 def solve_and_count(plan, weights, **kwargs):
@@ -358,7 +362,6 @@ class TestCertifySeeded:
 
         # Through solve_prepared_many: the seed proposes the Hamiltonian
         # start on every row, and every row is re-solved cold.
-        monkeypatch.setattr(howard, "_SEED_NODES_PER_TOKEN", 0)
         plan = prepare_howard(g)
         (comp,) = seeded_components(plan)
         start = csr_policy(comp, hamiltonian)
@@ -384,77 +387,136 @@ class TestCertifySeeded:
             cold.value, cold.cycle_nodes, cold.cycle_edges)
 
 
-class TestBatchedColdFallback:
-    def test_one_cold_lockstep_call_per_chunk(self, monkeypatch):
+class TestScalarColdFallback:
+    def test_uncertified_rows_take_the_scalar_kernel(self, monkeypatch):
         # Integer weights tie, so most lcm-60 rows miss the certificate.
-        # Each 4-row chunk re-solves its uncertified rows in one cold
-        # lockstep call, equal to the cold scalar solve in every field,
-        # round count included (a certified row reports 1 round).
+        # Each uncertified row of each 4-row chunk is solved by the cold
+        # scalar kernel and equals the cold solve in every field, round
+        # count included; a certified row reports 1 round.
         insts = strict_instances((3, 4, 5), 12, 3)
         sk = build_skeleton(insts[0], "strict")
         W = np.random.default_rng(8).integers(
             1, 11, (10, sk.plan.n_edges)).astype(float)
-        calls = []
-        cold_many = howard._scc_howard_csr_many
+        rejected, scalar_rows = [], []
+        certify, scalar = howard._certify_seeded, howard._scalar_candidate
 
-        def counted(scc, Wc, tol):
-            calls.append(len(Wc))
-            return cold_many(scc, Wc, tol)
+        def certify_counted(scc, Wc, tol, policy):
+            out = certify(scc, Wc, tol, policy)
+            b0 = 4 * len(rejected)
+            rejected.append([b0 + i for i, cand in enumerate(out) if cand is None])
+            return out
+
+        def scalar_counted(scc, w, tol):
+            scalar_rows.append(w.tobytes())
+            return scalar(scc, w, tol)
 
         monkeypatch.setattr(howard, "_SEED_CHUNK_ROWS", 4)
-        monkeypatch.setattr(howard, "_scc_howard_csr_many", counted)
+        monkeypatch.setattr(howard, "_certify_seeded", certify_counted)
+        monkeypatch.setattr(howard, "_scalar_candidate", scalar_counted)
         many, counters = solve_and_count(sk.plan, W)
+        cold_rows = [b for chunk in rejected for b in chunk]
+        assert len(rejected) == 3 and 0 < len(cold_rows) < len(W)
+        assert counters["howard.uncertified"] == len(cold_rows)
+        (comp,) = seeded_components(sk.plan)
+        assert scalar_rows == [W[b, comp.gmap].tobytes() for b in cold_rows]
+        for b, (res, w) in enumerate(zip(many, W)):
+            cold = solve_prepared(sk.plan, w)
+            assert key(res) == key(cold)
+            assert res.n_rounds == (cold.n_rounds if b in cold_rows else 1)
+
+
+class TestTieProneMixedGroups:
+    @pytest.mark.parametrize("counts", [(1, 4, 3), (2, 3, 2)])
+    def test_integer_weights_equal_cold_solve(self, counts):
+        # The mixed campaign's strict count groups with uniform integer
+        # weights in 1..10: ties make the certificate reject some rows.
+        insts = strict_instances(counts, 8, 2)
+        sk = build_skeleton(insts[0], "strict")
+        W = np.random.default_rng(sum(counts)).integers(
+            1, 11, (96, sk.plan.n_edges)).astype(float)
+        many, counters = solve_and_count(sk.plan, W)
+        assert counters["howard.seeded_rows"] == \
+            len(W) * len(seeded_components(sk.plan))
+        assert 0 < counters["howard.uncertified"] < len(W)
         for res, w in zip(many, W):
             cold = solve_prepared(sk.plan, w)
             assert key(res) == key(cold)
             assert res.n_rounds in (1, cold.n_rounds)
-        assert 0 < len(calls) <= 3 and all(c <= 4 for c in calls)
-        assert sum(calls) == counters["howard.uncertified"]
 
 
-def near_tie_trials(rng, n_trials, rows):
-    """Random strongly connected unit-token graphs with tie-prone weights:
-    n in 4..13, a Hamiltonian cycle plus up to 2n random edges."""
-    for _ in range(n_trials):
+def near_tie_trials(rng, n_trials, rows, tokens=None):
+    """Random strongly connected graphs with tie-prone weights: n in
+    4..13, a Hamiltonian cycle plus up to 2n random edges, each edge
+    with one token, or ``rng.integers(*tokens)`` tokens; draws with a
+    token-free cycle are redrawn."""
+    while n_trials:
         n = int(rng.integers(4, 14))
         perm = rng.permutation(n)
         edges = [(int(perm[i]), int(perm[(i + 1) % n])) for i in range(n)]
         for _ in range(int(rng.integers(1, 2 * n + 1))):
             edges.append((int(rng.integers(n)), int(rng.integers(n))))
-        g = RatioGraph(n, [(s, d, 0.0, 1) for s, d in edges])
-        yield g, TIE_LEVELS[rng.integers(0, TIE_LEVELS.size, (rows, len(edges)))]
+        g = RatioGraph(n, [(s, d, 0.0, 1 if tokens is None
+                            else int(rng.integers(*tokens)))
+                           for s, d in edges])
+        if g.is_live():
+            n_trials -= 1
+            yield g, TIE_LEVELS[rng.integers(0, TIE_LEVELS.size,
+                                             (rows, len(edges)))]
+
+
+def assert_trials_equal_cold(trials, n_trials):
+    """Every row of every trial equals the cold solve; some, not all,
+    rows miss the certificate."""
+    rows = seeded = uncertified = 0
+    for g, W in trials:
+        plan = prepare_howard(g)
+        assert seeded_components(plan)
+        many, counters = solve_and_count(plan, W)
+        seeded += counters["howard.seeded_rows"]
+        uncertified += counters.get("howard.uncertified", 0)
+        for b, res in enumerate(many):
+            assert key(res) == key(solve_prepared(plan, W[b]))
+            rows += 1
+    assert seeded == rows == 6 * n_trials
+    # Exact ties must reach the certificate, so that accepting every
+    # row would return some tied cycle the cold solve does not.
+    assert 0 < uncertified < rows
 
 
 class TestNearTieCertificate:
-    def test_forced_seed_equals_cold_on_every_trial(self, monkeypatch):
-        # Bypass the dispatch rule: every SCC with a choice is seeded.
-        monkeypatch.setattr(howard, "_SEED_NODES_PER_TOKEN", 0)
+    def test_forced_seed_equals_cold_on_every_trial(self):
         rng = np.random.default_rng(1)
-        rows = seeded = uncertified = 0
-        for g, W in near_tie_trials(rng, 400, rows=6):
-            plan = prepare_howard(g)
-            assert seeded_components(plan)
-            many, counters = solve_and_count(plan, W)
-            seeded += counters["howard.seeded_rows"]
-            uncertified += counters.get("howard.uncertified", 0)
-            for b, res in enumerate(many):
-                assert key(res) == key(solve_prepared(plan, W[b]))
-                rows += 1
-        assert seeded == rows == 2400
-        # Exact ties must reach the certificate, so that accepting every
-        # row would return some tied cycle the cold solve does not.
-        assert 0 < uncertified < rows
+        assert_trials_equal_cold(near_tie_trials(rng, 400, rows=6), 400)
 
-    def test_dispatch_rule_is_structural(self):
-        # Unit tokens everywhere: n < 16 k, so nothing is seeded and the
-        # unseeded lockstep keeps the cold round counts.
+    def test_zero_to_two_tokens_per_edge(self):
+        # Token-free edges make chains and several token edges per
+        # cycle, like test_howard_many.random_live_graph's draws.
         rng = np.random.default_rng(2)
-        for g, W in near_tie_trials(rng, 20, rows=3):
-            plan = prepare_howard(g)
-            assert not seeded_components(plan)
-            many, counters = solve_and_count(plan, W)
-            assert "howard.seeded_rows" not in counters
-            assert many == [solve_prepared(plan, w) for w in W]
+        trials = near_tie_trials(rng, 400, rows=6, tokens=(0, 3))
+        assert_trials_equal_cold(trials, 400)
+
+
+class TestLazyTokenDag:
+    def test_scalar_solves_build_no_token_dag(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("token DAG built by a scalar solve")
+
+        monkeypatch.setattr(howard, "token_dag", forbidden)
+        monkeypatch.setattr(_token_seed, "token_dag", forbidden)
+        g = RatioGraph(3, [(0, 1, 1.0, 0), (1, 2, 2.0, 1), (2, 0, 1.0, 0),
+                           (1, 0, 5.0, 1)])
+        plan = prepare_howard(g)
+        solve_prepared(plan, g.weight)
+        max_cycle_ratio_howard(g)
+        inst = strict_instances((3, 4, 5), 12, 1)[0]
+        compute_period(inst, "strict", method="tpn")
+        pattern_plan.cache_clear()
+        for u, v in ((2, 3), (3, 4)):
+            solve_prepared(pattern_plan(u, v), np.ones(2 * u * v))
+        compute_period(example_c(heterogeneous=True), "overlap")
+        # The lockstep entry point is the one that builds it.
+        with pytest.raises(AssertionError, match="token DAG"):
+            solve_prepared_many(plan, g.weight[None, :])
 
 
 class TestTypedErrors:

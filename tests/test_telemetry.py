@@ -410,8 +410,9 @@ class TestSeedCounters:
         assert data["telemetry"]["not_done"]["uncertified_rows"] == 0
         assert "; 0 uncertified row(s); " in render_report_text(data)
 
-    def test_unseeded_drain_has_no_seed_counters(self, tmp_path):
-        # [2,3,2] (the mixed campaign's pinned counts): n/k = 30/7 < 16.
+    def test_mixed_pinned_drain_seeds_every_lockstep_row(self, tmp_path):
+        # [2,3,2] (the mixed campaign's pinned counts): a small,
+        # token-dense SCC (n/k = 30/7) is seeded and certified too.
         spec = CampaignSpec.from_dict(dict(
             SEEDED_SPEC_DICT, platforms=[{"n_procs": 8}],
             replications=[{"fixed": [2, 3, 2], "assignment": "blocks"}]))
@@ -419,10 +420,10 @@ class TestSeedCounters:
             run_campaign(spec, store, trace_dir=tmp_path / "trace")
         counters = merge_traces(trace_files(tmp_path / "trace"))["counters"]
         assert counters["howard.lockstep_rows"] == spec.n_points
-        assert "howard.seeded_rows" not in counters
+        assert counters["howard.seeded_rows"] == spec.n_points
         assert "howard.uncertified" not in counters
 
-    def test_rejected_certificate_is_counted(self, monkeypatch):
+    def test_rejected_certificate_is_counted(self):
         import numpy as np
 
         from repro.maxplus import howard
@@ -430,7 +431,6 @@ class TestSeedCounters:
 
         # Two 2-cycles through node 0 with equal ratios: the tie leaves a
         # non-policy edge at reduced cost 0, so the row is recomputed cold.
-        monkeypatch.setattr(howard, "_SEED_NODES_PER_TOKEN", 0)
         g = RatioGraph(3, [(0, 1, 1.0, 1), (1, 0, 1.0, 1),
                            (0, 2, 1.0, 1), (2, 0, 1.0, 1)])
         plan = howard.prepare_howard(g)
