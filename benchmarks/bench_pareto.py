@@ -1,4 +1,4 @@
-"""Pareto portfolio contracts: parallel identity + allocator fronts.
+"""Pareto portfolio contracts: rerun identity + allocator fronts.
 
 The multi-criteria portfolio (:func:`repro.search.pareto_portfolio_search`)
 promises the same determinism discipline as every other layer: the
@@ -6,11 +6,8 @@ archive's front — vectors, assignments, sources, export order — is a
 pure function of the request.  Every contract asserted here is
 deterministic (no wall-clock ratios):
 
-* **n_jobs identity** — serial and 2-way-sharded runs return
-  byte-identical ``to_dict()`` payloads for both allocator strategies
-  (the latency/reliability objectives are computed in the caller's
-  process, so engine sharding cannot touch them);
-* **rerun identity** — the same request twice is byte-identical;
+* **rerun identity** — the same request twice returns identical
+  ``to_dict()`` payloads, for both allocator strategies;
 * **front validity** — every front is non-empty, mutually
   non-dominated, and within budget;
 * **strategy diversity** — epsilon-constraint and weighted-sum explore
@@ -51,11 +48,11 @@ def make_platform(seed: int = 5, n_procs: int = 10) -> Platform:
         rng.uniform(0.01, 0.2, n_procs).tolist())
 
 
-def _search(allocator: str, n_jobs=None):
+def _search(allocator: str):
     return pareto_portfolio_search(
         APP, make_platform(), MODEL, objectives=OBJECTIVES,
         n_restarts=N_RESTARTS, budget=BUDGET, max_iters=40,
-        allocator=allocator, n_jobs=n_jobs,
+        allocator=allocator,
     )
 
 
@@ -70,30 +67,27 @@ def _non_dominated(front) -> bool:
 
 
 def run_comparison() -> dict:
-    """Run both strategies serial + sharded; return the contract flags."""
+    """Run both strategies twice; return the contract flags."""
     per_strategy = []
     for allocator in ("epsilon-constraint", "weighted-sum"):
-        serial = _search(allocator)
-        sharded = _search(allocator, n_jobs=2)
+        first = _search(allocator)
         rerun = _search(allocator)
-        front = serial.front()
+        front = first.front()
         per_strategy.append({
             "allocator": allocator,
             "front_size": len(front),
-            "evaluations": serial.evaluations,
-            "directions": list(serial.directions),
-            "jobs_identical": serial.to_dict() == sharded.to_dict(),
-            "rerun_identical": serial.to_dict() == rerun.to_dict(),
+            "evaluations": first.evaluations,
+            "directions": list(first.directions),
+            "rerun_identical": first.to_dict() == rerun.to_dict(),
             "non_dominated": _non_dominated(front),
-            "within_budget": 0 < serial.evaluations <= BUDGET,
+            "within_budget": 0 < first.evaluations <= BUDGET,
         })
     eps, wts = per_strategy
     return {
         "budget": BUDGET,
         "objectives": list(OBJECTIVES),
         "strategies": per_strategy,
-        "identical": all(s["jobs_identical"] and s["rerun_identical"]
-                         for s in per_strategy),
+        "identical": all(s["rerun_identical"] for s in per_strategy),
         "fronts_valid": all(s["non_dominated"] and s["within_budget"]
                             and s["front_size"] >= 1
                             for s in per_strategy),
@@ -105,7 +99,7 @@ def run_comparison() -> dict:
 
 def _check(stats: dict) -> None:
     assert stats["identical"], \
-        "Pareto front not bit-identical across n_jobs / reruns"
+        "Pareto front not bit-identical across reruns"
     assert stats["fronts_valid"], "a front was empty, dominated or over budget"
     assert stats["strategies_diverse"], \
         "epsilon and weighted schedules collapsed onto the same directions"
@@ -118,7 +112,6 @@ def main() -> int:
     for s in stats["strategies"]:
         print(f"  {s['allocator']:<19}: front {s['front_size']}, "
               f"{s['evaluations']} evaluations, "
-              f"jobs-identical {s['jobs_identical']}, "
               f"rerun-identical {s['rerun_identical']}, "
               f"non-dominated {s['non_dominated']}")
     _check(stats)

@@ -157,6 +157,9 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
+    if args.jobs != 1:
+        print("warning: optimize --jobs is deprecated, ignored and will be "
+              "removed in 4.0", file=sys.stderr)
     if args.objectives:
         return _optimize_objectives(args)
     from .search import portfolio_search
@@ -166,7 +169,6 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         inst.application, inst.platform, args.model,
         n_restarts=args.restarts, budget=args.budget, root_seed=args.seed,
         max_iters=args.iters, max_paths=args.max_rows,
-        n_jobs=args.jobs if args.jobs != 1 else None,
         allocator=args.allocator or "fair-share",
     )
     if not _machine_stdout(args, result.to_dict()):
@@ -210,7 +212,6 @@ def _optimize_objectives(args: argparse.Namespace) -> int:
         objectives=args.objectives,
         n_restarts=args.restarts, budget=args.budget, root_seed=args.seed,
         max_iters=args.iters, max_paths=args.max_rows,
-        n_jobs=args.jobs if args.jobs != 1 else None,
         allocator=args.allocator or "epsilon-constraint",
     )
     if not _machine_stdout(args, result.to_dict()):
@@ -646,8 +647,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=20090302,
                    help="root entropy of the restart seed tree")
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes per neighborhood (0 = all cores, "
-                        "1 = serial; trajectory is identical)")
+                   help="deprecated and ignored; removed in 4.0")
     p.add_argument("--objectives", default=None,
                    help="comma-separated criteria out of period, latency, "
                         "reliability — switches to the Pareto-archive "

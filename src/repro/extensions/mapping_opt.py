@@ -22,13 +22,9 @@ the skeleton cache instead of rebuilding their TPN.
 Every climb — :func:`local_search_mapping` here and each scalarized
 direction of :func:`repro.search.pareto_portfolio_search` — runs one
 private first-improvement scan, parameterized by a per-candidate score
-and a ``better(new, best)`` rule.  Serially it grants and evaluates one
-candidate at a time; with ``n_jobs`` it evaluates the rest of each
-neighborhood in one :func:`repro.engine.evaluate` call (sharded across
-worker processes when large enough, locksteping same-topology runs on
-the shared engine otherwise) and refunds the grant past the accepted
-move, so the trajectory, the charges and ``evaluations`` are the serial
-ones.
+and a ``better(new, best)`` rule.  It grants and evaluates one candidate
+at a time and stops at the first improving move, so no oracle call
+goes uncharged.
 
 Restart hooks
 -------------
@@ -37,9 +33,9 @@ portfolio.  Two hooks exist for that composition and for any caller with
 a fixed oracle allowance:
 
 * ``budget=`` — an :class:`repro.search.EvaluationBudget` (or any object
-  with its ``take(n) -> int`` / ``refund(n)`` protocol) checked before
-  every oracle call; when the shared pool runs dry the search stops
-  gracefully and returns its incumbent instead of overdrawing.
+  with its ``take(n) -> int`` protocol) checked before every oracle
+  call; when the shared pool runs dry the search stops gracefully and
+  returns its incumbent instead of overdrawing.
 * :func:`perturb_mapping` — a seeded kick of an elite mapping (random
   swap/move/rotate moves) used to diversify restarts around the current
   best solution.
@@ -57,6 +53,7 @@ a fixed oracle allowance:
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Protocol
 
@@ -68,7 +65,7 @@ from ..core.mapping import Mapping
 from ..core.models import CommModel
 from ..core.platform import Platform
 from ..core.throughput import PeriodResult
-from ..engine import BatchEngine, evaluate
+from ..engine import BatchEngine
 from ..errors import ValidationError
 from ..experiments.generator import random_replication
 
@@ -87,22 +84,29 @@ class _Budget(Protocol):
 
     def take(self, n: int = 1) -> int: ...
 
-    def refund(self, n: int) -> None: ...
-
 
 class _BudgetExhausted(Exception):
     """Internal control flow: the shared evaluation pool ran dry."""
 
 
-def _take(budget: _Budget | None, n: int) -> int:
-    """Grant up to ``n`` evaluations from ``budget`` (all of them if None)."""
-    return n if budget is None else budget.take(n)
+def _granted(budget: _Budget | None) -> bool:
+    """Take one evaluation from ``budget``; whether it was granted."""
+    return budget is None or budget.take(1) > 0
 
 
 def _charge(budget: _Budget | None) -> None:
     """Grant one evaluation, or raise :class:`_BudgetExhausted`."""
-    if _take(budget, 1) == 0:
+    if not _granted(budget):
         raise _BudgetExhausted
+
+
+def _warn_n_jobs_ignored(func: str) -> None:
+    """Warn that ``func(n_jobs=...)`` is deprecated and ignored."""
+    warnings.warn(
+        f"{func}(n_jobs=...) is deprecated, ignored and will be removed "
+        "in 4.0: mapping climbs evaluate one candidate at a time",
+        DeprecationWarning, stacklevel=3,
+    )
 
 
 @dataclass(frozen=True)
@@ -419,7 +423,6 @@ def _climb(
     engine: BatchEngine,
     max_iters: int,
     max_paths: int,
-    n_jobs: int | None,
     budget: _Budget | None,
 ) -> bool:
     """The one first-improvement scan behind every mapping climb.
@@ -428,19 +431,15 @@ def _climb(
     each neighborhood in a fresh shuffled order and accepts the first
     candidate whose ``score(inst, period_result)`` is ``better`` than
     the incumbent's.  Candidates over ``max_paths`` are charged but
-    never scored.  Serially, every candidate is granted and evaluated
-    one at a time; with ``n_jobs`` (0 or k > 1) the scan grants the rest
-    of the neighborhood, evaluates it in one :func:`repro.engine.evaluate`
-    call and refunds the grant past the accepted move, so the charges,
-    the ``score`` calls and the accepted moves are the serial ones.
+    never scored.  Every candidate is granted and evaluated one at a
+    time, so the scan stops evaluating at the accepted move.
 
     Returns ``True`` when the budget dried mid-climb (``state`` is then
     the resume point), ``False`` when the climb converged or hit
     ``max_iters``.
     """
-    sharded = n_jobs not in (None, 1)
     if not state.started:
-        if _take(budget, 1) == 0:
+        if not _granted(budget):
             return True
         state.evaluations += 1
         if state.mapping.num_paths <= max_paths:
@@ -454,39 +453,20 @@ def _climb(
         if state.order is None:
             state.order = state.rng.permutation(len(moves))
             state.cursor = 0
-        # A move of a valid mapping is valid, so candidate ``pos`` of the
-        # scan is ``moves[order[cursor + pos]]``, built when reached.
-        todo = state.order[state.cursor:]
-
-        def candidate(pos: int) -> Mapping:
-            return Mapping([tuple(s) for s in moves[int(todo[pos])]],
-                           n_processors=plat.n_processors)
-
-        if sharded:
-            grant = _take(budget, len(todo))
-            granted = [candidate(pos) for pos in range(grant)]
-            feasible = [pos for pos in range(grant)
-                        if granted[pos].num_paths <= max_paths]
-            insts = [Instance(app, plat, granted[pos]) for pos in feasible]
-            results = evaluate(insts, model, engine=engine, n_jobs=n_jobs)
-            evaluated = dict(zip(feasible, zip(insts, results)))
-        for pos in range(len(todo)):
-            if (pos == grant) if sharded else (_take(budget, 1) == 0):
+        for pos, k in enumerate(state.order[state.cursor:]):
+            if not _granted(budget):
                 state.cursor += pos
                 return True
             state.evaluations += 1
-            m2 = granted[pos] if sharded else candidate(pos)
+            # A move of a valid mapping is valid, so scan position ``pos``
+            # is always candidate ``moves[order[cursor + pos]]``.
+            m2 = Mapping([tuple(s) for s in moves[int(k)]],
+                         n_processors=plat.n_processors)
             if m2.num_paths > max_paths:
                 continue
-            if sharded:
-                inst, result = evaluated[pos]
-            else:
-                inst = Instance(app, plat, m2)
-                result = engine.evaluate(inst, model)
-            value = score(inst, result)
+            inst = Instance(app, plat, m2)
+            value = score(inst, engine.evaluate(inst, model))
             if better(value, state.best):
-                if sharded and budget is not None:
-                    budget.refund(grant - (pos + 1))
                 state.mapping, state.best = m2, value
                 state.trace.append(value)
                 break
@@ -519,22 +499,12 @@ def local_search_mapping(
     A move is accepted when it lowers the period by more than a relative
     ``1e-12``.
 
-    With ``n_jobs`` set (0 = all cores, k > 1 = k workers) every
-    iteration evaluates the rest of its neighborhood in one
-    :func:`repro.engine.evaluate` call and *then* scans it in the same
-    shuffled order for the first improving move: the accepted moves,
-    ``evaluations`` and ``trace`` are those of the serial search.
-    Worker processes are pooled per iteration; neighborhoods too small
-    to shard stay on the shared ``engine``, and sharded chunks warm
-    their own per-worker caches.
+    ``n_jobs`` is deprecated and ignored (removed in 4.0): the scan
+    evaluates one candidate at a time on ``engine``.
 
     ``budget`` bounds the oracle calls against a shared pool (see
-    :class:`repro.search.EvaluationBudget`): the serial scan stops at
-    the last granted evaluation; the batch scan takes a grant for its
-    whole (truncated) neighborhood up front and refunds everything past
-    the first improving move.  Budgeted searches therefore charge — and
-    stop — exactly like the serial search at any ``n_jobs``, and the
-    incumbent is returned when the pool dries either way.
+    :class:`repro.search.EvaluationBudget`): the scan stops at the last
+    granted evaluation and returns the incumbent.
 
     A search its budget paused mid-climb carries a
     :class:`SearchCheckpoint` on the result; pass it back as
@@ -542,8 +512,10 @@ def local_search_mapping(
     exactly where it stopped — ``rng`` and ``start`` are then taken
     from the checkpoint and the arguments are ignored.  Pausing at any
     grant boundary and resuming is bit-identical to one uninterrupted
-    climb given the same total grant, at any ``n_jobs``.
+    climb given the same total grant.
     """
+    if n_jobs is not None:
+        _warn_n_jobs_ignored("local_search_mapping")
     model = CommModel.parse(model)
     if checkpoint is not None:
         prior_evals, prior_trace = checkpoint.evaluations, checkpoint.trace
@@ -570,7 +542,7 @@ def local_search_mapping(
         score=lambda inst, result: result.period,
         better=lambda new, best: new < best * (1 - 1e-12),
         engine=_search_engine(engine, max_paths),
-        max_iters=max_iters, max_paths=max_paths, n_jobs=n_jobs, budget=budget,
+        max_iters=max_iters, max_paths=max_paths, budget=budget,
     )
     cp = None
     if paused:

@@ -6,7 +6,8 @@ caller-owned :class:`~repro.engine.batch.BatchEngine` (skeleton cache,
 lockstep group solves — all the PR-1..PR-8 machinery), while latency
 and reliability are cheap pure per-instance functions computed in the
 calling process.  That split is what makes objective-aware results
-bit-identical whatever ``n_jobs`` sharded the period computation.
+bit-identical whichever process — a serial drain or a campaign
+worker — computed the period.
 
 Latency comes in two modes:
 

@@ -14,8 +14,8 @@ achieved it.  Everything here is deliberately boring and deterministic:
   front bytes do not depend on insertion order at all.
 
 Searches feed candidates in a fixed direction-major order, which makes
-archive contents identical across ``n_jobs`` and across serial vs
-fabric campaign runs — the acceptance bar of the objective plane.
+archive contents identical across reruns and across serial vs fabric
+campaign runs — the acceptance bar of the objective plane.
 """
 
 from __future__ import annotations

@@ -33,7 +33,7 @@ control flow is deterministic: ranking is a stable sort on
 ``(period, index)``, rung slices are integer arithmetic on the pool's
 remaining count, and climbs resume bit-identically from their
 checkpoints — so a racing portfolio reproduces across interpreter
-invocations and ``n_jobs`` worker counts.
+invocations.
 """
 
 from __future__ import annotations

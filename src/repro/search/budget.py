@@ -5,14 +5,15 @@ better than another if it reaches a lower period with the same number of
 exact-period evaluations.  :class:`EvaluationBudget` is the single
 mutable counter every restart of :func:`repro.search.portfolio_search`
 draws from — and the hook :func:`repro.extensions.mapping_opt` search
-loops check before each oracle call, so a restart stops mid-climb the
-moment the shared pool runs dry instead of overdrawing it.  Both
-portfolios hand each climb a capped slice of the pool
-(:class:`_BudgetSlice`).
+loops check before each oracle call, taking one grant per candidate, so
+a restart stops mid-climb the moment the shared pool runs dry instead of
+overdrawing it.  Grants are never given back.  Both portfolios hand each
+climb a capped slice of the pool (:class:`_BudgetSlice`).
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 __all__ = ["EvaluationBudget"]
@@ -56,12 +57,15 @@ class EvaluationBudget:
     def refund(self, n: int) -> None:
         """Return ``n`` unused grants to the pool.
 
-        With ``n_jobs``, the mapping climbs' first-improvement scan
-        takes a grant for the rest of a neighborhood up front but — like
-        the serial scan — only *pays* for candidates up to the first
-        improving move; the speculative remainder is refunded so
-        parallel and serial searches charge identically.
+        Deprecated; removed in 4.0.  The mapping climbs take one grant
+        per evaluated candidate and never refund.
         """
+        warnings.warn(
+            "EvaluationBudget.refund is deprecated and will be removed in "
+            "4.0: mapping climbs take one grant per candidate and never "
+            "refund",
+            DeprecationWarning, stacklevel=2,
+        )
         if n < 0:
             raise ValueError(f"cannot refund a negative count ({n})")
         if n > self.spent:
@@ -100,7 +104,3 @@ class _BudgetSlice:
         granted = self._pool.take(n) if n > 0 else 0
         self._used += granted
         return granted
-
-    def refund(self, n: int) -> None:
-        self._used -= n
-        self._pool.refund(n)

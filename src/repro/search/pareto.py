@@ -22,15 +22,13 @@ allocator (:class:`~repro.search.allocator.EpsilonConstraintAllocator`
   grid.
 
 Every evaluated mapping — probes, climb starts, every neighborhood
-candidate the serial scan reaches — is offered to one shared
+candidate the scan reaches — is offered to one shared
 :class:`~repro.objectives.ParetoArchive` in direction-major order.
 Each direction climbs through the same first-improvement scan as
 :func:`repro.extensions.mapping_opt.local_search_mapping`, with the
-direction's score in place of the period: the scan order, budget
-charging and archive offers all follow the *serial* trajectory (the
-batched neighborhood path refunds and discards evaluations past the
-first improving move), so the archive contents are bit-identical at
-any ``n_jobs``.
+direction's score in place of the period: one candidate is charged,
+evaluated and offered at a time, so the archive contents are a pure
+function of the inputs.
 
 Determinism inventory: probe mappings are the two
 :func:`repro.objectives.replication_policy_mapping` policies plus
@@ -59,7 +57,12 @@ from ..core.platform import Platform
 from ..core.throughput import PeriodResult
 from ..engine import BatchEngine
 from ..errors import ValidationError
-from ..extensions.mapping_opt import _Climb, _climb, random_mapping
+from ..extensions.mapping_opt import (
+    _Climb,
+    _climb,
+    _warn_n_jobs_ignored,
+    random_mapping,
+)
 from ..objectives import (
     DEFAULT_LATENCY_DATASETS,
     REPLICATION_POLICIES,
@@ -404,7 +407,6 @@ class _ParetoDriver:
         n_restarts: int,
         max_iters: int,
         max_paths: int,
-        n_jobs: int | None,
     ) -> None:
         self.app = app
         self.plat = plat
@@ -417,7 +419,6 @@ class _ParetoDriver:
         self.n_restarts = n_restarts
         self.max_iters = max_iters
         self.max_paths = max_paths
-        self.n_jobs = n_jobs
         self.records: list[DirectionRecord] = []
         self._seeds = pareto_seeds(
             app, model, n_restarts + 1, root_seed=root_seed
@@ -459,9 +460,8 @@ class _ParetoDriver:
         def score(
             inst: Instance, period_result: PeriodResult
         ) -> tuple[tuple[float, float], EvalResult]:
-            # Latency and reliability attach in this process as each
-            # candidate is reached, so the archive offers follow the
-            # serial scan at any n_jobs.
+            # Latency and reliability attach as each candidate is
+            # reached, so the archive offers follow the scan order.
             result = attach_objectives(
                 inst,
                 period_result,
@@ -487,7 +487,6 @@ class _ParetoDriver:
             engine=self.evaluator.engine,
             max_iters=self.max_iters,
             max_paths=self.max_paths,
-            n_jobs=self.n_jobs,
             budget=_BudgetSlice(self.pool, cap),
         )
         # An infeasible start enters the trace unscored.
@@ -555,11 +554,9 @@ def pareto_portfolio_search(
        each a first-improvement local search from the archive's best
        point under that direction, dealt even budget slices.
 
-    Every evaluation the serial trajectory reaches is offered to the
-    archive in direction-major order; ``n_jobs`` fans neighborhood
-    period computations out to workers but charges, accepts and offers
-    exactly like the serial scan — archive contents are bit-identical
-    at any worker count.
+    Every evaluation the climbs reach is offered to the archive in
+    direction-major order.  ``n_jobs`` is deprecated and ignored
+    (removed in 4.0).
 
     Parameters mirror :func:`repro.search.portfolio_search`; the
     additions are ``objectives`` (see
@@ -585,6 +582,8 @@ def pareto_portfolio_search(
     >>> res.evaluations <= 80
     True
     """
+    if n_jobs is not None:
+        _warn_n_jobs_ignored("pareto_portfolio_search")
     model = CommModel.parse(model)
     names = parse_objectives(objectives)
     alloc = resolve_allocator(allocator)
@@ -651,7 +650,6 @@ def pareto_portfolio_search(
         n_restarts,
         max_iters,
         max_paths,
-        n_jobs,
     )
     with TELEMETRY.span(
         "pareto-allocate", allocator=alloc.name, restarts=n_restarts

@@ -59,6 +59,7 @@ from ..telemetry import TELEMETRY
 from ..utils import canonical_json, spawn_seeds
 from ..extensions.mapping_opt import (
     MappingSearchResult,
+    _warn_n_jobs_ignored,
     greedy_mapping,
     local_search_mapping,
     perturb_mapping,
@@ -247,7 +248,7 @@ class _ClimbDriver:
     def __init__(self, app: Application, plat: Platform, model: CommModel,
                  eng: BatchEngine, pool: EvaluationBudget, root_seed: int,
                  n_restarts: int, max_iters: int, max_paths: int,
-                 perturbation_moves: int, n_jobs: int | None) -> None:
+                 perturbation_moves: int) -> None:
         self.app = app
         self.plat = plat
         self.model = model
@@ -258,7 +259,6 @@ class _ClimbDriver:
         self.max_iters = max_iters
         self.max_paths = max_paths
         self.perturbation_moves = perturbation_moves
-        self.n_jobs = n_jobs
         self.best_mapping: Mapping | None = None
         self.best_period = float("inf")
         self._children = portfolio_seeds(app, model, n_restarts + 1,
@@ -310,7 +310,7 @@ class _ClimbDriver:
         res: MappingSearchResult = local_search_mapping(
             self.app, self.plat, self.model, rng=rng, start=start,
             max_iters=self.max_iters, max_paths=self.max_paths,
-            engine=self.eng, n_jobs=self.n_jobs, budget=slice_budget,
+            engine=self.eng, budget=slice_budget,
         )
         climb = Climb(index=index, kind=kind, seed=seed)
         climb.period = min(res.period, *extra_trace) if extra_trace \
@@ -331,7 +331,7 @@ class _ClimbDriver:
         res = local_search_mapping(
             self.app, self.plat, self.model, checkpoint=climb.checkpoint,
             max_iters=self.max_iters, max_paths=self.max_paths,
-            engine=self.eng, n_jobs=self.n_jobs, budget=slice_budget,
+            engine=self.eng, budget=slice_budget,
         )
         climb.period = min(climb.period, res.period)
         climb.evaluations += res.evaluations
@@ -389,8 +389,8 @@ def portfolio_search(
         its topology cache; by default one engine is created for the
         whole portfolio.
     n_jobs:
-        Fan each restart's neighborhood evaluation out to worker
-        processes (0 = all cores); the search trajectory is unchanged.
+        Deprecated and ignored; removed in 4.0.  Every climb evaluates
+        one candidate at a time on the shared engine.
     allocator:
         Budget-allocation strategy: ``"fair-share"`` (even split, the
         default), ``"racing"`` (successive halving over checkpointed
@@ -409,6 +409,8 @@ def portfolio_search(
     >>> res.evaluations <= 60
     True
     """
+    if n_jobs is not None:
+        _warn_n_jobs_ignored("portfolio_search")
     model = CommModel.parse(model)
     alloc = resolve_allocator(allocator)
     if n_restarts < 0:
@@ -430,7 +432,7 @@ def portfolio_search(
                                  root_seed=root_seed)[-1]
 
     driver = _ClimbDriver(app, plat, model, eng, pool, root_seed, n_restarts,
-                          max_iters, max_paths, perturbation_moves, n_jobs)
+                          max_iters, max_paths, perturbation_moves)
     with TELEMETRY.span("portfolio-allocate", allocator=alloc.name,
                         restarts=n_restarts):
         climbs = alloc.allocate(driver)
@@ -458,7 +460,7 @@ def portfolio_search(
             res = local_search_mapping(
                 app, plat, model, rng=rng, start=best_mapping,
                 max_iters=max_iters, max_paths=max_paths, engine=eng,
-                n_jobs=n_jobs, budget=pool,
+                budget=pool,
             )
         # The next unused index: racing brackets may have launched extra
         # restarts past n_restarts, and record indexes must stay unique.

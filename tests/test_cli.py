@@ -136,6 +136,20 @@ class TestOtherCommands:
         err = capsys.readouterr().err
         assert "unrecognized arguments: --warm-start" in err
 
+    @pytest.mark.parametrize("extra", [[], ["--objectives", "period,latency"]])
+    def test_optimize_jobs_is_ignored(self, capsys, extra):
+        # --jobs is deprecated: one stderr line, identical stdout bytes.
+        argv = ["optimize", "b", "--restarts", "2", "--budget", "60",
+                "--format", "json"] + extra
+        assert main(argv + ["--jobs", "1"]) == 0
+        serial = capsys.readouterr()
+        assert serial.err == ""
+        assert main(argv + ["--jobs", "2"]) == 0
+        ignored = capsys.readouterr()
+        assert ignored.out == serial.out
+        assert ignored.err.count("\n") == 1
+        assert "--jobs is deprecated" in ignored.err
+
     def test_table2_tiny(self, capsys):
         assert main(["table2", "--scale", "0.002", "--models", "overlap",
                      "--jobs", "1"]) == 0

@@ -66,25 +66,6 @@ class TestLocalSearch:
         assert res.period <= base + 1e-12
         assert res.evaluations > 0
 
-    def test_batched_neighborhood_matches_serial_trajectory(self):
-        """n_jobs neighborhood evaluation accepts the same moves."""
-        app, plat = small_problem()
-        start = random_mapping(app, plat, np.random.default_rng(11))
-        serial = local_search_mapping(
-            app, plat, "overlap", rng=np.random.default_rng(5),
-            start=start, max_iters=8,
-        )
-        batched = local_search_mapping(
-            app, plat, "overlap", rng=np.random.default_rng(5),
-            start=start, max_iters=8, n_jobs=2,
-        )
-        assert batched.period == serial.period
-        assert batched.mapping == serial.mapping
-        assert batched.trace == serial.trace
-        # The batch path counts the serial scan's oracle calls, not the
-        # whole neighborhoods it evaluated.
-        assert batched.evaluations == serial.evaluations
-
     def test_every_move_of_a_valid_mapping_is_valid(self):
         # The scan takes candidate ``pos`` as moves[order[cursor + pos]]
         # (mapping_opt._climb), so no move may be invalid.

@@ -80,11 +80,6 @@ class TestDeterminism:
         b = _search().to_dict()
         assert a == b
 
-    def test_n_jobs_bit_identical(self):
-        serial = _search(n_jobs=None).to_dict()
-        sharded = _search(n_jobs=2).to_dict()
-        assert serial == sharded
-
     @pytest.mark.parametrize("model", ["overlap", "strict"])
     def test_serial_scan_evaluates_only_charged_points(self, model):
         # The serial climb evaluates one candidate at a time and stops at

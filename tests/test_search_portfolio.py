@@ -19,9 +19,12 @@ from repro.extensions import (
 from repro.search import (
     EvaluationBudget,
     PortfolioResult,
+    pareto_portfolio_search,
     portfolio_search,
     portfolio_seeds,
 )
+
+from .conftest import collecting
 
 APP = Application(works=[2.0, 9.0, 4.0], file_sizes=[3.0, 1.0],
                   name="test-portfolio")
@@ -69,39 +72,36 @@ class TestSearchBudgetHooks:
             rng=np.random.default_rng(0), budget=EvaluationBudget(0))
         assert res.period == float("inf") and res.evaluations == 0
 
-    def test_batch_path_respects_budget(self):
-        pool = EvaluationBudget(20)
-        res = local_search_mapping(
-            APP, make_platform(), "overlap",
-            rng=np.random.default_rng(0), budget=pool, n_jobs=2)
-        assert res.evaluations <= 20
-        assert np.isfinite(res.period)
-
     def test_budgeted_search_charges_identically_at_any_n_jobs(self):
-        # The batch path refunds speculative grants past the accepted
-        # move, so a finite budget buys the same trajectory serial or
-        # sharded (the reviewer's counterexample: budget=60).
+        # ``n_jobs`` is ignored, so a finite budget buys the same
+        # trajectory and charges with or without it.
         for limit in (30, 60, 120):
             serial_pool = EvaluationBudget(limit)
             serial = local_search_mapping(
                 APP, make_platform(), "overlap",
                 rng=np.random.default_rng(0), budget=serial_pool)
-            batch_pool = EvaluationBudget(limit)
-            batch = local_search_mapping(
-                APP, make_platform(), "overlap",
-                rng=np.random.default_rng(0), budget=batch_pool, n_jobs=2)
-            assert serial.period == batch.period
-            assert serial.trace == batch.trace
-            assert serial.evaluations == batch.evaluations
-            assert serial_pool.spent == batch_pool.spent
+            ignored_pool = EvaluationBudget(limit)
+            with pytest.warns(DeprecationWarning, match="n_jobs"):
+                ignored = local_search_mapping(
+                    APP, make_platform(), "overlap",
+                    rng=np.random.default_rng(0), budget=ignored_pool,
+                    n_jobs=2)
+            assert serial.period == ignored.period
+            assert serial.trace == ignored.trace
+            assert serial.evaluations == ignored.evaluations
+            assert serial_pool.spent == ignored_pool.spent
 
     def test_budget_refund(self):
+        # Deprecated: still restores ``spent`` and rejects bad counts.
         b = EvaluationBudget(10)
         assert b.take(7) == 7
-        b.refund(3)
+        with pytest.warns(DeprecationWarning, match="refund"):
+            b.refund(3)
         assert b.spent == 4 and b.remaining == 6
-        with pytest.raises(ValueError):
-            b.refund(5)
+        for bad in (5, -1):
+            with pytest.warns(DeprecationWarning), pytest.raises(ValueError):
+                b.refund(bad)
+        assert b.spent == 4
 
     def test_greedy_never_overdraws(self):
         pool = EvaluationBudget(4)
@@ -118,6 +118,42 @@ class TestSearchBudgetHooks:
         assert a.period == b.period
         assert a.evaluations == b.evaluations
         assert a.trace == b.trace
+
+
+def _local_search(**kw):
+    res = local_search_mapping(APP, make_platform(), "strict",
+                               rng=np.random.default_rng(0), max_iters=15,
+                               **kw)
+    return (res.mapping.assignments, res.period, res.trace), res.evaluations
+
+
+def _portfolio(**kw):
+    res = portfolio_search(APP, make_platform(), "strict", n_restarts=3,
+                           budget=200, **kw)
+    return res.to_dict(), res.evaluations
+
+
+def _pareto(**kw):
+    res = pareto_portfolio_search(APP, make_platform(), "strict",
+                                  n_restarts=3, budget=150, max_iters=20,
+                                  **kw)
+    return res.to_dict(), res.evaluations
+
+
+class TestDeprecatedNJobs:
+    @pytest.mark.parametrize("run", [_local_search, _portfolio, _pareto],
+                             ids=["local_search_mapping", "portfolio_search",
+                                  "pareto_portfolio_search"])
+    def test_n_jobs_is_ignored(self, run):
+        """``n_jobs`` warns once and changes nothing: the climb still
+        evaluates one charged candidate at a time."""
+        serial, _ = run()
+        with pytest.warns(DeprecationWarning, match="n_jobs") as caught, \
+                collecting() as tel:
+            ignored, evaluations = run(n_jobs=2)
+        assert len(caught) == 1
+        assert ignored == serial
+        assert tel.counters["engine.points"] == evaluations
 
 
 class TestPerturbMapping:
@@ -226,11 +262,12 @@ class TestPortfolioSearch:
         plat = make_platform()
         serial = portfolio_search(APP, plat, "overlap",
                                   n_restarts=2, budget=120)
-        shared = portfolio_search(APP, plat, "overlap",
-                                  n_restarts=2, budget=120,
-                                  engine=BatchEngine(max_rows=3001))
-        assert serial.period == shared.period
-        assert serial.mapping.assignments == shared.mapping.assignments
+        with pytest.warns(DeprecationWarning, match="n_jobs"):
+            shared = portfolio_search(APP, plat, "overlap",
+                                      n_restarts=2, budget=120,
+                                      engine=BatchEngine(max_rows=3001),
+                                      n_jobs=2)
+        assert serial.to_dict() == shared.to_dict()
 
     def test_zero_budget_returns_flagged_fallback(self):
         res = portfolio_search(APP, make_platform(), "overlap",
