@@ -32,24 +32,30 @@ next drain writes a manifest of its own.
 
 Directory remote layout::
 
-    <root>/objects/<digest[:2]>/<digest>.json     # payload text, exact bytes
-    <root>/quarantine/<digest>.<origin>.json      # {digest, origin, reason, payload}
+    <root>/objects/<digest[:2]>/<digest>.json  # payload text, exact bytes
+    <root>/quarantine/<crc32>.json             # {digest, origin, reason, payload}
 
-The two-level fan-out keeps directories small at millions of objects;
-every listing is sorted before use, so remote enumeration order is a
-contract, not a filesystem accident.
+It is the object tree a spill journal also is (:mod:`repro.faults.journal`):
+one writer with per-process temp names, and paths built only from
+file-name-token digests (other digests are quarantined).  Quarantine
+entries are named by the crc32 of ``canonical_json([digest, origin])``,
+as an origin is often a path.  The two-level fan-out keeps directories
+small; every listing is sorted before use, so remote enumeration order
+is a contract, not a filesystem accident.
 """
 
 from __future__ import annotations
 
 import json
 import sqlite3
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterator
 
 from ..errors import SyncConflictError, ValidationError
 from ..faults import DEFAULT_RETRY, FAULTS, RetryPolicy
+from ..faults.journal import _ObjectTree
 from ..telemetry import TELEMETRY
 from ..utils import canonical_json
 from .store import ResultStore, payload_error
@@ -133,28 +139,18 @@ class _StoreEndpoint:
         self._store.add_quarantine(digest, origin, text, reason)
 
 
-class DirectoryRemote:
+class DirectoryRemote(_ObjectTree):
     """A content-addressed object directory as a sync endpoint.
 
-    The directory is created on first write.  Payloads are stored as
+    The object tree a spill journal also is: payloads are stored as
     exact bytes under ``objects/<digest[:2]>/<digest>.json`` and are
     never overwritten — like the store, a directory remote is
     content-addressed and append-only (quarantine aside).
     """
 
     def __init__(self, root: str | Path) -> None:
-        self.root = Path(root)
+        super().__init__(root)
         self.label = str(root)
-
-    def _object_path(self, digest: str) -> Path:
-        return self.root / "objects" / digest[:2] / f"{digest}.json"
-
-    def items_text(self) -> Iterator[tuple[str, str]]:
-        objects = self.root / "objects"
-        if not objects.is_dir():
-            return
-        for path in sorted(objects.glob("*/*.json")):
-            yield path.stem, path.read_text()
 
     def get_text(self, digest: str) -> str | None:
         path = self._object_path(digest)
@@ -166,39 +162,27 @@ class DirectoryRemote:
             # back a truncated payload that lands under the final name
             # — exactly the wreckage quarantine exists to catch.
             text = FAULTS.mangle("sync.object-write", text)
-        path = self._object_path(digest)
-        if path.exists():
-            return False
-        path.parent.mkdir(parents=True, exist_ok=True)
-        # Write-then-rename: a reader (or a crash) never observes a
-        # half-written object under its final content-addressed name.
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(text, newline="")
-        tmp.replace(path)
-        return True
+        return self._put(digest, text)
 
     def quarantine(
         self, digest: str, origin: str, text: str, reason: str
     ) -> None:
-        qdir = self.root / "quarantine"
-        qdir.mkdir(parents=True, exist_ok=True)
+        key = canonical_json([digest, origin]).encode("utf-8")
         entry = canonical_json(
             {"digest": digest, "origin": origin, "reason": reason,
              "payload": text},
             indent=2,
         ) + "\n"
-        (qdir / f"{digest}.{origin}.json").write_text(entry, newline="")
+        self._write(
+            self.root / "quarantine" / f"{zlib.crc32(key):08x}.json", entry
+        )
 
     def quarantined(self) -> list[tuple[str, str, str, str]]:
         """``(digest, origin, payload_text, reason)`` rows, sorted."""
         qdir = self.root / "quarantine"
-        rows: list[tuple[str, str, str, str]] = []
-        if qdir.is_dir():
-            for path in sorted(qdir.glob("*.json")):
-                entry = json.loads(path.read_text())
-                rows.append((str(entry["digest"]), str(entry["origin"]),
-                             str(entry["payload"]), str(entry["reason"])))
-        return rows
+        entries = [json.loads(p.read_text()) for p in sorted(qdir.glob("*.json"))]
+        return sorted((str(e["digest"]), str(e["origin"]),
+                       str(e["payload"]), str(e["reason"])) for e in entries)
 
 
 def open_remote(
@@ -245,11 +229,14 @@ def _merge(
             FAULTS.hit("sync.merge-row")
         report.examined += 1
         reason = payload_error(text)
+        try:
+            existing = dst.get_text(digest) if reason is None else None
+        except ValidationError as exc:  # a digest no object path takes
+            reason = str(exc)
         if reason is not None:
             dst.quarantine(digest, origin, text, reason)
             report.quarantined.append((digest, reason))
             continue
-        existing = dst.get_text(digest)
         if existing is None:
             dst.put_text(digest, text)
             report.merged += 1
@@ -299,10 +286,7 @@ def _replace_text(
         )
         dst._store.commit()
     else:
-        path = dst._object_path(digest)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(text, newline="")
-        tmp.replace(path)
+        dst._write(dst._object_path(digest), text)
 
 
 # ----------------------------------------------------------------------

@@ -13,14 +13,15 @@ The campaign fabric's robustness layer, in two symmetric halves:
   backoff, deterministic seeded jitter, per-operation budgets) adopted
   by store connect/commit, lease transactions and sync verbs; and the
   degradation ladder: retry → spill committed results to a local
-  :class:`SpillJournal` → :func:`heal` replays them into the store
-  idempotently (``repro-workflow store heal``).
+  :class:`SpillJournal` → :func:`heal` (a sync pull of the journal)
+  replays them into the store idempotently (``repro-workflow store heal``).
 
-Every fault raised, retry spent, spill written and heal replayed is
-counted through :mod:`repro.telemetry` as diagnostic counters; armed or
-not, the plane never touches stored values, so all byte-determinism
-contracts hold whenever the faults themselves don't kill the run — and
-after crashes, resume + heal restores the exact same bytes.
+Every fault raised, retry spent and spill written is counted through
+:mod:`repro.telemetry` as diagnostic counters (a heal by its pull's
+``sync.*``); armed or not, the plane never touches stored values, so
+all byte-determinism contracts hold whenever the faults themselves
+don't kill the run — and after crashes, resume + heal restores the
+exact same bytes.
 """
 
 from __future__ import annotations

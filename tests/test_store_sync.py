@@ -8,6 +8,7 @@ destination, and reported — never silently merged into ``results``.
 
 from __future__ import annotations
 
+import multiprocessing as mp
 import tempfile
 from pathlib import Path
 
@@ -183,6 +184,137 @@ class TestCorruptionAndConflicts:
             assert dict(remote.items_text()) == {"good01": _payload_text(1.0)}
             (digest, _, text, _), = remote.quarantined()
             assert (digest, text) == ("bad001", "{nope")
+
+
+def _big_payload(i: int) -> str:
+    """A ~128 KB payload text unique to ``i`` (the writer race needs
+    writes long enough to overlap)."""
+    return f"{i:08d}" * 16384
+
+
+def _collision_writer(root: str, barrier, n: int) -> None:
+    barrier.wait()
+    remote = DirectoryRemote(root)
+    failures = 0
+    for i in range(n):
+        try:
+            remote.put_text(f"c{i:05d}", _big_payload(i))
+        except OSError:
+            failures += 1
+    raise SystemExit(min(failures, 100))
+
+
+class TestConcurrentObjectWriters:
+    def test_two_writers_of_the_same_digests_never_collide(self, tmp_path):
+        """Two processes racing to put the same 256 objects both finish
+        without an OSError: each renames its own temp file into place."""
+        n = 256
+        root = str(tmp_path / "remote")
+        barrier = mp.Barrier(2)
+        procs = [mp.Process(target=_collision_writer, args=(root, barrier, n))
+                 for _ in range(2)]
+        for proc in procs:
+            proc.start()
+        for proc in procs:
+            proc.join()
+        assert [proc.exitcode for proc in procs] == [0, 0]  # = OSErrors seen
+        assert dict(DirectoryRemote(root).items_text()) == {
+            f"c{i:05d}": _big_payload(i) for i in range(n)
+        }
+        assert not sorted(Path(root).rglob("*.tmp"))
+
+
+class TestFileBackedSourceQuarantine:
+    """An origin label is the source store's *path*: quarantine entries
+    into a directory remote must not build file names from it."""
+
+    def test_invalid_row_is_quarantined(self, tmp_path):
+        with ResultStore(tmp_path / "src.sqlite") as src:
+            src.put_text("good01", _payload_text(1.0))
+            src.put_text("bad001", "{nope")
+            report = push(src, str(tmp_path / "remote") + "/")
+        assert report.merged == 1
+        assert [d for d, _ in report.quarantined] == ["bad001"]
+        (digest, origin, text, reason), = DirectoryRemote(
+            tmp_path / "remote").quarantined()
+        assert (digest, origin, text) == (
+            "bad001", str(tmp_path / "src.sqlite"), "{nope")
+        assert reason == payload_error("{nope")
+
+    def test_conflict_is_quarantined(self, tmp_path):
+        remote = DirectoryRemote(tmp_path / "remote")
+        remote.put_text("d1", _payload_text(2.0))
+        with ResultStore(tmp_path / "src.sqlite") as src:
+            src.put_text("d1", _payload_text(1.0))
+            report = push(src, str(tmp_path / "remote") + "/")
+        assert report.conflicts == ["d1"]
+        assert remote.get_text("d1") == _payload_text(2.0)
+        (digest, origin, text, reason), = remote.quarantined()
+        assert (digest, origin, text) == (
+            "d1", str(tmp_path / "src.sqlite"), _payload_text(1.0))
+        assert "conflict" in reason
+
+    def test_invalid_remote_copy_is_repaired(self, tmp_path):
+        remote = DirectoryRemote(tmp_path / "remote")
+        remote.put_text("d1", "{broken")
+        with ResultStore(tmp_path / "src.sqlite") as src:
+            src.put_text("d1", _payload_text(1.0))
+            report = push(src, str(tmp_path / "remote") + "/")
+        assert report.repaired == 1 and report.clean
+        assert remote.get_text("d1") == _payload_text(1.0)
+        (digest, origin, text, _), = remote.quarantined()
+        assert (digest, origin, text) == ("d1", str(tmp_path / "remote"),
+                                          "{broken")
+
+    def test_quarantined_rows_sort_by_digest_then_origin(self, tmp_path):
+        remote = DirectoryRemote(tmp_path / "remote")
+        for digest, origin in [("b", "/x/a"), ("a", "/y"), ("b", "/x")]:
+            remote.quarantine(digest, origin, "{", "r")
+        assert [row[:2] for row in remote.quarantined()] == [
+            ("a", "/y"), ("b", "/x"), ("b", "/x/a")]
+
+
+class TestMalformedDigests:
+    ESCAPING = "aa/../../../../../outside/escaped"
+
+    def test_push_quarantines_a_digest_that_is_not_a_file_name(
+            self, tmp_path):
+        with ResultStore(":memory:") as src:
+            src.put_text("good01", _payload_text(1.0))
+            src.put_text(self.ESCAPING, _payload_text(2.0))
+            report = push(src, str(tmp_path / "sub" / "remote") + "/")
+        assert report.merged == 1
+        assert [d for d, _ in report.quarantined] == [self.ESCAPING]
+        assert "file-name token" in report.quarantined[0][1]
+        assert not (tmp_path / "outside").exists()
+        remote = DirectoryRemote(tmp_path / "sub" / "remote")
+        assert dict(remote.items_text()) == {"good01": _payload_text(1.0)}
+        (digest, _, text, _), = remote.quarantined()
+        assert (digest, text) == (self.ESCAPING, _payload_text(2.0))
+
+    @pytest.mark.parametrize("digest", ["", ".", "..", "a/b", "a.b", "a b"])
+    def test_object_tree_builds_no_path_from_it(self, tmp_path, digest):
+        from repro.faults import SpillJournal
+
+        with pytest.raises(ValidationError):
+            DirectoryRemote(tmp_path / "remote").put_text(digest, "{}")
+        with pytest.raises(ValidationError):
+            SpillJournal(tmp_path / "journal").spill(digest, "{}")
+        assert not sorted(tmp_path.iterdir())
+
+    def test_store_to_store_merge_is_unchanged(self):
+        with ResultStore(":memory:") as src, ResultStore(":memory:") as dst:
+            src.put_text(self.ESCAPING, _payload_text(1.0))
+            report = merge_stores(dst, src)
+            assert report.merged == 1 and report.clean
+            assert dst.payload_text(self.ESCAPING) == _payload_text(1.0)
+
+    @pytest.mark.parametrize("digest", ["d1", "good01", "done-row",
+                                        "a_b", "0" * 64])
+    def test_repo_digests_stay_valid(self, tmp_path, digest):
+        remote = DirectoryRemote(tmp_path / "remote")
+        assert remote.put_text(digest, "{}")
+        assert remote.get_text(digest) == "{}"
 
 
 class TestOpenRemote:
