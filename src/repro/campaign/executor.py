@@ -31,10 +31,19 @@ loop (:func:`_drain`) over the same work list:
 
 :func:`run_campaign` runs that loop in-process, where the worker owns
 the store and its leases are no-ops, or in ``k`` lease-coordinated
-processes on the store's file (``n_jobs=k``, or any ``fault_plans``),
-which inherit the parent's expanded work list, so the spec expands
-once per drain (nothing pending forks nothing); store-backed sweeps
-drain the same way.  :func:`run_campaign_worker` joins from another host.
+processes on the store's file (``n_jobs=k``, or any ``fault_plans``).
+A forked drain spreads steps 1 and 2 over its workers: the parent only
+expands the spec (and reads the manifest) and forks; worker ``i`` of
+``k`` inherits the points, materializes and digests its contiguous
+share of spec order, publishes the share's record, drains its pending
+points and then steals the other shares' leftovers, re-deriving their
+instances from the point indices.  After the join the parent builds
+the report and, on a manifest miss, the manifest from the records.
+A manifest that shows nothing pending forks nothing.  A ``max_points``
+drain hands out only the indices of the first ``max_points`` pending
+points in engine order, which the parent picks as an in-process drain
+does; a store-backed sweep hands out shares of the work list it
+already holds.  :func:`run_campaign_worker` joins from another host.
 
 Every evaluation is a pure function of its point (Howard starts cold
 on every solve), and stored payloads carry only values — so
@@ -52,9 +61,12 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import os as _os
 import random
+import shutil
 import sqlite3
+import tempfile
 import warnings
 import zlib
 from dataclasses import dataclass
@@ -66,6 +78,7 @@ from ..engine import MAX_GROUP_ROWS, BatchEngine, topology_signature
 from ..errors import ValidationError
 from ..experiments.io import canonical_json
 from ..faults import FAULTS, FaultPlan, SpillJournal, pause
+from ..faults.journal import _ObjectTree
 from ..petri.reduction import pattern_plan
 from ..telemetry import TELEMETRY, write_trace
 from .lease import DEFAULT_LEASE_TTL, LeaseManager
@@ -131,7 +144,8 @@ class CampaignReport:
         Distinct TPN topology groups among the points this run drained.
     workers:
         Worker processes launched; ``1`` for an in-process drain (so
-        whenever nothing was pending).
+        whenever nothing was pending before the drain, as far as the
+        digest manifest shows).
     crashed:
         Indices of worker processes that did not exit cleanly (SIGKILL
         shows up here); their claimed-but-uncommitted points simply
@@ -284,19 +298,21 @@ def _identified(
 
 
 def _unstored(
-    spec: CampaignSpec,
     store: ResultStore,
-    points: Sequence[CampaignPoint],
+    points: Sequence[Any],
     digests: Sequence[str],
+    objectives: tuple[str, ...] | None = None,
     instances: Sequence[Instance] | None = None,
-) -> dict[str, _Work] | None:
-    """The distinct unstored points by digest, materialized.
+) -> dict[str, tuple[int, Instance]] | None:
+    """The distinct unstored points: digest → ``(index, instance)``.
 
-    Without ``instances`` the digests come from a manifest: each
-    unstored point is materialized here, and ``None`` is returned when
-    one re-derives to a digest other than its entry (a stale manifest).
+    ``points`` are anything with ``instance()`` and ``model``.  Without
+    ``instances`` each unstored point is materialized here; with
+    ``objectives`` (digests from a manifest) it is also re-digested, and
+    ``None`` is returned when one differs from its entry (a stale
+    manifest).
     """
-    unique: dict[str, _Work] = {}
+    unique: dict[str, tuple[int, Instance]] = {}
     for i, (pt, digest) in enumerate(zip(points, digests)):
         if digest in unique or digest in store:
             continue
@@ -304,22 +320,26 @@ def _unstored(
             inst = instances[i]
         else:
             inst = pt.instance()
-            if _point_digest(pt, spec.objectives, inst) != digest:
+            if (objectives is not None
+                    and _point_digest(pt, objectives, inst) != digest):
                 return None
-        unique[digest] = (digest, inst, pt.model)
+        unique[digest] = (i, inst)
     return unique
 
 
-def _pending_work(
+def _pending_points(
     spec: CampaignSpec, store: ResultStore, max_points: int | None = None
-) -> tuple[int, int, list[_Work], int]:
+) -> tuple[list[CampaignPoint], list[str], list[tuple[int, Instance]],
+           int, int]:
     """Expand ``spec``; its distinct unstored points in engine order.
 
-    Returns ``(n_points, n_pending, work, groups)``: ``work`` is the
-    first ``max_points`` of the ``n_pending`` points, in ``groups``
-    topology groups.  Every worker given the same store state derives
-    the *same* deterministic list, so the fabric needs no coordinator.
-    Stored points cost one existence probe each, never a payload read.
+    Returns ``(points, digests, picked, n_pending, groups)``: the
+    expanded spec with every point's digest, and ``picked``, the
+    ``(index, instance)`` of the first ``max_points`` of the
+    ``n_pending`` points, in ``groups`` topology groups.  Every worker
+    given the same store state derives the *same* deterministic list,
+    so the fabric needs no coordinator.  Stored points cost one
+    existence probe each, never a payload read.
 
     With a valid digest manifest only the pending points are
     materialized.  Otherwise every point is, and the digests of the
@@ -328,35 +348,49 @@ def _pending_work(
     """
     with TELEMETRY.span("expand"):
         points = spec.expand()
-        key, digests = _manifest_digests(spec, store, points)
-        unique = (None if digests is None
-                  else _unstored(spec, store, points, digests))
+        key, manifest = _manifest_digests(spec, store, points)
+        unique = (None if manifest is None
+                  else _unstored(store, points, manifest, spec.objectives))
         _count_manifest(unique is not None)
-        if unique is None:
+        if manifest is not None and unique is not None:
+            digests = manifest
+        else:
             instances = [pt.instance() for pt in points]
             digests = [_point_digest(pt, spec.objectives, inst)
                        for pt, inst in zip(points, instances)]
             store._put_manifest(
                 key, b"".join(bytes.fromhex(d) for d in digests))
-            unique = _unstored(spec, store, points, digests, instances)
+            unique = _unstored(store, points, digests, instances=instances)
             assert unique is not None  # derived digests are never stale
         pending = list(unique.values())
-        runs = _topology_groups([w[1:] for w in pending])
+        runs = _topology_groups([(inst, points[i].model)
+                                 for i, inst in pending])
     # (group rank, index) in engine order; the last rank kept + 1 = groups
     ranked = [(g, j) for g, run in enumerate(runs) for j in run][:max_points]
     groups = ranked[-1][0] + 1 if ranked else 0
-    return len(points), len(pending), [pending[j] for _, j in ranked], groups
+    return (points, digests, [pending[j] for _, j in ranked], len(pending),
+            groups)
+
+
+def _pending_work(
+    spec: CampaignSpec, store: ResultStore, max_points: int | None = None
+) -> tuple[int, int, list[_Work], int]:
+    """:func:`_pending_points` as drain work: ``(n_points, n_pending,
+    work, groups)``, ``work`` in engine order."""
+    points, digests, picked, n_pending, groups = _pending_points(
+        spec, store, max_points)
+    return len(points), n_pending, [(digests[i], inst, points[i].model)
+                                    for i, inst in picked], groups
 
 
 def _rotated(work: list[_Work], offset: int) -> list[_Work]:
     """Stable stagger: the work list rotated to start at ``offset``.
 
-    Workers start claiming in different regions of the ordered list,
-    which keeps claim contention rare while preserving
-    signature-contiguous runs inside each claim.  Forked workers
-    ``i`` of ``k`` start at ``i/k`` of the list, so each drains one
-    contiguous span until it meets the next; independent hosts key
-    the offset by their worker id's crc and need no index assignment.
+    Standalone workers (:func:`run_campaign_worker`) each derive the
+    whole list; rotating it by the crc of the worker id starts them
+    claiming in different regions, which keeps claim contention rare
+    while preserving signature-contiguous runs inside each claim, with
+    no index assignment.
     """
     offset %= max(1, len(work))
     return work[offset:] + work[:offset]
@@ -545,10 +579,129 @@ def _drain(
     return done_new
 
 
+@dataclass(frozen=True)
+class _Given:
+    """A point its parent already materialized: the instance is given."""
+
+    inst: Instance
+    model: str
+
+    def instance(self) -> Instance:
+        return self.inst
+
+
+@dataclass(frozen=True)
+class _Shares:
+    """The point indices a forked drain hands out, one contiguous share
+    per worker.
+
+    ``points`` are anything with ``instance()`` and ``model`` (a spec's
+    points, or :class:`_Given` work), inherited by the forked workers;
+    ``indices`` are those to drain.  ``digests`` are every point's
+    digest when known beforehand: from a manifest, each pending point
+    checked against its entry as on resume, or the parent's own
+    (``trusted``); otherwise whoever takes a share derives them.
+    """
+
+    points: Sequence[Any]
+    indices: Sequence[int]
+    objectives: tuple[str, ...]
+    digests: Sequence[str] | None
+    trusted: bool
+    workers: int
+
+    def share(self, j: int) -> Sequence[int]:
+        """Worker ``j``'s point indices: ``indices[j*m//k:(j+1)*m//k]``."""
+        m = len(self.indices)
+        return self.indices[j * m // self.workers:
+                            (j + 1) * m // self.workers]
+
+
+def _share_record(
+    plan: _Shares, store: ResultStore, j: int, fresh: bool = False
+) -> tuple[dict[str, Any], list[_Work]]:
+    """Share ``j``'s record against the store as it is now, and its
+    pending work in engine order.
+
+    The record is plain JSON: ``digests`` (the share's, in share
+    order), ``derived`` (whether they were derived here rather than
+    copied from ``plan.digests``) and ``groups``, one ``[model, counts,
+    offsets]`` per topology group of the distinct unstored digests, in
+    engine order, with offsets into the share.  With known digests only
+    unstored points are materialized; a stale manifest entry, or
+    ``fresh``, derives every digest of the share instead.
+    """
+    share = plan.share(j)
+    pts = [plan.points[i] for i in share]
+    unique = None
+    if plan.digests is not None and not fresh:
+        digests = [plan.digests[i] for i in share]
+        unique = _unstored(store, pts, digests,
+                           None if plan.trusted else plan.objectives)
+    derived = unique is None
+    if unique is None:
+        instances = [pt.instance() for pt in pts]
+        digests = [_point_digest(pt, plan.objectives, inst)
+                   for pt, inst in zip(pts, instances)]
+        unique = _unstored(store, pts, digests, instances=instances)
+        assert unique is not None  # derived digests are never stale
+    pending = list(unique.values())
+    groups: list[list[Any]] = []
+    work: list[_Work] = []
+    for run in _topology_groups([(inst, pts[i].model) for i, inst in pending]):
+        members = [pending[m] for m in run]
+        first, inst = members[0]
+        groups.append([*topology_signature(inst, pts[first].model),
+                       [i for i, _ in members]])
+        work += [(digests[i], inst, pts[i].model) for i, inst in members]
+    return {"derived": derived, "digests": digests, "groups": groups}, work
+
+
+def _published(board: str, j: int) -> dict[str, Any] | None:
+    """Share ``j``'s record published under ``board``, or ``None`` while
+    there is none."""
+    try:
+        text = _ObjectTree(board)._object_path(f"share-{j}").read_text()
+    except FileNotFoundError:
+        return None
+    record: dict[str, Any] = json.loads(text)
+    return record
+
+
+def _take(
+    plan: _Shares, board: str, store: ResultStore, j: int
+) -> list[_Work]:
+    """Share ``j``'s unstored work in engine order, for this worker to drain.
+
+    A share already published under ``board`` costs a probe per pending
+    digest and the instances of those still unstored, re-derived from
+    their point indices.  Otherwise this process derives the share
+    (:func:`_share_record`) and publishes its record before draining
+    it.  It never waits for another worker's record, so a share whose
+    owner died before publishing is derived by whoever reaches it.
+    """
+    with TELEMETRY.span("expand", share=j):
+        record = _published(board, j)
+        if record is None:
+            record, work = _share_record(plan, store, j)
+            _ObjectTree(board)._put(f"share-{j}", canonical_json(record))
+            return work
+        share = plan.share(j)
+        digests = record["digests"]
+        work = []
+        for _, _, offsets in record["groups"]:
+            for i in offsets:
+                if digests[i] not in store:
+                    pt = plan.points[share[i]]
+                    work.append((digests[i], pt.instance(), pt.model))
+        return work
+
+
 def _fabric_worker_main(
-    work: list[_Work],
-    store_path: str,
+    plan: _Shares,
+    board: str,
     worker_index: int,
+    store_path: str,
     lease_ttl: float,
     fault_plan: FaultPlan | None,
     trace_dir: str | None,
@@ -556,9 +709,13 @@ def _fabric_worker_main(
 ) -> None:
     """Subprocess entry point of a multi-process drain.
 
-    ``work`` is the parent's expanded, engine-ordered work list,
-    rotated to this worker's starting offset (a forked worker inherits
-    it instead of expanding the spec again).
+    Worker ``i`` takes share ``i`` of ``plan``, a contiguous run of the
+    point indices the parent handed out (the points themselves are
+    inherited, never re-expanded): it materializes and digests the
+    share, publishes its record and drains its unstored points.  Then
+    it steals: it takes every other share in turn from ``i + 1`` on and
+    drains what is still unstored there, counted as ``fabric.stolen``.
+    Both drains are the one lease-coordinated loop, :func:`_drain`.
 
     Telemetry and fault-plane state are set unconditionally: forked
     workers inherit the parent's collector and plane (spans, counters,
@@ -580,10 +737,17 @@ def _fabric_worker_main(
         FAULTS.disarm()
     worker_id = f"fabric-{worker_index}-{_os.getpid()}"
     with ResultStore(store_path) as store:
+        lease = LeaseManager(store, worker_id, ttl=lease_ttl)
         with TELEMETRY.span("worker-run", worker=worker_index):
-            _drain(store, work,
-                   LeaseManager(store, worker_id, ttl=lease_ttl),
+            _drain(store, _take(plan, board, store, worker_index), lease,
                    **drain_options)
+            stolen = [w for step in range(1, plan.workers)
+                      for w in _take(plan, board, store,
+                                     (worker_index + step) % plan.workers)]
+            if stolen:
+                n_stolen = _drain(store, stolen, lease, **drain_options)
+                if TELEMETRY.enabled:
+                    TELEMETRY.count("fabric.stolen", n_stolen)
     if trace_dir is not None:
         write_trace(
             Path(trace_dir) / f"trace-worker-{worker_index}.jsonl", TELEMETRY
@@ -637,14 +801,16 @@ def _claim_window(
     n_work: int,
     workers: int | None,
 ) -> int:
-    """Digests per claim of a drain over ``n_work`` pending digests.
+    """Digests per claim of a drain over a list of ``n_work`` digests.
 
     An explicit ``claim_batch`` is used as given.  The default is one
     engine slab (:data:`~repro.engine.MAX_GROUP_ROWS` rows, evaluated
-    in one call) rounded up to whole ``commit_every`` slices.  Forked
-    workers (``workers`` of them share one work list) cap it at
-    ``ceil(n_work / workers)``, so one claim cannot take a whole small
-    campaign while the others wait.
+    in one call) rounded up to whole ``commit_every`` slices.  A forked
+    worker (one of ``workers``) caps it at ``ceil(n_work / workers)``,
+    where ``n_work`` is the list that drain walks: its own share's
+    pending points, or the leftovers it steals.  Every worker may end
+    up draining any share, so one claim cannot take a whole small list
+    while the others wait.
     """
     if claim_batch is not None:
         return claim_batch
@@ -654,58 +820,160 @@ def _claim_window(
     return window
 
 
+def _fork(
+    store: ResultStore,
+    plan: _Shares,
+    drain_options: dict[str, Any],
+    lease_ttl: float,
+    fault_plans: Mapping[int, FaultPlan] | None,
+    trace_dir: str | None,
+) -> tuple[list[dict[str, Any] | None], tuple[int, ...]]:
+    """Fork one worker per share of ``plan`` and join them.
+
+    Returns the share records the workers published (``None`` for a
+    share nobody published) and the indices of workers that did not
+    exit cleanly.  The workers coordinate **only** through the store
+    file's lease table and the records they publish in a temporary
+    directory.  The parent's connection stays open and idle (pending
+    writes committed first), so the lock state the workers inherit is
+    backed by locks the parent really holds.
+    """
+    import multiprocessing as mp
+
+    store.commit()
+    ctx = mp.get_context()
+    board = tempfile.mkdtemp(prefix="repro-shares-")
+    try:
+        with TELEMETRY.span("prepare"):
+            procs = [
+                ctx.Process(
+                    target=_fabric_worker_main,
+                    args=(plan, board, i, store.path, lease_ttl,
+                          None if fault_plans is None else fault_plans.get(i),
+                          trace_dir, dict(drain_options, peers=plan.workers)),
+                )
+                for i in range(plan.workers)
+            ]
+            for proc in procs:
+                proc.start()
+        # One parent-side span per worker join: together the join spans
+        # tile the drain phase (span i ends when worker i exits, span
+        # i+1 starts immediately), so the root campaign span's time is
+        # attributed to named children even though the parent only waits.
+        for i, proc in enumerate(procs):
+            with TELEMETRY.span("worker", worker=i):
+                proc.join()
+        records = [_published(board, j) for j in range(plan.workers)]
+    finally:
+        shutil.rmtree(board, ignore_errors=True)
+    return records, tuple(
+        i for i, proc in enumerate(procs) if proc.exitcode != 0)
+
+
 def _drain_work(
     store: ResultStore,
     work: list[_Work],
     workers: int | None,
     drain_options: dict[str, Any],
-    progress: Callable[[int, int], None] | None = None,
-    lease_ttl: float = DEFAULT_LEASE_TTL,
-    fault_plans: Mapping[int, FaultPlan] | None = None,
-    trace_dir: str | None = None,
-) -> tuple[int, int, tuple[int, ...]]:
-    """Drain the topology-ordered ``work``: ``(evaluated, workers
-    launched, crashed worker indices)``.
+) -> tuple[int, ...]:
+    """Drain a store-backed sweep's topology-ordered ``work``; returns
+    the indices of crashed worker processes.
 
-    The one place that chooses how.  With ``workers`` ``None``, or
-    nothing pending, this process drains and its leases are no-ops.
-    Otherwise ``workers`` forked processes coordinate **only** through
-    the store file's lease table, while the parent's connection stays
-    open and idle (pending writes committed first), so the lock state
-    the workers inherit is backed by locks the parent really holds.
+    With ``workers`` ``None``, or nothing pending, this process drains
+    and its leases are no-ops.  Otherwise :func:`_fork` hands worker
+    ``i`` the ``i``-th contiguous share of ``work``, whose digests and
+    instances this process already holds.
     """
     if workers is None or not work:
-        return _drain(store, work, _LocalLease(), progress=progress,
-                      **drain_options), 1, ()
-    import multiprocessing as mp
+        _drain(store, work, _LocalLease(), **drain_options)
+        return ()
+    plan = _Shares([_Given(inst, model) for _, inst, model in work],
+                   range(len(work)), drain_options["objectives"],
+                   [digest for digest, _, _ in work], True, workers)
+    return _fork(store, plan, drain_options, DEFAULT_LEASE_TTL, None,
+                 None)[1]
 
-    store.commit()
-    ctx = mp.get_context()
-    with TELEMETRY.span("prepare"):
-        procs = [
-            ctx.Process(
-                target=_fabric_worker_main,
-                args=(_rotated(work, i * len(work) // workers),
-                      store.path, i, lease_ttl,
-                      None if fault_plans is None else fault_plans.get(i),
-                      trace_dir, dict(drain_options, peers=workers)),
-            )
-            for i in range(workers)
-        ]
-        for proc in procs:
-            proc.start()
-    # One parent-side span per worker join: together the join spans
-    # tile the drain phase (span i ends when worker i exits, span i+1
-    # starts immediately), so the root campaign span's time is
-    # attributed to named children even though the parent only waits.
-    for i, proc in enumerate(procs):
-        with TELEMETRY.span("worker", worker=i):
-            proc.join()
-    evaluated = sum(1 for digest, _, _ in work if digest in store)
+
+def _fork_campaign(
+    spec: CampaignSpec,
+    store: ResultStore,
+    workers: int,
+    max_points: int | None,
+    drain_options: dict[str, Any],
+    progress: Callable[[int, int], None] | None,
+    lease_ttl: float,
+    fault_plans: Mapping[int, FaultPlan] | None,
+    trace_dir: str | None,
+) -> tuple[int, int, int, int, int, tuple[int, ...]]:
+    """The forked drain of ``spec``: ``(total, pending, evaluated,
+    groups, workers launched, crashed)``.
+
+    Worker ``i`` takes the ``i``-th contiguous share of the point
+    indices this process hands out (:func:`_fabric_worker_main`).  A
+    whole drain hands out all of spec order: this process only expands
+    the spec, reads the digest manifest (its check sample included) and
+    forks; each worker materializes and digests its own share.  After
+    the join the share records give the report and, when the manifest
+    missed, the new one in spec order; a share no worker published is
+    derived here.  A ``max_points`` drain first picks the first
+    ``max_points`` pending points in engine order, as an in-process
+    drain does (:func:`_pending_points`, which writes a missing
+    manifest), and hands out their indices.  Nothing pending forks
+    nothing.
+    """
+    if max_points is not None:
+        points, digests, picked, n_pending, groups = _pending_points(
+            spec, store, max_points)
+        if not picked:
+            return len(points), n_pending, 0, groups, 1, ()
+        plan = _Shares(points, [i for i, _ in picked], spec.objectives,
+                       digests, True, workers)
+        crashed = _fork(store, plan, drain_options, lease_ttl, fault_plans,
+                        trace_dir)[1]
+        evaluated = sum(1 for i, _ in picked if digests[i] in store)
+        if progress is not None:
+            progress(evaluated, len(picked))
+        return len(points), n_pending, evaluated, groups, workers, crashed
+    with TELEMETRY.span("expand"):
+        points = spec.expand()
+    key, manifest = _manifest_digests(spec, store, points)
+    if manifest is not None and all(d in store for d in manifest):
+        _count_manifest(True)
+        return len(points), 0, 0, 0, 1, ()
+    plan = _Shares(points, range(len(points)), spec.objectives, manifest,
+                   False, workers)
+    published, crashed = _fork(store, plan, drain_options, lease_ttl,
+                               fault_plans, trace_dir)
+    with TELEMETRY.span("assemble"):
+        records = []
+        for j, record in enumerate(published):
+            if record is None:
+                with TELEMETRY.span("expand", share=j):
+                    record = _share_record(plan, store, j)[0]
+            records.append(record)
+        # A worker probed a share before committing from it, so every
+        # digest this run stored is pending in some record.
+        hit = manifest is not None and not any(r["derived"] for r in records)
+        _count_manifest(hit)
+        if not hit:
+            parts = []
+            for j, record in enumerate(records):
+                if not record["derived"]:  # copied from a stale manifest
+                    with TELEMETRY.span("expand", share=j):
+                        record = _share_record(plan, store, j, fresh=True)[0]
+                parts.append(b"".join(
+                    bytes.fromhex(d) for d in record["digests"]))
+            store._put_manifest(key, b"".join(parts))
+        pending = {
+            r["digests"][i]: (model, tuple(counts))
+            for r in records for model, counts, offsets in r["groups"]
+            for i in offsets
+        }
+        evaluated = sum(1 for digest in pending if digest in store)
     if progress is not None:
-        progress(evaluated, len(work))
-    return evaluated, workers, tuple(
-        i for i, proc in enumerate(procs) if proc.exitcode != 0)
+        progress(evaluated, len(pending))
+    return (len(points), len(pending), evaluated, len(set(pending.values())),
+            workers, crashed)
 
 
 def run_campaign(
@@ -725,12 +993,15 @@ def run_campaign(
     """Run (or resume) a campaign against a content-addressed store.
 
     The spec expands once, in this process, which then drains it or
-    forks worker processes that inherit the ordered work list and
-    coordinate **only** through the store's lease table — the
-    multi-host model on one machine.  A crashed worker strands
-    nothing: its leases expire and the survivors (or the next run)
-    absorb its work.  Stored values, and so every export, are
-    byte-identical whatever the worker count.
+    forks worker processes that coordinate **only** through the
+    store's lease table — the multi-host model on one machine.  Each
+    worker materializes and digests its own contiguous share of the
+    spec, drains it and then steals the other shares' leftovers; this
+    process assembles the report and the digest manifest from the
+    shares' records.  A crashed worker strands nothing: its leases
+    expire and the survivors (or the next run) absorb its work.  Stored
+    values, the manifest and so every export are byte-identical
+    whatever the worker count.
 
     Parameters
     ----------
@@ -747,7 +1018,9 @@ def run_campaign(
     max_points:
         Evaluate at most this many *new* points, then stop with
         ``remaining > 0`` — a deterministic stand-in for an interrupted
-        run (used by tests and the CI resume smoke).
+        run (used by tests and the CI resume smoke).  The first
+        ``max_points`` pending points in engine order are picked here,
+        and worker processes get shares of their indices.
     commit_every:
         Checkpoint cadence: points per store commit.
     progress:
@@ -767,8 +1040,10 @@ def run_campaign(
         :class:`~repro.errors.ValidationError` on an in-process drain.
     claim_batch:
         Digests per claim, each claim evaluated in one engine call
-        (default: one engine slab in whole ``commit_every`` slices, at
-        most ``ceil(pending / k)`` per forked worker).
+        (default: one engine slab in whole ``commit_every`` slices; a
+        forked worker takes at most ``ceil(m / k)`` of a list of ``m``
+        it drains — its share's pending points, or the leftovers it
+        steals).
     fault_plans:
         Worker index → :class:`~repro.faults.FaultPlan`, armed inside
         that worker's process (the chaos-soak entry point).  Given
@@ -788,13 +1063,20 @@ def run_campaign(
         Path(trace_arg).mkdir(parents=True, exist_ok=True)
         TELEMETRY.enable("main")
 
+    launched = 1
+    crashed: tuple[int, ...] = ()
     with TELEMETRY.span("campaign", campaign=spec.name):
-        total, n_pending, work, groups = _pending_work(spec, store, max_points)
-        evaluated, launched, crashed = _drain_work(
-            store, work, workers, drain_options, progress,
-            lease_ttl=DEFAULT_LEASE_TTL if lease_ttl is None else lease_ttl,
-            fault_plans=fault_plans, trace_dir=trace_arg,
-        )
+        if workers is None:
+            total, n_pending, work, groups = _pending_work(
+                spec, store, max_points)
+            evaluated = _drain(store, work, _LocalLease(), progress=progress,
+                               **drain_options)
+        else:
+            total, n_pending, evaluated, groups, launched, crashed = (
+                _fork_campaign(
+                    spec, store, workers, max_points, drain_options, progress,
+                    DEFAULT_LEASE_TTL if lease_ttl is None else lease_ttl,
+                    fault_plans, trace_arg))
 
     report = CampaignReport(
         spec_name=spec.name,

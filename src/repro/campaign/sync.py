@@ -215,19 +215,25 @@ def open_remote(
 def _merge(
     src: _StoreEndpoint | DirectoryRemote,
     dst: _StoreEndpoint | DirectoryRemote,
-    strict: bool = False,
-) -> SyncReport:
+    report: SyncReport,
+    seen: set[str],
+) -> None:
     """Merge every valid row of ``src`` into ``dst`` (the one primitive).
 
     push = merge(local, remote); pull = merge(remote, local).  The
-    source is never mutated.
+    source is never mutated.  Outcomes accumulate in ``report``; rows
+    whose digest is in ``seen`` already have one from an earlier pass
+    of the same call (a pass a fault cut short) and are passed over, so
+    a row that pass landed stays ``merged`` and is never also
+    ``skipped``.  A row joins ``seen`` only once decided: a fault
+    raised on the way leaves it for the retry.
     """
-    report = SyncReport(source=src.label, dest=dst.label)
     origin = src.label
     for digest, text in src.items_text():
+        if digest in seen:
+            continue
         if FAULTS.enabled:
             FAULTS.hit("sync.merge-row")
-        report.examined += 1
         reason = payload_error(text)
         try:
             existing = dst.get_text(digest) if reason is None else None
@@ -236,8 +242,7 @@ def _merge(
         if reason is not None:
             dst.quarantine(digest, origin, text, reason)
             report.quarantined.append((digest, reason))
-            continue
-        if existing is None:
+        elif existing is None:
             dst.put_text(digest, text)
             report.merged += 1
         elif existing == text:
@@ -258,21 +263,9 @@ def _merge(
                 "conflict: differs from the destination's valid copy",
             )
             report.conflicts.append(digest)
-    if TELEMETRY.enabled:
-        TELEMETRY.count("sync.merged", report.merged)
-        TELEMETRY.count("sync.skipped", report.skipped)
-        TELEMETRY.count("sync.repaired", report.repaired)
-        TELEMETRY.count("sync.conflicts", len(report.conflicts))
-        TELEMETRY.count("sync.quarantined", len(report.quarantined))
-    if strict and report.conflicts:
-        raise SyncConflictError(
-            f"sync {origin!r} -> {dst.label!r} found "
-            f"{len(report.conflicts)} digest(s) with conflicting "
-            f"payloads (first: {report.conflicts[0]}); both copies are "
-            f"preserved (destination row + quarantined incoming row) — "
-            f"inspect the quarantine and delete the corrupt side"
-        )
-    return report
+        # Decided: only now may a retried pass pass over it.
+        seen.add(digest)
+        report.examined += 1
 
 
 def _replace_text(
@@ -299,18 +292,34 @@ def _merge_with_retry(
     retry: RetryPolicy | None,
     key: str,
 ) -> SyncReport:
-    """Run one merge direction under a retry policy.
+    """Run one merge direction under a retry policy; one report.
 
-    Safe because the merge is idempotent: a direction that died on a
-    transient lock or a full disk simply re-examines everything and
-    skips the rows the first pass already landed.
+    A pass that died on a transient lock or a full disk is simply
+    resumed: the next pass carries the same report on and passes over
+    the rows the first one already decided, so every row is decided
+    (and counted) exactly once.  The ``sync.*``
+    counters are emitted once per call, from the final report.
     """
+    report = SyncReport(source=src.label, dest=dst.label)
+    seen: set[str] = set()
     policy = DEFAULT_RETRY if retry is None else retry
-    return policy.run(
-        key,
-        lambda: _merge(src, dst, strict=strict),
-        retryable=(sqlite3.OperationalError, OSError),
-    )
+    policy.run(key, lambda: _merge(src, dst, report, seen),
+               retryable=(sqlite3.OperationalError, OSError))
+    if TELEMETRY.enabled:
+        TELEMETRY.count("sync.merged", report.merged)
+        TELEMETRY.count("sync.skipped", report.skipped)
+        TELEMETRY.count("sync.repaired", report.repaired)
+        TELEMETRY.count("sync.conflicts", len(report.conflicts))
+        TELEMETRY.count("sync.quarantined", len(report.quarantined))
+    if strict and report.conflicts:
+        raise SyncConflictError(
+            f"sync {src.label!r} -> {dst.label!r} found "
+            f"{len(report.conflicts)} digest(s) with conflicting "
+            f"payloads (first: {report.conflicts[0]}); both copies are "
+            f"preserved (destination row + quarantined incoming row) — "
+            f"inspect the quarantine and delete the corrupt side"
+        )
+    return report
 
 
 def push(

@@ -240,7 +240,7 @@ def _sweep(
             if digest not in store
         }.values())
         work = [pending[i] for i in executor.order_for_engine([w[1:] for w in pending])]
-        _, _, crashed = executor._drain_work(store, work, workers, options)
+        crashed = executor._drain_work(store, work, workers, options)
         payloads = [store.get(digest) for digest in digests]
         if None in payloads:
             raise ReproError(f"worker processes {list(crashed)} crashed; "

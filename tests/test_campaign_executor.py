@@ -360,10 +360,13 @@ class TestDrainParameters:
         assert _claim_window(None, 32, 1000, None) == 256
         assert _claim_window(None, 100, 1000, None) == 300
         assert _claim_window(None, 1000, 10, None) == 1000
-        # Forked workers share the list: at most ceil(n / workers) each.
+        # A forked worker drains lists any of the workers may end up
+        # draining (its own share's pending points, then the leftovers
+        # it steals): at most ceil(n / workers) of a list of n.
         assert _claim_window(None, 32, 12, 2) == 6
         assert _claim_window(None, 32, 7, 3) == 3
-        assert _claim_window(None, 32, 1280, 2) == 256  # mixed_fabric
+        # mixed_fabric: each of 2 workers owns a 640-point share of 1280
+        assert _claim_window(None, 32, 640, 2) == 256
         assert _claim_window(None, 32, 0, 2) == 1
 
     def test_cli_negative_max_points(self, tmp_path, capsys):

@@ -294,6 +294,107 @@ class TestStaleManifest:
             assert text == reference["json"]
 
 
+#: A one-point spec: every forked drain of it has an empty share.
+ONE_POINT = {
+    "name": "manifest-one",
+    "draws": 1,
+    "models": ["strict"],
+    "applications": [{"synthetic": {"n_stages": 3, "shape": "balanced"}}],
+    "platforms": [{"n_procs": 8}],
+    "replications": [{"fixed": [1, 2, 3], "assignment": "blocks"}],
+    "max_paths": 200,
+}
+
+
+def _prepare(case: str, spec: CampaignSpec, path: Path) -> None:
+    """Leave the store at ``path`` in the state ``case`` names."""
+    with ResultStore(path) as store:
+        if case in ("cold", "one-point"):
+            return
+        run_campaign(spec, store, max_points=spec.n_points // 2)
+        if case == "stale":
+            key = manifest_key(spec)
+            blob = store._manifest(key)
+            sampled = set(_manifest_sample(key, spec.expand()))
+            pending = [k for k in range(spec.n_points) if k not in sampled
+                       and _entry(blob, k).hex() not in store]
+            # point i claims the digest of a later pending point j
+            i, j = pending[0], pending[-1]
+            store._put_manifest(key, _replaced(blob, i, _entry(blob, j)))
+
+
+def _drain_leg(spec: CampaignSpec, path: Path, n_jobs: int | None,
+               trace: Path, max_points: int | None = None) -> dict[str, Any]:
+    """One drain of a prepared store copy, and what it must agree on."""
+    with ResultStore(path) as store:
+        report = run_campaign(spec, store, n_jobs=n_jobs, trace_dir=trace,
+                              max_points=max_points)
+        outputs = {
+            "report": {k: v for k, v in report.to_dict().items()
+                       if k != "workers"},
+            "manifest": store._manifest(manifest_key(spec)),
+            "json": export_campaign_json(spec, store, allow_partial=True),
+            "csv": export_campaign_csv(spec, store, allow_partial=True),
+        }
+    counters = merge_traces(trace_files(trace))["counters"]
+    outputs["manifest_uses"] = {
+        name: counters.get(name, 0)
+        for name in ("store.manifest_hits", "store.manifest_misses")}
+    assert counters.get("store.scans", 0) == 0
+    return outputs
+
+
+class TestShareParity:
+    """Forked workers materialize and digest their own shares of spec
+    order; the parent joins their records.  Every output must equal a
+    serial drain's, from any starting state of the store."""
+
+    @pytest.mark.parametrize("case", ["cold", "half", "stale", "one-point"])
+    def test_forked_drains_equal_serial(self, spec, tmp_path, case):
+        grid = CampaignSpec.from_dict(ONE_POINT) if case == "one-point" \
+            else spec
+        if case == "one-point":
+            assert grid.n_points == 1
+        prepared = tmp_path / "prepared.sqlite"
+        _prepare(case, grid, prepared)
+        legs = {}
+        for n_jobs in (None, 2, 4):
+            path = tmp_path / f"jobs-{n_jobs}.sqlite"
+            path.write_bytes(prepared.read_bytes())
+            legs[n_jobs] = _drain_leg(grid, path, n_jobs,
+                                      tmp_path / f"trace-{n_jobs}")
+        serial = legs[None]
+        assert sum(serial["manifest_uses"].values()) == 1
+        assert serial["report"]["complete"]
+        assert serial["manifest"] is not None
+        assert serial["manifest_uses"]["store.manifest_hits"] == (
+            case == "half")
+        assert legs[2] == serial
+        assert legs[4] == serial
+
+    @pytest.mark.parametrize("case", ["cold", "half"])
+    def test_truncated_forked_drains_equal_serial(self, spec, tmp_path,
+                                                  case):
+        """A ``max_points`` drain hands its workers the indices of the
+        first pending points in engine order: the same points a serial
+        drain stores, and the same report and manifest."""
+        prepared = tmp_path / "prepared.sqlite"
+        _prepare(case, spec, prepared)
+        legs = {}
+        for n_jobs in (None, 2, 4):
+            path = tmp_path / f"jobs-{n_jobs}.sqlite"
+            path.write_bytes(prepared.read_bytes())
+            legs[n_jobs] = _drain_leg(spec, path, n_jobs,
+                                      tmp_path / f"trace-{n_jobs}",
+                                      max_points=5)
+        serial = legs[None]
+        assert serial["report"]["evaluated"] == 5
+        assert serial["report"]["remaining"] > 0
+        assert sum(serial["manifest_uses"].values()) == 1
+        assert legs[2] == serial
+        assert legs[4] == serial
+
+
 class TestMaterializationEdits:
     """A manifest is never trusted across a change in what its points
     materialize to, even one confined to a minority of the spec."""

@@ -24,10 +24,13 @@ from repro.campaign import (
     LeaseManager,
     ResultStore,
     export_campaign_json,
+    instance_digest,
     run_campaign,
     run_campaign_worker,
 )
+from repro.campaign.store import manifest_key
 from repro.faults import FaultPlan
+from repro.telemetry import merge_traces, trace_files
 
 SPEC_DICT = {
     "name": "crash-test",
@@ -129,6 +132,40 @@ class TestKillSchedules:
             # zero lost, zero duplicated: exact digest-set equality (the
             # digest PRIMARY KEY already makes row-level duplicates
             # impossible), byte-identical export.
+            assert set(store.digests()) == ref_digests
+            assert len(store) == len(ref_digests)
+            assert export_campaign_json(spec, store) == ref_json
+
+
+class TestStealing:
+    def test_survivor_drains_a_killed_workers_share(self, spec, reference,
+                                                    tmp_path):
+        """Worker 0 dies on its first claim, after publishing its share:
+        worker 1 drains its own share, then steals all of share 0 (the
+        corpse's claimed window once its leases go stale), and the
+        parent writes the full manifest from the two share records."""
+        points = spec.expand()
+        digests = [instance_digest(pt.instance(), pt.model) for pt in points]
+        half = len(points) // 2
+        path = tmp_path / "steal.sqlite"
+        with ResultStore(path) as store:
+            first = run_campaign(
+                spec, store, n_jobs=2, lease_ttl=_TTL,
+                fault_plans={0: _kill_plan("worker.after-claim", 1)},
+                trace_dir=tmp_path / "trace",
+            )
+            assert first.crashed == (0,)
+            assert (first.hits, first.remaining) == (0, 0)
+            assert first.evaluated == len(set(digests))
+            assert store._manifest(manifest_key(spec)) == b"".join(
+                bytes.fromhex(d) for d in digests)
+        counters = merge_traces(trace_files(tmp_path / "trace"))["counters"]
+        assert counters["fabric.stolen"] == len(
+            set(digests[:half]) - set(digests[half:]))
+        report = _drain_with_resume(spec, path, first)
+        assert report.complete
+        ref_digests, ref_json = reference
+        with ResultStore(path) as store:
             assert set(store.digests()) == ref_digests
             assert len(store) == len(ref_digests)
             assert export_campaign_json(spec, store) == ref_json

@@ -26,6 +26,8 @@ from repro.campaign import (
     push,
 )
 from repro.errors import SyncConflictError, ValidationError
+from repro.faults import FAULTS, FaultPlan
+from repro.telemetry import TELEMETRY
 from repro.utils import canonical_json
 
 
@@ -222,6 +224,30 @@ class TestConcurrentObjectWriters:
             f"c{i:05d}": _big_payload(i) for i in range(n)
         }
         assert not sorted(Path(root).rglob("*.tmp"))
+
+
+class TestRetriedMerge:
+    def test_a_retried_push_counts_each_row_once(self, tmp_path):
+        """A push cut short at its fourth row and retried lands every
+        row once: one report and one set of counters for the call, and
+        no row the first pass landed comes back as skipped."""
+        store = ResultStore(":memory:")
+        _fill(store, {f"r{i}": float(i + 1) for i in range(5)})
+        TELEMETRY.enable("sync-retry")
+        FAULTS.arm(FaultPlan.single("sync.merge-row", "operational", at=4))
+        try:
+            report = push(store, str(tmp_path / "remote") + "/")
+            counters = TELEMETRY.counter_snapshot()
+        finally:
+            FAULTS.disarm()
+            TELEMETRY.disable()
+        assert (report.examined, report.merged, report.skipped) == (5, 5, 0)
+        assert report.clean
+        assert counters["sync.merged"] == 5
+        assert counters["sync.skipped"] == 0
+        assert counters["retry.attempts"] == 1
+        assert dict(DirectoryRemote(tmp_path / "remote").items_text()) == \
+            dict(store.items_text())
 
 
 class TestFileBackedSourceQuarantine:
