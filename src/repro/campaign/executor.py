@@ -1,15 +1,17 @@
 """Campaign executor: one drain loop for serial, parallel and fabric runs.
 
-Every campaign drain runs the same claim → evaluate → commit → release
-loop (:func:`_drain`) over the same work list:
+Every campaign drain turns points into work the same way and runs the
+same claim → evaluate → commit → release loop (:func:`_drain`) over it:
 
-1. **Expand + dedupe** — the spec expands deterministically; every
-   point's digest is probed in the store and already-computed points
-   are skipped (this is both the resume path and the duplicate guard).
-   The digests come from the store's digest manifest when it holds a
-   valid one for the spec (:func:`_manifest_digests`), so only pending
-   points are materialized; otherwise every point is materialized and
-   the drain writes the manifest.
+1. **Share records** — the points are cut into contiguous shares (one
+   for an in-process drain) and :func:`_share_record` turns a share
+   into its record and its pending work: every point's digest is
+   probed in the store and already-computed points are skipped (this
+   is both the resume path and the duplicate guard).  The digests come
+   from the store's digest manifest when it holds a valid one for the
+   spec (:func:`_manifest_digests`), so only pending points are
+   materialized; otherwise every point is, and :func:`_settle` writes
+   the manifest from the records.
 2. **Order** — pending points are regrouped by
    :func:`~repro.engine.signature.topology_signature`, i.e. by model
    and replica counts, so random-assignment points with equal counts
@@ -20,30 +22,31 @@ loop (:func:`_drain`) over the same work list:
    ``benchmarks/bench_campaign.py``).
 3. **Claim, evaluate, commit** — a worker walks the ordered list with a
    cursor, claims one window of digests at a time (by default one
-   engine slab, :data:`~repro.engine.MAX_GROUP_ROWS` digests), and
-   evaluates the whole window with one
-   :class:`~repro.engine.BatchEngine` call (each same-topology run is
-   stamped into one ``(B, E)`` weight matrix and solved in lockstep
-   by :func:`repro.maxplus.howard.solve_prepared_many`).  It then
-   commits the results in ``commit_every`` slices, renewing its leases
-   before each slice and releasing them after it.  A kill loses at
-   most one claimed window of *evaluation*, never committed work.
+   engine slab, :data:`~repro.engine.MAX_GROUP_ROWS` digests),
+   materializes the points it claimed and evaluates the whole window
+   with one :class:`~repro.engine.BatchEngine` call (each same-topology
+   run is stamped into one ``(B, E)`` weight matrix and solved in
+   lockstep by :func:`repro.maxplus.howard.solve_prepared_many`).  It
+   then commits the results in ``commit_every`` slices, renewing its
+   leases before each slice and releasing them after it.  A kill
+   loses at most one claimed window of *evaluation*, never committed
+   work.
 
 :func:`run_campaign` runs that loop in-process, where the worker owns
 the store and its leases are no-ops, or in ``k`` lease-coordinated
 processes on the store's file (``n_jobs=k``, or any ``fault_plans``).
-A forked drain spreads steps 1 and 2 over its workers: the parent only
-expands the spec (and reads the manifest) and forks; worker ``i`` of
-``k`` inherits the points, materializes and digests its contiguous
-share of spec order, publishes the share's record, drains its pending
-points and then steals the other shares' leftovers, re-deriving their
-instances from the point indices.  After the join the parent builds
-the report and, on a manifest miss, the manifest from the records.
-A manifest that shows nothing pending forks nothing.  A ``max_points``
-drain hands out only the indices of the first ``max_points`` pending
-points in engine order, which the parent picks as an in-process drain
-does; a store-backed sweep hands out shares of the work list it
-already holds.  :func:`run_campaign_worker` joins from another host.
+A whole forked drain spreads steps 1 and 2 over its workers: the
+parent only expands the spec (and reads the manifest) and forks;
+worker ``i`` of ``k`` inherits the points, publishes the record of
+share ``i`` of spec order, drains its pending points and then steals
+the other shares' leftovers, materializing a stolen point only when it
+claims its digest.  After the join the parent builds the report and,
+on a manifest miss, the manifest from the records.  A manifest that
+shows nothing pending forks nothing.  A ``max_points`` drain and a
+store-backed sweep derive their one share in the parent and hand
+worker ``i`` the ``i``-th contiguous run of its engine-ordered work.
+:func:`run_campaign_worker` joins from another host: it drains the
+same one share, rotated by its worker id.
 
 Every evaluation is a pure function of its point (Howard starts cold
 on every solve), and stored payloads carry only values — so
@@ -116,8 +119,10 @@ DEFAULT_COMMIT_EVERY = 32
 #: become claimable.
 _FABRIC_POLL_SLEEP = 0.05
 
-#: One unit of drain work: ``(digest, instance, model)``.
-_Work = tuple[str, Instance, str]
+#: One unit of drain work: ``(digest, point)``, the point anything with
+#: ``instance()`` and ``model`` (a spec's point, or a :class:`_Given`
+#: instance); :func:`_drain` materializes the points whose digests it claims.
+_Work = tuple[str, Any]
 
 #: Points of a stored digest manifest re-derived on every use.
 _MANIFEST_SAMPLE = 16
@@ -302,85 +307,24 @@ def _unstored(
     points: Sequence[Any],
     digests: Sequence[str],
     objectives: tuple[str, ...] | None = None,
-    instances: Sequence[Instance] | None = None,
 ) -> dict[str, tuple[int, Instance]] | None:
     """The distinct unstored points: digest → ``(index, instance)``.
 
-    ``points`` are anything with ``instance()`` and ``model``.  Without
-    ``instances`` each unstored point is materialized here; with
-    ``objectives`` (digests from a manifest) it is also re-digested, and
-    ``None`` is returned when one differs from its entry (a stale
-    manifest).
+    ``points`` are anything with ``instance()`` and ``model``; each
+    unstored one is materialized here.  With ``objectives`` (digests
+    from a manifest) it is also re-digested, and ``None`` is returned
+    when one differs from its entry (a stale manifest).
     """
     unique: dict[str, tuple[int, Instance]] = {}
     for i, (pt, digest) in enumerate(zip(points, digests)):
         if digest in unique or digest in store:
             continue
-        if instances is not None:
-            inst = instances[i]
-        else:
-            inst = pt.instance()
-            if (objectives is not None
-                    and _point_digest(pt, objectives, inst) != digest):
-                return None
+        inst = pt.instance()
+        if (objectives is not None
+                and _point_digest(pt, objectives, inst) != digest):
+            return None
         unique[digest] = (i, inst)
     return unique
-
-
-def _pending_points(
-    spec: CampaignSpec, store: ResultStore, max_points: int | None = None
-) -> tuple[list[CampaignPoint], list[str], list[tuple[int, Instance]],
-           int, int]:
-    """Expand ``spec``; its distinct unstored points in engine order.
-
-    Returns ``(points, digests, picked, n_pending, groups)``: the
-    expanded spec with every point's digest, and ``picked``, the
-    ``(index, instance)`` of the first ``max_points`` of the
-    ``n_pending`` points, in ``groups`` topology groups.  Every worker
-    given the same store state derives the *same* deterministic list,
-    so the fabric needs no coordinator.  Stored points cost one
-    existence probe each, never a payload read.
-
-    With a valid digest manifest only the pending points are
-    materialized.  Otherwise every point is, and the digests of the
-    full spec are written as its manifest — even when ``max_points``
-    then truncates the drain.
-    """
-    with TELEMETRY.span("expand"):
-        points = spec.expand()
-        key, manifest = _manifest_digests(spec, store, points)
-        unique = (None if manifest is None
-                  else _unstored(store, points, manifest, spec.objectives))
-        _count_manifest(unique is not None)
-        if manifest is not None and unique is not None:
-            digests = manifest
-        else:
-            instances = [pt.instance() for pt in points]
-            digests = [_point_digest(pt, spec.objectives, inst)
-                       for pt, inst in zip(points, instances)]
-            store._put_manifest(
-                key, b"".join(bytes.fromhex(d) for d in digests))
-            unique = _unstored(store, points, digests, instances=instances)
-            assert unique is not None  # derived digests are never stale
-        pending = list(unique.values())
-        runs = _topology_groups([(inst, points[i].model)
-                                 for i, inst in pending])
-    # (group rank, index) in engine order; the last rank kept + 1 = groups
-    ranked = [(g, j) for g, run in enumerate(runs) for j in run][:max_points]
-    groups = ranked[-1][0] + 1 if ranked else 0
-    return (points, digests, [pending[j] for _, j in ranked], len(pending),
-            groups)
-
-
-def _pending_work(
-    spec: CampaignSpec, store: ResultStore, max_points: int | None = None
-) -> tuple[int, int, list[_Work], int]:
-    """:func:`_pending_points` as drain work: ``(n_points, n_pending,
-    work, groups)``, ``work`` in engine order."""
-    points, digests, picked, n_pending, groups = _pending_points(
-        spec, store, max_points)
-    return len(points), n_pending, [(digests[i], inst, points[i].model)
-                                    for i, inst in picked], groups
 
 
 def _rotated(work: list[_Work], offset: int) -> list[_Work]:
@@ -464,7 +408,9 @@ def _drain(
 
     A cursor walks ``work`` once per pass and offers it to ``lease`` one
     window at a time (:func:`_claim_window`; ``peers`` forked workers
-    share ``work``).  What a claim skips — digests another worker stored
+    share ``work``).  Only the points of claimed digests are
+    materialized, so a digest another worker stores first costs no
+    instance here.  What a claim skips — digests another worker stored
     or holds a live lease on — is deferred; at the end of the pass the
     deferred digests still missing from the store form the next pass.
     The loop never rescans the store: it costs one claim transaction per
@@ -500,7 +446,7 @@ def _drain(
     pattern_plan.cache_clear()
     engine = BatchEngine(max_rows=max_rows)
     claim_batch = _claim_window(claim_batch, commit_every, len(work), peers)
-    by_digest = {digest: (inst, model) for digest, inst, model in work}
+    by_digest = dict(work)
     todo = list(by_digest)
     done_new = 0
     while todo:
@@ -519,9 +465,10 @@ def _drain(
                 continue
             claimed_any = True
             with TELEMETRY.span("evaluate", points=len(claimed)):
+                instances = {d: by_digest[d].instance() for d in claimed}
                 results = dict(zip(claimed, engine.evaluate(
-                    [by_digest[d][0] for d in claimed],
-                    [by_digest[d][1] for d in claimed],
+                    list(instances.values()),
+                    [by_digest[d].model for d in claimed],
                 )))
             for first in range(0, len(claimed), commit_every):
                 chunk = claimed[first: first + commit_every]
@@ -545,7 +492,7 @@ def _drain(
                 payloads = [
                     (digest,
                      canonical_json(
-                         payload_from_result(by_digest[digest][0],
+                         payload_from_result(instances[digest],
                                              results[digest],
                                              objectives=objectives)))
                     for digest in chunk
@@ -581,7 +528,7 @@ def _drain(
 
 @dataclass(frozen=True)
 class _Given:
-    """A point its parent already materialized: the instance is given."""
+    """A point already materialized: the instance is given."""
 
     inst: Instance
     model: str
@@ -592,11 +539,11 @@ class _Given:
 
 @dataclass(frozen=True)
 class _Shares:
-    """The point indices a forked drain hands out, one contiguous share
-    per worker.
+    """The point indices a drain cuts into contiguous shares, one per
+    worker (one share for a drain derived in a single process).
 
     ``points`` are anything with ``instance()`` and ``model`` (a spec's
-    points, or :class:`_Given` work), inherited by the forked workers;
+    points, or :class:`_Given` work), inherited by forked workers;
     ``indices`` are those to drain.  ``digests`` are every point's
     digest when known beforehand: from a manifest, each pending point
     checked against its entry as on resume, or the parent's own
@@ -623,13 +570,15 @@ def _share_record(
     """Share ``j``'s record against the store as it is now, and its
     pending work in engine order.
 
-    The record is plain JSON: ``digests`` (the share's, in share
-    order), ``derived`` (whether they were derived here rather than
-    copied from ``plan.digests``) and ``groups``, one ``[model, counts,
-    offsets]`` per topology group of the distinct unstored digests, in
-    engine order, with offsets into the share.  With known digests only
+    This is the one place points become drain work.  The record is
+    plain JSON: ``digests`` (the share's, in share order), ``derived``
+    (whether they were derived here rather than copied from
+    ``plan.digests``) and ``groups``, one ``[model, counts, offsets]``
+    per topology group of the distinct unstored digests, in engine
+    order, with offsets into the share.  With known digests only
     unstored points are materialized; a stale manifest entry, or
-    ``fresh``, derives every digest of the share instead.
+    ``fresh``, derives every digest of the share instead.  Each work
+    item carries the instance built here (:class:`_Given`).
     """
     share = plan.share(j)
     pts = [plan.points[i] for i in share]
@@ -640,10 +589,9 @@ def _share_record(
                            None if plan.trusted else plan.objectives)
     derived = unique is None
     if unique is None:
-        instances = [pt.instance() for pt in pts]
-        digests = [_point_digest(pt, plan.objectives, inst)
-                   for pt, inst in zip(pts, instances)]
-        unique = _unstored(store, pts, digests, instances=instances)
+        pts = [_Given(pt.instance(), pt.model) for pt in pts]
+        digests = [_point_digest(pt, plan.objectives) for pt in pts]
+        unique = _unstored(store, pts, digests)
         assert unique is not None  # derived digests are never stale
     pending = list(unique.values())
     groups: list[list[Any]] = []
@@ -653,7 +601,7 @@ def _share_record(
         first, inst = members[0]
         groups.append([*topology_signature(inst, pts[first].model),
                        [i for i, _ in members]])
-        work += [(digests[i], inst, pts[i].model) for i, inst in members]
+        work += [(digests[i], _Given(inst, pts[i].model)) for i, inst in members]
     return {"derived": derived, "digests": digests, "groups": groups}, work
 
 
@@ -674,8 +622,9 @@ def _take(
     """Share ``j``'s unstored work in engine order, for this worker to drain.
 
     A share already published under ``board`` costs a probe per pending
-    digest and the instances of those still unstored, re-derived from
-    their point indices.  Otherwise this process derives the share
+    digest; its points stay unmaterialized until :func:`_drain` claims
+    their digests, so what the owner commits meanwhile costs nothing
+    here.  Otherwise this process derives the share
     (:func:`_share_record`) and publishes its record before draining
     it.  It never waits for another worker's record, so a share whose
     owner died before publishing is derived by whoever reaches it.
@@ -688,13 +637,9 @@ def _take(
             return work
         share = plan.share(j)
         digests = record["digests"]
-        work = []
-        for _, _, offsets in record["groups"]:
-            for i in offsets:
-                if digests[i] not in store:
-                    pt = plan.points[share[i]]
-                    work.append((digests[i], pt.instance(), pt.model))
-        return work
+        return [(digests[i], plan.points[share[i]])
+                for _, _, offsets in record["groups"] for i in offsets
+                if digests[i] not in store]
 
 
 def _fabric_worker_main(
@@ -714,7 +659,8 @@ def _fabric_worker_main(
     inherited, never re-expanded): it materializes and digests the
     share, publishes its record and drains its unstored points.  Then
     it steals: it takes every other share in turn from ``i + 1`` on and
-    drains what is still unstored there, counted as ``fabric.stolen``.
+    drains what is still unstored there, counted as ``fabric.stolen``;
+    a stolen point is materialized only once its digest is claimed.
     Both drains are the one lease-coordinated loop, :func:`_drain`.
 
     Telemetry and fault-plane state are set unconditionally: forked
@@ -870,110 +816,145 @@ def _fork(
         i for i, proc in enumerate(procs) if proc.exitcode != 0)
 
 
-def _drain_work(
+def _expanded(
+    spec: CampaignSpec, store: ResultStore, workers: int
+) -> tuple[_Shares, str]:
+    """``spec``'s plan of ``workers`` shares of spec order, carrying the
+    stored manifest's digests when it holds, and its manifest key."""
+    points = spec.expand()
+    key, manifest = _manifest_digests(spec, store, points)
+    return (_Shares(points, range(len(points)), spec.objectives, manifest,
+                    False, workers), key)
+
+
+def _settle(
+    plan: _Shares,
+    store: ResultStore,
+    key: str,
+    records: Sequence[dict[str, Any] | None],
+) -> dict[str, tuple[str, tuple[int, ...]]]:
+    """The one manifest writer: the pending digests of ``plan``'s share
+    ``records``, each mapped to its topology signature, in record order.
+
+    A share without a record (its worker died before publishing) is
+    derived here.  On a manifest miss — ``plan`` carried none, or some
+    share re-derived its digests — the manifest is written in spec
+    order, after re-deriving every share whose record was copied from
+    a stale manifest, so the blob is the same whatever the number of
+    shares.  Counts one ``store.manifest_hits`` or
+    ``store.manifest_misses``.
+    """
+    filled = []
+    for j, record in enumerate(records):
+        if record is None:
+            with TELEMETRY.span("expand", share=j):
+                record = _share_record(plan, store, j)[0]
+        filled.append(record)
+    hit = plan.digests is not None and not any(r["derived"] for r in filled)
+    _count_manifest(hit)
+    if not hit:
+        parts = []
+        for j, record in enumerate(filled):
+            if not record["derived"]:  # copied from a stale manifest
+                with TELEMETRY.span("expand", share=j):
+                    record = _share_record(plan, store, j, fresh=True)[0]
+            parts.append(b"".join(
+                bytes.fromhex(d) for d in record["digests"]))
+        store._put_manifest(key, b"".join(parts))
+    return {
+        r["digests"][i]: (model, tuple(counts))
+        for r in filled for model, counts, offsets in r["groups"]
+        for i in offsets
+    }
+
+
+def _local_work(
+    spec: CampaignSpec, store: ResultStore
+) -> tuple[int, dict[str, tuple[str, tuple[int, ...]]], list[_Work]]:
+    """``spec`` as share 0 of a one-share plan, derived in this process:
+    ``(total, pending, work)``, ``pending`` (:func:`_settle`) and
+    ``work`` in engine order.
+
+    Every worker given the same store state derives the *same* list, so
+    standalone workers need no coordinator.  A manifest miss writes the
+    manifest before any of it is drained, even when ``max_points`` then
+    truncates the drain.
+    """
+    with TELEMETRY.span("expand"):
+        plan, key = _expanded(spec, store, 1)
+        record, work = _share_record(plan, store, 0)
+        return len(plan.points), _settle(plan, store, key, [record]), work
+
+
+def _drain_local(
     store: ResultStore,
     work: list[_Work],
     workers: int | None,
     drain_options: dict[str, Any],
-) -> tuple[int, ...]:
-    """Drain a store-backed sweep's topology-ordered ``work``; returns
-    the indices of crashed worker processes.
+    progress: Callable[[int, int], None] | None = None,
+    lease_ttl: float = DEFAULT_LEASE_TTL,
+    fault_plans: Mapping[int, FaultPlan] | None = None,
+    trace_dir: str | None = None,
+) -> tuple[int, int, tuple[int, ...]]:
+    """Drain ``work`` this process derived (:func:`_share_record`):
+    ``(evaluated, workers launched, crashed)``.
 
     With ``workers`` ``None``, or nothing pending, this process drains
     and its leases are no-ops.  Otherwise :func:`_fork` hands worker
-    ``i`` the ``i``-th contiguous share of ``work``, whose digests and
-    instances this process already holds.
+    ``j`` the ``j``-th contiguous run of the engine-ordered ``work``,
+    whose instances and digests it inherits, so topology groups stay
+    contiguous.
     """
     if workers is None or not work:
-        _drain(store, work, _LocalLease(), **drain_options)
-        return ()
-    plan = _Shares([_Given(inst, model) for _, inst, model in work],
-                   range(len(work)), drain_options["objectives"],
-                   [digest for digest, _, _ in work], True, workers)
-    return _fork(store, plan, drain_options, DEFAULT_LEASE_TTL, None,
-                 None)[1]
+        return (_drain(store, work, _LocalLease(), progress=progress,
+                       **drain_options), 1, ())
+    digests, points = zip(*work)
+    plan = _Shares(points, range(len(work)), drain_options["objectives"],
+                   digests, True, workers)
+    crashed = _fork(store, plan, drain_options, lease_ttl, fault_plans,
+                    trace_dir)[1]
+    evaluated = sum(1 for digest, _ in work if digest in store)
+    if progress is not None:
+        progress(evaluated, len(work))
+    return evaluated, workers, crashed
 
 
 def _fork_campaign(
     spec: CampaignSpec,
     store: ResultStore,
     workers: int,
-    max_points: int | None,
     drain_options: dict[str, Any],
     progress: Callable[[int, int], None] | None,
     lease_ttl: float,
     fault_plans: Mapping[int, FaultPlan] | None,
     trace_dir: str | None,
-) -> tuple[int, int, int, int, int, tuple[int, ...]]:
-    """The forked drain of ``spec``: ``(total, pending, evaluated,
-    groups, workers launched, crashed)``.
+) -> tuple[int, dict[str, tuple[str, tuple[int, ...]]], int, int,
+           tuple[int, ...]]:
+    """The forked drain of all of ``spec``: ``(total, pending,
+    evaluated, workers launched, crashed)``.
 
-    Worker ``i`` takes the ``i``-th contiguous share of the point
-    indices this process hands out (:func:`_fabric_worker_main`).  A
-    whole drain hands out all of spec order: this process only expands
-    the spec, reads the digest manifest (its check sample included) and
-    forks; each worker materializes and digests its own share.  After
-    the join the share records give the report and, when the manifest
-    missed, the new one in spec order; a share no worker published is
-    derived here.  A ``max_points`` drain first picks the first
-    ``max_points`` pending points in engine order, as an in-process
-    drain does (:func:`_pending_points`, which writes a missing
-    manifest), and hands out their indices.  Nothing pending forks
-    nothing.
+    This process only expands the spec, reads the digest manifest (its
+    check sample included) and forks; worker ``i`` materializes and
+    digests share ``i`` of spec order (:func:`_fabric_worker_main`).
+    After the join the share records give the report and, on a manifest
+    miss, the manifest (:func:`_settle`).  A manifest that shows nothing
+    pending forks nothing.
     """
-    if max_points is not None:
-        points, digests, picked, n_pending, groups = _pending_points(
-            spec, store, max_points)
-        if not picked:
-            return len(points), n_pending, 0, groups, 1, ()
-        plan = _Shares(points, [i for i, _ in picked], spec.objectives,
-                       digests, True, workers)
-        crashed = _fork(store, plan, drain_options, lease_ttl, fault_plans,
-                        trace_dir)[1]
-        evaluated = sum(1 for i, _ in picked if digests[i] in store)
-        if progress is not None:
-            progress(evaluated, len(picked))
-        return len(points), n_pending, evaluated, groups, workers, crashed
     with TELEMETRY.span("expand"):
-        points = spec.expand()
-    key, manifest = _manifest_digests(spec, store, points)
-    if manifest is not None and all(d in store for d in manifest):
+        plan, key = _expanded(spec, store, workers)
+    if plan.digests is not None and all(d in store for d in plan.digests):
         _count_manifest(True)
-        return len(points), 0, 0, 0, 1, ()
-    plan = _Shares(points, range(len(points)), spec.objectives, manifest,
-                   False, workers)
+        return len(plan.points), {}, 0, 1, ()
     published, crashed = _fork(store, plan, drain_options, lease_ttl,
                                fault_plans, trace_dir)
     with TELEMETRY.span("assemble"):
-        records = []
-        for j, record in enumerate(published):
-            if record is None:
-                with TELEMETRY.span("expand", share=j):
-                    record = _share_record(plan, store, j)[0]
-            records.append(record)
         # A worker probed a share before committing from it, so every
         # digest this run stored is pending in some record.
-        hit = manifest is not None and not any(r["derived"] for r in records)
-        _count_manifest(hit)
-        if not hit:
-            parts = []
-            for j, record in enumerate(records):
-                if not record["derived"]:  # copied from a stale manifest
-                    with TELEMETRY.span("expand", share=j):
-                        record = _share_record(plan, store, j, fresh=True)[0]
-                parts.append(b"".join(
-                    bytes.fromhex(d) for d in record["digests"]))
-            store._put_manifest(key, b"".join(parts))
-        pending = {
-            r["digests"][i]: (model, tuple(counts))
-            for r in records for model, counts, offsets in r["groups"]
-            for i in offsets
-        }
+        pending = _settle(plan, store, key, published)
         evaluated = sum(1 for digest in pending if digest in store)
     if progress is not None:
         progress(evaluated, len(pending))
-    return (len(points), len(pending), evaluated, len(set(pending.values())),
-            workers, crashed)
+    return len(plan.points), pending, evaluated, workers, crashed
 
 
 def run_campaign(
@@ -992,13 +973,14 @@ def run_campaign(
 ) -> CampaignReport:
     """Run (or resume) a campaign against a content-addressed store.
 
-    The spec expands once, in this process, which then drains it or
-    forks worker processes that coordinate **only** through the
-    store's lease table — the multi-host model on one machine.  Each
-    worker materializes and digests its own contiguous share of the
-    spec, drains it and then steals the other shares' leftovers; this
-    process assembles the report and the digest manifest from the
-    shares' records.  A crashed worker strands nothing: its leases
+    The spec expands once, in this process, and is cut into contiguous
+    shares, each turned into a record and pending work the same way.
+    In-process, the whole spec is one share, drained here.  Otherwise
+    worker processes coordinate **only** through the store's lease
+    table — the multi-host model on one machine: each materializes and
+    digests its own share, drains it and then steals the other shares'
+    leftovers.  This process builds the report and the digest manifest
+    from the records.  A crashed worker strands nothing: its leases
     expire and the survivors (or the next run) absorb its work.  Stored
     values, the manifest and so every export are byte-identical
     whatever the worker count.
@@ -1018,9 +1000,10 @@ def run_campaign(
     max_points:
         Evaluate at most this many *new* points, then stop with
         ``remaining > 0`` — a deterministic stand-in for an interrupted
-        run (used by tests and the CI resume smoke).  The first
-        ``max_points`` pending points in engine order are picked here,
-        and worker processes get shares of their indices.
+        run (used by tests and the CI resume smoke).  This process
+        derives the whole spec as one share and keeps the first
+        ``max_points`` of its pending points in engine order; worker
+        processes each get a contiguous run of them.
     commit_every:
         Checkpoint cadence: points per store commit.
     progress:
@@ -1063,34 +1046,35 @@ def run_campaign(
         Path(trace_arg).mkdir(parents=True, exist_ok=True)
         TELEMETRY.enable("main")
 
-    launched = 1
-    crashed: tuple[int, ...] = ()
-    with TELEMETRY.span("campaign", campaign=spec.name):
-        if workers is None:
-            total, n_pending, work, groups = _pending_work(
-                spec, store, max_points)
-            evaluated = _drain(store, work, _LocalLease(), progress=progress,
-                               **drain_options)
-        else:
-            total, n_pending, evaluated, groups, launched, crashed = (
-                _fork_campaign(
-                    spec, store, workers, max_points, drain_options, progress,
-                    DEFAULT_LEASE_TTL if lease_ttl is None else lease_ttl,
-                    fault_plans, trace_arg))
-
-    report = CampaignReport(
-        spec_name=spec.name,
-        total=total,
-        hits=total - n_pending,
-        evaluated=evaluated,
-        remaining=n_pending - evaluated,
-        groups=groups,
-        workers=launched,
-        crashed=crashed,
-    )
-    if trace_arg is not None:
-        write_trace(Path(trace_arg) / "trace-main.jsonl", TELEMETRY)
-        TELEMETRY.disable()
+    ttl = DEFAULT_LEASE_TTL if lease_ttl is None else lease_ttl
+    try:
+        with TELEMETRY.span("campaign", campaign=spec.name):
+            if workers is None or max_points is not None:
+                total, pending, work = _local_work(spec, store)
+                evaluated, launched, crashed = _drain_local(
+                    store, work[:max_points], workers, drain_options,
+                    progress, ttl, fault_plans, trace_arg)
+                touched = list(pending.values())[:max_points]
+            else:
+                total, pending, evaluated, launched, crashed = (
+                    _fork_campaign(spec, store, workers, drain_options,
+                                   progress, ttl, fault_plans, trace_arg))
+                touched = list(pending.values())
+        report = CampaignReport(
+            spec_name=spec.name,
+            total=total,
+            hits=total - len(pending),
+            evaluated=evaluated,
+            remaining=len(pending) - evaluated,
+            groups=len(set(touched)),
+            workers=launched,
+            crashed=crashed,
+        )
+        if trace_arg is not None:
+            write_trace(Path(trace_arg) / "trace-main.jsonl", TELEMETRY)
+    finally:
+        if trace_arg is not None:
+            TELEMETRY.disable()
     return report
 
 
@@ -1109,9 +1093,11 @@ def run_campaign_worker(
     Any number of processes — on one host or many, sharing the store
     file or a synced copy — can run this concurrently against one
     ``CampaignSpec`` and partition the work without duplicates: each
-    derives the signature-ordered list of unstored digests, rotated by
-    a stable per-worker offset so workers start claiming in different
-    regions, and runs the drain loop with a real
+    derives the spec as one share, as an in-process drain does (the
+    engine-ordered list of unstored digests, writing a missing digest
+    manifest), rotates it by a stable per-worker offset so workers
+    start claiming in different regions, and runs the drain loop with
+    a real
     :class:`~repro.campaign.lease.LeaseManager` (claims of
     ``claim_batch`` digests, default one engine slab of
     :data:`~repro.engine.MAX_GROUP_ROWS` rounded up to whole
@@ -1128,7 +1114,7 @@ def run_campaign_worker(
     _, drain_options = _drain_options(store, None, spec.max_paths + 1,
                                       spec.objectives, claim_batch,
                                       commit_every, spill_dir)
-    _, _, work, _ = _pending_work(spec, store)
+    _, _, work = _local_work(spec, store)
     lease = LeaseManager(
         store, worker_id,
         ttl=DEFAULT_LEASE_TTL if lease_ttl is None else lease_ttl,

@@ -212,9 +212,11 @@ def _sweep(
     """The records of every ``(config, model, seeds)`` row, in one pass.
 
     Without a store one :func:`evaluate` call evaluates every instance.
-    With one, the distinct unstored digests go through one campaign
-    drain, in this process or in ``n_jobs`` lease workers, and every
-    record is rebuilt from its stored payload.
+    With one, the points form the one share of a campaign share plan
+    whose digests are known: its record keeps the distinct unstored
+    digests in engine order, one campaign drain evaluates them, in
+    this process or in ``n_jobs`` lease workers, and every record is
+    rebuilt from its stored payload.
     """
     if store is not None:
         # Function-level import: experiments.io imports this module, and
@@ -234,13 +236,12 @@ def _sweep(
     else:
         digests = [instance_digest(inst, model)
                    for (_, model, _), inst in zip(points, instances)]
-        pending = list({
-            digest: (digest, inst, model.value)
-            for digest, inst, (_, model, _) in zip(digests, instances, points)
-            if digest not in store
-        }.values())
-        work = [pending[i] for i in executor.order_for_engine([w[1:] for w in pending])]
-        crashed = executor._drain_work(store, work, workers, options)
+        plan = executor._Shares(
+            [executor._Given(inst, model.value)
+             for (_, model, _), inst in zip(points, instances)],
+            range(len(points)), options["objectives"], digests, True, 1)
+        work = executor._share_record(plan, store, 0)[1]
+        crashed = executor._drain_local(store, work, workers, options)[2]
         payloads = [store.get(digest) for digest in digests]
         if None in payloads:
             raise ReproError(f"worker processes {list(crashed)} crashed; "

@@ -9,6 +9,7 @@ to an uninterrupted run.
 from __future__ import annotations
 
 import json
+import zlib
 
 import numpy as np
 
@@ -21,13 +22,14 @@ from repro.campaign import (
     campaign_status,
     export_campaign_csv,
     export_campaign_json,
+    instance_digest,
     order_for_engine,
     run_campaign,
     run_campaign_worker,
 )
 from repro.campaign.executor import _claim_window
 from repro.cli import main
-from repro.engine import MAX_GROUP_ROWS, topology_signature
+from repro.engine import MAX_GROUP_ROWS, BatchEngine, topology_signature
 from repro.errors import ValidationError
 from repro.experiments import TABLE2_CONFIGS, run_family
 
@@ -221,6 +223,81 @@ class TestOrdering:
         assert report.evaluated == len(kept)
         assert report.groups == len({topology_signature(*pairs[i])
                                      for i in kept})
+
+
+def _engine_order(pairs, stored) -> list[str]:
+    """Digests of the distinct unstored ``(instance, model)`` pairs in
+    :func:`order_for_engine` order."""
+    unique: dict = {}
+    for inst, model in pairs:
+        digest = instance_digest(inst, model)
+        if digest not in stored:
+            unique.setdefault(digest, (inst, model))
+    keys = list(unique)
+    return [keys[i] for i in order_for_engine(list(unique.values()))]
+
+
+class TestEvaluationOrder:
+    """Every drain hands the engine its distinct unstored instances in
+    :func:`order_for_engine` order."""
+
+    @staticmethod
+    def _recorded(monkeypatch) -> list[str]:
+        """Digests ``BatchEngine.evaluate`` sees from now on, in order."""
+        seen: list[str] = []
+        evaluate = BatchEngine.evaluate
+
+        def recording(engine, instances, models, *args, **kwargs):
+            seen.extend(instance_digest(inst, model)
+                        for inst, model in zip(instances, models))
+            return evaluate(engine, instances, models, *args, **kwargs)
+
+        monkeypatch.setattr(BatchEngine, "evaluate", recording)
+        return seen
+
+    def test_truncated_in_process_drain(self, spec, tmp_path, monkeypatch):
+        pairs = [(p.instance(), p.model) for p in spec.expand()]
+        with ResultStore(tmp_path / "s.sqlite") as store:
+            run_campaign(spec, store, max_points=5)
+            expected = _engine_order(pairs, set(store.digests()))[:7]
+            seen = self._recorded(monkeypatch)
+            run_campaign(spec, store, max_points=7)
+        assert len(expected) == 7
+        assert seen == expected
+
+    def test_standalone_worker(self, spec, tmp_path, monkeypatch):
+        pairs = [(p.instance(), p.model) for p in spec.expand()]
+        with ResultStore(tmp_path / "s.sqlite") as store:
+            run_campaign(spec, store, max_points=5)
+            expected = _engine_order(pairs, set(store.digests()))
+            seen = self._recorded(monkeypatch)
+            run_campaign_worker(spec, store, "order-worker")
+        offset = zlib.crc32(b"order-worker") % len(expected)
+        assert seen == expected[offset:] + expected[:offset]
+
+    def test_store_backed_sweep(self, tmp_path, monkeypatch):
+        """Duplicate seeds and a half-filled store: the sweep's drain
+        sees each unstored instance once, in engine order."""
+        from repro.experiments import runner
+
+        config = TABLE2_CONFIGS[4]
+        base = runner.family_seeds(config, "strict", 10)
+        seeds = base[4:7] + base + base[::3]
+        with ResultStore(tmp_path / "s.sqlite") as store:
+            monkeypatch.setattr(runner, "family_seeds",
+                                lambda *args, **kwargs: base[::2])
+            run_family(config, "strict", store=store)
+            pairs = [(runner._draw_instance(config, s,
+                                            runner.DEFAULT_MAX_PATHS),
+                      "strict") for s in seeds]
+            expected = _engine_order(pairs, set(store.digests()))
+            monkeypatch.setattr(runner, "family_seeds",
+                                lambda *args, **kwargs: seeds)
+            seen = self._recorded(monkeypatch)
+            records = run_family(config, "strict", store=store)
+        assert len(expected) == 5
+        assert seen == expected
+        assert [r.seed for r in records] == seeds
 
 
 class TestMaterializationPasses:

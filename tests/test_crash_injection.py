@@ -170,6 +170,52 @@ class TestStealing:
             assert len(store) == len(ref_digests)
             assert export_campaign_json(spec, store) == ref_json
 
+    def test_a_steal_pass_over_a_leased_share_materializes_nothing(
+            self, spec, tmp_path, monkeypatch):
+        """Stealing a share whose pending digests a live worker holds
+        costs a probe per digest and no instance: the thief's claims
+        skip them all, it waits, and their owner commits them."""
+        from repro.campaign import CampaignPoint, executor
+
+        with ResultStore(tmp_path / "ref.sqlite") as ref:
+            run_campaign(spec, ref)
+            texts = dict(ref.items_text())
+        points = spec.expand()
+        plan = executor._Shares(points, range(len(points)), spec.objectives,
+                                None, False, 2)
+        board = str(tmp_path / "board")
+        with ResultStore(tmp_path / "steal.sqlite") as store:
+            # share 1's owner publishes its record and claims its window
+            owned = [d for d, *_ in executor._take(plan, board, store, 1)]
+            owner = LeaseManager(store, "owner", ttl=3600.0)
+            assert owned and owner.claim(owned) == owned
+
+            def owner_commits(seconds: float) -> None:
+                for digest in owned:
+                    store.put_text(digest, texts[digest], commit=False)
+                store.commit()
+                owner.release(owned)
+
+            calls: list[int] = []
+            instance = CampaignPoint.instance
+
+            def counted(point):
+                calls.append(point.index)
+                return instance(point)
+
+            monkeypatch.setattr(executor, "pause", owner_commits)
+            monkeypatch.setattr(CampaignPoint, "instance", counted)
+            thief = LeaseManager(store, "thief", ttl=3600.0)
+            stolen = executor._take(plan, board, store, 1)
+            assert [d for d, *_ in stolen] == owned
+            stored = executor._drain(
+                store, stolen, thief, max_rows=spec.max_paths + 1,
+                objectives=spec.objectives, claim_batch=None,
+                commit_every=32, peers=2)
+            assert stored == 0
+            assert all(digest in store for digest in owned)
+        assert calls == []
+
 
 class TestStaleLeaseReclamation:
     def test_killed_workers_leases_expire_and_are_reclaimed(self, spec,

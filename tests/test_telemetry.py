@@ -315,6 +315,25 @@ class TestCampaignDeterminism:
         assert TELEMETRY.counter_snapshot() == before_counters
         assert len(TELEMETRY.spans) == before_spans
 
+    def test_failed_traced_drain_turns_telemetry_off(self, tmp_path, spec):
+        """A traced drain that raises still disables the collector, so
+        a later untraced drain in the process records nothing."""
+        def fail(done: int, total: int) -> None:
+            raise RuntimeError("progress callback failed")
+
+        TELEMETRY.disable()
+        try:
+            with ResultStore(tmp_path / "s.sqlite") as store:
+                with pytest.raises(RuntimeError, match="progress callback"):
+                    run_campaign(spec, store, progress=fail,
+                                 trace_dir=tmp_path / "trace")
+                assert not TELEMETRY.enabled
+                before = TELEMETRY.counter_snapshot()
+                run_campaign(spec, store)
+                assert TELEMETRY.counter_snapshot() == before
+        finally:
+            TELEMETRY.disable()
+
 
 class TestReportSection:
     def test_absent_without_counters(self, tmp_path, spec):
