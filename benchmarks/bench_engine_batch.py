@@ -24,7 +24,11 @@ the Theorem-1 path.  The engine computes the period only and skips
 every pattern whose contribution bound stays below the running max; it
 records how many pattern solves remain (``poly_patterns_solved``) and
 whether every period is bit-identical to ``compute_period``
-(``poly_identical``).
+(``poly_identical``).  The same instances evaluated in
+``order_for_engine`` order take one Theorem-1 array pass per count
+vector; every result field must equal the shuffled sweep's, realigned
+(``poly_group_identical``), and the engine-ordered pass records its
+microseconds per point (wall-clock, not gated).
 
 Run standalone (asserts identity and the single-build contract)::
 
@@ -38,11 +42,13 @@ or under pytest-benchmark::
 
 from __future__ import annotations
 
+import dataclasses
 import time
 
 import numpy as np
 
 from repro import Application, Instance, Mapping, Platform
+from repro.campaign import order_for_engine
 from repro.core.throughput import compute_period
 from repro.engine import BatchEngine, evaluate
 from repro.telemetry import TELEMETRY
@@ -171,6 +177,18 @@ def run_overlap(n_instances: int = N_OVERLAP, seed: int = 2) -> dict:
     counters = TELEMETRY.counter_snapshot()
     solved = counters.get("poly.patterns_solved", 0)
     pruned = counters.get("poly.patterns_pruned", 0)
+    # The same instances in engine order: one Theorem-1 pass per count
+    # vector instead of the shuffled sweep's short runs.
+    order = order_for_engine([(inst, "overlap") for inst in instances])
+    grouped = [instances[k] for k in order]
+    elapsed = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        ordered = evaluate(grouped, "overlap", engine=BatchEngine())
+        elapsed.append(time.perf_counter() - t0)
+    realigned = [None] * len(instances)
+    for pos, k in enumerate(order):
+        realigned[k] = ordered[pos]
     return {
         "poly_patterns": solved + pruned,
         "poly_patterns_solved": solved,
@@ -178,7 +196,20 @@ def run_overlap(n_instances: int = N_OVERLAP, seed: int = 2) -> dict:
             b.period == compute_period(i, "overlap").period
             for b, i in zip(batched, instances)
         ),
+        "poly_group_identical": all(
+            _result_bits(a) == _result_bits(b) for a, b in zip(batched, realigned)
+        ),
+        # wall-clock, best of 3 on a fresh engine: reported, never gated
+        "poly_group_us_per_point": 1e6 * min(elapsed) / len(instances),
     }
+
+
+def _result_bits(res) -> tuple:
+    """Every ``PeriodResult`` field, floats by their bits."""
+    return tuple(
+        value.hex() if isinstance(value, float) else value
+        for value in (getattr(res, f.name) for f in dataclasses.fields(res))
+    )
 
 
 def run_comparison(n_instances: int = N_INSTANCES) -> dict:
@@ -296,8 +327,12 @@ def main() -> int:
     print(f"overlap sweep: {stats['poly_patterns_solved']} of "
           f"{stats['poly_patterns']} pattern solves left after pruning, "
           f"bit-identical {stats['poly_identical']}")
+    print(f"engine-ordered overlap sweep: "
+          f"{stats['poly_group_us_per_point']:.1f} us/point, equal to the "
+          f"shuffled sweep {stats['poly_group_identical']}")
     assert stats["relabelled_identical"], "random-assignment results diverged"
     assert stats["poly_identical"], "Theorem-1 periods diverged"
+    assert stats["poly_group_identical"], "Theorem-1 group results diverged"
     assert stats["relabelled_builds"] == stats["count_vectors"], (
         f"{stats['relabelled_builds']} skeleton builds for "
         f"{stats['count_vectors']} count vectors"

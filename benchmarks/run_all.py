@@ -21,7 +21,13 @@ previous report regressed (:data:`CONTRACTS`).
 Usage::
 
     PYTHONPATH=src python benchmarks/run_all.py \\
-        [--output BENCH_5.json] [--compare BENCH_4.json]
+        [--output bench-report.json] [--compare BENCH_30.json]
+
+The report goes to ``bench-report.json`` unless ``--output`` names
+another file; ``--output`` naming the ``--compare`` file is refused, so
+a check never overwrites the baseline it gates against.  A report
+becomes a committed baseline only by copying it to ``BENCH_<pr>.json``
+on purpose.
 """
 
 from __future__ import annotations
@@ -61,6 +67,7 @@ CONTRACTS = [
     ("engine_batch", "relabelled_builds", "<="),
     ("engine_batch", "poly_patterns_solved", "<="),
     ("engine_batch", "poly_identical", ">="),
+    ("engine_batch", "poly_group_identical", ">="),
     ("campaign_ordering", "identical", ">="),
     ("campaign_ordering", "campaign_builds", "<="),
     ("portfolio_vs_single_start", "wins", ">="),
@@ -202,6 +209,8 @@ def collect() -> dict:
                         f"{s['relabelled_builds']} skeleton builds for "
                         f"{s['count_vectors']} count vectors"),
                 _assert(s["poly_identical"], "Theorem-1 periods diverged"),
+                _assert(s["poly_group_identical"],
+                        "Theorem-1 group results diverged"),
             ],
             True,
         ),
@@ -317,13 +326,19 @@ def compare_reports(prev: dict, curr: dict) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--output", default=f"BENCH_{PR}.json",
-                        help="path of the JSON artifact (default: %(default)s)")
+    parser.add_argument("--output", default="bench-report.json",
+                        help="path of the JSON artifact (default: %(default)s); "
+                             "must not be the --compare file")
     parser.add_argument("--compare", default=None, metavar="PREV",
                         help="previous report (e.g. BENCH_4.json); exit "
                              "non-zero if a deterministic contract that "
                              "held there regressed")
     args = parser.parse_args(argv)
+    if args.compare is not None \
+            and Path(args.output).resolve() == Path(args.compare).resolve():
+        parser.exit(2, f"run_all.py: --output {args.output} is the --compare "
+                       f"file; pass another --output so the baseline is "
+                       f"not overwritten\n")
 
     report = collect()
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"

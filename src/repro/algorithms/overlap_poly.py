@@ -18,6 +18,12 @@ graphs of 63 cells stand in for a 10395-row net).
 the full :class:`OverlapBreakdown`.  :func:`overlap_period_value` returns
 the same period bits and skips every pattern whose contribution provably
 stays below the running maximum (see its docstring for the bound).
+:func:`_overlap_values_many` is its group form for the batch engine:
+instances sharing one replica-count vector, gathered into slot space
+once, get their incumbents, pattern durations, bounds and live masks
+from array passes, and each row's live patterns go through the same
+ordered solve loop (:func:`_solve_live`), so every row keeps the
+per-instance bits.
 """
 
 from __future__ import annotations
@@ -27,9 +33,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.instance import Instance
+from ..core.mapping import Mapping
+from ..petri.builder import SlotTimes
 from ..petri.reduction import (
     CommPattern,
     CompColumn,
+    _cell_positions,
     comm_patterns,
     computation_column,
     file_column,
@@ -180,8 +189,10 @@ def overlap_period_value(inst: Instance) -> float:
     pattern's row-sum / column-sum lower bound, and a lower bound in the
     incumbent could prune a pattern the oracle's max would pick.  The
     lower bounds only order the solves, largest first, so the incumbent
-    rises early.  While telemetry is on, ``poly.patterns_solved`` and
-    ``poly.patterns_pruned`` count both outcomes.
+    rises early (:func:`_solve_live`).  While telemetry is on,
+    ``poly.patterns_solved`` and ``poly.patterns_pruned`` count both
+    outcomes.  :func:`_overlap_values_many` is the same routine over a
+    whole slot-space group.
 
     Examples
     --------
@@ -210,11 +221,36 @@ def overlap_period_value(inst: Instance) -> float:
         ]
         live = [g for g, bound in enumerate(bounds) if not bound < incumbent]
         if live:  # a NaN bound stays live: its solve raises like the oracle's
-            lower = np.maximum(d.sum(axis=2).max(axis=1), d.sum(axis=1).max(axis=1))
+            lower = _lower_bounds(d)
             pending.extend(
                 (float(lower[g]) / col.window, bounds[g], col.u, col.v, col.window, d[g])
                 for g in live
             )
+    incumbent, solved = _solve_live(incumbent, pending)
+    if TELEMETRY.enabled:
+        TELEMETRY.count("poly.patterns_solved", solved)
+        TELEMETRY.count("poly.patterns_pruned", total - solved)
+    return incumbent
+
+
+def _lower_bounds(durations: np.ndarray) -> np.ndarray:
+    """Largest row or column sum of each ``(u, v)`` pattern of ``(L, u, v)``.
+
+    Every row and every column of the torus closes a one-token cycle, so
+    its sum is at most the pattern's ratio (up to Howard's tolerance).
+    """
+    return np.maximum(durations.sum(axis=2).max(axis=1), durations.sum(axis=1).max(axis=1))
+
+
+def _solve_live(incumbent: float, pending: list[tuple]) -> tuple[float, int]:
+    """Solve one instance's live patterns; return ``(period, solves)``.
+
+    ``pending`` holds ``(lower bound, bound, u, v, window, durations)``
+    per live pattern, in file-then-component order.  Patterns are
+    solved largest lower bound first (ties keep that order), and one
+    whose bound has fallen strictly below the risen incumbent is
+    skipped.
+    """
     pending.sort(key=lambda item: -item[0])
     solved = 0
     for _, bound, u, v, window, durations in pending:
@@ -222,7 +258,59 @@ def overlap_period_value(inst: Instance) -> float:
             continue
         solved += 1
         incumbent = max(incumbent, pattern_ratio(u, v, durations) / window)
+    return incumbent, solved
+
+
+def _overlap_values_many(times: SlotTimes, mapping: Mapping) -> list[float]:
+    """:func:`overlap_period_value` of every row of a slot-space group.
+
+    ``times`` gathers instances that share ``mapping``'s replica counts
+    (:class:`~repro.petri.builder.SlotTimes`; stage ``i`` owns slots
+    ``sum(m[:i]) + r``); any member's mapping will do.  The computation
+    columns, the ``(B, p, u, v)`` pattern durations, their bounds and
+    the live mask are array passes; only the live patterns' lower
+    bounds are computed, and each row's
+    live patterns are solved by :func:`_solve_live` in the order the
+    per-instance routine uses.  Entry ``b`` is bit-identical to
+    ``overlap_period_value`` of row ``b``'s instance, and the telemetry
+    counters sum to that routine's.
+    """
+    B = times.works.shape[0]
+    counts = mapping.replication_counts
+    starts = np.cumsum((0,) + counts[:-1])
+    # w_i over the slowest replica's speed, over m_i: computation_column's
+    # divisions, elementwise; the row max is Python's, as in the
+    # per-instance routine (same pick among equal values).
+    slowest = np.minimum.reduceat(times.speeds, starts, axis=1)
+    comp = times.works / slowest / np.asarray(counts, dtype=float)
+    incumbents = [max(row) for row in comp.tolist()]
+    floor = np.asarray(incumbents)[:, None]
+    pending: list[list[tuple]] = [[] for _ in range(B)]
+    total = 0
+    for i in range(len(counts) - 1):
+        p, u, v, window = mapping.comm_structure(i)
+        total += p
+        rows, cols = _cell_positions(p, u, v)
+        # delta_i / b_{s,r} per cell, as file_column divides them.
+        d = times.sizes[:, i, None, None, None] / times.bandwidths[
+            :, (starts[i] + rows)[:, :, None], (starts[i + 1] + cols)[:, None, :]
+        ]
+        scale = max(u, v) * _bound_margin(u, v)
+        bounds = (scale * d.max(axis=(2, 3)) + _LAWLER_SLACK) / window
+        live_b, live_g = np.nonzero(~(bounds < floor))
+        if live_b.size:
+            lower = (_lower_bounds(d[live_b, live_g]) / window).tolist()
+            for row, g, lb, bound in zip(
+                live_b.tolist(), live_g.tolist(), lower, bounds[live_b, live_g].tolist()
+            ):
+                pending[row].append((lb, bound, u, v, window, d[row, g]))
+    periods = []
+    solved = 0
+    for incumbent, live in zip(incumbents, pending):
+        period, n = _solve_live(incumbent, live)
+        periods.append(period)
+        solved += n
     if TELEMETRY.enabled:
         TELEMETRY.count("poly.patterns_solved", solved)
-        TELEMETRY.count("poly.patterns_pruned", total - solved)
-    return incumbent
+        TELEMETRY.count("poly.patterns_pruned", B * total - solved)
+    return periods

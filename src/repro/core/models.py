@@ -33,13 +33,12 @@ class CommModel(enum.Enum):
         Accepts the enum itself, its ``value`` ("overlap"/"strict"), or its
         name in any case ("OVERLAP_ONE_PORT", "strict_one_port", ...).
         """
-        if isinstance(value, cls):
-            return value
         if isinstance(value, str):
-            low = value.strip().lower()
-            for member in cls:
-                if low in (member.value, member.name.lower()):
-                    return member
+            member = _SPELLINGS.get(value) or _SPELLINGS.get(value.strip().lower())
+            if member is not None:
+                return member
+        elif isinstance(value, cls):
+            return value
         raise ValueError(
             f"unknown communication model {value!r}; expected one of "
             f"{[m.value for m in cls]}"
@@ -52,3 +51,12 @@ class CommModel(enum.Enum):
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
+
+
+#: Every lower-case spelling :meth:`CommModel.parse` accepts: each
+#: member's value and name.  One lookup instead of a walk over the enum.
+_SPELLINGS = {
+    spelling: member
+    for member in CommModel
+    for spelling in (member.value, member.name.lower())
+}

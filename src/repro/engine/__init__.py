@@ -20,9 +20,10 @@ This package amortizes that hot path:
   drop-in ``evaluate`` returning the same
   :class:`~repro.core.throughput.PeriodResult` values as the scalar
   path, bit-identical: one instance in, one result out; a sequence in,
-  a list out, with consecutive same-topology runs locksteped through
-  :func:`repro.maxplus.howard.solve_prepared_many` — one ``(B, E)``
-  weight matrix, one policy iteration for the whole group;
+  a list out, with consecutive same-topology TPN runs locksteped
+  through :func:`repro.maxplus.howard.solve_prepared_many` — one
+  ``(B, E)`` weight matrix, one policy iteration for the whole group —
+  and polynomial runs evaluated by one Theorem-1 array pass;
 * :func:`~repro.engine.batch.evaluate` — the module-level batch entry
   point with deterministic chunk sharding across a
   ``ProcessPoolExecutor``; it always returns a list in input order.

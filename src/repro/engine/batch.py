@@ -10,14 +10,17 @@ returns a list aligned with the input.  :func:`evaluate` is the
 module-level entry point that shards large batches across worker
 processes; it always returns a list.
 
-**Group evaluation** is the hot path: consecutive TPN-method pairs that
-share a topology signature are stamped into one ``(B, E)`` weight
-matrix and solved in lockstep by
-:func:`repro.maxplus.howard.solve_prepared_many`.  It kicks in for
-runs of at least :data:`MIN_GROUP_ROWS` same-signature pairs and slabs
-huge groups at :data:`MAX_GROUP_ROWS` rows to bound the weight-matrix
-footprint.  Group results are bit-identical to per-pair
-evaluation.
+**Group evaluation** is the hot path: consecutive pairs that share a
+topology signature and a resolved method are evaluated as one slab.
+TPN-method runs are stamped into one ``(B, E)`` weight matrix and
+solved in lockstep by :func:`repro.maxplus.howard.solve_prepared_many`;
+polynomial-method runs go through one Theorem-1 array pass
+(:func:`repro.algorithms.overlap_poly._overlap_values_many`).  Both
+read one slot-space gather, which also feeds the batched
+classification.  It kicks in for runs of at least
+:data:`MIN_GROUP_ROWS` same-signature pairs and slabs huge groups at
+:data:`MAX_GROUP_ROWS` rows to bound the array footprint.  Group
+results are bit-identical to per-pair evaluation.
 
 Sharding is deterministic: the input order is cut into contiguous
 chunks of ``chunk_size`` pairs, which a ``ProcessPoolExecutor`` maps in
@@ -51,7 +54,7 @@ import numpy as np
 
 from ..algorithms.general_tpn import TpnSolution
 from ..algorithms.overlap_poly import overlap_period  # noqa: F401 - perfbench/layers.py wraps this name
-from ..algorithms.overlap_poly import overlap_period_value
+from ..algorithms.overlap_poly import _overlap_values_many, overlap_period_value
 from ..core.instance import Instance
 from ..core.models import CommModel
 from ..core.throughput import PeriodResult, compute_period
@@ -80,9 +83,9 @@ _MIN_PARALLEL_BATCH = 4
 #: batch setup cost).
 MIN_GROUP_ROWS = 2
 
-#: Largest number of rows stamped into one lockstep solve.  Bounds the
-#: ``(B, E)`` weight matrix; longer runs are solved in consecutive slabs
-#: of this size.
+#: Largest number of rows stamped into one lockstep solve (or gathered
+#: into one Theorem-1 pass).  Bounds the ``(B, E)`` weight matrix;
+#: longer runs are solved in consecutive slabs of this size.
 MAX_GROUP_ROWS = 256
 
 
@@ -111,9 +114,17 @@ class BatchEngine:
     because the engine never materializes them: TPN results carry
     ``tpn_solution.net = None`` (no per-instance net object) and
     polynomial results carry ``breakdown=None`` (the period comes from
-    :func:`~repro.algorithms.overlap_poly.overlap_period_value`, which
-    skips patterns that cannot reach the max).  Call
-    :func:`~repro.core.throughput.compute_period` for either.
+    :func:`~repro.algorithms.overlap_poly.overlap_period_value`, or its
+    group form for same-signature runs, which skip patterns that cannot
+    reach the max).  Call :func:`~repro.core.throughput.compute_period`
+    for either.
+
+    A sequence's same-signature runs are evaluated as slabs: lockstep
+    Howard for TPN runs, one Theorem-1 array pass for polynomial runs.
+    Polynomial slabs count the per-point contract counters but no
+    ``engine.group_solves`` / ``engine.group_rows``, which describe
+    lockstep slabs only; the ``engine.evaluate`` fault site fires once
+    per slab, as for TPN slabs.
     """
 
     max_rows: int | None = DEFAULT_MAX_ROWS
@@ -191,7 +202,7 @@ class BatchEngine:
         evaluates through the scalar cache path and returns one result.
         A sequence of instances (with one model, or one per instance)
         evaluates in order and returns a list aligned with the input;
-        consecutive same-topology TPN runs are solved in lockstep.
+        consecutive same-topology runs are evaluated as slabs.
 
         Method selection, validation errors and the
         ``ReplicationExplosionError`` budget behave exactly like
@@ -309,40 +320,83 @@ class BatchEngine:
             ))
         return out
 
+    def _evaluate_poly_group(
+        self, key: Signature, instances: Sequence[Instance], model: CommModel
+    ) -> list[PeriodResult]:
+        """One Theorem-1 slab: gather, array pass, classify, package."""
+        if FAULTS.enabled:
+            FAULTS.hit("engine.evaluate")
+        B = len(instances)
+        m = instances[0].num_paths
+        if TELEMETRY.enabled:
+            # The scalar path's contract counters; no group_solves or
+            # group_rows, which describe lockstep slabs only.
+            TELEMETRY.count("engine.points", B)
+            TELEMETRY.count("engine.points.polynomial", B)
+            TELEMETRY.count("engine.paths", m * B)
+        # One slot-space gather feeds both Theorem 1 and the verdict.
+        times = SlotTimes.of(instances)
+        periods = _overlap_values_many(times, instances[0].mapping)
+        ct_plan = self._ct_plan_for(key, instances[0], model)
+        mcts, crits, _ = ct_plan.verdict_many(times, np.asarray(periods))
+        return [
+            PeriodResult(
+                period=period,
+                throughput=1.0 / period if period > 0 else float("inf"),
+                model=model,
+                method="polynomial",
+                m=m,
+                mct=float(mcts[b]),
+                has_critical_resource=bool(crits[b]),
+                breakdown=None,
+                tpn_solution=None,
+            )
+            for b, period in enumerate(periods)
+        ]
+
     def _evaluate_sequence(
         self, pairs: list[tuple[Instance, CommModel]], method: str = "auto"
     ) -> list[PeriodResult]:
-        """Evaluate pairs in order, locksteping same-topology runs.
+        """Evaluate pairs in order, same-topology runs as slabs.
 
         The batched counterpart of calling the scalar path in a loop:
         each :func:`_signature_runs` segment of at least
-        :data:`MIN_GROUP_ROWS` pairs goes through the lockstep slabs;
-        everything else (singleton runs, polynomial/simulation methods)
-        takes the scalar path.  Results align with the input and are
-        bit-identical to the per-pair loop.
+        :data:`MIN_GROUP_ROWS` pairs goes through slabs of at most
+        :data:`MAX_GROUP_ROWS` rows (lockstep Howard for TPN runs, one
+        Theorem-1 array pass for polynomial runs); everything else
+        (singleton runs, the simulation method) takes the scalar path.
+        Results align with the input and are bit-identical to the
+        per-pair loop.
         """
         out: list[PeriodResult] = []
-        for i, j, model, key in _signature_runs(pairs, method):
+        for i, j, model, resolved, key in _signature_runs(pairs, method):
             if key is None or j - i < MIN_GROUP_ROWS:
                 out.extend(
                     self._evaluate_point(inst, model, method)
                     for inst, _ in pairs[i:j]
                 )
                 continue
+            group = (
+                self._evaluate_tpn_group if resolved == "tpn"
+                else self._evaluate_poly_group
+            )
             for k in range(i, j, MAX_GROUP_ROWS):
                 slab = [inst for inst, _ in pairs[k: min(j, k + MAX_GROUP_ROWS)]]
-                out.extend(self._evaluate_tpn_group(key, slab, model))
+                out.extend(group(key, slab, model))
         return out
 
 
 def _signature_runs(
     pairs: list[tuple[Instance, CommModel]], method: str
-) -> Iterator[tuple[int, int, CommModel, Signature | None]]:
+) -> Iterator[tuple[int, int, CommModel, str, Signature | None]]:
     """Contiguous ``[i, j)`` segments of a pair list, for group dispatch.
 
-    TPN-method pairs extend their segment while model and topology
-    signature match (``key`` is the shared signature); other methods
-    yield singleton segments with ``key = None``.  The single owner of
+    Pairs whose resolved method is ``"tpn"``, or ``"polynomial"`` on
+    OVERLAP, extend their segment while model and topology signature
+    match (``key`` is the shared signature); other pairs yield singleton
+    segments with ``key = None``, so the scalar path runs or rejects
+    them.  Each segment carries its resolved method: ``method="tpn"`` on
+    OVERLAP stays a TPN run.  The single owner of
     the run-boundary predicate: :meth:`BatchEngine._evaluate_sequence`
     walks it for every sequence, serial or inside a worker chunk.
     """
@@ -352,8 +406,8 @@ def _signature_runs(
         resolved = method
         if resolved == "auto":
             resolved = "polynomial" if model.overlap else "tpn"
-        if resolved != "tpn":
-            yield i, i + 1, model, None
+        if resolved != "tpn" and not (resolved == "polynomial" and model.overlap):
+            yield i, i + 1, model, resolved, None
             i += 1
             continue
         key = topology_signature(inst, model)
@@ -361,7 +415,7 @@ def _signature_runs(
         while j < len(pairs) and pairs[j][1] == model \
                 and topology_signature(pairs[j][0], model) == key:
             j += 1
-        yield i, j, model, key
+        yield i, j, model, resolved, key
         i = j
 
 

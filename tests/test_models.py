@@ -19,6 +19,23 @@ class TestParse:
     def test_strings(self, text, expected):
         assert CommModel.parse(text) is expected
 
+    @pytest.mark.parametrize("member", list(CommModel))
+    def test_every_spelling(self, member):
+        """Value or name, in any case, with surrounding whitespace."""
+        for word in (member.value, member.name):
+            for spelling in (word, word.lower(), word.upper(), word.title()):
+                for padded in (spelling, f" {spelling}", f"{spelling}\t\n"):
+                    assert CommModel.parse(padded) is member
+
+    @pytest.mark.parametrize("bad", ["overlap-one-port", "", "strict one port", 42, None])
+    def test_error_text(self, bad):
+        with pytest.raises(ValueError) as err:
+            CommModel.parse(bad)
+        assert str(err.value) == (
+            f"unknown communication model {bad!r}; expected one of "
+            f"['overlap', 'strict']"
+        )
+
     def test_unknown_rejected(self):
         with pytest.raises(ValueError):
             CommModel.parse("full-duplex")
