@@ -5,9 +5,10 @@ same claim → evaluate → commit → release loop (:func:`_drain`) over it:
 
 1. **Share records** — the points are cut into contiguous shares (one
    for an in-process drain) and :func:`_share_record` turns a share
-   into its record and its pending work: every point's digest is
-   probed in the store and already-computed points are skipped (this
-   is both the resume path and the duplicate guard).  The digests come
+   into its record and its pending work: the points' digests are
+   probed in the store, one query per slice of digests, and
+   already-computed points are skipped (this is both the resume path
+   and the duplicate guard).  The digests come
    from the store's digest manifest when it holds a valid one for the
    spec (:func:`_manifest_digests`), so only pending points are
    materialized; otherwise every point is, and :func:`_settle` writes
@@ -310,14 +311,17 @@ def _unstored(
 ) -> dict[str, tuple[int, Instance]] | None:
     """The distinct unstored points: digest → ``(index, instance)``.
 
-    ``points`` are anything with ``instance()`` and ``model``; each
-    unstored one is materialized here.  With ``objectives`` (digests
-    from a manifest) it is also re-digested, and ``None`` is returned
-    when one differs from its entry (a stale manifest).
+    The store is probed in one query per slice of digests
+    (:meth:`ResultStore._stored`).  ``points`` are anything with
+    ``instance()`` and ``model``; each unstored one is materialized
+    here.  With ``objectives`` (digests from a manifest) it is also
+    re-digested, and ``None`` is returned when one differs from its
+    entry (a stale manifest).
     """
+    stored = store._stored(digests)
     unique: dict[str, tuple[int, Instance]] = {}
     for i, (pt, digest) in enumerate(zip(points, digests)):
-        if digest in unique or digest in store:
+        if digest in unique or digest in stored:
             continue
         inst = pt.instance()
         if (objectives is not None
@@ -414,7 +418,8 @@ def _drain(
     or holds a live lease on — is deferred; at the end of the pass the
     deferred digests still missing from the store form the next pass.
     The loop never rescans the store: it costs one claim transaction per
-    window plus one existence probe per deferred digest.  A pass that
+    window plus, per pass, one existence query per slice of deferred
+    digests.  A pass that
     claims nothing means every digest left is leased by some other live
     worker: sweep leases whose renewal deadline has passed (the
     hung-worker watchdog) and sleep briefly — either that worker
@@ -516,7 +521,8 @@ def _drain(
                 done_new += len(chunk)
                 if progress is not None:
                     progress(done_new, len(by_digest))
-        todo = [d for d in deferred if d not in store]
+        stored = store._stored(deferred)
+        todo = [d for d in deferred if d not in stored]
         if todo and not claimed_any:
             with TELEMETRY.span("wait"):
                 swept = lease.reclaim_stale()
@@ -621,10 +627,10 @@ def _take(
 ) -> list[_Work]:
     """Share ``j``'s unstored work in engine order, for this worker to drain.
 
-    A share already published under ``board`` costs a probe per pending
-    digest; its points stay unmaterialized until :func:`_drain` claims
-    their digests, so what the owner commits meanwhile costs nothing
-    here.  Otherwise this process derives the share
+    A share already published under ``board`` costs one store query per
+    slice of its pending digests; its points stay unmaterialized until
+    :func:`_drain` claims their digests, so what the owner commits
+    meanwhile costs nothing here.  Otherwise this process derives the share
     (:func:`_share_record`) and publishes its record before draining
     it.  It never waits for another worker's record, so a share whose
     owner died before publishing is derived by whoever reaches it.
@@ -637,9 +643,10 @@ def _take(
             return work
         share = plan.share(j)
         digests = record["digests"]
-        return [(digests[i], plan.points[share[i]])
-                for _, _, offsets in record["groups"] for i in offsets
-                if digests[i] not in store]
+        offsets = [i for _, _, run in record["groups"] for i in run]
+        stored = store._stored(digests[i] for i in offsets)
+        return [(digests[i], plan.points[share[i]]) for i in offsets
+                if digests[i] not in stored]
 
 
 def _fabric_worker_main(
@@ -913,7 +920,8 @@ def _drain_local(
                    digests, True, workers)
     crashed = _fork(store, plan, drain_options, lease_ttl, fault_plans,
                     trace_dir)[1]
-    evaluated = sum(1 for digest, _ in work if digest in store)
+    stored = store._stored(digest for digest, _ in work)
+    evaluated = sum(1 for digest, _ in work if digest in stored)
     if progress is not None:
         progress(evaluated, len(work))
     return evaluated, workers, crashed
@@ -942,16 +950,19 @@ def _fork_campaign(
     """
     with TELEMETRY.span("expand"):
         plan, key = _expanded(spec, store, workers)
-    if plan.digests is not None and all(d in store for d in plan.digests):
-        _count_manifest(True)
-        return len(plan.points), {}, 0, 1, ()
+    if plan.digests is not None:
+        stored = store._stored(plan.digests)
+        if all(d in stored for d in plan.digests):
+            _count_manifest(True)
+            return len(plan.points), {}, 0, 1, ()
     published, crashed = _fork(store, plan, drain_options, lease_ttl,
                                fault_plans, trace_dir)
     with TELEMETRY.span("assemble"):
         # A worker probed a share before committing from it, so every
         # digest this run stored is pending in some record.
         pending = _settle(plan, store, key, published)
-        evaluated = sum(1 for digest in pending if digest in store)
+        stored = store._stored(pending)
+        evaluated = sum(1 for digest in pending if digest in stored)
     if progress is not None:
         progress(evaluated, len(pending))
     return len(plan.points), pending, evaluated, workers, crashed
@@ -1170,15 +1181,18 @@ def campaign_rows(
 
     Returns ``(rows, missing)``: one plain-data row per stored point in
     spec order (point identity + payload values), plus the points whose
-    results are not stored yet.
+    results are not stored yet.  Payloads are read one query per slice
+    of digests (:meth:`ResultStore._payload_texts`).
     """
     rows: list[dict[str, Any]] = []
     missing: list[CampaignPoint] = []
-    for pt, digest in _identified(spec, store):
-        payload = store.get(digest)
-        if payload is None:
+    identified = _identified(spec, store)
+    texts = store._payload_texts([digest for _, digest in identified])
+    for (pt, digest), text in zip(identified, texts):
+        if text is None:
             missing.append(pt)
             continue
+        payload = json.loads(text)
         row = {
             "point": pt.index, "application": pt.application.label,
             "platform": pt.platform.label,
@@ -1202,9 +1216,11 @@ def campaign_status(spec: CampaignSpec, store: ResultStore) -> dict[str, Any]:
     :meth:`CampaignSpec.expand` excludes, each with its
     :meth:`~repro.campaign.spec.ReplicationAxis.infeasibility` reason.
     """
+    identified = _identified(spec, store)
+    present = store._stored(digest for _, digest in identified)
     stored: dict[tuple[str, str, str, str], list[bool]] = {}
-    for pt, digest in _identified(spec, store):
-        stored.setdefault(pt.cell, []).append(digest in store)
+    for pt, digest in identified:
+        stored.setdefault(pt.cell, []).append(digest in present)
     total = sum(len(flags) for flags in stored.values())
     done = sum(sum(flags) for flags in stored.values())
     return {

@@ -52,6 +52,7 @@ platform — in that fixed order — from one generator.
 from __future__ import annotations
 
 import json
+import operator
 import zlib
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -95,6 +96,75 @@ DEFAULT_MAX_PATHS = 3000
 def _crc(text: str) -> int:
     """Stable 31-bit digest used to key seed trees (never ``hash()``)."""
     return zlib.crc32(text.encode()) & 0x7FFFFFFF
+
+
+#: numpy's ``SeedSequence`` hash: pool size, ``hashmix`` and ``mix``
+#: constants, and the ``generate_state`` constants.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MASK32 = 0xFFFFFFFF
+
+
+def _words(value: int) -> list[int]:
+    """``value``'s little-endian 32-bit words, as ``SeedSequence``
+    coerces an entropy int (``[0]`` for 0); negative values raise
+    numpy's ``ValueError``."""
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError("expected non-negative integer")
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+def _seeds(
+    root_seed: int, name_key: int, cell_keys: Sequence[int], draws: int
+) -> np.ndarray:
+    """The ``uint32`` seed of every ``(cell, draw)``, cells outer.
+
+    Entry ``c * draws + d`` equals
+    ``SeedSequence([root_seed, name_key, cell_keys[c], d])
+    .generate_state(1)[0]``: numpy's documented hash, run once over
+    every point's entropy words.  ``hashmix`` fills the 4-word pool
+    from the first words, ``mix`` crosses the pool words, then words
+    past the 4th (a ``root_seed >= 2**32``) are mixed into every pool
+    word.  There is no spawn key, so no padding.  The multiplier
+    ``hashmix`` carries depends only on the call count, so it is one
+    scalar for all points.
+    """
+    head = _words(root_seed) + [name_key]
+    n = len(cell_keys) * draws
+    entropy = np.empty((len(head) + 2, n), dtype=np.uint32)
+    entropy[:len(head)] = np.array(head, dtype=np.uint32)[:, None]
+    entropy[-2] = np.repeat(np.asarray(cell_keys, dtype=np.uint32), draws)
+    entropy[-1] = np.tile(np.arange(draws, dtype=np.uint32), len(cell_keys))
+    mult = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal mult
+        value = value ^ np.uint32(mult)
+        mult = mult * _MULT_A & _MASK32
+        value = value * np.uint32(mult)
+        return value ^ (value >> 16)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        value = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return value ^ (value >> 16)
+
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    value = (pool[0] ^ np.uint32(_INIT_B)) * np.uint32(_INIT_B * _MULT_B
+                                                       & _MASK32)
+    return value ^ (value >> 16)
 
 
 def _pair(value: Sequence[float], what: str) -> tuple[float, float]:
@@ -595,19 +665,22 @@ class CampaignSpec:
     def expand(self) -> list[CampaignPoint]:
         """Expand the grid into seeded points (stable order and seeds).
 
-        Every point's entropy comes from
-        ``SeedSequence([root_seed, crc32(name), crc32(cell-key), draw])``
-        — stable across interpreters, and insensitive to the *other*
-        cells in the spec: adding an axis never reseeds existing cells,
-        so a grown campaign re-uses every already-stored point.
+        Every point's seed is
+        ``SeedSequence([root_seed, crc32(name), crc32(cell-key), draw])
+        .generate_state(1)[0]`` — stable across interpreters, and
+        insensitive to the *other* cells in the spec: adding an axis
+        never reseeds existing cells, so a grown campaign re-uses every
+        already-stored point.  That formula is the definition; the
+        seeds of the whole spec are computed in one vectorized pass of
+        the same hash (:func:`_seeds`).
 
         Cells whose replication policy is infeasible for the cell's
         (application, platform) pair are excluded
         (:meth:`ReplicationAxis.feasible`); ``campaign_status`` lists
         them under ``"skipped"`` with their reasons.
         """
-        points: list[CampaignPoint] = []
-        name_key = _crc(self.name)
+        cells: list[tuple[ApplicationAxis, PlatformAxis, ReplicationAxis,
+                          str, int]] = []
         for app in self.applications:
             n_stages = app.application().n_stages
             for plat in self.platforms:
@@ -617,23 +690,24 @@ class CampaignSpec:
                         continue
                     for model in self.models:
                         model_value = CommModel.parse(model).value
-                        cell_key = _crc("|".join(
-                            (app.label, plat.label, repl.label, model_value)
-                        ))
-                        for draw in range(self.draws):
-                            ss = np.random.SeedSequence(
-                                [self.root_seed, name_key, cell_key, draw]
-                            )
-                            points.append(CampaignPoint(
-                                index=len(points),
-                                application=app,
-                                platform=plat,
-                                replication=repl,
-                                model=model_value,
-                                draw=draw,
-                                seed=int(ss.generate_state(1)[0]),
-                                max_paths=self.max_paths,
-                            ))
+                        cells.append((app, plat, repl, model_value, _crc(
+                            "|".join((app.label, plat.label, repl.label,
+                                      model_value)))))
+        seeds = iter(_seeds(self.root_seed, _crc(self.name),
+                            [key for *_, key in cells], self.draws).tolist())
+        points: list[CampaignPoint] = []
+        for app, plat, repl, model_value, _ in cells:
+            for draw in range(self.draws):
+                points.append(CampaignPoint(
+                    index=len(points),
+                    application=app,
+                    platform=plat,
+                    replication=repl,
+                    model=model_value,
+                    draw=draw,
+                    seed=next(seeds),
+                    max_paths=self.max_paths,
+                ))
         return points
 
     # ------------------------------------------------------------------

@@ -60,7 +60,7 @@ import os
 import sqlite3
 import time
 from pathlib import Path
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -100,6 +100,10 @@ _REQUIRED_KEYS = frozenset({
 #: sqlite raises — generous because campaign workers hold the write
 #: lock only for their brief post-evaluation commit bursts.
 DEFAULT_BUSY_TIMEOUT = 30.0
+
+#: Digests per batched ``WHERE digest IN (...)`` lookup: under the 999
+#: host parameters older SQLite builds allow per statement.
+_IN_CHUNK = 500
 
 
 def instance_digest(
@@ -537,6 +541,39 @@ class ResultStore:
             "SELECT digest, payload FROM results ORDER BY digest"
         ):
             yield str(digest), str(payload)
+
+    # ------------------------------------------------------------------
+    # batched lookups (one query per slice of digests)
+    # ------------------------------------------------------------------
+    def _select_in(self, column: str, digests: Sequence[str]) -> sqlite3.Cursor:
+        """``SELECT {column} FROM results`` for the distinct ``digests``:
+        one ``WHERE digest IN (...)`` query."""
+        unique = list(dict.fromkeys(digests))
+        return self._conn.execute(
+            f"SELECT {column} FROM results WHERE digest IN "
+            f"({','.join('?' * len(unique))})", unique)
+
+    def _stored(self, digests: Iterable[str]) -> set[str]:
+        """The stored ones of ``digests``, for membership tests: one
+        query per :data:`_IN_CHUNK` digests instead of one per digest."""
+        wanted = list(digests)
+        found: set[str] = set()
+        for start in range(0, len(wanted), _IN_CHUNK):
+            found.update(str(digest) for (digest,) in self._select_in(
+                "digest", wanted[start: start + _IN_CHUNK]))
+        return found
+
+    def _payload_texts(self, digests: Sequence[str]) -> Iterator[str | None]:
+        """:meth:`payload_text` of each of ``digests``, in order.
+
+        One query per :data:`_IN_CHUNK` digests, read a chunk at a time,
+        so only one chunk's payloads are held at once.
+        """
+        for start in range(0, len(digests), _IN_CHUNK):
+            chunk = digests[start: start + _IN_CHUNK]
+            texts = {str(digest): str(text) for digest, text
+                     in self._select_in("digest, payload", chunk)}
+            yield from (texts.get(digest) for digest in chunk)
 
     # ------------------------------------------------------------------
     # digest manifests (a row-identity cache; see the module docstring)

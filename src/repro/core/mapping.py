@@ -47,7 +47,7 @@ class Mapping:
     4
     """
 
-    __slots__ = ("assignments",)
+    __slots__ = ("assignments", "_counts")
 
     def __init__(
         self,
@@ -84,6 +84,7 @@ class Mapping:
             assign.append(tup)
         #: Per-stage tuples of processor indices (round-robin order).
         self.assignments = tuple(assign)
+        self._counts = tuple(len(tup) for tup in assign)
 
     # ------------------------------------------------------------------
     # round-robin semantics
@@ -95,8 +96,9 @@ class Mapping:
 
     @property
     def replication_counts(self) -> tuple[int, ...]:
-        """``(m_0, ..., m_{n-1})`` — the per-stage replication factors."""
-        return tuple(len(procs) for procs in self.assignments)
+        """``(m_0, ..., m_{n-1})`` — the per-stage replication factors
+        (computed once, at construction)."""
+        return self._counts
 
     @property
     def num_paths(self) -> int:

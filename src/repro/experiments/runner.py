@@ -24,6 +24,7 @@ bit-identical to the matching :func:`run_family` records.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from itertools import islice
 from typing import TYPE_CHECKING, Sequence
@@ -216,7 +217,8 @@ def _sweep(
     whose digests are known: its record keeps the distinct unstored
     digests in engine order, one campaign drain evaluates them, in
     this process or in ``n_jobs`` lease workers, and every record is
-    rebuilt from its stored payload.
+    rebuilt from its stored payload (read one query per slice of
+    digests).
     """
     if store is not None:
         # Function-level import: experiments.io imports this module, and
@@ -242,7 +244,8 @@ def _sweep(
             range(len(points)), options["objectives"], digests, True, 1)
         work = executor._share_record(plan, store, 0)[1]
         crashed = executor._drain_local(store, work, workers, options)[2]
-        payloads = [store.get(digest) for digest in digests]
+        payloads = [None if text is None else json.loads(text)
+                    for text in store._payload_texts(digests)]
         if None in payloads:
             raise ReproError(f"worker processes {list(crashed)} crashed; "
                              f"rerun to resume the sweep from the store")

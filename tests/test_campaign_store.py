@@ -6,16 +6,23 @@ equality, and corruption recovery.
 
 from __future__ import annotations
 
+import json
+import math
+import random
 import sqlite3
 
 import pytest
 
 from repro.campaign import (
     RESULT_SCHEMA_VERSION,
+    CampaignSpec,
     ResultStore,
+    campaign_status,
+    export_campaign_json,
     instance_digest,
     payload_from_result,
     record_from_payload,
+    run_campaign,
 )
 from repro.core.instance import Instance
 from repro.core.mapping import Mapping
@@ -93,6 +100,70 @@ class TestRoundTrip:
         store.put("bb", {"schema": 1})
         store.put("aa", {"schema": 1})
         assert [d for d, _ in store.items()] == ["aa", "bb"]
+
+
+class TestBatchedReads:
+    """``_stored`` and ``_payload_texts`` answer like per-digest ``in``
+    and ``get``, one query per slice of digests."""
+
+    @pytest.fixture
+    def store(self):
+        store = ResultStore(":memory:")
+        for i in range(0, 3000, 2):
+            store.put(f"d{i:05d}", {"schema": 1, "i": i}, commit=False)
+        store.commit()
+        return store
+
+    @staticmethod
+    def _probe() -> list[str]:
+        # 2 500 digests: stored, unstored, and repeats of both
+        rng = random.Random(7)
+        digests = [f"d{i:05d}" for i in range(2000)]
+        digests += rng.choices(digests, k=400) + [f"x{i}" for i in range(100)]
+        rng.shuffle(digests)
+        assert len(digests) == 2500
+        return digests
+
+    def test_stored_equals_membership(self, store):
+        digests = self._probe()
+        stored = store._stored(digests)
+        assert [d in stored for d in digests] == [d in store for d in digests]
+        assert any(d in stored for d in digests)
+        assert not all(d in stored for d in digests)
+        assert store._stored(iter(digests)) == stored
+        assert store._stored([]) == set()
+
+    def test_payload_texts_equal_get(self, store):
+        digests = self._probe()
+        texts = list(store._payload_texts(digests))
+        assert [None if t is None else json.loads(t) for t in texts] == \
+            [store.get(d) for d in digests]
+        assert texts == [store.payload_text(d) for d in digests]
+        assert list(store._payload_texts([])) == []
+
+    def test_finished_campaign_reads_one_query_per_slice(self, tmp_path):
+        spec = CampaignSpec.from_dict({
+            "name": "batched-reads", "draws": 600, "models": ["overlap"],
+            "applications": [{"synthetic": {"n_stages": 3}}],
+            "platforms": [{"n_procs": 8}],
+            "replications": [{"fixed": [1, 2, 1], "assignment": "blocks"}],
+        })
+        store = ResultStore(tmp_path / "s.sqlite")
+        assert run_campaign(spec, store).evaluated == 600
+        selects: list[str] = []
+        store.connection.set_trace_callback(
+            lambda sql: selects.append(sql)
+            if sql.startswith("SELECT") and " FROM results " in sql else None)
+        bound = math.ceil(600 / 500) + 4
+        resumed = run_campaign(spec, store)
+        assert (resumed.evaluated, resumed.hits) == (0, 600)
+        assert len(selects) <= bound
+        for step in (lambda: campaign_status(spec, store),
+                     lambda: export_campaign_json(spec, store)):
+            selects.clear()
+            step()
+            assert 0 < len(selects) <= bound
+        store.close()
 
 
 class TestRecordReconstruction:

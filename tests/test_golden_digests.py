@@ -4,7 +4,9 @@ Every stored campaign result is keyed by :func:`instance_digest`, a
 SHA-256 over the canonical JSON of the materialized instance.  Any drift
 in the seed stream, in the spec's materialization or in
 ``to_dict``/``canonical_json`` would silently orphan every stored
-result, so these tests pin literal digests, not just self-consistency.
+result, so these tests pin literal digests and point seeds, not just
+self-consistency; the spec's one-pass seed hash is checked against
+``numpy.random.SeedSequence``, the seed's definition.
 The spec covers every axis kind: catalog and synthetic applications;
 uniform, times and clustered platforms; balls, greedy-spare, fixed
 random and fixed blocks replications; both models; and a
@@ -15,11 +17,14 @@ from __future__ import annotations
 
 import hashlib
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import Application, Instance, Mapping, Platform
 from repro.campaign import CampaignSpec
-from repro.campaign.spec import MATERIALIZATION_VERSION
+from repro.campaign.spec import MATERIALIZATION_VERSION, _seeds
 from repro.campaign.store import instance_digest
 from repro.experiments.examples_paper import example_a
 
@@ -106,6 +111,30 @@ MULTI_DIGESTS = [
 ]
 
 
+#: ``CampaignPoint.seed`` of draws 0-3 of ``SPEC``'s first and last
+#: cells, per root seed: 0, one with two entropy words, and the default.
+SPEC_SEEDS = {
+    0: {
+        ("sdr", "uni", "balls", "overlap"):
+            [645902654, 1030849619, 2777566816, 1134459808],
+        ("rand", "clu", "blk-2x2x1", "strict"):
+            [3723999759, 571013590, 1795315219, 716099631],
+    },
+    2**40 + 7: {
+        ("sdr", "uni", "balls", "overlap"):
+            [248438385, 131895345, 419641319, 1127567345],
+        ("rand", "clu", "blk-2x2x1", "strict"):
+            [150845693, 1871511996, 397731766, 623958707],
+    },
+    None: {
+        ("sdr", "uni", "balls", "overlap"):
+            [3999820061, 1775494479, 2978766274, 784746864],
+        ("rand", "clu", "blk-2x2x1", "strict"):
+            [2816093267, 2110674378, 876928605, 598237854],
+    },
+}
+
+
 def _digests(spec: CampaignSpec) -> list[str]:
     return [instance_digest(pt.instance(), pt.model,
                             objectives=spec.objectives)
@@ -155,3 +184,38 @@ def test_infinite_link_digest_is_pinned():
         [0.0, "inf", 1 / 3], [1 / 1.5, 0.0, "inf"], [1 / 2.5, 2.0, 0.0]]
     assert instance_digest(inst, "strict") == (
         "d1b1d491de6413151eea9f4adfe9bb82932cfdefa9212a3f1fbcf0dd96e21e88")
+
+
+@pytest.mark.parametrize("root_seed", list(SPEC_SEEDS))
+def test_point_seeds_are_pinned(root_seed):
+    data = {**SPEC, "draws": 4}
+    if root_seed is not None:
+        data["root_seed"] = root_seed
+    points = CampaignSpec.from_dict(data).expand()
+    for cell, seeds in SPEC_SEEDS[root_seed].items():
+        assert [(p.draw, p.seed) for p in points if p.cell == cell] == \
+            list(enumerate(seeds))
+
+
+@settings(max_examples=60, deadline=None)
+@given(root_seed=st.integers(0, 2**70 - 1),
+       name_key=st.integers(0, 2**31 - 1),
+       cell_keys=st.lists(st.integers(0, 2**31 - 1), min_size=1, max_size=3),
+       draw=st.integers(0, 10**5))
+def test_vectorized_seeds_equal_seed_sequence(root_seed, name_key,
+                                              cell_keys, draw):
+    seeds = _seeds(root_seed, name_key, cell_keys, draw + 1)
+    assert seeds.dtype == np.uint32 and seeds.shape == (len(cell_keys)
+                                                        * (draw + 1),)
+    for c, cell_key in enumerate(cell_keys):
+        for d in (0, draw // 2, draw):
+            expected = np.random.SeedSequence(
+                [root_seed, name_key, cell_key, d]).generate_state(1)[0]
+            assert seeds[c * (draw + 1) + d] == expected
+
+
+def test_negative_root_seed_raises_like_numpy():
+    with pytest.raises(ValueError):
+        np.random.SeedSequence([-1, 0, 0, 0])
+    with pytest.raises(ValueError):
+        CampaignSpec.from_dict({**SPEC, "root_seed": -1}).expand()
