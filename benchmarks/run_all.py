@@ -94,6 +94,10 @@ CONTRACTS = [
     ("pareto_portfolio", "identical", ">="),
     ("pareto_portfolio", "fronts_valid", ">="),
     ("pareto_portfolio", "strategies_diverse", ">="),
+    ("lease_statements", "renew_updates", "<="),
+    ("lease_statements", "release_deletes", "<="),
+    ("lease_statements", "claim_probes", "<="),
+    ("lease_statements", "lease_statements", "<="),
 ]
 
 #: Benchmarks deliberately removed together with the feature they
@@ -149,6 +153,7 @@ def collect() -> dict:
     import bench_faults
     import bench_howard_many
     import bench_howard_scalar
+    import bench_lease
     import bench_pareto
     import bench_portfolio
     import bench_telemetry
@@ -260,6 +265,12 @@ def collect() -> dict:
             "pareto_portfolio",
             bench_pareto.run_comparison,
             bench_pareto._check,
+            True,
+        ),
+        (
+            "lease_statements",
+            bench_lease.run_comparison,
+            bench_lease._check,
             True,
         ),
     ]

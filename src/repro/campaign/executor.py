@@ -115,10 +115,14 @@ __all__ = [
 #: behind its lease TTL.
 DEFAULT_COMMIT_EVERY = 32
 
-#: Sleep while every pending digest is leased by some other worker
-#: (seconds); bounded by the lease TTL, after which stale leases
-#: become claimable.
+#: Longest sleep between two polls while every pending digest is
+#: leased by some other worker (seconds); the first sleep is
+#: :data:`_FABRIC_POLL_FIRST` and each next one doubles up to this.
 _FABRIC_POLL_SLEEP = 0.05
+
+#: First sleep of a wait (seconds): a peer's last window usually lands
+#: within a few milliseconds.
+_FABRIC_POLL_FIRST = 0.001
 
 #: One unit of drain work: ``(digest, point)``, the point anything with
 #: ``instance()`` and ``model`` (a spec's point, or a :class:`_Given`
@@ -250,11 +254,17 @@ def _manifest_sample(
     One point of every grid cell — so an edit that changes how any one
     cell materializes is caught — topped up to ``min(16, n)`` points;
     the choice is seeded by the key's crc32, hence the same every time.
+    ``points`` are :meth:`CampaignSpec.expand`'s, where each cell is
+    one contiguous run of ``draws`` points (draws ``0 .. draws - 1``),
+    so only the first point of a run is asked its cell.
     """
     rng = random.Random(zlib.crc32(key.encode()))
-    cells: dict[tuple[str, str, str, str], list[int]] = {}
-    for i, pt in enumerate(points):
-        cells.setdefault(pt.cell, []).append(i)
+    draws = points[-1].draw + 1 if points else 1
+    cells: dict[tuple[str, str, str, str], Sequence[int]] = {}
+    for start in range(0, len(points), draws):
+        run = range(start, start + draws)
+        cell = points[start].cell
+        cells[cell] = [*cells[cell], *run] if cell in cells else run
     chosen = {rng.choice(indices) for indices in cells.values()}
     rest = [i for i in range(len(points)) if i not in chosen]
     top_up = max(0, min(_MANIFEST_SAMPLE, len(points)) - len(chosen))
@@ -366,6 +376,9 @@ class _LocalLease:
     def reclaim_stale(self) -> int:
         return 0
 
+    def _poll(self, digests: Sequence[str]) -> tuple[list[str], bool, bool]:
+        return list(digests), True, False
+
 
 def _spill_chunk(
     store: ResultStore,
@@ -421,9 +434,12 @@ def _drain(
     window plus, per pass, one existence query per slice of deferred
     digests.  A pass that
     claims nothing means every digest left is leased by some other live
-    worker: sweep leases whose renewal deadline has passed (the
-    hung-worker watchdog) and sleep briefly — either that worker
-    finishes them or the next claim takes the stale ones over.
+    worker: the worker waits (:func:`_wait`), polling read-only with a
+    sleep that starts at 1 ms and doubles up to 50 ms, until the holder
+    stores them all, or releases one unstored, or lets a lease expire
+    (the hung-worker watchdog sweeps the expired rows and the next pass
+    takes them over).  So the last worker of a drain wakes within a
+    few milliseconds of the last window landing.
 
     Each claimed window is evaluated with one engine call, so each
     same-topology run in it is one lockstep slab.  Its results are
@@ -525,11 +541,34 @@ def _drain(
         todo = [d for d in deferred if d not in stored]
         if todo and not claimed_any:
             with TELEMETRY.span("wait"):
-                swept = lease.reclaim_stale()
-                if swept and TELEMETRY.enabled:
-                    TELEMETRY.count("fabric.stale_reclaimed", swept)
-                pause(_FABRIC_POLL_SLEEP)
+                todo = _wait(lease, todo)
     return done_new
+
+
+def _wait(lease: LeaseManager | _LocalLease, todo: list[str]) -> list[str]:
+    """Sleep until a claim over ``todo`` could take something; returns
+    the digests of ``todo`` still unstored.
+
+    Each poll is read-only (:meth:`LeaseManager._poll`), so waiting
+    workers never queue for the store's write lock.  The sleeps start
+    at :data:`_FABRIC_POLL_FIRST` and double up to
+    :data:`_FABRIC_POLL_SLEEP`.  The wait ends when every digest is
+    stored, when one has no lease (its holder released it without
+    storing it), or when one's lease has expired by the lease's own
+    clock: then expired rows are swept (the hung-worker watchdog,
+    counted as ``fabric.stale_reclaimed``) for the next pass to claim.
+    """
+    delay = _FABRIC_POLL_FIRST
+    while True:
+        pause(delay)
+        todo, free, expired = lease._poll(todo)
+        if expired:
+            swept = lease.reclaim_stale()
+            if swept and TELEMETRY.enabled:
+                TELEMETRY.count("fabric.stale_reclaimed", swept)
+        if free or expired or not todo:
+            return todo
+        delay = min(2 * delay, _FABRIC_POLL_SLEEP)
 
 
 @dataclass(frozen=True)
@@ -816,9 +855,12 @@ def _fork(
         for i, proc in enumerate(procs):
             with TELEMETRY.span("worker", worker=i):
                 proc.join()
-        records = [_published(board, j) for j in range(plan.workers)]
     finally:
-        shutil.rmtree(board, ignore_errors=True)
+        # The parent's own work after the join, a named phase: once the
+        # workers wake promptly it is a visible share of a small drain.
+        with TELEMETRY.span("assemble"):
+            records = [_published(board, j) for j in range(plan.workers)]
+            shutil.rmtree(board, ignore_errors=True)
     return records, tuple(
         i for i, proc in enumerate(procs) if proc.exitcode != 0)
 

@@ -35,6 +35,15 @@ protocol never *blocks* correctness: every transition is crash-safe
 (single SQLite transactions), and even a protocol violation would only
 produce a duplicate evaluation that content addressing absorbs.
 
+Every operation is set-based, so its cost in SQL statements does not
+grow with the digests it touches, up to :data:`~.store._IN_CHUNK` of
+them: a claim reads ``results`` and ``leases`` once per chunk of
+candidates and writes its claims in one ``executemany``; a renewal or
+a release is one ``... WHERE worker = ? AND digest IN (...)``
+statement per chunk.  Each holds the store's write lock only that
+long.  A worker that finds nothing to claim waits without it: its
+polls (:meth:`LeaseManager._poll`) only read.
+
 All timestamps come from an injectable ``clock`` so tests can freeze
 or fast-forward time; production uses wall-clock seconds because lease
 expiry must be comparable **across processes and hosts** sharing one
@@ -52,7 +61,7 @@ from typing import Callable, Sequence
 
 from ..faults import FAULTS, RetryPolicy
 from ..telemetry import TELEMETRY
-from .store import ResultStore
+from .store import ResultStore, _chunks
 
 __all__ = ["Lease", "LeaseManager", "DEFAULT_LEASE_TTL", "DEFAULT_TXN_RETRY"]
 
@@ -179,47 +188,42 @@ class LeaseManager:
         * leased but expired — **reclaim** it (stale-lease takeover);
         * leased and live (any worker, including this one) — skip.
 
-        Returns the claimed digests in candidate order (deterministic
-        for a fixed store state).
+        A repeated candidate is claimed once.  The transaction reads
+        ``results`` and ``leases`` once per :data:`~.store._IN_CHUNK`
+        candidates, decides in that order and writes the claims in one
+        ``executemany``; the write lock it holds keeps the reads valid
+        until it commits.  Returns the claimed digests in candidate
+        order (deterministic for a fixed store state).
         """
         now = self._now()
         expires = now + self.ttl
         claimed: list[str] = []
+        mine: set[str] = set()
+        takeovers = 0
         budget = len(digests) if limit is None else limit
         self._immediate()
         try:
-            for digest in digests:
+            for chunk in _chunks(digests):
                 if len(claimed) >= budget:
                     break
-                done = self._conn.execute(
-                    "SELECT 1 FROM results WHERE digest = ?", (digest,)
-                ).fetchone()
-                if done is not None:
-                    continue
-                prior_expired = False
-                if TELEMETRY.enabled:
-                    # Probe whether an upsert here would be a stale-lease
-                    # takeover rather than a fresh claim (the upsert's
-                    # rowcount cannot distinguish the two).
-                    row = self._conn.execute(
-                        "SELECT expires FROM leases WHERE digest = ?",
-                        (digest,),
-                    ).fetchone()
-                    prior_expired = row is not None and float(row[0]) <= now
-                cur = self._conn.execute(
-                    "INSERT INTO leases (digest, worker, expires, acquired)"
-                    " VALUES (?, ?, ?, ?)"
-                    " ON CONFLICT(digest) DO UPDATE SET"
-                    "  worker = excluded.worker,"
-                    "  expires = excluded.expires,"
-                    "  acquired = excluded.acquired"
-                    " WHERE leases.expires <= ?",
-                    (digest, self.worker, expires, now, now),
-                )
-                if cur.rowcount == 1:
+                stored = self._store._stored(chunk)
+                leased = self._expiries(chunk)
+                for digest in chunk:
+                    if len(claimed) >= budget:
+                        break
+                    if digest in stored or digest in mine:
+                        continue
+                    prior = leased.get(digest)
+                    if prior is not None and prior > now:
+                        continue
                     claimed.append(digest)
-                    if prior_expired:
-                        TELEMETRY.count("lease.stale_takeovers")
+                    mine.add(digest)
+                    takeovers += prior is not None
+            self._conn.executemany(
+                "INSERT OR REPLACE INTO leases"
+                " (digest, worker, expires, acquired) VALUES (?, ?, ?, ?)",
+                [(digest, self.worker, expires, now) for digest in claimed],
+            )
             self._conn.execute("COMMIT")
         except BaseException:
             if self._conn.in_transaction:
@@ -228,15 +232,19 @@ class LeaseManager:
         if TELEMETRY.enabled:
             TELEMETRY.count("lease.claim_batches")
             TELEMETRY.count("lease.claims", len(claimed))
+            if takeovers:
+                TELEMETRY.count("lease.stale_takeovers", takeovers)
         return claimed
 
     def renew(self, digests: Sequence[str] | None = None) -> int:
         """Heartbeat: push the expiry of held leases to ``now + ttl``.
 
         Renews ``digests`` (or every lease this worker holds) and
-        returns how many rows were actually renewed — fewer than asked
-        means some leases were lost to expiry + reclamation, and the
-        caller should treat those digests as no longer its own.
+        returns how many were actually renewed, counting a repeated
+        digest once per occurrence — fewer than asked means some leases
+        were lost to expiry + reclamation, and the caller should treat
+        those digests as no longer its own.  One ``UPDATE`` per
+        :data:`~.store._IN_CHUNK` digests.
         """
         if FAULTS.enabled:
             # A stall here models a hung worker: its heartbeat arrives
@@ -252,21 +260,21 @@ class LeaseManager:
             )
             TELEMETRY.count("lease.renews", int(cur.rowcount))
             return int(cur.rowcount)
-        renewed = 0
+        kept: set[str] = set()
         self._immediate()
         try:
-            for digest in digests:
-                cur = self._conn.execute(
-                    "UPDATE leases SET expires = ? WHERE digest = ?"
-                    " AND worker = ? AND expires > ?",
-                    (now + self.ttl, digest, self.worker, now),
-                )
-                renewed += int(cur.rowcount)
+            for chunk in _chunks(digests):
+                kept.update(str(d) for (d,) in self._store._in(
+                    "UPDATE leases SET expires = ? WHERE worker = ?"
+                    " AND expires > ? AND digest IN ({}) RETURNING digest",
+                    chunk, now + self.ttl, self.worker, now,
+                ).fetchall())
             self._conn.execute("COMMIT")
         except BaseException:
             if self._conn.in_transaction:
                 self._conn.execute("ROLLBACK")
             raise
+        renewed = sum(1 for digest in digests if digest in kept)
         TELEMETRY.count("lease.renews", renewed)
         return renewed
 
@@ -275,17 +283,18 @@ class LeaseManager:
 
         Releasing a lease another worker has meanwhile reclaimed is a
         no-op: the ``worker = ?`` guard means a worker can only ever
-        delete its own claims.
+        delete its own claims.  One ``DELETE`` per
+        :data:`~.store._IN_CHUNK` digests; returns how many leases were
+        dropped.
         """
         released = 0
         self._immediate()
         try:
-            for digest in digests:
-                cur = self._conn.execute(
-                    "DELETE FROM leases WHERE digest = ? AND worker = ?",
-                    (digest, self.worker),
-                )
-                released += int(cur.rowcount)
+            for chunk in _chunks(digests):
+                released += int(self._store._in(
+                    "DELETE FROM leases WHERE worker = ? AND digest IN ({})",
+                    chunk, self.worker,
+                ).rowcount)
             self._conn.execute("COMMIT")
         except BaseException:
             if self._conn.in_transaction:
@@ -293,6 +302,34 @@ class LeaseManager:
             raise
         TELEMETRY.count("lease.releases", released)
         return released
+
+    def _expiries(self, digests: Sequence[str]) -> dict[str, float]:
+        """``digest → expires`` of the lease rows on ``digests``, live
+        or not: one read per :data:`~.store._IN_CHUNK` digests."""
+        expiries: dict[str, float] = {}
+        for chunk in _chunks(digests):
+            expiries.update((str(d), float(e)) for d, e in self._store._in(
+                "SELECT digest, expires FROM leases WHERE digest IN ({})",
+                chunk))
+        return expiries
+
+    def _poll(self, digests: Sequence[str]) -> tuple[list[str], bool, bool]:
+        """``(unstored, free, expired)``: a read-only look at ``digests``.
+
+        ``unstored`` keeps ``digests``' order; ``free`` is whether one
+        of them has no lease row and ``expired`` whether one has an
+        expired lease (by this manager's clock) — either way a claim
+        could take it now.  The leases are read before the results, so
+        a digest committed and released in between counts as stored,
+        not free.
+        """
+        now = self._now()
+        leased = self._expiries(digests)
+        stored = self._store._stored(digests)
+        unstored = [d for d in digests if d not in stored]
+        free = any(d not in leased for d in unstored)
+        expired = any(d in leased and leased[d] <= now for d in unstored)
+        return unstored, free, expired
 
     # ------------------------------------------------------------------
     # inspection and maintenance

@@ -106,6 +106,12 @@ DEFAULT_BUSY_TIMEOUT = 30.0
 _IN_CHUNK = 500
 
 
+def _chunks(digests: Sequence[str]) -> Iterator[Sequence[str]]:
+    """``digests`` in consecutive slices of :data:`_IN_CHUNK`."""
+    for start in range(0, len(digests), _IN_CHUNK):
+        yield digests[start: start + _IN_CHUNK]
+
+
 def instance_digest(
     inst: Instance,
     model: CommModel | str,
@@ -545,22 +551,21 @@ class ResultStore:
     # ------------------------------------------------------------------
     # batched lookups (one query per slice of digests)
     # ------------------------------------------------------------------
-    def _select_in(self, column: str, digests: Sequence[str]) -> sqlite3.Cursor:
-        """``SELECT {column} FROM results`` for the distinct ``digests``:
-        one ``WHERE digest IN (...)`` query."""
+    def _in(self, sql: str, digests: Sequence[str],
+            *params: object) -> sqlite3.Cursor:
+        """Run ``sql`` once, its ``digest IN ({})`` bound to the
+        distinct ``digests`` after ``params``."""
         unique = list(dict.fromkeys(digests))
         return self._conn.execute(
-            f"SELECT {column} FROM results WHERE digest IN "
-            f"({','.join('?' * len(unique))})", unique)
+            sql.format(",".join("?" * len(unique))), (*params, *unique))
 
     def _stored(self, digests: Iterable[str]) -> set[str]:
         """The stored ones of ``digests``, for membership tests: one
         query per :data:`_IN_CHUNK` digests instead of one per digest."""
-        wanted = list(digests)
         found: set[str] = set()
-        for start in range(0, len(wanted), _IN_CHUNK):
-            found.update(str(digest) for (digest,) in self._select_in(
-                "digest", wanted[start: start + _IN_CHUNK]))
+        for chunk in _chunks(list(digests)):
+            found.update(str(digest) for (digest,) in self._in(
+                "SELECT digest FROM results WHERE digest IN ({})", chunk))
         return found
 
     def _payload_texts(self, digests: Sequence[str]) -> Iterator[str | None]:
@@ -569,10 +574,10 @@ class ResultStore:
         One query per :data:`_IN_CHUNK` digests, read a chunk at a time,
         so only one chunk's payloads are held at once.
         """
-        for start in range(0, len(digests), _IN_CHUNK):
-            chunk = digests[start: start + _IN_CHUNK]
-            texts = {str(digest): str(text) for digest, text
-                     in self._select_in("digest, payload", chunk)}
+        for chunk in _chunks(digests):
+            texts = {str(digest): str(text) for digest, text in self._in(
+                "SELECT digest, payload FROM results WHERE digest IN ({})",
+                chunk)}
             yield from (texts.get(digest) for digest in chunk)
 
     # ------------------------------------------------------------------

@@ -45,6 +45,7 @@ from repro.utils import canonical_json
 from repro.workloads import CATALOG
 
 from .conftest import collecting
+from .test_golden_digests import SPEC as GOLDEN_SPEC
 
 SPEC_DICT = {
     "name": "manifest-test",
@@ -455,6 +456,53 @@ class TestMaterializationEdits:
                 assert counters["store.manifest_misses"] == 1, cell
                 assert status["done"] == grid.n_points - grid.draws
             assert run_campaign(grid, store).evaluated == grid.draws
+
+
+#: The perfbench campaign specs, whose manifests every resume checks.
+_PERF_SPECS = Path(__file__).resolve().parents[1] / "perfbench" / "specs"
+
+#: ``_manifest_sample(key, spec.expand())`` for three literal keys.  A
+#: drift here makes a stored manifest fail its check on every resume.
+SAMPLE_PINS = {
+    ("mixed", ""): [49, 133, 165, 273, 385, 462, 531, 598, 701, 765, 874, 907, 1024, 1057, 1156, 1217],
+    ("mixed", "k1"): [10, 146, 184, 271, 350, 425, 521, 624, 648, 779, 868, 889, 996, 1115, 1190, 1229],
+    ("mixed", "sample-key"): [66, 133, 175, 310, 376, 472, 503, 599, 704, 790, 857, 946, 1035, 1112, 1137, 1236],
+    ("shared_strict", ""): [197, 286, 287, 448, 515, 579, 620, 624, 736, 832, 979, 998, 1032, 1037, 1051, 1198],
+    ("shared_strict", "k1"): [43, 115, 135, 149, 405, 474, 489, 566, 591, 665, 698, 949, 1027, 1029, 1103, 1125],
+    ("shared_strict", "sample-key"): [267, 273, 384, 514, 589, 629, 662, 899, 928, 987, 1034, 1074, 1137, 1166, 1167, 1181],
+    ("golden", ""): [1, 4, 6, 10, 14, 16, 19, 22, 25, 28, 32, 33, 38, 39, 43, 45, 48, 53, 55, 59, 62, 65, 66, 70, 72, 77, 78, 83, 85, 88, 92, 93, 97, 100, 103, 107],
+    ("golden", "k1"): [0, 5, 6, 9, 12, 15, 20, 22, 26, 27, 31, 35, 36, 40, 44, 47, 48, 51, 56, 59, 60, 65, 68, 70, 74, 76, 79, 83, 86, 88, 91, 94, 96, 101, 104, 107],
+    ("golden", "sample-key"): [2, 5, 8, 10, 14, 17, 20, 23, 24, 29, 32, 35, 37, 41, 44, 47, 48, 53, 55, 59, 62, 65, 67, 71, 74, 77, 80, 81, 85, 88, 90, 94, 96, 101, 104, 105],
+}
+
+
+class TestSamplePins:
+    """The sampled indices are a function of the key and the spec's
+    layout only, and they never drift."""
+
+    @staticmethod
+    def _spec(name: str) -> CampaignSpec:
+        if name == "golden":
+            return dataclasses.replace(CampaignSpec.from_dict(GOLDEN_SPEC),
+                                       draws=3)
+        return CampaignSpec.from_file(_PERF_SPECS / f"{name}.json")
+
+    @pytest.mark.parametrize("name, key", sorted(SAMPLE_PINS))
+    def test_sample_is_pinned(self, name, key):
+        points = self._spec(name).expand()
+        assert _manifest_sample(key, points) == SAMPLE_PINS[name, key]
+
+    def test_repeated_cell_key_is_one_cell(self):
+        """Two cells with one key (a model listed twice) are sampled as
+        one cell, whose points are both runs."""
+        grid = CampaignSpec.from_dict(
+            dict(SPEC_DICT, models=["overlap", "overlap"]))
+        points = grid.expand()
+        runs = {pt.cell for pt in points}
+        sample = _manifest_sample("k1", points)
+        assert {points[i].cell for i in sample} == runs
+        assert sample == [1, 3, 7, 10, 11, 15, 16, 17, 18, 19, 20, 24, 26,
+                          27, 29, 35]
 
 
 class TestOlderStores:
