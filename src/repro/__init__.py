@@ -66,6 +66,7 @@ the batch engine (``BatchEngine``), the portfolio searches
 subsystem's entry points (``CampaignSpec`` / ``run_campaign``).
 """
 
+from ._lazy import lazy_exports
 from .core import (
     Application,
     CommModel,
@@ -88,8 +89,6 @@ from .core import (
     path_latency_bound,
     path_of_dataset,
 )
-from .campaign import CampaignSpec, run_campaign
-from .engine import BatchEngine
 from .errors import (
     DeadlockError,
     MappingError,
@@ -100,8 +99,15 @@ from .errors import (
     StoreCorruptionError,
     ValidationError,
 )
-from .objectives import EvalResult, ParetoArchive, parse_objectives
-from .search import pareto_portfolio_search, portfolio_search
+
+# Imported on first use (``repro._lazy``): the campaign path loads only
+# the campaign path, never search or the objective plane.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".campaign": ("CampaignSpec", "run_campaign"),
+    ".engine": ("BatchEngine",),
+    ".objectives": ("EvalResult", "ParetoArchive", "parse_objectives"),
+    ".search": ("pareto_portfolio_search", "portfolio_search"),
+})
 
 __version__ = "3.0.0"
 

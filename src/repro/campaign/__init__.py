@@ -46,6 +46,7 @@ calls, and :func:`repro.experiments.runner.run_family` /
 drain the Table 2 harness through the same loop and cache.
 """
 
+from .._lazy import lazy_exports
 from .executor import (
     CampaignReport,
     FabricReport,
@@ -59,11 +60,6 @@ from .executor import (
     run_campaign_workers,
 )
 from .lease import DEFAULT_LEASE_TTL, DEFAULT_TXN_RETRY, Lease, LeaseManager
-from .report import (
-    campaign_report_data,
-    export_campaign_report,
-    render_report_text,
-)
 from .spec import (
     ApplicationAxis,
     CampaignPoint,
@@ -79,14 +75,15 @@ from .store import (
     payload_from_result,
     record_from_payload,
 )
-from .sync import (
-    DirectoryRemote,
-    SyncReport,
-    merge_stores,
-    open_remote,
-    pull,
-    push,
-)
+
+# Reports and sync run after a campaign, never inside a drain, resume
+# or export: imported on first use (``repro._lazy``).
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".report": ("campaign_report_data", "export_campaign_report",
+                "render_report_text"),
+    ".sync": ("DirectoryRemote", "SyncReport", "merge_stores", "open_remote",
+              "pull", "push"),
+})
 
 __all__ = [
     "ApplicationAxis",

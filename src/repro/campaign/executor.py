@@ -66,6 +66,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import multiprocessing as mp
 import os as _os
 import random
 import shutil
@@ -80,11 +81,11 @@ from typing import Any, Callable, Mapping, Sequence
 from ..core.instance import Instance
 from ..engine import MAX_GROUP_ROWS, BatchEngine, topology_signature
 from ..errors import ValidationError
-from ..experiments.io import canonical_json
 from ..faults import FAULTS, FaultPlan, SpillJournal, pause
 from ..faults.journal import _ObjectTree
 from ..petri.reduction import pattern_plan
 from ..telemetry import TELEMETRY, write_trace
+from ..utils import canonical_json
 from .lease import DEFAULT_LEASE_TTL, LeaseManager
 from .spec import CampaignPoint, CampaignSpec
 from .store import (
@@ -830,8 +831,6 @@ def _fork(
     writes committed first), so the lock state the workers inherit is
     backed by locks the parent really holds.
     """
-    import multiprocessing as mp
-
     store.commit()
     ctx = mp.get_context()
     board = tempfile.mkdtemp(prefix="repro-shares-")

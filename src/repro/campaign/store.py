@@ -60,7 +60,7 @@ import os
 import sqlite3
 import time
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -72,8 +72,10 @@ from ..errors import (StoreCorruptionError, StoreLeaseError,
 from ..faults import DEFAULT_RETRY, FAULTS, RetryPolicy
 from ..telemetry import TELEMETRY
 from ..utils import canonical_json
-from ..experiments.runner import ExperimentRecord
 from .spec import MATERIALIZATION_VERSION, CampaignSpec
+
+if TYPE_CHECKING:
+    from ..experiments.runner import ExperimentRecord
 
 __all__ = [
     "RESULT_SCHEMA_VERSION",
@@ -257,6 +259,8 @@ def record_from_payload(
     are equal to records computed live — floats round-trip exactly
     through canonical JSON.
     """
+    from ..experiments.runner import ExperimentRecord
+
     return ExperimentRecord(
         config_name=config_name,
         model=CommModel.parse(model).value,
@@ -554,8 +558,18 @@ class ResultStore:
     def _in(self, sql: str, digests: Sequence[str],
             *params: object) -> sqlite3.Cursor:
         """Run ``sql`` once, its ``digest IN ({})`` bound to the
-        distinct ``digests`` after ``params``."""
+        distinct ``digests`` after ``params``.
+
+        The list is padded with repeats of its last digest to a power of
+        two (at most :data:`_IN_CHUNK`), so a connection prepares at
+        most 10 texts of each statement instead of one per width.  A
+        repeated ``IN`` value changes no membership, ``RETURNING`` row
+        or ``rowcount``.
+        """
         unique = list(dict.fromkeys(digests))
+        if unique:
+            width = min(_IN_CHUNK, 1 << (len(unique) - 1).bit_length())
+            unique += unique[-1:] * (width - len(unique))
         return self._conn.execute(
             sql.format(",".join("?" * len(unique))), (*params, *unique))
 

@@ -32,24 +32,26 @@ from .core.cycle_time import cycle_times
 from .core.instance import Instance
 from .core.paths import format_path_table
 from .core.throughput import compute_period
-from .experiments.examples_paper import example_a, example_b, example_c
-from .experiments.table2 import format_table2, run_table2
 from .petri.builder import build_tpn
-from .petri.dot import tpn_to_dot
-from .simulation.event_sim import simulate
-from .simulation.gantt import render_gantt, resource_order, utilization_table
-from .simulation.schedule import extract_schedules
-from .simulation.steady_state import measure_period
 from .utils import format_time
 
 __all__ = ["main", "build_parser"]
 
-_EXAMPLES = {"a": example_a, "b": example_b, "c": example_c}
+# Each subcommand imports the modules only it runs (simulation, the
+# Table-2 harness, search, DOT export) inside its handler, so
+# ``campaign status`` does not pay for them.
+
+
+def _paper_example(which: str) -> Instance:
+    """The paper's example A, B or C (``which`` in either case)."""
+    from .experiments.examples_paper import example_a, example_b, example_c
+
+    return {"a": example_a, "b": example_b, "c": example_c}[which.lower()]()
 
 
 def _load_instance(path: str) -> Instance:
-    if path.lower() in _EXAMPLES:
-        return _EXAMPLES[path.lower()]()
+    if path.lower() in ("a", "b", "c"):
+        return _paper_example(path)
     return Instance.from_json(Path(path))
 
 
@@ -241,6 +243,11 @@ def _optimize_objectives(args: argparse.Namespace) -> int:
 
 
 def _cmd_gantt(args: argparse.Namespace) -> int:
+    from .simulation.event_sim import simulate
+    from .simulation.gantt import render_gantt, resource_order, utilization_table
+    from .simulation.schedule import extract_schedules
+    from .simulation.steady_state import measure_period
+
     inst = _load_instance(args.instance)
     net = build_tpn(inst, args.model, max_rows=args.max_rows)
     trace = simulate(net, args.firings)
@@ -285,6 +292,8 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _cmd_dot(args: argparse.Namespace) -> int:
+    from .petri.dot import tpn_to_dot
+
     inst = _load_instance(args.instance)
     net = build_tpn(inst, args.model, max_rows=args.max_rows)
     highlight: tuple[int, ...] = ()
@@ -303,6 +312,8 @@ def _cmd_dot(args: argparse.Namespace) -> int:
 
 
 def _cmd_table2(args: argparse.Namespace) -> int:
+    from .experiments.table2 import format_table2, run_table2
+
     with _open_store(args.store) as store:
         rows = run_table2(scale=args.scale, models=tuple(args.models),
                           n_jobs=args.jobs, root_seed=args.seed,
@@ -390,11 +401,9 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     from .campaign import (
         CampaignSpec,
         ResultStore,
-        campaign_report_data,
         campaign_status,
         export_campaign_csv,
         export_campaign_json,
-        render_report_text,
         run_campaign,
     )
 
@@ -428,6 +437,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                 # on parsed fields, immune to human-format reflowing.
                 _write_machine_json(args.summary_json, report.to_dict())
         elif args.action == "report":
+            from .campaign.report import campaign_report_data, render_report_text
+
             counters = None
             if args.trace:
                 # Join the report with a traced run's deterministic
@@ -550,7 +561,7 @@ def _cmd_store(args: argparse.Namespace) -> int:
 
 
 def _cmd_example(args: argparse.Namespace) -> int:
-    inst = _EXAMPLES[args.which.lower()]()
+    inst = _paper_example(args.which)
     text = inst.to_json()
     if args.out:
         Path(args.out).write_text(text)

@@ -31,7 +31,6 @@ import numpy.typing as npt
 
 from ..errors import SimulationError
 from ..petri.builder import DEFAULT_MAX_ROWS, build_tpn
-from ..simulation.event_sim import simulate
 from .instance import Instance
 from .models import CommModel
 from .paths import path_of_dataset
@@ -138,6 +137,8 @@ def measure_latency(
     >>> bool(abs(rep.latencies[0] - bound) < 1e-9)
     True
     """
+    from ..simulation.event_sim import simulate
+
     if n_datasets < 1:
         raise SimulationError("n_datasets must be >= 1")
     model = CommModel.parse(model)

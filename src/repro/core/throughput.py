@@ -31,7 +31,6 @@ from ..algorithms.general_tpn import TpnSolution, tpn_period
 from ..algorithms.overlap_poly import OverlapBreakdown, overlap_period
 from ..errors import ValidationError
 from ..petri.builder import DEFAULT_MAX_ROWS, build_tpn
-from ..simulation.steady_state import estimate_period
 from .instance import Instance
 from .models import CommModel
 
@@ -146,6 +145,8 @@ def compute_period(
         solution = tpn_period(inst, model, max_rows=max_rows)
         period = solution.period
     elif method == "simulation":
+        from ..simulation.steady_state import estimate_period
+
         net = build_tpn(inst, model, max_rows=max_rows)
         period = estimate_period(net, n_firings=n_firings).period
     else:

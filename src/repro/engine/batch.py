@@ -46,7 +46,6 @@ and solve counts are telemetry counters (``engine.cache_hits``,
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence, overload
 
@@ -545,6 +544,8 @@ def evaluate(
         (pairs[i: i + chunk_size], method, max_rows, telemetry_on)
         for i in range(0, len(pairs), chunk_size)
     ]
+    from concurrent.futures import ProcessPoolExecutor
+
     out: list[PeriodResult] = []
     with ProcessPoolExecutor(max_workers=workers) as pool:
         for results, counters in pool.map(_evaluate_chunk, payloads):

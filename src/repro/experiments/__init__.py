@@ -1,29 +1,22 @@
 """Experimental harness: paper examples, random sweeps, Table 2."""
 
-from .examples_paper import (
-    EXAMPLE_A_EXPECTED,
-    EXAMPLE_B_EXPECTED,
-    EXAMPLE_C_STRUCTURE,
-    example_a,
-    example_b,
-    example_c,
-)
-from .generator import (
-    TABLE2_CONFIGS,
-    ExperimentConfig,
-    instance_from_config,
-    random_instance,
-    random_replication,
-)
-from .analysis import FamilySummary, feature_report, gap_histogram, summarize
-from .io import (
-    portfolio_to_json,
-    records_from_csv,
-    records_to_csv,
-    restarts_to_csv,
-)
-from .runner import ExperimentRecord, family_seeds, run_family, run_single
-from .table2 import Table2Row, format_table2, run_table2
+from .._lazy import lazy_exports
+
+# The campaign spec needs only ``generator``; the harness is imported on
+# first use (``repro._lazy``).
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".examples_paper": ("EXAMPLE_A_EXPECTED", "EXAMPLE_B_EXPECTED",
+                        "EXAMPLE_C_STRUCTURE", "example_a", "example_b",
+                        "example_c"),
+    ".generator": ("TABLE2_CONFIGS", "ExperimentConfig", "instance_from_config",
+                   "random_instance", "random_replication"),
+    ".analysis": ("FamilySummary", "feature_report", "gap_histogram",
+                  "summarize"),
+    ".io": ("portfolio_to_json", "records_from_csv", "records_to_csv",
+            "restarts_to_csv"),
+    ".runner": ("ExperimentRecord", "family_seeds", "run_family", "run_single"),
+    ".table2": ("Table2Row", "format_table2", "run_table2"),
+})
 
 __all__ = [
     "example_a",

@@ -36,10 +36,10 @@ from typing import TYPE_CHECKING, Callable, Iterable
 
 from ..errors import ValidationError
 from ..utils import canonical_json
-from .runner import ExperimentRecord
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (search -> engine)
     from ..search.portfolio import PortfolioResult
+    from .runner import ExperimentRecord
 
 __all__ = [
     "OUTPUT_FORMATS",
@@ -147,6 +147,8 @@ def records_to_csv(
 
 def records_from_csv(source: str | Path) -> list[ExperimentRecord]:
     """Load records from CSV text or a file path (inverse of export)."""
+    from .runner import ExperimentRecord
+
     if isinstance(source, Path):
         text = source.read_text()
     else:

@@ -20,35 +20,22 @@ cycles of a token graph (:class:`~repro.maxplus.graph.RatioGraph`):
 point; :mod:`repro.engine` drives the prepare/solve split at scale.
 """
 
-from .algebra import (
-    NEG_INF,
-    matrix_to_graph,
-    mp_eigenvalue,
-    mp_eye,
-    mp_matmul,
-    mp_matvec,
-    mp_pow,
-    mp_star,
-    mp_zeros,
-)
-from .cycle_ratio import CycleRatioResult, max_cycle_ratio
-from .graph import Edge, RatioGraph
-from .howard import (
-    HowardPlan,
-    HowardResult,
-    max_cycle_ratio_howard,
-    prepare_howard,
-    solve_prepared,
-)
-from .karp import max_cycle_mean, max_cycle_mean_scc
-from .lawler import has_positive_cycle, max_cycle_ratio_lawler
-from .spectral import (
-    CriticalGraph,
-    critical_graph,
-    cyclicity,
-    mp_eigenvector,
-    potentials,
-)
+from .._lazy import lazy_exports
+
+# Imported on first use (``repro._lazy``): a period solve loads only the
+# solver it runs, not the dense algebra or the spectral tools.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".algebra": ("NEG_INF", "matrix_to_graph", "mp_eigenvalue", "mp_eye",
+                 "mp_matmul", "mp_matvec", "mp_pow", "mp_star", "mp_zeros"),
+    ".cycle_ratio": ("CycleRatioResult", "max_cycle_ratio"),
+    ".graph": ("Edge", "RatioGraph"),
+    ".howard": ("HowardPlan", "HowardResult", "max_cycle_ratio_howard",
+                "prepare_howard", "solve_prepared"),
+    ".karp": ("max_cycle_mean", "max_cycle_mean_scc"),
+    ".lawler": ("has_positive_cycle", "max_cycle_ratio_lawler"),
+    ".spectral": ("CriticalGraph", "critical_graph", "cyclicity",
+                  "mp_eigenvector", "potentials"),
+})
 
 __all__ = [
     "RatioGraph",

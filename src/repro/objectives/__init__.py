@@ -29,20 +29,19 @@ campaign specs (``objectives`` grids) and the CLI (``optimize
 --objectives``).
 """
 
+from .._lazy import lazy_exports
 from .base import OBJECTIVE_NAMES, OBJECTIVE_SENSES, EvalResult, parse_objectives
-from .evaluate import (
-    DEFAULT_LATENCY_DATASETS,
-    ObjectiveEvaluator,
-    attach_objectives,
-    worst_path_latency,
-)
-from .pareto import ParetoArchive, ParetoEntry, dominates
-from .policy import REPLICATION_POLICIES, replication_policy_mapping
-from .reliability import (
-    instance_reliability,
-    mapping_reliability,
-    stage_reliability,
-)
+
+# A campaign spec needs only ``base``; the evaluators, archive and
+# policies are imported on first use (``repro._lazy``).
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".evaluate": ("DEFAULT_LATENCY_DATASETS", "ObjectiveEvaluator",
+                  "attach_objectives", "worst_path_latency"),
+    ".pareto": ("ParetoArchive", "ParetoEntry", "dominates"),
+    ".policy": ("REPLICATION_POLICIES", "replication_policy_mapping"),
+    ".reliability": ("instance_reliability", "mapping_reliability",
+                     "stage_reliability"),
+})
 
 __all__ = [
     "OBJECTIVE_NAMES",

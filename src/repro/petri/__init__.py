@@ -1,23 +1,20 @@
 """Timed Petri net models of replicated workflow mappings."""
 
-from .builder import DEFAULT_MAX_ROWS, build_tpn
-from .marking import (
-    FiringEvent,
-    TokenGameTrace,
-    circuit_invariants,
-    play_token_game,
-    verify_invariant_during_game,
-)
-from .net import Place, PlaceKind, TimedEventGraph, Transition
-from .reduction import (
-    CommPattern,
-    CompColumn,
-    column_subgraph,
-    comm_patterns,
-    computation_column,
-)
-from .serialization import tpn_from_dict, tpn_from_json, tpn_to_dict, tpn_to_json
-from .validate import TpnReport, validate_tpn
+from .._lazy import lazy_exports
+
+# Imported on first use (``repro._lazy``): building a net loads neither the
+# token game, serialization nor validation.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".builder": ("DEFAULT_MAX_ROWS", "build_tpn"),
+    ".marking": ("FiringEvent", "TokenGameTrace", "circuit_invariants",
+                 "play_token_game", "verify_invariant_during_game"),
+    ".net": ("Place", "PlaceKind", "TimedEventGraph", "Transition"),
+    ".reduction": ("CommPattern", "CompColumn", "column_subgraph",
+                   "comm_patterns", "computation_column"),
+    ".serialization": ("tpn_from_dict", "tpn_from_json", "tpn_to_dict",
+                       "tpn_to_json"),
+    ".validate": ("TpnReport", "validate_tpn"),
+})
 
 __all__ = [
     "TimedEventGraph",

@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+import re
 from pathlib import Path
 from typing import Any
 
@@ -27,6 +28,7 @@ from repro.campaign import (
     LeaseManager,
     ResultStore,
     executor,
+    export_campaign_json,
     run_campaign,
     run_campaign_worker,
 )
@@ -412,3 +414,99 @@ class TestStatementCounts:
         assert len(claim_probes) == chunks == 5
         assert len([s for s in probes if "FROM results" in s]) \
             >= len(claim_probes)
+
+
+# ----------------------------------------------------------------------
+# padded IN lists
+# ----------------------------------------------------------------------
+#: The ``IN (...)`` widths a padded list may take.
+_WIDTHS = {1 << k for k in range(_IN_CHUNK.bit_length())
+           if 1 << k < _IN_CHUNK} | {_IN_CHUNK}
+_IN_LIST = re.compile(r"IN \(([^()]*)\)")
+
+
+class _Unpadded(ResultStore):
+    """The store with each ``IN`` list bound at its own width (no
+    padding): the reference the padded statements must reproduce."""
+
+    def _in(self, sql, digests, *params):
+        unique = list(dict.fromkeys(digests))
+        return self.connection.execute(
+            sql.format(",".join("?" * len(unique))), (*params, *unique))
+
+
+def _in_widths(statements: list[str]) -> dict[str, set[int]]:
+    """SQL shape (literals and ``IN`` list masked) → the ``IN`` widths
+    its traced (value-expanded) statements bound."""
+    widths: dict[str, set[int]] = {}
+    for sql in statements:
+        found = _IN_LIST.search(sql)
+        if found is None:
+            continue
+        shape = re.sub(r"'[^']*'|\b\d+(\.\d+)?\b", "?",
+                       _IN_LIST.sub("IN (...)", sql))
+        widths.setdefault(shape, set()).add(found.group(1).count(",") + 1)
+    return widths
+
+
+def _seeded(store: ResultStore, n: int) -> None:
+    """``n`` digests: every third stored, lease rows live and expired,
+    this worker's and another's."""
+    rng = random.Random(n)
+    for i in range(n):
+        if i % 3 == 0:
+            store.put_text(_digest(i), f'{{"i": {i}}}', commit=False)
+        row = rng.choice(LEASE_STATES)
+        if row is not None:
+            store.connection.execute("INSERT INTO leases VALUES (?, ?, ?, ?)",
+                                     (_digest(i), row[0], row[1], 0.0))
+    store.commit()
+
+
+class TestPaddedInLists:
+    SIZES = sorted({n for k in range(11) for n in (2**k - 1, 2**k, 2**k + 1)
+                    if n >= 1} | {499, 500, 501, 999, 1000, 1001, 1200})
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_same_answers_as_unpadded_lists(self, n):
+        """``_stored``, ``_payload_texts``, ``renew`` and ``release`` on
+        ``n`` digests (with repeats and unknown ones) return what the
+        unpadded statements return and leave the same lease table."""
+        rng = random.Random(-n)
+        digests = [_digest(i) for i in rng.sample(range(n + 5), n)]
+        digests += rng.choices(digests, k=3)
+        with ResultStore(":memory:") as padded, \
+                _Unpadded(":memory:") as plain:
+            statements = _statements(padded)
+            for store in (padded, plain):
+                _seeded(store, n)
+            assert padded._stored(digests) == plain._stored(digests)
+            assert list(padded._payload_texts(digests)) == \
+                list(plain._payload_texts(digests))
+            mine = [LeaseManager(store, "a", ttl=TTL, clock=lambda: NOW)
+                    for store in (padded, plain)]
+            assert mine[0].renew(digests) == mine[1].renew(digests)
+            assert _table(padded) == _table(plain)
+            assert mine[0].release(digests) == mine[1].release(digests)
+            assert _table(padded) == _table(plain)
+            widths = set().union(*_in_widths(statements).values())
+        assert widths and widths <= _WIDTHS
+
+    def test_mixed_drain_prepares_few_in_texts(self, tmp_path):
+        """A seeded ``mixed`` worker drain, resume and export bind every
+        ``IN`` list at a power-of-two width (or the chunk size), so each
+        statement shape has at most 10 texts in a connection's
+        prepared-statement cache; unpadded lists took the width of each
+        slice (224, 280 ...)."""
+        spec = dataclasses.replace(
+            CampaignSpec.from_file(_PERF_SPECS / "mixed.json"), root_seed=1)
+        with ResultStore(tmp_path / "s.sqlite") as store:
+            statements = _statements(store)
+            assert run_campaign_worker(spec, store, "w") == spec.n_points
+            assert run_campaign(spec, store).evaluated == 0
+            export_campaign_json(spec, store)
+        widths = _in_widths(statements)
+        assert len(widths) >= 5
+        for shape, seen in widths.items():
+            assert seen <= _WIDTHS, shape
+            assert len(seen) <= 10, shape
