@@ -655,7 +655,8 @@ def _published(board: str, j: int) -> dict[str, Any] | None:
     """Share ``j``'s record published under ``board``, or ``None`` while
     there is none."""
     try:
-        text = _ObjectTree(board)._object_path(f"share-{j}").read_text()
+        text = _ObjectTree(board)._object_path(f"share-{j}").read_text(
+            encoding="utf-8")
     except FileNotFoundError:
         return None
     record: dict[str, Any] = json.loads(text)
@@ -1222,18 +1223,22 @@ def campaign_rows(
 
     Returns ``(rows, missing)``: one plain-data row per stored point in
     spec order (point identity + payload values), plus the points whose
-    results are not stored yet.  Payloads are read one query per slice
-    of digests (:meth:`ResultStore._payload_texts`).
+    results are not stored yet.  A row's keys come in a fixed order:
+    the point identity (``point`` … ``digest``), then the payload's
+    keys in their stored (sorted) order, without ``schema`` and
+    ``model``, and with the payload's counts vector renamed
+    ``replication_counts``.  Payloads are read and parsed one query and
+    one ``json.loads`` per slice of digests
+    (:meth:`ResultStore._payloads`).
     """
     rows: list[dict[str, Any]] = []
     missing: list[CampaignPoint] = []
     identified = _identified(spec, store)
-    texts = store._payload_texts([digest for _, digest in identified])
-    for (pt, digest), text in zip(identified, texts):
-        if text is None:
+    payloads = store._payloads([digest for _, digest in identified])
+    for (pt, digest), payload in zip(identified, payloads):
+        if payload is None:
             missing.append(pt)
             continue
-        payload = json.loads(text)
         row = {
             "point": pt.index, "application": pt.application.label,
             "platform": pt.platform.label,
@@ -1325,7 +1330,7 @@ def export_campaign_json(
         indent=2,
     ) + "\n"
     if path is not None:
-        Path(path).write_text(text, newline="")
+        Path(path).write_text(text, encoding="utf-8", newline="")
     return text
 
 
@@ -1366,5 +1371,5 @@ def export_campaign_csv(
         ] + [repr(float(row[name])) for name in extra])
     text = buf.getvalue()
     if path is not None:
-        Path(path).write_text(text, newline="")
+        Path(path).write_text(text, encoding="utf-8", newline="")
     return text

@@ -294,7 +294,7 @@ def export_campaign_report(
         indent=2,
     ) + "\n"
     if path is not None:
-        Path(path).write_text(text, newline="")
+        Path(path).write_text(text, encoding="utf-8", newline="")
     return text
 
 

@@ -760,7 +760,7 @@ class CampaignSpec:
     def from_file(cls, path: str | Path) -> "CampaignSpec":
         """Load a spec from a ``.json`` or ``.toml`` file."""
         path = Path(path)
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
         if path.suffix.lower() == ".toml":
             try:
                 import tomllib

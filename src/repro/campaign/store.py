@@ -594,6 +594,27 @@ class ResultStore:
                 chunk)}
             yield from (texts.get(digest) for digest in chunk)
 
+    def _payloads(
+        self, digests: Sequence[str]
+    ) -> Iterator[dict[str, Any] | None]:
+        """:meth:`get` of each of ``digests``, in order.
+
+        One query and one ``json.loads`` per :data:`_IN_CHUNK` digests:
+        a chunk's stored texts are parsed as one JSON array, so only one
+        chunk's payloads are held at once.  Stored payloads are single
+        JSON objects, so the array has one item per text; if it does
+        not, a text is malformed and a per-text parse raises where it is.
+        """
+        for chunk in _chunks(digests):
+            texts = list(self._payload_texts(chunk))
+            stored = [text for text in texts if text is not None]
+            payloads = json.loads("[" + ",".join(stored) + "]")
+            if len(payloads) != len(stored):
+                payloads = [json.loads(text) for text in stored]
+            parsed = iter(payloads)
+            yield from (None if text is None else next(parsed)
+                        for text in texts)
+
     # ------------------------------------------------------------------
     # digest manifests (a row-identity cache; see the module docstring)
     # ------------------------------------------------------------------

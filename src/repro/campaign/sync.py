@@ -154,7 +154,8 @@ class DirectoryRemote(_ObjectTree):
 
     def get_text(self, digest: str) -> str | None:
         path = self._object_path(digest)
-        return path.read_text() if path.exists() else None
+        return (path.read_text(encoding="utf-8") if path.exists()
+                else None)
 
     def put_text(self, digest: str, text: str) -> bool:
         if FAULTS.enabled:
@@ -180,7 +181,8 @@ class DirectoryRemote(_ObjectTree):
     def quarantined(self) -> list[tuple[str, str, str, str]]:
         """``(digest, origin, payload_text, reason)`` rows, sorted."""
         qdir = self.root / "quarantine"
-        entries = [json.loads(p.read_text()) for p in sorted(qdir.glob("*.json"))]
+        entries = [json.loads(p.read_text(encoding="utf-8"))
+                   for p in sorted(qdir.glob("*.json"))]
         return sorted((str(e["digest"]), str(e["origin"]),
                        str(e["payload"]), str(e["reason"])) for e in entries)
 

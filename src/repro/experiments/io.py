@@ -96,7 +96,7 @@ def write_canonical_json(payload: object, path: str | Path) -> str:
     digest cleanly.  Returns the exact text written.
     """
     text = canonical_json(payload, indent=2) + "\n"
-    Path(path).write_text(text, newline="")
+    Path(path).write_text(text, encoding="utf-8", newline="")
     return text
 
 
@@ -141,7 +141,7 @@ def records_to_csv(
         ])
     text = buf.getvalue()
     if path is not None:
-        Path(path).write_text(text, newline="")
+        Path(path).write_text(text, encoding="utf-8", newline="")
     return text
 
 
@@ -150,11 +150,11 @@ def records_from_csv(source: str | Path) -> list[ExperimentRecord]:
     from .runner import ExperimentRecord
 
     if isinstance(source, Path):
-        text = source.read_text()
+        text = source.read_text(encoding="utf-8")
     else:
         text = str(source)
         if "\n" not in text and text.endswith(".csv"):
-            text = Path(text).read_text()
+            text = Path(text).read_text(encoding="utf-8")
     reader = csv.DictReader(io.StringIO(text))
     out: list[ExperimentRecord] = []
     for row in reader:
@@ -201,7 +201,7 @@ def portfolio_to_json(
     """
     text = result.to_json()
     if path is not None:
-        Path(path).write_text(text, newline="")
+        Path(path).write_text(text, encoding="utf-8", newline="")
     return text
 
 
@@ -231,5 +231,5 @@ def restarts_to_csv(
         ])
     text = buf.getvalue()
     if path is not None:
-        Path(path).write_text(text, newline="")
+        Path(path).write_text(text, encoding="utf-8", newline="")
     return text

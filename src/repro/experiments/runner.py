@@ -24,7 +24,6 @@ bit-identical to the matching :func:`run_family` records.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import islice
 from typing import TYPE_CHECKING, Sequence
@@ -244,8 +243,7 @@ def _sweep(
             range(len(points)), options["objectives"], digests, True, 1)
         work = executor._share_record(plan, store, 0)[1]
         crashed = executor._drain_local(store, work, workers, options)[2]
-        payloads = [None if text is None else json.loads(text)
-                    for text in store._payload_texts(digests)]
+        payloads = list(store._payloads(digests))
         if None in payloads:
             raise ReproError(f"worker processes {list(crashed)} crashed; "
                              f"rerun to resume the sweep from the store")

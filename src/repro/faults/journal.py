@@ -65,7 +65,7 @@ class _ObjectTree:
         # half-written file under its final name.
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.parent / f".{path.stem}.{os.getpid()}.tmp"
-        tmp.write_text(text, newline="")
+        tmp.write_text(text, encoding="utf-8", newline="")
         tmp.replace(path)
 
     def _put(self, digest: str, text: str) -> bool:
@@ -78,7 +78,7 @@ class _ObjectTree:
     def items_text(self) -> Iterator[tuple[str, str]]:
         """All ``(digest, payload_text)`` pairs, digest-ordered."""
         for path in self._paths():
-            yield path.stem, path.read_text()
+            yield path.stem, path.read_text(encoding="utf-8")
 
 
 class SpillJournal(_ObjectTree):

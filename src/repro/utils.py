@@ -7,10 +7,16 @@ import json
 import math
 import zlib
 from collections.abc import Iterable, Sequence
+from json.encoder import c_make_encoder, encode_basestring_ascii
+from typing import Any
 
 import numpy as np
 
 from .errors import ValidationError
+
+#: ``json.dumps``' handler of values JSON cannot encode (raises
+#: ``TypeError``), shared by the indented writer's C encoders.
+_JSON_DEFAULT = json.JSONEncoder().default
 
 __all__ = [
     "spawn_seeds",
@@ -34,19 +40,126 @@ def canonical_json(obj: object, indent: int | None = None) -> str:
     ``inf`` are rejected: digested payloads must round-trip through
     standard JSON.
 
-    ``indent=None`` gives the compact separators used for digests;
-    pass ``indent=2`` for human-readable artifact files.
+    ``indent=None`` gives the compact separators used for digests: that
+    path is exactly ``json.dumps(obj, sort_keys=True, separators=(",",
+    ":"), allow_nan=False)``, the byte contract behind every store
+    digest and payload, and never changes.
+
+    ``indent=k`` gives human-readable artifact files (exports, reports,
+    records), byte-identical to ``json.dumps(obj, sort_keys=True,
+    separators=(",", ": "), indent=k, allow_nan=False)``, which is its
+    test oracle.  The stdlib only writes indented text with its
+    pure-Python encoder; :func:`_indented_json` drives the C encoder
+    one container at a time instead.
 
     Lives here (not :mod:`repro.experiments.io`, which re-exports it)
     so that low-level layers — :meth:`repro.core.instance.Instance.
     to_json`, :func:`repro.petri.serialization.tpn_to_json` — can emit
     canonical bytes without importing the experiments stack.
     """
-    separators = (",", ":") if indent is None else (",", ": ")
-    return json.dumps(
-        obj, sort_keys=True, separators=separators, indent=indent,
-        allow_nan=False,
-    )
+    if indent is None or not isinstance(obj, _CONTAINERS):
+        # (a scalar's text has no separator to indent)
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                          allow_nan=False)
+    if c_make_encoder is None:  # pragma: no cover - no C accelerator
+        return json.dumps(obj, sort_keys=True, separators=(",", ": "),
+                          indent=indent, allow_nan=False)
+    return _indented_json(obj, " " * indent)
+
+
+#: Containers JSON writes with brackets (subclasses included).
+_CONTAINERS = (dict, list, tuple)
+#: Exact types the containers test can skip: one set lookup per item.
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def _c_encoder(separator: str) -> Any:
+    """The C encoder of :func:`canonical_json`'s rules with item
+    ``separator``; called as ``encoder(obj, 0)[0]``."""
+    return c_make_encoder(None, _JSON_DEFAULT, encode_basestring_ascii,
+                          None, ": ", separator, True, False, False)
+
+
+def _indented_json(obj: object, unit: str) -> str:
+    """Container ``obj`` as indented canonical JSON, ``unit`` per level.
+
+    The C encoder accepts any item separator.  With ``",\\n" + pad`` it
+    writes one container's items already indented for their depth, and
+    since an encoded string never holds a raw newline, every newline it
+    writes is an item boundary of that container.  A container whose
+    items are all scalars is one C call.  In any other container each
+    nested container is replaced by the placeholder ``0``; the C call
+    then gives every item its line, and each nested container is written
+    recursively (one level deeper) over its placeholder: a list item is
+    its own line, a dict value ends its key's line, found by its encoded
+    key right after a separator (or the opening brace).
+    Positions are taken in the placeholder text, never in text already
+    spliced in, and ``markers`` holds the containers being written at
+    every level, so a cycle raises like the stdlib's.
+    """
+    levels: list[tuple[str, Any, str, str]] = []
+    markers: dict[int, object] = {}
+
+    def write(o: Any, depth: int) -> str:
+        if depth == len(levels):
+            sep = ",\n" + unit * (depth + 1)
+            levels.append((sep, _c_encoder(sep), sep[1:],
+                           "\n" + unit * depth))
+        sep, encode, open_, close = levels[depth]
+        if isinstance(o, dict):
+            nested = [k for k, v in o.items()
+                      if type(v) not in _SCALARS and isinstance(v, _CONTAINERS)]
+            if not nested:
+                text = encode(o, 0)[0]
+                return text if len(text) == 2 else "".join(
+                    ("{", open_, text[1:-1], close, "}"))
+            mark = _enter(markers, o)
+            flat = dict(o)
+            for k in nested:
+                flat[k] = 0
+            text = encode(flat, 0)[0]
+            spots = []
+            for k in nested:
+                head = (encode_basestring_ascii(k) if type(k) is str
+                        else encode({k: 0}, 0)[0][1:-4]) + ": "
+                at = text.find(sep + head)
+                spots.append((1 + len(head) if at < 0
+                              else at + len(sep) + len(head), k))
+            spots.sort()
+            parts = ["{", open_]
+            last = 1
+            for at, k in spots:
+                parts += (text[last:at], write(o[k], depth + 1))
+                last = at + 1
+            parts += (text[last:-1], close, "}")
+        else:
+            nested = [i for i, v in enumerate(o)
+                      if type(v) not in _SCALARS and isinstance(v, _CONTAINERS)]
+            if not nested:
+                text = encode(o, 0)[0]
+                return text if len(text) == 2 else "".join(
+                    ("[", open_, text[1:-1], close, "]"))
+            mark = _enter(markers, o)
+            flat_items = list(o)
+            for i in nested:
+                flat_items[i] = 0
+            lines = encode(flat_items, 0)[0][1:-1].split(sep)
+            for i in nested:
+                lines[i] = write(o[i], depth + 1)
+            parts = ["[", open_, sep.join(lines), close, "]"]
+        del markers[mark]
+        return "".join(parts)
+
+    return write(obj, 0)
+
+
+def _enter(markers: dict[int, object], o: object) -> int:
+    """Mark ``o`` as being written; raise on a reference cycle."""
+    mark = id(o)
+    if mark in markers:
+        raise ValueError("Circular reference detected")
+    markers[mark] = o
+    return mark
 
 
 def spawn_seeds(root_seed: int, key: str, overlap: bool, count: int) -> list[int]:

@@ -103,8 +103,9 @@ class TestRoundTrip:
 
 
 class TestBatchedReads:
-    """``_stored`` and ``_payload_texts`` answer like per-digest ``in``
-    and ``get``, one query per slice of digests."""
+    """``_stored``, ``_payload_texts`` and ``_payloads`` answer like
+    per-digest ``in``, ``payload_text`` and ``get``, one query per slice
+    of digests."""
 
     @pytest.fixture
     def store(self):
@@ -140,6 +141,17 @@ class TestBatchedReads:
             [store.get(d) for d in digests]
         assert texts == [store.payload_text(d) for d in digests]
         assert list(store._payload_texts([])) == []
+        # the parsed reader: one json.loads per slice, same payloads
+        assert list(store._payloads(digests)) == \
+            [store.get(d) for d in digests]
+        assert list(store._payloads([])) == []
+
+    def test_payloads_raise_on_a_malformed_text(self, store):
+        # two objects in one text would shift every later payload of
+        # the slice's joined parse by one
+        store.put_text("bad", '{"schema": 1}, {"schema": 1}')
+        with pytest.raises(ValueError):
+            list(store._payloads(["d00000", "bad", "d00002"]))
 
     def test_finished_campaign_reads_one_query_per_slice(self, tmp_path):
         spec = CampaignSpec.from_dict({
