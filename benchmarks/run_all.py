@@ -98,6 +98,8 @@ CONTRACTS = [
     ("lease_statements", "release_deletes", "<="),
     ("lease_statements", "claim_probes", "<="),
     ("lease_statements", "lease_statements", "<="),
+    ("digest_slice", "identical", ">="),
+    ("digest_slice", "float_text_identical", ">="),
 ]
 
 #: Benchmarks deliberately removed together with the feature they
@@ -149,6 +151,7 @@ def _run(name: str, fn, check) -> dict:
 def collect() -> dict:
     """Run every required benchmark and assemble the report."""
     import bench_campaign
+    import bench_digest
     import bench_engine_batch
     import bench_faults
     import bench_howard_many
@@ -271,6 +274,12 @@ def collect() -> dict:
             "lease_statements",
             bench_lease.run_comparison,
             bench_lease._check,
+            True,
+        ),
+        (
+            "digest_slice",
+            bench_digest.run_comparison,
+            bench_digest._check,
             True,
         ),
     ]

@@ -89,7 +89,9 @@ from ..utils import canonical_json
 from .lease import DEFAULT_LEASE_TTL, LeaseManager
 from .spec import CampaignPoint, CampaignSpec
 from .store import (
+    _IN_CHUNK,
     ResultStore,
+    _instance_digests,
     instance_digest,
     manifest_key,
     payload_from_result,
@@ -243,6 +245,19 @@ def _point_digest(
     return instance_digest(inst, pt.model, objectives=objectives)
 
 
+def _digests_of(points: Sequence[Any], objectives: tuple[str, ...]) -> list[str]:
+    """The store addresses of ``points`` (anything with ``instance()``
+    and ``model``), materialized and digested one slice of
+    :data:`~repro.campaign.store._IN_CHUNK` at a time by the slice
+    writer (:func:`~repro.campaign.store._instance_digests`)."""
+    digests: list[str] = []
+    for start in range(0, len(points), _IN_CHUNK):
+        part = points[start: start + _IN_CHUNK]
+        digests += _instance_digests([pt.instance() for pt in part],
+                                     [pt.model for pt in part], objectives)
+    return digests
+
+
 def _count_manifest(hit: bool) -> None:
     TELEMETRY.count("store.manifest_hits" if hit else "store.manifest_misses")
 
@@ -310,7 +325,7 @@ def _identified(
     _, digests = _manifest_digests(spec, store, points)
     _count_manifest(digests is not None)
     if digests is None:
-        digests = [_point_digest(pt, spec.objectives) for pt in points]
+        digests = _digests_of(points, spec.objectives)
     return list(zip(points, digests))
 
 
@@ -636,7 +651,7 @@ def _share_record(
     derived = unique is None
     if unique is None:
         pts = [_Given(pt.instance(), pt.model) for pt in pts]
-        digests = [_point_digest(pt, plan.objectives) for pt in pts]
+        digests = _digests_of(pts, plan.objectives)
         unique = _unstored(store, pts, digests)
         assert unique is not None  # derived digests are never stale
     pending = list(unique.values())

@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import sqlite3
 import time
@@ -150,6 +151,358 @@ def instance_digest(
     if names != ("period",):
         payload["objectives"] = list(names)
     return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
+
+
+# ----------------------------------------------------------------------
+# the slice writer: digests of many instances, floats written in numpy
+# ----------------------------------------------------------------------
+#
+# ``instance_digest`` spends most of its time in ``repr`` of the
+# platform's floats.  :func:`_instance_digests` writes the same bytes for
+# a whole slice: :func:`_float_texts` renders all of the slice's floats
+# in a few numpy passes (Schubfach's shortest round-trip digits, then
+# ``float.__repr__``'s positional layout), and the per-point JSON around
+# them comes from cached ``canonical_json`` fragments.
+
+_U = np.uint64
+#: Binary exponents ``q`` (``|x| = c * 2**q``, ``2**52 <= c < 2**53``) of
+#: the fast path: ``2**-14 <= |x| < 2**54`` covers ``repr``'s positional
+#: range ``1e-4 <= |x| < 1e16``, and keeps every decimal exponent in
+#: ``-20 .. 0`` so that ``10**-k`` is an exact integer.
+_Q_MIN, _Q_MAX = -66, 1
+#: Floats per numpy pass (whole points; bounds the temporaries).
+_FLOAT_CHUNK = 4096
+#: Separator written after a float: none, ``,`` or ``],[``.
+_SEP_LEN = np.array([0, 1, 3])
+#: A float's text row: 16 integer digit columns (``10**15 .. 10**0``),
+#: ``.``, 20 fraction columns (``10**-1 .. 10**-20``), then ``],[``.
+#: A minus sign takes the column before the first integer digit kept.
+_ROW = 40
+#: Eight ASCII zeros in a ``uint64`` (digit words are little-endian).
+_ASCII0 = _U(0x3030303030303030)
+
+
+def _digit_tables() -> tuple[np.ndarray, ...]:
+    """Per ``(q, irregular)`` row: the multiplier ``5**-k`` (times 2
+    where ``k - q`` is negative), the lower bound's step (twice the
+    multiplier, once below a power of two), the float that scales
+    ``|x|`` to the high word of ``4 * c * multiplier`` (``c = |x| /
+    2**q``), the right shift ``k - q`` (at least 0), its complement
+    ``63 - shift``, its low-bit mask and ``k`` itself, where ``k =
+    floor(log10(width))`` for the rounding interval's width ``2**q``
+    (``3/4 * 2**q`` below a power of two)."""
+    rows = []
+    for q in range(_Q_MIN, _Q_MAX + 1):
+        for irregular in (0, 1):
+            # floor(log10(2**q)) and floor(log10(3/4 * 2**q)), exact
+            # over this range (Giulietti's integer estimates)
+            k = (q * 661_971_961_083 - irregular * 274_743_187_321) >> 41
+            mult = 5 ** -k << max(0, q - k)
+            rows.append((mult, (2 - irregular) * mult,
+                         math.ldexp(mult, -q - 62), max(0, k - q), k))
+    mult, below, scale, shift, k = zip(*rows)
+    shifts = np.array(shift, dtype=np.uint64)
+    return (np.array(mult, dtype=np.uint64), np.array(below, dtype=np.int64),
+            np.array(scale), shifts, _U(63) - shifts,
+            (_U(1) << shifts) - _U(1), np.array(k, dtype=np.int64))
+
+
+def _row_masks() -> np.ndarray:
+    """Kept columns of a text row, one row per ``((a * 20 + b) * 2 +
+    negative) * 3 + separator``: integer digits ``10**a .. 10**0``,
+    fraction digits ``10**-1 .. 10**-(b + 1)``."""
+    col = np.arange(_ROW)
+    pos = np.where(col < 16, 15 - col, 16 - col)
+    digit = (col < 37) & (col != 16)
+    a = np.arange(16)[:, None, None, None, None]
+    b = np.arange(20)[None, :, None, None, None]
+    neg = np.arange(2)[None, None, :, None, None]
+    sep = np.arange(3)[None, None, None, :, None]
+    keep = (digit & (pos <= a) & (pos >= -1 - b) | (col == 16)
+            | (neg == 1) & (col == 14 - a)
+            | (sep == 1) & (col == 38) | (sep == 2) & (col >= 37))
+    return keep.reshape(-1, _ROW)
+
+
+_MULT, _BELOW, _SCALE, _SHIFT, _BACK, _LOW, _K = _digit_tables()
+_MASKS = _row_masks()
+#: The leading digit word of a 17-digit significand, by its first digit.
+_LEADS = np.array([int.from_bytes(f"{v:08d}".encode(), "little")
+                   for v in range(10)], dtype=np.uint64)
+
+
+def _shortest(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(d, k, short)``: ``repr``'s digits of every float of ``x`` as
+    ``d * 10**k``, for ``x`` in the fast path's exponent range; ``d``
+    carries trailing zeros only where ``short`` is set.
+
+    Schubfach (Giulietti, 2020) with exact products: ``10**-k`` is an
+    integer here, so ``4 * x * 10**-k`` and the rounding interval's
+    bounds are a 128-bit product shifted and rounded to odd.  The shortest decimal of the interval is the one multiple of
+    ``10**(k+1)`` in it (``short``), else the closer of the two
+    multiples of ``10**k`` around ``x``, ties to even.
+    """
+    bits = x.view(np.uint64)
+    frac = bits & _U((1 << 52) - 1)
+    irregular = frac == 0
+    row = (((((bits << _U(1)) >> _U(53)) - _U(1075 + _Q_MIN)) << _U(1))
+           | irregular).astype(np.intp)
+    pm, shift, back, low = (_MULT.take(row), _SHIFT.take(row),
+                            _BACK.take(row), _LOW.take(row))
+    c = frac | _U(1 << 52)
+    # the 128-bit product 4c * pm: its low word wraps exactly, and its
+    # high word is within 2**-14 of |x| * scale - low / 2**64 in floats
+    lo = (c << _U(2)) * pm
+    hi = np.rint(np.abs(x) * _SCALE.take(row)
+                 - lo.astype(np.float64) * 2.0 ** -64).astype(np.uint64)
+    # 4x * 10**-k = (hi * 2**64 + lo) / 2**shift: floor and remainder;
+    # the bounds differ from it by 2 * 2**q * 10**-k = 2 * pm / 2**shift
+    # above, and half that below 2**52 (the lower neighbour is closer)
+    vb = (lo >> shift) | ((hi << _U(1)) << back)
+    rest = lo & low
+    up = rest + (pm << _U(1))
+    down = rest.view(np.int64) - _BELOW.take(row)
+    vbr = (vb + (up >> shift)) | ((up & low) != 0)
+    vbl = ((vb + (down >> shift.view(np.int64)).view(np.uint64))
+           | ((down.view(np.uint64) & low) != 0))
+    vb |= rest != 0
+    # an odd significand's interval is open: its ends do not round back
+    odd = c & _U(1)
+    vbl += odd
+    vbr -= odd
+    s = vb >> _U(2)
+    sp = (s // _U(10)) * _U(10)
+    tp = sp + _U(10)
+    upin = vbl <= sp << _U(2)
+    short = upin != (tp << _U(2) <= vbr)
+    # t = s + 1 unless s alone is in the interval, or both are and s is
+    # closer (x's offset from s is (vb & 3) / 4; a tie goes to even)
+    s4 = s << _U(2)
+    up_t = (vbl > s4) | ((s4 + _U(4) <= vbr)
+                         & ((vb & _U(3)) + (s & _U(1)) > _U(2)))
+    d = np.where(short, np.where(upin, sp, tp), s + up_t)
+    return d, _K.take(row), short
+
+
+def _ascii8(v: np.ndarray) -> np.ndarray:
+    """Each ``v < 10**8`` as 8 ASCII digits packed into a ``uint64``
+    (first digit in the low byte): two 4-digit lanes, then four 2-digit
+    lanes, then eight 1-digit lanes."""
+    hi = v // _U(10000)
+    v = hi | ((v - hi * _U(10000)) << _U(32))
+    d = ((v * _U(5243)) >> _U(19)) & _U(0x0000007F0000007F)
+    v = d | ((v - d * _U(100)) << _U(16))
+    d = ((v * _U(103)) >> _U(10)) & _U(0x000F000F000F000F)
+    return (d | ((v - d * _U(10)) << _U(8))) + _ASCII0
+
+
+class _Rows:
+    """The buffers of :func:`_float_texts` for up to ``size`` floats,
+    reused across the chunks of a slice (fresh pages for every chunk
+    would cost more than the passes that fill them)."""
+
+    def __init__(self, size: int) -> None:
+        #: 24 ASCII digits per float at columns 16 .. 39 of a '0' pad
+        self.pad = np.full((size, 8), _ASCII0, dtype="<u8")
+        #: text rows and their kept columns, ``n * width`` of each used
+        self.rows = np.empty(size * _ROW, np.uint8)
+        self.keep = np.empty(size * _ROW, bool)
+        self._masks: dict[int, np.ndarray] = {}
+
+    def masks(self, lo: int) -> np.ndarray:
+        """:data:`_MASKS` without its first ``lo`` columns."""
+        if lo not in self._masks:
+            self._masks[lo] = np.ascontiguousarray(_MASKS[:, lo:])
+        return self._masks[lo]
+
+
+def _float_texts(
+    x: np.ndarray, seps: np.ndarray, rows: _Rows
+) -> tuple[bytes, np.ndarray]:
+    """``(text, lengths)``: ``repr`` of every float of ``x``, each
+    followed by its separator (``seps``: 0 none, 1 ``,``, 2 ``],[``),
+    as one byte string, and the byte length of each float's part.
+
+    Finite floats whose ``repr`` is positional (``1e-4 <= |x| < 1e16``)
+    and ``±0.0`` are written in numpy: :func:`_shortest`'s digits, as 24
+    ASCII digits, are cut into a fixed-point row by the decimal exponent
+    (one window per float into a padded buffer), then one table row per
+    float selects the kept columns and one boolean compaction writes the
+    text.  Every other float is written by ``repr``.
+    """
+    n = x.size
+    bits = x.view(np.uint64)
+    negative = (bits >> _U(63)).astype(np.intp)
+    exponent = (bits >> _U(52)) & _U(0x7FF)
+    zero = (bits << _U(1)) == 0
+    fast = (exponent >= _U(1075 + _Q_MIN)) & (exponent <= _U(1075 + _Q_MAX))
+    d, k, short = _shortest(np.where(fast, x, 1.0))
+    d[zero] = 0
+    # d < 2**53 * 10 < 10**17, so 16 or 17 digits
+    lead = k + 15 + (d >= _U(10 ** 16))
+    # trailing zeros: only a one-digit-short ``d`` has any, and few
+    # have more than one
+    zeros = short.astype(np.int64)
+    at = np.flatnonzero(short & ~zero)
+    shorter = d.take(at) // _U(10)
+    while at.size:
+        shorter, last = np.divmod(shorter, _U(10))
+        hit = last == 0
+        at, shorter = at[hit], shorter[hit]
+        zeros[at] += 1
+    slow = ~zero & ~(fast & (lead >= -4) & (lead <= 15 - negative))
+    a = np.where(zero | slow, 0, np.maximum(lead, 0))
+    b = np.where(zero | slow, 0, -1 - np.minimum(k + zeros, -1))
+    pad = rows.pad[:n]
+    top, rest = np.divmod(d, _U(10 ** 16))
+    pad[:, 2] = _LEADS.take(top.astype(np.intp))
+    top, rest = np.divmod(rest, _U(10 ** 8))
+    pad[:, 3] = _ascii8(top)
+    pad[:, 4] = _ascii8(rest)
+    # the leftmost column a row keeps (a minus sign sits before 10**a):
+    # the rows start there
+    lo = 0 if slow.any() else int((15 - a - negative).min())
+    width = _ROW - lo
+    keep = rows.masks(lo).take(((a * 20 + b) * 2 + negative) * 3 + seps,
+                               axis=0, mode="clip",
+                               out=rows.keep[:n * width].reshape(n, width))
+    # the digit of 10**15 sits at pad column 24 + k
+    windows = np.lib.stride_tricks.as_strided(
+        pad.view(np.uint8).reshape(-1), (64 * n - 35 + lo, 36 - lo), (1, 1))
+    digits = windows[np.arange(24 + lo, 64 * n, 64) + np.where(slow, 0, k)]
+    lengths = negative + a + b + 3 + _SEP_LEN.take(seps)
+    for i in np.flatnonzero(slow).tolist():
+        # repr's text in the digit columns, around the '.' column
+        text = repr(float(x[i])).encode()
+        digits[i, :len(text)] = np.frombuffer(text, np.uint8)
+        keep[i, :37] = False
+        keep[i, :min(len(text), 16)] = True
+        keep[i, 17: len(text) + 1] = True
+        lengths[i] = len(text) + _SEP_LEN[seps[i]]
+    out = rows.rows[:n * width].reshape(n, width)
+    out[:, :16 - lo] = digits[:, :16 - lo]
+    out[:, 16 - lo] = ord(".")
+    out[:, 17 - lo: 37 - lo] = digits[:, 16 - lo:]
+    out[:, 37 - lo:] = np.frombuffer(b"],[", np.uint8)
+    at = np.flatnonzero(negative.astype(bool) & ~slow)
+    if at.size:
+        out.reshape(-1)[at * width + 14 - lo - a[at]] = ord("-")
+    return out[keep].tobytes(), lengths
+
+
+def _float_seps(p: int) -> np.ndarray:
+    """Separator codes of one platform's floats: ``p * p`` bandwidths
+    (``,`` inside a row, ``],[`` between rows) then ``p`` speeds (``,``),
+    no separator after the last of each."""
+    seps = np.ones(p * p + p, dtype=np.intp)
+    seps[p - 1: p * p: p] = 2
+    seps[p * p - 1] = seps[-1] = 0
+    return seps
+
+
+def _frame(inst: Instance, model: CommModel | str,
+           tail: str) -> tuple[bytes, bytes, bytes]:
+    """The canonical JSON of a point around its two float lists: before
+    the bandwidths, between them and the speeds, and after the speeds
+    (``tail`` closes the payload: objectives and schema)."""
+    return (('{"instance":{"application":'
+             + canonical_json(inst.application.to_dict())
+             + ',"mapping":' + canonical_json(inst.mapping.to_dict())
+             + ',"platform":{"bandwidths":[[').encode(),
+            (']],"name":' + canonical_json(inst.platform.name)
+             + ',"speeds":[').encode(),
+            (']}},"model":' + canonical_json(CommModel.parse(model).value)
+             + tail).encode())
+
+
+def _instance_digests(
+    insts: Sequence[Instance],
+    models: Sequence[CommModel | str],
+    objectives: Sequence[str] = ("period",),
+) -> list[str]:
+    """``[instance_digest(inst, model, objectives=objectives) for ...]``
+    for a slice of points, element for element, at a fraction of the
+    cost.
+
+    Each point's canonical JSON is its :func:`_frame` (cached within the
+    slice per application object, mapping, platform name and model)
+    around its bandwidth and speed floats, which :func:`_float_texts`
+    writes in chunks of about :data:`_FLOAT_CHUNK` floats; then SHA-256
+    per point.  Points with failure rates, and points with an infinite
+    or NaN float, are digested by :func:`instance_digest` itself (so
+    any error raised is its error).
+    """
+    names = tuple(objectives)
+    tail = ("" if names == ("period",)
+            else ',"objectives":' + canonical_json(list(names)))
+    tail += f',"schema":{RESULT_SCHEMA_VERSION}}}'
+    digests: list[str] = [""] * len(insts)
+    frames: dict[tuple[Any, ...], tuple[bytes, bytes, bytes]] = {}
+    seps: dict[int, np.ndarray] = {}
+    rows: _Rows | None = None
+    batch: list[tuple[int, Any, tuple[bytes, bytes, bytes]]] = []
+
+    def flush() -> None:
+        nonlocal rows, batch
+        x = np.concatenate([a for _, plat, _ in batch for a in (
+            plat.bandwidths.reshape(-1), plat.speeds)])
+        counts = np.array([plat.speeds.size for _, plat, _ in batch])
+        sizes = counts * (counts + 1)
+        firsts = np.cumsum(sizes) - sizes
+        finite = np.logical_and.reduceat(np.isfinite(x), firsts)
+        if not finite.all():
+            for j in np.flatnonzero(~finite).tolist():
+                i = batch[j][0]
+                digests[i] = instance_digest(insts[i], models[i],
+                                             objectives=names)
+            x = x[np.repeat(finite, sizes)]
+            batch = [entry for entry, ok in zip(batch, finite) if ok]
+            if not batch:
+                return
+            counts, sizes = counts[finite], sizes[finite]
+            firsts = np.cumsum(sizes) - sizes
+        if rows is None or len(rows.pad) < x.size:
+            rows = _Rows(max(x.size, _FLOAT_CHUNK))
+        text, lengths = _float_texts(
+            x, np.concatenate([seps[p] for p in counts.tolist()]), rows)
+        # each point's text ends at the last bandwidth, then the last speed
+        cuts = np.empty(2 * len(batch), dtype=np.intp)
+        cuts[0::2] = firsts + counts * counts - 1
+        cuts[1::2] = firsts + sizes - 1
+        ends = np.cumsum(lengths).take(cuts).tolist()
+        view = memoryview(text)
+        start = 0
+        for (i, _, (head, mid, end)), middle, stop in zip(
+                batch, ends[0::2], ends[1::2]):
+            digests[i] = hashlib.sha256(b"".join(
+                (head, view[start:middle], mid, view[middle:stop], end)
+            )).hexdigest()
+            start = stop
+        batch = []
+
+    size = 0
+    for i, (inst, model) in enumerate(zip(insts, models)):
+        plat = inst.platform
+        if plat.failure_rates is not None:
+            digests[i] = instance_digest(inst, model, objectives=names)
+            continue
+        # (an id is stable here: every instance outlives the call)
+        key = (id(inst.application), inst.mapping.assignments, plat.name,
+               model)
+        frame = frames.get(key)
+        if frame is None:
+            frame = frames[key] = _frame(inst, model, tail)
+        p = plat.speeds.size
+        if p not in seps:
+            seps[p] = _float_seps(p)
+        batch.append((i, plat, frame))
+        size += p * p + p
+        if size >= _FLOAT_CHUNK:
+            flush()
+            size = 0
+    if batch:
+        flush()
+    return digests
 
 
 def manifest_key(spec: CampaignSpec) -> str:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
 import sys
 from pathlib import Path
 
@@ -841,13 +842,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Entry point (returns a process exit code)."""
-    args = build_parser().parse_args(argv)
+    """Entry point (returns a process exit code).
+
+    Human-readable output is printed in the locale's encoding with
+    backslash escapes for what it cannot encode, so a non-ASCII spec
+    label prints as ``l\\xf3cale`` under ``LC_ALL=C`` instead of failing
+    the command (machine output is ASCII-escaped JSON already).  The
+    streams' own error handlers are restored on return.
+    """
+    streams = [(stream, stream.errors) for stream in (sys.stdout, sys.stderr)
+               if isinstance(stream, io.TextIOWrapper)]
+    for stream, _ in streams:
+        stream.reconfigure(errors="backslashreplace")
     try:
-        return args.func(args)
-    except Exception as exc:  # surfaced as clean CLI errors
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        args = build_parser().parse_args(argv)
+        try:
+            return args.func(args)
+        except Exception as exc:  # surfaced as clean CLI errors
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+    finally:
+        for stream, errors in streams:
+            stream.reconfigure(errors=errors)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -224,7 +224,7 @@ def _sweep(
         # campaign.store imports experiments.io — importing at module
         # scope would close the cycle.
         from ..campaign import executor
-        from ..campaign.store import instance_digest, record_from_payload
+        from ..campaign.store import record_from_payload
 
         workers, options = executor._drain_options(store, n_jobs, max_paths + 1)
     points = [(config, model, s) for config, model, seeds in rows for s in seeds]
@@ -235,12 +235,11 @@ def _sweep(
         records = [_record_from(*point, inst, res)
                    for point, inst, res in zip(points, instances, results)]
     else:
-        digests = [instance_digest(inst, model)
-                   for (_, model, _), inst in zip(points, instances)]
-        plan = executor._Shares(
-            [executor._Given(inst, model.value)
-             for (_, model, _), inst in zip(points, instances)],
-            range(len(points)), options["objectives"], digests, True, 1)
+        given = [executor._Given(inst, model.value)
+                 for (_, model, _), inst in zip(points, instances)]
+        digests = executor._digests_of(given, ("period",))
+        plan = executor._Shares(given, range(len(points)),
+                                options["objectives"], digests, True, 1)
         work = executor._share_record(plan, store, 0)[1]
         crashed = executor._drain_local(store, work, workers, options)[2]
         payloads = list(store._payloads(digests))

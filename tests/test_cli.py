@@ -250,3 +250,42 @@ class TestUnifiedFormat:
         data = json.loads(capsys.readouterr().out)
         assert data["experiments"] == len(data["records"]) == 3
         assert all(r["period"] > 0 for r in data["records"])
+
+
+def test_campaign_output_survives_an_ascii_locale(tmp_path):
+    """Under ``LC_ALL=C`` a non-ASCII spec name prints as a backslash
+    escape: ``campaign run``, ``status`` and ``report`` exit 0 instead
+    of failing on the locale's encoding."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    from .test_artifact_bytes import _ASCII_LOCALE
+
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "name": "lócale", "draws": 2, "models": ["overlap"],
+        "applications": [{"synthetic": {"n_stages": 3}}],
+        "platforms": [{"n_procs": 6}],
+        "replications": [{"policy": "balls"}],
+    }, ensure_ascii=False), encoding="utf-8")
+    env = {**os.environ, **_ASCII_LOCALE,
+           "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])}
+    for action in ("run", "status", "report"):
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "campaign", action, str(spec),
+             "--store", str(tmp_path / "store.sqlite")],
+            env=env, capture_output=True)
+        assert done.returncode == 0, done.stderr
+        assert b"l\\xf3cale" in done.stdout
+
+
+def test_main_restores_the_streams_error_handler(capsys):
+    import sys
+
+    errors = sys.stdout.errors
+    assert main(["period", "a"]) == 0
+    assert sys.stdout.errors == errors
